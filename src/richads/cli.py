@@ -91,6 +91,46 @@ def _explain(inst: Instance, rep: ReportProfile) -> dict:
     }
 
 
+def _explain_payments(inst: Instance, rep: ReportProfile, outcome: pricing.PricedOutcome, rule) -> dict:
+    """Per bidder and branch: the click curve the payment was read from.
+
+    `jump_bids` are the bids where the curve steps up to the next of
+    `click_levels`; `threshold` is the lowest bid that still wins the
+    branch's clicks; `probes` counts the allocations run to find the curve
+    among its `candidates` breakpoints. Curve fields are null for a branch
+    priced without a curve (GSP charges nothing for a branch with no clicks).
+    """
+    names = [branch for _prob, branch in pricing.rule_branches(rule)]
+    out = {}
+    for adv_id, curves in sorted(outcome.curves.items()):
+        bid = rep.bids[adv_id]
+        branches = []
+        for name, (prob, alloc), curve in zip(names, outcome.mixture.branches, curves):
+            clicks = alloc.clicks(inst, adv_id)
+            entry = {
+                "branch": name,
+                "probability": str(prob),
+                "clicks": str(clicks),
+                "candidates": None,
+                "probes": 0,
+                "jump_bids": None,
+                "click_levels": None,
+                "threshold": None,
+            }
+            if curve is not None:
+                steps = curve.steps()
+                entry.update(
+                    candidates=len(curve.thresholds) - 1,
+                    probes=curve.probes,
+                    jump_bids=[str(b) for b, _clicks in steps[1:]],
+                    click_levels=[str(c) for _b, c in steps],
+                    threshold=str(pricing.gsp_cpc_from_curve(curve, bid, clicks)),
+                )
+            branches.append(entry)
+        out[adv_id] = {"bid": str(bid), "payment": str(outcome.payments[adv_id]), "branches": branches}
+    return out
+
+
 def _cmd_validate(args) -> int:
     inst = load_instance(args.instance)
     violations = validate_instance(inst)
@@ -137,6 +177,9 @@ def _cmd_payments(args) -> int:
         return 1
     rep = truthful_profile(inst)
     if args.rule == "vcg":
+        if args.explain:
+            print("error: --explain shows click curves; vcg prices without them", file=sys.stderr)
+            return USAGE_EXIT
         outcome = pricing.vcg_payments(inst, rep)
     else:
         p = Fraction(args.p) if args.p else (
@@ -147,7 +190,10 @@ def _cmd_payments(args) -> int:
             outcome = pricing.myerson_payment(inst, rep, rule)
         else:
             outcome = pricing.gsp_prices(inst, rep, rule)
-    _emit(outcome.to_dict())
+    payload = outcome.to_dict()
+    if args.explain:
+        payload["explain"] = _explain_payments(inst, rep, outcome, rule)
+    _emit(payload)
     return 0
 
 
@@ -246,6 +292,7 @@ def build_parser() -> _Parser:
     p.add_argument("instance")
     p.add_argument("--rule", required=True, choices=["myerson", "gsp", "vcg"])
     p.add_argument("--p", default=None, help="mixture weight override, e.g. 2/3")
+    p.add_argument("--explain", action="store_true", help="add each bidder's click curves (myerson, gsp)")
     p.set_defaults(fn=_cmd_payments)
 
     p = sub.add_parser("equilibrium", help="best-response dynamics on a bid grid")

@@ -75,14 +75,17 @@ def _greedy_bpb_capped(view: ScaledView, k: int) -> Allocation:
     return Allocation(entries=entries)
 
 
-def greedy_by_bpb(inst: Instance, rep: ReportProfile, cardinality: int | None = None) -> Allocation:
+def greedy_by_bpb(
+    inst: Instance, rep: ReportProfile, cardinality: int | None = None, view: ScaledView | None = None
+) -> Allocation:
     """Bang-per-buck greedy: like the integral rule but misfits are skipped.
 
     After the scan, each advertiser's reserved space is upgraded to their
     most valuable fitting ad, mirroring the integral rule's second stage.
     """
     _check_cardinality(cardinality)
-    view = ScaledView(inst, rep)
+    if view is None:
+        view = ScaledView(inst, rep)
     if cardinality is not None and cardinality < view.n_adv():
         return _greedy_bpb_capped(view, cardinality)
     held, held_spc, _fa, _fn, _fd = run_space_auction(view, stop_on_misfit=False)
@@ -94,7 +97,9 @@ def greedy_by_bpb(inst: Instance, rep: ReportProfile, cardinality: int | None = 
     return Allocation(entries=entries)
 
 
-def greedy_by_value(inst: Instance, rep: ReportProfile, cardinality: int | None = None) -> Allocation:
+def greedy_by_value(
+    inst: Instance, rep: ReportProfile, cardinality: int | None = None, view: ScaledView | None = None
+) -> Allocation:
     """Value greedy: scan ads by value, allocate the first fit per advertiser.
 
     A non-fitting ad is skipped but leaves its advertiser eligible; an
@@ -102,7 +107,8 @@ def greedy_by_value(inst: Instance, rep: ReportProfile, cardinality: int | None 
     `cardinality` advertisers are served.
     """
     _check_cardinality(cardinality)
-    view = ScaledView(inst, rep)
+    if view is None:
+        view = ScaledView(inst, rep)
     limit = cardinality if cardinality is not None else view.n_adv()
     held = run_value_greedy(view, limit)
     entries = {}

@@ -58,13 +58,18 @@ class ScaledView:
     as unreported: no rule ever benefits from allocating them.
     """
 
-    __slots__ = (
-        "inst", "adv_ids", "adv_index", "adv", "ad_ids", "val", "spc",
+    FIELDS = (
+        "inst", "rep", "adv_ids", "adv_index", "adv", "ad_ids", "val", "spc",
         "eff", "space", "total", "value_scale", "space_scale", "max_magnitude",
     )
+    # _bidders: adv_id -> (own row span, own alphas, lcm of the other rows'
+    # value denominators), filled by `rebid` and valid for that bidder only
+    __slots__ = FIELDS + ("_bidders",)
 
     def __init__(self, inst, rep):
         self.inst = inst
+        self.rep = rep
+        self._bidders = {}
         self.adv_ids = inst.adv_ids()
         self.adv_index = {a: i for i, a in enumerate(self.adv_ids)}
         rows = []  # (adv_idx, ad_id, effective value, space)
@@ -80,18 +85,57 @@ class ScaledView:
                         rows.append((ai, ad.ad_id, eff, ad.space))
         rows.sort(key=lambda r: (r[0], r[1]))
 
-        value_scale = lcm(*(r[2].denominator for r in rows)) if rows else 1
         space_scale = lcm(inst.total_space.denominator, *(r[3].denominator for r in rows))
         self.adv = [r[0] for r in rows]
         self.ad_ids = [r[1] for r in rows]
-        self.eff = [r[2] for r in rows]
         self.space = [r[3] for r in rows]
-        self.val = [int(r[2] * value_scale) for r in rows]
         self.spc = [int(r[3] * space_scale) for r in rows]
         self.total = int(inst.total_space * space_scale)
-        self.value_scale = value_scale
         self.space_scale = space_scale
+        eff = [r[2] for r in rows]
+        self._set_values(eff, lcm(*(e.denominator for e in eff)))
+
+    def _set_values(self, eff, value_scale):
+        self.eff = eff
+        self.value_scale = value_scale
+        self.val = [e.numerator * (value_scale // e.denominator) for e in eff]
         self.max_magnitude = max(self.val + self.spc + [self.total])
+
+    def rebid(self, adv_id: str, bid: Fraction) -> "ScaledView":
+        """This view with `adv_id` bidding `bid` on the same subset.
+
+        Equal slot for slot to a fresh `ScaledView` of the replaced report.
+        While the old and the new bid are both positive the rows do not
+        change, so the row order, spaces and space scale are shared, the lcm
+        of the other rows' value denominators is computed once per bidder,
+        and only values are rescaled, in integers. Otherwise the view is
+        built afresh.
+        """
+        bid = Fraction(bid)
+        rep = self.rep.replace(adv_id, bid, self.rep.subsets.get(adv_id, frozenset()))
+        if bid <= 0 or self.rep.bids.get(adv_id, 0) <= 0:
+            return ScaledView(self.inst, rep)
+        bidder = self._bidders.get(adv_id)
+        if bidder is None:
+            bidder = self._bidders[adv_id] = self._bidder(adv_id)
+        lo, hi, alphas, others_scale = bidder
+        own = [bid * alpha for alpha in alphas]
+        new = object.__new__(type(self))
+        for name in ("inst", "adv_ids", "adv_index", "adv", "ad_ids", "spc", "space", "total", "space_scale"):
+            setattr(new, name, getattr(self, name))
+        new.rep = rep
+        new._bidders = {adv_id: bidder}
+        new._set_values(self.eff[:lo] + own + self.eff[hi:], lcm(others_scale, *(e.denominator for e in own)))
+        return new
+
+    def _bidder(self, adv_id):
+        # rows are sorted by advertiser, so one advertiser's rows are contiguous
+        own = [i for i, a in enumerate(self.adv) if self.adv_ids[a] == adv_id]
+        lo, hi = (own[0], own[-1] + 1) if own else (0, 0)
+        old = self.rep.bids[adv_id]
+        alphas = [e / old for e in self.eff[lo:hi]]
+        others_scale = lcm(*(e.denominator for e in self.eff[:lo] + self.eff[hi:]))
+        return lo, hi, alphas, others_scale
 
     def __len__(self):
         return len(self.val)

@@ -17,6 +17,13 @@ class GuardExceededError(Exception):
     """A configured size guard (DP capacity, enumeration count, ...) was hit."""
 
 
+class InvariantViolation(Exception):
+    """A computed result broke an invariant the package promises.
+
+    Raised where a bare `assert` would be stripped by `python -O`.
+    """
+
+
 class NonMonotoneClickCurveError(Exception):
     """A click curve that must be nondecreasing in the bid is not.
 
@@ -319,19 +326,29 @@ def instance_to_dict(inst: Instance) -> dict:
     }
 
 
+def _objects(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list of objects, got {type(value).__name__}")
+    for item in value:
+        if not isinstance(item, dict):
+            raise ValueError(f"{what} must be a list of objects, got an item of type {type(item).__name__}")
+    return value
+
+
 def instance_from_dict(data: dict) -> Instance:
     if not isinstance(data, dict):
         raise ValueError("instance JSON must be an object")
     try:
         total = parse_rational(data["total_space"])
         limit = data.get("cardinality_limit")
-        if limit is not None and not isinstance(limit, int):
+        # bool is a subclass of int, but `true` is not a cardinality
+        if limit is not None and (isinstance(limit, bool) or not isinstance(limit, int)):
             raise ValueError(f"cardinality_limit must be an integer or null, got {limit!r}")
         advertisers = []
-        for row in data["advertisers"]:
+        for row in _objects(data["advertisers"], "advertisers"):
             ads = tuple(
                 RichAd(ad_id=str(a["id"]), alpha=parse_rational(a["alpha"]), space=parse_rational(a["space"]))
-                for a in row["ads"]
+                for a in _objects(row["ads"], f"ads of advertiser {row.get('id')!r}")
             )
             advertisers.append(
                 Advertiser(adv_id=str(row["id"]), value_per_click=parse_rational(row["value_per_click"]), ads=ads)

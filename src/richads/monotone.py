@@ -124,16 +124,25 @@ def _best_fit_allocation(view: ScaledView, held_spc: list[int]) -> Allocation:
     return Allocation(entries=entries)
 
 
-def bpb_allocation(inst: Instance, rep: ReportProfile) -> Allocation:
-    """The integral rule: space assignment, then best fitting ad per advertiser."""
-    view = ScaledView(inst, rep)
+def bpb_allocation(inst: Instance, rep: ReportProfile, view: ScaledView | None = None) -> Allocation:
+    """The integral rule: space assignment, then best fitting ad per advertiser.
+
+    `view`, when given, must be the view of (inst, rep); it is used instead
+    of building one.
+    """
+    if view is None:
+        view = ScaledView(inst, rep)
     _held, held_spc, _fa, _fn, _fd = run_space_auction(view, stop_on_misfit=True)
     return _best_fit_allocation(view, held_spc)
 
 
-def max_value_allocation(inst: Instance, rep: ReportProfile) -> Allocation:
-    """Serve only the single most valuable reported ad that fits at all."""
-    view = ScaledView(inst, rep)
+def max_value_allocation(inst: Instance, rep: ReportProfile, view: ScaledView | None = None) -> Allocation:
+    """Serve only the single most valuable reported ad that fits at all.
+
+    `view`, when given, must be the view of (inst, rep).
+    """
+    if view is None:
+        view = ScaledView(inst, rep)
     best = -1
     for i in range(len(view)):
         if view.spc[i] > view.total:

@@ -4,19 +4,21 @@ A rule's click curve for one advertiser is piecewise constant in their bid;
 its breakpoints can only sit where the bid ties another ad's bang-per-buck
 or value. Payments integrate that curve (Myerson), look up the lowest bid
 preserving the current clicks (GSP), or charge externalities at an exact
-optimum (VCG). Every payment is computed and asserted in exact rationals.
+optimum (VCG). Every payment is computed and checked in exact rationals.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Mapping
 
-from . import exact, heuristics, monotone
+from . import exact, heuristics, kernels, monotone
 from .model import (
     Allocation,
     Instance,
+    InvariantViolation,
     Mixture,
     NonMonotoneClickCurveError,
     Outcome,
@@ -79,26 +81,33 @@ def rule_branches(rule: AllocationRule) -> tuple[tuple[Fraction, str], ...]:
 
 
 def branch_allocate(
-    inst: Instance, rep: ReportProfile, branch: str, cardinality: int | None = None
+    inst: Instance,
+    rep: ReportProfile,
+    branch: str,
+    cardinality: int | None = None,
+    view: kernels.ScaledView | None = None,
 ) -> Allocation:
+    """One branch's allocation; `view`, when given, is the view of (inst, rep)."""
     if branch == "bpb":
-        return monotone.bpb_allocation(inst, rep)
+        return monotone.bpb_allocation(inst, rep, view)
     if branch == "max-value":
-        return monotone.max_value_allocation(inst, rep)
+        return monotone.max_value_allocation(inst, rep, view)
     if branch == "greedy-bpb":
-        return heuristics.greedy_by_bpb(inst, rep, cardinality)
+        return heuristics.greedy_by_bpb(inst, rep, cardinality, view)
     if branch == "greedy-value":
-        return heuristics.greedy_by_value(inst, rep, cardinality)
+        return heuristics.greedy_by_value(inst, rep, cardinality, view)
     raise ValueError(f"unknown branch {branch!r}")
 
 
-def rule_allocate(inst: Instance, rep: ReportProfile, rule: AllocationRule) -> Outcome:
+def rule_allocate(
+    inst: Instance, rep: ReportProfile, rule: AllocationRule, view: kernels.ScaledView | None = None
+) -> Outcome:
     branches = rule_branches(rule)
     if len(branches) == 1:
-        return branch_allocate(inst, rep, branches[0][1], rule.cardinality)
+        return branch_allocate(inst, rep, branches[0][1], rule.cardinality, view)
     return Mixture(
         branches=tuple(
-            (prob, branch_allocate(inst, rep, branch, rule.cardinality))
+            (prob, branch_allocate(inst, rep, branch, rule.cardinality, view))
             for prob, branch in branches
         )
     )
@@ -113,6 +122,12 @@ _BRANCH_KINDS = {
     "greedy-value": ("value",),
 }
 
+# branches whose click curve is proven nondecreasing in the bid (the two
+# branches of the truthful mixture): their curves are bisected. The greedy
+# branches keep the exhaustive scan, because for them a decreasing curve
+# (NonMonotoneClickCurveError) is a finding the harness logs.
+_MONOTONE_BRANCHES = {"bpb", "max-value"}
+
 
 # --- click curves ---------------------------------------------------------
 
@@ -124,7 +139,8 @@ class BidThresholds:
     `thresholds` starts at 0 and lists every candidate breakpoint up to the
     cap; `intervals` are the open spans between consecutive breakpoints
     (plus the final span up to the cap) and `interval_clicks[j]` is the
-    advertiser's expected clicks anywhere inside `intervals[j]`.
+    advertiser's expected clicks anywhere inside `intervals[j]`. `probes`
+    counts the allocations run to find those clicks.
     """
 
     adv_id: str
@@ -133,14 +149,28 @@ class BidThresholds:
     thresholds: tuple[Fraction, ...]
     intervals: tuple[tuple[Fraction, Fraction], ...]
     interval_clicks: tuple[Fraction, ...]
+    probes: int = 0
+
+    def steps(self) -> list[tuple[Fraction, Fraction]]:
+        """(lowest bid, clicks) of each constant run of the curve, in bid order."""
+        out: list[tuple[Fraction, Fraction]] = []
+        for (lo, _hi), clicks in zip(self.intervals, self.interval_clicks):
+            if not out or clicks != out[-1][1]:
+                out.append((lo, clicks))
+        return out
 
 
 def _tie_candidates(
     inst: Instance, rep: ReportProfile, adv_id: str, kinds: tuple[str, ...], cap: Fraction
 ) -> list[Fraction]:
-    mine = inst.advertiser(adv_id)
+    # a bang-per-buck tie is (other eff / other space) * (own space / own
+    # alpha), a value tie other eff / own alpha; each factor is computed once
     my_subset = rep.subsets.get(adv_id, frozenset())
-    others: list[tuple[Fraction, Fraction]] = []  # (effective value, space)
+    own = [ad for ad in inst.advertiser(adv_id).ads if ad.ad_id in my_subset and ad.alpha > 0]
+    if not own:
+        return []
+    densities: set[Fraction] = set()
+    values: set[Fraction] = set()
     for other in inst.advertisers:
         if other.adv_id == adv_id:
             continue
@@ -149,37 +179,75 @@ def _tie_candidates(
             continue
         subset = rep.subsets.get(other.adv_id, frozenset())
         for ad in other.ads:
-            if ad.ad_id in subset and bid * ad.alpha > 0:
-                others.append((bid * ad.alpha, ad.space))
-    out: set[Fraction] = set()
-    for ad in mine.ads:
-        if ad.ad_id not in my_subset or ad.alpha <= 0:
-            continue
-        for eff, space in others:
-            if "bpb" in kinds:
-                tie = eff * ad.space / (space * ad.alpha)
-                if 0 < tie <= cap:
-                    out.add(tie)
-            if "value" in kinds:
-                tie = eff / ad.alpha
-                if 0 < tie <= cap:
-                    out.add(tie)
-    return sorted(out)
+            if ad.ad_id in subset and ad.alpha > 0:
+                eff = bid * ad.alpha
+                values.add(eff)
+                if "bpb" in kinds:
+                    densities.add(eff / ad.space)
+    factors = []  # pairs of sets whose pairwise products are the ties
+    if "bpb" in kinds:
+        factors.append((densities, {ad.space / ad.alpha for ad in own}))
+    if "value" in kinds:
+        factors.append((values, {1 / ad.alpha for ad in own}))
+    products = [
+        (x.numerator * y.numerator, x.denominator * y.denominator)
+        for xs, ys in factors
+        for x in xs
+        for y in ys
+    ]
+    # over one common denominator the ties are ints, cheap to dedupe and sort
+    cap = Fraction(cap)
+    scale = lcm(cap.denominator, *(den for _num, den in products))
+    limit = cap.numerator * (scale // cap.denominator)
+    ties = {num * (scale // den) for num, den in products}
+    # zero-space ads (possible in unvalidated instances) tie at 0
+    return [Fraction(tie, scale) for tie in sorted(ties) if 0 < tie <= limit]
 
 
 def _clicks_with_bid(
     inst: Instance,
-    rep: ReportProfile,
+    view: kernels.ScaledView,
     adv_id: str,
     bid: Fraction,
     branches: tuple[tuple[Fraction, str], ...],
     cardinality: int | None,
 ) -> Fraction:
-    probe = rep.replace(adv_id, bid, rep.subsets.get(adv_id, frozenset()))
+    probe = view.rebid(adv_id, bid)
     total = Fraction(0)
     for prob, branch in branches:
-        total += prob * branch_allocate(inst, probe, branch, cardinality).clicks(inst, adv_id)
+        total += prob * branch_allocate(inst, probe.rep, branch, cardinality, probe).clicks(inst, adv_id)
     return total
+
+
+def _scan_clicks(n: int, probe: Callable[[int], Fraction]) -> list[Fraction]:
+    """Clicks on each of n intervals, probing every one."""
+    return [probe(j) for j in range(n)]
+
+
+def _bisect_clicks(n: int, probe: Callable[[int], Fraction]) -> list[Fraction]:
+    """Clicks on each of n intervals of a curve known to be nondecreasing.
+
+    A span whose two end intervals have equal clicks is filled without
+    probing its inside; otherwise it is split at its middle interval. A
+    nondecreasing curve with L levels thus costs O(L log n) probes, and no
+    interval is probed twice, so never more than the scan. A decrease
+    between probed intervals survives into the result.
+    """
+    if n == 0:
+        return []
+    clicks = [Fraction(0)] * n
+    clicks[0] = probe(0)
+    clicks[-1] = probe(n - 1) if n > 1 else clicks[0]
+    spans = [(0, n - 1)]
+    while spans:
+        i, j = spans.pop()
+        if clicks[i] == clicks[j]:
+            clicks[i + 1 : j] = [clicks[i]] * (j - i - 1)
+        elif j - i > 1:
+            m = (i + j) // 2
+            clicks[m] = probe(m)
+            spans += [(i, m), (m, j)]
+    return clicks
 
 
 def _build_curve(
@@ -190,22 +258,35 @@ def _build_curve(
     branches: tuple[tuple[Fraction, str], ...],
     cardinality: int | None,
     rule_name: str,
+    view: kernels.ScaledView | None = None,
 ) -> BidThresholds:
+    """Click curve on (0, cap], probed at interval midpoints.
+
+    `view`, when given, is the view of (inst, rep); each probe rebids it.
+    """
     kinds: tuple[str, ...] = ()
     for _prob, branch in branches:
         for kind in _BRANCH_KINDS[branch]:
             if kind not in kinds:
                 kinds = kinds + (kind,)
     thresholds = [Fraction(0)] + _tie_candidates(inst, rep, adv_id, kinds, cap)
-    intervals: list[tuple[Fraction, Fraction]] = []
-    for lo, hi in zip(thresholds, thresholds[1:]):
-        intervals.append((lo, hi))
+    intervals = list(zip(thresholds, thresholds[1:]))
     if thresholds[-1] < cap:
         intervals.append((thresholds[-1], cap))
-    clicks = tuple(
-        _clicks_with_bid(inst, rep, adv_id, (lo + hi) / 2, branches, cardinality)
-        for lo, hi in intervals
-    )
+    if view is None:
+        view = kernels.ScaledView(inst, rep)
+    probed: dict[int, Fraction] = {}
+
+    def probe(j: int) -> Fraction:
+        if j not in probed:
+            lo, hi = intervals[j]
+            probed[j] = _clicks_with_bid(inst, view, adv_id, (lo + hi) / 2, branches, cardinality)
+        return probed[j]
+
+    if all(branch in _MONOTONE_BRANCHES for _prob, branch in branches):
+        clicks = _bisect_clicks(len(intervals), probe)
+    else:
+        clicks = _scan_clicks(len(intervals), probe)
     for j in range(1, len(clicks)):
         if clicks[j] < clicks[j - 1]:
             raise NonMonotoneClickCurveError(
@@ -217,7 +298,8 @@ def _build_curve(
         cap=cap,
         thresholds=tuple(thresholds),
         intervals=tuple(intervals),
-        interval_clicks=clicks,
+        interval_clicks=tuple(clicks),
+        probes=len(probed),
     )
 
 
@@ -232,7 +314,9 @@ def bid_thresholds(inst: Instance, rep: ReportProfile, adv_id: str, rule: Alloca
 def myerson_from_curve(curve: BidThresholds, bid: Fraction, clicks_at_bid: Fraction) -> Fraction:
     """Myerson payment b*x(b) minus the exact click-curve integral up to b."""
     paid = bid * clicks_at_bid
-    for (lo, hi), clicks in zip(curve.intervals, curve.interval_clicks):
+    steps = curve.steps()
+    ends = ([lo for lo, _clicks in steps[1:]] + [curve.intervals[-1][1]]) if steps else []
+    for (lo, clicks), hi in zip(steps, ends):
         if lo >= bid:
             break
         paid -= (min(hi, bid) - lo) * clicks
@@ -259,13 +343,17 @@ class PricedOutcome:
     """An allocation lottery with per-advertiser payments.
 
     `cpc` is payment divided by expected clicks (None when clicks are zero).
-    Invariant, asserted at construction sites: 0 <= payment <= bid * clicks.
+    Invariant, checked at construction sites: 0 <= payment <= bid * clicks.
+    `curves` holds, per advertiser and branch, the click curve a threshold
+    payment was read from (None where no curve was needed); it is empty
+    for VCG.
     """
 
     rule_name: str  # "myerson", "gsp" or "vcg"
     mixture: Mixture
     payments: Mapping[str, Fraction]
     cpc: Mapping[str, Fraction | None]
+    curves: Mapping[str, tuple[BidThresholds | None, ...]] = field(default_factory=dict)
 
     def total_payment(self) -> Fraction:
         return sum(self.payments.values(), Fraction(0))
@@ -293,59 +381,79 @@ def _finish_outcome(
     mixture: Mixture,
     payments: dict[str, Fraction],
     rule_name: str,
+    curves: dict[str, tuple[BidThresholds | None, ...]] | None = None,
 ) -> PricedOutcome:
     cpc: dict[str, Fraction | None] = {}
     for adv in inst.advertisers:
         p = payments.get(adv.adv_id, Fraction(0))
         x = mixture.clicks(inst, adv.adv_id)
         bid = rep.bids.get(adv.adv_id, Fraction(0))
-        assert 0 <= p <= bid * x, (
-            f"payment {p} for {adv.adv_id} violates 0 <= p <= bid*clicks = {bid * x}"
-        )
+        if not 0 <= p <= bid * x:
+            raise InvariantViolation(
+                f"{rule_name} payment {p} for {adv.adv_id} violates 0 <= p <= bid*clicks = {bid * x}"
+            )
         payments[adv.adv_id] = p
         cpc[adv.adv_id] = p / x if x > 0 else None
-    return PricedOutcome(rule_name=rule_name, mixture=mixture, payments=payments, cpc=cpc)
+    return PricedOutcome(
+        rule_name=rule_name, mixture=mixture, payments=payments, cpc=cpc, curves=curves or {}
+    )
 
 
-def myerson_payment(inst: Instance, rep: ReportProfile, rule: AllocationRule) -> PricedOutcome:
-    """Threshold payments making the (monotone) rule truthful."""
+def _threshold_prices(
+    inst: Instance,
+    rep: ReportProfile,
+    rule: AllocationRule,
+    rule_name: str,
+    price: Callable[[BidThresholds, Fraction, Fraction], Fraction],
+    skip_unserved: bool,
+) -> PricedOutcome:
+    """Sum over branches of probability times `price(curve, bid, clicks)`.
+
+    With `skip_unserved`, a branch that gives the advertiser no clicks is
+    charged nothing and builds no curve. One view of the report serves the
+    allocation and the probes of every curve.
+    """
     branches = rule_branches(rule)
-    mixture = as_mixture(rule_allocate(inst, rep, rule))
+    view = kernels.ScaledView(inst, rep)
+    mixture = as_mixture(rule_allocate(inst, rep, rule, view))
     payments: dict[str, Fraction] = {}
+    curves: dict[str, tuple[BidThresholds | None, ...]] = {}
     for adv in inst.advertisers:
         bid = rep.bids.get(adv.adv_id, Fraction(0))
         if bid <= 0 or not rep.subsets.get(adv.adv_id, frozenset()):
             payments[adv.adv_id] = Fraction(0)
+            curves[adv.adv_id] = ()
             continue
         total = Fraction(0)
+        adv_curves: list[BidThresholds | None] = []
         for (prob, branch), (_p2, alloc) in zip(branches, mixture.branches):
             x_b = alloc.clicks(inst, adv.adv_id)
-            curve = _build_curve(inst, rep, adv.adv_id, bid, ((Fraction(1), branch),), rule.cardinality, rule.name)
-            total += prob * myerson_from_curve(curve, bid, x_b)
+            if skip_unserved and x_b == 0:
+                adv_curves.append(None)
+                continue
+            curve = _build_curve(
+                inst, rep, adv.adv_id, bid, ((Fraction(1), branch),), rule.cardinality, rule.name, view
+            )
+            adv_curves.append(curve)
+            total += prob * price(curve, bid, x_b)
         payments[adv.adv_id] = total
-    return _finish_outcome(inst, rep, mixture, payments, "myerson")
+        curves[adv.adv_id] = tuple(adv_curves)
+    return _finish_outcome(inst, rep, mixture, payments, rule_name, curves)
+
+
+def myerson_payment(inst: Instance, rep: ReportProfile, rule: AllocationRule) -> PricedOutcome:
+    """Threshold payments making the (monotone) rule truthful."""
+    return _threshold_prices(inst, rep, rule, "myerson", myerson_from_curve, skip_unserved=False)
 
 
 def gsp_prices(inst: Instance, rep: ReportProfile, rule: AllocationRule) -> PricedOutcome:
     """Generalized second price: per branch, clicks times the lowest
     bid that would have kept them."""
-    branches = rule_branches(rule)
-    mixture = as_mixture(rule_allocate(inst, rep, rule))
-    payments: dict[str, Fraction] = {}
-    for adv in inst.advertisers:
-        bid = rep.bids.get(adv.adv_id, Fraction(0))
-        if bid <= 0 or not rep.subsets.get(adv.adv_id, frozenset()):
-            payments[adv.adv_id] = Fraction(0)
-            continue
-        total = Fraction(0)
-        for (prob, branch), (_p2, alloc) in zip(branches, mixture.branches):
-            x_b = alloc.clicks(inst, adv.adv_id)
-            if x_b == 0:
-                continue
-            curve = _build_curve(inst, rep, adv.adv_id, bid, ((Fraction(1), branch),), rule.cardinality, rule.name)
-            total += prob * gsp_cpc_from_curve(curve, bid, x_b) * x_b
-        payments[adv.adv_id] = total
-    return _finish_outcome(inst, rep, mixture, payments, "gsp")
+
+    def price(curve: BidThresholds, bid: Fraction, clicks: Fraction) -> Fraction:
+        return gsp_cpc_from_curve(curve, bid, clicks) * clicks
+
+    return _threshold_prices(inst, rep, rule, "gsp", price, skip_unserved=True)
 
 
 def reported_value(inst: Instance, rep: ReportProfile, alloc: Allocation) -> Fraction:

@@ -183,3 +183,25 @@ def riemann_myerson(inst: Instance, rep: ReportProfile, adv_id: str, rule, steps
         integral += step * rule_allocate(inst, probe, rule).clicks(inst, adv_id)
     clicks = rule_allocate(inst, rep, rule).clicks(inst, adv_id)
     return float(bid * clicks - integral)
+
+
+def tie_candidates_pairwise(inst: Instance, rep: ReportProfile, adv_id: str, kinds, cap: Fraction):
+    """Every bid in (0, cap] where one of `adv_id`'s ads ties another
+    advertiser's reported ad in bang-per-buck ("bpb") or value ("value"),
+    computed pair by pair in Fractions."""
+    subset = rep.subsets.get(adv_id, frozenset())
+    out = set()
+    for (other_id, other_ad), eff in effective_values(inst, rep).items():
+        if other_id == adv_id or eff <= 0:
+            continue
+        space = inst.advertiser(other_id).ad(other_ad).space
+        for ad in inst.advertiser(adv_id).ads:
+            if ad.ad_id not in subset or ad.alpha <= 0:
+                continue
+            ties = []
+            if "bpb" in kinds:
+                ties.append(eff * ad.space / (space * ad.alpha))
+            if "value" in kinds:
+                ties.append(eff / ad.alpha)
+            out.update(t for t in ties if 0 < t <= cap)
+    return sorted(out)

@@ -65,6 +65,40 @@ def test_malformed_json_is_an_input_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"total_space": "10", "advertisers": 5}, "advertisers must be a list of objects, got int"),
+        (
+            {"total_space": "10", "advertisers": [5]},
+            "advertisers must be a list of objects, got an item of type int",
+        ),
+        (
+            {"total_space": "10", "advertisers": [{"id": "a", "value_per_click": "1", "ads": "ax1"}]},
+            "ads of advertiser 'a' must be a list of objects, got str",
+        ),
+        (
+            {
+                "total_space": "10",
+                "cardinality_limit": True,
+                "advertisers": [
+                    {"id": "a", "value_per_click": "1", "ads": [{"id": "ax1", "alpha": "1", "space": "1"}]}
+                ],
+            },
+            "cardinality_limit must be an integer or null, got True",
+        ),
+    ],
+)
+def test_mistyped_instance_is_an_input_error(tmp_path, capsys, doc, message):
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["validate", str(path)], ["payments", str(path), "--rule", "myerson"]):
+        assert cli(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 def test_usage_errors_exit_64(fx_path, capsys):
     assert cli([]) == 64
     assert cli(["solve", fx_path(fixtures.fx5())]) == 64
@@ -188,6 +222,57 @@ def test_payments_vcg(fx_path, capsys):
     code, payload = run_json(capsys, ["payments", fx_path(fixtures.fx2()), "--rule", "vcg"])
     assert code == 0
     assert payload["payments"] == {"a": "0", "b": "3/2"}
+
+
+@pytest.mark.parametrize("rule", ["myerson", "gsp"])
+def test_payments_explain_only_adds_a_key(fx_path, capsys, rule):
+    path = fx_path(fixtures.fx3())
+    assert cli(["payments", path, "--rule", rule]) == 0
+    plain = capsys.readouterr().out
+    code, payload = run_json(capsys, ["payments", path, "--rule", rule, "--explain"])
+    assert code == 0
+    explain = payload.pop("explain")
+    assert "explain" not in json.loads(plain)
+    assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == plain
+    assert sorted(explain) == ["a", "b", "c", "d"]
+    for adv_id, row in explain.items():
+        assert row["payment"] == payload["payments"][adv_id]
+        assert [b["branch"] for b in row["branches"]] == ["bpb", "max-value"]
+
+
+def test_payments_explain_shows_the_click_curves(fx_path, capsys):
+    code, payload = run_json(capsys, ["payments", fx_path(fixtures.fx2()), "--rule", "myerson", "--explain"])
+    assert code == 0
+    bpb, max_value = payload["explain"]["a"]["branches"]
+    # bpb: 4/7 clicks up to a bid of 3, one click above; both end intervals
+    # differ, so the middle one is probed too
+    assert bpb == {
+        "branch": "bpb",
+        "probability": "2/3",
+        "clicks": "1",
+        "candidates": 2,
+        "probes": 3,
+        "jump_bids": ["3"],
+        "click_levels": ["4/7", "1"],
+        "threshold": "3",
+    }
+    assert max_value["jump_bids"] == ["3"] and max_value["click_levels"] == ["0", "1"]
+    assert max_value["probes"] == 2 and max_value["threshold"] == "3"
+    assert payload["explain"]["a"]["payment"] == "13/7"
+
+
+def test_payments_gsp_explain_skips_unserved_branches(fx_path, capsys):
+    code, payload = run_json(capsys, ["payments", fx_path(fixtures.fx2()), "--rule", "gsp", "--explain"])
+    assert code == 0
+    for branch in payload["explain"]["b"]["branches"]:
+        assert branch["clicks"] == "0" and branch["probes"] == 0
+        assert branch["jump_bids"] is None and branch["threshold"] is None
+
+
+def test_payments_vcg_explain_is_a_usage_error(fx_path, capsys):
+    assert cli(["payments", fx_path(fixtures.fx2()), "--rule", "vcg", "--explain"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == "" and "vcg" in captured.err
 
 
 def test_payments_mixture_override(fx_path, capsys):

@@ -1,11 +1,18 @@
 """Click curves, Myerson and GSP payments, VCG externalities."""
 
+import os
+import random
+import subprocess
+import sys
+import textwrap
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 from oracles import riemann_myerson
-from richads import fixtures
+from richads import fixtures, heuristics, kernels, monotone, pricing
 from richads.exact import int_opt_exhaustive
-from richads.model import truthful_profile
+from richads.model import Advertiser, Instance, RichAd, truthful_profile
 from richads.pricing import (
     BidThresholds,
     bid_thresholds,
@@ -182,3 +189,80 @@ def test_priced_outcome_serialization():
     assert doc["payments"] == {"a": "13/7", "b": "0"}
     assert [b["probability"] for b in doc["branches"]] == ["2/3", "1/3"]
     assert doc["branches"][0]["entries"]["a"] == {"ad": "ax2", "weight": "1"}
+
+
+def _price_large_instance(seed):
+    """12 advertisers x 4 ads, integer spaces 1-30, total space 150."""
+    rng = random.Random(seed)
+    advertisers = []
+    for a in range(1, 13):
+        ads = tuple(
+            RichAd(f"a{a:02d}x{j}", Fraction(rng.randint(1, 8), 8), Fraction(rng.randint(1, 30)))
+            for j in range(1, 5)
+        )
+        advertisers.append(Advertiser(f"a{a:02d}", Fraction(rng.randint(1, 100), 10), ads))
+    return Instance(advertisers=tuple(advertisers), total_space=Fraction(150))
+
+
+def _myerson_work(monkeypatch, inst):
+    """(probes, full view builds) of one Myerson mixture payment."""
+    counts = Counter()
+    in_curve = []
+    build_curve, allocate, view = pricing._build_curve, pricing.branch_allocate, kernels.ScaledView
+
+    def counted_curve(*args, **kwargs):
+        in_curve.append(True)
+        try:
+            return build_curve(*args, **kwargs)
+        finally:
+            in_curve.pop()
+
+    def counted_allocate(*args, **kwargs):
+        counts["probes"] += bool(in_curve)
+        return allocate(*args, **kwargs)
+
+    def counted_view(*args, **kwargs):
+        counts["views"] += 1
+        return view(*args, **kwargs)
+
+    monkeypatch.setattr(pricing, "_build_curve", counted_curve)
+    monkeypatch.setattr(pricing, "branch_allocate", counted_allocate)
+    for module in (kernels, monotone, heuristics):
+        monkeypatch.setattr(module, "ScaledView", counted_view)
+    myerson_payment(inst, truthful_profile(inst), mixture_rule())
+    monkeypatch.undo()
+    return counts["probes"], counts["views"]
+
+
+def test_myerson_work_counts_are_pinned(monkeypatch):
+    # one view of the report serves the allocation and every probe; a full
+    # scan would probe every interval (fx3: 31, the 12 x 4 instance: 1684)
+    assert _myerson_work(monkeypatch, fixtures.fx3()) == (22, 1)
+    assert _myerson_work(monkeypatch, _price_large_instance(7)) == (143, 1)
+
+
+def test_ir_bound_is_checked_under_python_O():
+    # the payment check must not be an assert: -O strips those
+    script = textwrap.dedent(
+        """
+        import sys
+        from richads import InvariantViolation, fixtures, pricing
+        from richads.model import truthful_profile
+
+        if __debug__:
+            sys.exit("not running under -O")
+        pricing.myerson_from_curve = lambda curve, bid, clicks: bid * clicks + 1
+        inst = fixtures.fx2()
+        try:
+            pricing.myerson_payment(inst, truthful_profile(inst), pricing.mixture_rule())
+        except InvariantViolation as exc:
+            print("raised:", exc)
+        """
+    )
+    src = str(Path(pricing.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("raised: myerson payment "), done.stdout

@@ -1,11 +1,12 @@
 """Randomized invariants, checked with hypothesis on exact arithmetic."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import brute_force_opt
+from oracles import brute_force_opt, tie_candidates_pairwise
 from richads import exact, fracopt, heuristics, kernels, monotone, pricing
 from richads.model import (
     Advertiser,
@@ -275,3 +276,81 @@ def test_myerson_leaves_no_profitable_grid_deviation(inst, adv_index):
     for k in range(5):
         shaded = truth.replace(adv.adv_id, adv.value_per_click * Fraction(k, 4), truth.subsets[adv.adv_id])
         assert utility(shaded) <= honest
+
+
+def assert_bisection_matches_scan(inst, rep, adv_id, branch):
+    """Bisection and the exhaustive scan, run on one probe function, give the
+    same curve and the same Myerson and GSP payments."""
+    bid = rep.bids[adv_id]
+    branches = ((Fraction(1), branch),)
+    curve = pricing._build_curve(inst, rep, adv_id, bid, branches, None, branch)
+    assert list(curve.thresholds[1:]) == tie_candidates_pairwise(
+        inst, rep, adv_id, pricing._BRANCH_KINDS[branch], bid
+    )
+    view = kernels.ScaledView(inst, rep)
+    probed = []
+
+    def probe(j):
+        probed.append(j)
+        lo, hi = curve.intervals[j]
+        return pricing._clicks_with_bid(inst, view, adv_id, (lo + hi) / 2, branches, None)
+
+    scanned = pricing._scan_clicks(len(curve.intervals), probe)
+    probed.clear()
+    bisected = pricing._bisect_clicks(len(curve.intervals), probe)
+    assert bisected == scanned
+    assert tuple(bisected) == curve.interval_clicks
+    assert len(set(probed)) == len(probed) == curve.probes <= len(scanned)
+
+    scan_curve = replace(curve, interval_clicks=tuple(scanned), probes=len(scanned))
+    clicks = pricing.branch_allocate(inst, rep, branch).clicks(inst, adv_id)
+    myerson = pricing.myerson_from_curve(curve, bid, clicks)
+    assert myerson == pricing.myerson_from_curve(scan_curve, bid, clicks)
+    # the integral, interval by interval
+    area = sum(
+        ((min(hi, bid) - lo) * c for (lo, hi), c in zip(scan_curve.intervals, scanned) if lo < bid),
+        Fraction(0),
+    )
+    assert myerson == bid * clicks - area
+    assert pricing.gsp_cpc_from_curve(curve, bid, clicks) == pricing.gsp_cpc_from_curve(scan_curve, bid, clicks)
+
+
+def test_bisection_matches_scan_on_tie_corpus(tie_corpus):
+    for inst in tie_corpus:
+        rep = truthful_profile(inst)
+        for adv in inst.advertisers:
+            for branch in sorted(pricing._MONOTONE_BRANCHES):
+                assert_bisection_matches_scan(inst, rep, adv.adv_id, branch)
+
+
+@settings(deadline=None, max_examples=80)
+@given(reported(min_quarters=1), st.integers(0, 2), st.sampled_from(sorted(pricing._MONOTONE_BRANCHES)))
+def test_bisection_matches_scan(pair, adv_index, branch):
+    inst, rep = pair
+    adv = inst.advertisers[adv_index % len(inst.advertisers)]
+    assert_bisection_matches_scan(inst, rep, adv.adv_id, branch)
+
+
+@settings(deadline=None)
+@given(
+    reported(),
+    st.integers(0, 2),
+    st.integers(0, 60),
+    st.sampled_from((1, 3, 7, 11)),
+    st.booleans(),
+)
+def test_rebid_view_equals_a_fresh_view(pair, adv_index, num, den, zero_alpha):
+    inst, rep = pair
+    adv = inst.advertisers[adv_index % len(inst.advertisers)]
+    if zero_alpha:
+        first, *rest = adv.ads
+        muted = Advertiser(adv.adv_id, adv.value_per_click, (RichAd(first.ad_id, Fraction(0), first.space), *rest))
+        others = tuple(a for a in inst.advertisers if a.adv_id != adv.adv_id)
+        inst = Instance(advertisers=others + (muted,), total_space=inst.total_space)
+    subset = rep.subsets[adv.adv_id]
+    view = kernels.ScaledView(inst, rep)
+    for bid in (Fraction(num, den), Fraction(num + 1, den + 1)):
+        view = view.rebid(adv.adv_id, bid)
+        fresh = kernels.ScaledView(inst, rep.replace(adv.adv_id, bid, subset))
+        for name in kernels.ScaledView.FIELDS:
+            assert getattr(view, name) == getattr(fresh, name), name
