@@ -1,7 +1,8 @@
 """Command line interface.
 
 Machine-readable JSON goes to stdout; human context to stderr. Exit codes:
-0 success, 1 validation or input error, 2 a size guard tripped, 64 usage.
+0 success, 1 validation or input error, 2 a size guard tripped, 64 usage,
+70 a checked invariant failed (a bug in richads, not in the input).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from . import equilibrium, fracopt, harness, monotone, pricing
 from .model import (
     GuardExceededError,
     Instance,
+    InvariantViolation,
     Mixture,
     ReportProfile,
     load_instance,
@@ -24,6 +26,7 @@ from .model import (
 )
 
 USAGE_EXIT = 64
+SOFTWARE_EXIT = 70  # EX_SOFTWARE
 
 
 class _Parser(argparse.ArgumentParser):
@@ -330,6 +333,9 @@ def cli(argv=None) -> int:
     except GuardExceededError as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)
         return 2
+    except InvariantViolation as exc:
+        print(f"invariant violated: {exc}", file=sys.stderr)
+        return SOFTWARE_EXIT
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -337,3 +343,7 @@ def cli(argv=None) -> int:
 
 def main() -> None:
     sys.exit(cli())
+
+
+if __name__ == "__main__":
+    main()

@@ -133,7 +133,7 @@ class _Evaluator:
         key = rep.key()
         got = self._vcg.get(key)
         if got is None:
-            got = pricing.vcg_payments(self.inst, rep, exact.int_opt_dp)
+            got = pricing.vcg_payments(self.inst, rep)
             self._vcg[key] = got
         return got
 

@@ -10,9 +10,11 @@ grinding.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
+from typing import Iterable
 
 from .kernels import ScaledView
-from .model import Allocation, GuardExceededError, Instance, ReportProfile
+from .model import Allocation, GuardExceededError, Instance, InvariantViolation, ReportProfile
 
 DP_CAPACITY_GUARD = 10**6
 ENUMERATION_GUARD = 10**6
@@ -32,12 +34,93 @@ def _effective_cardinality(inst: Instance, cardinality: int | None) -> int | Non
     return inst.cardinality_limit
 
 
-def _to_allocation(view: ScaledView, chosen: list[int]) -> Allocation:
+def to_allocation(view: ScaledView, chosen: list[int]) -> Allocation:
+    """The allocation of a choice vector: one view row index per advertiser, -1 for none."""
     entries = {}
     for a, i in enumerate(chosen):
         if i >= 0:
             entries[view.adv_ids[a]] = (view.ad_ids[i], Fraction(1))
     return Allocation(entries=entries)
+
+
+class CapacityDP:
+    """The capacity DP over one view: its optimum and its leave-one-out optima.
+
+    A row holds, per slot count c (a single layer when no cardinality limit
+    applies), the best scaled value within each scaled capacity w; rows are
+    nondecreasing in both. `suffix[g]` is the row of advertisers g.., so
+    `suffix[0]` holds the optimum and `suffix[n]` is all zeros. The guard
+    fires before any table is allocated.
+    """
+
+    def __init__(self, view: ScaledView, limit: int | None, capacity_guard: int = DP_CAPACITY_GUARD):
+        if view.total > capacity_guard:
+            raise GuardExceededError(
+                f"scaled capacity {view.total} exceeds the DP guard {capacity_guard}"
+            )
+        n = view.n_adv()
+        if limit is None:
+            layers, self.shift = 1, 0  # taking an ad uses no slot
+        elif limit < 1:
+            raise ValueError(f"cardinality limit must be >= 1, got {limit}")
+        else:
+            layers, self.shift = min(limit, n) + 1, 1
+        self.view = view
+        self.per_adv = _candidates(view)
+        self.suffix = [[[0] * (view.total + 1) for _ in range(layers)]] * (n + 1)
+        for g in range(n - 1, -1, -1):
+            self.suffix[g] = self._extend(self.suffix[g + 1], g)
+
+    def _extend(self, prev: list[list[int]], g: int) -> list[list[int]]:
+        """`prev` with advertiser g added: row[c][w] = max(prev[c][w], v + prev[c - shift][w - s])."""
+        cands = self.per_adv[g]
+        if not cands:
+            return prev  # rows are never written once built
+        row = [layer.copy() for layer in prev]
+        for c in range(self.shift, len(prev)):
+            src, out = prev[c - self.shift], row[c]
+            for _i, v, s in cands:
+                if s < len(out):
+                    out[s:] = [x if x >= (t := y + v) else t for x, y in zip(out[s:], src)]
+        return row
+
+    def choice(self) -> list[int]:
+        """The optimal choice vector that is lexicographically first: per
+        advertiser the empty choice before ads, ads by ad_id ascending."""
+        chosen = [-1] * len(self.per_adv)
+        w, c = self.view.total, len(self.suffix[0]) - 1
+        for g, cands in enumerate(self.per_adv):
+            target = self.suffix[g][c][w]
+            nxt = self.suffix[g + 1]
+            if nxt[c][w] == target:
+                continue  # the empty choice is lexicographically first
+            for i, v, s in cands:
+                if s <= w and c >= self.shift and v + nxt[c - self.shift][w - s] == target:
+                    chosen[g] = i
+                    w -= s
+                    c -= self.shift
+                    break
+        return chosen
+
+    def optima_without(self, advertisers: Iterable[int]) -> dict[int, int]:
+        """The optimum scaled value without each of the given advertiser indices.
+
+        Streams the prefix row of advertisers ..g-1 and joins it with
+        `suffix[g + 1]`: the optimum without g is the max over w and c of
+        pre[c][w] + suffix[g + 1][top - c][cap - w]. Only one prefix row is
+        held at a time.
+        """
+        wanted = set(advertisers)
+        top = len(self.suffix[0]) - 1
+        pre = self.suffix[-1]  # no advertisers: all zeros
+        out = {}
+        for g in range(max(wanted, default=-1) + 1):
+            if g:
+                pre = self._extend(pre, g - 1)
+            if g in wanted:
+                suf = self.suffix[g + 1]
+                out[g] = max(max(map(add, pre[c], reversed(suf[top - c]))) for c in range(top + 1))
+        return out
 
 
 def int_opt_dp(
@@ -46,79 +129,14 @@ def int_opt_dp(
     cardinality: int | None = None,
     capacity_guard: int = DP_CAPACITY_GUARD,
 ) -> Allocation:
-    """Integral optimum by dynamic programming over scaled capacity."""
+    """Integral optimum by dynamic programming over scaled capacity.
+
+    Backtracks `CapacityDP.choice` over one view; `pricing.vcg_payments`
+    reads its counterfactual optima from the same tables.
+    """
     view = ScaledView(inst, rep)
-    if view.total > capacity_guard:
-        raise GuardExceededError(
-            f"scaled capacity {view.total} exceeds the DP guard {capacity_guard}"
-        )
-    limit = _effective_cardinality(inst, cardinality)
-    per_adv = _candidates(view)
-    n = view.n_adv()
-    cap = view.total
-
-    if limit is None:
-        # f[g][w]: best value from advertisers g.. with w capacity left
-        f = [[0] * (cap + 1) for _ in range(n + 1)]
-        for g in range(n - 1, -1, -1):
-            row = f[g]
-            nxt = f[g + 1]
-            cands = per_adv[g]
-            for w in range(cap + 1):
-                best = nxt[w]
-                for _i, v, s in cands:
-                    if s <= w:
-                        got = v + nxt[w - s]
-                        if got > best:
-                            best = got
-                row[w] = best
-        chosen = [-1] * n
-        w = cap
-        for g in range(n):
-            target = f[g][w]
-            if f[g + 1][w] == target:
-                continue  # the empty choice is lexicographically first
-            for i, v, s in per_adv[g]:
-                if s <= w and v + f[g + 1][w - s] == target:
-                    chosen[g] = i
-                    w -= s
-                    break
-        return _to_allocation(view, chosen)
-
-    if limit < 1:
-        raise ValueError(f"cardinality limit must be >= 1, got {limit}")
-    k = min(limit, n)
-    # f[g][w][c]: best value from advertisers g.. with w capacity and c slots
-    f = [[[0] * (k + 1) for _ in range(cap + 1)] for _ in range(n + 1)]
-    for g in range(n - 1, -1, -1):
-        cur = f[g]
-        nxt = f[g + 1]
-        cands = per_adv[g]
-        for w in range(cap + 1):
-            nxt_w = nxt[w]
-            cur_w = cur[w]
-            for c in range(k + 1):
-                best = nxt_w[c]
-                if c > 0:
-                    for _i, v, s in cands:
-                        if s <= w:
-                            got = v + nxt[w - s][c - 1]
-                            if got > best:
-                                best = got
-                cur_w[c] = best
-    chosen = [-1] * n
-    w, c = cap, k
-    for g in range(n):
-        target = f[g][w][c]
-        if f[g + 1][w][c] == target:
-            continue
-        for i, v, s in per_adv[g]:
-            if s <= w and c > 0 and v + f[g + 1][w - s][c - 1] == target:
-                chosen[g] = i
-                w -= s
-                c -= 1
-                break
-    return _to_allocation(view, chosen)
+    dp = CapacityDP(view, _effective_cardinality(inst, cardinality), capacity_guard)
+    return to_allocation(view, dp.choice())
 
 
 def int_opt_exhaustive(
@@ -178,7 +196,7 @@ def int_opt_exhaustive(
 
     walk(0, 0, view.total, k)
     assert best_chosen is not None
-    return _to_allocation(view, best_chosen)
+    return to_allocation(view, best_chosen)
 
 
 def int_opt_cardinality(inst: Instance, rep: ReportProfile, k: int, **kwargs) -> Allocation:
@@ -196,5 +214,6 @@ def int_opt_cross_checked(inst: Instance, rep: ReportProfile, cardinality: int |
         other = int_opt_exhaustive(inst, rep, cardinality=cardinality, enum_guard=CROSS_CHECK_GUARD)
     except GuardExceededError:
         return alloc
-    assert alloc.entries == other.entries, "DP and exhaustive optima disagree"
+    if alloc.entries != other.entries:
+        raise InvariantViolation(f"DP optimum {alloc.entries} and exhaustive optimum {other.entries} disagree")
     return alloc

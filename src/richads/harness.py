@@ -23,6 +23,7 @@ from .model import (
     Advertiser,
     GuardExceededError,
     Instance,
+    InvariantViolation,
     NonMonotoneClickCurveError,
     ReportProfile,
     RichAd,
@@ -176,7 +177,7 @@ def run_comparison(
 
     Every instance also gets the fractional and integral optima for the
     ratio columns. Guard failures skip the instance with a logged reason.
-    Raises AssertionError if the truthful mixture ever earns less than a
+    Raises InvariantViolation if the truthful mixture ever earns less than a
     third of the fractional optimum; that inequality is load-bearing.
     """
     registry = _mechanism_registry(cardinality)
@@ -198,9 +199,10 @@ def run_comparison(
 
         # load-bearing: the truthful mechanism is a 3-approximation
         truthful_sw = social_welfare(inst, monotone.randomized_mechanism(inst, rep))
-        assert 3 * truthful_sw >= frac.objective, (
-            f"truthful mixture fell below a third of the fractional optimum on {instance_id}"
-        )
+        if 3 * truthful_sw < frac.objective:
+            raise InvariantViolation(
+                f"truthful mixture fell below a third of the fractional optimum on {instance_id}"
+            )
 
         for name in mechanisms:
             outcome_fn, payment_fn = registry[name]

@@ -1,7 +1,12 @@
 """End-to-end checks of the command line entry point."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -341,3 +346,48 @@ def test_audit_subcommand(capsys):
     )
     assert code == 0
     assert payload == {"rule": "bpb", "trials": 40, "violations": [], "ok": True}
+
+
+def _python(*args, timeout=120):
+    """Run this interpreter on `args` with the package's sources importable."""
+    src = str(Path(pricing.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout)
+
+
+@pytest.mark.parametrize("module", ["richads", "richads.cli"])
+def test_module_run_prints_what_cli_prints(module, fx_path, capsys):
+    path = fx_path(fixtures.fixture("fx1"))
+    assert cli(["payments", path, "--rule", "vcg"]) == 0
+    expected = capsys.readouterr().out
+    done = _python("-m", module, "payments", "--rule", "vcg", path)
+    assert done.returncode == 0, done.stderr
+    assert expected and done.stdout == expected
+
+
+def test_invariants_fire_under_python_O(fx_path):
+    # the cross-check and the welfare floor must not be asserts: -O strips
+    # those; a violated invariant exits 70, a bug in richads, not in the input
+    script = textwrap.dedent(
+        """
+        import sys
+        from richads import exact, harness, monotone
+        from richads.cli import cli
+        from richads.fixtures import fx2
+        from richads.model import Allocation, InvariantViolation
+
+        if __debug__:
+            sys.exit("not running under -O")
+        monotone.randomized_mechanism = lambda inst, rep: Allocation(entries={})
+        try:
+            harness.run_comparison([fx2()], ("truthful-3approx",))
+        except InvariantViolation as exc:
+            print("raised:", exc)
+        exact.int_opt_exhaustive = lambda *args, **kwargs: Allocation(entries={})
+        sys.exit(cli(["solve", sys.argv[1], "--mechanism", "vcg"]))
+        """
+    )
+    done = _python("-O", "-c", script, fx_path(fixtures.fx2()))
+    assert done.returncode == 70, done.stderr
+    assert done.stdout.startswith("raised: truthful mixture fell below a third"), done.stdout
+    assert done.stderr.startswith("invariant violated: DP optimum "), done.stderr

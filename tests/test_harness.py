@@ -92,7 +92,7 @@ def test_run_comparison_rejects_unknown_mechanism():
 
 
 def test_welfare_floor_holds_across_corpus(small_corpus):
-    # completing without the in-line AssertionError is the point
+    # completing without the InvariantViolation of the welfare floor is the point
     result = run_comparison(small_corpus[:120], ("truthful-3approx",))
     assert len(result.rows) == 120
 

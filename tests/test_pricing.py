@@ -6,13 +6,16 @@ import subprocess
 import sys
 import textwrap
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from oracles import riemann_myerson
-from richads import fixtures, heuristics, kernels, monotone, pricing
+from richads import exact, fixtures, heuristics, kernels, monotone, pricing
 from richads.exact import int_opt_exhaustive
-from richads.model import Advertiser, Instance, RichAd, truthful_profile
+from richads.model import Advertiser, GuardExceededError, Instance, RichAd, truthful_profile
 from richads.pricing import (
     BidThresholds,
     bid_thresholds,
@@ -104,6 +107,50 @@ def test_vcg_with_exhaustive_solver_agrees():
         "a": Fraction(0),
         "b": Fraction(3, 2),
     }
+
+
+def test_vcg_builds_one_view_and_calls_no_solver(monkeypatch):
+    # the optimum and every counterfactual come from one view and one DP;
+    # the re-solving oracle builds n + 1 = 3 views on fx1
+    counts = Counter()
+    view, solve = kernels.ScaledView, exact.int_opt_dp
+
+    def counted_view(*args, **kwargs):
+        counts["views"] += 1
+        return view(*args, **kwargs)
+
+    def counted_solve(*args, **kwargs):
+        counts["solves"] += 1
+        return solve(*args, **kwargs)
+
+    for module in (kernels, monotone, heuristics, exact):
+        monkeypatch.setattr(module, "ScaledView", counted_view)
+    monkeypatch.setattr(exact, "int_opt_dp", counted_solve)
+    inst = fixtures.fixture("fx1")
+    rep = truthful_profile(inst)
+    fast = vcg_payments(inst, rep)
+    assert counts == {"views": 1}
+    counts.clear()
+    assert vcg_payments(inst, rep, exact_solver=exact.int_opt_dp) == fast
+    assert counts == {"views": 3, "solves": 3}
+
+
+@pytest.mark.parametrize("limit", [None, 1, 2, 3])
+def test_one_pass_vcg_matches_resolving_on_the_corpus(small_corpus, limit):
+    for inst in small_corpus:
+        inst = replace(inst, cardinality_limit=limit)
+        rep = truthful_profile(inst)
+        assert vcg_payments(inst, rep) == vcg_payments(inst, rep, exact_solver=exact.int_opt_dp)
+
+
+def test_vcg_guard_fires_before_any_table():
+    # fx3's scaled capacity is 1999999, over the DP guard of 10**6
+    inst = fixtures.fx3()
+    rep = truthful_profile(inst)
+    with pytest.raises(GuardExceededError, match="exceeds the DP guard"):
+        vcg_payments(inst, rep)
+    with pytest.raises(GuardExceededError, match="exceeds the DP guard"):
+        vcg_payments(inst, rep, exact_solver=exact.int_opt_dp)
 
 
 def test_fx4_gsp_at_truth():

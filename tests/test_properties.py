@@ -354,3 +354,46 @@ def test_rebid_view_equals_a_fresh_view(pair, adv_index, num, den, zero_alpha):
         fresh = kernels.ScaledView(inst, rep.replace(adv.adv_id, bid, subset))
         for name in kernels.ScaledView.FIELDS:
             assert getattr(view, name) == getattr(fresh, name), name
+
+
+@st.composite
+def vcg_cases(draw):
+    """A report on an instance with fractional spaces, alphas and total
+    space, under no cardinality limit or one of 1..n; zero bids and empty
+    subsets are drawn too."""
+    n = draw(st.integers(1, 5))
+    advertisers = []
+    for i in range(n):
+        ads = tuple(
+            RichAd(
+                f"a{i}x{j}",
+                Fraction(draw(st.integers(1, 6)), 6),
+                Fraction(draw(st.integers(1, 12)), draw(st.sampled_from((1, 2, 3)))),
+            )
+            for j in range(draw(st.integers(1, 3)))
+        )
+        value = Fraction(draw(st.integers(1, 30)), draw(st.sampled_from((1, 2, 5))))
+        advertisers.append(Advertiser(f"a{i}", value, ads))
+    total = Fraction(draw(st.integers(1, 40)), draw(st.sampled_from((1, 2, 4))))
+    limit = draw(st.sampled_from([None, *range(1, n + 1)]))
+    inst = Instance(advertisers=tuple(advertisers), total_space=total, cardinality_limit=limit)
+    bids = {}
+    subsets = {}
+    for adv in inst.advertisers:
+        bids[adv.adv_id] = adv.value_per_click * Fraction(draw(st.integers(0, 4)), 4)
+        subsets[adv.adv_id] = frozenset(draw(st.sets(st.sampled_from(adv.ad_ids()))))
+    return inst, ReportProfile(bids=bids, subsets=subsets)
+
+
+@settings(deadline=None, max_examples=300)
+@given(vcg_cases())
+def test_one_pass_vcg_equals_the_resolving_oracles(pair):
+    inst, rep = pair
+    fast = pricing.vcg_payments(inst, rep)
+    # at most 4**5 choice vectors: well inside the enumeration guard
+    for solver in (exact.int_opt_dp, exact.int_opt_exhaustive):
+        oracle = pricing.vcg_payments(inst, rep, exact_solver=solver)
+        assert fast.mixture == oracle.mixture
+        assert fast.payments == oracle.payments
+        assert fast.cpc == oracle.cpc
+        assert fast.to_dict() == oracle.to_dict()
