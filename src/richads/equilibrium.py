@@ -32,6 +32,7 @@ from .monotone import (
 )
 
 STRATEGY_ADS_GUARD = 4
+STRATEGY_BIDS_GUARD = 10_000
 
 
 @dataclass(frozen=True)
@@ -68,19 +69,34 @@ class StrategySpace:
 
 
 def strategy_spaces(
-    inst: Instance, delta: Fraction, ads_guard: int = STRATEGY_ADS_GUARD
+    inst: Instance,
+    delta: Fraction,
+    ads_guard: int = STRATEGY_ADS_GUARD,
 ) -> dict[str, StrategySpace]:
     """No-overbidding grids: bids {0, delta, 2*delta, ...} plus the true value,
-    crossed with every subset of the catalog (the empty one included)."""
+    crossed with every subset of the catalog (the empty one included).
+
+    Both guards (the bid one is `STRATEGY_BIDS_GUARD` bids per advertiser)
+    are checked for every advertiser before any grid is built.
+    """
     delta = Fraction(delta)
     if delta <= 0:
         raise ValueError(f"grid step must be positive, got {delta}")
-    spaces = {}
     for adv in inst.advertisers:
         if len(adv.ads) > ads_guard:
             raise GuardExceededError(
                 f"advertiser {adv.adv_id!r} has {len(adv.ads)} ads; subset grid guard is {ads_guard}"
             )
+        # the grid is ceil(value / delta) multiples of delta below the value, plus the value
+        value = adv.value_per_click
+        count = max(0, -(-(value.numerator * delta.denominator) // (value.denominator * delta.numerator))) + 1
+        if count > STRATEGY_BIDS_GUARD:
+            raise GuardExceededError(
+                f"advertiser {adv.adv_id!r} would have {count} grid bids "
+                f"(value {value}, step {delta}); bid grid guard is {STRATEGY_BIDS_GUARD}"
+            )
+    spaces = {}
+    for adv in inst.advertisers:
         bids = []
         b = Fraction(0)
         while b < adv.value_per_click:

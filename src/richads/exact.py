@@ -9,12 +9,11 @@ grinding.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import add
 from typing import Iterable
 
 from .kernels import ScaledView
-from .model import Allocation, GuardExceededError, Instance, InvariantViolation, ReportProfile
+from .model import WHOLE, Allocation, GuardExceededError, Instance, InvariantViolation, ReportProfile
 
 DP_CAPACITY_GUARD = 10**6
 ENUMERATION_GUARD = 10**6
@@ -39,7 +38,7 @@ def to_allocation(view: ScaledView, chosen: list[int]) -> Allocation:
     entries = {}
     for a, i in enumerate(chosen):
         if i >= 0:
-            entries[view.adv_ids[a]] = (view.ad_ids[i], Fraction(1))
+            entries[view.adv_ids[a]] = (view.ad_ids[i], WHOLE)
     return Allocation(entries=entries)
 
 

@@ -53,10 +53,22 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ValueError("experiment config must be an object")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown experiment config fields: {sorted(unknown)}")
+        for name, value in data.items():
+            if name == "mechanisms":
+                if not isinstance(value, list) or not all(isinstance(m, str) for m in value):
+                    raise ValueError(f"experiment config field 'mechanisms' must be a list of strings, got {value!r}")
+            elif name == "cardinality" and value is None:
+                continue
+            # bool is a subclass of int, but `true` is not a count
+            elif isinstance(value, bool) or not isinstance(value, int):
+                kind = "an integer or null" if name == "cardinality" else "an integer"
+                raise ValueError(f"experiment config field {name!r} must be {kind}, got {value!r}")
         if "mechanisms" in data:
             data = dict(data, mechanisms=tuple(data["mechanisms"]))
         return cls(**data)

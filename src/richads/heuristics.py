@@ -12,8 +12,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .kernels import ScaledView, run_best_fit, run_space_auction, run_value_greedy
-from .model import Allocation, Instance, Mixture, ReportProfile
+from .kernels import ScaledView, pure, run_best_fit, run_space_auction, run_value_greedy
+from .model import WHOLE, Allocation, Instance, Mixture, ReportProfile
 from .monotone import max_value_allocation
 
 RANDOMIZED_GREEDY_P = Fraction(2, 3)
@@ -22,13 +22,6 @@ RANDOMIZED_GREEDY_P = Fraction(2, 3)
 def _check_cardinality(k: int | None) -> None:
     if k is not None and k < 1:
         raise ValueError(f"cardinality limit must be >= 1, got {k}")
-
-
-def _bpb_order(view: ScaledView) -> list[int]:
-    # descending bang-per-buck, ties in (adv_id, ad_id) order via stable sort
-    idx = list(range(len(view)))
-    idx.sort(key=lambda i: Fraction(-view.val[i], view.spc[i]))
-    return idx
 
 
 def _greedy_bpb_capped(view: ScaledView, k: int) -> Allocation:
@@ -41,7 +34,8 @@ def _greedy_bpb_capped(view: ScaledView, k: int) -> Allocation:
     """
     held: dict[int, int] = {}  # advertiser index -> ad index
     rem = view.total
-    for i in _bpb_order(view):
+    # descending bang-per-buck, ties in (adv_id, ad_id) order
+    for i in pure._bpb_order(view.val, view.spc):
         a = view.adv[i]
         if a in held:
             j = held[a]
@@ -71,7 +65,7 @@ def _greedy_bpb_capped(view: ScaledView, k: int) -> Allocation:
     entries = {}
     for a, i in enumerate(best):
         if i >= 0:
-            entries[view.adv_ids[a]] = (view.ad_ids[i], Fraction(1))
+            entries[view.adv_ids[a]] = (view.ad_ids[i], WHOLE)
     return Allocation(entries=entries)
 
 
@@ -93,7 +87,7 @@ def greedy_by_bpb(
     entries = {}
     for a, i in enumerate(best):
         if i >= 0:
-            entries[view.adv_ids[a]] = (view.ad_ids[i], Fraction(1))
+            entries[view.adv_ids[a]] = (view.ad_ids[i], WHOLE)
     return Allocation(entries=entries)
 
 
@@ -114,7 +108,7 @@ def greedy_by_value(
     entries = {}
     for a, i in enumerate(held):
         if i >= 0:
-            entries[view.adv_ids[a]] = (view.ad_ids[i], Fraction(1))
+            entries[view.adv_ids[a]] = (view.ad_ids[i], WHOLE)
     return Allocation(entries=entries)
 
 

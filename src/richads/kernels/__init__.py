@@ -1,51 +1,16 @@
-"""Kernel backends and the scaled-integer view they operate on.
+"""The scaled-integer view of a report, and the kernel walks over it.
 
-The compiled extension (`richads.kernels._fast`) is preferred when it
-imported cleanly and every scaled magnitude fits comfortably in int64;
-otherwise the pure-Python twin runs. `RICHADS_KERNEL=pure|fast` forces a
-backend at import time, `set_backend` switches at runtime.
+The walks are the loops of `richads.kernels.pure`; the `run_*` entry points
+feed them a view's rows.
 """
 
 from __future__ import annotations
 
-import os
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from . import pure
-
-try:
-    from . import _fast
-except ImportError:  # extension not built; pure fallback is fully equivalent
-    _fast = None
-
-_BACKENDS = {"pure": pure}
-if _fast is not None:
-    _BACKENDS["fast"] = _fast
-
-_active = "fast" if _fast is not None else "pure"
-_forced = os.environ.get("RICHADS_KERNEL")
-if _forced:
-    if _forced not in _BACKENDS:
-        raise ImportError(
-            f"RICHADS_KERNEL={_forced!r} is not available; choices: {sorted(_BACKENDS)}"
-        )
-    _active = _forced
-
-
-def available_backends() -> tuple[str, ...]:
-    return tuple(sorted(_BACKENDS))
-
-
-def backend_name() -> str:
-    return _active
-
-
-def set_backend(name: str) -> None:
-    global _active
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown kernel backend {name!r}; choices: {sorted(_BACKENDS)}")
-    _active = name
 
 
 class ScaledView:
@@ -60,16 +25,18 @@ class ScaledView:
 
     FIELDS = (
         "inst", "rep", "adv_ids", "adv_index", "adv", "ad_ids", "val", "spc",
-        "eff", "space", "total", "value_scale", "space_scale", "max_magnitude",
+        "space", "total", "value_scale", "space_scale",
     )
-    # _bidders: adv_id -> (own row span, own alphas, lcm of the other rows'
-    # value denominators), filled by `rebid` and valid for that bidder only
-    __slots__ = FIELDS + ("_bidders",)
+    # _bidders: adv_id -> what `rebid` reuses for that bidder (see `_bidder`);
+    # _densities: the rows' bang-per-buck over one integer scale (see
+    # `densities`). Both are filled on first use.
+    __slots__ = FIELDS + ("_bidders", "_densities")
 
     def __init__(self, inst, rep):
         self.inst = inst
         self.rep = rep
         self._bidders = {}
+        self._densities = None
         self.adv_ids = inst.adv_ids()
         self.adv_index = {a: i for i, a in enumerate(self.adv_ids)}
         rows = []  # (adv_idx, ad_id, effective value, space)
@@ -92,24 +59,19 @@ class ScaledView:
         self.spc = [int(r[3] * space_scale) for r in rows]
         self.total = int(inst.total_space * space_scale)
         self.space_scale = space_scale
-        eff = [r[2] for r in rows]
-        self._set_values(eff, lcm(*(e.denominator for e in eff)))
-
-    def _set_values(self, eff, value_scale):
-        self.eff = eff
-        self.value_scale = value_scale
-        self.val = [e.numerator * (value_scale // e.denominator) for e in eff]
-        self.max_magnitude = max(self.val + self.spc + [self.total])
+        self.value_scale = value_scale = lcm(*(r[2].denominator for r in rows))
+        self.val = [r[2].numerator * (value_scale // r[2].denominator) for r in rows]
 
     def rebid(self, adv_id: str, bid: Fraction) -> "ScaledView":
         """This view with `adv_id` bidding `bid` on the same subset.
 
         Equal slot for slot to a fresh `ScaledView` of the replaced report.
         While the old and the new bid are both positive the rows do not
-        change, so the row order, spaces and space scale are shared, the lcm
-        of the other rows' value denominators is computed once per bidder,
-        and only values are rescaled, in integers. Otherwise the view is
-        built afresh.
+        change, so the row order, spaces and space scale are shared. The
+        other rows' values are kept per bidder at their own scale, so a
+        rebid scales them by one integer factor (none when it is 1) and
+        computes only the bidder's own values. Otherwise the view is built
+        afresh.
         """
         bid = Fraction(bid)
         rep = self.rep.replace(adv_id, bid, self.rep.subsets.get(adv_id, frozenset()))
@@ -118,24 +80,63 @@ class ScaledView:
         bidder = self._bidders.get(adv_id)
         if bidder is None:
             bidder = self._bidders[adv_id] = self._bidder(adv_id)
-        lo, hi, alphas, others_scale = bidder
-        own = [bid * alpha for alpha in alphas]
+        lo, hi, alphas, others_scale, below, above = bidder
+        bn, bd = bid.numerator, bid.denominator
+        own = []  # the bidder's effective values bid * alpha, in lowest terms
+        for an, ad in alphas:
+            n, d = bn * an, bd * ad
+            g = gcd(n, d)
+            own.append((n // g, d // g))
+        value_scale = lcm(others_scale, *(d for _n, d in own))
+        factor = value_scale // others_scale
+        if factor != 1:
+            below = [v * factor for v in below]
+            above = [v * factor for v in above]
         new = object.__new__(type(self))
         for name in ("inst", "adv_ids", "adv_index", "adv", "ad_ids", "spc", "space", "total", "space_scale"):
             setattr(new, name, getattr(self, name))
         new.rep = rep
         new._bidders = {adv_id: bidder}
-        new._set_values(self.eff[:lo] + own + self.eff[hi:], lcm(others_scale, *(e.denominator for e in own)))
+        new._densities = None
+        new.value_scale = value_scale
+        new.val = below + [n * (value_scale // d) for n, d in own] + above
         return new
 
     def _bidder(self, adv_id):
-        # rows are sorted by advertiser, so one advertiser's rows are contiguous
-        own = [i for i, a in enumerate(self.adv) if self.adv_ids[a] == adv_id]
-        lo, hi = (own[0], own[-1] + 1) if own else (0, 0)
+        # (own row span, own alphas as (numerator, denominator), lcm of the
+        # other rows' value denominators, the other rows' values at that
+        # scale before and after the span)
+        lo, hi = self.span(adv_id)
         old = self.rep.bids[adv_id]
-        alphas = [e / old for e in self.eff[lo:hi]]
-        others_scale = lcm(*(e.denominator for e in self.eff[:lo] + self.eff[hi:]))
-        return lo, hi, alphas, others_scale
+        scale = self.value_scale
+        alphas = [Fraction(v, scale) / old for v in self.val[lo:hi]]
+        # value v / scale has the denominator scale // gcd(v, scale)
+        others_scale = lcm(*(scale // gcd(v, scale) for v in self.val[:lo] + self.val[hi:]))
+        return (
+            lo, hi, [(a.numerator, a.denominator) for a in alphas], others_scale,
+            [v * others_scale // scale for v in self.val[:lo]],
+            [v * others_scale // scale for v in self.val[hi:]],
+        )
+
+    def span(self, adv_id: str) -> tuple[int, int]:
+        """The (lo, hi) row range of `adv_id`; rows are sorted by advertiser."""
+        a = self.adv_index[adv_id]
+        return bisect_left(self.adv, a), bisect_right(self.adv, a)
+
+    def densities(self) -> tuple[int, list[int | None]]:
+        """(scale, numerators): row i's bang-per-buck is
+        `numerators[i] * space_scale / (value_scale * scale)`.
+
+        `scale` is the lcm of the nonzero scaled spaces; a zero-space row
+        has no finite density and gets None. Built once per view.
+        """
+        if self._densities is None:
+            self._densities = self._density_table()
+        return self._densities
+
+    def _density_table(self) -> tuple[int, list[int | None]]:
+        scale = lcm(*(w for w in self.spc if w))
+        return scale, [v * (scale // w) if w else None for v, w in zip(self.val, self.spc)]
 
     def __len__(self):
         return len(self.val)
@@ -150,24 +151,14 @@ class ScaledView:
         return Fraction(units, self.space_scale)
 
 
-def _pick(view: ScaledView):
-    mod = _BACKENDS[_active]
-    limit = getattr(mod, "MAX_MAGNITUDE", None)
-    if limit is not None and view.max_magnitude >= limit:
-        return pure
-    return mod
-
-
 def run_space_auction(view: ScaledView, stop_on_misfit: bool):
     n = view.n_adv()
     if not view.val:
         return [-1] * n, [0] * n, -1, 0, 1
-    mod = _pick(view)
-    return mod.space_auction(view.adv, view.val, view.spc, n, view.total, stop_on_misfit)
+    return pure.space_auction(view.adv, view.val, view.spc, n, view.total, stop_on_misfit)
 
 
 def run_space_auction_traced(view: ScaledView):
-    # tracing is diagnostic-only and always runs the reference backend
     n = view.n_adv()
     if not view.val:
         return [-1] * n, [0] * n, -1, 0, 1, []
@@ -177,12 +168,10 @@ def run_space_auction_traced(view: ScaledView):
 def run_best_fit(view: ScaledView, caps: list[int]):
     if not view.val:
         return [-1] * view.n_adv()
-    mod = _pick(view)
-    return mod.best_fit(view.adv, view.val, view.spc, view.n_adv(), caps)
+    return pure.best_fit(view.adv, view.val, view.spc, view.n_adv(), caps)
 
 
 def run_value_greedy(view: ScaledView, limit: int):
     if not view.val:
         return [-1] * view.n_adv()
-    mod = _pick(view)
-    return mod.value_greedy(view.adv, view.val, view.spc, view.n_adv(), view.total, limit)
+    return pure.value_greedy(view.adv, view.val, view.spc, view.n_adv(), view.total, limit)

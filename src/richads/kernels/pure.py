@@ -1,38 +1,39 @@
-"""Pure-Python reference kernels over scaled integers.
+"""Kernel loops over scaled integers.
 
-These are the loops the compiled extension mirrors. They run on plain ints
-(arbitrary precision), so they are also the fallback when scaled magnitudes
-exceed what the int64 extension can hold.
+They run on plain ints (arbitrary precision), so no magnitude is too large.
 
-Conventions shared by both backends:
+Conventions:
 
 * Ads arrive pre-sorted by (adv_id, ad_id); `adv[i]` is the advertiser index
   of ad i, `val[i]` its scaled effective value, `spc[i]` its scaled space.
-* Bang-per-buck comparisons are exact cross-multiplications.
+* Bang-per-buck is compared exactly, as integers over one common scale.
 * Ties in bang-per-buck (and value) fall back to the input index, which by
   the pre-sort means (adv_id, ad_id) ascending.
 """
 
-BACKEND_NAME = "pure"
+from math import lcm
 
 
 def _bpb_order(val, spc):
-    # sorted() is stable, so equal bang-per-buck keeps input (adv, ad) order
+    """Indices by descending bang-per-buck val/spc, ties in input order.
+
+    With L the lcm of the nonzero spaces, -val[i] * (L // spc[i]) is an
+    integer key that orders like -val[i]/spc[i], and equal keys mean equal
+    bang-per-buck, so the stable sort keeps input order among them. A
+    zero-space row has unbounded bang-per-buck: all of them share one key
+    below every other key.
+    """
+    if 0 in spc:
+        scale = lcm(*(w for w in spc if w))
+        keys = [-v * (scale // w) if w else None for v, w in zip(val, spc)]
+        first = min((k for k in keys if k is not None), default=0) - 1
+        keys = [first if k is None else k for k in keys]
+    else:
+        scale = lcm(*spc)
+        keys = [-v * (scale // w) for v, w in zip(val, spc)]
     idx = list(range(len(val)))
-    idx.sort(key=lambda i: _BpbKey(val[i], spc[i]))
+    idx.sort(key=keys.__getitem__)
     return idx
-
-
-class _BpbKey:
-    __slots__ = ("v", "w")
-
-    def __init__(self, v, w):
-        self.v = v
-        self.w = w
-
-    def __lt__(self, other):
-        # descending bang-per-buck: self before other iff v/w > other.v/other.w
-        return self.v * other.w > other.v * self.w
 
 
 def space_auction(adv, val, spc, n_adv, total, stop_on_misfit):

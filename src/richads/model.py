@@ -148,6 +148,11 @@ def truthful_profile(inst: Instance) -> ReportProfile:
     )
 
 
+# the weight of an ad served whole; Fractions are immutable, so the integral
+# rules share this one object instead of building one per entry
+WHOLE = Fraction(1)
+
+
 @dataclass(frozen=True)
 class Allocation:
     """A (possibly fractional) outcome: adv_id -> (ad_id, weight in (0, 1]).
@@ -335,6 +340,13 @@ def _objects(value, what: str) -> list:
     return value
 
 
+def _string_id(row: dict, what: str) -> str:
+    value = row["id"]
+    if not isinstance(value, str):
+        raise ValueError(f"{what} id must be a string, got {value!r}")
+    return value
+
+
 def instance_from_dict(data: dict) -> Instance:
     if not isinstance(data, dict):
         raise ValueError("instance JSON must be an object")
@@ -347,11 +359,15 @@ def instance_from_dict(data: dict) -> Instance:
         advertisers = []
         for row in _objects(data["advertisers"], "advertisers"):
             ads = tuple(
-                RichAd(ad_id=str(a["id"]), alpha=parse_rational(a["alpha"]), space=parse_rational(a["space"]))
+                RichAd(ad_id=_string_id(a, "ad"), alpha=parse_rational(a["alpha"]), space=parse_rational(a["space"]))
                 for a in _objects(row["ads"], f"ads of advertiser {row.get('id')!r}")
             )
             advertisers.append(
-                Advertiser(adv_id=str(row["id"]), value_per_click=parse_rational(row["value_per_click"]), ads=ads)
+                Advertiser(
+                    adv_id=_string_id(row, "advertiser"),
+                    value_per_click=parse_rational(row["value_per_click"]),
+                    ads=ads,
+                )
             )
     except KeyError as exc:
         raise ValueError(f"instance JSON missing field {exc.args[0]!r}") from exc

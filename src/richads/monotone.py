@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .kernels import ScaledView, run_best_fit, run_space_auction, run_space_auction_traced
-from .model import Allocation, Instance, Mixture, ReportProfile
+from .model import WHOLE, Allocation, Instance, Mixture, ReportProfile
 
 TRUTHFUL_MIX_P = Fraction(2, 3)
 GSP_MIX_P = Fraction(1, 2)
@@ -86,7 +86,7 @@ def _assignment_from_view(view: ScaledView, want_trace: bool):
                 end=end,
                 adv_id=view.adv_ids[view.adv[i]],
                 ad_id=view.ad_ids[i],
-                density=view.eff[i] / view.space[i],
+                density=Fraction(view.val[i], view.value_scale) / view.space[i],
                 kind=kind,
             )
             for kind, i, start, end in events
@@ -120,7 +120,7 @@ def _best_fit_allocation(view: ScaledView, held_spc: list[int]) -> Allocation:
     entries = {}
     for a, i in enumerate(best):
         if i >= 0:
-            entries[view.adv_ids[a]] = (view.ad_ids[i], Fraction(1))
+            entries[view.adv_ids[a]] = (view.ad_ids[i], WHOLE)
     return Allocation(entries=entries)
 
 
@@ -151,13 +151,13 @@ def max_value_allocation(inst: Instance, rep: ReportProfile, view: ScaledView | 
             best = i
     if best >= 0:
         adv_id, ad_id = view.ad_ref(best)
-        return Allocation(entries={adv_id: (ad_id, Fraction(1))})
+        return Allocation(entries={adv_id: (ad_id, WHOLE)})
     # every reported ad is worth zero (the view keeps positives only), but
     # the rule still serves the first fitting one by (adv_id, ad_id)
     for adv in inst.advertisers:
         for ad_id in sorted(rep.subsets.get(adv.adv_id, ())):
             if adv.ad(ad_id).space <= inst.total_space:
-                return Allocation(entries={adv.adv_id: (ad_id, Fraction(1))})
+                return Allocation(entries={adv.adv_id: (ad_id, WHOLE)})
     return Allocation(entries={})
 
 

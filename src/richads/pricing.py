@@ -152,56 +152,66 @@ class BidThresholds:
     probes: int = 0
 
     def steps(self) -> list[tuple[Fraction, Fraction]]:
-        """(lowest bid, clicks) of each constant run of the curve, in bid order."""
+        """(lowest bid, clicks) of each constant run of the curve, in bid order.
+
+        A bisected curve fills each flat span with one shared clicks object,
+        so neighbours that are the same object are skipped uncompared.
+        """
         out: list[tuple[Fraction, Fraction]] = []
+        prev = None
         for (lo, _hi), clicks in zip(self.intervals, self.interval_clicks):
-            if not out or clicks != out[-1][1]:
+            if clicks is not prev and (not out or clicks != out[-1][1]):
                 out.append((lo, clicks))
+            prev = clicks
         return out
 
 
 def _tie_candidates(
-    inst: Instance, rep: ReportProfile, adv_id: str, kinds: tuple[str, ...], cap: Fraction
-) -> list[Fraction]:
-    # a bang-per-buck tie is (other eff / other space) * (own space / own
-    # alpha), a value tie other eff / own alpha; each factor is computed once
-    my_subset = rep.subsets.get(adv_id, frozenset())
-    own = [ad for ad in inst.advertiser(adv_id).ads if ad.ad_id in my_subset and ad.alpha > 0]
-    if not own:
-        return []
-    densities: set[Fraction] = set()
-    values: set[Fraction] = set()
-    for other in inst.advertisers:
-        if other.adv_id == adv_id:
-            continue
-        bid = rep.bids.get(other.adv_id, Fraction(0))
-        if bid <= 0:
-            continue
-        subset = rep.subsets.get(other.adv_id, frozenset())
-        for ad in other.ads:
-            if ad.ad_id in subset and ad.alpha > 0:
-                eff = bid * ad.alpha
-                values.add(eff)
-                if "bpb" in kinds:
-                    densities.add(eff / ad.space)
-    factors = []  # pairs of sets whose pairwise products are the ties
-    if "bpb" in kinds:
-        factors.append((densities, {ad.space / ad.alpha for ad in own}))
-    if "value" in kinds:
-        factors.append((values, {1 / ad.alpha for ad in own}))
-    products = [
-        (x.numerator * y.numerator, x.denominator * y.denominator)
-        for xs, ys in factors
-        for x in xs
-        for y in ys
-    ]
-    # over one common denominator the ties are ints, cheap to dedupe and sort
+    view: kernels.ScaledView, adv_id: str, kinds: tuple[str, ...], cap: Fraction
+) -> tuple[list[int], int]:
+    """Bids in (0, cap] where one of `adv_id`'s reported ads ties another
+    advertiser's in bang-per-buck ("bpb") or value ("value").
+
+    Returned as (sorted distinct numerators, their common denominator).
+    The other rows' values and densities are the view's integers, shared by
+    every curve of the report; per curve only the bidder's own factors are
+    multiplied in. With V, S the view's value and space scales and L the
+    density scale, an own ad of click rate alpha and space s ties another
+    row of value `val` at val / (V alpha) and one of density numerator
+    `dens` at dens * S * s / (V * L * alpha).
+    """
+    inst, rep = view.inst, view.rep
     cap = Fraction(cap)
-    scale = lcm(cap.denominator, *(den for _num, den in products))
-    limit = cap.numerator * (scale // cap.denominator)
-    ties = {num * (scale // den) for num, den in products}
-    # zero-space ads (possible in unvalidated instances) tie at 0
-    return [Fraction(tie, scale) for tie in sorted(ties) if 0 < tie <= limit]
+    subset = rep.subsets.get(adv_id, frozenset())
+    own = [ad for ad in inst.advertiser(adv_id).ads if ad.ad_id in subset and ad.alpha > 0]
+    if not own:
+        return [], cap.denominator
+    lo, hi = view.span(adv_id)
+    terms = []  # (other rows' numerators, tie multiplier, tie denominator)
+    if "bpb" in kinds:
+        scale, dens = view.densities()
+        others = dens[:lo] + dens[hi:]
+        if None in others:
+            raise ZeroDivisionError(f"an ad competing with {adv_id!r} has zero space")
+        for ad in own:
+            alpha, space = ad.alpha, ad.space
+            terms.append((
+                others,
+                view.space_scale * space.numerator * alpha.denominator,
+                view.value_scale * scale * space.denominator * alpha.numerator,
+            ))
+    if "value" in kinds:
+        others = view.val[:lo] + view.val[hi:]
+        for ad in own:
+            terms.append((others, ad.alpha.denominator, view.value_scale * ad.alpha.numerator))
+    den = lcm(cap.denominator, *(d for _others, _m, d in terms))
+    ties: set[int] = set()
+    for others, m, d in terms:
+        m *= den // d
+        ties.update([x * m for x in others])
+    limit = cap.numerator * (den // cap.denominator)
+    # zero-space own ads (possible in unvalidated instances) tie at 0
+    return sorted(t for t in ties if 0 < t <= limit), den
 
 
 def _clicks_with_bid(
@@ -269,26 +279,30 @@ def _build_curve(
         for kind in _BRANCH_KINDS[branch]:
             if kind not in kinds:
                 kinds = kinds + (kind,)
-    thresholds = [Fraction(0)] + _tie_candidates(inst, rep, adv_id, kinds, cap)
-    intervals = list(zip(thresholds, thresholds[1:]))
-    if thresholds[-1] < cap:
-        intervals.append((thresholds[-1], cap))
     if view is None:
         view = kernels.ScaledView(inst, rep)
+    ties, den = _tie_candidates(view, adv_id, kinds, cap)
+    thresholds = [Fraction(0)] + [Fraction(t, den) for t in ties]
+    intervals = list(zip(thresholds, thresholds[1:]))
+    points = [0] + ties  # the interval bounds as numerators over `den`
+    if thresholds[-1] < cap:
+        intervals.append((thresholds[-1], cap))
+        points.append(cap.numerator * (den // cap.denominator))
     probed: dict[int, Fraction] = {}
 
     def probe(j: int) -> Fraction:
         if j not in probed:
-            lo, hi = intervals[j]
-            probed[j] = _clicks_with_bid(inst, view, adv_id, (lo + hi) / 2, branches, cardinality)
+            mid = Fraction(points[j] + points[j + 1], 2 * den)
+            probed[j] = _clicks_with_bid(inst, view, adv_id, mid, branches, cardinality)
         return probed[j]
 
     if all(branch in _MONOTONE_BRANCHES for _prob, branch in branches):
         clicks = _bisect_clicks(len(intervals), probe)
     else:
         clicks = _scan_clicks(len(intervals), probe)
+    # a bisected flat span is one shared object: compare only where it changes
     for j in range(1, len(clicks)):
-        if clicks[j] < clicks[j - 1]:
+        if clicks[j] is not clicks[j - 1] and clicks[j] < clicks[j - 1]:
             raise NonMonotoneClickCurveError(
                 adv_id, rule_name, intervals[j - 1], intervals[j], clicks[j - 1], clicks[j]
             )
@@ -327,7 +341,8 @@ def gsp_cpc_from_curve(curve: BidThresholds, bid: Fraction, clicks_at_bid: Fract
     """Lowest bid keeping the current clicks: GSP's per-click price."""
     if clicks_at_bid == 0:
         return Fraction(0)
-    for (lo, _hi), clicks in zip(curve.intervals, curve.interval_clicks):
+    # the first interval with these clicks starts a run of the curve
+    for lo, clicks in curve.steps():
         if lo >= bid:
             break
         if clicks == clicks_at_bid:

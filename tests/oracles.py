@@ -205,3 +205,23 @@ def tie_candidates_pairwise(inst: Instance, rep: ReportProfile, adv_id: str, kin
                 ties.append(eff / ad.alpha)
             out.update(t for t in ties if 0 < t <= cap)
     return sorted(out)
+
+
+class BpbKey:
+    """Sort key comparing bang-per-buck by cross-multiplication.
+
+    Sorting row indices by BpbKey(val[i], spc[i]) puts higher val/spc first;
+    a zero-space row compares above every positive-space row and equal to
+    other zero-space rows. This was the kernels' comparator before the
+    integer keys of `pure._bpb_order`, which must order rows the same way.
+    """
+
+    __slots__ = ("v", "w")
+
+    def __init__(self, v, w):
+        self.v = v
+        self.w = w
+
+    def __lt__(self, other):
+        # descending bang-per-buck: self before other iff v/w > other.v/other.w
+        return self.v * other.w > other.v * self.w

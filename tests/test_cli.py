@@ -92,6 +92,19 @@ def test_malformed_json_is_an_input_error(tmp_path, capsys):
             },
             "cardinality_limit must be an integer or null, got True",
         ),
+        (
+            {"total_space": "10", "advertisers": [{"id": None, "value_per_click": "1", "ads": []}]},
+            "advertiser id must be a string, got None",
+        ),
+        (
+            {
+                "total_space": "10",
+                "advertisers": [
+                    {"id": "a", "value_per_click": "1", "ads": [{"id": 7, "alpha": "1", "space": "1"}]}
+                ],
+            },
+            "ad id must be a string, got 7",
+        ),
     ],
 )
 def test_mistyped_instance_is_an_input_error(tmp_path, capsys, doc, message):
@@ -197,6 +210,12 @@ def test_solve_guard_exits_2(fx_path, capsys):
     code = cli(["solve", fx_path(fixtures.fx3()), "--mechanism", "vcg"])
     assert code == 2
     assert "guard exceeded" in capsys.readouterr().err
+
+
+def test_equilibrium_bid_grid_guard_exits_2(fx_path, capsys):
+    code = cli(["equilibrium", fx_path(fixtures.fx2()), "--grid", "1/1000000000"])
+    assert code == 2
+    assert "bid grid guard" in capsys.readouterr().err
 
 
 def test_solve_invalid_instance_short_circuits(fx_path, capsys):
@@ -338,6 +357,22 @@ def test_experiment_rejects_unknown_config_key(tmp_path, capsys):
     cfg_path.write_text(json.dumps({"instances": 2, "budget": 9}))
     assert cli(["experiment", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"instances": "2"}, "field 'instances' must be an integer, got '2'"),
+        ({"cardinality": True}, "field 'cardinality' must be an integer or null, got True"),
+        ({"mechanisms": "gsp-half"}, "field 'mechanisms' must be a list of strings"),
+        ([1, 2], "experiment config must be an object"),
+    ],
+)
+def test_experiment_rejects_mistyped_config(tmp_path, capsys, doc, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli(["experiment", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_audit_subcommand(capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from richads import fixtures
+from richads import equilibrium, fixtures
 from richads.equilibrium import (
     best_response,
     beta_bound_check,
@@ -181,3 +181,22 @@ def test_poa_report_rows():
     assert row["payments"] == {"a": "1", "b": "0"}
     assert row["profile"]["bids"] == {"a": "1", "b": "1"}
     assert row["profile"]["subsets"] == {"a": ["ax1"], "b": ["bx1"]}
+
+
+def test_bid_grid_guard_counts_the_grid_exactly(monkeypatch):
+    inst = fixtures.fx4()
+    for delta in (Fraction(1, 3), Fraction(1, 7), Fraction(2), Fraction(5, 2)):
+        largest = max(len(s.bids) for s in strategy_spaces(inst, delta).values())
+        monkeypatch.setattr(equilibrium, "STRATEGY_BIDS_GUARD", largest)
+        strategy_spaces(inst, delta)
+        monkeypatch.setattr(equilibrium, "STRATEGY_BIDS_GUARD", largest - 1)
+        with pytest.raises(GuardExceededError, match=f"would have {largest} grid bids"):
+            strategy_spaces(inst, delta)
+        monkeypatch.undo()
+
+
+def test_bid_grid_guard_fires_before_the_grid_is_built():
+    # about 10**9 grid points per advertiser: only a count made before any
+    # Fraction is built returns at once
+    with pytest.raises(GuardExceededError, match="bid grid guard is 10000"):
+        strategy_spaces(fixtures.fx4(), Fraction(1, 10**9))

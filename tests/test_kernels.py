@@ -1,20 +1,14 @@
-"""Kernel backends: scaling, parity between pure and compiled, trace consistency.
-
-The pure backend is the reference; the compiled one must match it on every
-call. Parity here is exercised over seeded corpora, with the hypothesis
-variants living in test_properties.py.
-"""
+"""Kernels: scaling, the bang-per-buck order, trace consistency."""
 
 from fractions import Fraction
 
-import pytest
+from hypothesis import given, strategies as st
 
+from oracles import BpbKey
 from richads import kernels
 from richads.kernels import ScaledView, pure
 from richads.model import truthful_profile
 from richads import fixtures
-
-HAVE_FAST = "fast" in kernels.available_backends()
 
 
 def view_of(inst):
@@ -57,54 +51,33 @@ def test_empty_view_short_circuits():
     assert kernels.run_best_fit(view, [0, 0]) == [-1, -1]
 
 
-def test_backend_selection_roundtrip():
-    original = kernels.backend_name()
-    try:
-        kernels.set_backend("pure")
-        assert kernels.backend_name() == "pure"
-        with pytest.raises(ValueError):
-            kernels.set_backend("gpu")
-    finally:
-        kernels.set_backend(original)
+@st.composite
+def bpb_rows(draw):
+    """(val, spc) lists with many equal densities, some zero spaces and,
+    when drawn, values or spaces beyond 2**63."""
+    n = draw(st.integers(0, 12))
+    val, spc = [], []
+    for _ in range(n):
+        k = draw(st.integers(1, 3))
+        val.append(draw(st.integers(1, 5)) * k)
+        spc.append(draw(st.integers(0, 5)) * k)
+    big = 2**64 + 1
+    if draw(st.booleans()):
+        val = [v * big for v in val]
+    if draw(st.booleans()):
+        spc = [w * big for w in spc]
+    return val, spc
 
 
-@pytest.mark.skipif(not HAVE_FAST, reason="compiled extension not built")
-def test_backend_parity_on_corpus(small_corpus):
-    from richads.kernels import _fast
-
-    for inst in small_corpus:
-        view = view_of(inst)
-        n = view.n_adv()
-        for stop in (True, False):
-            got_pure = pure.space_auction(view.adv, view.val, view.spc, n, view.total, stop)
-            got_fast = _fast.space_auction(view.adv, view.val, view.spc, n, view.total, stop)
-            assert got_pure == got_fast, inst
-        caps = got_pure[1]
-        assert pure.best_fit(view.adv, view.val, view.spc, n, caps) == _fast.best_fit(
-            view.adv, view.val, view.spc, n, caps
-        )
-        for limit in (1, 2, n):
-            assert pure.value_greedy(view.adv, view.val, view.spc, n, view.total, limit) == (
-                _fast.value_greedy(view.adv, view.val, view.spc, n, view.total, limit)
-            )
+@given(bpb_rows())
+def test_bpb_order_equals_the_comparator_sort(rows):
+    val, spc = rows
+    expected = sorted(range(len(val)), key=lambda i: BpbKey(val[i], spc[i]))
+    assert pure._bpb_order(val, spc) == expected
 
 
-@pytest.mark.skipif(not HAVE_FAST, reason="compiled extension not built")
-def test_huge_magnitudes_fall_back_to_pure():
-    from richads.model import Advertiser, Instance, RichAd
-
-    big = Fraction(1, 2**70)  # forces a scaled magnitude past int64
-    inst = Instance(
-        advertisers=(
-            Advertiser("a", Fraction(1), (RichAd("ax1", Fraction(1), big),)),
-            Advertiser("b", Fraction(1), (RichAd("bx1", Fraction(1), Fraction(1)),)),
-        ),
-        total_space=Fraction(2),
-    )
-    view = view_of(inst)
-    assert view.max_magnitude >= kernels._fast.MAX_MAGNITUDE
-    held, spaces, _fa, _fn, _fd = kernels.run_space_auction(view, stop_on_misfit=True)
-    assert held.count(-1) == 0  # both fit; pure fallback handled the widths
+def test_bpb_order_puts_zero_space_rows_first_in_input_order():
+    assert pure._bpb_order([1, 5, 2, 3], [1, 0, 0, 1]) == [1, 2, 3, 0]
 
 
 def test_traced_walk_matches_untrace(small_corpus):

@@ -288,6 +288,44 @@ def test_myerson_work_counts_are_pinned(monkeypatch):
     assert _myerson_work(monkeypatch, _price_large_instance(7)) == (143, 1)
 
 
+def test_curve_without_ties_spans_zero_to_a_fractional_cap():
+    # the bidder's only ad has click rate 0: no tie bid, one interval
+    inst = Instance(
+        advertisers=(
+            Advertiser("a", Fraction(3, 2), (RichAd("ax1", Fraction(0), Fraction(1)),)),
+            Advertiser("b", Fraction(1), (RichAd("bx1", Fraction(1), Fraction(1)),)),
+        ),
+        total_space=Fraction(2),
+    )
+    rep = truthful_profile(inst)
+    for branch in ("bpb", "max-value"):
+        curve = pricing._build_curve(inst, rep, "a", Fraction(3, 2), ((Fraction(1), branch),), None, branch)
+        assert curve.thresholds == (Fraction(0),)
+        assert curve.intervals == ((Fraction(0), Fraction(3, 2)),)
+        assert curve.interval_clicks == (Fraction(0),) and curve.probes == 1
+
+
+def test_one_density_table_per_threshold_payment(monkeypatch):
+    # every curve of a report reads the other bidders' densities off the
+    # report's one view, so a payment builds that table once
+    built = []
+    table = kernels.ScaledView._density_table
+
+    def counted(view):
+        built.append(view)
+        return table(view)
+
+    monkeypatch.setattr(kernels.ScaledView, "_density_table", counted)
+    for inst in (fixtures.fx3(), _price_large_instance(7)):
+        for price in (
+            lambda: myerson_payment(inst, truthful_profile(inst), mixture_rule()),
+            lambda: gsp_prices(inst, truthful_profile(inst), mixture_rule(Fraction(1, 2))),
+        ):
+            built.clear()
+            price()
+            assert len(built) == 1
+
+
 def test_ir_bound_is_checked_under_python_O():
     # the payment check must not be an assert: -O strips those
     script = textwrap.dedent(

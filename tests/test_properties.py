@@ -3,7 +3,6 @@
 from dataclasses import replace
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import brute_force_opt, tie_candidates_pairwise
@@ -49,41 +48,9 @@ def reported(draw, min_quarters=0):
     return inst, ReportProfile(bids=bids, subsets=subsets)
 
 
-def switched_to(name):
-    before = kernels.backend_name()
-
-    class _Ctx:
-        def __enter__(self):
-            kernels.set_backend(name)
-
-        def __exit__(self, *exc):
-            kernels.set_backend(before)
-
-    return _Ctx()
-
-
 @given(instances())
 def test_generated_instances_are_valid(inst):
     assert validate_instance(inst) == []
-
-
-@settings(deadline=None)
-@given(reported())
-def test_backends_agree_on_every_rule(pair):
-    if "fast" not in kernels.available_backends():
-        pytest.skip("compiled kernel not built")
-    inst, rep = pair
-    results = {}
-    for name in ("pure", "fast"):
-        with switched_to(name):
-            results[name] = (
-                monotone.bpb_allocation(inst, rep).entries,
-                monotone.max_value_allocation(inst, rep).entries,
-                heuristics.greedy_by_bpb(inst, rep).entries,
-                heuristics.greedy_by_value(inst, rep).entries,
-                heuristics.greedy_by_bpb(inst, rep, cardinality=1).entries,
-            )
-    assert results["pure"] == results["fast"]
 
 
 @settings(deadline=None)
@@ -303,6 +270,8 @@ def assert_bisection_matches_scan(inst, rep, adv_id, branch):
     assert len(set(probed)) == len(probed) == curve.probes <= len(scanned)
 
     scan_curve = replace(curve, interval_clicks=tuple(scanned), probes=len(scanned))
+    # the scan's clicks are all distinct objects, so every pair is compared
+    assert curve.steps() == scan_curve.steps()
     clicks = pricing.branch_allocate(inst, rep, branch).clicks(inst, adv_id)
     myerson = pricing.myerson_from_curve(curve, bid, clicks)
     assert myerson == pricing.myerson_from_curve(scan_curve, bid, clicks)
@@ -329,6 +298,32 @@ def test_bisection_matches_scan(pair, adv_index, branch):
     inst, rep = pair
     adv = inst.advertisers[adv_index % len(inst.advertisers)]
     assert_bisection_matches_scan(inst, rep, adv.adv_id, branch)
+
+
+def assert_ties_match_pairwise(inst, rep):
+    """For every bidder, the candidates read off the report's one view equal
+    the pairwise Fraction ties, at the bid and at caps above it."""
+    view = kernels.ScaledView(inst, rep)
+    for adv in inst.advertisers:
+        bid = rep.bids.get(adv.adv_id, Fraction(0))
+        for cap in {bid, max(bid, adv.value_per_click), 2 * bid + Fraction(1, 3)}:
+            for kinds in (("bpb",), ("value",), ("bpb", "value")):
+                nums, den = pricing._tie_candidates(view, adv.adv_id, kinds, cap)
+                assert nums == sorted(set(nums))
+                assert [Fraction(n, den) for n in nums] == tie_candidates_pairwise(
+                    inst, rep, adv.adv_id, kinds, cap
+                )
+
+
+def test_shared_ties_match_pairwise_on_tie_corpus(tie_corpus):
+    for inst in tie_corpus:
+        assert_ties_match_pairwise(inst, truthful_profile(inst))
+
+
+@settings(deadline=None, max_examples=150)
+@given(reported())
+def test_shared_ties_match_pairwise(pair):
+    assert_ties_match_pairwise(*pair)
 
 
 @settings(deadline=None)
