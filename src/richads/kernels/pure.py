@@ -36,7 +36,7 @@ def _bpb_order(val, spc):
     return idx
 
 
-def space_auction(adv, val, spc, n_adv, total, stop_on_misfit):
+def space_auction(adv, val, spc, n_adv, total, stop_on_misfit, events=None):
     """Run the greedy space scan shared by the allocation rules.
 
     Walks ads by decreasing bang-per-buck. An ad whose space does not exceed
@@ -49,6 +49,12 @@ def space_auction(adv, val, spc, n_adv, total, stop_on_misfit):
     the space reserved for a, and the frac_* triple describes the fractional
     stop: advertiser index (or -1), plus numerator/denominator of the weight
     on the stopping ad.
+
+    When `events` is a list, each ad that covers new units appends
+    (kind, ad_index, start, end) to it: kind is "place", "replace" or
+    "fractional" and [start, end) is the scaled-unit range newly covered by
+    that ad. Units keep the label of the ad that first covered them; the
+    fractional stop labels the whole leftover range.
     """
     held = [-1] * n_adv
     held_spc = [0] * n_adv
@@ -64,10 +70,14 @@ def space_auction(adv, val, spc, n_adv, total, stop_on_misfit):
             continue
         inc = spc[i] - held_spc[a]
         if inc <= rem:
+            if events is not None:
+                events.append(("place" if held[a] < 0 else "replace", i, total - rem, total - rem + inc))
             held[a] = i
             held_spc[a] = spc[i]
             rem -= inc
         elif stop_on_misfit:
+            if events is not None:
+                events.append(("fractional", i, total - rem, total))
             space_a = held_spc[a] + rem
             frac_adv = a
             frac_num = space_a
@@ -77,51 +87,6 @@ def space_auction(adv, val, spc, n_adv, total, stop_on_misfit):
             rem = 0
             break
     return held, held_spc, frac_adv, frac_num, frac_den
-
-
-def space_auction_traced(adv, val, spc, n_adv, total):
-    """stop_on_misfit space auction that also labels the units it covers.
-
-    Returns the usual auction tuple plus an event list. Each event is
-    (kind, ad_index, start, end) where kind is "place", "replace" or
-    "fractional" and [start, end) is the scaled-unit range newly covered
-    by that ad. Units keep the label of the ad that first covered them;
-    the fractional stop labels the whole leftover range.
-    """
-    held = [-1] * n_adv
-    held_spc = [0] * n_adv
-    rem = total
-    used = 0
-    frac_adv = -1
-    frac_num = 0
-    frac_den = 1
-    events = []
-    for i in _bpb_order(val, spc):
-        if rem == 0:
-            break
-        a = adv[i]
-        if spc[i] <= held_spc[a]:
-            continue
-        inc = spc[i] - held_spc[a]
-        if inc <= rem:
-            kind = "place" if held[a] < 0 else "replace"
-            events.append((kind, i, used, used + inc))
-            held[a] = i
-            held_spc[a] = spc[i]
-            used += inc
-            rem -= inc
-        else:
-            space_a = held_spc[a] + rem
-            events.append(("fractional", i, used, used + rem))
-            frac_adv = a
-            frac_num = space_a
-            frac_den = spc[i]
-            held[a] = i
-            held_spc[a] = space_a
-            used = total
-            rem = 0
-            break
-    return held, held_spc, frac_adv, frac_num, frac_den, events
 
 
 def best_fit(adv, val, spc, n_adv, caps):

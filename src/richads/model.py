@@ -53,7 +53,10 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, float):
         raise ValueError(f"floats are not accepted as rationals (got {value!r}); use \"p/q\"")
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"rational {value!r} has a zero denominator") from None
     raise ValueError(f"cannot parse rational from {type(value).__name__}: {value!r}")
 
 
@@ -177,9 +180,6 @@ class Allocation:
             total += inst.advertiser(adv_id).ad(ad_id).space * weight
         return total
 
-    def key(self):
-        return tuple(sorted((a, ad, x) for a, (ad, x) in self.entries.items()))
-
 
 @dataclass(frozen=True)
 class Mixture:
@@ -205,10 +205,6 @@ def as_mixture(outcome: Outcome) -> Mixture:
     if isinstance(outcome, Mixture):
         return outcome
     return Mixture(branches=((Fraction(1), outcome),))
-
-
-def expected_clicks(inst: Instance, outcome: Outcome, adv_id: str) -> Fraction:
-    return outcome.clicks(inst, adv_id)
 
 
 def social_welfare(inst: Instance, outcome: Outcome) -> Fraction:

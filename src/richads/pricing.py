@@ -123,9 +123,10 @@ _BRANCH_KINDS = {
 }
 
 # branches whose click curve is proven nondecreasing in the bid (the two
-# branches of the truthful mixture): their curves are bisected. The greedy
-# branches keep the exhaustive scan, because for them a decreasing curve
-# (NonMonotoneClickCurveError) is a finding the harness logs.
+# branches of the truthful mixture): their curves are bisected, and each
+# probe is read off the bidder's `kernels.BidderProbe`. The greedy branches
+# keep the exhaustive scan over rebid views, because for them a decreasing
+# curve (NonMonotoneClickCurveError) is a finding the harness logs.
 _MONOTONE_BRANCHES = {"bpb", "max-value"}
 
 
@@ -218,15 +219,29 @@ def _clicks_with_bid(
     inst: Instance,
     view: kernels.ScaledView,
     adv_id: str,
-    bid: Fraction,
+    num: int,
+    den: int,
     branches: tuple[tuple[Fraction, str], ...],
     cardinality: int | None,
 ) -> Fraction:
-    probe = view.rebid(adv_id, bid)
-    total = Fraction(0)
+    """`adv_id`'s expected clicks at the bid num / den, the rest of the
+    report as in `view`.
+
+    A monotone branch reads them off the bidder's `BidderProbe`; a greedy
+    branch runs its rule on the view rebid. A lone branch of probability 1
+    (every curve a payment builds) returns its clicks as they are.
+    """
+    terms = []
+    rebid = None
     for prob, branch in branches:
-        total += prob * branch_allocate(inst, probe.rep, branch, cardinality, probe).clicks(inst, adv_id)
-    return total
+        if branch in _MONOTONE_BRANCHES:
+            clicks = view.probe(adv_id).clicks(branch, num, den)
+        else:
+            if rebid is None:
+                rebid = view.rebid(adv_id, Fraction(num, den))
+            clicks = branch_allocate(inst, rebid.rep, branch, cardinality, rebid).clicks(inst, adv_id)
+        terms.append(clicks if prob == 1 else prob * clicks)
+    return terms[0] if len(terms) == 1 else sum(terms, Fraction(0))
 
 
 def _scan_clicks(n: int, probe: Callable[[int], Fraction]) -> list[Fraction]:
@@ -272,7 +287,7 @@ def _build_curve(
 ) -> BidThresholds:
     """Click curve on (0, cap], probed at interval midpoints.
 
-    `view`, when given, is the view of (inst, rep); each probe rebids it.
+    `view`, when given, is the view of (inst, rep); every probe reads it.
     """
     kinds: tuple[str, ...] = ()
     for _prob, branch in branches:
@@ -292,8 +307,10 @@ def _build_curve(
 
     def probe(j: int) -> Fraction:
         if j not in probed:
-            mid = Fraction(points[j] + points[j + 1], 2 * den)
-            probed[j] = _clicks_with_bid(inst, view, adv_id, mid, branches, cardinality)
+            # the interval's midpoint
+            probed[j] = _clicks_with_bid(
+                inst, view, adv_id, points[j] + points[j + 1], 2 * den, branches, cardinality
+            )
         return probed[j]
 
     if all(branch in _MONOTONE_BRANCHES for _prob, branch in branches):

@@ -1,5 +1,7 @@
 """End-to-end checks of the command line entry point."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,8 +11,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from richads import fixtures, pricing
+from richads import fixtures, harness, pricing
 from richads.cli import cli
 from richads.model import (
     Advertiser,
@@ -105,6 +108,8 @@ def test_malformed_json_is_an_input_error(tmp_path, capsys):
             },
             "ad id must be a string, got 7",
         ),
+        # found by the arbitrary-JSON test below
+        ({"total_space": "1/0", "advertisers": []}, "rational '1/0' has a zero denominator"),
     ],
 )
 def test_mistyped_instance_is_an_input_error(tmp_path, capsys, doc, message):
@@ -426,3 +431,67 @@ def test_invariants_fire_under_python_O(fx_path):
     assert done.returncode == 70, done.stderr
     assert done.stdout.startswith("raised: truthful mixture fell below a third"), done.stdout
     assert done.stderr.startswith("invariant violated: DP optimum "), done.stderr
+
+
+# --- arbitrary JSON trees at the boundary -----------------------------------
+
+RATIONAL_TEXTS = ("0", "1", "-1", "3/2", "1/0", "0/0", "2.5", "1e2", "x", "", " 7 ")
+KEYS = ("total_space", "cardinality_limit", "advertisers", "id", "value_per_click", "ads", "alpha", "space")
+LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 40)
+    | st.floats(allow_nan=False, allow_infinity=False, width=16)
+    | st.sampled_from(RATIONAL_TEXTS)
+    | st.text(max_size=4)
+)
+JSON_TREES = st.recursive(
+    LEAVES,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=3), kids, max_size=5),
+    max_leaves=25,
+)
+
+
+@st.composite
+def instance_like(draw):
+    """An instance-shaped object whose fields may be missing or of any type."""
+
+    def field(valid):
+        return draw(st.sampled_from(valid) | st.sampled_from(RATIONAL_TEXTS) | LEAVES)
+
+    def obj(fields):
+        return {k: v for k, v in fields.items() if draw(st.integers(0, 9))}
+
+    ads = lambda i: [
+        obj({"id": field((f"x{i}{j}", f"x{i}0")), "alpha": field(("1", "1/2", "0")), "space": field(("1", "3", "1/2", "0"))})
+        for j in range(draw(st.integers(0, 3)))
+    ]
+    advertisers = [
+        obj({"id": field((f"a{i}", "a0")), "value_per_click": field(("1", "5/2", "0")), "ads": ads(i)})
+        for i in range(draw(st.integers(0, 3)))
+    ]
+    return obj({"total_space": field(("4", "5/2", "0")), "cardinality_limit": field((None, 1, 2)), "advertisers": advertisers})
+
+
+COMMANDS = (
+    st.just(["validate"])
+    | st.sampled_from(sorted(harness.MECHANISM_NAMES)).map(lambda m: ["solve", "--mechanism", m])
+    | st.sampled_from(["myerson", "gsp", "vcg"]).map(lambda r: ["payments", "--rule", r])
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "doc.json"
+
+
+@settings(deadline=None, max_examples=300)
+@given(doc=JSON_TREES | instance_like(), command=COMMANDS)
+@example(doc={"total_space": "1/0"}, command=["validate"])
+def test_arbitrary_json_exits_cleanly(fuzz_file, doc, command):
+    fuzz_file.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli([command[0], str(fuzz_file), *command[1:]])
+    assert code in (0, 1, 2), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

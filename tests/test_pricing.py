@@ -252,33 +252,21 @@ def _price_large_instance(seed):
 
 
 def _myerson_work(monkeypatch, inst):
-    """(probes, full view builds) of one Myerson mixture payment."""
-    counts = Counter()
-    in_curve = []
-    build_curve, allocate, view = pricing._build_curve, pricing.branch_allocate, kernels.ScaledView
-
-    def counted_curve(*args, **kwargs):
-        in_curve.append(True)
-        try:
-            return build_curve(*args, **kwargs)
-        finally:
-            in_curve.pop()
-
-    def counted_allocate(*args, **kwargs):
-        counts["probes"] += bool(in_curve)
-        return allocate(*args, **kwargs)
+    """(probes, full view builds) of one Myerson mixture payment; the probes
+    are the ones its curves report."""
+    views = []
+    view = kernels.ScaledView
 
     def counted_view(*args, **kwargs):
-        counts["views"] += 1
+        views.append(True)
         return view(*args, **kwargs)
 
-    monkeypatch.setattr(pricing, "_build_curve", counted_curve)
-    monkeypatch.setattr(pricing, "branch_allocate", counted_allocate)
     for module in (kernels, monotone, heuristics):
         monkeypatch.setattr(module, "ScaledView", counted_view)
-    myerson_payment(inst, truthful_profile(inst), mixture_rule())
+    out = myerson_payment(inst, truthful_profile(inst), mixture_rule())
     monkeypatch.undo()
-    return counts["probes"], counts["views"]
+    probes = sum(curve.probes for curves in out.curves.values() for curve in curves if curve is not None)
+    return probes, len(views)
 
 
 def test_myerson_work_counts_are_pinned(monkeypatch):
@@ -286,6 +274,59 @@ def test_myerson_work_counts_are_pinned(monkeypatch):
     # scan would probe every interval (fx3: 31, the 12 x 4 instance: 1684)
     assert _myerson_work(monkeypatch, fixtures.fx3()) == (22, 1)
     assert _myerson_work(monkeypatch, _price_large_instance(7)) == (143, 1)
+
+
+def _rebid_clicks(inst, view, adv_id, num, den, branches, cardinality):
+    """The probe as it was before the per-bidder kernel: every branch on a
+    rebid view."""
+    probe = view.rebid(adv_id, Fraction(num, den))
+    return sum(
+        (
+            prob * pricing.branch_allocate(inst, probe.rep, branch, cardinality, probe).clicks(inst, adv_id)
+            for prob, branch in branches
+        ),
+        Fraction(0),
+    )
+
+
+def test_curves_through_the_kernel_equal_curves_through_rebids(monkeypatch):
+    inst = _price_large_instance(7)
+    rep = truthful_profile(inst)
+    cases = [(adv.adv_id, branch) for adv in inst.advertisers for branch in sorted(pricing._MONOTONE_BRANCHES)]
+
+    def curves():
+        view = kernels.ScaledView(inst, rep)
+        return [
+            pricing._build_curve(inst, rep, adv_id, rep.bids[adv_id], ((Fraction(1), branch),), None, branch, view)
+            for adv_id, branch in cases
+        ]
+
+    fast = curves()
+    monkeypatch.setattr(pricing, "_clicks_with_bid", _rebid_clicks)
+    for got, want in zip(fast, curves()):
+        assert got.thresholds == want.thresholds
+        assert got.interval_clicks == want.interval_clicks
+        assert got.probes == want.probes
+
+
+def test_monotone_probes_make_no_view_rebid_or_allocation(monkeypatch):
+    # the payment's two allocation branches are its only rule runs
+    inst = _price_large_instance(7)
+    allocations = []
+    allocate = pricing.branch_allocate
+
+    def counted(*args, **kwargs):
+        allocations.append(args[2])
+        return allocate(*args, **kwargs)
+
+    def no_rebid(*args, **kwargs):
+        raise AssertionError("a monotone probe rebid the view")
+
+    monkeypatch.setattr(pricing, "branch_allocate", counted)
+    monkeypatch.setattr(kernels.ScaledView, "rebid", no_rebid)
+    out = myerson_payment(inst, truthful_profile(inst), mixture_rule())
+    assert allocations == ["bpb", "max-value"]
+    assert sum(curve.probes for curves in out.curves.values() for curve in curves) > 0
 
 
 def test_curve_without_ties_spans_zero_to_a_fractional_cap():

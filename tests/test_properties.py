@@ -260,7 +260,8 @@ def assert_bisection_matches_scan(inst, rep, adv_id, branch):
     def probe(j):
         probed.append(j)
         lo, hi = curve.intervals[j]
-        return pricing._clicks_with_bid(inst, view, adv_id, (lo + hi) / 2, branches, None)
+        mid = (lo + hi) / 2
+        return pricing._clicks_with_bid(inst, view, adv_id, mid.numerator, mid.denominator, branches, None)
 
     scanned = pricing._scan_clicks(len(curve.intervals), probe)
     probed.clear()
