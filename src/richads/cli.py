@@ -214,8 +214,9 @@ def _cmd_equilibrium(args) -> int:
     else:
         mech = equilibrium.gsp_mixture_mechanism(Fraction(args.p) if args.p else monotone.GSP_MIX_P)
     spaces = equilibrium.strategy_spaces(inst, Fraction(args.grid))
+    steps: list[dict] | None = [] if args.explain else None
     result = equilibrium.find_pure_nash(
-        inst, truth, mech, spaces, max_rounds=args.max_rounds, beta_check=args.beta_check
+        inst, truth, mech, spaces, max_rounds=args.max_rounds, beta_check=args.beta_check, explain=steps
     )
     payload = {
         "mechanism": mech.describe(),
@@ -232,6 +233,8 @@ def _cmd_equilibrium(args) -> int:
         payload["cycle"] = [
             {"bids": {a: str(b) for a, b in sorted(p.bids.items())}} for p in result.cycle
         ]
+    if steps is not None:
+        payload["explain"] = steps
     _emit(payload)
     return 0
 
@@ -305,6 +308,7 @@ def build_parser() -> _Parser:
     p.add_argument("--pricing", choices=["gsp", "myerson", "vcg"], default="gsp")
     p.add_argument("--p", default=None, help="mixture weight override")
     p.add_argument("--beta-check", action="store_true", help="run the density diagnostic at every visited profile")
+    p.add_argument("--explain", action="store_true", help="add each round's best responses, gains and curves read")
     p.set_defaults(fn=_cmd_equilibrium)
 
     p = sub.add_parser("experiment", help="run a comparison experiment from a config file")

@@ -4,7 +4,9 @@ Strategies live on a no-overbidding bid grid crossed with every catalog
 subset. Utilities are always at true values. `find_pure_nash` runs
 sequential best-response dynamics from the truthful profile; a full pass
 without a strict improvement doubles as the exhaustive verification that
-the fixed point is a grid Nash equilibrium.
+the fixed point is a grid Nash equilibrium. A best response sweeps each
+subset's bids up to the true value along one click curve per branch,
+instead of evaluating the whole profile at every grid point.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
-from . import exact, pricing
+from . import exact, kernels, pricing
 from .model import (
     GuardExceededError,
     Instance,
@@ -118,6 +120,8 @@ class _Evaluator:
     Branch allocations are cached per profile; click curves per (advertiser,
     branch, subset, everyone else's report), since an advertiser's own bid
     moves along a fixed curve while the rest of the profile stands still.
+    `curves_built` and `curves_cached` count the curve lookups that built a
+    curve and those the cache served.
     """
 
     def __init__(self, inst: Instance, truth: ReportProfile, mechanism: Mechanism):
@@ -128,6 +132,8 @@ class _Evaluator:
         self._allocs: dict = {}
         self._curves: dict = {}
         self._vcg: dict = {}
+        self.curves_built = 0
+        self.curves_cached = 0
 
     def _branch_alloc(self, rep: ReportProfile, branch: str):
         key = (branch, rep.key())
@@ -161,16 +167,23 @@ class _Evaluator:
             ),
         )
 
-    def _curve(self, rep: ReportProfile, adv_id: str, branch: str, cap: Fraction):
+    def _curve(
+        self, rep: ReportProfile, adv_id: str, branch: str, cap: Fraction, view: kernels.ScaledView | None = None
+    ):
+        """The branch's click curve of `adv_id` on (0, cap]; `view`, when
+        given, is the view of (inst, rep) and serves its probes."""
         subset = rep.subsets.get(adv_id, frozenset())
         key = (adv_id, branch, tuple(sorted(subset)), self._others_key(rep, adv_id), cap)
         got = self._curves.get(key)
         if got is None:
+            self.curves_built += 1
             cardinality = self.mech.rule.cardinality if self.mech.rule else None
             got = pricing._build_curve(
-                self.inst, rep, adv_id, cap, ((Fraction(1), branch),), cardinality, branch
+                self.inst, rep, adv_id, cap, ((Fraction(1), branch),), cardinality, branch, view
             )
             self._curves[key] = got
+        else:
+            self.curves_cached += 1
         return got
 
     def clicks(self, rep: ReportProfile, adv_id: str) -> Fraction:
@@ -180,25 +193,83 @@ class _Evaluator:
         if self.mech.pricing == "vcg":
             return self._vcg_outcome(rep).payments.get(adv_id, Fraction(0))
         bid = rep.bids.get(adv_id, Fraction(0))
-        if bid <= 0 or not rep.subsets.get(adv_id, frozenset()):
-            return Fraction(0)
         cap = max(bid, self.truth.bids.get(adv_id, bid))
-        total = Fraction(0)
-        for prob, branch in self.branches:
-            x_b = self._branch_alloc(rep, branch).clicks(self.inst, adv_id)
-            if self.mech.pricing == "gsp":
-                if x_b == 0:
-                    continue
-                curve = self._curve(rep, adv_id, branch, cap)
-                total += prob * pricing.gsp_cpc_from_curve(curve, bid, x_b) * x_b
-            else:
-                curve = self._curve(rep, adv_id, branch, cap)
-                total += prob * pricing.myerson_from_curve(curve, bid, x_b)
+        total, _curves = pricing.threshold_payment(
+            self.mech.pricing,
+            bid,
+            rep.subsets.get(adv_id, frozenset()),
+            self.branches,
+            [self._branch_alloc(rep, branch).clicks(self.inst, adv_id) for _prob, branch in self.branches],
+            lambda branch: self._curve(rep, adv_id, branch, cap),
+        )
         return total
 
     def utility(self, rep: ReportProfile, adv_id: str) -> Fraction:
         value = self.truth.bids.get(adv_id, Fraction(0))
         return value * self.clicks(rep, adv_id) - self.payment(rep, adv_id)
+
+    def utility_table(self, rep: ReportProfile, adv_id: str, space: StrategySpace) -> list[list[Fraction]]:
+        """`adv_id`'s utility at every strategy of `space`, the others as in
+        `rep`: row si, column bi is `utility` at
+        `rep.replace(adv_id, space.bids[bi], space.subsets[si])`.
+
+        The empty subset reports no ad, so it is evaluated at one bid and
+        holds at all. For a threshold-priced rule whose branches all have a
+        probe kernel, the positive bids up to the true value (the cap of
+        every curve they price against) are swept per subset; the other
+        strategies (bid 0, bids above the cap, VCG, greedy branches) are
+        evaluated profile by profile.
+        """
+        cap = self.truth.bids.get(adv_id, Fraction(0))
+        sweep = (
+            self.mech.pricing != "vcg"
+            and cap > 0
+            and all(branch in pricing._MONOTONE_BRANCHES for _prob, branch in self.branches)
+        )
+        table = []
+        for subset in space.subsets:
+            row: list = [None] * len(space.bids)
+            if not subset and row:
+                row = [self.utility(rep.replace(adv_id, space.bids[0], subset), adv_id)] * len(row)
+            elif sweep:
+                self._sweep(rep.replace(adv_id, cap, subset), adv_id, space.bids, row)
+            for bi, bid in enumerate(space.bids):
+                if row[bi] is None:
+                    row[bi] = self.utility(rep.replace(adv_id, bid, subset), adv_id)
+            table.append(row)
+        return table
+
+    def _sweep(self, at_cap: ReportProfile, adv_id: str, bids: tuple[Fraction, ...], row: list) -> None:
+        """Fill `row` at the bids in (0, cap], `at_cap` being the report with
+        `adv_id` bidding their cap, the true value.
+
+        One view of `at_cap` gives, per branch, the bidder's probe kernel
+        and the one click curve every such bid is priced against; clicks are
+        read off the probe at each bid, and the payments come from one
+        ascending pass over the curve (`pricing.threshold_prices_along`).
+        """
+        cap = at_cap.bids[adv_id]
+        cols = sorted((bid, bi) for bi, bid in enumerate(bids) if 0 < bid <= cap)
+        if not cols:
+            return
+        grid = [bid for bid, _bi in cols]
+        view = kernels.ScaledView(self.inst, at_cap)
+        probe = view.probe(adv_id)
+        clicks = [Fraction(0)] * len(cols)
+        paid = [Fraction(0)] * len(cols)
+        for prob, branch in self.branches:
+            xs = [probe.clicks(branch, bid.numerator, bid.denominator) for bid in grid]
+            if self.mech.pricing == "gsp" and not any(xs):
+                continue  # GSP reads no curve for a branch without clicks
+            curve = self._curve(at_cap, adv_id, branch, cap, view)
+            prices = pricing.threshold_prices_along(self.mech.pricing, curve, grid, xs)
+            if self.mech.pricing == "gsp":
+                prices = [x * cpc for x, cpc in zip(xs, prices)]
+            for k, (x, price) in enumerate(zip(xs, prices)):
+                clicks[k] += prob * x
+                paid[k] += prob * price
+        for (_bid, bi), x, price in zip(cols, clicks, paid):
+            row[bi] = cap * x - price
 
 
 def utility(inst: Instance, truth: ReportProfile, rep: ReportProfile, mechanism: Mechanism) -> dict[str, Fraction]:
@@ -218,17 +289,17 @@ def best_response(
 ) -> tuple[Fraction, frozenset[str], Fraction]:
     """Utility-maximal (bid, subset) for one advertiser, holding others fixed.
 
-    Ties prefer the lowest bid, then the largest subset (size descending,
-    then lexicographically smallest id tuple).
+    Ties prefer the lowest bid index, then the lowest subset index (the
+    grid's subsets run from the largest down).
     """
     ev = _evaluator if _evaluator is not None else _Evaluator(inst, truth, mechanism)
     best = None  # (utility, bid index, subset index)
-    for si, subset in enumerate(space.subsets):
-        for bi, bid in enumerate(space.bids):
-            u = ev.utility(rep.replace(adv_id, bid, subset), adv_id)
+    for si, row in enumerate(ev.utility_table(rep, adv_id, space)):
+        for bi, u in enumerate(row):
             if best is None or u > best[0] or (u == best[0] and (bi, si) < (best[1], best[2])):
                 best = (u, bi, si)
-    assert best is not None, "empty strategy space"
+    if best is None:
+        raise ValueError(f"empty strategy space for advertiser {adv_id!r}")
     return space.bids[best[1]], space.subsets[best[2]], best[0]
 
 
@@ -280,12 +351,18 @@ def find_pure_nash(
     spaces: dict[str, StrategySpace],
     max_rounds: int = 50,
     beta_check: bool = False,
+    explain: list[dict] | None = None,
 ) -> NashResult:
     """Sequential best-response dynamics from the truthful profile.
 
     Convergence means a full pass in which nobody strictly improves; that
     pass scans every grid deviation, so the fixed point comes back verified.
     A revisited profile is reported as a cycle rather than an error.
+
+    With `explain`, one JSON-ready dict per round and bidder is appended
+    to it: the deviations checked, the best response, its utility gain
+    over the current report, and the click curves built and served from
+    the cache while finding it.
     """
     ev = _Evaluator(inst, truth, mechanism)
     current = ReportProfile(
@@ -309,10 +386,27 @@ def find_pure_nash(
     for round_no in range(1, max_rounds + 1):
         improved = False
         for adv_id in inst.adv_ids():
+            built0, cached0 = ev.curves_built, ev.curves_cached
             bid, subset, best_u = best_response(
                 inst, truth, current, adv_id, mechanism, spaces[adv_id], _evaluator=ev
             )
-            if best_u > ev.utility(current, adv_id):
+            built, cached = ev.curves_built - built0, ev.curves_cached - cached0
+            now_u = ev.utility(current, adv_id)
+            if explain is not None:
+                space = spaces[adv_id]
+                explain.append(
+                    {
+                        "round": round_no,
+                        "bidder": adv_id,
+                        "deviations": len(space.bids) * len(space.subsets),
+                        "best_response": {"bid": str(bid), "subset": sorted(subset)},
+                        "utility": str(now_u),
+                        "gain": str(best_u - now_u),
+                        "curves_built": built,
+                        "curves_cached": cached,
+                    }
+                )
+            if best_u > now_u:
                 current = current.replace(adv_id, bid, subset)
                 improved = True
                 run_beta(current)

@@ -194,7 +194,8 @@ def int_opt_exhaustive(
             chosen[g] = -1
 
     walk(0, 0, view.total, k)
-    assert best_chosen is not None
+    if best_chosen is None:
+        raise InvariantViolation("exhaustive search found no allocation, not even the empty one")
     return to_allocation(view, best_chosen)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from . import exact, heuristics, kernels, monotone
 from .model import (
@@ -342,29 +342,55 @@ def bid_thresholds(inst: Instance, rep: ReportProfile, adv_id: str, rule: Alloca
     return _build_curve(inst, rep, adv_id, cap, rule_branches(rule), rule.cardinality, rule.name)
 
 
+def threshold_prices_along(
+    kind: str, curve: BidThresholds, bids: Sequence[Fraction], clicks: Sequence[Fraction]
+) -> list[Fraction]:
+    """A branch's threshold price at each of the ascending `bids`, where the
+    bidder gets `clicks[k]` at `bids[k]`: the Myerson payment for
+    "myerson", the GSP per-click price for "gsp".
+
+    Myerson is b*x(b) minus the exact click-curve integral up to b (the
+    curve ends at its cap). GSP's per-click price is the lowest bid keeping
+    the current clicks: the start of the first run with them below b, else
+    b; no clicks cost nothing. One pass over the curve's runs serves every
+    bid: O(bids + runs).
+    """
+    steps = curve.steps()
+    out = []
+    i = 0
+    if kind == "gsp":
+        # clicks -> start of the first run below the bid with them; keyed by
+        # the lowest-terms (numerator, denominator), which hashes faster
+        first: dict[tuple[int, int], Fraction] = {}
+        for bid, x in zip(bids, clicks):
+            while i < len(steps) and steps[i][0] < bid:
+                lo, level = steps[i]
+                first.setdefault((level.numerator, level.denominator), lo)
+                i += 1
+            out.append(first.get((x.numerator, x.denominator), bid) if x else Fraction(0))
+        return out
+    ends = ([lo for lo, _level in steps[1:]] + [curve.intervals[-1][1]]) if steps else []
+    below = 0  # the integral over the runs ending at or below the bid
+    for bid, x in zip(bids, clicks):
+        while i < len(steps) and ends[i] <= bid:
+            area = (ends[i] - steps[i][0]) * steps[i][1]
+            below = below + area if below else area  # no Fraction arithmetic on a zero sum
+            i += 1
+        paid = bid * x - below if below else bid * x
+        if i < len(steps) and steps[i][0] < bid:
+            paid -= (bid - steps[i][0]) * steps[i][1]
+        out.append(paid)
+    return out
+
+
 def myerson_from_curve(curve: BidThresholds, bid: Fraction, clicks_at_bid: Fraction) -> Fraction:
     """Myerson payment b*x(b) minus the exact click-curve integral up to b."""
-    paid = bid * clicks_at_bid
-    steps = curve.steps()
-    ends = ([lo for lo, _clicks in steps[1:]] + [curve.intervals[-1][1]]) if steps else []
-    for (lo, clicks), hi in zip(steps, ends):
-        if lo >= bid:
-            break
-        paid -= (min(hi, bid) - lo) * clicks
-    return paid
+    return threshold_prices_along("myerson", curve, (bid,), (clicks_at_bid,))[0]
 
 
 def gsp_cpc_from_curve(curve: BidThresholds, bid: Fraction, clicks_at_bid: Fraction) -> Fraction:
     """Lowest bid keeping the current clicks: GSP's per-click price."""
-    if clicks_at_bid == 0:
-        return Fraction(0)
-    # the first interval with these clicks starts a run of the curve
-    for lo, clicks in curve.steps():
-        if lo >= bid:
-            break
-        if clicks == clicks_at_bid:
-            return lo
-    return bid
+    return threshold_prices_along("gsp", curve, (bid,), (clicks_at_bid,))[0]
 
 
 # --- priced outcomes -------------------------------------------------------
@@ -431,19 +457,44 @@ def _finish_outcome(
     )
 
 
-def _threshold_prices(
-    inst: Instance,
-    rep: ReportProfile,
-    rule: AllocationRule,
-    rule_name: str,
-    price: Callable[[BidThresholds, Fraction, Fraction], Fraction],
-    skip_unserved: bool,
-) -> PricedOutcome:
-    """Sum over branches of probability times `price(curve, bid, clicks)`.
+def threshold_payment(
+    kind: str,
+    bid: Fraction,
+    subset: frozenset[str],
+    branches: tuple[tuple[Fraction, str], ...],
+    clicks: Sequence[Fraction],
+    curve: Callable[[str], BidThresholds],
+) -> tuple[Fraction, tuple[BidThresholds | None, ...]]:
+    """One bidder's "myerson" or "gsp" payment at `bid`, and the curves read.
 
-    With `skip_unserved`, a branch that gives the advertiser no clicks is
-    charged nothing and builds no curve. One view of the report serves the
-    allocation and the probes of every curve.
+    The payment is the sum over `branches` of probability times the price
+    read off that branch's click curve, `curve(branch)`, where the bidder
+    gets `clicks[j]` in branch j. A bidder with no positive bid or no ad
+    pays nothing and reads no curve; GSP charges a branch that gives no
+    clicks nothing and reads no curve for it (None in the curves).
+    """
+    if bid <= 0 or not subset:
+        return Fraction(0), ()
+    total = Fraction(0)
+    curves: list[BidThresholds | None] = []
+    for (prob, branch), x_b in zip(branches, clicks):
+        if kind == "gsp" and x_b == 0:
+            curves.append(None)
+            continue
+        got = curve(branch)
+        curves.append(got)
+        if kind == "gsp":
+            total += prob * gsp_cpc_from_curve(got, bid, x_b) * x_b
+        else:
+            total += prob * myerson_from_curve(got, bid, x_b)
+    return total, tuple(curves)
+
+
+def _threshold_prices(inst: Instance, rep: ReportProfile, rule: AllocationRule, kind: str) -> PricedOutcome:
+    """Every bidder's `threshold_payment` at the report.
+
+    One view of the report serves the allocation and the probes of every
+    curve.
     """
     branches = rule_branches(rule)
     view = kernels.ScaledView(inst, rep)
@@ -451,41 +502,30 @@ def _threshold_prices(
     payments: dict[str, Fraction] = {}
     curves: dict[str, tuple[BidThresholds | None, ...]] = {}
     for adv in inst.advertisers:
-        bid = rep.bids.get(adv.adv_id, Fraction(0))
-        if bid <= 0 or not rep.subsets.get(adv.adv_id, frozenset()):
-            payments[adv.adv_id] = Fraction(0)
-            curves[adv.adv_id] = ()
-            continue
-        total = Fraction(0)
-        adv_curves: list[BidThresholds | None] = []
-        for (prob, branch), (_p2, alloc) in zip(branches, mixture.branches):
-            x_b = alloc.clicks(inst, adv.adv_id)
-            if skip_unserved and x_b == 0:
-                adv_curves.append(None)
-                continue
-            curve = _build_curve(
-                inst, rep, adv.adv_id, bid, ((Fraction(1), branch),), rule.cardinality, rule.name, view
-            )
-            adv_curves.append(curve)
-            total += prob * price(curve, bid, x_b)
-        payments[adv.adv_id] = total
-        curves[adv.adv_id] = tuple(adv_curves)
-    return _finish_outcome(inst, rep, mixture, payments, rule_name, curves)
+        adv_id = adv.adv_id
+        bid = rep.bids.get(adv_id, Fraction(0))
+        payments[adv_id], curves[adv_id] = threshold_payment(
+            kind,
+            bid,
+            rep.subsets.get(adv_id, frozenset()),
+            branches,
+            [alloc.clicks(inst, adv_id) for _prob, alloc in mixture.branches],
+            lambda branch: _build_curve(
+                inst, rep, adv_id, bid, ((Fraction(1), branch),), rule.cardinality, rule.name, view
+            ),
+        )
+    return _finish_outcome(inst, rep, mixture, payments, kind, curves)
 
 
 def myerson_payment(inst: Instance, rep: ReportProfile, rule: AllocationRule) -> PricedOutcome:
     """Threshold payments making the (monotone) rule truthful."""
-    return _threshold_prices(inst, rep, rule, "myerson", myerson_from_curve, skip_unserved=False)
+    return _threshold_prices(inst, rep, rule, "myerson")
 
 
 def gsp_prices(inst: Instance, rep: ReportProfile, rule: AllocationRule) -> PricedOutcome:
     """Generalized second price: per branch, clicks times the lowest
     bid that would have kept them."""
-
-    def price(curve: BidThresholds, bid: Fraction, clicks: Fraction) -> Fraction:
-        return gsp_cpc_from_curve(curve, bid, clicks) * clicks
-
-    return _threshold_prices(inst, rep, rule, "gsp", price, skip_unserved=True)
+    return _threshold_prices(inst, rep, rule, "gsp")
 
 
 def reported_value(inst: Instance, rep: ReportProfile, alloc: Allocation) -> Fraction:

@@ -225,3 +225,30 @@ class BpbKey:
     def __lt__(self, other):
         # descending bang-per-buck: self before other iff v/w > other.v/other.w
         return self.v * other.w > other.v * self.w
+
+
+def profile_table(ev, rep: ReportProfile, adv_id, space):
+    """`equilibrium._Evaluator.utility_table` by one full-profile utility
+    evaluation per grid point: row si, column bi is the utility at
+    `rep.replace(adv_id, space.bids[bi], space.subsets[si])`."""
+    return [[ev.utility(rep.replace(adv_id, bid, subset), adv_id) for bid in space.bids] for subset in space.subsets]
+
+
+def best_response_by_profiles(inst: Instance, truth: ReportProfile, rep: ReportProfile, adv_id, mechanism, space, _evaluator=None):
+    """Best response as the argmax of `profile_table`.
+
+    The loop `equilibrium.best_response` ran before its sweep over click
+    curves: same tie rule (highest utility, then lowest bid index, then
+    lowest subset index). Returns (bid, subset, utility).
+    """
+    from richads.equilibrium import _Evaluator
+
+    ev = _evaluator if _evaluator is not None else _Evaluator(inst, truth, mechanism)
+    best = None  # (utility, bid index, subset index)
+    for si, row in enumerate(profile_table(ev, rep, adv_id, space)):
+        for bi, u in enumerate(row):
+            if best is None or u > best[0] or (u == best[0] and (bi, si) < (best[1], best[2])):
+                best = (u, bi, si)
+    if best is None:
+        raise ValueError(f"empty strategy space for advertiser {adv_id!r}")
+    return space.bids[best[1]], space.subsets[best[2]], best[0]

@@ -1,6 +1,7 @@
 """End-to-end checks of the command line entry point."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -343,6 +345,38 @@ def test_equilibrium_vcg_stays_at_truth(fx_path, capsys):
     assert payload["mechanism"] == "vcg"
     assert payload["status"] == "converged"
     assert payload["equilibria"][0]["profile"]["bids"] == {"a": "7/2", "b": "3"}
+
+
+# sha256 of `equilibrium <fixture> --grid 1/20 --pricing <pricing>` stdout as
+# printed before `--explain` existed
+EQUILIBRIUM_STDOUT_SHA256 = {
+    ("fx1", "gsp"): "c755beaa125176627cdaa0b5bbf0ecb4f83a6f7559c5b593a08dfeb3220fc927",
+    ("fx1", "myerson"): "30a07335f65e3f4e1c0d45261b7b781b01e0155b8e4e2c44128d87f649d5f2cc",
+    ("fx1", "vcg"): "0acf9b5f186faf1c0d821a2fc6f36874cc60f29b419043d1fc4aa534339a48e4",
+    ("fx4", "gsp"): "31582227df7f69e8e57c8c52fd8b9c8430015066ac87dde3d18f5795986ceceb",
+    ("fx4", "myerson"): "3cee4ad17732d480f9a59b5f3ba63159d7bdb30d51aed211e64767a3c24bc77f",
+    ("fx4", "vcg"): "53f874e40f865e1ba60112da1b4fdbbb36368b0a6fc4f587c0f7d41d8a87f6fa",
+    ("fx5", "gsp"): "da93c03d976be16ce579c77de8ce5e144ad98f4cc4eefc21e6f59d7210b0d1cd",
+    ("fx5", "myerson"): "8fc920de994898aef54207e8887fbb3524d5cbf624ab20017f0a9ffa0264ea4b",
+    ("fx5", "vcg"): "4ec30fa2610a7c133159f801e11b4061238862ff2fbcc0f1a1f45692ae51121d",
+}
+
+
+@pytest.mark.parametrize("name,kind", sorted(EQUILIBRIUM_STDOUT_SHA256))
+def test_equilibrium_output_is_unchanged_and_explain_only_adds_a_key(name, kind, capsys):
+    argv = ["equilibrium", str(resources.files("richads") / "data" / f"{name}.json"), "--grid", "1/20", "--pricing", kind]
+    assert cli(argv) == 0
+    plain = capsys.readouterr()
+    assert hashlib.sha256(plain.out.encode()).hexdigest() == EQUILIBRIUM_STDOUT_SHA256[(name, kind)]
+    assert plain.err == ""
+    assert cli(argv + ["--explain"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    steps = payload.pop("explain")
+    assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == plain.out
+    assert [step["round"] for step in steps] == sorted(step["round"] for step in steps)
+    assert len(steps) == payload["rounds"] * len(fixtures.fixture(name).advertisers)
+    # the last round of a converged search finds no strict gain
+    assert all(step["gain"] == "0" for step in steps if step["round"] == payload["rounds"])
 
 
 def test_experiment_subcommand(tmp_path, capsys):

@@ -1,10 +1,19 @@
 """Strategy grids, best responses, Nash dynamics, the beta diagnostic, PoA."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from richads import equilibrium, fixtures
+from oracles import best_response_by_profiles, profile_table
+from richads import equilibrium, fixtures, harness, pricing
 from richads.equilibrium import (
     best_response,
     beta_bound_check,
@@ -20,6 +29,7 @@ from richads.model import (
     Advertiser,
     GuardExceededError,
     Instance,
+    ReportProfile,
     RichAd,
     truthful_profile,
 )
@@ -200,3 +210,199 @@ def test_bid_grid_guard_fires_before_the_grid_is_built():
     # Fraction is built returns at once
     with pytest.raises(GuardExceededError, match="bid grid guard is 10000"):
         strategy_spaces(fixtures.fx4(), Fraction(1, 10**9))
+
+
+# --- the best-response sweep against the profile-by-profile oracle ------------
+
+SWEEP_MECHANISMS = (
+    gsp_mixture_mechanism(),
+    myerson_mixture_mechanism(),
+    gsp_mixture_mechanism(Fraction(0)),
+    gsp_mixture_mechanism(Fraction(1)),
+    myerson_mixture_mechanism(Fraction(0)),
+    myerson_mixture_mechanism(Fraction(1)),
+)
+
+
+def dynamics_pool():
+    """The `dynamics` benchmark's game shapes: four fixtures at grid 1/20 and
+    60 random games of up to 3 advertisers x 2 ads at grid 1/4."""
+    games = [(fixtures.fixture(name), Fraction(1, 20)) for name in ("fx1", "fx2i", "fx4", "fx6a")]
+    cfg = harness.ExperimentConfig(
+        seed=11, instances=60, max_advertisers=3, max_ads=2, max_space=8, max_total_space=16
+    )
+    return games + [(inst, Fraction(1, 4)) for inst in harness.generate_corpus(cfg)]
+
+
+def assert_sweep_matches(inst, rep, mech, spaces):
+    """The sweep's table and best response equal the oracle's, which runs
+    on an evaluator of its own."""
+    truth = truthful_profile(inst)
+    ev = equilibrium._Evaluator(inst, truth, mech)
+    oracle = equilibrium._Evaluator(inst, truth, mech)
+    for adv_id, space in spaces.items():
+        assert ev.utility_table(rep, adv_id, space) == profile_table(oracle, rep, adv_id, space), (
+            adv_id,
+            mech.describe(),
+        )
+        assert best_response(inst, truth, rep, adv_id, mech, space, _evaluator=ev) == best_response_by_profiles(
+            inst, truth, rep, adv_id, mech, space, _evaluator=oracle
+        )
+
+
+def shaded(inst, rep, k=2):
+    """`rep` with every bid divided by k."""
+    return ReportProfile(bids={a: b / k for a, b in rep.bids.items()}, subsets=dict(rep.subsets))
+
+
+@pytest.mark.parametrize("mech", SWEEP_MECHANISMS, ids=lambda m: m.describe())
+def test_sweep_table_equals_the_profile_oracle_on_the_dynamics_pool(mech):
+    # the benchmark's two mixtures on the whole pool, from the truthful and
+    # a shaded report; the p = 0 and p = 1 overrides on its first 24 games
+    main = mech in SWEEP_MECHANISMS[:2]
+    for inst, grid in dynamics_pool()[: None if main else 24]:
+        truth = truthful_profile(inst)
+        spaces = strategy_spaces(inst, grid)
+        assert_sweep_matches(inst, truth, mech, spaces)
+        if main:
+            assert_sweep_matches(inst, shaded(inst, truth), mech, spaces)
+
+
+def test_vcg_table_equals_the_profile_oracle():
+    for name in ("fx1", "fx4"):
+        inst = fixtures.fixture(name)
+        assert_sweep_matches(inst, truthful_profile(inst), vcg_mechanism(), strategy_spaces(inst, Fraction(1, 20)))
+
+
+@st.composite
+def games(draw):
+    """A small instance, a report of the others (bids on a quarter grid of
+    value, any subsets), a grid step, and a mechanism."""
+    advertisers = []
+    widest = 1
+    for i in range(draw(st.integers(1, 3))):
+        value = Fraction(draw(st.integers(1, 12)), draw(st.sampled_from((1, 2, 3))))
+        ads = []
+        for j in range(draw(st.integers(1, 2))):
+            space = draw(st.integers(1, 6))
+            widest = max(widest, space)
+            ads.append(RichAd(f"a{i}x{j}", Fraction(draw(st.integers(1, 4)), 4), Fraction(space)))
+        advertisers.append(Advertiser(f"a{i}", value, tuple(ads)))
+    inst = Instance(advertisers=tuple(advertisers), total_space=Fraction(draw(st.integers(widest, widest + 8))))
+    bids, subsets = {}, {}
+    for adv in inst.advertisers:
+        bids[adv.adv_id] = adv.value_per_click * Fraction(draw(st.integers(0, 4)), 4)
+        ids = adv.ad_ids()
+        mask = draw(st.integers(0, 2 ** len(ids) - 1))
+        subsets[adv.adv_id] = frozenset(a for k, a in enumerate(ids) if mask >> k & 1)
+    step = draw(st.sampled_from((Fraction(1, 2), Fraction(1, 3), Fraction(2, 5))))
+    kind = draw(st.sampled_from(("gsp", "myerson")))
+    p = draw(st.sampled_from((Fraction(0), Fraction(1, 2), Fraction(2, 3), Fraction(1))))
+    mech = gsp_mixture_mechanism(p) if kind == "gsp" else myerson_mixture_mechanism(p)
+    return inst, ReportProfile(bids=bids, subsets=subsets), step, mech
+
+
+@settings(max_examples=60, deadline=None)
+@given(games())
+def test_sweep_table_equals_the_profile_oracle_on_random_games(game):
+    inst, rep, step, mech = game
+    assert_sweep_matches(inst, rep, mech, strategy_spaces(inst, step))
+
+
+def tie_spaces(inst, rep):
+    """Per advertiser, every subset crossed with bid 0, every tie candidate
+    of the truthful mixture's click curve at their true value, and the
+    true value: bids exactly where clicks can jump."""
+    spaces = {}
+    for adv_id, space in strategy_spaces(inst, Fraction(1)).items():
+        at_truth = rep.replace(adv_id, inst.advertiser(adv_id).value_per_click, space.subsets[0])
+        ties = pricing.bid_thresholds(inst, at_truth, adv_id, pricing.mixture_rule()).thresholds
+        bids = tuple(sorted(set(ties) | {at_truth.bids[adv_id]}))
+        spaces[adv_id] = replace(space, bids=bids)
+    return spaces
+
+
+def test_sweep_is_exact_on_tie_bids(tie_corpus):
+    pool = [fixtures.fixture(name) for name in fixtures.BUILDERS] + list(tie_corpus[:30])
+    for inst in pool:
+        truth = truthful_profile(inst)
+        for rep in (truth, shaded(inst, truth, 3)):
+            spaces = tie_spaces(inst, rep)
+            for mech in SWEEP_MECHANISMS[:2]:
+                assert_sweep_matches(inst, rep, mech, spaces)
+
+
+def test_bids_above_the_truth_take_the_profile_path():
+    inst = fixtures.fx4()
+    truth = truthful_profile(inst)
+    value = truth.bids["b"]
+    space = replace(strategy_spaces(inst, Fraction(1, 4))["b"], bids=(Fraction(0), value / 2, value, value + Fraction(1, 3)))
+    for mech in SWEEP_MECHANISMS[:2]:
+        ev = equilibrium._Evaluator(inst, truth, mech)
+        evaluated = []
+        by_profile = ev.utility
+        ev.utility = lambda rep, adv_id: evaluated.append((rep.bids[adv_id], rep.subsets[adv_id])) or by_profile(rep, adv_id)
+        table = ev.utility_table(truth, "b", space)
+        assert table == profile_table(equilibrium._Evaluator(inst, truth, mech), truth, "b", space)
+        # bid 0 and the bid above the truth per nonempty subset, the empty subset once
+        full = [s for s in space.subsets if s]
+        assert Counter(evaluated) == Counter(
+            [(Fraction(0), s) for s in full] + [(value + Fraction(1, 3), s) for s in full] + [(Fraction(0), frozenset())]
+        )
+
+
+@pytest.mark.parametrize("mech", SWEEP_MECHANISMS[:2], ids=lambda m: m.describe())
+def test_nash_search_is_unchanged_with_the_oracle_patched_in(mech, monkeypatch):
+    pool = [(inst, truthful_profile(inst), strategy_spaces(inst, grid)) for inst, grid in dynamics_pool()]
+    swept = [find_pure_nash(inst, truth, mech, spaces) for inst, truth, spaces in pool]
+    monkeypatch.setattr(equilibrium, "best_response", best_response_by_profiles)
+    assert [find_pure_nash(inst, truth, mech, spaces) for inst, truth, spaces in pool] == swept
+
+
+def test_explain_lists_each_rounds_best_responses():
+    inst = fixtures.fx4()
+    truth = truthful_profile(inst)
+    steps = []
+    result = find_pure_nash(inst, truth, gsp_mixture_mechanism(), strategy_spaces(inst, Fraction(1, 100)), explain=steps)
+    assert result.rounds == 2
+    assert [(s["round"], s["bidder"]) for s in steps] == [(1, "a"), (1, "b"), (2, "a"), (2, "b")]
+    b_first = steps[1]
+    assert b_first["deviations"] == 102 * 4
+    assert b_first["best_response"] == {"bid": "1/50", "subset": ["bx1", "bx2"]}
+    assert b_first["gain"] == "1/80000"
+    assert b_first["curves_built"] > 0
+    assert [s["gain"] for s in steps[2:]] == ["0", "0"]
+    assert find_pure_nash(inst, truth, gsp_mixture_mechanism(), strategy_spaces(inst, Fraction(1, 100))) == result
+    # the curve counts cover finding the best response, not pricing the current report
+    mech = myerson_mixture_mechanism()
+    spaces = strategy_spaces(inst, Fraction(1, 20))
+    counted = []
+    find_pure_nash(inst, truth, mech, spaces, explain=counted)
+    ev = equilibrium._Evaluator(inst, truth, mech)
+    best_response(inst, truth, truth, "a", mech, spaces["a"], _evaluator=ev)
+    assert (counted[0]["curves_built"], counted[0]["curves_cached"]) == (ev.curves_built, ev.curves_cached) == (2, 0)
+
+
+def test_empty_strategy_space_is_a_value_error_under_python_O():
+    script = textwrap.dedent(
+        """
+        import sys
+        from richads import equilibrium, fixtures
+        from richads.model import truthful_profile
+
+        if __debug__:
+            sys.exit("not running under -O")
+        inst = fixtures.fx4()
+        truth = truthful_profile(inst)
+        empty = equilibrium.StrategySpace(adv_id="b", bids=(), subsets=())
+        try:
+            equilibrium.best_response(inst, truth, truth, "b", equilibrium.gsp_mixture_mechanism(), empty)
+        except ValueError as exc:
+            print("raised:", exc)
+        """
+    )
+    src = str(Path(equilibrium.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "raised: empty strategy space for advertiser 'b'\n", done.stdout

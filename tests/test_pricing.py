@@ -28,6 +28,7 @@ from richads.pricing import (
     mixture_rule,
     myerson_from_curve,
     myerson_payment,
+    threshold_prices_along,
     vcg_payments,
 )
 
@@ -225,6 +226,19 @@ def test_myerson_from_curve_arithmetic():
     assert gsp_cpc_from_curve(curve, Fraction(2), Fraction(2)) == 1
     assert gsp_cpc_from_curve(curve, Fraction(2), Fraction(0)) == 0
     assert gsp_cpc_from_curve(curve, Fraction(1, 2), Fraction(1)) == 0
+    # one ascending pass equals the interval-by-interval definition at every bid,
+    # up to and past the cap (the curve ends there)
+    bids = [Fraction(k, 4) for k in range(1, 11)]
+    for x in (Fraction(0), Fraction(1), Fraction(2)):
+        xs = [x] * len(bids)
+        area = [
+            sum(((min(hi, b) - lo) * c for (lo, hi), c in zip(curve.intervals, curve.interval_clicks) if lo < b), Fraction(0))
+            for b in bids
+        ]
+        assert threshold_prices_along("myerson", curve, bids, xs) == [b * x - a for b, a in zip(bids, area)]
+        first = {Fraction(1): Fraction(0), Fraction(2): Fraction(1)}
+        cpc = [Fraction(0) if not x else first[x] if first[x] < b else b for b in bids]
+        assert threshold_prices_along("gsp", curve, bids, xs) == cpc
 
 
 def test_priced_outcome_serialization():
