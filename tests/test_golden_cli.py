@@ -1,0 +1,106 @@
+"""Golden pins of the command line: exit code, stdout digest and stderr.
+
+Every case runs `cli` in process on a shipped fixture (or a seeded corpus)
+and must print exactly what `golden_cli.json` pins. A refactor that keeps
+behaviour keeps every pin; a pin that must change is a change in behaviour
+and is recorded as one. Run this file as a script to rewrite the pins:
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+from __future__ import annotations
+
+import csv
+import hashlib
+import io
+import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from importlib import resources
+from pathlib import Path
+
+import pytest
+
+from richads import harness
+from richads.cli import cli
+
+PINS_PATH = Path(__file__).with_name("golden_cli.json")
+FIXTURES = ("fx1", "fx2i", "fx2ii", "fx3", "fx4", "fx5", "fx6a", "fx6b")
+EXPERIMENT_CONFIG = {"seed": 11, "instances": 6, "max_advertisers": 3, "max_ads": 2, "mechanisms": list(harness.MECHANISM_NAMES)}
+
+
+def _fixture_path(name: str) -> str:
+    return str(resources.files("richads") / "data" / f"{name}.json")
+
+
+def cases() -> dict[str, list[str]]:
+    """Case id -> argv."""
+    out = {}
+    for fx in FIXTURES:
+        for mech in harness.MECHANISM_NAMES:
+            argv = ["solve", _fixture_path(fx), "--mechanism", mech]
+            out[f"solve-{fx}-{mech}"] = argv
+            out[f"solve-{fx}-{mech}-k1"] = argv + ["--cardinality", "1"]
+        for rule in ("myerson", "gsp", "vcg"):
+            argv = ["payments", _fixture_path(fx), "--rule", rule]
+            out[f"payments-{fx}-{rule}"] = argv
+            out[f"payments-{fx}-{rule}-explain"] = argv + ["--explain"]
+    for rule in harness.AUDIT_RULES:
+        argv = ["audit", "--rule", rule, "--trials", "200", "--seed", "1"]
+        out[f"audit-{rule}"] = argv
+        out[f"audit-{rule}-tie-prone"] = argv + ["--tie-prone"]
+    return out
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def run_case(argv: list[str]) -> list:
+    """[exit code, sha256 of stdout, stderr]."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli(argv)
+    return [code, _digest(out.getvalue()), err.getvalue()]
+
+
+def run_experiment_case(tmp: Path) -> list:
+    """[exit code, sha256 of the summary, the CSVs (without `runtime_us`)]."""
+    cfg_path = tmp / "cfg.json"
+    cfg_path.write_text(json.dumps(EXPERIMENT_CONFIG))
+    out_dir = tmp / "out"
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = cli(["experiment", str(cfg_path), "--out", str(out_dir)])
+    with open(out_dir / "comparison.csv", newline="") as fh:
+        rows = [{k: v for k, v in row.items() if k != "runtime_us"} for row in csv.DictReader(fh)]
+    texts = [json.dumps(rows, sort_keys=True)]
+    texts += [(out_dir / f"histogram_{name}.csv").read_text() for name in EXPERIMENT_CONFIG["mechanisms"]]
+    return [code, _digest(out.getvalue()), _digest("\n".join(texts))]
+
+
+PINS = json.loads(PINS_PATH.read_text()) if PINS_PATH.exists() else {}
+CASES = cases()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_output_is_pinned(case):
+    assert run_case(CASES[case]) == PINS[case]
+
+
+def test_experiment_output_is_pinned(tmp_path):
+    assert run_experiment_case(tmp_path) == PINS["experiment"]
+
+
+def test_pins_cover_every_case():
+    assert set(PINS) == set(CASES) | {"experiment"}
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    pins = {case: run_case(argv) for case, argv in sorted(CASES.items())}
+    with tempfile.TemporaryDirectory() as tmp:
+        pins["experiment"] = run_experiment_case(Path(tmp))
+    PINS_PATH.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(pins)} pins to {PINS_PATH}", file=sys.stderr)
