@@ -10,9 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
-from . import equilibrium, fracopt, harness, monotone, pricing
+from . import equilibrium, exact, fracopt, harness, monotone, pricing
 from .model import (
     GuardExceededError,
     Instance,
@@ -150,7 +151,8 @@ def _cmd_solve(args) -> int:
     rep = truthful_profile(inst)
     k = args.cardinality
     name = args.mechanism
-    if name == "frac-opt":
+    mech = pricing.MECHANISMS[name]
+    if mech is None:  # frac-opt
         frac = fracopt.fractional_opt(inst, rep)
         payload = {
             "mechanism": name,
@@ -161,10 +163,10 @@ def _cmd_solve(args) -> int:
             "objective": str(frac.objective),
             "fractional_advertiser": frac.fractional_adv,
         }
+    elif mech.pricing == "vcg":
+        payload = {"mechanism": name, **_outcome_dict(inst, exact.int_opt_cross_checked(inst, rep, k))}
     else:
-        registry = harness._mechanism_registry(k)
-        outcome_fn, _payment_fn = registry[name]
-        outcome = outcome_fn(inst, rep)
+        outcome = pricing.rule_allocate(inst, rep, replace(mech.rule, cardinality=k))
         payload = {"mechanism": name, **_outcome_dict(inst, outcome)}
     if args.explain:
         payload["explain"] = _explain(inst, rep)
@@ -179,23 +181,14 @@ def _cmd_payments(args) -> int:
         _emit({"violations": [v.to_dict() for v in violations], "ok": False})
         return 1
     rep = truthful_profile(inst)
-    if args.rule == "vcg":
-        if args.explain:
-            print("error: --explain shows click curves; vcg prices without them", file=sys.stderr)
-            return USAGE_EXIT
-        outcome = pricing.vcg_payments(inst, rep)
-    else:
-        p = Fraction(args.p) if args.p else (
-            monotone.TRUTHFUL_MIX_P if args.rule == "myerson" else monotone.GSP_MIX_P
-        )
-        rule = pricing.mixture_rule(p)
-        if args.rule == "myerson":
-            outcome = pricing.myerson_payment(inst, rep, rule)
-        else:
-            outcome = pricing.gsp_prices(inst, rep, rule)
+    mech = pricing.mixture_mechanism(args.rule, args.p or None)
+    if mech.pricing == "vcg" and args.explain:
+        print("error: --explain shows click curves; vcg prices without them", file=sys.stderr)
+        return USAGE_EXIT
+    outcome = mech.price(inst, rep)
     payload = outcome.to_dict()
     if args.explain:
-        payload["explain"] = _explain_payments(inst, rep, outcome, rule)
+        payload["explain"] = _explain_payments(inst, rep, outcome, mech.rule)
     _emit(payload)
     return 0
 
@@ -207,12 +200,7 @@ def _cmd_equilibrium(args) -> int:
         _emit({"violations": [v.to_dict() for v in violations], "ok": False})
         return 1
     truth = truthful_profile(inst)
-    if args.pricing == "vcg":
-        mech = equilibrium.vcg_mechanism()
-    elif args.pricing == "myerson":
-        mech = equilibrium.myerson_mixture_mechanism(Fraction(args.p) if args.p else None)
-    else:
-        mech = equilibrium.gsp_mixture_mechanism(Fraction(args.p) if args.p else monotone.GSP_MIX_P)
+    mech = pricing.mixture_mechanism(args.pricing, args.p or None)
     spaces = equilibrium.strategy_spaces(inst, Fraction(args.grid))
     steps: list[dict] | None = [] if args.explain else None
     result = equilibrium.find_pure_nash(

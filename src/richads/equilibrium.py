@@ -24,43 +24,12 @@ from .model import (
     ReportProfile,
     as_mixture,
     social_welfare,
-    truthful_profile,
 )
-from .monotone import (
-    GSP_MIX_P,
-    bpb_allocation,
-    max_value_allocation,
-    space_assignment,
-)
+from .monotone import bpb_allocation, max_value_allocation, space_assignment
+from .pricing import Mechanism, gsp_mixture_mechanism, myerson_mixture_mechanism, vcg_mechanism  # noqa: F401  (re-exported)
 
 STRATEGY_ADS_GUARD = 4
 STRATEGY_BIDS_GUARD = 10_000
-
-
-@dataclass(frozen=True)
-class Mechanism:
-    """How reports turn into an outcome and payments."""
-
-    pricing: str  # "gsp", "myerson" or "vcg"
-    rule: pricing.AllocationRule | None = None  # None only for vcg
-
-    def describe(self) -> str:
-        if self.pricing == "vcg":
-            return "vcg"
-        return f"{self.rule.name}(p={self.rule.p})+{self.pricing}" if self.rule.p is not None else f"{self.rule.name}+{self.pricing}"
-
-
-def gsp_mixture_mechanism(p: Fraction = GSP_MIX_P) -> Mechanism:
-    return Mechanism(pricing="gsp", rule=pricing.mixture_rule(p))
-
-
-def myerson_mixture_mechanism(p: Fraction | None = None) -> Mechanism:
-    rule = pricing.mixture_rule(p) if p is not None else pricing.mixture_rule()
-    return Mechanism(pricing="myerson", rule=rule)
-
-
-def vcg_mechanism() -> Mechanism:
-    return Mechanism(pricing="vcg", rule=None)
 
 
 @dataclass(frozen=True)
@@ -117,7 +86,8 @@ def strategy_spaces(
 class _Evaluator:
     """Memoised outcome/payment evaluation across many nearby profiles.
 
-    Branch allocations are cached per profile; click curves per (advertiser,
+    A profile's branch allocations are run on one view and cached together;
+    click curves per (advertiser,
     branch, subset, everyone else's report), since an advertiser's own bid
     moves along a fixed curve while the rest of the profile stands still.
     `curves_built` and `curves_cached` count the curve lookups that built a
@@ -135,21 +105,24 @@ class _Evaluator:
         self.curves_built = 0
         self.curves_cached = 0
 
-    def _branch_alloc(self, rep: ReportProfile, branch: str):
-        key = (branch, rep.key())
+    def _branch_alloc(self, rep: ReportProfile) -> tuple:
+        """The allocation of each of the rule's branches at `rep`."""
+        key = rep.key()
         got = self._allocs.get(key)
         if got is None:
-            cardinality = self.mech.rule.cardinality if self.mech.rule else None
-            got = pricing.branch_allocate(self.inst, rep, branch, cardinality)
+            view = kernels.ScaledView(self.inst, rep)
+            got = tuple(
+                pricing.branch_allocate(self.inst, rep, branch, self.mech.rule.cardinality, view)
+                for _prob, branch in self.branches
+            )
             self._allocs[key] = got
         return got
 
     def outcome(self, rep: ReportProfile) -> Mixture:
         if self.mech.pricing == "vcg":
             return as_mixture(self._vcg_outcome(rep).mixture)
-        return Mixture(
-            branches=tuple((prob, self._branch_alloc(rep, branch)) for prob, branch in self.branches)
-        )
+        allocs = self._branch_alloc(rep)
+        return Mixture(branches=tuple((prob, alloc) for (prob, _branch), alloc in zip(self.branches, allocs)))
 
     def _vcg_outcome(self, rep: ReportProfile) -> pricing.PricedOutcome:
         key = rep.key()
@@ -177,17 +150,13 @@ class _Evaluator:
         got = self._curves.get(key)
         if got is None:
             self.curves_built += 1
-            cardinality = self.mech.rule.cardinality if self.mech.rule else None
             got = pricing._build_curve(
-                self.inst, rep, adv_id, cap, ((Fraction(1), branch),), cardinality, branch, view
+                self.inst, rep, adv_id, cap, ((Fraction(1), branch),), self.mech.rule.cardinality, branch, view
             )
             self._curves[key] = got
         else:
             self.curves_cached += 1
         return got
-
-    def clicks(self, rep: ReportProfile, adv_id: str) -> Fraction:
-        return self.outcome(rep).clicks(self.inst, adv_id)
 
     def payment(self, rep: ReportProfile, adv_id: str) -> Fraction:
         if self.mech.pricing == "vcg":
@@ -199,14 +168,14 @@ class _Evaluator:
             bid,
             rep.subsets.get(adv_id, frozenset()),
             self.branches,
-            [self._branch_alloc(rep, branch).clicks(self.inst, adv_id) for _prob, branch in self.branches],
+            [alloc.clicks(self.inst, adv_id) for alloc in self._branch_alloc(rep)],
             lambda branch: self._curve(rep, adv_id, branch, cap),
         )
         return total
 
     def utility(self, rep: ReportProfile, adv_id: str) -> Fraction:
         value = self.truth.bids.get(adv_id, Fraction(0))
-        return value * self.clicks(rep, adv_id) - self.payment(rep, adv_id)
+        return value * self.outcome(rep).clicks(self.inst, adv_id) - self.payment(rep, adv_id)
 
     def utility_table(self, rep: ReportProfile, adv_id: str, space: StrategySpace) -> list[list[Fraction]]:
         """`adv_id`'s utility at every strategy of `space`, the others as in
@@ -224,7 +193,7 @@ class _Evaluator:
         sweep = (
             self.mech.pricing != "vcg"
             and cap > 0
-            and all(branch in pricing._MONOTONE_BRANCHES for _prob, branch in self.branches)
+            and all(pricing.BRANCHES[branch].probe is not None for _prob, branch in self.branches)
         )
         table = []
         for subset in space.subsets:
@@ -258,7 +227,8 @@ class _Evaluator:
         clicks = [Fraction(0)] * len(cols)
         paid = [Fraction(0)] * len(cols)
         for prob, branch in self.branches:
-            xs = [probe.clicks(branch, bid.numerator, bid.denominator) for bid in grid]
+            read = pricing.BRANCHES[branch].probe
+            xs = [read(probe, bid.numerator, bid.denominator) for bid in grid]
             if self.mech.pricing == "gsp" and not any(xs):
                 continue  # GSP reads no curve for a branch without clicks
             curve = self._curve(at_cap, adv_id, branch, cap, view)
@@ -293,13 +263,18 @@ def best_response(
     grid's subsets run from the largest down).
     """
     ev = _evaluator if _evaluator is not None else _Evaluator(inst, truth, mechanism)
+    return _best_of(ev.utility_table(rep, adv_id, space), space)
+
+
+def _best_of(table: list[list[Fraction]], space: StrategySpace) -> tuple[Fraction, frozenset[str], Fraction]:
+    """(bid, subset, utility) at `table`'s best entry, under `best_response`'s tie rule."""
     best = None  # (utility, bid index, subset index)
-    for si, row in enumerate(ev.utility_table(rep, adv_id, space)):
+    for si, row in enumerate(table):
         for bi, u in enumerate(row):
             if best is None or u > best[0] or (u == best[0] and (bi, si) < (best[1], best[2])):
                 best = (u, bi, si)
     if best is None:
-        raise ValueError(f"empty strategy space for advertiser {adv_id!r}")
+        raise ValueError(f"empty strategy space for advertiser {space.adv_id!r}")
     return space.bids[best[1]], space.subsets[best[2]], best[0]
 
 
@@ -386,14 +361,18 @@ def find_pure_nash(
     for round_no in range(1, max_rounds + 1):
         improved = False
         for adv_id in inst.adv_ids():
+            space = spaces[adv_id]
             built0, cached0 = ev.curves_built, ev.curves_cached
-            bid, subset, best_u = best_response(
-                inst, truth, current, adv_id, mechanism, spaces[adv_id], _evaluator=ev
-            )
+            table = ev.utility_table(current, adv_id, space)
+            bid, subset, best_u = _best_of(table, space)
             built, cached = ev.curves_built - built0, ev.curves_cached - cached0
-            now_u = ev.utility(current, adv_id)
+            # a report on the grid (from `strategy_spaces`, always) is read off the table
+            bid_now, subset_now = current.bids[adv_id], current.subsets[adv_id]
+            if bid_now in space.bids and subset_now in space.subsets:
+                now_u = table[space.subsets.index(subset_now)][space.bids.index(bid_now)]
+            else:
+                now_u = ev.utility(current, adv_id)
             if explain is not None:
-                space = spaces[adv_id]
                 explain.append(
                     {
                         "round": round_no,

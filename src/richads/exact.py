@@ -13,7 +13,7 @@ from operator import add
 from typing import Iterable
 
 from .kernels import ScaledView
-from .model import WHOLE, Allocation, GuardExceededError, Instance, InvariantViolation, ReportProfile
+from .model import Allocation, GuardExceededError, Instance, InvariantViolation, ReportProfile
 
 DP_CAPACITY_GUARD = 10**6
 ENUMERATION_GUARD = 10**6
@@ -27,19 +27,10 @@ def _candidates(view: ScaledView):
     return per_adv
 
 
-def _effective_cardinality(inst: Instance, cardinality: int | None) -> int | None:
-    if cardinality is not None:
-        return cardinality
-    return inst.cardinality_limit
-
-
-def to_allocation(view: ScaledView, chosen: list[int]) -> Allocation:
-    """The allocation of a choice vector: one view row index per advertiser, -1 for none."""
-    entries = {}
-    for a, i in enumerate(chosen):
-        if i >= 0:
-            entries[view.adv_ids[a]] = (view.ad_ids[i], WHOLE)
-    return Allocation(entries=entries)
+def effective_cardinality(inst: Instance, cardinality: int | None) -> int | None:
+    """The cap a rule or optimum serves under: `cardinality`, else the
+    instance's own `cardinality_limit`."""
+    return inst.cardinality_limit if cardinality is None else cardinality
 
 
 class CapacityDP:
@@ -53,6 +44,7 @@ class CapacityDP:
     """
 
     def __init__(self, view: ScaledView, limit: int | None, capacity_guard: int = DP_CAPACITY_GUARD):
+        self.limit = limit
         if view.total > capacity_guard:
             raise GuardExceededError(
                 f"scaled capacity {view.total} exceeds the DP guard {capacity_guard}"
@@ -134,8 +126,8 @@ def int_opt_dp(
     reads its counterfactual optima from the same tables.
     """
     view = ScaledView(inst, rep)
-    dp = CapacityDP(view, _effective_cardinality(inst, cardinality), capacity_guard)
-    return to_allocation(view, dp.choice())
+    dp = CapacityDP(view, effective_cardinality(inst, cardinality), capacity_guard)
+    return view.allocation(dp.choice())
 
 
 def int_opt_exhaustive(
@@ -143,14 +135,17 @@ def int_opt_exhaustive(
     rep: ReportProfile,
     cardinality: int | None = None,
     enum_guard: int = ENUMERATION_GUARD,
+    view: ScaledView | None = None,
 ) -> Allocation:
     """Integral optimum by depth-first enumeration of choice vectors.
 
     Visits vectors in lexicographic preference order and keeps the first
-    strict improvement, which reproduces the DP's tie rule exactly.
+    strict improvement, which reproduces the DP's tie rule exactly. `view`,
+    when given, is the view of (inst, rep).
     """
-    view = ScaledView(inst, rep)
-    limit = _effective_cardinality(inst, cardinality)
+    if view is None:
+        view = ScaledView(inst, rep)
+    limit = effective_cardinality(inst, cardinality)
     if limit is not None and limit < 1:
         raise ValueError(f"cardinality limit must be >= 1, got {limit}")
     per_adv = _candidates(view)
@@ -196,22 +191,25 @@ def int_opt_exhaustive(
     walk(0, 0, view.total, k)
     if best_chosen is None:
         raise InvariantViolation("exhaustive search found no allocation, not even the empty one")
-    return to_allocation(view, best_chosen)
-
-
-def int_opt_cardinality(inst: Instance, rep: ReportProfile, k: int, **kwargs) -> Allocation:
-    """Integral optimum serving at most k advertisers."""
-    return int_opt_dp(inst, rep, cardinality=k, **kwargs)
+    return view.allocation(best_chosen)
 
 
 CROSS_CHECK_GUARD = 10**4
 
 
-def int_opt_cross_checked(inst: Instance, rep: ReportProfile, cardinality: int | None = None) -> Allocation:
-    """DP optimum, re-verified exhaustively when the instance is small enough."""
-    alloc = int_opt_dp(inst, rep, cardinality=cardinality)
+def int_opt_cross_checked(
+    inst: Instance, rep: ReportProfile, cardinality: int | None = None, dp: CapacityDP | None = None
+) -> Allocation:
+    """DP optimum, re-verified exhaustively when the instance is small enough.
+
+    `dp`, when given, is the capacity DP of (inst, rep) under the cap to
+    solve at (`cardinality` is then not read); the search reuses its view.
+    """
+    if dp is None:
+        dp = CapacityDP(ScaledView(inst, rep), effective_cardinality(inst, cardinality))
+    alloc = dp.view.allocation(dp.choice())
     try:
-        other = int_opt_exhaustive(inst, rep, cardinality=cardinality, enum_guard=CROSS_CHECK_GUARD)
+        other = int_opt_exhaustive(inst, rep, dp.limit, CROSS_CHECK_GUARD, dp.view)
     except GuardExceededError:
         return alloc
     if alloc.entries != other.entries:

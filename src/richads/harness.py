@@ -13,19 +13,19 @@ import csv
 import json
 import random
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from . import exact, fracopt, heuristics, monotone, pricing
+from . import exact, fracopt, kernels, pricing
 from .model import (
     Advertiser,
     GuardExceededError,
     Instance,
     InvariantViolation,
     NonMonotoneClickCurveError,
-    ReportProfile,
     RichAd,
     social_welfare,
     truthful_profile,
@@ -123,47 +123,7 @@ def generate_corpus(cfg: ExperimentConfig) -> tuple[Instance, ...]:
     return tuple(out)
 
 
-# mechanism name -> (outcome fn, payment fn or None); payment fns return a
-# PricedOutcome so the comparison can log total revenue
-def _mechanism_registry(cardinality: int | None):
-    def myerson_for(rule):
-        return lambda inst, rep: pricing.myerson_payment(inst, rep, rule)
-
-    mix_truth = pricing.mixture_rule()
-    mix_gsp = pricing.mixture_rule(monotone.GSP_MIX_P)
-    g_bpb = pricing.greedy_bpb_rule(cardinality)
-    g_val = pricing.greedy_value_rule(cardinality)
-    g_mix = pricing.randomized_greedy_rule(cardinality=cardinality)
-    return {
-        "truthful-3approx": (
-            lambda inst, rep: monotone.randomized_mechanism(inst, rep),
-            myerson_for(mix_truth),
-        ),
-        "gsp-half": (
-            lambda inst, rep: monotone.randomized_mechanism(inst, rep, monotone.GSP_MIX_P),
-            lambda inst, rep: pricing.gsp_prices(inst, rep, mix_gsp),
-        ),
-        "vcg": (
-            lambda inst, rep: exact.int_opt_cross_checked(inst, rep, cardinality),
-            lambda inst, rep: pricing.vcg_payments(inst, rep),
-        ),
-        "frac-opt": (None, None),
-        "greedy-bpb": (
-            lambda inst, rep: heuristics.greedy_by_bpb(inst, rep, cardinality),
-            myerson_for(g_bpb),
-        ),
-        "greedy-value": (
-            lambda inst, rep: heuristics.greedy_by_value(inst, rep, cardinality),
-            myerson_for(g_val),
-        ),
-        "randomized-greedy": (
-            lambda inst, rep: heuristics.randomized_greedy(inst, rep, cardinality=cardinality),
-            myerson_for(g_mix),
-        ),
-    }
-
-
-MECHANISM_NAMES = tuple(_mechanism_registry(None))
+MECHANISM_NAMES = tuple(pricing.MECHANISMS)
 
 CSV_COLUMNS = ("instance_id", "mechanism", "sw", "ratio_int_opt", "ratio_frac_opt", "payment", "runtime_us")
 
@@ -191,48 +151,57 @@ def run_comparison(
     ratio columns. Guard failures skip the instance with a logged reason.
     Raises InvariantViolation if the truthful mixture ever earns less than a
     third of the fractional optimum; that inequality is load-bearing.
+
+    `cardinality`, when given, caps every rule and the exact optimum (else
+    each instance's own limit applies). All rows of an instance share one
+    view of its truthful report, and one capacity DP gives the integral
+    optimum and the VCG row.
     """
-    registry = _mechanism_registry(cardinality)
-    unknown = [m for m in mechanisms if m not in registry]
+    unknown = [m for m in mechanisms if m not in pricing.MECHANISMS]
     if unknown:
-        raise ValueError(f"unknown mechanisms: {unknown}; choices: {sorted(registry)}")
+        raise ValueError(f"unknown mechanisms: {unknown}; choices: {sorted(pricing.MECHANISMS)}")
+    mechs = []  # (name, mechanism with its rule capped at `cardinality`)
+    for name in mechanisms:
+        mech = pricing.MECHANISMS[name]
+        if mech is not None and mech.rule is not None:
+            mech = replace(mech, rule=replace(mech.rule, cardinality=cardinality))
+        mechs.append((name, mech))
     rows: list[dict] = []
     skipped: list[tuple[str, str]] = []
     payment_warnings: list[tuple[str, str, str]] = []
     for idx, inst in enumerate(corpus):
         instance_id = f"i{idx:05d}"
         rep = truthful_profile(inst)
+        view = kernels.ScaledView(inst, rep)
         try:
-            int_opt_sw = social_welfare(inst, exact.int_opt_dp(inst, rep, cardinality=cardinality))
+            dp = exact.CapacityDP(view, exact.effective_cardinality(inst, cardinality))
         except GuardExceededError as exc:
             skipped.append((instance_id, str(exc)))
             continue
+        int_opt_sw = social_welfare(inst, view.allocation(dp.choice()))
         frac = fracopt.fractional_opt(inst, rep)
 
-        # load-bearing: the truthful mechanism is a 3-approximation
-        truthful_sw = social_welfare(inst, monotone.randomized_mechanism(inst, rep))
-        if 3 * truthful_sw < frac.objective:
-            raise InvariantViolation(
-                f"truthful mixture fell below a third of the fractional optimum on {instance_id}"
-            )
-
-        for name in mechanisms:
-            outcome_fn, payment_fn = registry[name]
+        outcomes = {}
+        for name, mech in mechs:
             start = time.perf_counter()
-            if name == "frac-opt":
+            payment = None
+            if mech is None:  # frac-opt
                 sw = frac.objective
-                payment = None
             else:
-                outcome = outcome_fn(inst, rep)
-                sw = social_welfare(inst, outcome)
-                payment = None
-                if payment_fn is not None:
-                    try:
-                        payment = payment_fn(inst, rep).total_payment()
-                    except NonMonotoneClickCurveError as exc:
-                        # cardinality-capped greedy rules carry no
-                        # monotonicity promise; leave the payment blank
-                        payment_warnings.append((instance_id, name, str(exc)))
+                try:
+                    if mech.pricing == "vcg":
+                        exact.int_opt_cross_checked(inst, rep, dp=dp)
+                        priced = pricing.vcg_payments(inst, rep, dp=dp)
+                    else:
+                        priced = mech.price(inst, rep, view)
+                    outcomes[name] = priced.mixture
+                    payment = priced.total_payment()
+                except NonMonotoneClickCurveError as exc:
+                    # greedy rules carry no monotonicity promise (capped
+                    # greedy-bpb breaks it); leave the payment blank
+                    payment_warnings.append((instance_id, name, str(exc)))
+                    outcomes[name] = pricing.rule_allocate(inst, rep, mech.rule, view)
+                sw = social_welfare(inst, outcomes[name])
             runtime_us = int((time.perf_counter() - start) * 1e6)
             rows.append(
                 {
@@ -244,6 +213,13 @@ def run_comparison(
                     "payment": _fmt(payment),
                     "runtime_us": str(runtime_us),
                 }
+            )
+
+        # load-bearing: the truthful mechanism is a 3-approximation
+        truthful = outcomes.get("truthful-3approx") or pricing.rule_allocate(inst, rep, pricing.mixture_rule(), view)
+        if 3 * social_welfare(inst, truthful) < frac.objective:
+            raise InvariantViolation(
+                f"truthful mixture fell below a third of the fractional optimum on {instance_id}"
             )
     return ComparisonResult(rows=rows, skipped=skipped, payment_warnings=payment_warnings)
 
@@ -307,25 +283,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
 
 # --- monotonicity audits ---------------------------------------------------
 
-AUDIT_RULES = ("bpb", "max-value", "mixture", "greedy-bpb", "greedy-value", "randomized-greedy", "int-opt")
-
-
-def _audit_clicks(rule: str, inst: Instance, rep: ReportProfile, adv_id: str) -> Fraction:
-    if rule == "bpb":
-        return monotone.bpb_allocation(inst, rep).clicks(inst, adv_id)
-    if rule == "max-value":
-        return monotone.max_value_allocation(inst, rep).clicks(inst, adv_id)
-    if rule == "mixture":
-        return monotone.randomized_mechanism(inst, rep).clicks(inst, adv_id)
-    if rule == "greedy-bpb":
-        return heuristics.greedy_by_bpb(inst, rep).clicks(inst, adv_id)
-    if rule == "greedy-value":
-        return heuristics.greedy_by_value(inst, rep).clicks(inst, adv_id)
-    if rule == "randomized-greedy":
-        return heuristics.randomized_greedy(inst, rep).clicks(inst, adv_id)
-    if rule == "int-opt":
-        return exact.int_opt_dp(inst, rep).clicks(inst, adv_id)
-    raise ValueError(f"unknown audit rule {rule!r}; choices: {AUDIT_RULES}")
+AUDIT_RULES = (*pricing.RULES, "int-opt")
 
 
 @dataclass(frozen=True)
@@ -359,6 +317,10 @@ def monotonicity_audit(
     low <= high and nested subsets low ⊆ high, with everyone else
     truthful, and checks the rule's expected clicks are monotone.
     """
+    if rule not in AUDIT_RULES:
+        raise ValueError(f"unknown audit rule {rule!r}; choices: {AUDIT_RULES}")
+    # the exact optimum is not monotone, and not a rule of the table
+    allocate = exact.int_opt_dp if rule == "int-opt" else partial(pricing.rule_allocate, rule=pricing.AllocationRule(rule))
     rng = random.Random(seed)
     result = AuditResult(rule=rule, trials=trials)
     if not corpus:
@@ -377,10 +339,11 @@ def monotonicity_audit(
 
         ids = list(adv.ad_ids())
         high_subset = frozenset(ad for ad in ids if rng.random() < 0.8) or frozenset(ids)
-        low_subset = frozenset(ad for ad in high_subset if rng.random() < 0.7)
+        # draw in catalog order: a frozenset's order follows the string hash seed
+        low_subset = frozenset(ad for ad in ids if ad in high_subset and rng.random() < 0.7)
 
-        low_clicks = _audit_clicks(rule, inst, rep.replace(adv.adv_id, low_bid, low_subset), adv.adv_id)
-        high_clicks = _audit_clicks(rule, inst, rep.replace(adv.adv_id, high_bid, high_subset), adv.adv_id)
+        low_clicks = allocate(inst, rep.replace(adv.adv_id, low_bid, low_subset)).clicks(inst, adv.adv_id)
+        high_clicks = allocate(inst, rep.replace(adv.adv_id, high_bid, high_subset)).clicks(inst, adv.adv_id)
         if low_clicks > high_clicks:
             result.violations.append(
                 AuditViolation(

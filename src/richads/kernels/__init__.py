@@ -11,6 +11,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import gcd, lcm
 
+from ..model import WHOLE, Allocation
 from . import pure
 
 
@@ -150,6 +151,10 @@ class ScaledView:
         scale = lcm(*(w for w in self.spc if w))
         return scale, [v * (scale // w) if w else None for v, w in zip(self.val, self.spc)]
 
+    def allocation(self, chosen: list[int]) -> Allocation:
+        """The allocation of a choice vector: a row index per advertiser, -1 for none."""
+        return Allocation(entries={self.adv_ids[a]: (self.ad_ids[i], WHOLE) for a, i in enumerate(chosen) if i >= 0})
+
     def __len__(self):
         return len(self.val)
 
@@ -198,14 +203,6 @@ class BidderProbe:
         self._walk = None
         self._max = None
 
-    def clicks(self, branch: str, num: int, den: int) -> Fraction:
-        """The bidder's clicks under `branch` at the bid num / den > 0."""
-        if branch == "bpb":
-            return self._bpb(num, den)
-        if branch == "max-value":
-            return self._max_value(num, den)
-        raise ValueError(f"no probe for branch {branch!r}")
-
     def _own(self):
         # (own row span, the view's bid as (numerator, denominator), each
         # own row's click rate)
@@ -216,7 +213,8 @@ class BidderProbe:
         alphas = [Fraction(v * bd, view.value_scale * bn) for v in view.val[lo:hi]]
         return lo, hi, bn, bd, alphas
 
-    def _bpb(self, num: int, den: int) -> Fraction:
+    def bpb(self, num: int, den: int) -> Fraction:
+        """The bidder's clicks under the bpb rule at the bid num / den > 0."""
         if self._walk is None:
             self._walk = self._walk_tables()
         total, keys, prefix, own, bn, fit_spc, fit_alpha = self._walk
@@ -277,7 +275,8 @@ class BidderProbe:
                 fit_alpha.append(alphas[j])
         return view.total, keys, prefix, own, bn, fit_spc, fit_alpha
 
-    def _max_value(self, num: int, den: int) -> Fraction:
+    def max_value(self, num: int, den: int) -> Fraction:
+        """The bidder's clicks under the max-value rule at the bid num / den > 0."""
         if self._max is None:
             self._max = self._max_tables()
         alpha, own_value, other_value, floor = self._max

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import pricing  # a cycle: see `pricing.RULES`
 from .kernels import ScaledView, run_best_fit, run_space_auction, run_space_auction_traced
 from .model import WHOLE, Allocation, Instance, Mixture, ReportProfile
 
@@ -115,15 +116,6 @@ def space_assignment(inst: Instance, rep: ReportProfile, want_trace: bool = Fals
     return SpaceAssignment(spaces=spaces, held=held_ads, fractional=fractional, trace=trace)
 
 
-def _best_fit_allocation(view: ScaledView, held_spc: list[int]) -> Allocation:
-    best = run_best_fit(view, held_spc)
-    entries = {}
-    for a, i in enumerate(best):
-        if i >= 0:
-            entries[view.adv_ids[a]] = (view.ad_ids[i], WHOLE)
-    return Allocation(entries=entries)
-
-
 def bpb_allocation(inst: Instance, rep: ReportProfile, view: ScaledView | None = None) -> Allocation:
     """The integral rule: space assignment, then best fitting ad per advertiser.
 
@@ -133,7 +125,7 @@ def bpb_allocation(inst: Instance, rep: ReportProfile, view: ScaledView | None =
     if view is None:
         view = ScaledView(inst, rep)
     _held, held_spc, _fa, _fn, _fd = run_space_auction(view, stop_on_misfit=True)
-    return _best_fit_allocation(view, held_spc)
+    return view.allocation(run_best_fit(view, held_spc))
 
 
 def max_value_allocation(inst: Instance, rep: ReportProfile, view: ScaledView | None = None) -> Allocation:
@@ -162,8 +154,6 @@ def max_value_allocation(inst: Instance, rep: ReportProfile, view: ScaledView | 
 
 
 def randomized_mechanism(inst: Instance, rep: ReportProfile, p: Fraction = TRUTHFUL_MIX_P) -> Mixture:
-    """Mix the integral rule (probability p) with the max-value rule."""
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise ValueError(f"mixture weight must lie in [0, 1], got {p}")
-    return Mixture(branches=((p, bpb_allocation(inst, rep)), (1 - p, max_value_allocation(inst, rep))))
+    """Mix the integral rule (probability p) with the max-value rule: the
+    rule table's "mixture", both branches on one view."""
+    return pricing.rule_allocate(inst, rep, pricing.mixture_rule(p))

@@ -27,15 +27,58 @@ from .model import (
     effective_values,
 )
 
-# --- allocation rule descriptors -----------------------------------------
+# --- the rule table --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Branch:
+    """A deterministic rule: `allocate(view, cardinality)`; the `kinds` of
+    its click curves' breakpoints, bids where the bidder's bang-per-buck
+    ("bpb") or value ("value") ties another row's; and, only if its curves
+    are proven nondecreasing (they are then bisected, else scanned over
+    rebid views), `probe(bidder_probe, num, den)`: the clicks at the bid
+    num / den read off a `kernels.BidderProbe`."""
+
+    allocate: Callable[[kernels.ScaledView, int | None], Allocation]
+    kinds: tuple[str, ...]
+    probe: Callable[[kernels.BidderProbe, int, int], Fraction] | None = None
+
+
+# the rules are looked up at call time, so a wrapper installed on the module
+# attribute (a tracer, a test) sees every call
+BRANCHES = {
+    "bpb": Branch(lambda v, k: monotone.bpb_allocation(v.inst, v.rep, v), ("bpb",), kernels.BidderProbe.bpb),
+    "max-value": Branch(
+        lambda v, k: monotone.max_value_allocation(v.inst, v.rep, v), ("value",), kernels.BidderProbe.max_value
+    ),
+    "greedy-bpb": Branch(lambda v, k: heuristics.greedy_by_bpb(v.inst, v.rep, k, v), ("bpb", "value")),
+    "greedy-value": Branch(lambda v, k: heuristics.greedy_by_value(v.inst, v.rep, k, v), ("value",)),
+}
+
+# rule name -> (branch names, the first branch's default probability); a
+# two-branch rule is the lottery that plays its first branch with probability
+# p and its second otherwise. A lottery over monotone rules is monotone
+# (Mu'alem & Nisan, GEB 2008): "mixture" is the paper's 3-approximation.
+# `monotone` and `heuristics` import this module at their top for their
+# public lotteries: the package imports it first, so they bind it half-built
+# and use it at call time, and each imported copy of the package keeps its own.
+RULES = {
+    "bpb": (("bpb",), None),
+    "max-value": (("max-value",), None),
+    "mixture": (("bpb", "max-value"), monotone.TRUTHFUL_MIX_P),
+    "greedy-bpb": (("greedy-bpb",), None),
+    "greedy-value": (("greedy-value",), None),
+    "randomized-greedy": (("greedy-bpb", "max-value"), heuristics.RANDOMIZED_GREEDY_P),
+}
 
 
 @dataclass(frozen=True)
 class AllocationRule:
-    """A named allocation rule, possibly a two-branch mixture.
+    """A rule of `RULES` by name.
 
-    `p` is the probability of the first branch for mixtures; `cardinality`
-    caps how many advertisers the greedy variants may serve.
+    `p` is the probability of a lottery's first branch (None: the rule's
+    default); `cardinality` caps how many advertisers the greedy branches
+    may serve (None: the instance's `cardinality_limit`).
     """
 
     name: str
@@ -70,14 +113,16 @@ def randomized_greedy_rule(
 
 
 def rule_branches(rule: AllocationRule) -> tuple[tuple[Fraction, str], ...]:
-    """(probability, branch name) pairs; branch names key the dispatch below."""
-    if rule.name == "mixture":
-        return ((rule.p, "bpb"), (1 - rule.p, "max-value"))
-    if rule.name == "randomized-greedy":
-        return ((rule.p, "greedy-bpb"), (1 - rule.p, "max-value"))
-    if rule.name in ("bpb", "max-value", "greedy-bpb", "greedy-value"):
-        return ((Fraction(1), rule.name),)
-    raise ValueError(f"unknown allocation rule {rule.name!r}")
+    """(probability, branch name) pairs; branch names key `BRANCHES`."""
+    if rule.name not in RULES:
+        raise ValueError(f"unknown allocation rule {rule.name!r}")
+    names, default_p = RULES[rule.name]
+    if len(names) == 1:
+        return ((Fraction(1), names[0]),)
+    p = default_p if rule.p is None else rule.p
+    if not 0 <= p <= 1:
+        raise ValueError(f"mixture weight must lie in [0, 1], got {p}")
+    return ((p, names[0]), (1 - p, names[1]))
 
 
 def branch_allocate(
@@ -87,47 +132,23 @@ def branch_allocate(
     cardinality: int | None = None,
     view: kernels.ScaledView | None = None,
 ) -> Allocation:
-    """One branch's allocation; `view`, when given, is the view of (inst, rep)."""
-    if branch == "bpb":
-        return monotone.bpb_allocation(inst, rep, view)
-    if branch == "max-value":
-        return monotone.max_value_allocation(inst, rep, view)
-    if branch == "greedy-bpb":
-        return heuristics.greedy_by_bpb(inst, rep, cardinality, view)
-    if branch == "greedy-value":
-        return heuristics.greedy_by_value(inst, rep, cardinality, view)
-    raise ValueError(f"unknown branch {branch!r}")
+    """One branch's allocation; `view`, when given, is the view of (inst, rep).
+    Every rule's cap is decided here: `exact.effective_cardinality`."""
+    if branch not in BRANCHES:
+        raise ValueError(f"unknown branch {branch!r}")
+    if view is None:
+        view = kernels.ScaledView(inst, rep)
+    return BRANCHES[branch].allocate(view, exact.effective_cardinality(inst, cardinality))
 
 
 def rule_allocate(
     inst: Instance, rep: ReportProfile, rule: AllocationRule, view: kernels.ScaledView | None = None
 ) -> Outcome:
-    branches = rule_branches(rule)
-    if len(branches) == 1:
-        return branch_allocate(inst, rep, branches[0][1], rule.cardinality, view)
-    return Mixture(
-        branches=tuple(
-            (prob, branch_allocate(inst, rep, branch, rule.cardinality, view))
-            for prob, branch in branches
-        )
-    )
-
-
-# breakpoint kinds a branch's click curve can have: bids where the
-# advertiser's bang-per-buck ties someone else's, or where values tie
-_BRANCH_KINDS = {
-    "bpb": ("bpb",),
-    "max-value": ("value",),
-    "greedy-bpb": ("bpb", "value"),
-    "greedy-value": ("value",),
-}
-
-# branches whose click curve is proven nondecreasing in the bid (the two
-# branches of the truthful mixture): their curves are bisected, and each
-# probe is read off the bidder's `kernels.BidderProbe`. The greedy branches
-# keep the exhaustive scan over rebid views, because for them a decreasing
-# curve (NonMonotoneClickCurveError) is a finding the harness logs.
-_MONOTONE_BRANCHES = {"bpb", "max-value"}
+    """The rule's outcome: every branch runs on one view of (inst, rep)."""
+    if view is None:
+        view = kernels.ScaledView(inst, rep)
+    allocs = tuple((p, branch_allocate(inst, rep, b, rule.cardinality, view)) for p, b in rule_branches(rule))
+    return allocs[0][1] if len(allocs) == 1 else Mixture(branches=allocs)
 
 
 # --- click curves ---------------------------------------------------------
@@ -227,15 +248,16 @@ def _clicks_with_bid(
     """`adv_id`'s expected clicks at the bid num / den, the rest of the
     report as in `view`.
 
-    A monotone branch reads them off the bidder's `BidderProbe`; a greedy
-    branch runs its rule on the view rebid. A lone branch of probability 1
+    A branch with a probe reads them off the bidder's `BidderProbe`; any
+    other runs its rule on the view rebid. A lone branch of probability 1
     (every curve a payment builds) returns its clicks as they are.
     """
     terms = []
     rebid = None
     for prob, branch in branches:
-        if branch in _MONOTONE_BRANCHES:
-            clicks = view.probe(adv_id).clicks(branch, num, den)
+        probe = BRANCHES[branch].probe
+        if probe is not None:
+            clicks = probe(view.probe(adv_id), num, den)
         else:
             if rebid is None:
                 rebid = view.rebid(adv_id, Fraction(num, den))
@@ -289,11 +311,7 @@ def _build_curve(
 
     `view`, when given, is the view of (inst, rep); every probe reads it.
     """
-    kinds: tuple[str, ...] = ()
-    for _prob, branch in branches:
-        for kind in _BRANCH_KINDS[branch]:
-            if kind not in kinds:
-                kinds = kinds + (kind,)
+    kinds = tuple(dict.fromkeys(kind for _prob, branch in branches for kind in BRANCHES[branch].kinds))
     if view is None:
         view = kernels.ScaledView(inst, rep)
     ties, den = _tie_candidates(view, adv_id, kinds, cap)
@@ -313,7 +331,7 @@ def _build_curve(
             )
         return probed[j]
 
-    if all(branch in _MONOTONE_BRANCHES for _prob, branch in branches):
+    if all(BRANCHES[branch].probe is not None for _prob, branch in branches):
         clicks = _bisect_clicks(len(intervals), probe)
     else:
         clicks = _scan_clicks(len(intervals), probe)
@@ -490,14 +508,17 @@ def threshold_payment(
     return total, tuple(curves)
 
 
-def _threshold_prices(inst: Instance, rep: ReportProfile, rule: AllocationRule, kind: str) -> PricedOutcome:
+def _threshold_prices(
+    inst: Instance, rep: ReportProfile, rule: AllocationRule, kind: str, view: kernels.ScaledView | None
+) -> PricedOutcome:
     """Every bidder's `threshold_payment` at the report.
 
-    One view of the report serves the allocation and the probes of every
-    curve.
+    One view of the report (`view`, when given) serves the allocation and
+    the probes of every curve.
     """
     branches = rule_branches(rule)
-    view = kernels.ScaledView(inst, rep)
+    if view is None:
+        view = kernels.ScaledView(inst, rep)
     mixture = as_mixture(rule_allocate(inst, rep, rule, view))
     payments: dict[str, Fraction] = {}
     curves: dict[str, tuple[BidThresholds | None, ...]] = {}
@@ -517,15 +538,21 @@ def _threshold_prices(inst: Instance, rep: ReportProfile, rule: AllocationRule, 
     return _finish_outcome(inst, rep, mixture, payments, kind, curves)
 
 
-def myerson_payment(inst: Instance, rep: ReportProfile, rule: AllocationRule) -> PricedOutcome:
-    """Threshold payments making the (monotone) rule truthful."""
-    return _threshold_prices(inst, rep, rule, "myerson")
+def myerson_payment(
+    inst: Instance, rep: ReportProfile, rule: AllocationRule, view: kernels.ScaledView | None = None
+) -> PricedOutcome:
+    """Threshold payments making the (monotone) rule truthful; `view`, when
+    given, is the view of (inst, rep)."""
+    return _threshold_prices(inst, rep, rule, "myerson", view)
 
 
-def gsp_prices(inst: Instance, rep: ReportProfile, rule: AllocationRule) -> PricedOutcome:
+def gsp_prices(
+    inst: Instance, rep: ReportProfile, rule: AllocationRule, view: kernels.ScaledView | None = None
+) -> PricedOutcome:
     """Generalized second price: per branch, clicks times the lowest
-    bid that would have kept them."""
-    return _threshold_prices(inst, rep, rule, "gsp")
+    bid that would have kept them; `view`, when given, is the view of
+    (inst, rep)."""
+    return _threshold_prices(inst, rep, rule, "gsp", view)
 
 
 def reported_value(inst: Instance, rep: ReportProfile, alloc: Allocation) -> Fraction:
@@ -540,6 +567,7 @@ def vcg_payments(
     inst: Instance,
     rep: ReportProfile,
     exact_solver: Callable[[Instance, ReportProfile], Allocation] | None = None,
+    dp: exact.CapacityDP | None = None,
 ) -> PricedOutcome:
     """Externality payments on top of the exact integral optimum.
 
@@ -547,14 +575,17 @@ def vcg_payments(
     served advertiser, the optimum without them (`optima_without`): two DP
     passes, O(n·cap·m), instead of a solve per served advertiser,
     O((k+1)·n·cap·m). The view's integer scaling is valid for every
-    sub-profile, so the payments stay exact. With `exact_solver`, the
-    profile without each served advertiser is re-solved by it instead; the
-    tests use that loop as the oracle.
+    sub-profile, so the payments stay exact. `dp`, when given, is that DP
+    already built over a view of (inst, rep), under the cap to price at;
+    else it is built under the instance's `cardinality_limit`. With
+    `exact_solver`, the profile without each served advertiser is re-solved
+    by it instead; the tests use that loop as the oracle.
     """
     if exact_solver is not None:
         return _vcg_by_resolving(inst, rep, exact_solver)
-    view = kernels.ScaledView(inst, rep)
-    dp = exact.CapacityDP(view, inst.cardinality_limit)
+    if dp is None:
+        dp = exact.CapacityDP(kernels.ScaledView(inst, rep), inst.cardinality_limit)
+    view = dp.view
     chosen = dp.choice()
     total = sum(view.val[i] for i in chosen if i >= 0)
     without = dp.optima_without(g for g, i in enumerate(chosen) if i >= 0)
@@ -562,7 +593,7 @@ def vcg_payments(
         view.adv_ids[g]: Fraction(opt - (total - view.val[chosen[g]]), view.value_scale)
         for g, opt in without.items()
     }
-    return _finish_outcome(inst, rep, as_mixture(exact.to_allocation(view, chosen)), payments, "vcg")
+    return _finish_outcome(inst, rep, as_mixture(view.allocation(chosen)), payments, "vcg")
 
 
 def _vcg_by_resolving(
@@ -583,3 +614,65 @@ def _vcg_by_resolving(
         sw_without = reported_value(inst, without, solver(inst, without))
         payments[adv.adv_id] = sw_without - (total - term)
     return _finish_outcome(inst, rep, as_mixture(alloc), payments, "vcg")
+
+
+# --- mechanisms -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Mechanism:
+    """How reports turn into an outcome and payments: a rule of the table
+    priced by "myerson" or "gsp", or "vcg" on the exact optimum."""
+
+    pricing: str  # "gsp", "myerson" or "vcg"
+    rule: AllocationRule | None = None  # None only for vcg
+
+    def describe(self) -> str:
+        if self.pricing == "vcg":
+            return "vcg"
+        return f"{self.rule.name}(p={self.rule.p})+{self.pricing}" if self.rule.p is not None else f"{self.rule.name}+{self.pricing}"
+
+    def price(self, inst: Instance, rep: ReportProfile, view: kernels.ScaledView | None = None) -> PricedOutcome:
+        """Outcome and payments; threshold pricing reads `view`, the view of (inst, rep), if given."""
+        if self.pricing == "vcg":
+            return vcg_payments(inst, rep)
+        if self.pricing == "myerson":
+            return myerson_payment(inst, rep, self.rule, view)
+        return gsp_prices(inst, rep, self.rule, view)
+
+
+# the comparison's mechanisms by name, in report order; "frac-opt" is the
+# fractional optimum, a welfare baseline with neither a rule nor prices
+MECHANISMS: dict[str, Mechanism | None] = {
+    "truthful-3approx": Mechanism("myerson", mixture_rule()),
+    "gsp-half": Mechanism("gsp", mixture_rule(monotone.GSP_MIX_P)),
+    "vcg": Mechanism("vcg"),
+    "frac-opt": None,
+    "greedy-bpb": Mechanism("myerson", greedy_bpb_rule()),
+    "greedy-value": Mechanism("myerson", greedy_value_rule()),
+    "randomized-greedy": Mechanism("myerson", randomized_greedy_rule()),
+}
+
+
+def mixture_mechanism(pricing: str, p: Fraction | str | None = None) -> Mechanism:
+    """`pricing` ("gsp", "myerson" or "vcg") on the bpb/max-value mixture
+    that plays bpb with probability p (default: 1/2 under GSP, 2/3 under
+    Myerson); VCG prices the exact optimum and ignores p. The CLI's
+    `--rule`/`--pricing` and `--p` name a mechanism through this."""
+    if pricing == "vcg":
+        return Mechanism("vcg")
+    if p is None:
+        p = monotone.GSP_MIX_P if pricing == "gsp" else monotone.TRUTHFUL_MIX_P
+    return Mechanism(pricing, mixture_rule(p))
+
+
+def gsp_mixture_mechanism(p: Fraction = monotone.GSP_MIX_P) -> Mechanism:
+    return mixture_mechanism("gsp", p)
+
+
+def myerson_mixture_mechanism(p: Fraction | None = None) -> Mechanism:
+    return mixture_mechanism("myerson", p)
+
+
+def vcg_mechanism() -> Mechanism:
+    return mixture_mechanism("vcg")

@@ -1,6 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from richads import harness
+
+# a failing property test prints the `@reproduce_failure` blob that replays
+# it, so a failure seen only in CI can be rerun locally; every other setting
+# keeps hypothesis's default
+settings.register_profile("richads", print_blob=True)
+settings.load_profile("richads")
 
 
 @pytest.fixture(scope="session")

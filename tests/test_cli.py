@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -150,6 +151,19 @@ def test_solve_single_branch_rule(fx_path, capsys):
     assert payload["entries"] == {"b": {"ad": "bx1", "weight": "1"}}
     assert payload["sw"] == "10"
     assert payload["clicks"] == {"a": "0", "b": "1"}
+
+
+def test_solve_serves_under_the_file_cardinality_limit(fx_path, capsys):
+    # uncapped, both greedies and VCG serve both advertisers of fx1
+    path = fx_path(replace(fixtures.fx1(), cardinality_limit=1))
+    for mechanism in ("vcg", "greedy-bpb", "greedy-value", "randomized-greedy"):
+        code, payload = run_json(capsys, ["solve", path, "--mechanism", mechanism])
+        assert code == 0
+        branches = payload.get("branches", [payload])
+        assert all(len(branch["entries"]) == 1 for branch in branches), (mechanism, payload)
+        # an explicit --cardinality overrides the file's limit
+        code, payload = run_json(capsys, ["solve", path, "--mechanism", mechanism, "--cardinality", "2"])
+        assert len(payload.get("branches", [payload])[0]["entries"]) == 2, (mechanism, payload)
 
 
 def test_solve_vcg_is_the_exact_optimum(fx_path, capsys):
@@ -445,14 +459,18 @@ def test_invariants_fire_under_python_O(fx_path):
     script = textwrap.dedent(
         """
         import sys
-        from richads import exact, harness, monotone
+        from fractions import Fraction
+        from types import SimpleNamespace
+
+        from richads import exact, fracopt, harness
         from richads.cli import cli
         from richads.fixtures import fx2
         from richads.model import Allocation, InvariantViolation
 
         if __debug__:
             sys.exit("not running under -O")
-        monotone.randomized_mechanism = lambda inst, rep: Allocation(entries={})
+        # a fractional optimum no mixture can reach a third of
+        fracopt.fractional_opt = lambda inst, rep: SimpleNamespace(objective=Fraction(10**9))
         try:
             harness.run_comparison([fx2()], ("truthful-3approx",))
         except InvariantViolation as exc:

@@ -355,8 +355,23 @@ def test_bids_above_the_truth_take_the_profile_path():
 def test_nash_search_is_unchanged_with_the_oracle_patched_in(mech, monkeypatch):
     pool = [(inst, truthful_profile(inst), strategy_spaces(inst, grid)) for inst, grid in dynamics_pool()]
     swept = [find_pure_nash(inst, truth, mech, spaces) for inst, truth, spaces in pool]
-    monkeypatch.setattr(equilibrium, "best_response", best_response_by_profiles)
+    # find_pure_nash reads best responses and the current utility off the table
+    monkeypatch.setattr(equilibrium._Evaluator, "utility_table", profile_table)
     assert [find_pure_nash(inst, truth, mech, spaces) for inst, truth, spaces in pool] == swept
+
+
+def test_current_utility_off_the_grid_is_evaluated_by_profile():
+    # grids without the true values: the truthful start is on none of them,
+    # so its utility cannot be read off the best-response table
+    inst = fixtures.fx4()
+    truth = truthful_profile(inst)
+    mech = gsp_mixture_mechanism()
+    off = {a: replace(s, bids=s.bids[:-1]) for a, s in strategy_spaces(inst, Fraction(1, 4)).items()}
+    assert all(truth.bids[a] not in s.bids for a, s in off.items())
+    steps = []
+    find_pure_nash(inst, truth, mech, off, explain=steps)
+    ev = equilibrium._Evaluator(inst, truth, mech)
+    assert steps[0]["utility"] == str(ev.utility(truth, steps[0]["bidder"]))
 
 
 def test_explain_lists_each_rounds_best_responses():

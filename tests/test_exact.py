@@ -7,7 +7,6 @@ import pytest
 from oracles import brute_force_opt
 from richads import fixtures
 from richads.exact import (
-    int_opt_cardinality,
     int_opt_cross_checked,
     int_opt_dp,
     int_opt_exhaustive,
@@ -49,7 +48,7 @@ def test_cardinality_matches_brute_force(tie_corpus):
     for inst in tie_corpus[:30]:
         rep = truthful_profile(inst)
         for k in (1, 2):
-            alloc = int_opt_cardinality(inst, rep, k)
+            alloc = int_opt_dp(inst, rep, cardinality=k)
             entries, value = brute_force_opt(inst, rep, cardinality=k)
             assert alloc.entries == as_entries(entries)
             assert reported_value(inst, rep, alloc) == value
@@ -93,15 +92,15 @@ def test_fx3_small_market_pins():
     }
     assert reported_value(inst, rep, unconstrained) == Fraction(201, 10)
 
-    one = int_opt_cardinality(inst, rep, 1)
+    one = int_opt_dp(inst, rep, cardinality=1)
     assert one.entries == {"d": ("dx1", Fraction(1))}
     assert reported_value(inst, rep, one) == Fraction(102, 10)
 
-    two = int_opt_cardinality(inst, rep, 2)
+    two = int_opt_dp(inst, rep, cardinality=2)
     assert two.entries == {"a": ("ax1", Fraction(1)), "b": ("bx2", Fraction(1))}
     assert reported_value(inst, rep, two) == Fraction(201, 10)
 
-    three = int_opt_cardinality(inst, rep, 3)
+    three = int_opt_dp(inst, rep, cardinality=3)
     assert three.entries == unconstrained.entries
 
 

@@ -3,6 +3,7 @@
 import csv
 import json
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from richads.harness import (
     run_experiment,
     tie_prone_config,
 )
-from richads.model import NonMonotoneClickCurveError, validate_instance
+from richads.model import NonMonotoneClickCurveError, social_welfare, truthful_profile, validate_instance
 
 SIX_DECIMALS = re.compile(r"^\d+\.\d{6}$")
 
@@ -98,7 +99,7 @@ def test_welfare_floor_holds_across_corpus(small_corpus):
 
 
 def test_payment_warning_path(monkeypatch):
-    def boom(inst, rep, rule):
+    def boom(inst, rep, rule, view=None):
         raise NonMonotoneClickCurveError(
             "a1", rule.name, (Fraction(0), Fraction(1)), (Fraction(1), Fraction(2)), Fraction(1), Fraction(0)
         )
@@ -193,7 +194,8 @@ def test_audit_empty_corpus():
 
 
 def test_mechanism_names_cover_registry():
-    assert set(MECHANISM_NAMES) == {
+    # in report order: the CSV rows and the summary follow it
+    assert MECHANISM_NAMES == (
         "truthful-3approx",
         "gsp-half",
         "vcg",
@@ -201,4 +203,17 @@ def test_mechanism_names_cover_registry():
         "greedy-bpb",
         "greedy-value",
         "randomized-greedy",
-    }
+    )
+
+
+def test_vcg_row_prices_under_the_comparison_cap():
+    # the corpus sets no limit; the comparison's cap must reach the VCG
+    # row's welfare and its payments alike
+    corpus = generate_corpus(ExperimentConfig(instances=20))
+    result = run_comparison(corpus, ("vcg",), cardinality=1)
+    assert len(result.rows) == len(corpus)
+    for row, inst in zip(result.rows, corpus):
+        capped = replace(inst, cardinality_limit=1)
+        priced = pricing.vcg_payments(capped, truthful_profile(capped))
+        assert row["sw"] == f"{float(social_welfare(inst, priced.mixture)):.6f}"
+        assert row["payment"] == f"{float(priced.total_payment()):.6f}"

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from richads import kernels, pricing
 from richads.model import Advertiser, Instance, ReportProfile, RichAd, effective_values, truthful_profile
 
-BRANCHES = sorted(pricing._MONOTONE_BRANCHES)
+BRANCHES = sorted(name for name, branch in pricing.BRANCHES.items() if branch.probe is not None)
 
 
 def rebid_clicks(inst, view, adv_id, bid, branch):
@@ -48,7 +48,8 @@ def assert_probe_matches_rebid(inst, rep, adv_id):
     for bid in probe_bids(inst, rep, adv_id):
         for branch in BRANCHES:
             expected = rebid_clicks(inst, view, adv_id, bid, branch)
-            assert probe.clicks(branch, bid.numerator, bid.denominator) == expected, (adv_id, branch, bid)
+            got = pricing.BRANCHES[branch].probe(probe, bid.numerator, bid.denominator)
+            assert got == expected, (adv_id, branch, bid)
 
 
 @st.composite
@@ -117,7 +118,7 @@ def test_bidder_without_competing_rows():
         assert view.span("a") == (0, len(view))
         assert_probe_matches_rebid(inst, rep, "a")
         for branch in BRANCHES:
-            assert view.probe("a").clicks(branch, 1, 7) == Fraction(1, 2)
+            assert pricing.BRANCHES[branch].probe(view.probe("a"), 1, 7) == Fraction(1, 2)
 
 
 def test_budget_used_up_exactly():
@@ -130,7 +131,7 @@ def test_budget_used_up_exactly():
         view = kernels.ScaledView(inst, rep)
         _held, held_spc, frac_adv, _n, _d = kernels.run_space_auction(view.rebid("b", bid), stop_on_misfit=True)
         assert sum(held_spc) == view.total and frac_adv == -1
-        assert view.probe("b").clicks("bpb", bid.numerator, bid.denominator) == clicks
+        assert view.probe("b").bpb(bid.numerator, bid.denominator) == clicks
         assert_probe_matches_rebid(inst, rep, "b")
 
 

@@ -1,0 +1,127 @@
+"""The rule table: one definition per rule, one view per profile."""
+
+import os
+import subprocess
+import sys
+import textwrap
+from dataclasses import replace
+from fractions import Fraction
+from pathlib import Path
+
+from richads import exact, fixtures, harness, heuristics, kernels, monotone, pricing
+from richads.model import Mixture, truthful_profile
+
+
+def _counting(monkeypatch, cls):
+    """The instances of `cls` constructed while the test runs.
+
+    `ScaledView.rebid` copies a view without calling `__init__`, so rebids
+    are not counted."""
+    made = []
+    init = cls.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counted)
+    return made
+
+
+def test_every_rule_names_branches_of_the_table():
+    for name, (branches, default_p) in pricing.RULES.items():
+        assert set(branches) <= set(pricing.BRANCHES), name
+        assert (default_p is None) == (len(branches) == 1), name
+        assert pricing.rule_branches(pricing.AllocationRule(name))[0][1] == branches[0]
+    # the truthful mixture's two branches are the ones read off the probe kernel
+    assert {name for name, branch in pricing.BRANCHES.items() if branch.probe is not None} == {"bpb", "max-value"}
+    assert pricing.RULES["mixture"] == (("bpb", "max-value"), monotone.TRUTHFUL_MIX_P)
+    assert pricing.RULES["randomized-greedy"] == (("greedy-bpb", "max-value"), heuristics.RANDOMIZED_GREEDY_P)
+
+
+def test_mechanisms_and_audit_rules_follow_the_table():
+    assert harness.MECHANISM_NAMES == tuple(pricing.MECHANISMS)
+    assert harness.AUDIT_RULES == (*pricing.RULES, "int-opt")
+    assert pricing.mixture_mechanism("myerson").describe() == "mixture(p=2/3)+myerson"
+    assert pricing.mixture_mechanism("gsp", "1/3").describe() == "mixture(p=1/3)+gsp"
+    assert pricing.mixture_mechanism("vcg", "1/3") == pricing.vcg_mechanism()
+
+
+def test_out_of_range_mixture_weight_is_a_value_error():
+    inst = fixtures.fx1()
+    rep = truthful_profile(inst)
+    for p in (Fraction(-1, 2), Fraction(3, 2)):
+        for rule in (pricing.mixture_rule(p), pricing.randomized_greedy_rule(p)):
+            try:
+                pricing.rule_allocate(inst, rep, rule)
+            except ValueError as exc:
+                assert str(exc) == f"mixture weight must lie in [0, 1], got {p}"
+            else:
+                raise AssertionError(f"{rule} allocated")
+
+
+def test_public_mixtures_run_both_branches_on_one_view(small_corpus, monkeypatch):
+    for inst in small_corpus[:40]:
+        rep = truthful_profile(inst)
+        views = _counting(monkeypatch, kernels.ScaledView)
+        mix = monotone.randomized_mechanism(inst, rep)
+        greedy = heuristics.randomized_greedy(inst, rep)
+        assert len(views) == 2
+        monkeypatch.undo()
+        assert mix == Mixture(
+            ((monotone.TRUTHFUL_MIX_P, monotone.bpb_allocation(inst, rep)),
+             (1 - monotone.TRUTHFUL_MIX_P, monotone.max_value_allocation(inst, rep)))
+        )
+        assert greedy == Mixture(
+            ((heuristics.RANDOMIZED_GREEDY_P, heuristics.greedy_by_bpb(inst, rep)),
+             (1 - heuristics.RANDOMIZED_GREEDY_P, monotone.max_value_allocation(inst, rep)))
+        )
+
+
+def test_comparison_builds_one_view_and_one_dp_per_instance(monkeypatch):
+    # the 50-instance default corpus, every mechanism: each instance's rows,
+    # its integral optimum and its welfare floor share one view of the
+    # truthful report, and the VCG row reads the optimum's capacity DP
+    corpus = harness.generate_corpus(harness.ExperimentConfig(instances=50))
+    views = _counting(monkeypatch, kernels.ScaledView)
+    dps = _counting(monkeypatch, exact.CapacityDP)
+    result = harness.run_comparison(corpus, harness.MECHANISM_NAMES)
+    assert not result.skipped and len(result.rows) == 50 * len(harness.MECHANISM_NAMES)
+    assert len(views) == 50
+    assert len(dps) == 50
+
+
+def test_cardinality_defaults_to_the_instance_limit():
+    inst = replace(fixtures.fx1(), cardinality_limit=1)
+    rep = truthful_profile(inst)
+    assert len(heuristics.greedy_by_value(inst, rep).entries) == 2  # the cap as given: none
+    for rule in (pricing.greedy_value_rule(), pricing.greedy_bpb_rule()):
+        assert len(pricing.rule_allocate(inst, rep, rule).entries) == 1
+        assert len(pricing.rule_allocate(inst, rep, replace(rule, cardinality=2)).entries) == 2
+    assert all(len(alloc.entries) == 1 for _p, alloc in heuristics.randomized_greedy(inst, rep).branches)
+
+
+def test_a_reimported_package_keeps_calling_its_own_table():
+    # the benchmark imports the package afresh while it runs; the public
+    # lotteries of a copy imported earlier must still build that copy's
+    # Mixture, not the last import's
+    script = textwrap.dedent(
+        """
+        import sys
+        from richads import fixtures, heuristics, model, monotone
+
+        for name in [m for m in sys.modules if m == "richads" or m.startswith("richads.")]:
+            del sys.modules[name]
+        import richads
+
+        inst = fixtures.fx1()
+        rep = model.truthful_profile(inst)
+        for mix in (monotone.randomized_mechanism(inst, rep), heuristics.randomized_greedy(inst, rep)):
+            assert type(mix) is model.Mixture, type(mix)
+        print("ok")
+        """
+    )
+    src = str(Path(pricing.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.stdout == "ok\n", done.stderr
