@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Collection, Mapping, Sequence
 
 from . import exact, heuristics, kernels, monotone
 from .model import (
@@ -114,13 +114,13 @@ def randomized_greedy_rule(
 
 def rule_branches(rule: AllocationRule) -> tuple[tuple[Fraction, str], ...]:
     """(probability, branch name) pairs; branch names key `BRANCHES`."""
-    if rule.name not in RULES:
-        raise ValueError(f"unknown allocation rule {rule.name!r}")
-    names, default_p = RULES[rule.name]
+    names, default_p = RULES.get(rule.name, ((), None))
     if len(names) == 1:
         return ((Fraction(1), names[0]),)
+    if not names:
+        raise ValueError(f"unknown allocation rule {rule.name!r}")
     p = default_p if rule.p is None else rule.p
-    if not 0 <= p <= 1:
+    if not 0 <= p.numerator <= p.denominator:  # p in [0, 1], compared as integers
         raise ValueError(f"mixture weight must lie in [0, 1], got {p}")
     return ((p, names[0]), (1 - p, names[1]))
 
@@ -189,7 +189,7 @@ class BidThresholds:
 
 
 def _tie_candidates(
-    view: kernels.ScaledView, adv_id: str, kinds: tuple[str, ...], cap: Fraction
+    view: kernels.ScaledView, adv_id: str, kinds: Collection[str], cap: Fraction
 ) -> tuple[list[int], int]:
     """Bids in (0, cap] where one of `adv_id`'s reported ads ties another
     advertiser's in bang-per-buck ("bpb") or value ("value").
@@ -311,7 +311,7 @@ def _build_curve(
 
     `view`, when given, is the view of (inst, rep); every probe reads it.
     """
-    kinds = tuple(dict.fromkeys(kind for _prob, branch in branches for kind in BRANCHES[branch].kinds))
+    kinds = {kind for _prob, branch in branches for kind in BRANCHES[branch].kinds}
     if view is None:
         view = kernels.ScaledView(inst, rep)
     ties, den = _tie_candidates(view, adv_id, kinds, cap)
