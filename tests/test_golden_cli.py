@@ -27,6 +27,8 @@ from richads.cli import cli
 PINS_PATH = Path(__file__).with_name("golden_cli.json")
 FIXTURES = ("fx1", "fx2i", "fx2ii", "fx3", "fx4", "fx5", "fx6a", "fx6b")
 EXPERIMENT_CONFIG = {"seed": 11, "instances": 6, "max_advertisers": 3, "max_ads": 2, "mechanisms": list(harness.MECHANISM_NAMES)}
+# pin name -> experiment config
+EXPERIMENTS = {"experiment": EXPERIMENT_CONFIG, "experiment-k2": {**EXPERIMENT_CONFIG, "cardinality": 2}}
 
 
 def _fixture_path(name: str) -> str:
@@ -41,6 +43,7 @@ def cases() -> dict[str, list[str]]:
             argv = ["solve", _fixture_path(fx), "--mechanism", mech]
             out[f"solve-{fx}-{mech}"] = argv
             out[f"solve-{fx}-{mech}-k1"] = argv + ["--cardinality", "1"]
+            out[f"solve-{fx}-{mech}-k2"] = argv + ["--cardinality", "2"]
         for rule in ("myerson", "gsp", "vcg"):
             argv = ["payments", _fixture_path(fx), "--rule", rule]
             out[f"payments-{fx}-{rule}"] = argv
@@ -64,10 +67,10 @@ def run_case(argv: list[str]) -> list:
     return [code, _digest(out.getvalue()), err.getvalue()]
 
 
-def run_experiment_case(tmp: Path) -> list:
+def run_experiment_case(tmp: Path, config: dict) -> list:
     """[exit code, sha256 of the summary, the CSVs (without `runtime_us`)]."""
     cfg_path = tmp / "cfg.json"
-    cfg_path.write_text(json.dumps(EXPERIMENT_CONFIG))
+    cfg_path.write_text(json.dumps(config))
     out_dir = tmp / "out"
     out = io.StringIO()
     with redirect_stdout(out), redirect_stderr(io.StringIO()):
@@ -75,7 +78,7 @@ def run_experiment_case(tmp: Path) -> list:
     with open(out_dir / "comparison.csv", newline="") as fh:
         rows = [{k: v for k, v in row.items() if k != "runtime_us"} for row in csv.DictReader(fh)]
     texts = [json.dumps(rows, sort_keys=True)]
-    texts += [(out_dir / f"histogram_{name}.csv").read_text() for name in EXPERIMENT_CONFIG["mechanisms"]]
+    texts += [(out_dir / f"histogram_{name}.csv").read_text() for name in config["mechanisms"]]
     return [code, _digest(out.getvalue()), _digest("\n".join(texts))]
 
 
@@ -89,18 +92,23 @@ def test_cli_output_is_pinned(case):
 
 
 def test_experiment_output_is_pinned(tmp_path):
-    assert run_experiment_case(tmp_path) == PINS["experiment"]
+    assert run_experiment_case(tmp_path, EXPERIMENTS["experiment"]) == PINS["experiment"]
+
+
+def test_capped_experiment_output_is_pinned(tmp_path):
+    assert run_experiment_case(tmp_path, EXPERIMENTS["experiment-k2"]) == PINS["experiment-k2"]
 
 
 def test_pins_cover_every_case():
-    assert set(PINS) == set(CASES) | {"experiment"}
+    assert set(PINS) == set(CASES) | set(EXPERIMENTS)
 
 
 if __name__ == "__main__":
     import tempfile
 
     pins = {case: run_case(argv) for case, argv in sorted(CASES.items())}
-    with tempfile.TemporaryDirectory() as tmp:
-        pins["experiment"] = run_experiment_case(Path(tmp))
+    for name, config in EXPERIMENTS.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            pins[name] = run_experiment_case(Path(tmp), config)
     PINS_PATH.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(pins)} pins to {PINS_PATH}", file=sys.stderr)
