@@ -142,14 +142,24 @@ def _cmd_validate(args) -> int:
     return 1 if violations else 0
 
 
-def _cmd_solve(args) -> int:
-    inst = load_instance(args.instance)
+def _load_valid(path: str, cardinality: int | None = None) -> Instance | None:
+    """The instance at `path`, its `cardinality_limit` set to `cardinality`
+    when given; None once its violations are printed."""
+    inst = load_instance(path)
+    if cardinality is not None:
+        inst = replace(inst, cardinality_limit=cardinality)
     violations = validate_instance(inst)
     if violations:
         _emit({"violations": [v.to_dict() for v in violations], "ok": False})
+        return None
+    return inst
+
+
+def _cmd_solve(args) -> int:
+    inst = _load_valid(args.instance, args.cardinality)
+    if inst is None:
         return 1
     rep = truthful_profile(inst)
-    k = args.cardinality
     name = args.mechanism
     mech = pricing.MECHANISMS[name]
     if mech is None:  # frac-opt
@@ -164,9 +174,9 @@ def _cmd_solve(args) -> int:
             "fractional_advertiser": frac.fractional_adv,
         }
     elif mech.pricing == "vcg":
-        payload = {"mechanism": name, **_outcome_dict(inst, exact.int_opt_cross_checked(inst, rep, k))}
+        payload = {"mechanism": name, **_outcome_dict(inst, exact.int_opt_cross_checked(inst, rep))}
     else:
-        outcome = pricing.rule_allocate(inst, rep, replace(mech.rule, cardinality=k))
+        outcome = pricing.rule_allocate(inst, rep, mech.rule)
         payload = {"mechanism": name, **_outcome_dict(inst, outcome)}
     if args.explain:
         payload["explain"] = _explain(inst, rep)
@@ -175,10 +185,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_payments(args) -> int:
-    inst = load_instance(args.instance)
-    violations = validate_instance(inst)
-    if violations:
-        _emit({"violations": [v.to_dict() for v in violations], "ok": False})
+    inst = _load_valid(args.instance)
+    if inst is None:
         return 1
     rep = truthful_profile(inst)
     mech = pricing.mixture_mechanism(args.rule, args.p or None)
@@ -194,10 +202,8 @@ def _cmd_payments(args) -> int:
 
 
 def _cmd_equilibrium(args) -> int:
-    inst = load_instance(args.instance)
-    violations = validate_instance(inst)
-    if violations:
-        _emit({"violations": [v.to_dict() for v in violations], "ok": False})
+    inst = _load_valid(args.instance)
+    if inst is None:
         return 1
     truth = truthful_profile(inst)
     mech = pricing.mixture_mechanism(args.pricing, args.p or None)

@@ -25,7 +25,8 @@ from .model import (
     as_mixture,
     social_welfare,
 )
-from .monotone import bpb_allocation, max_value_allocation, space_assignment
+from .monotone import _assignment_from_view, bpb_allocation, max_value_allocation
+from .monotone import space_assignment  # noqa: F401  (the benchmark's tracer wraps it here)
 from .pricing import Mechanism, gsp_mixture_mechanism, myerson_mixture_mechanism, vcg_mechanism  # noqa: F401  (re-exported)
 
 STRATEGY_ADS_GUARD = 4
@@ -86,10 +87,10 @@ def strategy_spaces(
 class _Evaluator:
     """Memoised outcome/payment evaluation across many nearby profiles.
 
-    A profile's branch allocations are run on one view and cached together;
-    click curves per (advertiser,
-    branch, subset, everyone else's report), since an advertiser's own bid
-    moves along a fixed curve while the rest of the profile stands still.
+    A profile's branch allocations are run on one view and cached together.
+    Click curves are cached per (advertiser, branch, subset, everyone
+    else's report), since an advertiser's own bid moves along a fixed
+    curve while the rest of the profile stands still.
     `curves_built` and `curves_cached` count the curve lookups that built a
     curve and those the cache served.
     """
@@ -111,10 +112,7 @@ class _Evaluator:
         got = self._allocs.get(key)
         if got is None:
             view = kernels.ScaledView(self.inst, rep)
-            got = tuple(
-                pricing.branch_allocate(self.inst, rep, branch, self.mech.rule.cardinality, view)
-                for _prob, branch in self.branches
-            )
+            got = tuple(pricing.branch_allocate(self.inst, rep, branch, view) for _prob, branch in self.branches)
             self._allocs[key] = got
         return got
 
@@ -150,9 +148,7 @@ class _Evaluator:
         got = self._curves.get(key)
         if got is None:
             self.curves_built += 1
-            got = pricing._build_curve(
-                self.inst, rep, adv_id, cap, ((Fraction(1), branch),), self.mech.rule.cardinality, branch, view
-            )
+            got = pricing._build_curve(self.inst, rep, adv_id, cap, ((Fraction(1), branch),), branch, view)
             self._curves[key] = got
         else:
             self.curves_cached += 1
@@ -296,14 +292,15 @@ class BetaCheck:
 
 
 def beta_bound_check(inst: Instance, rep: ReportProfile) -> BetaCheck:
-    assignment = space_assignment(inst, rep, want_trace=True)
-    trace = assignment.trace
+    """The diagnostic at `rep`: the traced space walk and both rules read one view."""
+    view = kernels.ScaledView(inst, rep)
+    trace = _assignment_from_view(view, want_trace=True)[-1]
     k_star = trace.total_units // 2 + 1
     run = trace.covering(k_star)
     beta = run.density if run is not None else Fraction(0)
     lhs = beta * inst.total_space
-    rhs = 2 * social_welfare(inst, bpb_allocation(inst, rep)) + 2 * social_welfare(
-        inst, max_value_allocation(inst, rep)
+    rhs = 2 * social_welfare(inst, bpb_allocation(inst, rep, view)) + 2 * social_welfare(
+        inst, max_value_allocation(inst, rep, view)
     )
     return BetaCheck(beta=beta, k_star=k_star, lhs=lhs, rhs=rhs, ok=lhs <= rhs)
 

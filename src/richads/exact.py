@@ -3,8 +3,9 @@
 Both solvers maximize reported value and break ties toward the
 lexicographically-smallest choice vector (advertisers in id order, the empty
 choice before ads, ads by ad_id ascending), so their allocations must match
-exactly, not just in value. Size guards raise GuardExceededError instead of
-grinding.
+exactly, not just in value. Both serve at most the instance's
+`cardinality_limit` advertisers, when it has one. Size guards raise
+GuardExceededError instead of grinding.
 """
 
 from __future__ import annotations
@@ -27,24 +28,18 @@ def _candidates(view: ScaledView):
     return per_adv
 
 
-def effective_cardinality(inst: Instance, cardinality: int | None) -> int | None:
-    """The cap a rule or optimum serves under: `cardinality`, else the
-    instance's own `cardinality_limit`."""
-    return inst.cardinality_limit if cardinality is None else cardinality
-
-
 class CapacityDP:
     """The capacity DP over one view: its optimum and its leave-one-out optima.
 
-    A row holds, per slot count c (a single layer when no cardinality limit
-    applies), the best scaled value within each scaled capacity w; rows are
-    nondecreasing in both. `suffix[g]` is the row of advertisers g.., so
+    A row holds, per slot count c (a single layer when the instance has no
+    `cardinality_limit`), the best scaled value within each scaled capacity
+    w; rows are nondecreasing in both. `suffix[g]` is the row of advertisers g.., so
     `suffix[0]` holds the optimum and `suffix[n]` is all zeros. The guard
     fires before any table is allocated.
     """
 
-    def __init__(self, view: ScaledView, limit: int | None, capacity_guard: int = DP_CAPACITY_GUARD):
-        self.limit = limit
+    def __init__(self, view: ScaledView, capacity_guard: int = DP_CAPACITY_GUARD):
+        limit = view.inst.cardinality_limit
         if view.total > capacity_guard:
             raise GuardExceededError(
                 f"scaled capacity {view.total} exceeds the DP guard {capacity_guard}"
@@ -114,26 +109,20 @@ class CapacityDP:
         return out
 
 
-def int_opt_dp(
-    inst: Instance,
-    rep: ReportProfile,
-    cardinality: int | None = None,
-    capacity_guard: int = DP_CAPACITY_GUARD,
-) -> Allocation:
+def int_opt_dp(inst: Instance, rep: ReportProfile, capacity_guard: int = DP_CAPACITY_GUARD) -> Allocation:
     """Integral optimum by dynamic programming over scaled capacity.
 
     Backtracks `CapacityDP.choice` over one view; `pricing.vcg_payments`
     reads its counterfactual optima from the same tables.
     """
     view = ScaledView(inst, rep)
-    dp = CapacityDP(view, effective_cardinality(inst, cardinality), capacity_guard)
+    dp = CapacityDP(view, capacity_guard)
     return view.allocation(dp.choice())
 
 
 def int_opt_exhaustive(
     inst: Instance,
     rep: ReportProfile,
-    cardinality: int | None = None,
     enum_guard: int = ENUMERATION_GUARD,
     view: ScaledView | None = None,
 ) -> Allocation:
@@ -145,7 +134,7 @@ def int_opt_exhaustive(
     """
     if view is None:
         view = ScaledView(inst, rep)
-    limit = effective_cardinality(inst, cardinality)
+    limit = inst.cardinality_limit
     if limit is not None and limit < 1:
         raise ValueError(f"cardinality limit must be >= 1, got {limit}")
     per_adv = _candidates(view)
@@ -197,19 +186,17 @@ def int_opt_exhaustive(
 CROSS_CHECK_GUARD = 10**4
 
 
-def int_opt_cross_checked(
-    inst: Instance, rep: ReportProfile, cardinality: int | None = None, dp: CapacityDP | None = None
-) -> Allocation:
+def int_opt_cross_checked(inst: Instance, rep: ReportProfile, dp: CapacityDP | None = None) -> Allocation:
     """DP optimum, re-verified exhaustively when the instance is small enough.
 
-    `dp`, when given, is the capacity DP of (inst, rep) under the cap to
-    solve at (`cardinality` is then not read); the search reuses its view.
+    `dp`, when given, is the capacity DP of (inst, rep); the search reuses
+    its view.
     """
     if dp is None:
-        dp = CapacityDP(ScaledView(inst, rep), effective_cardinality(inst, cardinality))
+        dp = CapacityDP(ScaledView(inst, rep))
     alloc = dp.view.allocation(dp.choice())
     try:
-        other = int_opt_exhaustive(inst, rep, dp.limit, CROSS_CHECK_GUARD, dp.view)
+        other = int_opt_exhaustive(inst, rep, CROSS_CHECK_GUARD, dp.view)
     except GuardExceededError:
         return alloc
     if alloc.entries != other.entries:

@@ -13,7 +13,7 @@ import csv
 import json
 import random
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -45,7 +45,7 @@ class ExperimentConfig:
     value_levels: int = 100  # bids are value_levels steps of 1/value_denominator
     value_denominator: int = 10
     alpha_denominator: int = 8
-    cardinality: int | None = None
+    cardinality: int | None = None  # every generated instance's `cardinality_limit`
     mechanisms: tuple[str, ...] = ("truthful-3approx", "gsp-half", "greedy-bpb", "greedy-value")
 
     def to_dict(self) -> dict:
@@ -140,11 +140,7 @@ class ComparisonResult:
     payment_warnings: list[tuple[str, str, str]] = field(default_factory=list)
 
 
-def run_comparison(
-    corpus: Sequence[Instance],
-    mechanisms: Iterable[str] = MECHANISM_NAMES,
-    cardinality: int | None = None,
-) -> ComparisonResult:
+def run_comparison(corpus: Sequence[Instance], mechanisms: Iterable[str] = MECHANISM_NAMES) -> ComparisonResult:
     """Truthful-report comparison of mechanisms over a corpus.
 
     Every instance also gets the fractional and integral optima for the
@@ -152,20 +148,14 @@ def run_comparison(
     Raises InvariantViolation if the truthful mixture ever earns less than a
     third of the fractional optimum; that inequality is load-bearing.
 
-    `cardinality`, when given, caps every rule and the exact optimum (else
-    each instance's own limit applies). All rows of an instance share one
-    view of its truthful report, and one capacity DP gives the integral
-    optimum and the VCG row.
+    Each instance's `cardinality_limit` caps the greedy rules and the exact
+    optimum. All rows of an instance share one view of its truthful report,
+    and one capacity DP gives the integral optimum and the VCG row.
     """
     unknown = [m for m in mechanisms if m not in pricing.MECHANISMS]
     if unknown:
         raise ValueError(f"unknown mechanisms: {unknown}; choices: {sorted(pricing.MECHANISMS)}")
-    mechs = []  # (name, mechanism with its rule capped at `cardinality`)
-    for name in mechanisms:
-        mech = pricing.MECHANISMS[name]
-        if mech is not None and mech.rule is not None:
-            mech = replace(mech, rule=replace(mech.rule, cardinality=cardinality))
-        mechs.append((name, mech))
+    mechs = [(name, pricing.MECHANISMS[name]) for name in mechanisms]
     rows: list[dict] = []
     skipped: list[tuple[str, str]] = []
     payment_warnings: list[tuple[str, str, str]] = []
@@ -174,7 +164,7 @@ def run_comparison(
         rep = truthful_profile(inst)
         view = kernels.ScaledView(inst, rep)
         try:
-            dp = exact.CapacityDP(view, exact.effective_cardinality(inst, cardinality))
+            dp = exact.CapacityDP(view)
         except GuardExceededError as exc:
             skipped.append((instance_id, str(exc)))
             continue
@@ -249,7 +239,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     corpus = generate_corpus(cfg)
-    result = run_comparison(corpus, cfg.mechanisms, cfg.cardinality)
+    result = run_comparison(corpus, cfg.mechanisms)
 
     with open(out / "comparison.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)

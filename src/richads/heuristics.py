@@ -1,12 +1,10 @@
 """Greedy heuristics: bang-per-buck with skips, value greedy, randomized mix.
 
 These trade the fractional stop for skip-and-continue (bang-per-buck) or a
-straight value scan, and support an optional cap on how many advertisers
-may be served: `cardinality` here is the cap as given, and
-`pricing.branch_allocate` resolves a rule's cap against the instance's
-`cardinality_limit`. They carry no welfare guarantee on their own; the
-randomized mix, 2/3 greedy-bpb and 1/3 max-value, restores one through its
-max-value branch.
+straight value scan, and serve at most the instance's `cardinality_limit`
+advertisers when it has one. They carry no welfare guarantee on their own;
+the randomized mix, 2/3 greedy-bpb and 1/3 max-value, restores one through
+its max-value branch.
 
 Neither greedy is proven monotone, so pricing scans their click curves and
 raises NonMonotoneClickCurveError on a drop. Capped greedy-bpb does drop:
@@ -73,48 +71,40 @@ def _greedy_bpb_capped(view: ScaledView, k: int) -> Allocation:
     return view.allocation(run_best_fit(view, caps))
 
 
-def greedy_by_bpb(
-    inst: Instance, rep: ReportProfile, cardinality: int | None = None, view: ScaledView | None = None
-) -> Allocation:
+def greedy_by_bpb(inst: Instance, rep: ReportProfile, view: ScaledView | None = None) -> Allocation:
     """Bang-per-buck greedy: like the integral rule but misfits are skipped.
 
     After the scan, each advertiser's reserved space is upgraded to their
     most valuable fitting ad, mirroring the integral rule's second stage.
     """
-    _check_cardinality(cardinality)
+    k = inst.cardinality_limit
+    _check_cardinality(k)
     if view is None:
         view = ScaledView(inst, rep)
-    if cardinality is not None and cardinality < view.n_adv():
-        return _greedy_bpb_capped(view, cardinality)
+    if k is not None and k < view.n_adv():
+        return _greedy_bpb_capped(view, k)
     _held, held_spc, _fa, _fn, _fd = run_space_auction(view, stop_on_misfit=False)
     return view.allocation(run_best_fit(view, held_spc))
 
 
-def greedy_by_value(
-    inst: Instance, rep: ReportProfile, cardinality: int | None = None, view: ScaledView | None = None
-) -> Allocation:
+def greedy_by_value(inst: Instance, rep: ReportProfile, view: ScaledView | None = None) -> Allocation:
     """Value greedy: scan ads by value, allocate the first fit per advertiser.
 
     A non-fitting ad is skipped but leaves its advertiser eligible; an
     allocated advertiser's remaining ads are ignored. Stops once
-    `cardinality` advertisers are served.
+    `cardinality_limit` advertisers are served.
     """
-    _check_cardinality(cardinality)
+    k = inst.cardinality_limit
+    _check_cardinality(k)
     if view is None:
         view = ScaledView(inst, rep)
-    limit = cardinality if cardinality is not None else view.n_adv()
-    return view.allocation(run_value_greedy(view, limit))
+    return view.allocation(run_value_greedy(view, view.n_adv() if k is None else k))
 
 
-def randomized_greedy(
-    inst: Instance,
-    rep: ReportProfile,
-    p: Fraction = RANDOMIZED_GREEDY_P,
-    cardinality: int | None = None,
-) -> Mixture:
+def randomized_greedy(inst: Instance, rep: ReportProfile, p: Fraction = RANDOMIZED_GREEDY_P) -> Mixture:
     """Mix bang-per-buck greedy (probability p) with the max-value rule: the
     rule table's "randomized-greedy", both branches on one view."""
-    return pricing.rule_allocate(inst, rep, pricing.randomized_greedy_rule(p, cardinality))
+    return pricing.rule_allocate(inst, rep, pricing.randomized_greedy_rule(p))
 
 
 def sample_mixture(mixture: Mixture, seed: int) -> Allocation:

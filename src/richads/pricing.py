@@ -32,14 +32,14 @@ from .model import (
 
 @dataclass(frozen=True)
 class Branch:
-    """A deterministic rule: `allocate(view, cardinality)`; the `kinds` of
-    its click curves' breakpoints, bids where the bidder's bang-per-buck
-    ("bpb") or value ("value") ties another row's; and, only if its curves
-    are proven nondecreasing (they are then bisected, else scanned over
-    rebid views), `probe(bidder_probe, num, den)`: the clicks at the bid
-    num / den read off a `kernels.BidderProbe`."""
+    """A deterministic rule: `allocate(view)`, which reads any cap off
+    `view.inst`; the `kinds` of its click curves' breakpoints, bids where
+    the bidder's bang-per-buck ("bpb") or value ("value") ties another
+    row's; and, only if its curves are proven nondecreasing (they are then
+    bisected, else scanned over rebid views), `probe(bidder_probe, num,
+    den)`: the clicks at the bid num / den read off a `kernels.BidderProbe`."""
 
-    allocate: Callable[[kernels.ScaledView, int | None], Allocation]
+    allocate: Callable[[kernels.ScaledView], Allocation]
     kinds: tuple[str, ...]
     probe: Callable[[kernels.BidderProbe, int, int], Fraction] | None = None
 
@@ -47,12 +47,12 @@ class Branch:
 # the rules are looked up at call time, so a wrapper installed on the module
 # attribute (a tracer, a test) sees every call
 BRANCHES = {
-    "bpb": Branch(lambda v, k: monotone.bpb_allocation(v.inst, v.rep, v), ("bpb",), kernels.BidderProbe.bpb),
+    "bpb": Branch(lambda v: monotone.bpb_allocation(v.inst, v.rep, v), ("bpb",), kernels.BidderProbe.bpb),
     "max-value": Branch(
-        lambda v, k: monotone.max_value_allocation(v.inst, v.rep, v), ("value",), kernels.BidderProbe.max_value
+        lambda v: monotone.max_value_allocation(v.inst, v.rep, v), ("value",), kernels.BidderProbe.max_value
     ),
-    "greedy-bpb": Branch(lambda v, k: heuristics.greedy_by_bpb(v.inst, v.rep, k, v), ("bpb", "value")),
-    "greedy-value": Branch(lambda v, k: heuristics.greedy_by_value(v.inst, v.rep, k, v), ("value",)),
+    "greedy-bpb": Branch(lambda v: heuristics.greedy_by_bpb(v.inst, v.rep, v), ("bpb", "value")),
+    "greedy-value": Branch(lambda v: heuristics.greedy_by_value(v.inst, v.rep, v), ("value",)),
 }
 
 # rule name -> (branch names, the first branch's default probability); a
@@ -77,13 +77,12 @@ class AllocationRule:
     """A rule of `RULES` by name.
 
     `p` is the probability of a lottery's first branch (None: the rule's
-    default); `cardinality` caps how many advertisers the greedy branches
-    may serve (None: the instance's `cardinality_limit`).
+    default). The greedy branches serve at most the instance's
+    `cardinality_limit` advertisers.
     """
 
     name: str
     p: Fraction | None = None
-    cardinality: int | None = None
 
 
 def bpb_rule() -> AllocationRule:
@@ -98,18 +97,16 @@ def mixture_rule(p: Fraction = monotone.TRUTHFUL_MIX_P) -> AllocationRule:
     return AllocationRule("mixture", p=Fraction(p))
 
 
-def greedy_bpb_rule(cardinality: int | None = None) -> AllocationRule:
-    return AllocationRule("greedy-bpb", cardinality=cardinality)
+def greedy_bpb_rule() -> AllocationRule:
+    return AllocationRule("greedy-bpb")
 
 
-def greedy_value_rule(cardinality: int | None = None) -> AllocationRule:
-    return AllocationRule("greedy-value", cardinality=cardinality)
+def greedy_value_rule() -> AllocationRule:
+    return AllocationRule("greedy-value")
 
 
-def randomized_greedy_rule(
-    p: Fraction = heuristics.RANDOMIZED_GREEDY_P, cardinality: int | None = None
-) -> AllocationRule:
-    return AllocationRule("randomized-greedy", p=Fraction(p), cardinality=cardinality)
+def randomized_greedy_rule(p: Fraction = heuristics.RANDOMIZED_GREEDY_P) -> AllocationRule:
+    return AllocationRule("randomized-greedy", p=Fraction(p))
 
 
 def rule_branches(rule: AllocationRule) -> tuple[tuple[Fraction, str], ...]:
@@ -126,19 +123,14 @@ def rule_branches(rule: AllocationRule) -> tuple[tuple[Fraction, str], ...]:
 
 
 def branch_allocate(
-    inst: Instance,
-    rep: ReportProfile,
-    branch: str,
-    cardinality: int | None = None,
-    view: kernels.ScaledView | None = None,
+    inst: Instance, rep: ReportProfile, branch: str, view: kernels.ScaledView | None = None
 ) -> Allocation:
-    """One branch's allocation; `view`, when given, is the view of (inst, rep).
-    Every rule's cap is decided here: `exact.effective_cardinality`."""
+    """One branch's allocation; `view`, when given, is the view of (inst, rep)."""
     if branch not in BRANCHES:
         raise ValueError(f"unknown branch {branch!r}")
     if view is None:
         view = kernels.ScaledView(inst, rep)
-    return BRANCHES[branch].allocate(view, exact.effective_cardinality(inst, cardinality))
+    return BRANCHES[branch].allocate(view)
 
 
 def rule_allocate(
@@ -147,7 +139,7 @@ def rule_allocate(
     """The rule's outcome: every branch runs on one view of (inst, rep)."""
     if view is None:
         view = kernels.ScaledView(inst, rep)
-    allocs = tuple((p, branch_allocate(inst, rep, b, rule.cardinality, view)) for p, b in rule_branches(rule))
+    allocs = tuple((p, branch_allocate(inst, rep, b, view)) for p, b in rule_branches(rule))
     return allocs[0][1] if len(allocs) == 1 else Mixture(branches=allocs)
 
 
@@ -243,7 +235,6 @@ def _clicks_with_bid(
     num: int,
     den: int,
     branches: tuple[tuple[Fraction, str], ...],
-    cardinality: int | None,
 ) -> Fraction:
     """`adv_id`'s expected clicks at the bid num / den, the rest of the
     report as in `view`.
@@ -261,7 +252,7 @@ def _clicks_with_bid(
         else:
             if rebid is None:
                 rebid = view.rebid(adv_id, Fraction(num, den))
-            clicks = branch_allocate(inst, rebid.rep, branch, cardinality, rebid).clicks(inst, adv_id)
+            clicks = branch_allocate(inst, rebid.rep, branch, rebid).clicks(inst, adv_id)
         terms.append(clicks if prob == 1 else prob * clicks)
     return terms[0] if len(terms) == 1 else sum(terms, Fraction(0))
 
@@ -303,7 +294,6 @@ def _build_curve(
     adv_id: str,
     cap: Fraction,
     branches: tuple[tuple[Fraction, str], ...],
-    cardinality: int | None,
     rule_name: str,
     view: kernels.ScaledView | None = None,
 ) -> BidThresholds:
@@ -326,9 +316,7 @@ def _build_curve(
     def probe(j: int) -> Fraction:
         if j not in probed:
             # the interval's midpoint
-            probed[j] = _clicks_with_bid(
-                inst, view, adv_id, points[j] + points[j + 1], 2 * den, branches, cardinality
-            )
+            probed[j] = _clicks_with_bid(inst, view, adv_id, points[j] + points[j + 1], 2 * den, branches)
         return probed[j]
 
     if all(BRANCHES[branch].probe is not None for _prob, branch in branches):
@@ -357,7 +345,7 @@ def bid_thresholds(inst: Instance, rep: ReportProfile, adv_id: str, rule: Alloca
     cap = rep.bids.get(adv_id, Fraction(0))
     if cap <= 0:
         return BidThresholds(adv_id, rule.name, cap, (Fraction(0),), (), ())
-    return _build_curve(inst, rep, adv_id, cap, rule_branches(rule), rule.cardinality, rule.name)
+    return _build_curve(inst, rep, adv_id, cap, rule_branches(rule), rule.name)
 
 
 def threshold_prices_along(
@@ -531,9 +519,7 @@ def _threshold_prices(
             rep.subsets.get(adv_id, frozenset()),
             branches,
             [alloc.clicks(inst, adv_id) for _prob, alloc in mixture.branches],
-            lambda branch: _build_curve(
-                inst, rep, adv_id, bid, ((Fraction(1), branch),), rule.cardinality, rule.name, view
-            ),
+            lambda branch: _build_curve(inst, rep, adv_id, bid, ((Fraction(1), branch),), rule.name, view),
         )
     return _finish_outcome(inst, rep, mixture, payments, kind, curves)
 
@@ -576,15 +562,14 @@ def vcg_payments(
     passes, O(n·cap·m), instead of a solve per served advertiser,
     O((k+1)·n·cap·m). The view's integer scaling is valid for every
     sub-profile, so the payments stay exact. `dp`, when given, is that DP
-    already built over a view of (inst, rep), under the cap to price at;
-    else it is built under the instance's `cardinality_limit`. With
+    already built over a view of (inst, rep). With
     `exact_solver`, the profile without each served advertiser is re-solved
     by it instead; the tests use that loop as the oracle.
     """
     if exact_solver is not None:
         return _vcg_by_resolving(inst, rep, exact_solver)
     if dp is None:
-        dp = exact.CapacityDP(kernels.ScaledView(inst, rep), inst.cardinality_limit)
+        dp = exact.CapacityDP(kernels.ScaledView(inst, rep))
     view = dp.view
     chosen = dp.choice()
     total = sum(view.val[i] for i in chosen if i >= 0)

@@ -68,8 +68,9 @@ def best_fitting_ad(inst: Instance, rep: ReportProfile, adv_id: str, width: Frac
     return best
 
 
-def brute_force_opt(inst: Instance, rep: ReportProfile, cardinality: int | None = None):
-    """Exact integral optimum by full enumeration, with the lex tie rule.
+def brute_force_opt(inst: Instance, rep: ReportProfile):
+    """Exact integral optimum by full enumeration, with the lex tie rule,
+    serving at most the instance's `cardinality_limit` advertisers.
 
     Candidate vectors assign each advertiser None or one reported ad; among
     value-maximal feasible vectors the lexicographically smallest wins
@@ -103,7 +104,7 @@ def brute_force_opt(inst: Instance, rep: ReportProfile, cardinality: int | None 
             value += eff[(adv_id, ad_id)]
         if space > inst.total_space:
             continue
-        if cardinality is not None and served > cardinality:
+        if inst.cardinality_limit is not None and served > inst.cardinality_limit:
             continue
         if value > best_value or (value == best_value and rank(vector) < rank(best_vec)):
             best_value = value

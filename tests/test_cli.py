@@ -166,6 +166,23 @@ def test_solve_serves_under_the_file_cardinality_limit(fx_path, capsys):
         assert len(payload.get("branches", [payload])[0]["entries"]) == 2, (mechanism, payload)
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_solve_rejects_a_cardinality_below_one_for_every_mechanism(fx_path, capsys, k):
+    # the flag sets the instance's limit before validation, so it fails as
+    # that limit does when read from a file
+    code, from_file = run_json(
+        capsys, ["solve", fx_path(replace(fixtures.fx1(), cardinality_limit=int(k)), "capped.json"), "--mechanism", "vcg"]
+    )
+    assert code == 1
+    assert from_file == {
+        "ok": False,
+        "violations": [{"code": "cardinality", "location": "instance", "message": f"cardinality_limit must be >= 1, got {k}"}],
+    }
+    path = fx_path(fixtures.fx1())
+    for mechanism in harness.MECHANISM_NAMES:
+        assert run_json(capsys, ["solve", path, "--mechanism", mechanism, "--cardinality", k]) == (1, from_file), mechanism
+
+
 def test_solve_vcg_is_the_exact_optimum(fx_path, capsys):
     code, payload = run_json(capsys, ["solve", fx_path(fixtures.fx2()), "--mechanism", "vcg"])
     assert code == 0

@@ -1,5 +1,6 @@
 """Exact solvers: capacity DP, exhaustive enumeration, shared tie rule."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -39,8 +40,9 @@ def test_dp_equals_exhaustive(tie_corpus):
     for inst in tie_corpus:
         rep = truthful_profile(inst)
         for k in (None, 1, 2, 3):
-            dp = int_opt_dp(inst, rep, cardinality=k)
-            ex = int_opt_exhaustive(inst, rep, cardinality=k)
+            capped = replace(inst, cardinality_limit=k)
+            dp = int_opt_dp(capped, rep)
+            ex = int_opt_exhaustive(capped, rep)
             assert dp.entries == ex.entries
 
 
@@ -48,8 +50,9 @@ def test_cardinality_matches_brute_force(tie_corpus):
     for inst in tie_corpus[:30]:
         rep = truthful_profile(inst)
         for k in (1, 2):
-            alloc = int_opt_dp(inst, rep, cardinality=k)
-            entries, value = brute_force_opt(inst, rep, cardinality=k)
+            capped = replace(inst, cardinality_limit=k)
+            alloc = int_opt_dp(capped, rep)
+            entries, value = brute_force_opt(capped, rep)
             assert alloc.entries == as_entries(entries)
             assert reported_value(inst, rep, alloc) == value
 
@@ -92,15 +95,15 @@ def test_fx3_small_market_pins():
     }
     assert reported_value(inst, rep, unconstrained) == Fraction(201, 10)
 
-    one = int_opt_dp(inst, rep, cardinality=1)
+    one = int_opt_dp(replace(inst, cardinality_limit=1), rep)
     assert one.entries == {"d": ("dx1", Fraction(1))}
     assert reported_value(inst, rep, one) == Fraction(102, 10)
 
-    two = int_opt_dp(inst, rep, cardinality=2)
+    two = int_opt_dp(replace(inst, cardinality_limit=2), rep)
     assert two.entries == {"a": ("ax1", Fraction(1)), "b": ("bx2", Fraction(1))}
     assert reported_value(inst, rep, two) == Fraction(201, 10)
 
-    three = int_opt_dp(inst, rep, cardinality=3)
+    three = int_opt_dp(replace(inst, cardinality_limit=3), rep)
     assert three.entries == unconstrained.entries
 
 
@@ -116,8 +119,8 @@ def test_instance_cardinality_field_is_the_default():
     rep = truthful_profile(inst)
     assert int_opt_dp(inst, rep).entries == {"a": ("ax1", Fraction(1))}
     assert int_opt_exhaustive(inst, rep).entries == {"a": ("ax1", Fraction(1))}
-    # an explicit argument overrides the stored limit
-    assert int_opt_dp(inst, rep, cardinality=2).entries == {
+    # a replaced limit is the one served under
+    assert int_opt_dp(replace(inst, cardinality_limit=2), rep).entries == {
         "a": ("ax1", Fraction(1)),
         "b": ("bx1", Fraction(1)),
     }
@@ -147,9 +150,9 @@ def test_zero_cardinality_rejected():
     inst = fixtures.fx5()
     rep = truthful_profile(inst)
     with pytest.raises(ValueError):
-        int_opt_dp(inst, rep, cardinality=0)
+        int_opt_dp(replace(inst, cardinality_limit=0), rep)
     with pytest.raises(ValueError):
-        int_opt_exhaustive(inst, rep, cardinality=0)
+        int_opt_exhaustive(replace(inst, cardinality_limit=0), rep)
 
 
 def test_cross_check_agrees(tie_corpus):

@@ -3,7 +3,6 @@
 import csv
 import json
 import re
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -207,13 +206,11 @@ def test_mechanism_names_cover_registry():
 
 
 def test_vcg_row_prices_under_the_comparison_cap():
-    # the corpus sets no limit; the comparison's cap must reach the VCG
-    # row's welfare and its payments alike
-    corpus = generate_corpus(ExperimentConfig(instances=20))
-    result = run_comparison(corpus, ("vcg",), cardinality=1)
+    # the corpus's cap must reach the VCG row's welfare and its payments alike
+    corpus = generate_corpus(ExperimentConfig(instances=20, cardinality=1))
+    result = run_comparison(corpus, ("vcg",))
     assert len(result.rows) == len(corpus)
     for row, inst in zip(result.rows, corpus):
-        capped = replace(inst, cardinality_limit=1)
-        priced = pricing.vcg_payments(capped, truthful_profile(capped))
+        priced = pricing.vcg_payments(inst, truthful_profile(inst))
         assert row["sw"] == f"{float(social_welfare(inst, priced.mixture)):.6f}"
         assert row["payment"] == f"{float(priced.total_payment()):.6f}"

@@ -1,5 +1,6 @@
 """Greedy allocation heuristics and the randomized greedy mixture."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -62,7 +63,7 @@ def test_fx3_greedy_bpb_matches_the_integral_rule_here():
 def test_fx3_capped_bpb_evicts_for_the_giant():
     inst = fixtures.fx3()
     rep = truthful_profile(inst)
-    alloc = greedy_by_bpb(inst, rep, cardinality=1)
+    alloc = greedy_by_bpb(replace(inst, cardinality_limit=1), rep)
     # d's ad strictly beats a's held value and fits once a is released
     assert alloc.entries == {"d": ("dx1", Fraction(1))}
     assert reported_value(inst, rep, alloc) == Fraction(500001, 500)
@@ -76,7 +77,7 @@ def test_capped_bpb_refuses_equal_value_eviction():
         ),
         total_space=Fraction(4),
     )
-    alloc = greedy_by_bpb(inst, truthful_profile(inst), cardinality=1)
+    alloc = greedy_by_bpb(replace(inst, cardinality_limit=1), truthful_profile(inst))
     assert alloc.entries == {"a": ("ax1", Fraction(1))}
 
 
@@ -100,27 +101,27 @@ def test_greedy_value_skips_misfit_but_keeps_advertiser():
 
 def test_greedy_value_cardinality_one():
     inst = fixtures.fx3()
-    alloc = greedy_by_value(inst, truthful_profile(inst), cardinality=1)
+    alloc = greedy_by_value(replace(inst, cardinality_limit=1), truthful_profile(inst))
     assert alloc.entries == {"d": ("dx1", Fraction(1))}
 
 
 def test_loose_cardinality_matches_uncapped():
     inst = fixtures.fx6b()
     rep = truthful_profile(inst)
-    assert greedy_by_bpb(inst, rep, cardinality=5).entries == greedy_by_bpb(inst, rep).entries
-    assert greedy_by_value(inst, rep, cardinality=5).entries == greedy_by_value(inst, rep).entries
+    assert greedy_by_bpb(replace(inst, cardinality_limit=5), rep).entries == greedy_by_bpb(inst, rep).entries
+    assert greedy_by_value(replace(inst, cardinality_limit=5), rep).entries == greedy_by_value(inst, rep).entries
 
 
 @pytest.mark.parametrize("k", [0, -1])
 def test_cardinality_validation(k):
-    inst = fixtures.fx6b()
+    inst = replace(fixtures.fx6b(), cardinality_limit=k)
     rep = truthful_profile(inst)
     with pytest.raises(ValueError):
-        greedy_by_bpb(inst, rep, cardinality=k)
+        greedy_by_bpb(inst, rep)
     with pytest.raises(ValueError):
-        greedy_by_value(inst, rep, cardinality=k)
+        greedy_by_value(inst, rep)
     with pytest.raises(ValueError):
-        randomized_greedy(inst, rep, cardinality=k)
+        randomized_greedy(inst, rep)
 
 
 def test_randomized_greedy_rejects_bad_weight():
@@ -145,8 +146,8 @@ def test_greedy_allocations_feasible(small_corpus):
         for alloc in (
             greedy_by_bpb(inst, rep),
             greedy_by_value(inst, rep),
-            greedy_by_bpb(inst, rep, cardinality=2),
-            greedy_by_value(inst, rep, cardinality=2),
+            greedy_by_bpb(replace(inst, cardinality_limit=2), rep),
+            greedy_by_value(replace(inst, cardinality_limit=2), rep),
         ):
             used = Fraction(0)
             for adv_id, (ad_id, weight) in alloc.entries.items():
@@ -160,5 +161,6 @@ def test_cardinality_cap_respected(small_corpus):
     for inst in small_corpus[:80]:
         rep = truthful_profile(inst)
         for k in (1, 2):
-            assert len(greedy_by_bpb(inst, rep, cardinality=k).entries) <= k
-            assert len(greedy_by_value(inst, rep, cardinality=k).entries) <= k
+            capped = replace(inst, cardinality_limit=k)
+            assert len(greedy_by_bpb(capped, rep).entries) <= k
+            assert len(greedy_by_value(capped, rep).entries) <= k

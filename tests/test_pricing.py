@@ -290,13 +290,13 @@ def test_myerson_work_counts_are_pinned(monkeypatch):
     assert _myerson_work(monkeypatch, _price_large_instance(7)) == (143, 1)
 
 
-def _rebid_clicks(inst, view, adv_id, num, den, branches, cardinality):
+def _rebid_clicks(inst, view, adv_id, num, den, branches):
     """The probe as it was before the per-bidder kernel: every branch on a
     rebid view."""
     probe = view.rebid(adv_id, Fraction(num, den))
     return sum(
         (
-            prob * pricing.branch_allocate(inst, probe.rep, branch, cardinality, probe).clicks(inst, adv_id)
+            prob * pricing.branch_allocate(inst, probe.rep, branch, probe).clicks(inst, adv_id)
             for prob, branch in branches
         ),
         Fraction(0),
@@ -312,7 +312,7 @@ def test_curves_through_the_kernel_equal_curves_through_rebids(monkeypatch):
     def curves():
         view = kernels.ScaledView(inst, rep)
         return [
-            pricing._build_curve(inst, rep, adv_id, rep.bids[adv_id], ((Fraction(1), branch),), None, branch, view)
+            pricing._build_curve(inst, rep, adv_id, rep.bids[adv_id], ((Fraction(1), branch),), branch, view)
             for adv_id, branch in cases
         ]
 
@@ -355,7 +355,7 @@ def test_curve_without_ties_spans_zero_to_a_fractional_cap():
     )
     rep = truthful_profile(inst)
     for branch in ("bpb", "max-value"):
-        curve = pricing._build_curve(inst, rep, "a", Fraction(3, 2), ((Fraction(1), branch),), None, branch)
+        curve = pricing._build_curve(inst, rep, "a", Fraction(3, 2), ((Fraction(1), branch),), branch)
         assert curve.thresholds == (Fraction(0),)
         assert curve.intervals == ((Fraction(0), Fraction(3, 2)),)
         assert curve.interval_clicks == (Fraction(0),) and curve.probes == 1

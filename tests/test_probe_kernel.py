@@ -20,7 +20,7 @@ BRANCHES = sorted(name for name, branch in pricing.BRANCHES.items() if branch.pr
 
 def rebid_clicks(inst, view, adv_id, bid, branch):
     probe = view.rebid(adv_id, bid)
-    return pricing.branch_allocate(inst, probe.rep, branch, None, probe).clicks(inst, adv_id)
+    return pricing.branch_allocate(inst, probe.rep, branch, probe).clicks(inst, adv_id)
 
 
 def probe_bids(inst, rep, adv_id):

@@ -70,8 +70,9 @@ def test_dp_matches_enumeration(pair):
 @given(reported(), st.integers(1, 2))
 def test_dp_matches_enumeration_under_cardinality(pair, k):
     inst, rep = pair
-    entries, value = brute_force_opt(inst, rep, cardinality=k)
-    alloc = exact.int_opt_dp(inst, rep, cardinality=k)
+    inst = replace(inst, cardinality_limit=k)
+    entries, value = brute_force_opt(inst, rep)
+    alloc = exact.int_opt_dp(inst, rep)
     assert {a: ad for a, (ad, _) in alloc.entries.items()} == entries
     assert len(alloc.entries) <= k and pricing.reported_value(inst, rep, alloc) == value
 
@@ -253,7 +254,7 @@ def assert_bisection_matches_scan(inst, rep, adv_id, branch):
     same curve and the same Myerson and GSP payments."""
     bid = rep.bids[adv_id]
     branches = ((Fraction(1), branch),)
-    curve = pricing._build_curve(inst, rep, adv_id, bid, branches, None, branch)
+    curve = pricing._build_curve(inst, rep, adv_id, bid, branches, branch)
     assert list(curve.thresholds[1:]) == tie_candidates_pairwise(
         inst, rep, adv_id, pricing.BRANCHES[branch].kinds, bid
     )
@@ -264,7 +265,7 @@ def assert_bisection_matches_scan(inst, rep, adv_id, branch):
         probed.append(j)
         lo, hi = curve.intervals[j]
         mid = (lo + hi) / 2
-        return pricing._clicks_with_bid(inst, view, adv_id, mid.numerator, mid.denominator, branches, None)
+        return pricing._clicks_with_bid(inst, view, adv_id, mid.numerator, mid.denominator, branches)
 
     scanned = pricing._scan_clicks(len(curve.intervals), probe)
     probed.clear()

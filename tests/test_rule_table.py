@@ -8,8 +8,10 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
-from richads import exact, fixtures, harness, heuristics, kernels, monotone, pricing
-from richads.model import Mixture, truthful_profile
+import pytest
+
+from richads import equilibrium, exact, fixtures, harness, heuristics, kernels, monotone, pricing
+from richads.model import Mixture, as_mixture, social_welfare, truthful_profile
 
 
 def _counting(monkeypatch, cls):
@@ -94,11 +96,81 @@ def test_comparison_builds_one_view_and_one_dp_per_instance(monkeypatch):
 def test_cardinality_defaults_to_the_instance_limit():
     inst = replace(fixtures.fx1(), cardinality_limit=1)
     rep = truthful_profile(inst)
-    assert len(heuristics.greedy_by_value(inst, rep).entries) == 2  # the cap as given: none
+    assert len(heuristics.greedy_by_value(inst, rep).entries) == 1
     for rule in (pricing.greedy_value_rule(), pricing.greedy_bpb_rule()):
         assert len(pricing.rule_allocate(inst, rep, rule).entries) == 1
-        assert len(pricing.rule_allocate(inst, rep, replace(rule, cardinality=2)).entries) == 2
+        assert len(pricing.rule_allocate(replace(inst, cardinality_limit=2), rep, rule).entries) == 2
     assert all(len(alloc.entries) == 1 for _p, alloc in heuristics.randomized_greedy(inst, rep).branches)
+
+
+# the paper's integral rule is defined without a cap; every other branch reads
+# the instance's `cardinality_limit` (max-value serves one ad under any cap)
+UNCAPPED_BRANCHES = {"bpb"}
+
+# entry point -> (branch name, allocation) pairs of its outcome at (inst, rep)
+CAPPED_ENTRY_POINTS = {
+    "greedy_by_bpb": lambda inst, rep: [("greedy-bpb", heuristics.greedy_by_bpb(inst, rep))],
+    "greedy_by_value": lambda inst, rep: [("greedy-value", heuristics.greedy_by_value(inst, rep))],
+    "randomized_greedy": lambda inst, rep: list(
+        zip(("greedy-bpb", "max-value"), [a for _p, a in heuristics.randomized_greedy(inst, rep).branches])
+    ),
+    **{
+        f"rule_allocate-{name}": lambda inst, rep, name=name: [
+            (branch, alloc)
+            for (_p, branch), (_q, alloc) in zip(
+                pricing.rule_branches(pricing.AllocationRule(name)),
+                as_mixture(pricing.rule_allocate(inst, rep, pricing.AllocationRule(name))).branches,
+            )
+        ]
+        for name in pricing.RULES
+    },
+    "int_opt_dp": lambda inst, rep: [("opt", exact.int_opt_dp(inst, rep))],
+    "int_opt_exhaustive": lambda inst, rep: [("opt", exact.int_opt_exhaustive(inst, rep))],
+    "int_opt_cross_checked": lambda inst, rep: [("opt", exact.int_opt_cross_checked(inst, rep))],
+    "vcg_payments": lambda inst, rep: [("opt", pricing.vcg_payments(inst, rep).mixture.branches[0][1])],
+}
+
+
+@pytest.mark.parametrize("where, limit", [("fx1", 1), ("corpus", 1), ("corpus", 2), ("corpus", 3)])
+def test_every_entry_point_serves_under_the_instance_limit(small_corpus, where, limit):
+    corpus = [fixtures.fx1()] if where == "fx1" else small_corpus[:100]
+    capped = [replace(inst, cardinality_limit=limit) for inst in corpus]
+    for inst, capped_inst in zip(corpus, capped):
+        rep = truthful_profile(inst)
+        for name, allocate in CAPPED_ENTRY_POINTS.items():
+            for branch, alloc in allocate(capped_inst, rep):
+                if branch in UNCAPPED_BRANCHES:
+                    assert alloc == pricing.branch_allocate(inst, rep, branch), name
+                else:
+                    assert len(alloc.entries) <= limit, (name, branch, alloc)
+    # each row is the welfare of its entry point under the instance's limit
+    result = harness.run_comparison(capped, harness.MECHANISM_NAMES)
+    assert not result.skipped
+    for row in result.rows:
+        inst = capped[int(row["instance_id"][1:])]
+        rep = truthful_profile(inst)
+        mech = pricing.MECHANISMS[row["mechanism"]]
+        if mech is None:  # frac-opt
+            continue
+        outcome = exact.int_opt_dp(inst, rep) if mech.pricing == "vcg" else pricing.rule_allocate(inst, rep, mech.rule)
+        assert row["sw"] == f"{float(social_welfare(inst, outcome)):.6f}", row
+
+
+def test_beta_check_builds_one_view(small_corpus, monkeypatch):
+    for inst in (fixtures.fx4(), fixtures.fx5(), *small_corpus[:40]):
+        rep = truthful_profile(inst)
+        views = _counting(monkeypatch, kernels.ScaledView)
+        got = equilibrium.beta_bound_check(inst, rep)
+        assert len(views) == 1
+        monkeypatch.undo()
+        # the check as it was: the traced walk and each rule on its own view
+        trace = monotone.space_assignment(inst, rep, want_trace=True).trace
+        run = trace.covering(trace.total_units // 2 + 1)
+        beta = run.density if run is not None else Fraction(0)
+        rhs = 2 * social_welfare(inst, monotone.bpb_allocation(inst, rep)) + 2 * social_welfare(
+            inst, monotone.max_value_allocation(inst, rep)
+        )
+        assert (got.beta, got.lhs, got.rhs) == (beta, beta * inst.total_space, rhs)
 
 
 def test_a_reimported_package_keeps_calling_its_own_table():
