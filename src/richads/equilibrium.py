@@ -179,18 +179,13 @@ class _Evaluator:
         `rep.replace(adv_id, space.bids[bi], space.subsets[si])`.
 
         The empty subset reports no ad, so it is evaluated at one bid and
-        holds at all. For a threshold-priced rule whose branches all have a
-        probe kernel, the positive bids up to the true value (the cap of
-        every curve they price against) are swept per subset; the other
-        strategies (bid 0, bids above the cap, VCG, greedy branches) are
-        evaluated profile by profile.
+        holds at all. For a threshold-priced rule, the positive bids up to
+        the true value (the cap of every curve they price against) are swept
+        per subset; the other strategies (bid 0, bids above the cap, VCG)
+        are evaluated profile by profile.
         """
         cap = self.truth.bids.get(adv_id, Fraction(0))
-        sweep = (
-            self.mech.pricing != "vcg"
-            and cap > 0
-            and all(pricing.BRANCHES[branch].probe is not None for _prob, branch in self.branches)
-        )
+        sweep = self.mech.pricing != "vcg" and cap > 0
         table = []
         for subset in space.subsets:
             row: list = [None] * len(space.bids)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from operator import add
 from typing import Iterable
 
-from .kernels import ScaledView
+from .kernels import ScaledView, check_cardinality
 from .model import Allocation, GuardExceededError, Instance, InvariantViolation, ReportProfile
 
 DP_CAPACITY_GUARD = 10**6
@@ -45,10 +45,9 @@ class CapacityDP:
                 f"scaled capacity {view.total} exceeds the DP guard {capacity_guard}"
             )
         n = view.n_adv()
+        check_cardinality(limit)
         if limit is None:
             layers, self.shift = 1, 0  # taking an ad uses no slot
-        elif limit < 1:
-            raise ValueError(f"cardinality limit must be >= 1, got {limit}")
         else:
             layers, self.shift = min(limit, n) + 1, 1
         self.view = view
@@ -135,8 +134,7 @@ def int_opt_exhaustive(
     if view is None:
         view = ScaledView(inst, rep)
     limit = inst.cardinality_limit
-    if limit is not None and limit < 1:
-        raise ValueError(f"cardinality limit must be >= 1, got {limit}")
+    check_cardinality(limit)
     per_adv = _candidates(view)
     n = view.n_adv()
 

@@ -6,11 +6,14 @@ advertisers when it has one. They carry no welfare guarantee on their own;
 the randomized mix, 2/3 greedy-bpb and 1/3 max-value, restores one through
 its max-value branch.
 
-Neither greedy is proven monotone, so pricing scans their click curves and
-raises NonMonotoneClickCurveError on a drop. Capped greedy-bpb does drop:
-on 81 of 600 default instances (seeds 0-2, capped at 2), Myerson pricing
-raises. No drop has been found for uncapped greedy-bpb, nor for
-greedy-value capped or not.
+Value greedy is monotone, capped or not: a higher bid moves each of the
+bidder's ads to an earlier point of the others' walk, where no less space
+is left and no more advertisers are served (the proof is in
+`kernels.BidderProbe`). Pricing bisects its click curves. Bang-per-buck
+greedy is not proven monotone, so pricing scans its click curves and raises
+NonMonotoneClickCurveError on a drop. Capped greedy-bpb does drop: on 81 of
+600 default instances (seeds 0-2, capped at 2), Myerson pricing raises. No
+drop has been found for uncapped greedy-bpb.
 """
 
 from __future__ import annotations
@@ -19,16 +22,11 @@ import random
 from fractions import Fraction
 
 from . import pricing  # a cycle: see `pricing.RULES`
-from .kernels import ScaledView, pure, run_best_fit, run_space_auction, run_value_greedy
+from .kernels import ScaledView, check_cardinality, pure, run_best_fit, run_space_auction, run_value_greedy
 from .model import Allocation, Instance, Mixture, ReportProfile
 from .monotone import max_value_allocation  # noqa: F401  (the benchmark's tracer wraps it here)
 
 RANDOMIZED_GREEDY_P = Fraction(2, 3)
-
-
-def _check_cardinality(k: int | None) -> None:
-    if k is not None and k < 1:
-        raise ValueError(f"cardinality limit must be >= 1, got {k}")
 
 
 def _greedy_bpb_capped(view: ScaledView, k: int) -> Allocation:
@@ -78,7 +76,7 @@ def greedy_by_bpb(inst: Instance, rep: ReportProfile, view: ScaledView | None = 
     most valuable fitting ad, mirroring the integral rule's second stage.
     """
     k = inst.cardinality_limit
-    _check_cardinality(k)
+    check_cardinality(k)
     if view is None:
         view = ScaledView(inst, rep)
     if k is not None and k < view.n_adv():
@@ -95,7 +93,7 @@ def greedy_by_value(inst: Instance, rep: ReportProfile, view: ScaledView | None 
     `cardinality_limit` advertisers are served.
     """
     k = inst.cardinality_limit
-    _check_cardinality(k)
+    check_cardinality(k)
     if view is None:
         view = ScaledView(inst, rep)
     return view.allocation(run_value_greedy(view, view.n_adv() if k is None else k))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from ..model import WHOLE, Allocation
 from . import pure
@@ -29,16 +29,14 @@ class ScaledView:
         "inst", "rep", "adv_ids", "adv_index", "adv", "ad_ids", "val", "spc",
         "space", "total", "value_scale", "space_scale",
     )
-    # _bidders: adv_id -> what `rebid` reuses for that bidder (see `_bidder`);
     # _densities: the rows' bang-per-buck over one integer scale (see
-    # `densities`); _probes: adv_id -> that bidder's `BidderProbe`. All are
+    # `densities`); _probes: adv_id -> that bidder's `BidderProbe`. Both are
     # filled on first use.
-    __slots__ = FIELDS + ("_bidders", "_densities", "_probes")
+    __slots__ = FIELDS + ("_densities", "_probes")
 
     def __init__(self, inst, rep):
         self.inst = inst
         self.rep = rep
-        self._bidders = {}
         self._densities = None
         self._probes = {}
         self.adv_ids = inst.adv_ids()
@@ -65,63 +63,6 @@ class ScaledView:
         self.space_scale = space_scale
         self.value_scale = value_scale = lcm(*(r[2].denominator for r in rows))
         self.val = [r[2].numerator * (value_scale // r[2].denominator) for r in rows]
-
-    def rebid(self, adv_id: str, bid: Fraction) -> "ScaledView":
-        """This view with `adv_id` bidding `bid` on the same subset.
-
-        Equal slot for slot to a fresh `ScaledView` of the replaced report.
-        While the old and the new bid are both positive the rows do not
-        change, so the row order, spaces and space scale are shared. The
-        other rows' values are kept per bidder at their own scale, so a
-        rebid scales them by one integer factor (none when it is 1) and
-        computes only the bidder's own values. Otherwise the view is built
-        afresh.
-        """
-        bid = Fraction(bid)
-        rep = self.rep.replace(adv_id, bid, self.rep.subsets.get(adv_id, frozenset()))
-        if bid <= 0 or self.rep.bids.get(adv_id, 0) <= 0:
-            return ScaledView(self.inst, rep)
-        bidder = self._bidders.get(adv_id)
-        if bidder is None:
-            bidder = self._bidders[adv_id] = self._bidder(adv_id)
-        lo, hi, alphas, others_scale, below, above = bidder
-        bn, bd = bid.numerator, bid.denominator
-        own = []  # the bidder's effective values bid * alpha, in lowest terms
-        for an, ad in alphas:
-            n, d = bn * an, bd * ad
-            g = gcd(n, d)
-            own.append((n // g, d // g))
-        value_scale = lcm(others_scale, *(d for _n, d in own))
-        factor = value_scale // others_scale
-        if factor != 1:
-            below = [v * factor for v in below]
-            above = [v * factor for v in above]
-        new = object.__new__(type(self))
-        for name in ("inst", "adv_ids", "adv_index", "adv", "ad_ids", "spc", "space", "total", "space_scale"):
-            setattr(new, name, getattr(self, name))
-        new.rep = rep
-        new._bidders = {adv_id: bidder}
-        new._densities = None
-        new._probes = {}
-        new.value_scale = value_scale
-        new.val = below + [n * (value_scale // d) for n, d in own] + above
-        return new
-
-    def _bidder(self, adv_id):
-        # (own row span, own alphas as (numerator, denominator), lcm of the
-        # other rows' value denominators, the other rows' values at that
-        # scale before and after the span)
-        lo, hi = self.span(adv_id)
-        old = self.rep.bids[adv_id]
-        scale = self.value_scale
-        alphas = [Fraction(v, scale) / old for v in self.val[lo:hi]]
-        # value v / scale has the denominator scale // gcd(v, scale)
-        others_scale = lcm(*(scale // gcd(v, scale) for v in self.val[:lo] + self.val[hi:]))
-        return (
-            lo, hi, [(a.numerator, a.denominator) for a in alphas], others_scale,
-            [v * others_scale // scale for v in self.val[:lo]],
-            [v * others_scale // scale for v in self.val[hi:]],
-        )
 
     def probe(self, adv_id: str) -> "BidderProbe":
         """`adv_id`'s clicks under the monotone rules at any bid, the other
@@ -171,27 +112,66 @@ class ScaledView:
 ZERO = Fraction(0)
 
 
-class BidderProbe:
-    """One bidder's clicks under the bpb and max-value rules at a positive
-    bid num / den, everyone else's report fixed.
+def check_cardinality(k: int | None) -> None:
+    """Raise the `ValueError` every capped rule raises for a cap below 1."""
+    if k is not None and k < 1:
+        raise ValueError(f"cardinality limit must be >= 1, got {k}")
 
-    Each part is built on first use from the view; a probe then costs
-    O(m log n) integer steps for the bidder's m rows against the other n
-    rows, and makes no view, rebid or allocation. It equals running the
-    rule on `view.rebid(adv_id, Fraction(num, den))`, which the tests keep
-    as the oracle.
+
+class BidderProbe:
+    """One bidder's clicks under each deterministic rule at a positive bid
+    num / den, everyone else's report fixed.
+
+    Each rule's tables are built on first use from the view; a probe then
+    reads them in integers and makes no view, rebid or allocation. It equals
+    running the rule on the report with the bidder's bid replaced, which the
+    tests keep as the oracle (`tests/oracles.rebid`).
+
+    The bidder's rows enter the others' walk order at positions found by
+    bisection. At the view's bid b0 = bn / bd an own row's density (or
+    value) numerator is n0, so at num / den it is x = num * n0 * bd /
+    (den * bn), taken as quotient and remainder. Another row's numerator v
+    is keyed -3 * v before the bidder's span and -3 * v + 2 after it, and
+    the own row -3 * x + (1 if exact else 0): equal densities or values go
+    to the lower row index, as in the walks, so a row before the span beats
+    the bidder and one after it loses. A row's position is the count of
+    smaller keys.
 
     bpb: in the stop-on-misfit walk a row no larger than what its
     advertiser holds is skipped, so each other advertiser's increments
     depend on their own rows alone, and the others use a fixed prefix sum
-    of space along their bang-per-buck order. The bidder's rows enter that
-    order at positions found by bisection and only shift the budget left.
+    of space along their bang-per-buck order. The bidder's rows only shift
+    the budget left.
+
     max-value: one comparison with the others' best fitting value.
-    Equal densities or values go to the lower row index, as in the walks:
-    a row before the bidder's span beats the bidder, one after it loses.
+
+    greedy-value: until the bidder is served the value walk is the
+    others-only walk (an own row that does not fit changes nothing), so an
+    own row at position p meets that walk's remaining space and served
+    count before p, kept as prefix arrays. The bidder is served by the
+    first own row, in descending value, that meets a free slot and fits.
+    Its curves are nondecreasing, cap or no cap (compare Lehmann,
+    O'Callaghan & Shoham, JACM 2002, on greedy for single-minded bidders):
+    a higher bid moves every own row to a position no later, where the
+    prefix has at least as much space left and no more advertisers served;
+    the own rows keep their order, descending value, which is descending
+    click rate. So a row served at the lower bid would still be served,
+    and the first row served at the higher bid has a click rate at least as
+    high.
+
+    greedy-bpb: skip-and-continue lets the others react to the bidder's
+    space, and no such proof exists, so its curves are scanned. Before the
+    bidder's first admitted row the walk is the others-only walk, so that
+    walk is recorded once (remaining space at each position and the held
+    rows after each change), a probe finds the first admitted row from it
+    and resumes the walk there in integers, the bidder's value num * n0 * bd
+    compared with another's den * bn * v. The capped walk with eviction
+    runs the same way; the uncapped one is that walk with a cap no
+    advertiser set can reach, which holds the same spaces. The clicks are
+    read off the best-fit table of the bpb rule.
     """
 
-    __slots__ = ("view", "adv_id", "_walk", "_max")
+    __slots__ = ("view", "adv_id", "_walk", "_fit", "_max", "_value", "_greedy")
 
     def __init__(self, view: ScaledView, adv_id: str):
         rep = view.rep
@@ -200,8 +180,7 @@ class BidderProbe:
             view = ScaledView(view.inst, rep.replace(adv_id, Fraction(1), rep.subsets.get(adv_id, frozenset())))
         self.view = view
         self.adv_id = adv_id
-        self._walk = None
-        self._max = None
+        self._walk = self._fit = self._max = self._value = self._greedy = None
 
     def _own(self):
         # (own row span, the view's bid as (numerator, denominator), each
@@ -213,15 +192,33 @@ class BidderProbe:
         alphas = [Fraction(v * bd, view.value_scale * bn) for v in view.val[lo:hi]]
         return lo, hi, bn, bd, alphas
 
+    def _clicks_in(self, held: int) -> Fraction:
+        """The best own click rate within `held` scaled units of space, as
+        the best-fit stage gives it: none when nothing is held."""
+        if self._fit is None:
+            self._fit = self._fit_table()
+        fit_spc, fit_alpha = self._fit
+        if held <= 0:
+            return ZERO
+        k = bisect_right(fit_spc, held)
+        return fit_alpha[k - 1] if k else ZERO
+
+    def _fit_table(self):
+        """(spaces ascending, the best own click rate within each)."""
+        view = self.view
+        lo, hi, _bn, _bd, alphas = self._own()
+        fit_spc, fit_alpha = [], []
+        for w, j in sorted((view.spc[i], i - lo) for i in range(lo, hi)):
+            if not fit_alpha or alphas[j] > fit_alpha[-1]:
+                fit_spc.append(w)
+                fit_alpha.append(alphas[j])
+        return fit_spc, fit_alpha
+
     def bpb(self, num: int, den: int) -> Fraction:
         """The bidder's clicks under the bpb rule at the bid num / den > 0."""
         if self._walk is None:
             self._walk = self._walk_tables()
-        total, keys, prefix, own, bn, fit_spc, fit_alpha = self._walk
-        # own row at density numerator d (at the view's bid) has, at bid
-        # num / den, the density numerator x = num * d / (den * bn), keyed
-        # between the others' -3 * dens (before the span) and -3 * dens + 2
-        # (after it); its position is the count of smaller keys
+        total, keys, prefix, own, bn = self._walk
         scale = den * bn
         used = 0
         for d, w in own:
@@ -236,18 +233,14 @@ class BidderProbe:
             else:
                 used += rem
                 break
-        if used <= 0:
-            return ZERO
-        k = bisect_right(fit_spc, used)
-        return fit_alpha[k - 1] if k else ZERO
+        return self._clicks_in(used)
 
     def _walk_tables(self):
         """(total, the others' keys in walk order, the space they have used
         before each key, own rows as (density numerator, space) in walk
-        order, the view's bid numerator, and the best own click rate within
-        each held space: spaces ascending, click rates)."""
+        order, the view's bid numerator)."""
         view = self.view
-        lo, hi, bn, bd, alphas = self._own()
+        lo, hi, bn, bd, _alphas = self._own()
         _scale, dens = view.densities()
         spc = view.spc
         # rows of space <= 0 are skipped by the walk: they never move it
@@ -268,12 +261,7 @@ class BidderProbe:
             ((dens[i] * bd, spc[i]) for i in range(lo, hi) if spc[i] > 0),
             key=lambda row: -row[0],
         )
-        fit_spc, fit_alpha = [], []
-        for w, j in sorted((spc[i], i - lo) for i in range(lo, hi)):
-            if not fit_alpha or alphas[j] > fit_alpha[-1]:
-                fit_spc.append(w)
-                fit_alpha.append(alphas[j])
-        return view.total, keys, prefix, own, bn, fit_spc, fit_alpha
+        return view.total, keys, prefix, own, bn
 
     def max_value(self, num: int, den: int) -> Fraction:
         """The bidder's clicks under the max-value rule at the bid num / den > 0."""
@@ -307,6 +295,179 @@ class BidderProbe:
         if other < 0:
             return alphas[own - lo], 0, 0, -1
         return alphas[own - lo], view.val[own] * bd, view.val[other] * bn, 0 if other < lo else -1
+
+    def greedy_value(self, num: int, den: int) -> Fraction:
+        """The bidder's clicks under the greedy-value rule at the bid num / den > 0."""
+        if self._value is None:
+            self._value = self._value_tables()
+        keys, rem_at, served_at, own, bn, limit = self._value
+        scale = den * bn
+        for d, w, alpha in own:
+            x, r = divmod(num * d, scale)
+            p = bisect_left(keys, (r == 0) - 3 * x)
+            if served_at[p] >= limit:
+                break  # the walk stops here, and later own rows sit no earlier
+            if w <= rem_at[p]:
+                return alpha
+        return ZERO
+
+    def _value_tables(self):
+        """(the others' keys in walk order, the remaining space and the
+        served count before each, own rows as (value numerator, space,
+        click rate) in walk order, the view's bid numerator, the cap)."""
+        view = self.view
+        limit = view.inst.cardinality_limit
+        check_cardinality(limit)
+        if limit is None:
+            limit = view.n_adv()
+        lo, hi, bn, bd, alphas = self._own()
+        val, spc = view.val, view.spc
+        others = sorted((-3 * val[i] + (0 if i < lo else 2), i) for i in range(len(val)) if not lo <= i < hi)
+        served = [False] * view.n_adv()
+        rem, count = view.total, 0
+        rem_at, served_at = [], []
+        for _key, i in others:
+            rem_at.append(rem)
+            served_at.append(count)
+            a = view.adv[i]
+            if count < limit and not served[a] and spc[i] <= rem:
+                served[a] = True
+                rem -= spc[i]
+                count += 1
+        rem_at.append(rem)
+        served_at.append(count)
+        own = sorted(((val[i] * bd, spc[i], alphas[i - lo]) for i in range(lo, hi)), key=lambda row: -row[0])
+        return [key for key, _i in others], rem_at, served_at, own, bn, limit
+
+    def greedy_bpb(self, num: int, den: int) -> Fraction:
+        """The bidder's clicks under the greedy-bpb rule at the bid num / den > 0."""
+        if self._greedy is None:
+            self._greedy = self._greedy_tables()
+        keys, zeros, before, rows, rem_at, snap_at, snaps, own, bn, k, evicts, me = self._greedy
+        scale = den * bn
+        # each own row as (position, value multiplied out, space), in walk order
+        placed = []
+        for d, v, w in own:
+            if d is None:
+                p = before  # space 0: among the others' space-0 rows, by index
+            else:
+                x, r = divmod(num * d, scale)
+                p = zeros + bisect_left(keys, (r == 0) - 3 * x)
+            placed.append((p, num * v, w))
+        # the first own row the others-only walk admits
+        for t, (p, v, w) in enumerate(placed):
+            held = snaps[snap_at[p]]
+            rem = rem_at[p]
+            if len(held) < k:
+                if w <= rem:
+                    break
+            else:
+                e = min(held, key=lambda b: (held[b][0], b))
+                ev, ew = held[e]
+                if v > ev * scale and w <= rem + ew:
+                    break
+        else:
+            return ZERO
+        held = {a: (hv * scale, hw) for a, (hv, hw) in held.items()}
+        rem = _greedy_step(held, rem, k, me, v, w)
+        q = p
+        for p, v, w in placed[t + 1 :]:
+            for a, ov, ow in rows[q:p]:
+                got = _greedy_step(held, rem, k, a, ov * scale, ow)
+                if got is not None:
+                    rem = got
+            q = p
+            got = _greedy_step(held, rem, k, me, v, w)
+            if got is not None:
+                rem = got
+        if evicts and me in held:
+            # after the last own row the others can still push the bidder out
+            for a, ov, ow in rows[q:]:
+                got = _greedy_step(held, rem, k, a, ov * scale, ow)
+                if got is not None:
+                    rem = got
+                    if me not in held:
+                        return ZERO
+        return self._clicks_in(held[me][1]) if me in held else ZERO
+
+    def _greedy_tables(self):
+        """The others-only greedy-bpb walk, kept for every probe: (the
+        positive-space others' keys, the count of space-0 others and of
+        those before the bidder's span, the others' rows as (advertiser index, value, space)
+        in walk order, the remaining space before each, which snapshot of
+        the held rows holds then, the snapshots (advertiser index -> (value,
+        space)), own rows as (density numerator or None for space 0, value
+        numerator, space) in walk order, the view's bid numerator, the cap,
+        whether the cap can evict, the bidder's advertiser index)."""
+        view = self.view
+        n = view.n_adv()
+        k = view.inst.cardinality_limit
+        check_cardinality(k)
+        evicts = k is not None and k < n
+        if not evicts:
+            k = n  # no advertiser set reaches it: the uncapped walk
+        lo, hi, bn, bd, _alphas = self._own()
+        _scale, dens = view.densities()
+        val, spc, adv = view.val, view.spc, view.adv
+        # space-0 rows come first in the walk, in row order
+        zero = [i for i in range(len(val)) if spc[i] == 0 and not lo <= i < hi]
+        ranked = sorted(
+            (-3 * dens[i] + (0 if i < lo else 2), i) for i in range(len(val)) if spc[i] > 0 and not lo <= i < hi
+        )
+        order = zero + [i for _key, i in ranked]
+        rows = [(adv[i], val[i], spc[i]) for i in order]
+        held: dict[int, tuple[int, int]] = {}
+        rem = view.total
+        snaps, snap_at, rem_at = [{}], [], []
+        for a, v, w in rows:
+            snap_at.append(len(snaps) - 1)
+            rem_at.append(rem)
+            got = _greedy_step(held, rem, k, a, v, w)
+            if got is not None:
+                rem = got
+                snaps.append(dict(held))
+        snap_at.append(len(snaps) - 1)
+        rem_at.append(rem)
+        own = sorted(
+            ((None, val[i] * bd, 0) if spc[i] == 0 else (dens[i] * bd, val[i] * bd, spc[i]) for i in range(lo, hi)),
+            key=lambda row: (row[0] is not None, -(row[0] or 0)),
+        )
+        return (
+            [key for key, _i in ranked], len(zero), sum(1 for i in zero if i < lo), rows,
+            rem_at, snap_at, snaps, own, bn, k, evicts, view.adv_index[self.adv_id],
+        )
+
+
+def _greedy_step(held: dict, rem: int, k: int, a: int, v: int, w: int) -> int | None:
+    """One row of the capped greedy-bpb walk (`heuristics._greedy_bpb_capped`):
+    advertiser `a`'s row of value `v` and space `w` against `held`
+    (advertiser index -> (value, space)) with `rem` space left. Updates
+    `held` and returns the new remaining space, or None if the row changed
+    nothing.
+
+    A holder takes a larger row that fits its increment; a newcomer is
+    admitted if it fits and fewer than k advertisers hold, else it may push
+    out the holder of lowest value (ties to the lowest index) when it
+    strictly beats that value and fits in the space so freed."""
+    got = held.get(a)
+    if got is not None:
+        inc = w - got[1]
+        if inc <= 0 or inc > rem:
+            return None
+        held[a] = (v, w)
+        return rem - inc
+    if len(held) < k:
+        if w > rem:
+            return None
+        held[a] = (v, w)
+        return rem - w
+    e = min(held, key=lambda b: (held[b][0], b))
+    ev, ew = held[e]
+    if v <= ev or w > rem + ew:
+        return None
+    del held[e]
+    held[a] = (v, w)
+    return rem + ew - w
 
 
 def run_space_auction(view: ScaledView, stop_on_misfit: bool):

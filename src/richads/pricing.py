@@ -35,24 +35,30 @@ class Branch:
     """A deterministic rule: `allocate(view)`, which reads any cap off
     `view.inst`; the `kinds` of its click curves' breakpoints, bids where
     the bidder's bang-per-buck ("bpb") or value ("value") ties another
-    row's; and, only if its curves are proven nondecreasing (they are then
-    bisected, else scanned over rebid views), `probe(bidder_probe, num,
-    den)`: the clicks at the bid num / den read off a `kernels.BidderProbe`."""
+    row's; `probe(bidder_probe, num, den)`, the clicks at the bid num / den
+    read off a `kernels.BidderProbe` without running the rule; and whether
+    its curves are proven nondecreasing (`monotone`: they are bisected,
+    else scanned)."""
 
     allocate: Callable[[kernels.ScaledView], Allocation]
     kinds: tuple[str, ...]
-    probe: Callable[[kernels.BidderProbe, int, int], Fraction] | None = None
+    probe: Callable[[kernels.BidderProbe, int, int], Fraction]
+    monotone: bool
 
 
 # the rules are looked up at call time, so a wrapper installed on the module
 # attribute (a tracer, a test) sees every call
 BRANCHES = {
-    "bpb": Branch(lambda v: monotone.bpb_allocation(v.inst, v.rep, v), ("bpb",), kernels.BidderProbe.bpb),
+    "bpb": Branch(lambda v: monotone.bpb_allocation(v.inst, v.rep, v), ("bpb",), kernels.BidderProbe.bpb, True),
     "max-value": Branch(
-        lambda v: monotone.max_value_allocation(v.inst, v.rep, v), ("value",), kernels.BidderProbe.max_value
+        lambda v: monotone.max_value_allocation(v.inst, v.rep, v), ("value",), kernels.BidderProbe.max_value, True
     ),
-    "greedy-bpb": Branch(lambda v: heuristics.greedy_by_bpb(v.inst, v.rep, v), ("bpb", "value")),
-    "greedy-value": Branch(lambda v: heuristics.greedy_by_value(v.inst, v.rep, v), ("value",)),
+    "greedy-bpb": Branch(
+        lambda v: heuristics.greedy_by_bpb(v.inst, v.rep, v), ("bpb", "value"), kernels.BidderProbe.greedy_bpb, False
+    ),
+    "greedy-value": Branch(
+        lambda v: heuristics.greedy_by_value(v.inst, v.rep, v), ("value",), kernels.BidderProbe.greedy_value, True
+    ),
 }
 
 # rule name -> (branch names, the first branch's default probability); a
@@ -229,32 +235,17 @@ def _tie_candidates(
 
 
 def _clicks_with_bid(
-    inst: Instance,
-    view: kernels.ScaledView,
-    adv_id: str,
-    num: int,
-    den: int,
-    branches: tuple[tuple[Fraction, str], ...],
+    view: kernels.ScaledView, adv_id: str, num: int, den: int, branches: tuple[tuple[Fraction, str], ...]
 ) -> Fraction:
     """`adv_id`'s expected clicks at the bid num / den, the rest of the
-    report as in `view`.
-
-    A branch with a probe reads them off the bidder's `BidderProbe`; any
-    other runs its rule on the view rebid. A lone branch of probability 1
-    (every curve a payment builds) returns its clicks as they are.
-    """
-    terms = []
-    rebid = None
-    for prob, branch in branches:
-        probe = BRANCHES[branch].probe
-        if probe is not None:
-            clicks = probe(view.probe(adv_id), num, den)
-        else:
-            if rebid is None:
-                rebid = view.rebid(adv_id, Fraction(num, den))
-            clicks = branch_allocate(inst, rebid.rep, branch, rebid).clicks(inst, adv_id)
-        terms.append(clicks if prob == 1 else prob * clicks)
-    return terms[0] if len(terms) == 1 else sum(terms, Fraction(0))
+    report as in `view`, read off the bidder's `BidderProbe`. A lone branch
+    of probability 1 (every curve a payment builds) returns its clicks as
+    they are."""
+    probe = view.probe(adv_id)
+    terms = [BRANCHES[branch].probe(probe, num, den) for _prob, branch in branches]
+    if len(terms) == 1 and branches[0][0] == 1:
+        return terms[0]
+    return sum((prob * clicks for (prob, _branch), clicks in zip(branches, terms)), Fraction(0))
 
 
 def _scan_clicks(n: int, probe: Callable[[int], Fraction]) -> list[Fraction]:
@@ -316,10 +307,10 @@ def _build_curve(
     def probe(j: int) -> Fraction:
         if j not in probed:
             # the interval's midpoint
-            probed[j] = _clicks_with_bid(inst, view, adv_id, points[j] + points[j + 1], 2 * den, branches)
+            probed[j] = _clicks_with_bid(view, adv_id, points[j] + points[j + 1], 2 * den, branches)
         return probed[j]
 
-    if all(BRANCHES[branch].probe is not None for _prob, branch in branches):
+    if all(BRANCHES[branch].monotone for _prob, branch in branches):
         clicks = _bisect_clicks(len(intervals), probe)
     else:
         clicks = _scan_clicks(len(intervals), probe)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 
 from richads.model import Instance, ReportProfile, effective_values
 
@@ -253,3 +254,73 @@ def best_response_by_profiles(inst: Instance, truth: ReportProfile, rep: ReportP
     if best is None:
         raise ValueError(f"empty strategy space for advertiser {adv_id!r}")
     return space.bids[best[1]], space.subsets[best[2]], best[0]
+
+
+def rebid(view, adv_id: str, bid: Fraction):
+    """`view` with `adv_id` bidding `bid` on the same subset: equal slot for
+    slot to a fresh `ScaledView` of the replaced report.
+
+    While the old and the new bid are both positive the rows do not change,
+    so the row order, spaces and space scale are shared. The other rows'
+    values are kept at their own scale, so a rebid scales them by one
+    integer factor (none when it is 1) and computes only the bidder's own
+    values. Otherwise the view is built afresh. This was the library's
+    probe path before `kernels.BidderProbe` read every rule's clicks off
+    integer tables.
+    """
+    from richads.kernels import ScaledView
+
+    bid = Fraction(bid)
+    rep = view.rep.replace(adv_id, bid, view.rep.subsets.get(adv_id, frozenset()))
+    if bid <= 0 or view.rep.bids.get(adv_id, 0) <= 0:
+        return ScaledView(view.inst, rep)
+    _lo, _hi, alphas, others_scale, below, above = _bidder(view, adv_id)
+    bn, bd = bid.numerator, bid.denominator
+    own = []  # the bidder's effective values bid * alpha, in lowest terms
+    for an, ad in alphas:
+        n, d = bn * an, bd * ad
+        g = gcd(n, d)
+        own.append((n // g, d // g))
+    value_scale = lcm(others_scale, *(d for _n, d in own))
+    factor = value_scale // others_scale
+    if factor != 1:
+        below = [v * factor for v in below]
+        above = [v * factor for v in above]
+    new = object.__new__(ScaledView)
+    for name in ("inst", "adv_ids", "adv_index", "adv", "ad_ids", "spc", "space", "total", "space_scale"):
+        setattr(new, name, getattr(view, name))
+    new.rep = rep
+    new._densities = None
+    new._probes = {}
+    new.value_scale = value_scale
+    new.val = below + [n * (value_scale // d) for n, d in own] + above
+    return new
+
+
+def _bidder(view, adv_id):
+    # (own row span, own alphas as (numerator, denominator), lcm of the
+    # other rows' value denominators, the other rows' values at that scale
+    # before and after the span)
+    lo, hi = view.span(adv_id)
+    old = view.rep.bids[adv_id]
+    scale = view.value_scale
+    alphas = [Fraction(v, scale) / old for v in view.val[lo:hi]]
+    # value v / scale has the denominator scale // gcd(v, scale)
+    others_scale = lcm(*(scale // gcd(v, scale) for v in view.val[:lo] + view.val[hi:]))
+    return (
+        lo, hi, [(a.numerator, a.denominator) for a in alphas], others_scale,
+        [v * others_scale // scale for v in view.val[:lo]],
+        [v * others_scale // scale for v in view.val[hi:]],
+    )
+
+
+def rebid_clicks(view, adv_id: str, bid: Fraction, branches) -> Fraction:
+    """`adv_id`'s expected clicks at `bid` over the (probability, branch)
+    pairs `branches`: each branch's rule run on the rebid view."""
+    from richads.pricing import branch_allocate
+
+    probe = rebid(view, adv_id, bid)
+    return sum(
+        (prob * branch_allocate(view.inst, probe.rep, branch, probe).clicks(view.inst, adv_id) for prob, branch in branches),
+        Fraction(0),
+    )

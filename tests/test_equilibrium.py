@@ -29,6 +29,7 @@ from richads.model import (
     Advertiser,
     GuardExceededError,
     Instance,
+    NonMonotoneClickCurveError,
     ReportProfile,
     RichAd,
     truthful_profile,
@@ -266,6 +267,51 @@ def test_sweep_table_equals_the_profile_oracle_on_the_dynamics_pool(mech):
         assert_sweep_matches(inst, truth, mech, spaces)
         if main:
             assert_sweep_matches(inst, shaded(inst, truth), mech, spaces)
+
+
+GREEDY_MECHANISMS = tuple(
+    pricing.Mechanism(kind, pricing.AllocationRule(name))
+    for name in ("greedy-bpb", "greedy-value", "randomized-greedy")
+    for kind in ("myerson", "gsp")
+)
+
+
+@pytest.mark.parametrize("mech", GREEDY_MECHANISMS, ids=lambda m: m.describe())
+def test_greedy_sweep_table_equals_the_profile_oracle(mech):
+    # fx1 and fx4 and the first 20 random games of the dynamics pool, from
+    # the truthful and a shaded report
+    pool = dynamics_pool()
+    for inst, grid in [pool[0], pool[2], *pool[4:24]]:
+        truth = truthful_profile(inst)
+        spaces = strategy_spaces(inst, grid)
+        for rep in (truth, shaded(inst, truth)):
+            assert_sweep_matches(inst, rep, mech, spaces)
+
+
+def test_a_capped_greedy_drop_raises_the_same_error_on_both_paths():
+    # capped at 2, a1's greedy-bpb clicks at the truthful report drop from
+    # 1 to 0 past the bid 27/20: under Myerson the sweep and the profile
+    # oracle build that one curve and raise alike; GSP reads no curve where
+    # a1 has no clicks, which is every grid bid, and both tables agree
+    inst = harness.generate_corpus(harness.ExperimentConfig(seed=0, instances=7, cardinality=2))[6]
+    truth = truthful_profile(inst)
+    space = strategy_spaces(inst, Fraction(1, 2))["a1"]
+
+    def table_or_error(table, mech):
+        try:
+            return table(equilibrium._Evaluator(inst, truth, mech))
+        except NonMonotoneClickCurveError as exc:
+            return str(exc)
+
+    for mech in GREEDY_MECHANISMS:
+        if mech.rule.name == "greedy-value":
+            continue
+        swept = table_or_error(lambda ev: ev.utility_table(truth, "a1", space), mech)
+        assert swept == table_or_error(lambda ev: profile_table(ev, truth, "a1", space), mech)
+        if mech.pricing == "myerson":
+            assert "'a1' under rule 'greedy-bpb' drop from 1 on (Fraction(21, 16), Fraction(27, 20)) to 0" in swept
+        else:
+            assert isinstance(swept, list)
 
 
 def test_vcg_table_equals_the_profile_oracle():

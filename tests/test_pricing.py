@@ -12,10 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from oracles import riemann_myerson
+from oracles import rebid_clicks, riemann_myerson
 from richads import exact, fixtures, heuristics, kernels, monotone, pricing
 from richads.exact import int_opt_exhaustive
-from richads.model import Advertiser, GuardExceededError, Instance, RichAd, truthful_profile
+from richads.model import Advertiser, GuardExceededError, Instance, NonMonotoneClickCurveError, RichAd, truthful_profile
 from richads.pricing import (
     BidThresholds,
     bid_thresholds,
@@ -290,42 +290,57 @@ def test_myerson_work_counts_are_pinned(monkeypatch):
     assert _myerson_work(monkeypatch, _price_large_instance(7)) == (143, 1)
 
 
-def _rebid_clicks(inst, view, adv_id, num, den, branches):
-    """The probe as it was before the per-bidder kernel: every branch on a
-    rebid view."""
-    probe = view.rebid(adv_id, Fraction(num, den))
-    return sum(
-        (
-            prob * pricing.branch_allocate(inst, probe.rep, branch, probe).clicks(inst, adv_id)
-            for prob, branch in branches
-        ),
-        Fraction(0),
-    )
-
-
 def test_curves_through_the_kernel_equal_curves_through_rebids(monkeypatch):
-    inst = _price_large_instance(7)
-    rep = truthful_profile(inst)
-    probed = sorted(name for name, branch in pricing.BRANCHES.items() if branch.probe is not None)
-    cases = [(adv.adv_id, branch) for adv in inst.advertisers for branch in probed]
+    # every branch, capped greedy branches too; the probe as it was before
+    # the per-bidder kernel ran every branch on a rebid view
+    cases = [
+        (inst, adv.adv_id, branch)
+        for inst in (_price_large_instance(7), replace(_price_large_instance(8), cardinality_limit=3))
+        for adv in inst.advertisers[:4]
+        for branch in pricing.BRANCHES
+    ]
 
     def curves():
-        view = kernels.ScaledView(inst, rep)
-        return [
-            pricing._build_curve(inst, rep, adv_id, rep.bids[adv_id], ((Fraction(1), branch),), branch, view)
-            for adv_id, branch in cases
-        ]
+        views = {}
+        out = []
+        for inst, adv_id, branch in cases:
+            rep = truthful_profile(inst)
+            view = views.setdefault(id(inst), kernels.ScaledView(inst, rep))
+            try:
+                out.append(pricing._build_curve(inst, rep, adv_id, rep.bids[adv_id], ((Fraction(1), branch),), branch, view))
+            except NonMonotoneClickCurveError as exc:
+                out.append(str(exc))
+        return out
 
     fast = curves()
-    monkeypatch.setattr(pricing, "_clicks_with_bid", _rebid_clicks)
+    monkeypatch.setattr(
+        pricing, "_clicks_with_bid", lambda view, adv_id, num, den, branches: rebid_clicks(view, adv_id, Fraction(num, den), branches)
+    )
     for got, want in zip(fast, curves()):
+        if isinstance(want, str):
+            assert got == want
+            continue
         assert got.thresholds == want.thresholds
         assert got.interval_clicks == want.interval_clicks
         assert got.probes == want.probes
 
 
-def test_monotone_probes_make_no_view_rebid_or_allocation(monkeypatch):
-    # the payment's two allocation branches are its only rule runs
+def _counting_views(monkeypatch):
+    """The views constructed while the test runs."""
+    made = []
+    init = kernels.ScaledView.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(kernels.ScaledView, "__init__", counted)
+    return made
+
+
+def test_probes_make_no_view_or_allocation(monkeypatch):
+    # under every rule, the payment's allocation branches are its only rule
+    # runs, and the report's view its only view
     inst = _price_large_instance(7)
     allocations = []
     allocate = pricing.branch_allocate
@@ -334,14 +349,16 @@ def test_monotone_probes_make_no_view_rebid_or_allocation(monkeypatch):
         allocations.append(args[2])
         return allocate(*args, **kwargs)
 
-    def no_rebid(*args, **kwargs):
-        raise AssertionError("a monotone probe rebid the view")
-
     monkeypatch.setattr(pricing, "branch_allocate", counted)
-    monkeypatch.setattr(kernels.ScaledView, "rebid", no_rebid)
-    out = myerson_payment(inst, truthful_profile(inst), mixture_rule())
-    assert allocations == ["bpb", "max-value"]
-    assert sum(curve.probes for curves in out.curves.values() for curve in curves) > 0
+    views = _counting_views(monkeypatch)
+    for name in pricing.RULES:
+        rule = pricing.AllocationRule(name)
+        allocations.clear()
+        views.clear()
+        out = myerson_payment(inst, truthful_profile(inst), rule)
+        assert allocations == [branch for _p, branch in pricing.rule_branches(rule)]
+        assert len(views) == 1
+        assert sum(curve.probes for curves in out.curves.values() for curve in curves) > 0
 
 
 def test_curve_without_ties_spans_zero_to_a_fractional_cap():

@@ -1,26 +1,24 @@
 """The per-bidder probe kernel against the rebid path it replaces.
 
-The oracle runs the rule itself on `view.rebid(adv_id, bid)`: a view with
-the bidder's bid replaced, then `branch_allocate` and the allocation's
-clicks. The kernel must give the same clicks at every bid, in particular at
-tie bids, where one of the bidder's densities or values equals another
-row's.
+The oracle runs the rule itself on `oracles.rebid(view, adv_id, bid)`: a
+view with the bidder's bid replaced, then `branch_allocate` and the
+allocation's clicks. The kernel must give the same clicks under every rule
+of the table, capped or not, at every bid, in particular at tie bids, where
+one of the bidder's densities or values equals another row's.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from richads import kernels, pricing
+from oracles import rebid, rebid_clicks
+from richads import heuristics, kernels, pricing
 from richads.model import Advertiser, Instance, ReportProfile, RichAd, effective_values, truthful_profile
 
-BRANCHES = sorted(name for name, branch in pricing.BRANCHES.items() if branch.probe is not None)
-
-
-def rebid_clicks(inst, view, adv_id, bid, branch):
-    probe = view.rebid(adv_id, bid)
-    return pricing.branch_allocate(inst, probe.rep, branch, probe).clicks(inst, adv_id)
+BRANCHES = sorted(pricing.BRANCHES)
 
 
 def probe_bids(inst, rep, adv_id):
@@ -47,7 +45,7 @@ def assert_probe_matches_rebid(inst, rep, adv_id):
     probe = view.probe(adv_id)
     for bid in probe_bids(inst, rep, adv_id):
         for branch in BRANCHES:
-            expected = rebid_clicks(inst, view, adv_id, bid, branch)
+            expected = rebid_clicks(view, adv_id, bid, ((Fraction(1), branch),))
             got = pricing.BRANCHES[branch].probe(probe, bid.numerator, bid.denominator)
             assert got == expected, (adv_id, branch, bid)
 
@@ -56,7 +54,8 @@ def assert_probe_matches_rebid(inst, rep, adv_id):
 def probe_cases(draw):
     """A report and one bidder, on instances validation would reject too:
     ads of space 0 or click rate 0, ads wider than the total space, zero
-    bids and subsets smaller than the catalog."""
+    bids and subsets smaller than the catalog; no cardinality cap or one of
+    1 and 2."""
     advertisers = []
     for i in range(draw(st.integers(1, 4))):
         ads = tuple(
@@ -69,7 +68,11 @@ def probe_cases(draw):
         )
         value = Fraction(draw(st.integers(1, 20)), draw(st.sampled_from((1, 3))))
         advertisers.append(Advertiser(f"a{i}", value, ads))
-    inst = Instance(advertisers=tuple(advertisers), total_space=Fraction(draw(st.integers(1, 16))))
+    inst = Instance(
+        advertisers=tuple(advertisers),
+        total_space=Fraction(draw(st.integers(1, 16))),
+        cardinality_limit=draw(st.sampled_from((None, 1, 2))),
+    )
     bids, subsets = {}, {}
     for adv in inst.advertisers:
         bids[adv.adv_id] = adv.value_per_click * Fraction(draw(st.integers(0, 4)), 4)
@@ -91,9 +94,26 @@ def test_probe_matches_rebid_on_tie_corpus(tie_corpus):
             bids={a.adv_id: a.value_per_click * Fraction(rng.randint(1, 4), 4) for a in inst.advertisers},
             subsets={a.adv_id: frozenset(x for x in a.ad_ids() if rng.random() < 0.7) for a in inst.advertisers},
         )
-        for rep in (truth, shaded):
-            for adv in inst.advertisers:
-                assert_probe_matches_rebid(inst, rep, adv.adv_id)
+        for limit in (None, 1, 2):
+            capped = replace(inst, cardinality_limit=limit)
+            for rep in (truth, shaded):
+                for adv in inst.advertisers:
+                    assert_probe_matches_rebid(capped, rep, adv.adv_id)
+
+
+@pytest.mark.parametrize("limit", (0, -1))
+def test_a_cap_below_one_raises_as_the_greedy_rules_do(limit):
+    inst = replace(_instance(5, ("a", 2, [("ax1", "1/2", 3)]), ("b", 3, [("bx1", 1, 1)])), cardinality_limit=limit)
+    rep = truthful_profile(inst)
+    message = f"cardinality limit must be >= 1, got {limit}"
+    for rule in (heuristics.greedy_by_bpb, heuristics.greedy_by_value):
+        with pytest.raises(ValueError) as raised:
+            rule(inst, rep)
+        assert str(raised.value) == message
+    for branch in ("greedy-bpb", "greedy-value"):
+        with pytest.raises(ValueError) as raised:
+            pricing.BRANCHES[branch].probe(kernels.ScaledView(inst, rep).probe("a"), 1, 1)
+        assert str(raised.value) == message
 
 
 def _instance(total, *advertisers):
@@ -129,7 +149,7 @@ def test_budget_used_up_exactly():
     for inst, bid, clicks in ((before, Fraction(1, 2), 0), (own, Fraction(2), 1)):
         rep = truthful_profile(inst)
         view = kernels.ScaledView(inst, rep)
-        _held, held_spc, frac_adv, _n, _d = kernels.run_space_auction(view.rebid("b", bid), stop_on_misfit=True)
+        _held, held_spc, frac_adv, _n, _d = kernels.run_space_auction(rebid(view, "b", bid), stop_on_misfit=True)
         assert sum(held_spc) == view.total and frac_adv == -1
         assert view.probe("b").bpb(bid.numerator, bid.denominator) == clicks
         assert_probe_matches_rebid(inst, rep, "b")

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from oracles import brute_force_opt, tie_candidates_pairwise
-from richads import exact, fracopt, heuristics, kernels, monotone, pricing
+import pytest
+
+from oracles import brute_force_opt, rebid, tie_candidates_pairwise
+from richads import exact, fracopt, harness, heuristics, kernels, monotone, pricing
 from richads.model import (
     Advertiser,
     Instance,
@@ -16,8 +18,8 @@ from richads.model import (
     validate_instance,
 )
 
-# the branches whose click curves are bisected and read off the probe kernel
-PROBED_BRANCHES = sorted(name for name, branch in pricing.BRANCHES.items() if branch.probe is not None)
+# the branches whose click curves are proven nondecreasing, and so bisected
+MONOTONE_BRANCHES = sorted(name for name, branch in pricing.BRANCHES.items() if branch.monotone)
 
 
 @st.composite
@@ -265,7 +267,7 @@ def assert_bisection_matches_scan(inst, rep, adv_id, branch):
         probed.append(j)
         lo, hi = curve.intervals[j]
         mid = (lo + hi) / 2
-        return pricing._clicks_with_bid(inst, view, adv_id, mid.numerator, mid.denominator, branches)
+        return pricing._clicks_with_bid(view, adv_id, mid.numerator, mid.denominator, branches)
 
     scanned = pricing._scan_clicks(len(curve.intervals), probe)
     probed.clear()
@@ -293,14 +295,31 @@ def test_bisection_matches_scan_on_tie_corpus(tie_corpus):
     for inst in tie_corpus:
         rep = truthful_profile(inst)
         for adv in inst.advertisers:
-            for branch in PROBED_BRANCHES:
+            for branch in MONOTONE_BRANCHES:
                 assert_bisection_matches_scan(inst, rep, adv.adv_id, branch)
 
 
+@pytest.mark.parametrize("limit", (None, 1, 2))
+def test_bisection_matches_scan_on_the_monotonicity_corpora(limit):
+    # the corpora greedy-value's monotonicity was first scanned on:
+    # tie-prone and the default 5 x 3 shape, seeds 0-5
+    for seed in range(6):
+        for cfg in (
+            harness.tie_prone_config(seed=seed, instances=40),
+            harness.ExperimentConfig(seed=seed, instances=20, max_advertisers=5, max_ads=3),
+        ):
+            for inst in harness.generate_corpus(replace(cfg, cardinality=limit)):
+                rep = truthful_profile(inst)
+                for adv in inst.advertisers:
+                    for branch in MONOTONE_BRANCHES:
+                        assert_bisection_matches_scan(inst, rep, adv.adv_id, branch)
+
+
 @settings(deadline=None, max_examples=80)
-@given(reported(min_quarters=1), st.integers(0, 2), st.sampled_from(PROBED_BRANCHES))
-def test_bisection_matches_scan(pair, adv_index, branch):
+@given(reported(min_quarters=1), st.integers(0, 2), st.sampled_from(MONOTONE_BRANCHES), st.sampled_from((None, 1, 2)))
+def test_bisection_matches_scan(pair, adv_index, branch, limit):
     inst, rep = pair
+    inst = replace(inst, cardinality_limit=limit)
     adv = inst.advertisers[adv_index % len(inst.advertisers)]
     assert_bisection_matches_scan(inst, rep, adv.adv_id, branch)
 
@@ -350,7 +369,7 @@ def test_rebid_view_equals_a_fresh_view(pair, adv_index, num, den, zero_alpha):
     subset = rep.subsets[adv.adv_id]
     view = kernels.ScaledView(inst, rep)
     for bid in (Fraction(num, den), Fraction(num + 1, den + 1)):
-        view = view.rebid(adv.adv_id, bid)
+        view = rebid(view, adv.adv_id, bid)
         fresh = kernels.ScaledView(inst, rep.replace(adv.adv_id, bid, subset))
         for name in kernels.ScaledView.FIELDS:
             assert getattr(view, name) == getattr(fresh, name), name

@@ -15,10 +15,7 @@ from richads.model import Mixture, as_mixture, social_welfare, truthful_profile
 
 
 def _counting(monkeypatch, cls):
-    """The instances of `cls` constructed while the test runs.
-
-    `ScaledView.rebid` copies a view without calling `__init__`, so rebids
-    are not counted."""
+    """The instances of `cls` constructed while the test runs."""
     made = []
     init = cls.__init__
 
@@ -35,8 +32,10 @@ def test_every_rule_names_branches_of_the_table():
         assert set(branches) <= set(pricing.BRANCHES), name
         assert (default_p is None) == (len(branches) == 1), name
         assert pricing.rule_branches(pricing.AllocationRule(name))[0][1] == branches[0]
-    # the truthful mixture's two branches are the ones read off the probe kernel
-    assert {name for name, branch in pricing.BRANCHES.items() if branch.probe is not None} == {"bpb", "max-value"}
+    # every branch is read off the probe kernel; the truthful mixture's two
+    # branches and greedy-value are proven monotone, so their curves are bisected
+    assert all(branch.probe is not None for branch in pricing.BRANCHES.values())
+    assert {name for name, branch in pricing.BRANCHES.items() if branch.monotone} == {"bpb", "max-value", "greedy-value"}
     assert pricing.RULES["mixture"] == (("bpb", "max-value"), monotone.TRUTHFUL_MIX_P)
     assert pricing.RULES["randomized-greedy"] == (("greedy-bpb", "max-value"), heuristics.RANDOMIZED_GREEDY_P)
 
