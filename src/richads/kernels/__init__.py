@@ -165,13 +165,12 @@ class BidderProbe:
     walk is recorded once (remaining space at each position and the held
     rows after each change), a probe finds the first admitted row from it
     and resumes the walk there in integers, the bidder's value num * n0 * bd
-    compared with another's den * bn * v. The capped walk with eviction
-    runs the same way; the uncapped one is that walk with a cap no
-    advertiser set can reach, which holds the same spaces. The clicks are
-    read off the best-fit table of the bpb rule.
+    compared with another's den * bn * v; the uncapped walk needs the held
+    spaces only. The clicks are read off the best-fit table of the bpb
+    rule.
     """
 
-    __slots__ = ("view", "adv_id", "_walk", "_fit", "_max", "_value", "_greedy")
+    __slots__ = ("view", "adv_id", "_own_rows", "_walk", "_fit", "_max", "_value", "_greedy")
 
     def __init__(self, view: ScaledView, adv_id: str):
         rep = view.rep
@@ -180,17 +179,18 @@ class BidderProbe:
             view = ScaledView(view.inst, rep.replace(adv_id, Fraction(1), rep.subsets.get(adv_id, frozenset())))
         self.view = view
         self.adv_id = adv_id
-        self._walk = self._fit = self._max = self._value = self._greedy = None
+        self._own_rows = self._walk = self._fit = self._max = self._value = self._greedy = None
 
     def _own(self):
         # (own row span, the view's bid as (numerator, denominator), each
         # own row's click rate)
-        view = self.view
-        lo, hi = view.span(self.adv_id)
-        bid = view.rep.bids[self.adv_id]
-        bn, bd = bid.numerator, bid.denominator
-        alphas = [Fraction(v * bd, view.value_scale * bn) for v in view.val[lo:hi]]
-        return lo, hi, bn, bd, alphas
+        if self._own_rows is None:
+            view = self.view
+            lo, hi = view.span(self.adv_id)
+            bn, bd = view.rep.bids[self.adv_id].numerator, view.rep.bids[self.adv_id].denominator
+            alphas = [Fraction(v * bd, view.value_scale * bn) for v in view.val[lo:hi]]
+            self._own_rows = lo, hi, bn, bd, alphas
+        return self._own_rows
 
     def _clicks_in(self, held: int) -> Fraction:
         """The best own click rate within `held` scaled units of space, as
@@ -343,19 +343,22 @@ class BidderProbe:
         """The bidder's clicks under the greedy-bpb rule at the bid num / den > 0."""
         if self._greedy is None:
             self._greedy = self._greedy_tables()
-        keys, zeros, before, rows, rem_at, snap_at, snaps, own, bn, k, evicts, me = self._greedy
+        keys, zeros, before, rows, rem_at, snap_at, snaps, own, bn, k, me = self._greedy
         scale = den * bn
-        # each own row as (position, value multiplied out, space), in walk order
+        # each own row's position, in walk order
         placed = []
-        for d, v, w in own:
+        for d, _v, _w in own:
             if d is None:
-                p = before  # space 0: among the others' space-0 rows, by index
+                placed.append(before)  # space 0: among the others' space-0 rows, by index
             else:
                 x, r = divmod(num * d, scale)
-                p = zeros + bisect_left(keys, (r == 0) - 3 * x)
-            placed.append((p, num * v, w))
+                placed.append(zeros + bisect_left(keys, (r == 0) - 3 * x))
+        if k is None:
+            return self._clicks_in(_resume_uncapped(placed, own, rows, rem_at, snap_at, snaps))
         # the first own row the others-only walk admits
-        for t, (p, v, w) in enumerate(placed):
+        for t, p in enumerate(placed):
+            _d, v, w = own[t]
+            v *= num
             held = snaps[snap_at[p]]
             rem = rem_at[p]
             if len(held) < k:
@@ -371,16 +374,16 @@ class BidderProbe:
         held = {a: (hv * scale, hw) for a, (hv, hw) in held.items()}
         rem = _greedy_step(held, rem, k, me, v, w)
         q = p
-        for p, v, w in placed[t + 1 :]:
+        for p, (_d, v, w) in zip(placed[t + 1 :], own[t + 1 :]):
             for a, ov, ow in rows[q:p]:
                 got = _greedy_step(held, rem, k, a, ov * scale, ow)
                 if got is not None:
                     rem = got
             q = p
-            got = _greedy_step(held, rem, k, me, v, w)
+            got = _greedy_step(held, rem, k, me, num * v, w)
             if got is not None:
                 rem = got
-        if evicts and me in held:
+        if me in held:
             # after the last own row the others can still push the bidder out
             for a, ov, ow in rows[q:]:
                 got = _greedy_step(held, rem, k, a, ov * scale, ow)
@@ -393,19 +396,21 @@ class BidderProbe:
     def _greedy_tables(self):
         """The others-only greedy-bpb walk, kept for every probe: (the
         positive-space others' keys, the count of space-0 others and of
-        those before the bidder's span, the others' rows as (advertiser index, value, space)
-        in walk order, the remaining space before each, which snapshot of
-        the held rows holds then, the snapshots (advertiser index -> (value,
-        space)), own rows as (density numerator or None for space 0, value
-        numerator, space) in walk order, the view's bid numerator, the cap,
-        whether the cap can evict, the bidder's advertiser index)."""
+        those before the bidder's span, the others' rows as (advertiser
+        index, value, space) in walk order, the remaining space before each,
+        which snapshot of the walk's state holds then, the snapshots, own
+        rows as (density numerator or None for space 0, value numerator,
+        space) in walk order, the view's bid numerator, the cap if it can
+        evict (else None), the bidder's advertiser index).
+
+        Uncapped, a snapshot is the space each advertiser holds; capped, it
+        maps each holder's index to their row's (value, space)."""
         view = self.view
         n = view.n_adv()
         k = view.inst.cardinality_limit
         check_cardinality(k)
-        evicts = k is not None and k < n
-        if not evicts:
-            k = n  # no advertiser set reaches it: the uncapped walk
+        if k is not None and k >= n:
+            k = None  # no advertiser set reaches it: the uncapped walk
         lo, hi, bn, bd, _alphas = self._own()
         _scale, dens = view.densities()
         val, spc, adv = view.val, view.spc, view.adv
@@ -414,18 +419,29 @@ class BidderProbe:
         ranked = sorted(
             (-3 * dens[i] + (0 if i < lo else 2), i) for i in range(len(val)) if spc[i] > 0 and not lo <= i < hi
         )
-        order = zero + [i for _key, i in ranked]
-        rows = [(adv[i], val[i], spc[i]) for i in order]
-        held: dict[int, tuple[int, int]] = {}
+        rows = [(adv[i], val[i], spc[i]) for i in zero + [i for _key, i in ranked]]
         rem = view.total
-        snaps, snap_at, rem_at = [{}], [], []
-        for a, v, w in rows:
-            snap_at.append(len(snaps) - 1)
-            rem_at.append(rem)
-            got = _greedy_step(held, rem, k, a, v, w)
-            if got is not None:
-                rem = got
-                snaps.append(dict(held))
+        snap_at, rem_at = [], []
+        if k is None:
+            held = [0] * n
+            snaps = [held[:]]
+            for a, _v, w in rows:
+                snap_at.append(len(snaps) - 1)
+                rem_at.append(rem)
+                if rem and held[a] < w <= held[a] + rem:
+                    rem -= w - held[a]
+                    held[a] = w
+                    snaps.append(held[:])
+        else:
+            held = {}
+            snaps = [{}]
+            for a, v, w in rows:
+                snap_at.append(len(snaps) - 1)
+                rem_at.append(rem)
+                got = _greedy_step(held, rem, k, a, v, w)
+                if got is not None:
+                    rem = got
+                    snaps.append(dict(held))
         snap_at.append(len(snaps) - 1)
         rem_at.append(rem)
         own = sorted(
@@ -434,8 +450,44 @@ class BidderProbe:
         )
         return (
             [key for key, _i in ranked], len(zero), sum(1 for i in zero if i < lo), rows,
-            rem_at, snap_at, snaps, own, bn, k, evicts, view.adv_index[self.adv_id],
+            rem_at, snap_at, snaps, own, bn, k, view.adv_index[self.adv_id],
         )
+
+
+def _resume_uncapped(placed, own, rows, rem_at, snap_at, snaps) -> int:
+    """The space the bidder holds after the uncapped greedy-bpb walk, their
+    rows `own` at the positions `placed` among the others' `rows`, resumed
+    from the recorded others-only walk.
+
+    The walk stops once no space is left, and a row no larger than what its
+    advertiser holds, or whose increment does not fit, is skipped."""
+    for t, p in enumerate(placed):
+        rem = rem_at[p]
+        if not rem:
+            return 0  # the walk has stopped before this row and every later one
+        w = own[t][2]
+        if 0 < w <= rem:
+            break
+    else:
+        return 0
+    held = snaps[snap_at[p]][:]
+    rem -= w
+    mine = w
+    q = p
+    for p, (_d, _v, w) in zip(placed[t + 1 :], own[t + 1 :]):
+        if w <= mine:
+            continue  # skipped, so the others' rows before it run on with the next
+        for a, _ov, ow in rows[q:p]:
+            if held[a] < ow <= held[a] + rem:
+                rem -= ow - held[a]
+                held[a] = ow
+                if not rem:
+                    return mine
+        q = p
+        if w - mine <= rem:
+            rem -= w - mine
+            mine = w
+    return mine
 
 
 def _greedy_step(held: dict, rem: int, k: int, a: int, v: int, w: int) -> int | None:

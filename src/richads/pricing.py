@@ -242,10 +242,9 @@ def _clicks_with_bid(
     of probability 1 (every curve a payment builds) returns its clicks as
     they are."""
     probe = view.probe(adv_id)
-    terms = [BRANCHES[branch].probe(probe, num, den) for _prob, branch in branches]
-    if len(terms) == 1 and branches[0][0] == 1:
-        return terms[0]
-    return sum((prob * clicks for (prob, _branch), clicks in zip(branches, terms)), Fraction(0))
+    if len(branches) == 1 and branches[0][0] == 1:
+        return BRANCHES[branches[0][1]].probe(probe, num, den)
+    return sum((prob * BRANCHES[branch].probe(probe, num, den) for prob, branch in branches), Fraction(0))
 
 
 def _scan_clicks(n: int, probe: Callable[[int], Fraction]) -> list[Fraction]:
