@@ -100,8 +100,8 @@ def _explain_payments(inst: Instance, rep: ReportProfile, outcome: pricing.Price
 
     `jump_bids` are the bids where the curve steps up to the next of
     `click_levels`; `threshold` is the lowest bid that still wins the
-    branch's clicks; `probes` counts the allocations run to find the curve
-    among its `candidates` breakpoints. Curve fields are null for a branch
+    branch's clicks; `probes` counts the probe kernel reads that found the
+    curve among its `candidates` breakpoints. Curve fields are null for a branch
     priced without a curve (GSP charges nothing for a branch with no clicks).
     """
     names = [branch for _prob, branch in pricing.rule_branches(rule)]

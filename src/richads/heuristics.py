@@ -33,39 +33,19 @@ def _greedy_bpb_capped(view: ScaledView, k: int) -> Allocation:
     """Bang-per-buck scan serving at most k advertisers, with eviction.
 
     When the scan is full, a newcomer may push out the weakest holder: the
-    one with the lowest held value (ties to the smallest adv_id). The
-    newcomer must strictly beat that value and fit into the free space plus
-    whatever the eviction releases. Evicted advertisers stay eligible later.
+    one with the lowest held value (ties to the smallest adv_id, which is
+    the lowest advertiser index). The newcomer must strictly beat that value
+    and fit into the free space plus whatever the eviction releases.
+    Evicted advertisers stay eligible later (`pure.greedy_step`).
     """
-    held: dict[int, int] = {}  # advertiser index -> ad index
+    held: dict[int, tuple[int, int]] = {}  # advertiser index -> (value, space) of the ad held
     rem = view.total
     # descending bang-per-buck, ties in (adv_id, ad_id) order
     for i in pure._bpb_order(view.val, view.spc):
-        a = view.adv[i]
-        if a in held:
-            j = held[a]
-            if view.spc[i] <= view.spc[j]:
-                continue
-            inc = view.spc[i] - view.spc[j]
-            if inc <= rem:
-                held[a] = i
-                rem -= inc
-            continue
-        if len(held) < k:
-            if view.spc[i] <= rem:
-                held[a] = i
-                rem -= view.spc[i]
-            continue
-        evictee = min(held, key=lambda b: (view.val[held[b]], view.adv_ids[b]))
-        j = held[evictee]
-        if view.val[i] > view.val[j] and view.spc[i] <= rem + view.spc[j]:
-            del held[evictee]
-            rem += view.spc[j]
-            held[a] = i
-            rem -= view.spc[i]
+        rem = pure.greedy_step(held, rem, k, view.adv[i], view.val[i], view.spc[i])
     caps = [0] * view.n_adv()
-    for a, i in held.items():
-        caps[a] = view.spc[i]
+    for a, (_v, w) in held.items():
+        caps[a] = w
     return view.allocation(run_best_fit(view, caps))
 
 

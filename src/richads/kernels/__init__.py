@@ -187,7 +187,8 @@ class BidderProbe:
         if self._own_rows is None:
             view = self.view
             lo, hi = view.span(self.adv_id)
-            bn, bd = view.rep.bids[self.adv_id].numerator, view.rep.bids[self.adv_id].denominator
+            bid = view.rep.bids[self.adv_id]
+            bn, bd = bid.numerator, bid.denominator
             alphas = [Fraction(v * bd, view.value_scale * bn) for v in view.val[lo:hi]]
             self._own_rows = lo, hi, bn, bd, alphas
         return self._own_rows
@@ -343,7 +344,7 @@ class BidderProbe:
         """The bidder's clicks under the greedy-bpb rule at the bid num / den > 0."""
         if self._greedy is None:
             self._greedy = self._greedy_tables()
-        keys, zeros, before, rows, rem_at, snap_at, snaps, own, bn, k, me = self._greedy
+        keys, zeros, before, rows, rem_at, snaps, own, bn, k, me = self._greedy
         scale = den * bn
         # each own row's position, in walk order
         placed = []
@@ -354,56 +355,39 @@ class BidderProbe:
                 x, r = divmod(num * d, scale)
                 placed.append(zeros + bisect_left(keys, (r == 0) - 3 * x))
         if k is None:
-            return self._clicks_in(_resume_uncapped(placed, own, rows, rem_at, snap_at, snaps))
-        # the first own row the others-only walk admits
+            return self._clicks_in(_resume_uncapped(placed, own, rows, rem_at, snaps))
+        # the first own row the others-only walk admits, and the walk on from it
         for t, p in enumerate(placed):
-            _d, v, w = own[t]
-            v *= num
-            held = snaps[snap_at[p]]
-            rem = rem_at[p]
-            if len(held) < k:
-                if w <= rem:
-                    break
-            else:
-                e = min(held, key=lambda b: (held[b][0], b))
-                ev, ew = held[e]
-                if v > ev * scale and w <= rem + ew:
-                    break
+            held = {a: (v * scale, w) for a, (v, w) in snaps[p].items()}
+            rem = pure.greedy_step(held, rem_at[p], k, me, num * own[t][1], own[t][2])
+            if me in held:
+                break
         else:
             return ZERO
-        held = {a: (hv * scale, hw) for a, (hv, hw) in held.items()}
-        rem = _greedy_step(held, rem, k, me, v, w)
         q = p
         for p, (_d, v, w) in zip(placed[t + 1 :], own[t + 1 :]):
             for a, ov, ow in rows[q:p]:
-                got = _greedy_step(held, rem, k, a, ov * scale, ow)
-                if got is not None:
-                    rem = got
+                rem = pure.greedy_step(held, rem, k, a, ov * scale, ow)
             q = p
-            got = _greedy_step(held, rem, k, me, num * v, w)
-            if got is not None:
-                rem = got
-        if me in held:
-            # after the last own row the others can still push the bidder out
-            for a, ov, ow in rows[q:]:
-                got = _greedy_step(held, rem, k, a, ov * scale, ow)
-                if got is not None:
-                    rem = got
-                    if me not in held:
-                        return ZERO
+            rem = pure.greedy_step(held, rem, k, me, num * v, w)
+        # after the last own row the others can still push the bidder out
+        for a, ov, ow in rows[q:]:
+            if me not in held:
+                return ZERO
+            rem = pure.greedy_step(held, rem, k, a, ov * scale, ow)
         return self._clicks_in(held[me][1]) if me in held else ZERO
 
     def _greedy_tables(self):
         """The others-only greedy-bpb walk, kept for every probe: (the
         positive-space others' keys, the count of space-0 others and of
         those before the bidder's span, the others' rows as (advertiser
-        index, value, space) in walk order, the remaining space before each,
-        which snapshot of the walk's state holds then, the snapshots, own
-        rows as (density numerator or None for space 0, value numerator,
-        space) in walk order, the view's bid numerator, the cap if it can
-        evict (else None), the bidder's advertiser index).
+        index, value, space) in walk order, the remaining space and the
+        walk's state before each and after the last, own rows as (density
+        numerator or None for space 0, value numerator, space) in walk
+        order, the view's bid numerator, the cap if it can evict (else
+        None), the bidder's advertiser index).
 
-        Uncapped, a snapshot is the space each advertiser holds; capped, it
+        Uncapped, the state is the space each advertiser holds; capped, it
         maps each holder's index to their row's (value, space)."""
         view = self.view
         n = view.n_adv()
@@ -421,40 +405,27 @@ class BidderProbe:
         )
         rows = [(adv[i], val[i], spc[i]) for i in zero + [i for _key, i in ranked]]
         rem = view.total
-        snap_at, rem_at = [], []
-        if k is None:
-            held = [0] * n
-            snaps = [held[:]]
-            for a, _v, w in rows:
-                snap_at.append(len(snaps) - 1)
-                rem_at.append(rem)
-                if rem and held[a] < w <= held[a] + rem:
-                    rem -= w - held[a]
-                    held[a] = w
-                    snaps.append(held[:])
-        else:
-            held = {}
-            snaps = [{}]
-            for a, v, w in rows:
-                snap_at.append(len(snaps) - 1)
-                rem_at.append(rem)
-                got = _greedy_step(held, rem, k, a, v, w)
-                if got is not None:
-                    rem = got
-                    snaps.append(dict(held))
-        snap_at.append(len(snaps) - 1)
-        rem_at.append(rem)
+        held = [0] * n if k is None else {}
+        rem_at, snaps = [rem], [held.copy()]
+        for a, v, w in rows:
+            if k is not None:
+                rem = pure.greedy_step(held, rem, k, a, v, w)
+            elif rem and held[a] < w <= held[a] + rem:
+                rem -= w - held[a]
+                held[a] = w
+            rem_at.append(rem)
+            snaps.append(held.copy())
         own = sorted(
             ((None, val[i] * bd, 0) if spc[i] == 0 else (dens[i] * bd, val[i] * bd, spc[i]) for i in range(lo, hi)),
             key=lambda row: (row[0] is not None, -(row[0] or 0)),
         )
         return (
             [key for key, _i in ranked], len(zero), sum(1 for i in zero if i < lo), rows,
-            rem_at, snap_at, snaps, own, bn, k, view.adv_index[self.adv_id],
+            rem_at, snaps, own, bn, k, view.adv_index[self.adv_id],
         )
 
 
-def _resume_uncapped(placed, own, rows, rem_at, snap_at, snaps) -> int:
+def _resume_uncapped(placed, own, rows, rem_at, snaps) -> int:
     """The space the bidder holds after the uncapped greedy-bpb walk, their
     rows `own` at the positions `placed` among the others' `rows`, resumed
     from the recorded others-only walk.
@@ -470,7 +441,7 @@ def _resume_uncapped(placed, own, rows, rem_at, snap_at, snaps) -> int:
             break
     else:
         return 0
-    held = snaps[snap_at[p]][:]
+    held = snaps[p][:]
     rem -= w
     mine = w
     q = p
@@ -488,38 +459,6 @@ def _resume_uncapped(placed, own, rows, rem_at, snap_at, snaps) -> int:
             rem -= w - mine
             mine = w
     return mine
-
-
-def _greedy_step(held: dict, rem: int, k: int, a: int, v: int, w: int) -> int | None:
-    """One row of the capped greedy-bpb walk (`heuristics._greedy_bpb_capped`):
-    advertiser `a`'s row of value `v` and space `w` against `held`
-    (advertiser index -> (value, space)) with `rem` space left. Updates
-    `held` and returns the new remaining space, or None if the row changed
-    nothing.
-
-    A holder takes a larger row that fits its increment; a newcomer is
-    admitted if it fits and fewer than k advertisers hold, else it may push
-    out the holder of lowest value (ties to the lowest index) when it
-    strictly beats that value and fits in the space so freed."""
-    got = held.get(a)
-    if got is not None:
-        inc = w - got[1]
-        if inc <= 0 or inc > rem:
-            return None
-        held[a] = (v, w)
-        return rem - inc
-    if len(held) < k:
-        if w > rem:
-            return None
-        held[a] = (v, w)
-        return rem - w
-    e = min(held, key=lambda b: (held[b][0], b))
-    ev, ew = held[e]
-    if v <= ev or w > rem + ew:
-        return None
-    del held[e]
-    held[a] = (v, w)
-    return rem + ew - w
 
 
 def run_space_auction(view: ScaledView, stop_on_misfit: bool):

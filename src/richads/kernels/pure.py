@@ -130,3 +130,33 @@ def value_greedy(adv, val, spc, n_adv, total, limit):
             rem -= spc[i]
             placed += 1
     return held
+
+
+def greedy_step(held: dict, rem: int, k: int, a: int, v: int, w: int) -> int:
+    """One row of the capped bang-per-buck greedy walk: advertiser `a`'s row
+    of value `v` and space `w` against `held` (advertiser index -> (value,
+    space)) with `rem` space left. Updates `held` and returns the space
+    left.
+
+    A holder takes a larger row that fits its increment; a newcomer is
+    admitted if it fits and fewer than k advertisers hold, else it may push
+    out the holder of lowest value (ties to the lowest index) when it
+    strictly beats that value and fits in the space so freed."""
+    got = held.get(a)
+    if got is not None:
+        if got[1] < w <= got[1] + rem:
+            held[a] = (v, w)
+            return rem - (w - got[1])
+        return rem
+    if len(held) < k:
+        if w <= rem:
+            held[a] = (v, w)
+            return rem - w
+        return rem
+    e = min(held, key=lambda b: (held[b][0], b))
+    ev, ew = held[e]
+    if v > ev and w <= rem + ew:
+        del held[e]
+        held[a] = (v, w)
+        return rem + ew - w
+    return rem

@@ -160,7 +160,8 @@ class BidThresholds:
     cap; `intervals` are the open spans between consecutive breakpoints
     (plus the final span up to the cap) and `interval_clicks[j]` is the
     advertiser's expected clicks anywhere inside `intervals[j]`. `probes`
-    counts the allocations run to find those clicks.
+    counts the kernel reads (`kernels.BidderProbe`, no allocation) that
+    found those clicks.
     """
 
     adv_id: str
