@@ -162,9 +162,9 @@ class BidderProbe:
     greedy-bpb: skip-and-continue lets the others react to the bidder's
     space, and no such proof exists, so its curves are scanned. Before the
     bidder's first admitted row the walk is the others-only walk, so that
-    walk is recorded once (remaining space at each position and the held
-    rows after each change), a probe finds the first admitted row from it
-    and resumes the walk there in integers, the bidder's value num * n0 * bd
+    walk is recorded once (the remaining space and the held rows before
+    each position), a probe finds the first admitted row from it and
+    resumes the walk there in integers, the bidder's value num * n0 * bd
     compared with another's den * bn * v; the uncapped walk needs the held
     spaces only. The clicks are read off the best-fit table of the bpb
     rule.
