@@ -22,47 +22,41 @@ import random
 from fractions import Fraction
 
 from . import pricing  # a cycle: see `pricing.RULES`
-from .kernels import ScaledView, check_cardinality, pure, run_best_fit, run_space_auction, run_value_greedy
+from .kernels import ScaledView, check_cardinality, greedy_step, run_best_fit, run_value_greedy
+from .kernels import run_space_auction  # noqa: F401  (the benchmark's tracer wraps it here)
 from .model import Allocation, Instance, Mixture, ReportProfile
 from .monotone import max_value_allocation  # noqa: F401  (the benchmark's tracer wraps it here)
 
 RANDOMIZED_GREEDY_P = Fraction(2, 3)
 
 
-def _greedy_bpb_capped(view: ScaledView, k: int) -> Allocation:
-    """Bang-per-buck scan serving at most k advertisers, with eviction.
-
-    When the scan is full, a newcomer may push out the weakest holder: the
-    one with the lowest held value (ties to the smallest adv_id, which is
-    the lowest advertiser index). The newcomer must strictly beat that value
-    and fit into the free space plus whatever the eviction releases.
-    Evicted advertisers stay eligible later (`pure.greedy_step`).
-    """
-    held: dict[int, tuple[int, int]] = {}  # advertiser index -> (value, space) of the ad held
-    rem = view.total
-    # descending bang-per-buck, ties in (adv_id, ad_id) order
-    for i in pure._bpb_order(view.val, view.spc):
-        rem = pure.greedy_step(held, rem, k, view.adv[i], view.val[i], view.spc[i])
-    caps = [0] * view.n_adv()
-    for a, (_v, w) in held.items():
-        caps[a] = w
-    return view.allocation(run_best_fit(view, caps))
-
-
 def greedy_by_bpb(inst: Instance, rep: ReportProfile, view: ScaledView | None = None) -> Allocation:
     """Bang-per-buck greedy: like the integral rule but misfits are skipped.
 
-    After the scan, each advertiser's reserved space is upgraded to their
-    most valuable fitting ad, mirroring the integral rule's second stage.
+    The walk in `bpb_order` serves at most k advertisers, k the
+    `cardinality_limit` or else the number of advertisers. When k are
+    served, a newcomer may push out the weakest holder: the one with the
+    lowest held value (ties to the smallest adv_id). The newcomer must
+    strictly beat that value and fit into the free space plus whatever the
+    eviction releases; evicted advertisers stay eligible later
+    (`kernels.greedy_step`). Uncapped, nobody is pushed out. After the walk,
+    each advertiser's reserved space is upgraded to their most valuable
+    fitting ad, mirroring the integral rule's second stage.
     """
     k = inst.cardinality_limit
     check_cardinality(k)
     if view is None:
         view = ScaledView(inst, rep)
-    if k is not None and k < view.n_adv():
-        return _greedy_bpb_capped(view, k)
-    _held, held_spc, _fa, _fn, _fd = run_space_auction(view, stop_on_misfit=False)
-    return view.allocation(run_best_fit(view, held_spc))
+    if k is None:
+        k = view.n_adv()
+    held: dict[int, tuple[int, int]] = {}  # advertiser index -> (value, space) of the row held
+    rem = view.total
+    for i in view.bpb_order():
+        rem = greedy_step(held, rem, k, view.adv[i], view.val[i], view.spc[i])
+    caps = [0] * view.n_adv()
+    for a, (_v, w) in held.items():
+        caps[a] = w
+    return view.allocation(run_best_fit(view, caps))
 
 
 def greedy_by_value(inst: Instance, rep: ReportProfile, view: ScaledView | None = None) -> Allocation:

@@ -1,8 +1,18 @@
 """The scaled-integer view of a report, and the kernel walks over it.
 
-The walks are the loops of `richads.kernels.pure`; the `run_*` entry points
-feed them a view's rows. `BidderProbe` answers one bidder's click probes
-under the monotone rules without a walk.
+The walks run on plain ints (arbitrary precision), so no magnitude is too
+large. A view's rows are its reported ads sorted by (adv_id, ad_id):
+`adv[i]` is the advertiser index of row i, `val[i]` its scaled effective
+value, `spc[i]` its scaled space. Every walk reads one of the view's two
+orders, each built once per view from integer keys:
+
+* `bpb_order`: descending bang-per-buck, compared exactly over one common
+  scale; zero-space rows, of unbounded bang-per-buck, come first;
+* `value_order`: descending value.
+
+Ties go to the lower row index, which by the sort means (adv_id, ad_id)
+ascending. `BidderProbe` answers one bidder's click probes under every
+deterministic rule without a walk; its tables filter the same orders.
 """
 
 from __future__ import annotations
@@ -12,7 +22,6 @@ from fractions import Fraction
 from math import lcm
 
 from ..model import WHOLE, Allocation
-from . import pure
 
 
 class ScaledView:
@@ -30,14 +39,16 @@ class ScaledView:
         "space", "total", "value_scale", "space_scale",
     )
     # _densities: the rows' bang-per-buck over one integer scale (see
-    # `densities`); _probes: adv_id -> that bidder's `BidderProbe`. Both are
-    # filled on first use.
-    __slots__ = FIELDS + ("_densities", "_probes")
+    # `densities`); _orders: "bpb" or "value" -> that walk order (see
+    # `bpb_order`, `value_order`); _probes: adv_id -> that bidder's
+    # `BidderProbe`. All are filled on first use.
+    __slots__ = FIELDS + ("_densities", "_orders", "_probes")
 
     def __init__(self, inst, rep):
         self.inst = inst
         self.rep = rep
         self._densities = None
+        self._orders = {}
         self._probes = {}
         self.adv_ids = inst.adv_ids()
         self.adv_index = {a: i for i, a in enumerate(self.adv_ids)}
@@ -91,6 +102,32 @@ class ScaledView:
     def _density_table(self) -> tuple[int, list[int | None]]:
         scale = lcm(*(w for w in self.spc if w))
         return scale, [v * (scale // w) if w else None for v, w in zip(self.val, self.spc)]
+
+    def bpb_order(self) -> list[int]:
+        """Row indices by descending bang-per-buck, ties to the lower row.
+
+        The keys are the integer `densities`, and equal keys mean equal
+        bang-per-buck, so the stable sort keeps row order among them. A
+        zero-space row has unbounded bang-per-buck: all of them come first,
+        in row order. Built once per view.
+        """
+        got = self._orders.get("bpb")
+        if got is None:
+            _scale, dens = self.densities()
+            if None in dens:
+                got = [i for i, d in enumerate(dens) if d is None]
+                got += sorted((i for i, d in enumerate(dens) if d is not None), key=dens.__getitem__, reverse=True)
+            else:
+                got = sorted(range(len(dens)), key=dens.__getitem__, reverse=True)
+            self._orders["bpb"] = got
+        return got
+
+    def value_order(self) -> list[int]:
+        """Row indices by descending value, ties to the lower row. Built once per view."""
+        got = self._orders.get("value")
+        if got is None:
+            got = self._orders["value"] = sorted(range(len(self.val)), key=self.val.__getitem__, reverse=True)
+        return got
 
     def allocation(self, chosen: list[int]) -> Allocation:
         """The allocation of a choice vector: a row index per advertiser, -1 for none."""
@@ -243,25 +280,19 @@ class BidderProbe:
         view = self.view
         lo, hi, bn, bd, _alphas = self._own()
         _scale, dens = view.densities()
-        spc = view.spc
-        # rows of space <= 0 are skipped by the walk: they never move it
-        others = sorted(
-            (-3 * dens[i] + (0 if i < lo else 2), i)
-            for i in range(len(spc))
-            if spc[i] > 0 and not lo <= i < hi
-        )
+        spc, adv = view.spc, view.adv
         held = [0] * view.n_adv()
-        keys, prefix = [], [0]
-        for key, i in others:
-            a = view.adv[i]
-            if spc[i] > held[a]:
-                keys.append(key)
-                prefix.append(prefix[-1] + spc[i] - held[a])
-                held[a] = spc[i]
-        own = sorted(
-            ((dens[i] * bd, spc[i]) for i in range(lo, hi) if spc[i] > 0),
-            key=lambda row: -row[0],
-        )
+        keys, prefix, own = [], [0], []
+        for i in view.bpb_order():
+            w = spc[i]
+            if w <= 0:
+                continue  # skipped by the walk: it never moves it
+            if lo <= i < hi:
+                own.append((dens[i] * bd, w))
+            elif w > held[adv[i]]:
+                keys.append(-3 * dens[i] + (0 if i < lo else 2))
+                prefix.append(prefix[-1] + w - held[adv[i]])
+                held[adv[i]] = w
         return view.total, keys, prefix, own, bn
 
     def max_value(self, num: int, den: int) -> Fraction:
@@ -323,11 +354,14 @@ class BidderProbe:
             limit = view.n_adv()
         lo, hi, bn, bd, alphas = self._own()
         val, spc = view.val, view.spc
-        others = sorted((-3 * val[i] + (0 if i < lo else 2), i) for i in range(len(val)) if not lo <= i < hi)
         served = [False] * view.n_adv()
         rem, count = view.total, 0
-        rem_at, served_at = [], []
-        for _key, i in others:
+        keys, rem_at, served_at, own = [], [], [], []
+        for i in view.value_order():
+            if lo <= i < hi:
+                own.append((val[i] * bd, spc[i], alphas[i - lo]))
+                continue
+            keys.append(-3 * val[i] + (0 if i < lo else 2))
             rem_at.append(rem)
             served_at.append(count)
             a = view.adv[i]
@@ -337,8 +371,7 @@ class BidderProbe:
                 count += 1
         rem_at.append(rem)
         served_at.append(count)
-        own = sorted(((val[i] * bd, spc[i], alphas[i - lo]) for i in range(lo, hi)), key=lambda row: -row[0])
-        return [key for key, _i in others], rem_at, served_at, own, bn, limit
+        return keys, rem_at, served_at, own, bn, limit
 
     def greedy_bpb(self, num: int, den: int) -> Fraction:
         """The bidder's clicks under the greedy-bpb rule at the bid num / den > 0."""
@@ -359,7 +392,7 @@ class BidderProbe:
         # the first own row the others-only walk admits, and the walk on from it
         for t, p in enumerate(placed):
             held = {a: (v * scale, w) for a, (v, w) in snaps[p].items()}
-            rem = pure.greedy_step(held, rem_at[p], k, me, num * own[t][1], own[t][2])
+            rem = greedy_step(held, rem_at[p], k, me, num * own[t][1], own[t][2])
             if me in held:
                 break
         else:
@@ -367,14 +400,14 @@ class BidderProbe:
         q = p
         for p, (_d, v, w) in zip(placed[t + 1 :], own[t + 1 :]):
             for a, ov, ow in rows[q:p]:
-                rem = pure.greedy_step(held, rem, k, a, ov * scale, ow)
+                rem = greedy_step(held, rem, k, a, ov * scale, ow)
             q = p
-            rem = pure.greedy_step(held, rem, k, me, num * v, w)
+            rem = greedy_step(held, rem, k, me, num * v, w)
         # after the last own row the others can still push the bidder out
         for a, ov, ow in rows[q:]:
             if me not in held:
                 return ZERO
-            rem = pure.greedy_step(held, rem, k, a, ov * scale, ow)
+            rem = greedy_step(held, rem, k, a, ov * scale, ow)
         return self._clicks_in(held[me][1]) if me in held else ZERO
 
     def _greedy_tables(self):
@@ -398,31 +431,30 @@ class BidderProbe:
         lo, hi, bn, bd, _alphas = self._own()
         _scale, dens = view.densities()
         val, spc, adv = view.val, view.spc, view.adv
-        # space-0 rows come first in the walk, in row order
-        zero = [i for i in range(len(val)) if spc[i] == 0 and not lo <= i < hi]
-        ranked = sorted(
-            (-3 * dens[i] + (0 if i < lo else 2), i) for i in range(len(val)) if spc[i] > 0 and not lo <= i < hi
-        )
-        rows = [(adv[i], val[i], spc[i]) for i in zero + [i for _key, i in ranked]]
+        keys, rows, own = [], [], []
+        zeros = before = 0  # space-0 others, and those before the span
+        for i in view.bpb_order():
+            if lo <= i < hi:
+                own.append((None, val[i] * bd, 0) if spc[i] == 0 else (dens[i] * bd, val[i] * bd, spc[i]))
+                continue
+            rows.append((adv[i], val[i], spc[i]))
+            if spc[i] == 0:
+                zeros += 1
+                before += i < lo
+            else:
+                keys.append(-3 * dens[i] + (0 if i < lo else 2))
         rem = view.total
         held = [0] * n if k is None else {}
         rem_at, snaps = [rem], [held.copy()]
         for a, v, w in rows:
             if k is not None:
-                rem = pure.greedy_step(held, rem, k, a, v, w)
+                rem = greedy_step(held, rem, k, a, v, w)
             elif rem and held[a] < w <= held[a] + rem:
                 rem -= w - held[a]
                 held[a] = w
             rem_at.append(rem)
             snaps.append(held.copy())
-        own = sorted(
-            ((None, val[i] * bd, 0) if spc[i] == 0 else (dens[i] * bd, val[i] * bd, spc[i]) for i in range(lo, hi)),
-            key=lambda row: (row[0] is not None, -(row[0] or 0)),
-        )
-        return (
-            [key for key, _i in ranked], len(zero), sum(1 for i in zero if i < lo), rows,
-            rem_at, snaps, own, bn, k, view.adv_index[self.adv_id],
-        )
+        return keys, zeros, before, rows, rem_at, snaps, own, bn, k, view.adv_index[self.adv_id]
 
 
 def _resume_uncapped(placed, own, rows, rem_at, snaps) -> int:
@@ -461,29 +493,116 @@ def _resume_uncapped(placed, own, rows, rem_at, snaps) -> int:
     return mine
 
 
-def run_space_auction(view: ScaledView, stop_on_misfit: bool):
-    n = view.n_adv()
-    if not view.val:
-        return [-1] * n, [0] * n, -1, 0, 1
-    return pure.space_auction(view.adv, view.val, view.spc, n, view.total, stop_on_misfit)
+def greedy_step(held: dict, rem: int, k: int, a: int, v: int, w: int) -> int:
+    """One row of the capped bang-per-buck greedy walk: advertiser `a`'s row
+    of value `v` and space `w` against `held` (advertiser index -> (value,
+    space)) with `rem` space left. Updates `held` and returns the space
+    left.
+
+    A holder takes a larger row that fits its increment; a newcomer is
+    admitted if it fits and fewer than k advertisers hold, else it may push
+    out the holder of lowest value (ties to the lowest index) when it
+    strictly beats that value and fits in the space so freed. With k the
+    number of advertisers nobody is ever pushed out."""
+    got = held.get(a)
+    if got is not None:
+        if got[1] < w <= got[1] + rem:
+            held[a] = (v, w)
+            return rem - (w - got[1])
+        return rem
+    if len(held) < k:
+        if w <= rem:
+            held[a] = (v, w)
+            return rem - w
+        return rem
+    e = min(held, key=lambda b: (held[b][0], b))
+    ev, ew = held[e]
+    if v > ev and w <= rem + ew:
+        del held[e]
+        held[a] = (v, w)
+        return rem + ew - w
+    return rem
+
+
+def run_space_auction(view: ScaledView, events: list | None = None):
+    """The integral rule's space walk, in `bpb_order`.
+
+    A row no larger than what its advertiser already holds is skipped;
+    otherwise the increment is charged against the remaining budget. The
+    first increment that does not fit stops the walk with a fractional
+    tail.
+
+    Returns (held, held_spc, frac_adv, frac_num, frac_den) where `held[a]` is
+    the row advertiser a ends up holding (-1 for none), `held_spc[a]` the
+    space reserved for a, and the frac_* triple describes the fractional
+    stop: advertiser index (or -1), plus numerator/denominator of the weight
+    on the stopping row.
+
+    When `events` is a list, each row that covers new units appends
+    (kind, row, start, end) to it: kind is "place", "replace" or
+    "fractional" and [start, end) is the scaled-unit range newly covered by
+    that row. Units keep the label of the row that first covered them; the
+    fractional stop labels the whole leftover range.
+    """
+    adv, spc, total = view.adv, view.spc, view.total
+    held = [-1] * view.n_adv()
+    held_spc = [0] * view.n_adv()
+    rem = total
+    for i in view.bpb_order():
+        if rem == 0:
+            break
+        a = adv[i]
+        if spc[i] <= held_spc[a]:
+            continue
+        inc = spc[i] - held_spc[a]
+        if inc > rem:
+            if events is not None:
+                events.append(("fractional", i, total - rem, total))
+            held[a] = i
+            held_spc[a] += rem
+            return held, held_spc, a, held_spc[a], spc[i]
+        if events is not None:
+            events.append(("place" if held[a] < 0 else "replace", i, total - rem, total - rem + inc))
+        held[a] = i
+        held_spc[a] = spc[i]
+        rem -= inc
+    return held, held_spc, -1, 0, 1
 
 
 def run_space_auction_traced(view: ScaledView):
-    """The stop-on-misfit walk plus its event list (see `pure.space_auction`)."""
-    n = view.n_adv()
+    """`run_space_auction` plus its event list."""
     events = []
-    if not view.val:
-        return [-1] * n, [0] * n, -1, 0, 1, events
-    return (*pure.space_auction(view.adv, view.val, view.spc, n, view.total, True, events), events)
+    return (*run_space_auction(view, events), events)
 
 
 def run_best_fit(view: ScaledView, caps: list[int]):
-    if not view.val:
-        return [-1] * view.n_adv()
-    return pure.best_fit(view.adv, view.val, view.spc, view.n_adv(), caps)
+    """Per advertiser a, the row of highest value fitting in caps[a] (-1 if
+    none); value ties go to the lower row."""
+    adv, val, spc = view.adv, view.val, view.spc
+    best = [-1] * view.n_adv()
+    for i in range(len(val)):
+        a = adv[i]
+        if caps[a] <= 0 or spc[i] > caps[a]:
+            continue
+        if best[a] < 0 or val[i] > val[best[a]]:
+            best[a] = i
+    return best
 
 
 def run_value_greedy(view: ScaledView, limit: int):
-    if not view.val:
-        return [-1] * view.n_adv()
-    return pure.value_greedy(view.adv, view.val, view.spc, view.n_adv(), view.total, limit)
+    """Walk rows in `value_order`, serving each advertiser the first row
+    that fits, until `limit` advertisers are served; a row that does not
+    fit leaves its advertiser eligible."""
+    spc = view.spc
+    held = [-1] * view.n_adv()
+    rem = view.total
+    placed = 0
+    for i in view.value_order():
+        if placed >= limit:
+            break
+        a = view.adv[i]
+        if held[a] < 0 and spc[i] <= rem:
+            held[a] = i
+            rem -= spc[i]
+            placed += 1
+    return held

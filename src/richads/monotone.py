@@ -94,7 +94,7 @@ def _assignment_from_view(view: ScaledView, want_trace: bool):
         )
         trace = SpaceTrace(scale=view.space_scale, total_units=view.total, runs=runs)
     else:
-        held, held_spc, frac_adv, frac_num, frac_den = run_space_auction(view, stop_on_misfit=True)
+        held, held_spc, frac_adv, frac_num, frac_den = run_space_auction(view)
         trace = None
     return held, held_spc, frac_adv, frac_num, frac_den, trace
 
@@ -124,7 +124,7 @@ def bpb_allocation(inst: Instance, rep: ReportProfile, view: ScaledView | None =
     """
     if view is None:
         view = ScaledView(inst, rep)
-    _held, held_spc, _fa, _fn, _fd = run_space_auction(view, stop_on_misfit=True)
+    _held, held_spc, _fa, _fn, _fd = run_space_auction(view)
     return view.allocation(run_best_fit(view, held_spc))
 
 

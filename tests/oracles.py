@@ -291,6 +291,7 @@ def rebid(view, adv_id: str, bid: Fraction):
         setattr(new, name, getattr(view, name))
     new.rep = rep
     new._densities = None
+    new._orders = {}
     new._probes = {}
     new.value_scale = value_scale
     new.val = below + [n * (value_scale // d) for n, d in own] + above

@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 
 from oracles import BpbKey
 from richads import kernels
-from richads.kernels import ScaledView, pure
-from richads.model import truthful_profile
+from richads.kernels import ScaledView
+from richads.model import Advertiser, Instance, RichAd, truthful_profile
 from richads import fixtures
 
 
@@ -46,9 +46,10 @@ def test_empty_view_short_circuits():
     inst = fixtures.fx2()
     rep = truthful_profile(inst).replace("a", Fraction(0), set()).replace("b", Fraction(0), set())
     view = ScaledView(inst, rep)
-    held, spaces, fa, fn, fd = kernels.run_space_auction(view, stop_on_misfit=True)
+    held, spaces, fa, fn, fd = kernels.run_space_auction(view)
     assert held == [-1, -1] and spaces == [0, 0] and fa == -1
     assert kernels.run_best_fit(view, [0, 0]) == [-1, -1]
+    assert kernels.run_value_greedy(view, 2) == [-1, -1]
 
 
 @st.composite
@@ -69,21 +70,41 @@ def bpb_rows(draw):
     return val, spc
 
 
+def view_of_rows(val, spc):
+    """A view whose rows are exactly (val[i], spc[i]): one advertiser per
+    row, bidding 1 on an ad of click rate val[i], in row order."""
+    advs = [
+        Advertiser(f"a{i:02d}", Fraction(1), (RichAd("x", Fraction(v), Fraction(w)),))
+        for i, (v, w) in enumerate(zip(val, spc))
+    ]
+    view = view_of(Instance(tuple(advs), Fraction(1)))
+    assert (view.val, view.spc) == (val, spc)
+    return view
+
+
 @given(bpb_rows())
 def test_bpb_order_equals_the_comparator_sort(rows):
     val, spc = rows
     expected = sorted(range(len(val)), key=lambda i: BpbKey(val[i], spc[i]))
-    assert pure._bpb_order(val, spc) == expected
+    assert view_of_rows(val, spc).bpb_order() == expected
 
 
 def test_bpb_order_puts_zero_space_rows_first_in_input_order():
-    assert pure._bpb_order([1, 5, 2, 3], [1, 0, 0, 1]) == [1, 2, 3, 0]
+    assert view_of_rows([1, 5, 2, 3], [1, 0, 0, 1]).bpb_order() == [1, 2, 3, 0]
+
+
+@given(bpb_rows())
+def test_value_order_equals_the_comparator_sort(rows):
+    val, spc = rows
+    # descending value, equal values in row order
+    expected = sorted(range(len(val)), key=lambda i: BpbKey(val[i], 1))
+    assert view_of_rows(val, spc).value_order() == expected
 
 
 def test_traced_walk_matches_untrace(small_corpus):
     for inst in small_corpus[:100]:
         view = view_of(inst)
-        held, spaces, fa, fn, fd = kernels.run_space_auction(view, stop_on_misfit=True)
+        held, spaces, fa, fn, fd = kernels.run_space_auction(view)
         t_held, t_spaces, t_fa, t_fn, t_fd, events = kernels.run_space_auction_traced(view)
         assert (held, spaces, fa, fn, fd) == (t_held, t_spaces, t_fa, t_fn, t_fd)
         # newly covered unit ranges are contiguous and within budget

@@ -149,7 +149,7 @@ def test_budget_used_up_exactly():
     for inst, bid, clicks in ((before, Fraction(1, 2), 0), (own, Fraction(2), 1)):
         rep = truthful_profile(inst)
         view = kernels.ScaledView(inst, rep)
-        _held, held_spc, frac_adv, _n, _d = kernels.run_space_auction(rebid(view, "b", bid), stop_on_misfit=True)
+        _held, held_spc, frac_adv, _n, _d = kernels.run_space_auction(rebid(view, "b", bid))
         assert sum(held_spc) == view.total and frac_adv == -1
         assert view.probe("b").bpb(bid.numerator, bid.denominator) == clicks
         assert_probe_matches_rebid(inst, rep, "b")
