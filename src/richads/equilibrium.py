@@ -223,6 +223,7 @@ class _Evaluator:
             if self.mech.pricing == "gsp" and not any(xs):
                 continue  # GSP reads no curve for a branch without clicks
             curve = self._curve(at_cap, adv_id, branch, cap, view)
+            pricing.check_clicks_at_bids(self.mech.pricing, curve, grid, xs)
             prices = pricing.threshold_prices_along(self.mech.pricing, curve, grid, xs)
             if self.mech.pricing == "gsp":
                 prices = [x * cpc for x, cpc in zip(xs, prices)]

@@ -2,9 +2,12 @@
 
 These trade the fractional stop for skip-and-continue (bang-per-buck) or a
 straight value scan, and serve at most the instance's `cardinality_limit`
-advertisers when it has one. They carry no welfare guarantee on their own;
-the randomized mix, 2/3 greedy-bpb and 1/3 max-value, restores one through
-its max-value branch.
+advertisers when it has one. Both walk the view's orders
+(`ScaledView.bpb_order`, `ScaledView.value_order`), so they break ties as
+the monotone rules and the probe kernels do. Bang-per-buck greedy is one
+walk of `kernels.greedy_step`, capped or not. They carry no welfare
+guarantee on their own; the randomized mix, 2/3 greedy-bpb and 1/3
+max-value, restores one through its max-value branch.
 
 Value greedy is monotone, capped or not: a higher bid moves each of the
 bidder's ads to an earlier point of the others' walk, where no less space

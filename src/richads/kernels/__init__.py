@@ -76,8 +76,8 @@ class ScaledView:
         self.val = [r[2].numerator * (value_scale // r[2].denominator) for r in rows]
 
     def probe(self, adv_id: str) -> "BidderProbe":
-        """`adv_id`'s clicks under the monotone rules at any bid, the other
-        rows fixed as in this view. Built once per bidder."""
+        """`adv_id`'s clicks under every deterministic rule at any bid, the
+        other rows fixed as in this view. Built once per bidder."""
         got = self._probes.get(adv_id)
         if got is None:
             got = self._probes[adv_id] = BidderProbe(self, adv_id)
@@ -164,6 +164,8 @@ class BidderProbe:
     running the rule on the report with the bidder's bid replaced, which the
     tests keep as the oracle (`tests/oracles.rebid`).
 
+    The tables filter the view's `bpb_order` or `value_order` into the
+    bidder's rows and the others', both in walk order; none sorts again.
     The bidder's rows enter the others' walk order at positions found by
     bisection. At the view's bid b0 = bn / bd an own row's density (or
     value) numerator is n0, so at num / den it is x = num * n0 * bd /

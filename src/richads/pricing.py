@@ -24,7 +24,6 @@ from .model import (
     Outcome,
     ReportProfile,
     as_mixture,
-    effective_values,
 )
 
 # --- the rule table --------------------------------------------------------
@@ -380,6 +379,24 @@ def threshold_prices_along(
     return out
 
 
+def check_clicks_at_bids(
+    kind: str, curve: BidThresholds, bids: Sequence[Fraction], clicks: Sequence[Fraction]
+) -> None:
+    """Raise `NonMonotoneClickCurveError` on the interval (b, b) where the
+    clicks at one of the ascending positive `bids` b fall below those of
+    the curve's last run below b. The curve is probed inside its intervals
+    only, so a drop at the bid itself shows only here. GSP reads no curve
+    for no clicks (see `threshold_payment`), so it checks none there."""
+    steps = curve.steps()
+    i = 0
+    for bid, x in zip(bids, clicks):
+        while i < len(steps) and steps[i][0] < bid:
+            i += 1
+        if i and x < steps[i - 1][1] and (x or kind != "gsp"):
+            lo, level = steps[i - 1]
+            raise NonMonotoneClickCurveError(curve.adv_id, curve.rule_name, (lo, bid), (bid, bid), level, x)
+
+
 def myerson_from_curve(curve: BidThresholds, bid: Fraction, clicks_at_bid: Fraction) -> Fraction:
     """Myerson payment b*x(b) minus the exact click-curve integral up to b."""
     return threshold_prices_along("myerson", curve, (bid,), (clicks_at_bid,))[0]
@@ -468,7 +485,9 @@ def threshold_payment(
     read off that branch's click curve, `curve(branch)`, where the bidder
     gets `clicks[j]` in branch j. A bidder with no positive bid or no ad
     pays nothing and reads no curve; GSP charges a branch that gives no
-    clicks nothing and reads no curve for it (None in the curves).
+    clicks nothing and reads no curve for it (None in the curves). Clicks at
+    the bid below the curve's level just under it raise
+    `NonMonotoneClickCurveError` (`check_clicks_at_bids`).
     """
     if bid <= 0 or not subset:
         return Fraction(0), ()
@@ -480,6 +499,7 @@ def threshold_payment(
             continue
         got = curve(branch)
         curves.append(got)
+        check_clicks_at_bids(kind, got, (bid,), (x_b,))
         if kind == "gsp":
             total += prob * gsp_cpc_from_curve(got, bid, x_b) * x_b
         else:
@@ -532,18 +552,9 @@ def gsp_prices(
     return _threshold_prices(inst, rep, rule, "gsp", view)
 
 
-def reported_value(inst: Instance, rep: ReportProfile, alloc: Allocation) -> Fraction:
-    eff = effective_values(inst, rep)
-    return sum(
-        (eff[(adv_id, ad_id)] * weight for adv_id, (ad_id, weight) in alloc.entries.items()),
-        Fraction(0),
-    )
-
-
 def vcg_payments(
     inst: Instance,
     rep: ReportProfile,
-    exact_solver: Callable[[Instance, ReportProfile], Allocation] | None = None,
     dp: exact.CapacityDP | None = None,
 ) -> PricedOutcome:
     """Externality payments on top of the exact integral optimum.
@@ -553,12 +564,9 @@ def vcg_payments(
     passes, O(n·cap·m), instead of a solve per served advertiser,
     O((k+1)·n·cap·m). The view's integer scaling is valid for every
     sub-profile, so the payments stay exact. `dp`, when given, is that DP
-    already built over a view of (inst, rep). With
-    `exact_solver`, the profile without each served advertiser is re-solved
-    by it instead; the tests use that loop as the oracle.
+    already built over a view of (inst, rep). The tests keep the re-solve
+    per served advertiser as the oracle (`tests/oracles.vcg_by_resolving`).
     """
-    if exact_solver is not None:
-        return _vcg_by_resolving(inst, rep, exact_solver)
     if dp is None:
         dp = exact.CapacityDP(kernels.ScaledView(inst, rep))
     view = dp.view
@@ -570,26 +578,6 @@ def vcg_payments(
         for g, opt in without.items()
     }
     return _finish_outcome(inst, rep, as_mixture(view.allocation(chosen)), payments, "vcg")
-
-
-def _vcg_by_resolving(
-    inst: Instance, rep: ReportProfile, solver: Callable[[Instance, ReportProfile], Allocation]
-) -> PricedOutcome:
-    """VCG with one `solver` call per served advertiser, on the profile without them."""
-    alloc = solver(inst, rep)
-    eff = effective_values(inst, rep)
-    total = reported_value(inst, rep, alloc)
-    payments: dict[str, Fraction] = {}
-    for adv in inst.advertisers:
-        entry = alloc.entries.get(adv.adv_id)
-        if entry is None:
-            payments[adv.adv_id] = Fraction(0)
-            continue
-        term = eff[(adv.adv_id, entry[0])] * entry[1]
-        without = rep.replace(adv.adv_id, Fraction(0), frozenset())
-        sw_without = reported_value(inst, without, solver(inst, without))
-        payments[adv.adv_id] = sw_without - (total - term)
-    return _finish_outcome(inst, rep, as_mixture(alloc), payments, "vcg")
 
 
 # --- mechanisms -------------------------------------------------------------

@@ -12,7 +12,39 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
-from richads.model import Instance, ReportProfile, effective_values
+from richads.model import Allocation, Instance, ReportProfile, as_mixture, effective_values
+
+
+def reported_value(inst: Instance, rep: ReportProfile, alloc: Allocation) -> Fraction:
+    """The allocation's value at the reported bids: effective value times weight."""
+    eff = effective_values(inst, rep)
+    return sum(
+        (eff[(adv_id, ad_id)] * weight for adv_id, (ad_id, weight) in alloc.entries.items()),
+        Fraction(0),
+    )
+
+
+def vcg_by_resolving(inst: Instance, rep: ReportProfile, solver):
+    """VCG with one `solver(inst, rep)` call per served advertiser, on the
+    profile without them: each pays the others' optimum without them minus
+    the others' value at the optimum. `pricing.vcg_payments` gets the same
+    payments from two DP passes."""
+    from richads.pricing import _finish_outcome
+
+    alloc = solver(inst, rep)
+    eff = effective_values(inst, rep)
+    total = reported_value(inst, rep, alloc)
+    payments: dict[str, Fraction] = {}
+    for adv in inst.advertisers:
+        entry = alloc.entries.get(adv.adv_id)
+        if entry is None:
+            payments[adv.adv_id] = Fraction(0)
+            continue
+        term = eff[(adv.adv_id, entry[0])] * entry[1]
+        without = rep.replace(adv.adv_id, Fraction(0), frozenset())
+        sw_without = reported_value(inst, without, solver(inst, without))
+        payments[adv.adv_id] = sw_without - (total - term)
+    return _finish_outcome(inst, rep, as_mixture(alloc), payments, "vcg")
 
 
 def walk_space_auction(inst: Instance, rep: ReportProfile, stop_on_misfit: bool):

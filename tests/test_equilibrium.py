@@ -314,6 +314,29 @@ def test_a_capped_greedy_drop_raises_the_same_error_on_both_paths():
             assert isinstance(swept, list)
 
 
+def test_a_drop_at_the_bid_itself_raises_the_same_error_on_both_paths():
+    # capped at 1, a1's greedy-bpb clicks are 1 on (3, 4) and 0 at exactly
+    # 4, their true value: under Myerson both paths raise on the point
+    # (4, 4); GSP reads no curve where a1 has no clicks, and both tables agree
+    inst = harness.generate_corpus(replace(harness.tie_prone_config(seed=1, instances=60), cardinality=1))[35]
+    truth = truthful_profile(inst)
+    space = strategy_spaces(inst, Fraction(1, 2))["a1"]
+
+    def table_or_error(table, mech):
+        try:
+            return table(equilibrium._Evaluator(inst, truth, mech))
+        except NonMonotoneClickCurveError as exc:
+            return str(exc)
+
+    for mech in GREEDY_MECHANISMS:
+        swept = table_or_error(lambda ev: ev.utility_table(truth, "a1", space), mech)
+        assert swept == table_or_error(lambda ev: profile_table(ev, truth, "a1", space), mech)
+        if mech.pricing == "myerson" and mech.rule.name != "greedy-value":
+            assert swept.endswith("drop from 1 on (Fraction(3, 1), Fraction(4, 1)) to 0 on (Fraction(4, 1), Fraction(4, 1))")
+        else:
+            assert isinstance(swept, list)
+
+
 def test_vcg_table_equals_the_profile_oracle():
     for name in ("fx1", "fx4"):
         inst = fixtures.fixture(name)

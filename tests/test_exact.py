@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import brute_force_opt
+from oracles import brute_force_opt, reported_value
 from richads import fixtures
 from richads.exact import (
     int_opt_cross_checked,
@@ -20,7 +20,6 @@ from richads.model import (
     RichAd,
     truthful_profile,
 )
-from richads.pricing import reported_value
 
 
 def as_entries(oracle_entries):

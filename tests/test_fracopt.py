@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from oracles import best_value_in_width, brute_force_fractional, brute_force_opt
+from oracles import best_value_in_width, brute_force_fractional, brute_force_opt, reported_value
 from richads import exact, fixtures
 from richads.fracopt import (
     AdPoint,
@@ -13,7 +13,6 @@ from richads.fracopt import (
     two_approx_integral,
 )
 from richads.model import Advertiser, Instance, RichAd, social_welfare, truthful_profile
-from richads.pricing import reported_value
 
 
 def pts(*triples):

@@ -5,6 +5,7 @@ import hashlib
 import json
 import re
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -127,6 +128,18 @@ def test_greedy_payment_warnings_are_pinned():
         warnings += [[seed, *w] for w in result.payment_warnings]
     assert Counter(w[2] for w in warnings) == {"greedy-bpb": 81, "randomized-greedy": 81}
     assert hashlib.sha1(json.dumps(warnings).encode()).hexdigest()[:12] == "187e5a26132e"
+
+
+def test_a_click_drop_at_the_bid_itself_is_a_payment_warning():
+    # on i00035 a1 bids 4, a tie bid: capped greedy-bpb gives them 1 click
+    # on (3, 4) but none at exactly 4. The curve is probed at interval
+    # midpoints only, so the drop shows first at the bid, where the
+    # Myerson payment would read -1
+    corpus = generate_corpus(replace(tie_prone_config(seed=1, instances=60), cardinality=1))
+    result = run_comparison(corpus, MECHANISM_NAMES)
+    assert {row["mechanism"] for row in result.rows} == set(MECHANISM_NAMES)
+    at_bid = {(w[0], w[1]) for w in result.payment_warnings if "on (Fraction(4, 1), Fraction(4, 1))" in w[2]}
+    assert at_bid == {("i00035", "greedy-bpb"), ("i00035", "randomized-greedy")}
 
 
 def test_ratio_histogram_binning():

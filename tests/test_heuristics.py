@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import reported_value
 from richads import fixtures
 from richads.heuristics import (
     RANDOMIZED_GREEDY_P,
@@ -20,7 +21,6 @@ from richads.model import (
     social_welfare,
     truthful_profile,
 )
-from richads.pricing import reported_value
 
 
 def test_fx6b_greedy_bpb_blocks_the_giant():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import walk_space_auction
+from oracles import reported_value, walk_space_auction
 from richads import fixtures
 from richads.model import ReportProfile, social_welfare, truthful_profile
 from richads.monotone import (
@@ -15,7 +15,6 @@ from richads.monotone import (
     randomized_mechanism,
     space_assignment,
 )
-from richads.pricing import reported_value
 
 
 def test_space_assignment_matches_oracle(small_corpus):

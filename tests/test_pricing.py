@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import rebid_clicks, riemann_myerson
+from oracles import rebid_clicks, riemann_myerson, vcg_by_resolving
 from richads import exact, fixtures, heuristics, kernels, monotone, pricing
 from richads.exact import int_opt_exhaustive
 from richads.model import Advertiser, GuardExceededError, Instance, NonMonotoneClickCurveError, RichAd, truthful_profile
@@ -104,7 +104,7 @@ def test_fx6b_vcg_charges_the_displaced_value():
 def test_vcg_with_exhaustive_solver_agrees():
     inst = fixtures.fx2()
     rep = truthful_profile(inst)
-    assert vcg_payments(inst, rep, exact_solver=int_opt_exhaustive).payments == {
+    assert vcg_by_resolving(inst, rep, int_opt_exhaustive).payments == {
         "a": Fraction(0),
         "b": Fraction(3, 2),
     }
@@ -132,7 +132,7 @@ def test_vcg_builds_one_view_and_calls_no_solver(monkeypatch):
     fast = vcg_payments(inst, rep)
     assert counts == {"views": 1}
     counts.clear()
-    assert vcg_payments(inst, rep, exact_solver=exact.int_opt_dp) == fast
+    assert vcg_by_resolving(inst, rep, exact.int_opt_dp) == fast
     assert counts == {"views": 3, "solves": 3}
 
 
@@ -141,7 +141,7 @@ def test_one_pass_vcg_matches_resolving_on_the_corpus(small_corpus, limit):
     for inst in small_corpus:
         inst = replace(inst, cardinality_limit=limit)
         rep = truthful_profile(inst)
-        assert vcg_payments(inst, rep) == vcg_payments(inst, rep, exact_solver=exact.int_opt_dp)
+        assert vcg_payments(inst, rep) == vcg_by_resolving(inst, rep, exact.int_opt_dp)
 
 
 def test_vcg_guard_fires_before_any_table():
@@ -151,7 +151,7 @@ def test_vcg_guard_fires_before_any_table():
     with pytest.raises(GuardExceededError, match="exceeds the DP guard"):
         vcg_payments(inst, rep)
     with pytest.raises(GuardExceededError, match="exceeds the DP guard"):
-        vcg_payments(inst, rep, exact_solver=exact.int_opt_dp)
+        vcg_by_resolving(inst, rep, exact.int_opt_dp)
 
 
 def test_fx4_gsp_at_truth():

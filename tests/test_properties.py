@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import pytest
 
-from oracles import brute_force_opt, rebid, tie_candidates_pairwise
+from oracles import brute_force_opt, rebid, reported_value, tie_candidates_pairwise, vcg_by_resolving
 from richads import exact, fracopt, harness, heuristics, kernels, monotone, pricing
 from richads.model import (
     Advertiser,
@@ -65,7 +65,7 @@ def test_dp_matches_enumeration(pair):
     entries, value = brute_force_opt(inst, rep)
     alloc = exact.int_opt_dp(inst, rep)
     assert {a: ad for a, (ad, _) in alloc.entries.items()} == entries
-    assert pricing.reported_value(inst, rep, alloc) == value
+    assert reported_value(inst, rep, alloc) == value
 
 
 @settings(deadline=None)
@@ -76,7 +76,7 @@ def test_dp_matches_enumeration_under_cardinality(pair, k):
     entries, value = brute_force_opt(inst, rep)
     alloc = exact.int_opt_dp(inst, rep)
     assert {a: ad for a, (ad, _) in alloc.entries.items()} == entries
-    assert len(alloc.entries) <= k and pricing.reported_value(inst, rep, alloc) == value
+    assert len(alloc.entries) <= k and reported_value(inst, rep, alloc) == value
 
 
 @settings(deadline=None, max_examples=60)
@@ -84,7 +84,7 @@ def test_dp_matches_enumeration_under_cardinality(pair, k):
 def test_fractional_relaxation_bounds_the_chain(pair):
     inst, rep = pair
     frac = fracopt.fractional_opt(inst, rep)
-    opt = pricing.reported_value(inst, rep, exact.int_opt_dp(inst, rep))
+    opt = reported_value(inst, rep, exact.int_opt_dp(inst, rep))
     assert frac.objective >= opt
     for alloc in (
         monotone.bpb_allocation(inst, rep),
@@ -93,7 +93,7 @@ def test_fractional_relaxation_bounds_the_chain(pair):
         heuristics.greedy_by_value(inst, rep),
         fracopt.two_approx_integral(inst, rep),
     ):
-        got = pricing.reported_value(inst, rep, alloc)
+        got = reported_value(inst, rep, alloc)
         # the zero-bid fallback of the max-value rule can serve a positive
         # true-value ad, but at reported values nothing beats the optimum
         assert got <= opt
@@ -104,7 +104,7 @@ def test_fractional_relaxation_bounds_the_chain(pair):
 def test_two_approx_guarantee(pair):
     inst, rep = pair
     frac = fracopt.fractional_opt(inst, rep)
-    got = pricing.reported_value(inst, rep, fracopt.two_approx_integral(inst, rep))
+    got = reported_value(inst, rep, fracopt.two_approx_integral(inst, rep))
     assert 2 * got >= frac.objective
 
 
@@ -115,7 +115,7 @@ def test_mixture_three_approx_guarantee(pair):
     frac = fracopt.fractional_opt(inst, rep)
     expected = sum(
         (
-            prob * pricing.reported_value(inst, rep, alloc)
+            prob * reported_value(inst, rep, alloc)
             for prob, alloc in monotone.randomized_mechanism(inst, rep).branches
         ),
         Fraction(0),
@@ -411,7 +411,7 @@ def test_one_pass_vcg_equals_the_resolving_oracles(pair):
     fast = pricing.vcg_payments(inst, rep)
     # at most 4**5 choice vectors: well inside the enumeration guard
     for solver in (exact.int_opt_dp, exact.int_opt_exhaustive):
-        oracle = pricing.vcg_payments(inst, rep, exact_solver=solver)
+        oracle = vcg_by_resolving(inst, rep, solver)
         assert fast.mixture == oracle.mixture
         assert fast.payments == oracle.payments
         assert fast.cpc == oracle.cpc
