@@ -88,6 +88,64 @@ def walk_space_auction(inst: Instance, rep: ReportProfile, stop_on_misfit: bool)
     return spaces, held, fractional
 
 
+def greedy_walk(inst: Instance, rep: ReportProfile, order: str) -> dict[str, str]:
+    """The greedy rules from their definitions: served adv_id -> ad_id.
+
+    Reported ads of positive value are walked by bang-per-buck ("bpb",
+    zero-space ads first) or value ("value") descending, ties by (adv_id,
+    ad_id). At most k advertisers are served, k the cardinality limit or
+    else the number of advertisers.
+
+    bpb: a holder moves up to a larger ad whose increment fits; a newcomer
+    joins if it fits and fewer than k hold, else it pushes out the holder
+    of lowest value (ties: smallest adv_id) if it beats that value strictly
+    and fits in the space so freed. Then each holder of positive space gets
+    their most valuable ad within it (ties: smallest ad_id).
+
+    value: each advertiser gets the first of their ads that fits, until k
+    are served.
+    """
+    items = []  # (adv_id, ad_id, value, space)
+    for (adv_id, ad_id), value in effective_values(inst, rep).items():
+        if value > 0:
+            items.append((adv_id, ad_id, value, inst.advertiser(adv_id).ad(ad_id).space))
+    if order == "bpb":
+        items.sort(key=lambda t: (t[3] != 0, -(t[2] / t[3]) if t[3] else 0, t[0], t[1]))
+    else:
+        items.sort(key=lambda t: (-t[2], t[0], t[1]))
+    k = len(inst.advertisers) if inst.cardinality_limit is None else inst.cardinality_limit
+    remaining = inst.total_space
+    held: dict[str, tuple[Fraction, Fraction]] = {}  # adv_id -> (value, space) of the ad held
+    served: dict[str, str] = {}
+    for adv_id, ad_id, value, space in items:
+        if order == "value":
+            if len(served) < k and adv_id not in served and space <= remaining:
+                served[adv_id] = ad_id
+                remaining -= space
+            continue
+        if adv_id in held:
+            have = held[adv_id][1]
+            if have < space <= have + remaining:
+                held[adv_id] = (value, space)
+                remaining -= space - have
+        elif len(held) < k:
+            if space <= remaining:
+                held[adv_id] = (value, space)
+                remaining -= space
+        else:
+            weakest = min(held, key=lambda a: (held[a][0], a))
+            if value > held[weakest][0] and space <= remaining + held[weakest][1]:
+                remaining += held.pop(weakest)[1] - space
+                held[adv_id] = (value, space)
+    if order == "value":
+        return served
+    for adv_id, (_value, width) in held.items():
+        fitting = [(-value, ad_id) for a, ad_id, value, space in items if a == adv_id and space <= width]
+        if width > 0 and fitting:
+            served[adv_id] = min(fitting)[1]
+    return served
+
+
 def best_fitting_ad(inst: Instance, rep: ReportProfile, adv_id: str, width: Fraction):
     """Most valuable reported ad of one advertiser fitting in `width`."""
     eff = effective_values(inst, rep)

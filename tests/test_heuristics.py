@@ -4,8 +4,9 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import reported_value
+from oracles import greedy_walk, reported_value
 from richads import fixtures
 from richads.heuristics import (
     RANDOMIZED_GREEDY_P,
@@ -17,6 +18,7 @@ from richads.heuristics import (
 from richads.model import (
     Advertiser,
     Instance,
+    ReportProfile,
     RichAd,
     social_welfare,
     truthful_profile,
@@ -79,6 +81,18 @@ def test_capped_bpb_refuses_equal_value_eviction():
     )
     alloc = greedy_by_bpb(replace(inst, cardinality_limit=1), truthful_profile(inst))
     assert alloc.entries == {"a": ("ax1", Fraction(1))}
+
+
+def test_capped_bpb_evicts_the_lowest_index_among_equal_values():
+    # capped at 2, a0 and a1 hold ads of value 2; a2's value 3 beats both
+    # and fits once either leaves, so the lower index, a0, is pushed out
+    def adv(adv_id, bid, space):
+        return Advertiser(adv_id, Fraction(bid), (RichAd(f"{adv_id}x", Fraction(1), Fraction(space)),))
+
+    inst = Instance((adv("a0", 2, 1), adv("a1", 2, 1), adv("a2", 3, 3)), Fraction(4), cardinality_limit=2)
+    rep = truthful_profile(inst)
+    assert greedy_by_bpb(inst, rep).entries == {"a1": ("a1x", 1), "a2": ("a2x", 1)}
+    assert greedy_walk(inst, rep, "bpb") == {"a1": "a1x", "a2": "a2x"}
 
 
 def test_greedy_value_skips_misfit_but_keeps_advertiser():
@@ -164,3 +178,42 @@ def test_cardinality_cap_respected(small_corpus):
             capped = replace(inst, cardinality_limit=k)
             assert len(greedy_by_bpb(capped, rep).entries) <= k
             assert len(greedy_by_value(capped, rep).entries) <= k
+
+
+@st.composite
+def greedy_cases(draw):
+    """A report on a small integer grid where densities and values tie
+    often, under no cap or one of 1 and 2; ads of space 0 or click rate 0
+    and zero bids included."""
+    advertisers = []
+    for i in range(draw(st.integers(1, 5))):
+        ads = tuple(
+            RichAd(f"a{i}x{j}", Fraction(draw(st.integers(0, 2)), 2), Fraction(draw(st.integers(0, 4))))
+            for j in range(draw(st.integers(1, 3)))
+        )
+        advertisers.append(Advertiser(f"a{i}", Fraction(draw(st.integers(1, 3))), ads))
+    inst = Instance(tuple(advertisers), Fraction(draw(st.integers(1, 8))), draw(st.sampled_from((None, 1, 2))))
+    bids, subsets = {}, {}
+    for adv in inst.advertisers:
+        bids[adv.adv_id] = adv.value_per_click * draw(st.integers(0, 2)) / 2
+        subsets[adv.adv_id] = frozenset(draw(st.sets(st.sampled_from(adv.ad_ids()))))
+    return inst, ReportProfile(bids=bids, subsets=subsets)
+
+
+def assert_greedy_rules_match_the_walk(inst, rep):
+    for rule, order in ((greedy_by_bpb, "bpb"), (greedy_by_value, "value")):
+        got = {adv_id: ad_id for adv_id, (ad_id, _w) in rule(inst, rep).entries.items()}
+        assert got == greedy_walk(inst, rep, order), (order, inst, rep)
+
+
+@settings(max_examples=300)
+@given(greedy_cases())
+def test_greedy_rules_equal_the_definition_walk(case):
+    assert_greedy_rules_match_the_walk(*case)
+
+
+@pytest.mark.parametrize("k", [None, 1, 2])
+def test_greedy_rules_equal_the_definition_walk_on_tie_corpus(tie_corpus, k):
+    for inst in tie_corpus:
+        inst = replace(inst, cardinality_limit=k)
+        assert_greedy_rules_match_the_walk(inst, truthful_profile(inst))
