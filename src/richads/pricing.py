@@ -392,8 +392,10 @@ def check_clicks_at_bids(
     for bid, x in zip(bids, clicks):
         while i < len(steps) and steps[i][0] < bid:
             i += 1
-        if i and x < steps[i - 1][1] and (x or kind != "gsp"):
-            lo, level = steps[i - 1]
+        if not i or x is steps[i - 1][1]:
+            continue  # a probe's clicks are often the very object the curve holds
+        lo, level = steps[i - 1]
+        if x < level and (x or kind != "gsp"):
             raise NonMonotoneClickCurveError(curve.adv_id, curve.rule_name, (lo, bid), (bid, bid), level, x)
 
 

@@ -305,7 +305,7 @@ class BpbKey:
     Sorting row indices by BpbKey(val[i], spc[i]) puts higher val/spc first;
     a zero-space row compares above every positive-space row and equal to
     other zero-space rows. This was the kernels' comparator before the
-    integer keys of `pure._bpb_order`, which must order rows the same way.
+    integer keys of `ScaledView.bpb_order`, which must order rows the same way.
     """
 
     __slots__ = ("v", "w")
