@@ -496,10 +496,10 @@ def _resume_uncapped(placed, own, rows, rem_at, snaps) -> int:
 
 
 def greedy_step(held: dict, rem: int, k: int, a: int, v: int, w: int) -> int:
-    """One row of the capped bang-per-buck greedy walk: advertiser `a`'s row
-    of value `v` and space `w` against `held` (advertiser index -> (value,
-    space)) with `rem` space left. Updates `held` and returns the space
-    left.
+    """One row of the bang-per-buck greedy walk serving at most k
+    advertisers: advertiser `a`'s row of value `v` and space `w` against
+    `held` (advertiser index -> (value, space)) with `rem` space left.
+    Updates `held` and returns the space left.
 
     A holder takes a larger row that fits its increment; a newcomer is
     admitted if it fits and fewer than k advertisers hold, else it may push
