@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from fractions import Fraction
 
 from . import equilibrium, exact, fracopt, harness, monotone, pricing
 from .model import (
@@ -21,6 +20,7 @@ from .model import (
     Mixture,
     ReportProfile,
     load_instance,
+    parse_rational,
     social_welfare,
     truthful_profile,
     validate_instance,
@@ -34,6 +34,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
+
+
+def nonnegative_int(text: str) -> int:
+    """An argparse type: a nonnegative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {value}")
+    return value
 
 
 def _emit(payload: dict) -> None:
@@ -128,7 +136,7 @@ def _explain_payments(inst: Instance, rep: ReportProfile, outcome: pricing.Price
                     probes=curve.probes,
                     jump_bids=[str(b) for b, _clicks in steps[1:]],
                     click_levels=[str(c) for _b, c in steps],
-                    threshold=str(pricing.gsp_cpc_from_curve(curve, bid, clicks)),
+                    threshold=str(pricing.threshold_prices_along("gsp", curve, (bid,), (clicks,))[0]),
                 )
             branches.append(entry)
         out[adv_id] = {"bid": str(bid), "payment": str(outcome.payments[adv_id]), "branches": branches}
@@ -189,7 +197,7 @@ def _cmd_payments(args) -> int:
     if inst is None:
         return 1
     rep = truthful_profile(inst)
-    mech = pricing.mixture_mechanism(args.rule, args.p or None)
+    mech = pricing.mixture_mechanism(args.rule, parse_rational(args.p) if args.p else None)
     if mech.pricing == "vcg" and args.explain:
         print("error: --explain shows click curves; vcg prices without them", file=sys.stderr)
         return USAGE_EXIT
@@ -206,8 +214,8 @@ def _cmd_equilibrium(args) -> int:
     if inst is None:
         return 1
     truth = truthful_profile(inst)
-    mech = pricing.mixture_mechanism(args.pricing, args.p or None)
-    spaces = equilibrium.strategy_spaces(inst, Fraction(args.grid))
+    mech = pricing.mixture_mechanism(args.pricing, parse_rational(args.p) if args.p else None)
+    spaces = equilibrium.strategy_spaces(inst, parse_rational(args.grid))
     steps: list[dict] | None = [] if args.explain else None
     result = equilibrium.find_pure_nash(
         inst, truth, mech, spaces, max_rounds=args.max_rounds, beta_check=args.beta_check, explain=steps
@@ -298,7 +306,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("equilibrium", help="best-response dynamics on a bid grid")
     p.add_argument("instance")
     p.add_argument("--grid", required=True, help="bid grid step, e.g. 1/20")
-    p.add_argument("--max-rounds", type=int, default=50)
+    p.add_argument("--max-rounds", type=nonnegative_int, default=50)
     p.add_argument("--pricing", choices=["gsp", "myerson", "vcg"], default="gsp")
     p.add_argument("--p", default=None, help="mixture weight override")
     p.add_argument("--beta-check", action="store_true", help="run the density diagnostic at every visited profile")
@@ -312,7 +320,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("audit", help="randomized monotonicity audit of a rule")
     p.add_argument("--rule", required=True, choices=sorted(harness.AUDIT_RULES))
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=nonnegative_int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tie-prone", action="store_true", help="use the small tie-heavy corpus")
     p.set_defaults(fn=_cmd_audit)

@@ -6,7 +6,10 @@ sequential best-response dynamics from the truthful profile; a full pass
 without a strict improvement doubles as the exhaustive verification that
 the fixed point is a grid Nash equilibrium. A best response sweeps each
 subset's bids up to the true value along one click curve per branch,
-instead of evaluating the whole profile at every grid point.
+instead of evaluating the whole profile at every grid point. The sweep
+and a single profile's payment are priced by one function,
+`pricing.threshold_payments`, and read the same cached curves: a curve is
+keyed by the report with the bidder at the cap.
 """
 
 from __future__ import annotations
@@ -88,9 +91,9 @@ class _Evaluator:
     """Memoised outcome/payment evaluation across many nearby profiles.
 
     A profile's branch allocations are run on one view and cached together.
-    Click curves are cached per (advertiser, branch, subset, everyone
-    else's report), since an advertiser's own bid moves along a fixed
-    curve while the rest of the profile stands still.
+    Click curves are cached per (advertiser, branch, report with the
+    advertiser at the cap), since an advertiser's own bid moves along a
+    fixed curve while the rest of the profile stands still.
     `curves_built` and `curves_cached` count the curve lookups that built a
     curve and those the cache served.
     """
@@ -130,25 +133,17 @@ class _Evaluator:
             self._vcg[key] = got
         return got
 
-    def _others_key(self, rep: ReportProfile, adv_id: str):
-        return (
-            tuple(sorted((a, b) for a, b in rep.bids.items() if a != adv_id)),
-            tuple(
-                (a, tuple(sorted(s))) for a, s in sorted(rep.subsets.items()) if a != adv_id
-            ),
-        )
-
-    def _curve(
-        self, rep: ReportProfile, adv_id: str, branch: str, cap: Fraction, view: kernels.ScaledView | None = None
-    ):
-        """The branch's click curve of `adv_id` on (0, cap]; `view`, when
-        given, is the view of (inst, rep) and serves its probes."""
-        subset = rep.subsets.get(adv_id, frozenset())
-        key = (adv_id, branch, tuple(sorted(subset)), self._others_key(rep, adv_id), cap)
+    def _curve(self, at_cap: ReportProfile, adv_id: str, branch: str, view: kernels.ScaledView | None = None):
+        """The branch's click curve of `adv_id` on (0, cap], `at_cap` being
+        the report with `adv_id` bidding the cap; `view`, when given, is
+        the view of (inst, at_cap) and serves its probes."""
+        key = (adv_id, branch, at_cap.key())
         got = self._curves.get(key)
         if got is None:
             self.curves_built += 1
-            got = pricing._build_curve(self.inst, rep, adv_id, cap, ((Fraction(1), branch),), branch, view)
+            if view is None:
+                view = kernels.ScaledView(self.inst, at_cap)
+            got = pricing._build_curve(view, adv_id, at_cap.bids[adv_id], branch, branch)
             self._curves[key] = got
         else:
             self.curves_cached += 1
@@ -158,14 +153,16 @@ class _Evaluator:
         if self.mech.pricing == "vcg":
             return self._vcg_outcome(rep).payments.get(adv_id, Fraction(0))
         bid = rep.bids.get(adv_id, Fraction(0))
-        cap = max(bid, self.truth.bids.get(adv_id, bid))
-        total, _curves = pricing.threshold_payment(
+        subset = rep.subsets.get(adv_id, frozenset())
+        if bid <= 0 or not subset:
+            return Fraction(0)
+        at_cap = rep.replace(adv_id, max(bid, self.truth.bids.get(adv_id, bid)), subset)
+        (total,), _curves = pricing.threshold_payments(
             self.mech.pricing,
-            bid,
-            rep.subsets.get(adv_id, frozenset()),
+            (bid,),
             self.branches,
-            [alloc.clicks(self.inst, adv_id) for alloc in self._branch_alloc(rep)],
-            lambda branch: self._curve(rep, adv_id, branch, cap),
+            [(alloc.clicks(self.inst, adv_id),) for alloc in self._branch_alloc(rep)],
+            lambda branch: self._curve(at_cap, adv_id, branch),
         )
         return total
 
@@ -203,10 +200,11 @@ class _Evaluator:
         """Fill `row` at the bids in (0, cap], `at_cap` being the report with
         `adv_id` bidding their cap, the true value.
 
-        One view of `at_cap` gives, per branch, the bidder's probe kernel
-        and the one click curve every such bid is priced against; clicks are
-        read off the probe at each bid, and the payments come from one
-        ascending pass over the curve (`pricing.threshold_prices_along`).
+        One view of `at_cap` gives the bidder's probe kernel, off which each
+        branch's clicks are read at every such bid, and serves the one click
+        curve per branch that every such bid is priced against: the grid's
+        payments come from `pricing.threshold_payments`, the path that
+        prices a single bid too, in one ascending pass over each curve.
         """
         cap = at_cap.bids[adv_id]
         cols = sorted((bid, bi) for bi, bid in enumerate(bids) if 0 < bid <= cap)
@@ -215,22 +213,16 @@ class _Evaluator:
         grid = [bid for bid, _bi in cols]
         view = kernels.ScaledView(self.inst, at_cap)
         probe = view.probe(adv_id)
-        clicks = [Fraction(0)] * len(cols)
-        paid = [Fraction(0)] * len(cols)
-        for prob, branch in self.branches:
-            read = pricing.BRANCHES[branch].probe
-            xs = [read(probe, bid.numerator, bid.denominator) for bid in grid]
-            if self.mech.pricing == "gsp" and not any(xs):
-                continue  # GSP reads no curve for a branch without clicks
-            curve = self._curve(at_cap, adv_id, branch, cap, view)
-            pricing.check_clicks_at_bids(self.mech.pricing, curve, grid, xs)
-            prices = pricing.threshold_prices_along(self.mech.pricing, curve, grid, xs)
-            if self.mech.pricing == "gsp":
-                prices = [x * cpc for x, cpc in zip(xs, prices)]
-            for k, (x, price) in enumerate(zip(xs, prices)):
-                clicks[k] += prob * x
-                paid[k] += prob * price
-        for (_bid, bi), x, price in zip(cols, clicks, paid):
+        clicks = [
+            [pricing.BRANCHES[branch].probe(probe, bid.numerator, bid.denominator) for bid in grid]
+            for _prob, branch in self.branches
+        ]
+        paid, _curves = pricing.threshold_payments(
+            self.mech.pricing, grid, self.branches, clicks, lambda branch: self._curve(at_cap, adv_id, branch, view)
+        )
+        zero = Fraction(0)
+        for k, ((_bid, bi), price) in enumerate(zip(cols, paid)):
+            x = sum((prob * xs[k] for (prob, _branch), xs in zip(self.branches, clicks) if xs[k]), zero)
             row[bi] = cap * x - price
 
 

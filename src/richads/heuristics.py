@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 from . import pricing  # a cycle: see `pricing.RULES`
 from .kernels import ScaledView, check_cardinality, greedy_step, run_best_fit, run_value_greedy
@@ -83,11 +84,14 @@ def randomized_greedy(inst: Instance, rep: ReportProfile, p: Fraction = RANDOMIZ
 
 
 def sample_mixture(mixture: Mixture, seed: int) -> Allocation:
-    """Draw one branch of a mixture; analysis paths stay symbolic."""
-    roll = Fraction(random.Random(seed).random())
-    acc = Fraction(0)
+    """Draw one branch of a mixture, in integers: a uniform draw below D, the
+    lcm of the probabilities' denominators, picks the first branch whose
+    cumulative numerator over D exceeds it. Analysis paths stay symbolic."""
+    den = lcm(*(prob.denominator for prob, _alloc in mixture.branches))
+    roll = random.Random(seed).randrange(den)
+    acc = 0
     for prob, alloc in mixture.branches:
-        acc += prob
+        acc += prob.numerator * (den // prob.denominator)
         if roll < acc:
             return alloc
     return mixture.branches[-1][1]

@@ -234,24 +234,6 @@ def _tie_candidates(
     return sorted(t for t in ties if 0 < t <= limit), den
 
 
-def _clicks_with_bid(
-    view: kernels.ScaledView, adv_id: str, num: int, den: int, branches: tuple[tuple[Fraction, str], ...]
-) -> Fraction:
-    """`adv_id`'s expected clicks at the bid num / den, the rest of the
-    report as in `view`, read off the bidder's `BidderProbe`. A lone branch
-    of probability 1 (every curve a payment builds) returns its clicks as
-    they are."""
-    probe = view.probe(adv_id)
-    if len(branches) == 1 and branches[0][0] == 1:
-        return BRANCHES[branches[0][1]].probe(probe, num, den)
-    return sum((prob * BRANCHES[branch].probe(probe, num, den) for prob, branch in branches), Fraction(0))
-
-
-def _scan_clicks(n: int, probe: Callable[[int], Fraction]) -> list[Fraction]:
-    """Clicks on each of n intervals, probing every one."""
-    return [probe(j) for j in range(n)]
-
-
 def _bisect_clicks(n: int, probe: Callable[[int], Fraction]) -> list[Fraction]:
     """Clicks on each of n intervals of a curve known to be nondecreasing.
 
@@ -278,41 +260,29 @@ def _bisect_clicks(n: int, probe: Callable[[int], Fraction]) -> list[Fraction]:
     return clicks
 
 
-def _build_curve(
-    inst: Instance,
-    rep: ReportProfile,
-    adv_id: str,
-    cap: Fraction,
-    branches: tuple[tuple[Fraction, str], ...],
-    rule_name: str,
-    view: kernels.ScaledView | None = None,
-) -> BidThresholds:
-    """Click curve on (0, cap], probed at interval midpoints.
-
-    `view`, when given, is the view of (inst, rep); every probe reads it.
-    """
-    kinds = {kind for _prob, branch in branches for kind in BRANCHES[branch].kinds}
-    if view is None:
-        view = kernels.ScaledView(inst, rep)
-    ties, den = _tie_candidates(view, adv_id, kinds, cap)
+def _build_curve(view: kernels.ScaledView, adv_id: str, cap: Fraction, branch: str, rule_name: str) -> BidThresholds:
+    """The branch's click curve of `adv_id` on (0, cap], the rest of the
+    report as in `view`: read off the bidder's `kernels.BidderProbe` at
+    interval midpoints, bisected if the branch is `monotone`, else scanned.
+    `rule_name` names the rule in a `NonMonotoneClickCurveError`."""
+    rule = BRANCHES[branch]
+    ties, den = _tie_candidates(view, adv_id, rule.kinds, cap)
     thresholds = [Fraction(0)] + [Fraction(t, den) for t in ties]
     intervals = list(zip(thresholds, thresholds[1:]))
     points = [0] + ties  # the interval bounds as numerators over `den`
     if thresholds[-1] < cap:
         intervals.append((thresholds[-1], cap))
         points.append(cap.numerator * (den // cap.denominator))
+    bidder = view.probe(adv_id)
     probed: dict[int, Fraction] = {}
 
     def probe(j: int) -> Fraction:
         if j not in probed:
             # the interval's midpoint
-            probed[j] = _clicks_with_bid(view, adv_id, points[j] + points[j + 1], 2 * den, branches)
+            probed[j] = rule.probe(bidder, points[j] + points[j + 1], 2 * den)
         return probed[j]
 
-    if all(BRANCHES[branch].monotone for _prob, branch in branches):
-        clicks = _bisect_clicks(len(intervals), probe)
-    else:
-        clicks = _scan_clicks(len(intervals), probe)
+    clicks = _bisect_clicks(len(intervals), probe) if rule.monotone else [probe(j) for j in range(len(intervals))]
     # a bisected flat span is one shared object: compare only where it changes
     for j in range(1, len(clicks)):
         if clicks[j] is not clicks[j - 1] and clicks[j] < clicks[j - 1]:
@@ -331,11 +301,16 @@ def _build_curve(
 
 
 def bid_thresholds(inst: Instance, rep: ReportProfile, adv_id: str, rule: AllocationRule) -> BidThresholds:
-    """The rule's click curve for `adv_id`, capped at their reported bid."""
+    """A one-branch rule's click curve for `adv_id`, capped at their
+    reported bid. A lottery has one curve per branch, so it is refused."""
+    branches = rule_branches(rule)
+    if len(branches) > 1:
+        names = " and ".join(repr(branch) for _prob, branch in branches)
+        raise ValueError(f"rule {rule.name!r} is a lottery of {names}: its click curves are per branch")
     cap = rep.bids.get(adv_id, Fraction(0))
     if cap <= 0:
         return BidThresholds(adv_id, rule.name, cap, (Fraction(0),), (), ())
-    return _build_curve(inst, rep, adv_id, cap, rule_branches(rule), rule.name)
+    return _build_curve(kernels.ScaledView(inst, rep), adv_id, cap, branches[0][1], rule.name)
 
 
 def threshold_prices_along(
@@ -386,7 +361,7 @@ def check_clicks_at_bids(
     clicks at one of the ascending positive `bids` b fall below those of
     the curve's last run below b. The curve is probed inside its intervals
     only, so a drop at the bid itself shows only here. GSP reads no curve
-    for no clicks (see `threshold_payment`), so it checks none there."""
+    for no clicks (see `threshold_payments`), so it checks none there."""
     steps = curve.steps()
     i = 0
     for bid, x in zip(bids, clicks):
@@ -397,16 +372,6 @@ def check_clicks_at_bids(
         lo, level = steps[i - 1]
         if x < level and (x or kind != "gsp"):
             raise NonMonotoneClickCurveError(curve.adv_id, curve.rule_name, (lo, bid), (bid, bid), level, x)
-
-
-def myerson_from_curve(curve: BidThresholds, bid: Fraction, clicks_at_bid: Fraction) -> Fraction:
-    """Myerson payment b*x(b) minus the exact click-curve integral up to b."""
-    return threshold_prices_along("myerson", curve, (bid,), (clicks_at_bid,))[0]
-
-
-def gsp_cpc_from_curve(curve: BidThresholds, bid: Fraction, clicks_at_bid: Fraction) -> Fraction:
-    """Lowest bid keeping the current clicks: GSP's per-click price."""
-    return threshold_prices_along("gsp", curve, (bid,), (clicks_at_bid,))[0]
 
 
 # --- priced outcomes -------------------------------------------------------
@@ -473,46 +438,47 @@ def _finish_outcome(
     )
 
 
-def threshold_payment(
+def threshold_payments(
     kind: str,
-    bid: Fraction,
-    subset: frozenset[str],
+    bids: Sequence[Fraction],
     branches: tuple[tuple[Fraction, str], ...],
-    clicks: Sequence[Fraction],
+    clicks: Sequence[Sequence[Fraction]],
     curve: Callable[[str], BidThresholds],
-) -> tuple[Fraction, tuple[BidThresholds | None, ...]]:
-    """One bidder's "myerson" or "gsp" payment at `bid`, and the curves read.
+) -> tuple[list[Fraction], tuple[BidThresholds | None, ...]]:
+    """One bidder's "myerson" or "gsp" payment at each of the ascending
+    positive `bids`, and the curves read: the one pricing path, for a
+    report and for a best response's grid alike.
 
-    The payment is the sum over `branches` of probability times the price
-    read off that branch's click curve, `curve(branch)`, where the bidder
-    gets `clicks[j]` in branch j. A bidder with no positive bid or no ad
-    pays nothing and reads no curve; GSP charges a branch that gives no
-    clicks nothing and reads no curve for it (None in the curves). Clicks at
-    the bid below the curve's level just under it raise
+    The bidder gets `clicks[j][k]` in branch j at `bids[k]`. The payment is
+    the sum over `branches` of probability times the price read off that
+    branch's click curve, `curve(branch)` (`threshold_prices_along`; GSP's
+    per-click price times the clicks). GSP charges a branch that gives no
+    clicks at any bid nothing and reads no curve for it (None in the
+    curves). Clicks at a bid below the curve's level just under it raise
     `NonMonotoneClickCurveError` (`check_clicks_at_bids`).
     """
-    if bid <= 0 or not subset:
-        return Fraction(0), ()
-    total = Fraction(0)
+    paid = [Fraction(0)] * len(bids)
     curves: list[BidThresholds | None] = []
-    for (prob, branch), x_b in zip(branches, clicks):
-        if kind == "gsp" and x_b == 0:
+    for (prob, branch), xs in zip(branches, clicks):
+        if kind == "gsp" and not any(xs):
             curves.append(None)
             continue
         got = curve(branch)
         curves.append(got)
-        check_clicks_at_bids(kind, got, (bid,), (x_b,))
+        check_clicks_at_bids(kind, got, bids, xs)
+        prices = threshold_prices_along(kind, got, bids, xs)
         if kind == "gsp":
-            total += prob * gsp_cpc_from_curve(got, bid, x_b) * x_b
-        else:
-            total += prob * myerson_from_curve(got, bid, x_b)
-    return total, tuple(curves)
+            prices = [cpc * x for cpc, x in zip(prices, xs)]
+        for k, price in enumerate(prices):
+            paid[k] += prob * price
+    return paid, tuple(curves)
 
 
 def _threshold_prices(
     inst: Instance, rep: ReportProfile, rule: AllocationRule, kind: str, view: kernels.ScaledView | None
 ) -> PricedOutcome:
-    """Every bidder's `threshold_payment` at the report.
+    """Every bidder's `threshold_payments` at their reported bid. A bidder
+    with no positive bid or no ad pays nothing and reads no curve.
 
     One view of the report (`view`, when given) serves the allocation and
     the probes of every curve.
@@ -526,13 +492,15 @@ def _threshold_prices(
     for adv in inst.advertisers:
         adv_id = adv.adv_id
         bid = rep.bids.get(adv_id, Fraction(0))
-        payments[adv_id], curves[adv_id] = threshold_payment(
+        if bid <= 0 or not rep.subsets.get(adv_id):
+            payments[adv_id], curves[adv_id] = Fraction(0), ()
+            continue
+        (payments[adv_id],), curves[adv_id] = threshold_payments(
             kind,
-            bid,
-            rep.subsets.get(adv_id, frozenset()),
+            (bid,),
             branches,
-            [alloc.clicks(inst, adv_id) for _prob, alloc in mixture.branches],
-            lambda branch: _build_curve(inst, rep, adv_id, bid, ((Fraction(1), branch),), rule.name, view),
+            [(alloc.clicks(inst, adv_id),) for _prob, alloc in mixture.branches],
+            lambda branch: _build_curve(view, adv_id, bid, branch, rule.name),
         )
     return _finish_outcome(inst, rep, mixture, payments, kind, curves)
 

@@ -460,6 +460,36 @@ def _python(*args, timeout=120):
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["payments", "--rule", "myerson", "--p", "1/0"], ["equilibrium", "--grid", "1/0"]],
+    ids=["payments-p", "equilibrium-grid"],
+)
+def test_a_zero_denominator_flag_is_an_input_error(argv, fx_path):
+    done = _python("-m", "richads", *argv, fx_path(fixtures.fx2()))
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == "error: rational '1/0' has a zero denominator\n"
+    assert "Traceback" not in done.stderr
+
+
+def test_equilibrium_rejects_negative_rounds(fx_path, capsys):
+    path = fx_path(fixtures.fx2())
+    assert cli(["equilibrium", path, "--grid", "1/2", "--max-rounds", "-1"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--max-rounds: must be 0 or more, got -1" in captured.err
+    code, payload = run_json(capsys, ["equilibrium", path, "--grid", "1/2", "--max-rounds", "0"])
+    assert code == 0 and payload["rounds"] == 0
+
+
+def test_audit_rejects_negative_trials(capsys):
+    assert cli(["audit", "--rule", "bpb", "--trials", "-5"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--trials: must be 0 or more, got -5" in captured.err
+    code, payload = run_json(capsys, ["audit", "--rule", "bpb", "--trials", "0"])
+    assert code == 0 and payload["trials"] == 0
+
+
 @pytest.mark.parametrize("module", ["richads", "richads.cli"])
 def test_module_run_prints_what_cli_prints(module, fx_path, capsys):
     path = fx_path(fixtures.fixture("fx1"))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import best_response_by_profiles, profile_table
-from richads import equilibrium, fixtures, harness, pricing
+from richads import equilibrium, fixtures, harness, kernels, pricing
 from richads.equilibrium import (
     best_response,
     beta_bound_check,
@@ -379,14 +379,16 @@ def test_sweep_table_equals_the_profile_oracle_on_random_games(game):
 
 
 def tie_spaces(inst, rep):
-    """Per advertiser, every subset crossed with bid 0, every tie candidate
-    of the truthful mixture's click curve at their true value, and the
-    true value: bids exactly where clicks can jump."""
+    """Per advertiser, every subset crossed with bid 0, every bid up to
+    their true value where an ad of their full subset ties another's
+    bang-per-buck or value (the breakpoints of both mixture branches'
+    click curves), and the true value: bids exactly where clicks can jump."""
     spaces = {}
     for adv_id, space in strategy_spaces(inst, Fraction(1)).items():
         at_truth = rep.replace(adv_id, inst.advertiser(adv_id).value_per_click, space.subsets[0])
-        ties = pricing.bid_thresholds(inst, at_truth, adv_id, pricing.mixture_rule()).thresholds
-        bids = tuple(sorted(set(ties) | {at_truth.bids[adv_id]}))
+        view = kernels.ScaledView(inst, at_truth)
+        ties, den = pricing._tie_candidates(view, adv_id, ("bpb", "value"), at_truth.bids[adv_id])
+        bids = tuple(sorted({Fraction(0), at_truth.bids[adv_id]} | {Fraction(t, den) for t in ties}))
         spaces[adv_id] = replace(space, bids=bids)
     return spaces
 
@@ -465,6 +467,28 @@ def test_explain_lists_each_rounds_best_responses():
     ev = equilibrium._Evaluator(inst, truth, mech)
     best_response(inst, truth, truth, "a", mech, spaces["a"], _evaluator=ev)
     assert (counted[0]["curves_built"], counted[0]["curves_cached"]) == (ev.curves_built, ev.curves_cached) == (2, 0)
+
+
+@pytest.mark.parametrize("mech", SWEEP_MECHANISMS[:2], ids=lambda m: m.describe())
+def test_a_payment_up_to_the_truth_reads_the_sweeps_curves(mech):
+    # the sweep and a single payment price on one path and share the curve
+    # cache: every grid bid up to the truth is priced without a new curve
+    inst = fixtures.fx4()
+    truth = truthful_profile(inst)
+    served = 0
+    for adv_id, space in strategy_spaces(inst, Fraction(1, 20)).items():
+        ev = equilibrium._Evaluator(inst, truth, mech)
+        table = ev.utility_table(truth, adv_id, space)
+        built, cached = ev.curves_built, ev.curves_cached
+        for si, subset in enumerate(space.subsets):
+            for bi, bid in enumerate(space.bids):
+                if 0 < bid <= truth.bids[adv_id]:
+                    rep = truth.replace(adv_id, bid, subset)
+                    assert ev.utility(rep, adv_id) == table[si][bi]
+        assert ev.curves_built == built
+        served += ev.curves_cached - cached
+    # GSP reads no curve for a bidder who gets no clicks at any grid bid
+    assert served > 0
 
 
 def test_empty_strategy_space_is_a_value_error_under_python_O():

@@ -1,5 +1,6 @@
 """Greedy allocation heuristics and the randomized greedy mixture."""
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -152,6 +153,13 @@ def test_sample_mixture_deterministic_and_covers_branches():
     branch_entries = [alloc.entries for _p, alloc in mix.branches]
     assert all(d.entries in branch_entries for d in draws)
     assert len({tuple(sorted(d.entries.items())) for d in draws}) == 2
+
+
+def test_sample_mixture_draws_an_integer_below_the_common_denominator():
+    inst = fixtures.fx6b()
+    mix = randomized_greedy(inst, truthful_profile(inst), p=Fraction(1, 2))
+    for seed in range(40):
+        assert sample_mixture(mix, seed) is mix.branches[random.Random(seed).randrange(2)][1]
 
 
 def test_greedy_allocations_feasible(small_corpus):

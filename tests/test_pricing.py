@@ -22,11 +22,9 @@ from richads.pricing import (
     bpb_rule,
     greedy_bpb_rule,
     greedy_value_rule,
-    gsp_cpc_from_curve,
     gsp_prices,
     max_value_rule,
     mixture_rule,
-    myerson_from_curve,
     myerson_payment,
     threshold_prices_along,
     vcg_payments,
@@ -192,10 +190,19 @@ def test_curves_nondecreasing(small_corpus):
     for inst in small_corpus[:40]:
         rep = truthful_profile(inst)
         for rule in MONOTONE_RULES:
-            for adv in inst.advertisers:
-                curve = bid_thresholds(inst, rep, adv.adv_id, rule)
-                for left, right in zip(curve.interval_clicks, curve.interval_clicks[1:]):
-                    assert left <= right
+            # a lottery's curves are its branches'
+            for _prob, branch in pricing.rule_branches(rule):
+                for adv in inst.advertisers:
+                    curve = bid_thresholds(inst, rep, adv.adv_id, pricing.AllocationRule(branch))
+                    for left, right in zip(curve.interval_clicks, curve.interval_clicks[1:]):
+                        assert left <= right
+
+
+def test_bid_thresholds_refuses_a_lottery_naming_its_branches():
+    inst = fixtures.fx2()
+    rep = truthful_profile(inst)
+    with pytest.raises(ValueError, match="'bpb' and 'max-value'"):
+        bid_thresholds(inst, rep, "a", mixture_rule())
 
 
 def test_zero_bid_pays_nothing():
@@ -221,11 +228,11 @@ def test_myerson_from_curve_arithmetic():
         intervals=((Fraction(0), Fraction(1)), (Fraction(1), Fraction(2))),
         interval_clicks=(Fraction(1), Fraction(2)),
     )
-    assert myerson_from_curve(curve, Fraction(2), Fraction(2)) == 1
-    assert myerson_from_curve(curve, Fraction(1, 2), Fraction(1)) == 0
-    assert gsp_cpc_from_curve(curve, Fraction(2), Fraction(2)) == 1
-    assert gsp_cpc_from_curve(curve, Fraction(2), Fraction(0)) == 0
-    assert gsp_cpc_from_curve(curve, Fraction(1, 2), Fraction(1)) == 0
+    assert threshold_prices_along("myerson", curve, (Fraction(2),), (Fraction(2),)) == [1]
+    assert threshold_prices_along("myerson", curve, (Fraction(1, 2),), (Fraction(1),)) == [0]
+    assert threshold_prices_along("gsp", curve, (Fraction(2),), (Fraction(2),)) == [1]
+    assert threshold_prices_along("gsp", curve, (Fraction(2),), (Fraction(0),)) == [0]
+    assert threshold_prices_along("gsp", curve, (Fraction(1, 2),), (Fraction(1),)) == [0]
     # one ascending pass equals the interval-by-interval definition at every bid,
     # up to and past the cap (the curve ends there)
     bids = [Fraction(k, 4) for k in range(1, 11)]
@@ -307,14 +314,24 @@ def test_curves_through_the_kernel_equal_curves_through_rebids(monkeypatch):
             rep = truthful_profile(inst)
             view = views.setdefault(id(inst), kernels.ScaledView(inst, rep))
             try:
-                out.append(pricing._build_curve(inst, rep, adv_id, rep.bids[adv_id], ((Fraction(1), branch),), branch, view))
+                out.append(pricing._build_curve(view, adv_id, rep.bids[adv_id], branch, branch))
             except NonMonotoneClickCurveError as exc:
                 out.append(str(exc))
         return out
 
     fast = curves()
     monkeypatch.setattr(
-        pricing, "_clicks_with_bid", lambda view, adv_id, num, den, branches: rebid_clicks(view, adv_id, Fraction(num, den), branches)
+        pricing,
+        "BRANCHES",
+        {
+            name: replace(
+                branch,
+                probe=lambda bidder, num, den, name=name: rebid_clicks(
+                    bidder.view, bidder.adv_id, Fraction(num, den), ((Fraction(1), name),)
+                ),
+            )
+            for name, branch in pricing.BRANCHES.items()
+        },
     )
     for got, want in zip(fast, curves()):
         if isinstance(want, str):
@@ -372,7 +389,7 @@ def test_curve_without_ties_spans_zero_to_a_fractional_cap():
     )
     rep = truthful_profile(inst)
     for branch in ("bpb", "max-value"):
-        curve = pricing._build_curve(inst, rep, "a", Fraction(3, 2), ((Fraction(1), branch),), branch)
+        curve = pricing._build_curve(kernels.ScaledView(inst, rep), "a", Fraction(3, 2), branch, branch)
         assert curve.thresholds == (Fraction(0),)
         assert curve.intervals == ((Fraction(0), Fraction(3, 2)),)
         assert curve.interval_clicks == (Fraction(0),) and curve.probes == 1
@@ -409,7 +426,7 @@ def test_ir_bound_is_checked_under_python_O():
 
         if __debug__:
             sys.exit("not running under -O")
-        pricing.myerson_from_curve = lambda curve, bid, clicks: bid * clicks + 1
+        pricing.threshold_prices_along = lambda kind, curve, bids, clicks: [b * x + 1 for b, x in zip(bids, clicks)]
         inst = fixtures.fx2()
         try:
             pricing.myerson_payment(inst, truthful_profile(inst), pricing.mixture_rule())

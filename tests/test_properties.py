@@ -255,21 +255,20 @@ def assert_bisection_matches_scan(inst, rep, adv_id, branch):
     """Bisection and the exhaustive scan, run on one probe function, give the
     same curve and the same Myerson and GSP payments."""
     bid = rep.bids[adv_id]
-    branches = ((Fraction(1), branch),)
-    curve = pricing._build_curve(inst, rep, adv_id, bid, branches, branch)
+    view = kernels.ScaledView(inst, rep)
+    curve = pricing._build_curve(view, adv_id, bid, branch, branch)
     assert list(curve.thresholds[1:]) == tie_candidates_pairwise(
         inst, rep, adv_id, pricing.BRANCHES[branch].kinds, bid
     )
-    view = kernels.ScaledView(inst, rep)
     probed = []
 
     def probe(j):
         probed.append(j)
         lo, hi = curve.intervals[j]
         mid = (lo + hi) / 2
-        return pricing._clicks_with_bid(view, adv_id, mid.numerator, mid.denominator, branches)
+        return pricing.BRANCHES[branch].probe(view.probe(adv_id), mid.numerator, mid.denominator)
 
-    scanned = pricing._scan_clicks(len(curve.intervals), probe)
+    scanned = [probe(j) for j in range(len(curve.intervals))]
     probed.clear()
     bisected = pricing._bisect_clicks(len(curve.intervals), probe)
     assert bisected == scanned
@@ -280,15 +279,17 @@ def assert_bisection_matches_scan(inst, rep, adv_id, branch):
     # the scan's clicks are all distinct objects, so every pair is compared
     assert curve.steps() == scan_curve.steps()
     clicks = pricing.branch_allocate(inst, rep, branch).clicks(inst, adv_id)
-    myerson = pricing.myerson_from_curve(curve, bid, clicks)
-    assert myerson == pricing.myerson_from_curve(scan_curve, bid, clicks)
+    [myerson] = pricing.threshold_prices_along("myerson", curve, (bid,), (clicks,))
+    assert [myerson] == pricing.threshold_prices_along("myerson", scan_curve, (bid,), (clicks,))
     # the integral, interval by interval
     area = sum(
         ((min(hi, bid) - lo) * c for (lo, hi), c in zip(scan_curve.intervals, scanned) if lo < bid),
         Fraction(0),
     )
     assert myerson == bid * clicks - area
-    assert pricing.gsp_cpc_from_curve(curve, bid, clicks) == pricing.gsp_cpc_from_curve(scan_curve, bid, clicks)
+    assert pricing.threshold_prices_along("gsp", curve, (bid,), (clicks,)) == pricing.threshold_prices_along(
+        "gsp", scan_curve, (bid,), (clicks,)
+    )
 
 
 def test_bisection_matches_scan_on_tie_corpus(tie_corpus):
