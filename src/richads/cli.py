@@ -130,12 +130,11 @@ def _explain_payments(inst: Instance, rep: ReportProfile, outcome: pricing.Price
                 "threshold": None,
             }
             if curve is not None:
-                steps = curve.steps()
                 entry.update(
-                    candidates=len(curve.thresholds) - 1,
+                    candidates=len(curve.ties),
                     probes=curve.probes,
-                    jump_bids=[str(b) for b, _clicks in steps[1:]],
-                    click_levels=[str(c) for _b, c in steps],
+                    jump_bids=[str(b) for b, _clicks in curve.steps[1:]],
+                    click_levels=[str(c) for _b, c in curve.steps],
                     threshold=str(pricing.threshold_prices_along("gsp", curve, (bid,), (clicks,))[0]),
                 )
             branches.append(entry)

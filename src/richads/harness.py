@@ -91,6 +91,11 @@ def tie_prone_config(seed: int = 0, instances: int = 100) -> ExperimentConfig:
 
 def generate_corpus(cfg: ExperimentConfig) -> tuple[Instance, ...]:
     """Deterministic instance corpus for a (config, seed) pair."""
+    if cfg.instances < 0:
+        raise ValueError(f"instances must be >= 0, got {cfg.instances}")
+    for name in ("max_advertisers", "max_ads", "max_space", "value_levels", "value_denominator", "alpha_denominator"):
+        if getattr(cfg, name) < 1:
+            raise ValueError(f"{name} must be >= 1, got {getattr(cfg, name)}")
     if cfg.max_space > cfg.max_total_space:
         raise ValueError(
             f"max_space {cfg.max_space} exceeds max_total_space {cfg.max_total_space}: "

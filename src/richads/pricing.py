@@ -153,37 +153,26 @@ def rule_allocate(
 
 @dataclass(frozen=True)
 class BidThresholds:
-    """Piecewise-constant click curve of one advertiser's bid on (0, cap].
-
-    `thresholds` starts at 0 and lists every candidate breakpoint up to the
-    cap; `intervals` are the open spans between consecutive breakpoints
-    (plus the final span up to the cap) and `interval_clicks[j]` is the
-    advertiser's expected clicks anywhere inside `intervals[j]`. `probes`
-    counts the kernel reads (`kernels.BidderProbe`, no allocation) that
-    found those clicks.
+    """Piecewise-constant click curve of one advertiser's bid on (0, cap],
+    stored as its runs: `steps` holds (lowest bid, clicks) per run in bid
+    order from 0, each run's clicks strictly above the last's, and the last
+    run ends at `cap`. A run starts at 0 or at a candidate breakpoint, a tie
+    bid `ties[i] / den` (`_tie_candidates`' integers). `probes` counts the
+    kernel reads (`kernels.BidderProbe`, no allocation) that found the runs.
     """
 
     adv_id: str
     rule_name: str
     cap: Fraction
-    thresholds: tuple[Fraction, ...]
-    intervals: tuple[tuple[Fraction, Fraction], ...]
-    interval_clicks: tuple[Fraction, ...]
-    probes: int = 0
+    steps: tuple[tuple[Fraction, Fraction], ...]
+    ties: Sequence[int]
+    den: int
+    probes: int
 
-    def steps(self) -> list[tuple[Fraction, Fraction]]:
-        """(lowest bid, clicks) of each constant run of the curve, in bid order.
-
-        A bisected curve fills each flat span with one shared clicks object,
-        so neighbours that are the same object are skipped uncompared.
-        """
-        out: list[tuple[Fraction, Fraction]] = []
-        prev = None
-        for (lo, _hi), clicks in zip(self.intervals, self.interval_clicks):
-            if clicks is not prev and (not out or clicks != out[-1][1]):
-                out.append((lo, clicks))
-            prev = clicks
-        return out
+    @property
+    def thresholds(self) -> tuple[Fraction, ...]:
+        """0 and every candidate breakpoint up to the cap, as Fractions."""
+        return (Fraction(0), *(Fraction(t, self.den) for t in self.ties))
 
 
 def _tie_candidates(
@@ -264,15 +253,15 @@ def _build_curve(view: kernels.ScaledView, adv_id: str, cap: Fraction, branch: s
     """The branch's click curve of `adv_id` on (0, cap], the rest of the
     report as in `view`: read off the bidder's `kernels.BidderProbe` at
     interval midpoints, bisected if the branch is `monotone`, else scanned.
-    `rule_name` names the rule in a `NonMonotoneClickCurveError`."""
+    The interval bounds stay integers over `den`; one pass folds the
+    intervals into runs, making a `Fraction` per run start only, and raises
+    `NonMonotoneClickCurveError` (naming `rule_name`) where clicks drop."""
     rule = BRANCHES[branch]
     ties, den = _tie_candidates(view, adv_id, rule.kinds, cap)
-    thresholds = [Fraction(0)] + [Fraction(t, den) for t in ties]
-    intervals = list(zip(thresholds, thresholds[1:]))
-    points = [0] + ties  # the interval bounds as numerators over `den`
-    if thresholds[-1] < cap:
-        intervals.append((thresholds[-1], cap))
-        points.append(cap.numerator * (den // cap.denominator))
+    points = [0, *ties]
+    top = cap.numerator * (den // cap.denominator)
+    if points[-1] < top:
+        points.append(top)
     bidder = view.probe(adv_id)
     probed: dict[int, Fraction] = {}
 
@@ -282,22 +271,18 @@ def _build_curve(view: kernels.ScaledView, adv_id: str, cap: Fraction, branch: s
             probed[j] = rule.probe(bidder, points[j] + points[j + 1], 2 * den)
         return probed[j]
 
-    clicks = _bisect_clicks(len(intervals), probe) if rule.monotone else [probe(j) for j in range(len(intervals))]
-    # a bisected flat span is one shared object: compare only where it changes
-    for j in range(1, len(clicks)):
-        if clicks[j] is not clicks[j - 1] and clicks[j] < clicks[j - 1]:
-            raise NonMonotoneClickCurveError(
-                adv_id, rule_name, intervals[j - 1], intervals[j], clicks[j - 1], clicks[j]
-            )
-    return BidThresholds(
-        adv_id=adv_id,
-        rule_name=rule_name,
-        cap=cap,
-        thresholds=tuple(thresholds),
-        intervals=tuple(intervals),
-        interval_clicks=tuple(clicks),
-        probes=len(probed),
-    )
+    n = len(points) - 1
+    clicks = _bisect_clicks(n, probe) if rule.monotone else [probe(j) for j in range(n)]
+    steps = [(Fraction(0), clicks[0])]
+    for j in range(1, n):
+        x, level = clicks[j], steps[-1][1]
+        if x is level or x == level:  # a bisected flat span is one shared object
+            continue
+        if x < level:
+            lo, mid, hi = (Fraction(points[i], den) for i in (j - 1, j, j + 1))
+            raise NonMonotoneClickCurveError(adv_id, rule_name, (lo, mid), (mid, hi), level, x)
+        steps.append((Fraction(points[j], den), x))
+    return BidThresholds(adv_id, rule_name, cap, tuple(steps), ties, den, len(probed))
 
 
 def bid_thresholds(inst: Instance, rep: ReportProfile, adv_id: str, rule: AllocationRule) -> BidThresholds:
@@ -309,7 +294,7 @@ def bid_thresholds(inst: Instance, rep: ReportProfile, adv_id: str, rule: Alloca
         raise ValueError(f"rule {rule.name!r} is a lottery of {names}: its click curves are per branch")
     cap = rep.bids.get(adv_id, Fraction(0))
     if cap <= 0:
-        return BidThresholds(adv_id, rule.name, cap, (Fraction(0),), (), ())
+        return BidThresholds(adv_id, rule.name, cap, (), (), cap.denominator, 0)
     return _build_curve(kernels.ScaledView(inst, rep), adv_id, cap, branches[0][1], rule.name)
 
 
@@ -326,7 +311,7 @@ def threshold_prices_along(
     b; no clicks cost nothing. One pass over the curve's runs serves every
     bid: O(bids + runs).
     """
-    steps = curve.steps()
+    steps = curve.steps
     out = []
     i = 0
     if kind == "gsp":
@@ -340,7 +325,7 @@ def threshold_prices_along(
                 i += 1
             out.append(first.get((x.numerator, x.denominator), bid) if x else Fraction(0))
         return out
-    ends = ([lo for lo, _level in steps[1:]] + [curve.intervals[-1][1]]) if steps else []
+    ends = [lo for lo, _level in steps[1:]] + [curve.cap]
     below = 0  # the integral over the runs ending at or below the bid
     for bid, x in zip(bids, clicks):
         while i < len(steps) and ends[i] <= bid:
@@ -362,7 +347,7 @@ def check_clicks_at_bids(
     the curve's last run below b. The curve is probed inside its intervals
     only, so a drop at the bid itself shows only here. GSP reads no curve
     for no clicks (see `threshold_payments`), so it checks none there."""
-    steps = curve.steps()
+    steps = curve.steps
     i = 0
     for bid, x in zip(bids, clicks):
         while i < len(steps) and steps[i][0] < bid:
@@ -591,13 +576,14 @@ MECHANISMS: dict[str, Mechanism | None] = {
 def mixture_mechanism(pricing: str, p: Fraction | str | None = None) -> Mechanism:
     """`pricing` ("gsp", "myerson" or "vcg") on the bpb/max-value mixture
     that plays bpb with probability p (default: 1/2 under GSP, 2/3 under
-    Myerson); VCG prices the exact optimum and ignores p. The CLI's
-    `--rule`/`--pricing` and `--p` name a mechanism through this."""
-    if pricing == "vcg":
-        return Mechanism("vcg")
+    Myerson); VCG prices the exact optimum and ignores p, but refuses one
+    outside [0, 1] too. The CLI's `--rule`/`--pricing` and `--p` name a
+    mechanism through this."""
     if p is None:
         p = monotone.GSP_MIX_P if pricing == "gsp" else monotone.TRUTHFUL_MIX_P
-    return Mechanism(pricing, mixture_rule(p))
+    rule = mixture_rule(p)
+    rule_branches(rule)  # raises on a weight outside [0, 1]
+    return Mechanism("vcg") if pricing == "vcg" else Mechanism(pricing, rule)
 
 
 def gsp_mixture_mechanism(p: Fraction = monotone.GSP_MIX_P) -> Mechanism:

@@ -445,6 +445,26 @@ def test_experiment_rejects_mistyped_config(tmp_path, capsys, doc, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"instances": -3}, "instances must be >= 0, got -3"),
+        ({"max_advertisers": 0}, "max_advertisers must be >= 1, got 0"),
+        ({"max_ads": 0}, "max_ads must be >= 1, got 0"),
+        ({"max_space": 0}, "max_space must be >= 1, got 0"),
+        ({"value_levels": 0}, "value_levels must be >= 1, got 0"),
+        ({"value_denominator": 0}, "value_denominator must be >= 1, got 0"),
+        ({"alpha_denominator": -1}, "alpha_denominator must be >= 1, got -1"),
+    ],
+)
+def test_experiment_rejects_an_empty_corpus_shape(tmp_path, capsys, doc, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli(["experiment", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 def test_audit_subcommand(capsys):
     code, payload = run_json(
         capsys, ["audit", "--rule", "bpb", "--trials", "40", "--seed", "2", "--tie-prone"]
@@ -471,6 +491,26 @@ def test_a_zero_denominator_flag_is_an_input_error(argv, fx_path):
     assert done.stdout == ""
     assert done.stderr == "error: rational '1/0' has a zero denominator\n"
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["payments", "--rule", "vcg"],
+        ["payments", "--rule", "myerson"],
+        ["equilibrium", "--pricing", "vcg", "--grid", "1/2"],
+        ["equilibrium", "--pricing", "myerson", "--grid", "1/2"],
+    ],
+    ids=["payments-vcg", "payments-myerson", "equilibrium-vcg", "equilibrium-myerson"],
+)
+def test_an_out_of_range_mixture_weight_is_refused_under_every_pricing(argv, fx_path, capsys):
+    path = fx_path(fixtures.fx2())
+    assert cli([*argv, "--p", "7", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: mixture weight must lie in [0, 1], got 7\n"
+    if "vcg" in argv:
+        # VCG ignores an in-range weight
+        assert run_json(capsys, [*argv, "--p", "1/3", path]) == run_json(capsys, [*argv, path])
 
 
 def test_equilibrium_rejects_negative_rounds(fx_path, capsys):

@@ -45,12 +45,9 @@ def test_fx2_bpb_curve_shape():
     rep = truthful_profile(inst)
     curve = bid_thresholds(inst, rep, "a", bpb_rule())
     assert curve.thresholds == (Fraction(0), Fraction(7, 4), Fraction(3))
-    assert curve.intervals == (
-        (Fraction(0), Fraction(7, 4)),
-        (Fraction(7, 4), Fraction(3)),
-        (Fraction(3), Fraction(7, 2)),
-    )
-    assert curve.interval_clicks == (Fraction(4, 7), Fraction(4, 7), Fraction(1))
+    # 4/7 clicks on (0, 7/4) and (7/4, 3), one click on (3, 7/2]
+    assert curve.steps == ((Fraction(0), Fraction(4, 7)), (Fraction(3), Fraction(1)))
+    assert curve.cap == Fraction(7, 2)
 
 
 def test_fx2_myerson_payments():
@@ -194,8 +191,10 @@ def test_curves_nondecreasing(small_corpus):
             for _prob, branch in pricing.rule_branches(rule):
                 for adv in inst.advertisers:
                     curve = bid_thresholds(inst, rep, adv.adv_id, pricing.AllocationRule(branch))
-                    for left, right in zip(curve.interval_clicks, curve.interval_clicks[1:]):
-                        assert left <= right
+                    starts = [lo for lo, _clicks in curve.steps]
+                    levels = [clicks for _lo, clicks in curve.steps]
+                    assert starts == sorted(set(starts)) and starts[:1] == [0] and starts[-1] < curve.cap
+                    assert levels == sorted(set(levels))
 
 
 def test_bid_thresholds_refuses_a_lottery_naming_its_branches():
@@ -216,7 +215,7 @@ def test_zero_bid_pays_nothing():
         assert priced.payments["a"] == 0
         assert priced.cpc["a"] is None
     curve = bid_thresholds(inst, rep, "a", bpb_rule())
-    assert curve.intervals == () and curve.interval_clicks == ()
+    assert curve.steps == () and curve.thresholds == (Fraction(0),)
 
 
 def test_myerson_from_curve_arithmetic():
@@ -224,9 +223,10 @@ def test_myerson_from_curve_arithmetic():
         adv_id="a",
         rule_name="bpb",
         cap=Fraction(2),
-        thresholds=(Fraction(0), Fraction(1)),
-        intervals=((Fraction(0), Fraction(1)), (Fraction(1), Fraction(2))),
-        interval_clicks=(Fraction(1), Fraction(2)),
+        steps=((Fraction(0), Fraction(1)), (Fraction(1), Fraction(2))),
+        ties=[1],
+        den=1,
+        probes=0,
     )
     assert threshold_prices_along("myerson", curve, (Fraction(2),), (Fraction(2),)) == [1]
     assert threshold_prices_along("myerson", curve, (Fraction(1, 2),), (Fraction(1),)) == [0]
@@ -236,10 +236,13 @@ def test_myerson_from_curve_arithmetic():
     # one ascending pass equals the interval-by-interval definition at every bid,
     # up to and past the cap (the curve ends there)
     bids = [Fraction(k, 4) for k in range(1, 11)]
+    starts = [lo for lo, _c in curve.steps]
+    intervals = list(zip(starts, starts[1:] + [curve.cap]))
+    levels = [c for _lo, c in curve.steps]
     for x in (Fraction(0), Fraction(1), Fraction(2)):
         xs = [x] * len(bids)
         area = [
-            sum(((min(hi, b) - lo) * c for (lo, hi), c in zip(curve.intervals, curve.interval_clicks) if lo < b), Fraction(0))
+            sum(((min(hi, b) - lo) * c for (lo, hi), c in zip(intervals, levels) if lo < b), Fraction(0))
             for b in bids
         ]
         assert threshold_prices_along("myerson", curve, bids, xs) == [b * x - a for b, a in zip(bids, area)]
@@ -338,7 +341,7 @@ def test_curves_through_the_kernel_equal_curves_through_rebids(monkeypatch):
             assert got == want
             continue
         assert got.thresholds == want.thresholds
-        assert got.interval_clicks == want.interval_clicks
+        assert got.steps == want.steps
         assert got.probes == want.probes
 
 
@@ -390,9 +393,8 @@ def test_curve_without_ties_spans_zero_to_a_fractional_cap():
     rep = truthful_profile(inst)
     for branch in ("bpb", "max-value"):
         curve = pricing._build_curve(kernels.ScaledView(inst, rep), "a", Fraction(3, 2), branch, branch)
-        assert curve.thresholds == (Fraction(0),)
-        assert curve.intervals == ((Fraction(0), Fraction(3, 2)),)
-        assert curve.interval_clicks == (Fraction(0),) and curve.probes == 1
+        assert curve.thresholds == (Fraction(0),) and curve.cap == Fraction(3, 2)
+        assert curve.steps == ((Fraction(0), Fraction(0)),) and curve.probes == 1
 
 
 def test_one_density_table_per_threshold_payment(monkeypatch):

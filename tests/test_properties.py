@@ -260,36 +260,41 @@ def assert_bisection_matches_scan(inst, rep, adv_id, branch):
     assert list(curve.thresholds[1:]) == tie_candidates_pairwise(
         inst, rep, adv_id, pricing.BRANCHES[branch].kinds, bid
     )
+    bounds = list(curve.thresholds)
+    if bounds[-1] < bid:
+        bounds.append(bid)
+    intervals = list(zip(bounds, bounds[1:]))
     probed = []
 
     def probe(j):
         probed.append(j)
-        lo, hi = curve.intervals[j]
+        lo, hi = intervals[j]
         mid = (lo + hi) / 2
         return pricing.BRANCHES[branch].probe(view.probe(adv_id), mid.numerator, mid.denominator)
 
-    scanned = [probe(j) for j in range(len(curve.intervals))]
+    scanned = [probe(j) for j in range(len(intervals))]
     probed.clear()
-    bisected = pricing._bisect_clicks(len(curve.intervals), probe)
+    bisected = pricing._bisect_clicks(len(intervals), probe)
     assert bisected == scanned
-    assert tuple(bisected) == curve.interval_clicks
     assert len(set(probed)) == len(probed) == curve.probes <= len(scanned)
 
-    scan_curve = replace(curve, interval_clicks=tuple(scanned), probes=len(scanned))
-    # the scan's clicks are all distinct objects, so every pair is compared
-    assert curve.steps() == scan_curve.steps()
+    # the scan's runs, interval by interval, are the curve's
+    runs = []
+    for (lo, _hi), c in zip(intervals, scanned):
+        if not runs or c != runs[-1][1]:
+            runs.append((lo, c))
+    assert tuple(runs) == curve.steps
     clicks = pricing.branch_allocate(inst, rep, branch).clicks(inst, adv_id)
     [myerson] = pricing.threshold_prices_along("myerson", curve, (bid,), (clicks,))
-    assert [myerson] == pricing.threshold_prices_along("myerson", scan_curve, (bid,), (clicks,))
     # the integral, interval by interval
     area = sum(
-        ((min(hi, bid) - lo) * c for (lo, hi), c in zip(scan_curve.intervals, scanned) if lo < bid),
+        ((min(hi, bid) - lo) * c for (lo, hi), c in zip(intervals, scanned) if lo < bid),
         Fraction(0),
     )
     assert myerson == bid * clicks - area
-    assert pricing.threshold_prices_along("gsp", curve, (bid,), (clicks,)) == pricing.threshold_prices_along(
-        "gsp", scan_curve, (bid,), (clicks,)
-    )
+    # GSP: the lowest interval below the bid with the bid's clicks, else the bid
+    gsp = next((lo for (lo, _hi), c in zip(intervals, scanned) if c == clicks and lo < bid), bid) if clicks else 0
+    assert pricing.threshold_prices_along("gsp", curve, (bid,), (clicks,)) == [gsp]
 
 
 def test_bisection_matches_scan_on_tie_corpus(tie_corpus):
