@@ -44,10 +44,13 @@ def cases() -> dict[str, list[str]]:
             out[f"solve-{fx}-{mech}"] = argv
             out[f"solve-{fx}-{mech}-k1"] = argv + ["--cardinality", "1"]
             out[f"solve-{fx}-{mech}-k2"] = argv + ["--cardinality", "2"]
+        out[f"solve-{fx}-truthful-3approx-explain"] = ["solve", _fixture_path(fx), "--mechanism", "truthful-3approx", "--explain"]
         for rule in ("myerson", "gsp", "vcg"):
             argv = ["payments", _fixture_path(fx), "--rule", rule]
             out[f"payments-{fx}-{rule}"] = argv
             out[f"payments-{fx}-{rule}-explain"] = argv + ["--explain"]
+            argv = ["equilibrium", _fixture_path(fx), "--grid", "1/4", "--pricing", rule, "--explain", "--beta-check"]
+            out[f"equilibrium-{fx}-{rule}-explain-beta"] = argv
     for rule in harness.AUDIT_RULES:
         argv = ["audit", "--rule", rule, "--trials", "200", "--seed", "1"]
         out[f"audit-{rule}"] = argv
