@@ -74,7 +74,7 @@ def _outcome_dict(inst: Instance, outcome) -> dict:
 
 
 def _explain(inst: Instance, rep: ReportProfile) -> dict:
-    assignment = monotone.space_assignment(inst, rep, want_trace=True)
+    assignment = monotone.space_assignment(inst, rep)
     eliminations = {}
     for adv in inst.advertisers:
         survivors, removed = fracopt.eliminate_dominated(

@@ -43,24 +43,22 @@ class StrategySpace:
     subsets: tuple[frozenset[str], ...]  # preference order: larger first
 
 
-def strategy_spaces(
-    inst: Instance,
-    delta: Fraction,
-    ads_guard: int = STRATEGY_ADS_GUARD,
-) -> dict[str, StrategySpace]:
+def strategy_spaces(inst: Instance, delta: Fraction) -> dict[str, StrategySpace]:
     """No-overbidding grids: bids {0, delta, 2*delta, ...} plus the true value,
     crossed with every subset of the catalog (the empty one included).
 
-    Both guards (the bid one is `STRATEGY_BIDS_GUARD` bids per advertiser)
-    are checked for every advertiser before any grid is built.
+    Both guards, at most `STRATEGY_ADS_GUARD` ads and `STRATEGY_BIDS_GUARD`
+    bids per advertiser (read at call time), are checked for every
+    advertiser before any grid is built; either raises `GuardExceededError`.
     """
     delta = Fraction(delta)
     if delta <= 0:
         raise ValueError(f"grid step must be positive, got {delta}")
+    counts = []
     for adv in inst.advertisers:
-        if len(adv.ads) > ads_guard:
+        if len(adv.ads) > STRATEGY_ADS_GUARD:
             raise GuardExceededError(
-                f"advertiser {adv.adv_id!r} has {len(adv.ads)} ads; subset grid guard is {ads_guard}"
+                f"advertiser {adv.adv_id!r} has {len(adv.ads)} ads; subset grid guard is {STRATEGY_ADS_GUARD}"
             )
         # the grid is ceil(value / delta) multiples of delta below the value, plus the value
         value = adv.value_per_click
@@ -70,20 +68,16 @@ def strategy_spaces(
                 f"advertiser {adv.adv_id!r} would have {count} grid bids "
                 f"(value {value}, step {delta}); bid grid guard is {STRATEGY_BIDS_GUARD}"
             )
+        counts.append(count)
     spaces = {}
-    for adv in inst.advertisers:
-        bids = []
-        b = Fraction(0)
-        while b < adv.value_per_click:
-            bids.append(b)
-            b += delta
-        bids.append(adv.value_per_click)
+    for adv, count in zip(inst.advertisers, counts):
+        bids = (*(delta * j for j in range(count - 1)), adv.value_per_click)
         ids = sorted(adv.ad_ids())
         subsets = []
         for size in range(len(ids), -1, -1):
             for combo in combinations(ids, size):
                 subsets.append(frozenset(combo))
-        spaces[adv.adv_id] = StrategySpace(adv_id=adv.adv_id, bids=tuple(bids), subsets=tuple(subsets))
+        spaces[adv.adv_id] = StrategySpace(adv_id=adv.adv_id, bids=bids, subsets=tuple(subsets))
     return spaces
 
 
@@ -282,7 +276,7 @@ class BetaCheck:
 def beta_bound_check(inst: Instance, rep: ReportProfile) -> BetaCheck:
     """The diagnostic at `rep`: the traced space walk and both rules read one view."""
     view = kernels.ScaledView(inst, rep)
-    trace = _assignment_from_view(view, want_trace=True)[-1]
+    trace = _assignment_from_view(view)[-1]
     k_star = trace.total_units // 2 + 1
     run = trace.covering(k_star)
     beta = run.density if run is not None else Fraction(0)

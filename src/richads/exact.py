@@ -34,15 +34,16 @@ class CapacityDP:
     A row holds, per slot count c (a single layer when the instance has no
     `cardinality_limit`), the best scaled value within each scaled capacity
     w; rows are nondecreasing in both. `suffix[g]` is the row of advertisers g.., so
-    `suffix[0]` holds the optimum and `suffix[n]` is all zeros. The guard
-    fires before any table is allocated.
+    `suffix[0]` holds the optimum and `suffix[n]` is all zeros. A scaled
+    capacity above `DP_CAPACITY_GUARD` (read at call time) raises
+    `GuardExceededError` before any table is allocated.
     """
 
-    def __init__(self, view: ScaledView, capacity_guard: int = DP_CAPACITY_GUARD):
+    def __init__(self, view: ScaledView):
         limit = view.inst.cardinality_limit
-        if view.total > capacity_guard:
+        if view.total > DP_CAPACITY_GUARD:
             raise GuardExceededError(
-                f"scaled capacity {view.total} exceeds the DP guard {capacity_guard}"
+                f"scaled capacity {view.total} exceeds the DP guard {DP_CAPACITY_GUARD}"
             )
         n = view.n_adv()
         check_cardinality(limit)
@@ -108,15 +109,15 @@ class CapacityDP:
         return out
 
 
-def int_opt_dp(inst: Instance, rep: ReportProfile, capacity_guard: int = DP_CAPACITY_GUARD) -> Allocation:
+def int_opt_dp(inst: Instance, rep: ReportProfile) -> Allocation:
     """Integral optimum by dynamic programming over scaled capacity.
 
     Backtracks `CapacityDP.choice` over one view; `pricing.vcg_payments`
-    reads its counterfactual optima from the same tables.
+    reads its counterfactual optima from the same tables. Raises
+    `GuardExceededError` when the scaled capacity exceeds `DP_CAPACITY_GUARD`.
     """
     view = ScaledView(inst, rep)
-    dp = CapacityDP(view, capacity_guard)
-    return view.allocation(dp.choice())
+    return view.allocation(CapacityDP(view).choice())
 
 
 def int_opt_exhaustive(

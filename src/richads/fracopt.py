@@ -93,27 +93,6 @@ def advertiser_points(inst: Instance, rep: ReportProfile, adv_id: str) -> list[A
     ]
 
 
-def advertiser_value_in_space(
-    survivors: Iterable[AdPoint], width: Fraction
-) -> tuple[Fraction, str | None, str | None]:
-    """Best fractional value of one advertiser within `width` of space.
-
-    Returns (value, lower_ad, upper_ad): the envelope value together with the
-    two survivor ads bracketing the width (None stands for the empty ad below
-    the first survivor, and for "no upper neighbour" at or past the last one).
-    """
-    pts = list(survivors)
-    if width <= 0 or not pts:
-        return Fraction(0), None, None
-    prev = AdPoint("", Fraction(0), Fraction(0))
-    for pt in pts:
-        if width < pt.space:
-            slope = (pt.value - prev.value) / (pt.space - prev.space)
-            return prev.value + (width - prev.space) * slope, prev.ad_id or None, pt.ad_id
-        prev = pt
-    return prev.value, prev.ad_id, None
-
-
 @dataclass(frozen=True)
 class FractionalSolution:
     """Optimum of the fractional relaxation at reported values.
@@ -126,8 +105,6 @@ class FractionalSolution:
     entries: dict[str, tuple[tuple[str, Fraction], ...]]
     objective: Fraction
     fractional_adv: str | None
-    # the split (lower ad or None for the empty ad, upper ad) if any
-    fractional_pair: tuple[str | None, str] | None = None
 
     def used_space(self, inst: Instance) -> Fraction:
         total = Fraction(0)
@@ -170,7 +147,6 @@ def fractional_opt(inst: Instance, rep: ReportProfile) -> FractionalSolution:
     entries: dict[str, tuple[tuple[str, Fraction], ...]] = {}
     objective = Fraction(0)
     fractional_adv: str | None = None
-    fractional_pair: tuple[str | None, str] | None = None
     for _ibpb, adv_id, lower, upper in increments:
         if remaining == 0:
             break
@@ -192,19 +168,13 @@ def fractional_opt(inst: Instance, rep: ReportProfile) -> FractionalSolution:
             entries[adv_id] = tuple(pairs)
             objective += lower_value * x_lower + upper.value * x_upper
             fractional_adv = adv_id
-            fractional_pair = (lower.ad_id if lower else None, upper.ad_id)
             held.pop(adv_id, None)
             remaining = Fraction(0)
             break
     for adv_id, pt in held.items():
         entries[adv_id] = ((pt.ad_id, Fraction(1)),)
         objective += pt.value
-    return FractionalSolution(
-        entries=entries,
-        objective=objective,
-        fractional_adv=fractional_adv,
-        fractional_pair=fractional_pair,
-    )
+    return FractionalSolution(entries=entries, objective=objective, fractional_adv=fractional_adv)
 
 
 def two_approx_integral(inst: Instance, rep: ReportProfile) -> Allocation:

@@ -157,9 +157,13 @@ def run_comparison(corpus: Sequence[Instance], mechanisms: Iterable[str] = MECHA
     optimum. All rows of an instance share one view of its truthful report,
     and one capacity DP gives the integral optimum and the VCG row.
     """
+    mechanisms = list(mechanisms)
     unknown = [m for m in mechanisms if m not in pricing.MECHANISMS]
     if unknown:
         raise ValueError(f"unknown mechanisms: {unknown}; choices: {sorted(pricing.MECHANISMS)}")
+    repeated = sorted({m for m in mechanisms if mechanisms.count(m) > 1})
+    if repeated:
+        raise ValueError(f"duplicate mechanisms: {repeated}")
     mechs = [(name, pricing.MECHANISMS[name]) for name in mechanisms]
     rows: list[dict] = []
     skipped: list[tuple[str, str]] = []
@@ -240,11 +244,15 @@ def ratio_histogram(rows: list[dict], mechanism: str) -> list[tuple[str, int]]:
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
-    """Generate the corpus, compare mechanisms, write CSV + histograms + summary."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """Generate the corpus, compare mechanisms, write CSV + histograms + summary.
+
+    The output directory is made only once the comparison has run, so a
+    refused config leaves nothing behind.
+    """
     corpus = generate_corpus(cfg)
     result = run_comparison(corpus, cfg.mechanisms)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     with open(out / "comparison.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)

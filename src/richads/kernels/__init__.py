@@ -36,7 +36,7 @@ class ScaledView:
 
     FIELDS = (
         "inst", "rep", "adv_ids", "adv_index", "adv", "ad_ids", "val", "spc",
-        "space", "total", "value_scale", "space_scale",
+        "total", "value_scale", "space_scale",
     )
     # _densities: the rows' bang-per-buck over one integer scale (see
     # `densities`); _orders: "bpb" or "value" -> that walk order (see
@@ -68,7 +68,6 @@ class ScaledView:
         space_scale = lcm(inst.total_space.denominator, *(r[3].denominator for r in rows))
         self.adv = [r[0] for r in rows]
         self.ad_ids = [r[1] for r in rows]
-        self.space = [r[3] for r in rows]
         self.spc = [int(r[3] * space_scale) for r in rows]
         self.total = int(inst.total_space * space_scale)
         self.space_scale = space_scale
@@ -114,11 +113,8 @@ class ScaledView:
         got = self._orders.get("bpb")
         if got is None:
             _scale, dens = self.densities()
-            if None in dens:
-                got = [i for i, d in enumerate(dens) if d is None]
-                got += sorted((i for i, d in enumerate(dens) if d is not None), key=dens.__getitem__, reverse=True)
-            else:
-                got = sorted(range(len(dens)), key=dens.__getitem__, reverse=True)
+            got = [i for i, d in enumerate(dens) if d is None]
+            got += sorted((i for i, d in enumerate(dens) if d is not None), key=dens.__getitem__, reverse=True)
             self._orders["bpb"] = got
         return got
 
@@ -138,12 +134,6 @@ class ScaledView:
 
     def n_adv(self) -> int:
         return len(self.adv_ids)
-
-    def ad_ref(self, i: int) -> tuple[str, str]:
-        return self.adv_ids[self.adv[i]], self.ad_ids[i]
-
-    def unscale_space(self, units: int) -> Fraction:
-        return Fraction(units, self.space_scale)
 
 
 ZERO = Fraction(0)

@@ -75,39 +75,37 @@ class SpaceAssignment:
     spaces: dict[str, Fraction]
     held: dict[str, str]
     fractional: tuple[str, str, Fraction] | None
-    trace: SpaceTrace | None = None
+    trace: SpaceTrace
 
 
-def _assignment_from_view(view: ScaledView, want_trace: bool):
-    if want_trace:
-        held, held_spc, frac_adv, frac_num, frac_den, events = run_space_auction_traced(view)
-        runs = tuple(
-            TraceRun(
-                start=start,
-                end=end,
-                adv_id=view.adv_ids[view.adv[i]],
-                ad_id=view.ad_ids[i],
-                density=Fraction(view.val[i], view.value_scale) / view.space[i],
-                kind=kind,
-            )
-            for kind, i, start, end in events
+def _assignment_from_view(view: ScaledView):
+    held, held_spc, frac_adv, frac_num, frac_den, events = run_space_auction_traced(view)
+    runs = tuple(
+        TraceRun(
+            start=start,
+            end=end,
+            adv_id=view.adv_ids[view.adv[i]],
+            ad_id=view.ad_ids[i],
+            density=Fraction(view.val[i] * view.space_scale, view.value_scale * view.spc[i]),
+            kind=kind,
         )
-        trace = SpaceTrace(scale=view.space_scale, total_units=view.total, runs=runs)
-    else:
-        held, held_spc, frac_adv, frac_num, frac_den = run_space_auction(view)
-        trace = None
+        for kind, i, start, end in events
+    )
+    trace = SpaceTrace(scale=view.space_scale, total_units=view.total, runs=runs)
     return held, held_spc, frac_adv, frac_num, frac_den, trace
 
 
-def space_assignment(inst: Instance, rep: ReportProfile, want_trace: bool = False) -> SpaceAssignment:
+def space_assignment(inst: Instance, rep: ReportProfile) -> SpaceAssignment:
+    """The bang-per-buck space walk over the view of (inst, rep), with the
+    unit-level trace of which ad covered which units."""
     view = ScaledView(inst, rep)
-    held, held_spc, frac_adv, frac_num, frac_den, trace = _assignment_from_view(view, want_trace)
+    held, held_spc, frac_adv, frac_num, frac_den, trace = _assignment_from_view(view)
     spaces: dict[str, Fraction] = {}
     held_ads: dict[str, str] = {}
     for a, ad_index in enumerate(held):
         if ad_index >= 0:
             adv_id = view.adv_ids[a]
-            spaces[adv_id] = view.unscale_space(held_spc[a])
+            spaces[adv_id] = Fraction(held_spc[a], view.space_scale)
             held_ads[adv_id] = view.ad_ids[ad_index]
     fractional = None
     if frac_adv >= 0:
@@ -142,8 +140,7 @@ def max_value_allocation(inst: Instance, rep: ReportProfile, view: ScaledView | 
         if best < 0 or view.val[i] > view.val[best]:
             best = i
     if best >= 0:
-        adv_id, ad_id = view.ad_ref(best)
-        return Allocation(entries={adv_id: (ad_id, WHOLE)})
+        return Allocation(entries={view.adv_ids[view.adv[best]]: (view.ad_ids[best], WHOLE)})
     # every reported ad is worth zero (the view keeps positives only), but
     # the rule still serves the first fitting one by (adv_id, ad_id)
     for adv in inst.advertisers:

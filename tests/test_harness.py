@@ -94,6 +94,12 @@ def test_run_comparison_rejects_unknown_mechanism():
         run_comparison(corpus, ("truthful-3approx", "second-price"))
 
 
+def test_run_comparison_rejects_a_repeated_mechanism():
+    corpus = generate_corpus(small_cfg(instances=1))
+    with pytest.raises(ValueError, match=r"duplicate mechanisms: \['vcg'\]"):
+        run_comparison(corpus, ("vcg", "truthful-3approx", "vcg"))
+
+
 def test_welfare_floor_holds_across_corpus(small_corpus):
     # completing without the InvariantViolation of the welfare floor is the point
     result = run_comparison(small_corpus[:120], ("truthful-3approx",))

@@ -1,5 +1,6 @@
 """Space assignment walk, integral and max-value rules, and their mixture."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -144,9 +145,7 @@ def test_randomized_mechanism_rejects_bad_weight(bad):
 
 def test_trace_fx2i_cover_order():
     inst = fixtures.fx2()
-    got = space_assignment(inst, truthful_profile(inst), want_trace=True)
-    trace = got.trace
-    assert trace is not None
+    trace = space_assignment(inst, truthful_profile(inst)).trace
     assert trace.scale == 1 and trace.total_units == 4
     assert [run.kind for run in trace.runs] == ["place", "replace", "fractional"]
     # the first unit keeps its original label after the upgrade
@@ -158,6 +157,24 @@ def test_trace_fx2i_cover_order():
     assert len(lines) == 3 and lines[0].startswith("place: advertiser a ad ax1")
 
 
-def test_untraced_assignment_has_no_trace():
-    inst = fixtures.fx2()
-    assert space_assignment(inst, truthful_profile(inst)).trace is None
+def test_trace_densities_are_the_ads_bid_times_alpha_over_space(small_corpus):
+    """Each run's density, read off the scaled integers, is its ad's
+    reported bang-per-buck computed from the instance's Fractions. The
+    corpus has integer spaces, so it also runs with every space divided by
+    7, and the fixtures include fx3 and fx6b, whose spaces are fractional."""
+    shrunk = [
+        replace(
+            inst,
+            total_space=inst.total_space / 7,
+            advertisers=tuple(replace(adv, ads=tuple(replace(ad, space=ad.space / 7) for ad in adv.ads)) for adv in inst.advertisers),
+        )
+        for inst in small_corpus
+    ]
+    runs = 0
+    for inst in (*map(fixtures.fixture, fixtures.BUILDERS), *small_corpus, *shrunk):
+        rep = truthful_profile(inst)
+        for run in space_assignment(inst, rep).trace.runs:
+            ad = inst.advertiser(run.adv_id).ad(run.ad_id)
+            assert run.density == rep.bids[run.adv_id] * ad.alpha / ad.space, (inst, run)
+            runs += 1
+    assert runs >= 2 * len(small_corpus)

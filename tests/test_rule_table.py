@@ -163,7 +163,7 @@ def test_beta_check_builds_one_view(small_corpus, monkeypatch):
         assert len(views) == 1
         monkeypatch.undo()
         # the check as it was: the traced walk and each rule on its own view
-        trace = monotone.space_assignment(inst, rep, want_trace=True).trace
+        trace = monotone.space_assignment(inst, rep).trace
         run = trace.covering(trace.total_units // 2 + 1)
         beta = run.density if run is not None else Fraction(0)
         rhs = 2 * social_welfare(inst, monotone.bpb_allocation(inst, rep)) + 2 * social_welfare(
