@@ -18,7 +18,6 @@ from .equilibrium import (
     poa_report,
     strategy_spaces,
     utility,
-    vcg_mechanism,
 )
 from .exact import int_opt_cross_checked, int_opt_dp, int_opt_exhaustive
 from .fixtures import fixture
@@ -68,14 +67,9 @@ from .pricing import (
     BidThresholds,
     PricedOutcome,
     bid_thresholds,
-    bpb_rule,
-    greedy_bpb_rule,
-    greedy_value_rule,
     gsp_prices,
-    max_value_rule,
     mixture_rule,
     myerson_payment,
-    randomized_greedy_rule,
     vcg_payments,
 )
 
@@ -107,16 +101,13 @@ __all__ = [
     "beta_bound_check",
     "bid_thresholds",
     "bpb_allocation",
-    "bpb_rule",
     "eliminate_dominated",
     "find_pure_nash",
     "fixture",
     "fractional_opt",
     "generate_corpus",
-    "greedy_bpb_rule",
     "greedy_by_bpb",
     "greedy_by_value",
-    "greedy_value_rule",
     "gsp_mixture_mechanism",
     "gsp_prices",
     "int_opt_cross_checked",
@@ -124,14 +115,12 @@ __all__ = [
     "int_opt_exhaustive",
     "load_instance",
     "max_value_allocation",
-    "max_value_rule",
     "mixture_rule",
     "monotonicity_audit",
     "myerson_mixture_mechanism",
     "myerson_payment",
     "poa_report",
     "randomized_greedy",
-    "randomized_greedy_rule",
     "randomized_mechanism",
     "run_comparison",
     "run_experiment",
@@ -146,6 +135,5 @@ __all__ = [
     "utility",
     "validate_instance",
     "validate_report",
-    "vcg_mechanism",
     "vcg_payments",
 ]

@@ -20,6 +20,7 @@ from .model import (
     Mixture,
     ReportProfile,
     load_instance,
+    load_json,
     parse_rational,
     social_welfare,
     truthful_profile,
@@ -242,7 +243,7 @@ def _cmd_equilibrium(args) -> int:
 
 def _cmd_experiment(args) -> int:
     with open(args.config) as fh:
-        cfg = harness.ExperimentConfig.from_dict(json.load(fh))
+        cfg = harness.ExperimentConfig.from_dict(load_json(fh))
     summary = harness.run_experiment(cfg, args.out)
     _emit(summary)
     print(f"wrote comparison.csv and histograms to {args.out}", file=sys.stderr)

@@ -30,7 +30,7 @@ from .model import (
 )
 from .monotone import _assignment_from_view, bpb_allocation, max_value_allocation
 from .monotone import space_assignment  # noqa: F401  (the benchmark's tracer wraps it here)
-from .pricing import Mechanism, gsp_mixture_mechanism, myerson_mixture_mechanism, vcg_mechanism  # noqa: F401  (re-exported)
+from .pricing import Mechanism, gsp_mixture_mechanism, myerson_mixture_mechanism  # noqa: F401  (re-exported)
 
 STRATEGY_ADS_GUARD = 4
 STRATEGY_BIDS_GUARD = 10_000
@@ -84,7 +84,7 @@ def strategy_spaces(inst: Instance, delta: Fraction) -> dict[str, StrategySpace]
 class _Evaluator:
     """Memoised outcome/payment evaluation across many nearby profiles.
 
-    A profile's branch allocations are run on one view and cached together.
+    A profile's branch allocations are run on one view.
     Click curves are cached per (advertiser, branch, report with the
     advertiser at the cap), since an advertiser's own bid moves along a
     fixed curve while the rest of the profile stands still.
@@ -97,7 +97,6 @@ class _Evaluator:
         self.truth = truth
         self.mech = mechanism
         self.branches = () if mechanism.pricing == "vcg" else pricing.rule_branches(mechanism.rule)
-        self._allocs: dict = {}
         self._curves: dict = {}
         self._vcg: dict = {}
         self.curves_built = 0
@@ -105,13 +104,8 @@ class _Evaluator:
 
     def _branch_alloc(self, rep: ReportProfile) -> tuple:
         """The allocation of each of the rule's branches at `rep`."""
-        key = rep.key()
-        got = self._allocs.get(key)
-        if got is None:
-            view = kernels.ScaledView(self.inst, rep)
-            got = tuple(pricing.branch_allocate(self.inst, rep, branch, view) for _prob, branch in self.branches)
-            self._allocs[key] = got
-        return got
+        view = kernels.ScaledView(self.inst, rep)
+        return tuple(pricing.branch_allocate(self.inst, rep, branch, view) for _prob, branch in self.branches)
 
     def outcome(self, rep: ReportProfile) -> Mixture:
         if self.mech.pricing == "vcg":

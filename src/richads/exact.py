@@ -13,7 +13,7 @@ from __future__ import annotations
 from operator import add
 from typing import Iterable
 
-from .kernels import ScaledView, check_cardinality
+from .kernels import ScaledView
 from .model import Allocation, GuardExceededError, Instance, InvariantViolation, ReportProfile
 
 DP_CAPACITY_GUARD = 10**6
@@ -46,7 +46,6 @@ class CapacityDP:
                 f"scaled capacity {view.total} exceeds the DP guard {DP_CAPACITY_GUARD}"
             )
         n = view.n_adv()
-        check_cardinality(limit)
         if limit is None:
             layers, self.shift = 1, 0  # taking an ad uses no slot
         else:
@@ -135,7 +134,6 @@ def int_opt_exhaustive(
     if view is None:
         view = ScaledView(inst, rep)
     limit = inst.cardinality_limit
-    check_cardinality(limit)
     per_adv = _candidates(view)
     n = view.n_adv()
 

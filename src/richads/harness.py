@@ -34,7 +34,8 @@ from .model import (
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Corpus shape and the mechanisms to compare."""
+    """Corpus shape and the mechanisms to compare. Every field is checked
+    here (types, then ranges), so a config that exists makes a corpus."""
 
     seed: int = 0
     instances: int = 100
@@ -48,6 +49,32 @@ class ExperimentConfig:
     cardinality: int | None = None  # every generated instance's `cardinality_limit`
     mechanisms: tuple[str, ...] = ("truthful-3approx", "gsp-half", "greedy-bpb", "greedy-value")
 
+    def __post_init__(self):
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
+            if name == "mechanisms":
+                if not isinstance(value, (list, tuple)) or not all(isinstance(m, str) for m in value):
+                    raise ValueError(f"experiment config field 'mechanisms' must be a list of strings, got {value!r}")
+                object.__setattr__(self, name, tuple(value))
+            elif name == "cardinality" and value is None:
+                continue
+            # bool is a subclass of int, but `true` is not a count
+            elif isinstance(value, bool) or not isinstance(value, int):
+                kind = "an integer or null" if name == "cardinality" else "an integer"
+                raise ValueError(f"experiment config field {name!r} must be {kind}, got {value!r}")
+        if self.instances < 0:
+            raise ValueError(f"instances must be >= 0, got {self.instances}")
+        for name in ("max_advertisers", "max_ads", "max_space", "value_levels", "value_denominator", "alpha_denominator"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.max_space > self.max_total_space:
+            raise ValueError(
+                f"max_space {self.max_space} exceeds max_total_space {self.max_total_space}: "
+                "every ad must be able to fit alone"
+            )
+        if self.cardinality is not None and self.cardinality < 1:
+            raise ValueError(f"cardinality must be >= 1, got {self.cardinality}")
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -55,22 +82,9 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ValueError("experiment config must be an object")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown experiment config fields: {sorted(unknown)}")
-        for name, value in data.items():
-            if name == "mechanisms":
-                if not isinstance(value, list) or not all(isinstance(m, str) for m in value):
-                    raise ValueError(f"experiment config field 'mechanisms' must be a list of strings, got {value!r}")
-            elif name == "cardinality" and value is None:
-                continue
-            # bool is a subclass of int, but `true` is not a count
-            elif isinstance(value, bool) or not isinstance(value, int):
-                kind = "an integer or null" if name == "cardinality" else "an integer"
-                raise ValueError(f"experiment config field {name!r} must be {kind}, got {value!r}")
-        if "mechanisms" in data:
-            data = dict(data, mechanisms=tuple(data["mechanisms"]))
         return cls(**data)
 
 
@@ -91,18 +105,6 @@ def tie_prone_config(seed: int = 0, instances: int = 100) -> ExperimentConfig:
 
 def generate_corpus(cfg: ExperimentConfig) -> tuple[Instance, ...]:
     """Deterministic instance corpus for a (config, seed) pair."""
-    if cfg.instances < 0:
-        raise ValueError(f"instances must be >= 0, got {cfg.instances}")
-    for name in ("max_advertisers", "max_ads", "max_space", "value_levels", "value_denominator", "alpha_denominator"):
-        if getattr(cfg, name) < 1:
-            raise ValueError(f"{name} must be >= 1, got {getattr(cfg, name)}")
-    if cfg.max_space > cfg.max_total_space:
-        raise ValueError(
-            f"max_space {cfg.max_space} exceeds max_total_space {cfg.max_total_space}: "
-            "every ad must be able to fit alone"
-        )
-    if cfg.cardinality is not None and cfg.cardinality < 1:
-        raise ValueError(f"cardinality must be >= 1, got {cfg.cardinality}")
     rng = random.Random(cfg.seed)
     out = []
     for _ in range(cfg.instances):

@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import pricing  # a cycle: see `pricing.RULES`
-from .kernels import ScaledView, check_cardinality, greedy_step, run_best_fit, run_value_greedy
+from .kernels import ScaledView, greedy_step, run_best_fit, run_value_greedy
 from .kernels import run_space_auction  # noqa: F401  (the benchmark's tracer wraps it here)
 from .model import Allocation, Instance, Mixture, ReportProfile
 from .monotone import max_value_allocation  # noqa: F401  (the benchmark's tracer wraps it here)
@@ -48,7 +48,6 @@ def greedy_by_bpb(inst: Instance, rep: ReportProfile, view: ScaledView | None = 
     fitting ad, mirroring the integral rule's second stage.
     """
     k = inst.cardinality_limit
-    check_cardinality(k)
     if view is None:
         view = ScaledView(inst, rep)
     if k is None:
@@ -71,7 +70,6 @@ def greedy_by_value(inst: Instance, rep: ReportProfile, view: ScaledView | None 
     `cardinality_limit` advertisers are served.
     """
     k = inst.cardinality_limit
-    check_cardinality(k)
     if view is None:
         view = ScaledView(inst, rep)
     return view.allocation(run_value_greedy(view, view.n_adv() if k is None else k))
@@ -80,7 +78,7 @@ def greedy_by_value(inst: Instance, rep: ReportProfile, view: ScaledView | None 
 def randomized_greedy(inst: Instance, rep: ReportProfile, p: Fraction = RANDOMIZED_GREEDY_P) -> Mixture:
     """Mix bang-per-buck greedy (probability p) with the max-value rule: the
     rule table's "randomized-greedy", both branches on one view."""
-    return pricing.rule_allocate(inst, rep, pricing.randomized_greedy_rule(p))
+    return pricing.rule_allocate(inst, rep, pricing.AllocationRule("randomized-greedy", Fraction(p)))
 
 
 def sample_mixture(mixture: Mixture, seed: int) -> Allocation:

@@ -21,7 +21,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import lcm
 
-from ..model import WHOLE, Allocation
+from .model import WHOLE, Allocation
 
 
 class ScaledView:
@@ -31,7 +31,8 @@ class ScaledView:
     by the lcm of their denominators, spaces (and the total) by the lcm of
     theirs, so every kernel comparison is an exact integer comparison. Ads
     with zero effective value (unreported advertiser, zero bid) are treated
-    as unreported: no rule ever benefits from allocating them.
+    as unreported: no rule ever benefits from allocating them. An instance
+    whose `cardinality_limit` is below 1 has no view: it raises `ValueError`.
     """
 
     FIELDS = (
@@ -45,6 +46,7 @@ class ScaledView:
     __slots__ = FIELDS + ("_densities", "_orders", "_probes")
 
     def __init__(self, inst, rep):
+        check_cardinality(inst.cardinality_limit)
         self.inst = inst
         self.rep = rep
         self._densities = None
@@ -140,7 +142,7 @@ ZERO = Fraction(0)
 
 
 def check_cardinality(k: int | None) -> None:
-    """Raise the `ValueError` every capped rule raises for a cap below 1."""
+    """Raise the `ValueError` a view raises for a cap below 1."""
     if k is not None and k < 1:
         raise ValueError(f"cardinality limit must be >= 1, got {k}")
 
@@ -341,7 +343,6 @@ class BidderProbe:
         click rate) in walk order, the view's bid numerator, the cap)."""
         view = self.view
         limit = view.inst.cardinality_limit
-        check_cardinality(limit)
         if limit is None:
             limit = view.n_adv()
         lo, hi, bn, bd, alphas = self._own()
@@ -417,7 +418,6 @@ class BidderProbe:
         view = self.view
         n = view.n_adv()
         k = view.inst.cardinality_limit
-        check_cardinality(k)
         if k is not None and k >= n:
             k = None  # no advertiser set reaches it: the uncapped walk
         lo, hi, bn, bd, _alphas = self._own()

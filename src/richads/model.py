@@ -8,6 +8,7 @@ every downstream comparison is exact.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -44,8 +45,15 @@ class NonMonotoneClickCurveError(Exception):
         )
 
 
+# the one string form of a rational: an optional sign, digits, and an
+# optional "/digits"; `Fraction(str)` also takes exponents, decimals and
+# padding, and "1e10000000" would build a ten-million-digit integer
+RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(value) -> Fraction:
-    """Parse an int or a "p/q" string into a Fraction. Floats are rejected."""
+    """Parse an int or a "[+-]digits[/digits]" string into a Fraction.
+    Floats, and strings of any other form, are rejected."""
     if isinstance(value, bool):
         raise ValueError(f"expected a rational, got boolean {value!r}")
     if isinstance(value, int):
@@ -53,6 +61,8 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, float):
         raise ValueError(f"floats are not accepted as rationals (got {value!r}); use \"p/q\"")
     if isinstance(value, str):
+        if not RATIONAL.fullmatch(value):
+            raise ValueError(f"rational {value!r} is not of the form [+-]digits[/digits], e.g. \"-1/3\"")
         try:
             return Fraction(value)
         except ZeroDivisionError:
@@ -370,9 +380,17 @@ def instance_from_dict(data: dict) -> Instance:
     return Instance(advertisers=tuple(advertisers), total_space=total, cardinality_limit=limit)
 
 
+def load_json(fh):
+    """`json.load`, with nesting too deep for the parser a `ValueError`."""
+    try:
+        return json.load(fh)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to parse") from None
+
+
 def load_instance(path) -> Instance:
     with open(path) as fh:
-        return instance_from_dict(json.load(fh))
+        return instance_from_dict(load_json(fh))
 
 
 def save_instance(inst: Instance, path) -> None:

@@ -83,47 +83,31 @@ class AllocationRule:
 
     `p` is the probability of a lottery's first branch (None: the rule's
     default). The greedy branches serve at most the instance's
-    `cardinality_limit` advertisers.
+    `cardinality_limit` advertisers. An unknown name or a weight outside
+    [0, 1] raises `ValueError` here, so a rule that exists is valid.
     """
 
     name: str
     p: Fraction | None = None
 
-
-def bpb_rule() -> AllocationRule:
-    return AllocationRule("bpb")
-
-
-def max_value_rule() -> AllocationRule:
-    return AllocationRule("max-value")
+    def __post_init__(self):
+        if self.name not in RULES:
+            raise ValueError(f"unknown allocation rule {self.name!r}")
+        p = self.p
+        if p is not None and not 0 <= p.numerator <= p.denominator:  # p in [0, 1], compared as integers
+            raise ValueError(f"mixture weight must lie in [0, 1], got {p}")
 
 
 def mixture_rule(p: Fraction = monotone.TRUTHFUL_MIX_P) -> AllocationRule:
     return AllocationRule("mixture", p=Fraction(p))
 
 
-def greedy_bpb_rule() -> AllocationRule:
-    return AllocationRule("greedy-bpb")
-
-
-def greedy_value_rule() -> AllocationRule:
-    return AllocationRule("greedy-value")
-
-
-def randomized_greedy_rule(p: Fraction = heuristics.RANDOMIZED_GREEDY_P) -> AllocationRule:
-    return AllocationRule("randomized-greedy", p=Fraction(p))
-
-
 def rule_branches(rule: AllocationRule) -> tuple[tuple[Fraction, str], ...]:
     """(probability, branch name) pairs; branch names key `BRANCHES`."""
-    names, default_p = RULES.get(rule.name, ((), None))
+    names, default_p = RULES[rule.name]
     if len(names) == 1:
         return ((Fraction(1), names[0]),)
-    if not names:
-        raise ValueError(f"unknown allocation rule {rule.name!r}")
     p = default_p if rule.p is None else rule.p
-    if not 0 <= p.numerator <= p.denominator:  # p in [0, 1], compared as integers
-        raise ValueError(f"mixture weight must lie in [0, 1], got {p}")
     return ((p, names[0]), (1 - p, names[1]))
 
 
@@ -567,9 +551,9 @@ MECHANISMS: dict[str, Mechanism | None] = {
     "gsp-half": Mechanism("gsp", mixture_rule(monotone.GSP_MIX_P)),
     "vcg": Mechanism("vcg"),
     "frac-opt": None,
-    "greedy-bpb": Mechanism("myerson", greedy_bpb_rule()),
-    "greedy-value": Mechanism("myerson", greedy_value_rule()),
-    "randomized-greedy": Mechanism("myerson", randomized_greedy_rule()),
+    "greedy-bpb": Mechanism("myerson", AllocationRule("greedy-bpb")),
+    "greedy-value": Mechanism("myerson", AllocationRule("greedy-value")),
+    "randomized-greedy": Mechanism("myerson", AllocationRule("randomized-greedy", heuristics.RANDOMIZED_GREEDY_P)),
 }
 
 
@@ -581,8 +565,7 @@ def mixture_mechanism(pricing: str, p: Fraction | str | None = None) -> Mechanis
     mechanism through this."""
     if p is None:
         p = monotone.GSP_MIX_P if pricing == "gsp" else monotone.TRUTHFUL_MIX_P
-    rule = mixture_rule(p)
-    rule_branches(rule)  # raises on a weight outside [0, 1]
+    rule = mixture_rule(p)  # raises on a weight outside [0, 1]
     return Mechanism("vcg") if pricing == "vcg" else Mechanism(pricing, rule)
 
 
@@ -592,7 +575,3 @@ def gsp_mixture_mechanism(p: Fraction = monotone.GSP_MIX_P) -> Mechanism:
 
 def myerson_mixture_mechanism(p: Fraction | None = None) -> Mechanism:
     return mixture_mechanism("myerson", p)
-
-
-def vcg_mechanism() -> Mechanism:
-    return mixture_mechanism("vcg")

@@ -327,13 +327,13 @@ def test_criterion_9_counterexample_regressions():
         truth = truthful_profile(inst)
         at_truth = pricing.gsp_prices(inst, truth, pricing.mixture_rule(monotone.GSP_MIX_P))
         assert at_truth.payments == {"a": Fraction(0), "b": Fraction(101, 200)}
-        curve = pricing.bid_thresholds(inst, truth, "b", pricing.bpb_rule())
+        curve = pricing.bid_thresholds(inst, truth, "b", pricing.AllocationRule("bpb"))
         [threshold] = pricing.threshold_prices_along("gsp", curve, (truth.bids["b"],), (Fraction(1),))
         assert threshold == inst.advertiser("b").value_per_click / (1 + eps4**2) == 1
         shaded = truth.replace("b", Fraction(1, 2), truth.subsets["b"])
         under = pricing.gsp_prices(inst, shaded, pricing.mixture_rule(monotone.GSP_MIX_P))
         assert under.payments["b"] == Fraction(1, 200)
-        dev_curve = pricing.bid_thresholds(inst, shaded, "b", pricing.bpb_rule())
+        dev_curve = pricing.bid_thresholds(inst, shaded, "b", pricing.AllocationRule("bpb"))
         dev_clicks = monotone.bpb_allocation(inst, shaded).clicks(inst, "b")
         assert pricing.threshold_prices_along("gsp", dev_curve, (Fraction(1, 2),), (dev_clicks,)) == [0]
 

@@ -1,23 +1,29 @@
-"""Every name the benchmark's tracer patches, and every attribute its hooks
-read, must still resolve in richads.
+"""Every name the benchmark's tracer patches, every attribute its hooks
+read, and every entry point its workloads call must still resolve in richads.
 
 `layerbench/tracer.py` wraps functions where the library looks them up
 (`PATCHES`: layer, attribute, owners) and counts work off their results
 (`_HOOKS`). A renamed or removed name breaks `layerbench/run.py --trace 1`
-with an AttributeError, so it is checked here. The tracer module imports
-only the standard library and is loaded by path; `layerbench/library.py`,
-which re-imports richads, is not used.
+with an AttributeError, so it is checked here. The workloads, their checks
+and the runner call the library as `lib.<module>.<name>`; a deleted name
+breaks every benchmark run, so those names are checked too. The tracer
+module imports only the standard library and is loaded by path;
+`layerbench/library.py`, which re-imports richads, is not used.
 """
 
 import importlib
 import importlib.util
+import re
 from collections import Counter
 from pathlib import Path
 
 from richads import fixtures, pricing
 from richads.model import truthful_profile
 
-TRACER = Path(__file__).resolve().parents[1] / "layerbench" / "tracer.py"
+LAYERBENCH = Path(__file__).resolve().parents[1] / "layerbench"
+TRACER = LAYERBENCH / "tracer.py"
+# `lib.<module>.<name>` in the benchmark's sources: a richads module's attribute
+ENTRY_POINT = re.compile(r"\blib\.([a-z_]+)\.([A-Za-z_]+)")
 
 
 def _tracer():
@@ -49,12 +55,23 @@ def test_every_patched_name_resolves():
     assert missing == []
 
 
+def test_every_benchmark_entry_point_resolves():
+    names = {
+        match.groups()
+        for source in ("workloads.py", "checks.py", "run.py")
+        for match in ENTRY_POINT.finditer((LAYERBENCH / source).read_text())
+    }
+    assert len(names) >= 26
+    missing = [f"{module}.{attr}" for module, attr in sorted(names) if not hasattr(_owner(module), attr)]
+    assert missing == []
+
+
 def test_the_curve_hook_counts_the_curves_candidates():
     inst = fixtures.fx1()
     rep = truthful_profile(inst)
     hook = _tracer()._HOOKS["_build_curve"]
     for adv in inst.advertisers:
-        curve = pricing.bid_thresholds(inst, rep, adv.adv_id, pricing.bpb_rule())
+        curve = pricing.bid_thresholds(inst, rep, adv.adv_id, pricing.AllocationRule("bpb"))
         assert curve.ties
         counts = Counter()
         hook(counts, None, None, (), curve)

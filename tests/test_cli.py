@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
@@ -541,6 +542,32 @@ def test_a_zero_denominator_flag_is_an_input_error(argv, fx_path):
     assert done.returncode == 1
     assert done.stdout == ""
     assert done.stderr == "error: rational '1/0' has a zero denominator\n"
+    assert "Traceback" not in done.stderr
+
+
+def test_an_exponent_rational_is_refused_at_once(tmp_path, capsys):
+    # read by `Fraction`, "1e10000000" took seconds to build its integer
+    doc = json.loads((resources.files("richads") / "data" / "fx2i.json").read_text())
+    doc["advertisers"][0]["ads"][0]["space"] = "1e10000000"
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert cli(["validate", str(path)]) == 1
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: rational '1e10000000' is not of the form [+-]digits[/digits], e.g. \"-1/3\"\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "experiment"])
+def test_deeply_nested_json_is_an_input_error(tmp_path, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    argv = [command, str(path)] + (["--out", str(tmp_path / "o")] if command == "experiment" else [])
+    done = _python("-m", "richads", *argv)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == "error: JSON nested too deeply to parse\n"
     assert "Traceback" not in done.stderr
 
 

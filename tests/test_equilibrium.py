@@ -23,7 +23,6 @@ from richads.equilibrium import (
     poa_report,
     strategy_spaces,
     utility,
-    vcg_mechanism,
 )
 from richads.model import (
     Advertiser,
@@ -143,7 +142,7 @@ def test_best_response_tie_prefers_low_bid_and_large_subset():
 def test_vcg_truthful_utilities_fx2():
     inst = fixtures.fx2()
     truth = truthful_profile(inst)
-    got = utility(inst, truth, truth, vcg_mechanism())
+    got = utility(inst, truth, truth, pricing.Mechanism("vcg"))
     assert got == {"a": Fraction(2), "b": Fraction(3, 2)}
 
 
@@ -177,7 +176,7 @@ def test_beta_bound_holds_on_corpus(small_corpus):
 def test_mechanism_describe():
     assert gsp_mixture_mechanism().describe() == "mixture(p=1/2)+gsp"
     assert myerson_mixture_mechanism().describe() == "mixture(p=2/3)+myerson"
-    assert vcg_mechanism().describe() == "vcg"
+    assert pricing.Mechanism("vcg").describe() == "vcg"
 
 
 def test_poa_report_rows():
@@ -340,7 +339,7 @@ def test_a_drop_at_the_bid_itself_raises_the_same_error_on_both_paths():
 def test_vcg_table_equals_the_profile_oracle():
     for name in ("fx1", "fx4"):
         inst = fixtures.fixture(name)
-        assert_sweep_matches(inst, truthful_profile(inst), vcg_mechanism(), strategy_spaces(inst, Fraction(1, 20)))
+        assert_sweep_matches(inst, truthful_profile(inst), pricing.Mechanism("vcg"), strategy_spaces(inst, Fraction(1, 20)))
 
 
 @st.composite

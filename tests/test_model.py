@@ -25,6 +25,14 @@ def test_parse_rational_accepts_ints_and_strings():
     assert parse_rational(3) == Fraction(3)
     assert parse_rational("7/2") == Fraction(7, 2)
     assert parse_rational("-1/3") == Fraction(-1, 3)
+    assert parse_rational("+4/2") == Fraction(2)
+
+
+@pytest.mark.parametrize("text", ["1e10000000", " 2.5 ", "2.5", "1_000", "0x10", "1/-3", "½", "", "-"])
+def test_parse_rational_rejects_every_other_string_form(text):
+    # `Fraction(str)` would take exponents, decimals, padding and underscores
+    with pytest.raises(ValueError, match=r"is not of the form \[\+-\]digits\[/digits\]"):
+        parse_rational(text)
 
 
 def test_parse_rational_rejects_floats_and_bools():

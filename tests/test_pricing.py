@@ -17,13 +17,10 @@ from richads import exact, fixtures, heuristics, kernels, monotone, pricing
 from richads.exact import int_opt_exhaustive
 from richads.model import Advertiser, GuardExceededError, Instance, NonMonotoneClickCurveError, RichAd, truthful_profile
 from richads.pricing import (
+    AllocationRule,
     BidThresholds,
     bid_thresholds,
-    bpb_rule,
-    greedy_bpb_rule,
-    greedy_value_rule,
     gsp_prices,
-    max_value_rule,
     mixture_rule,
     myerson_payment,
     threshold_prices_along,
@@ -31,19 +28,19 @@ from richads.pricing import (
 )
 
 MONOTONE_RULES = [
-    bpb_rule(),
-    max_value_rule(),
+    AllocationRule("bpb"),
+    AllocationRule("max-value"),
     mixture_rule(),
     mixture_rule(Fraction(1, 2)),
-    greedy_bpb_rule(),
-    greedy_value_rule(),
+    AllocationRule("greedy-bpb"),
+    AllocationRule("greedy-value"),
 ]
 
 
 def test_fx2_bpb_curve_shape():
     inst = fixtures.fx2()
     rep = truthful_profile(inst)
-    curve = bid_thresholds(inst, rep, "a", bpb_rule())
+    curve = bid_thresholds(inst, rep, "a", AllocationRule("bpb"))
     assert curve.thresholds == (Fraction(0), Fraction(7, 4), Fraction(3))
     # 4/7 clicks on (0, 7/4) and (7/4, 3), one click on (3, 7/2]
     assert curve.steps == ((Fraction(0), Fraction(4, 7)), (Fraction(3), Fraction(1)))
@@ -214,7 +211,7 @@ def test_zero_bid_pays_nothing():
     ):
         assert priced.payments["a"] == 0
         assert priced.cpc["a"] is None
-    curve = bid_thresholds(inst, rep, "a", bpb_rule())
+    curve = bid_thresholds(inst, rep, "a", AllocationRule("bpb"))
     assert curve.steps == () and curve.thresholds == (Fraction(0),)
 
 

@@ -45,20 +45,49 @@ def test_mechanisms_and_audit_rules_follow_the_table():
     assert harness.AUDIT_RULES == (*pricing.RULES, "int-opt")
     assert pricing.mixture_mechanism("myerson").describe() == "mixture(p=2/3)+myerson"
     assert pricing.mixture_mechanism("gsp", "1/3").describe() == "mixture(p=1/3)+gsp"
-    assert pricing.mixture_mechanism("vcg", "1/3") == pricing.vcg_mechanism()
+    assert pricing.mixture_mechanism("vcg", "1/3") == pricing.Mechanism("vcg")
 
 
 def test_out_of_range_mixture_weight_is_a_value_error():
     inst = fixtures.fx1()
     rep = truthful_profile(inst)
     for p in (Fraction(-1, 2), Fraction(3, 2)):
-        for rule in (pricing.mixture_rule(p), pricing.randomized_greedy_rule(p)):
+        for build in (pricing.mixture_rule, lambda p: pricing.AllocationRule("randomized-greedy", p)):
             try:
-                pricing.rule_allocate(inst, rep, rule)
+                pricing.rule_allocate(inst, rep, build(p))
             except ValueError as exc:
                 assert str(exc) == f"mixture weight must lie in [0, 1], got {p}"
             else:
-                raise AssertionError(f"{rule} allocated")
+                raise AssertionError(f"{build} allocated at p = {p}")
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: pricing.AllocationRule("nope"), "unknown allocation rule 'nope'"),
+        (lambda: pricing.mixture_rule(Fraction(3, 2)), "mixture weight must lie in [0, 1], got 3/2"),
+        (lambda: harness.ExperimentConfig(instances=-1), "instances must be >= 0, got -1"),
+        (
+            lambda: kernels.ScaledView(replace(fixtures.fx1(), cardinality_limit=0), truthful_profile(fixtures.fx1())),
+            "cardinality limit must be >= 1, got 0",
+        ),
+    ],
+    ids=["rule-name", "rule-weight", "config", "view-cap"],
+)
+def test_a_bad_rule_config_or_view_is_refused_where_it_is_built(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_every_rule_allocator_refuses_a_cap_below_one():
+    # the check is the view's, so the paper's rules, which ignore a valid
+    # cap, refuse an invalid one as the greedy rules and the optimum do
+    inst = replace(fixtures.fx1(), cardinality_limit=0)
+    rep = truthful_profile(inst)
+    for name in pricing.RULES:
+        with pytest.raises(ValueError, match="cardinality limit must be >= 1, got 0"):
+            pricing.rule_allocate(inst, rep, pricing.AllocationRule(name))
 
 
 def test_public_mixtures_run_both_branches_on_one_view(small_corpus, monkeypatch):
@@ -96,7 +125,7 @@ def test_cardinality_defaults_to_the_instance_limit():
     inst = replace(fixtures.fx1(), cardinality_limit=1)
     rep = truthful_profile(inst)
     assert len(heuristics.greedy_by_value(inst, rep).entries) == 1
-    for rule in (pricing.greedy_value_rule(), pricing.greedy_bpb_rule()):
+    for rule in (pricing.AllocationRule("greedy-value"), pricing.AllocationRule("greedy-bpb")):
         assert len(pricing.rule_allocate(inst, rep, rule).entries) == 1
         assert len(pricing.rule_allocate(replace(inst, cardinality_limit=2), rep, rule).entries) == 2
     assert all(len(alloc.entries) == 1 for _p, alloc in heuristics.randomized_greedy(inst, rep).branches)
