@@ -216,8 +216,15 @@ class _Evaluator:
 
 def utility(inst: Instance, truth: ReportProfile, rep: ReportProfile, mechanism: Mechanism) -> dict[str, Fraction]:
     """Every advertiser's utility at true values under the mechanism."""
-    ev = _Evaluator(inst, truth, mechanism)
-    return {adv.adv_id: ev.utility(rep, adv.adv_id) for adv in inst.advertisers}
+    return _utilities(inst, truth, mechanism.price(inst, rep))
+
+
+def _utilities(inst: Instance, truth: ReportProfile, priced: pricing.PricedOutcome) -> dict[str, Fraction]:
+    """Each advertiser's true value times their clicks in `priced`, less their payment."""
+    return {
+        a: truth.bids.get(a, Fraction(0)) * priced.mixture.clicks(inst, a) - priced.payments[a]
+        for a in inst.adv_ids()
+    }
 
 
 def best_response(
@@ -401,17 +408,17 @@ def poa_report(
     mechanism: Mechanism,
     equilibria: Iterable[ReportProfile],
 ) -> list[dict]:
-    """Welfare ratios of equilibria against the exact and fractional optima."""
+    """Welfare ratios of equilibria against the exact and fractional optima;
+    each equilibrium is priced once, by `Mechanism.price`."""
     from .fracopt import fractional_opt  # local import to keep module deps acyclic
 
-    ev = _Evaluator(inst, truth, mechanism)
     opt_alloc = exact.int_opt_dp(inst, truth)
     opt_sw = social_welfare(inst, opt_alloc)
     frac_obj = fractional_opt(inst, truth).objective
     rows = []
     for rep in equilibria:
-        outcome = ev.outcome(rep)
-        sw = social_welfare(inst, outcome)
+        priced = mechanism.price(inst, rep)
+        sw = social_welfare(inst, priced.mixture)
         rows.append(
             {
                 "profile": {
@@ -422,8 +429,8 @@ def poa_report(
                 "int_opt_sw": str(opt_sw),
                 "frac_opt_value": str(frac_obj),
                 "ratio_int_opt": str(opt_sw / sw) if sw > 0 else None,
-                "utilities": {a: str(ev.utility(rep, a)) for a in inst.adv_ids()},
-                "payments": {a: str(ev.payment(rep, a)) for a in inst.adv_ids()},
+                "utilities": {a: str(u) for a, u in _utilities(inst, truth, priced).items()},
+                "payments": {a: str(priced.payments[a]) for a in inst.adv_ids()},
             }
         )
     return rows

@@ -31,25 +31,24 @@ def _candidates(view: ScaledView):
 class CapacityDP:
     """The capacity DP over one view: its optimum and its leave-one-out optima.
 
-    A row holds, per slot count c (a single layer when the instance has no
-    `cardinality_limit`), the best scaled value within each scaled capacity
-    w; rows are nondecreasing in both. `suffix[g]` is the row of advertisers g.., so
+    A row holds, per slot count c (a single layer when the view's `limit`
+    is None), the best scaled value within each scaled capacity w; rows are
+    nondecreasing in both. `suffix[g]` is the row of advertisers g.., so
     `suffix[0]` holds the optimum and `suffix[n]` is all zeros. A scaled
     capacity above `DP_CAPACITY_GUARD` (read at call time) raises
     `GuardExceededError` before any table is allocated.
     """
 
     def __init__(self, view: ScaledView):
-        limit = view.inst.cardinality_limit
         if view.total > DP_CAPACITY_GUARD:
             raise GuardExceededError(
                 f"scaled capacity {view.total} exceeds the DP guard {DP_CAPACITY_GUARD}"
             )
         n = view.n_adv()
-        if limit is None:
+        if view.limit is None:
             layers, self.shift = 1, 0  # taking an ad uses no slot
         else:
-            layers, self.shift = min(limit, n) + 1, 1
+            layers, self.shift = view.limit + 1, 1
         self.view = view
         self.per_adv = _candidates(view)
         self.suffix = [[[0] * (view.total + 1) for _ in range(layers)]] * (n + 1)
@@ -133,7 +132,6 @@ def int_opt_exhaustive(
     """
     if view is None:
         view = ScaledView(inst, rep)
-    limit = inst.cardinality_limit
     per_adv = _candidates(view)
     n = view.n_adv()
 
@@ -154,7 +152,6 @@ def int_opt_exhaustive(
     best_value = -1
     best_chosen: list[int] | None = None
     chosen = [-1] * n
-    k = limit if limit is not None else n
 
     def walk(g: int, value: int, room: int, slots: int):
         nonlocal best_value, best_chosen
@@ -174,7 +171,7 @@ def int_opt_exhaustive(
                     walk(g + 1, value + v, room - s, slots - 1)
             chosen[g] = -1
 
-    walk(0, 0, view.total, k)
+    walk(0, 0, view.total, view.limit or n)
     if best_chosen is None:
         raise InvariantViolation("exhaustive search found no allocation, not even the empty one")
     return view.allocation(best_chosen)

@@ -37,8 +37,8 @@ RANDOMIZED_GREEDY_P = Fraction(2, 3)
 def greedy_by_bpb(inst: Instance, rep: ReportProfile, view: ScaledView | None = None) -> Allocation:
     """Bang-per-buck greedy: like the integral rule but misfits are skipped.
 
-    The walk in `bpb_order` serves at most k advertisers, k the
-    `cardinality_limit` or else the number of advertisers. When k are
+    The walk in `bpb_order` serves at most k advertisers, k the view's
+    `limit` or else the number of advertisers. When k are
     served, a newcomer may push out the weakest holder: the one with the
     lowest held value (ties to the smallest adv_id). The newcomer must
     strictly beat that value and fit into the free space plus whatever the
@@ -47,11 +47,9 @@ def greedy_by_bpb(inst: Instance, rep: ReportProfile, view: ScaledView | None = 
     each advertiser's reserved space is upgraded to their most valuable
     fitting ad, mirroring the integral rule's second stage.
     """
-    k = inst.cardinality_limit
     if view is None:
         view = ScaledView(inst, rep)
-    if k is None:
-        k = view.n_adv()
+    k = view.limit or view.n_adv()
     held: dict[int, tuple[int, int]] = {}  # advertiser index -> (value, space) of the row held
     rem = view.total
     for i in view.bpb_order():
@@ -69,10 +67,9 @@ def greedy_by_value(inst: Instance, rep: ReportProfile, view: ScaledView | None 
     allocated advertiser's remaining ads are ignored. Stops once
     `cardinality_limit` advertisers are served.
     """
-    k = inst.cardinality_limit
     if view is None:
         view = ScaledView(inst, rep)
-    return view.allocation(run_value_greedy(view, view.n_adv() if k is None else k))
+    return view.allocation(run_value_greedy(view, view.limit or view.n_adv()))
 
 
 def randomized_greedy(inst: Instance, rep: ReportProfile, p: Fraction = RANDOMIZED_GREEDY_P) -> Mixture:

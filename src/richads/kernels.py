@@ -33,11 +33,13 @@ class ScaledView:
     with zero effective value (unreported advertiser, zero bid) are treated
     as unreported: no rule ever benefits from allocating them. An instance
     whose `cardinality_limit` is below 1 has no view: it raises `ValueError`.
+    `limit` is the cap that binds: the `cardinality_limit` when it is below
+    the number of advertisers, else None (no advertiser set reaches it).
     """
 
     FIELDS = (
         "inst", "rep", "adv_ids", "adv_index", "adv", "ad_ids", "val", "spc",
-        "total", "value_scale", "space_scale",
+        "total", "value_scale", "space_scale", "limit",
     )
     # _densities: the rows' bang-per-buck over one integer scale (see
     # `densities`); _orders: "bpb" or "value" -> that walk order (see
@@ -46,13 +48,16 @@ class ScaledView:
     __slots__ = FIELDS + ("_densities", "_orders", "_probes")
 
     def __init__(self, inst, rep):
-        check_cardinality(inst.cardinality_limit)
+        k = inst.cardinality_limit
+        if k is not None and k < 1:
+            raise ValueError(f"cardinality limit must be >= 1, got {k}")
         self.inst = inst
         self.rep = rep
         self._densities = None
         self._orders = {}
         self._probes = {}
         self.adv_ids = inst.adv_ids()
+        self.limit = k if k is not None and k < len(self.adv_ids) else None
         self.adv_index = {a: i for i, a in enumerate(self.adv_ids)}
         rows = []  # (adv_idx, ad_id, effective value, space)
         for ai, advertiser in enumerate(inst.advertisers):
@@ -139,12 +144,6 @@ class ScaledView:
 
 
 ZERO = Fraction(0)
-
-
-def check_cardinality(k: int | None) -> None:
-    """Raise the `ValueError` a view raises for a cap below 1."""
-    if k is not None and k < 1:
-        raise ValueError(f"cardinality limit must be >= 1, got {k}")
 
 
 class BidderProbe:
@@ -342,9 +341,7 @@ class BidderProbe:
         served count before each, own rows as (value numerator, space,
         click rate) in walk order, the view's bid numerator, the cap)."""
         view = self.view
-        limit = view.inst.cardinality_limit
-        if limit is None:
-            limit = view.n_adv()
+        limit = view.limit or view.n_adv()
         lo, hi, bn, bd, alphas = self._own()
         val, spc = view.val, view.spc
         served = [False] * view.n_adv()
@@ -416,10 +413,7 @@ class BidderProbe:
         Uncapped, the state is the space each advertiser holds; capped, it
         maps each holder's index to their row's (value, space)."""
         view = self.view
-        n = view.n_adv()
-        k = view.inst.cardinality_limit
-        if k is not None and k >= n:
-            k = None  # no advertiser set reaches it: the uncapped walk
+        n, k = view.n_adv(), view.limit
         lo, hi, bn, bd, _alphas = self._own()
         _scale, dens = view.densities()
         val, spc, adv = view.val, view.spc, view.adv

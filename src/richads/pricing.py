@@ -15,6 +15,7 @@ from math import lcm
 from typing import Callable, Collection, Mapping, Sequence
 
 from . import exact, heuristics, kernels, monotone
+from .kernels import ZERO
 from .model import (
     Allocation,
     Instance,
@@ -292,55 +293,42 @@ def threshold_prices_along(
     Myerson is b*x(b) minus the exact click-curve integral up to b (the
     curve ends at its cap). GSP's per-click price is the lowest bid keeping
     the current clicks: the start of the first run with them below b, else
-    b; no clicks cost nothing. One pass over the curve's runs serves every
-    bid: O(bids + runs).
+    b; no clicks cost nothing. One cursor, the runs starting below the bid,
+    serves every bid: O(bids + runs). The curve is probed inside its
+    intervals only, so clicks at b below the level of the last run below b
+    (a drop at the bid itself) show only here: they raise
+    `NonMonotoneClickCurveError` on (b, b), except under GSP at no clicks.
     """
     steps = curve.steps
+    gsp = kind == "gsp"
+    # GSP: clicks -> start of the first run below the bid with them; keyed
+    # by the lowest-terms (numerator, denominator), which hashes faster
+    first: dict[tuple[int, int], Fraction] = {}
+    below = ZERO  # Myerson: the integral over the runs before the last one below the bid
     out = []
-    i = 0
-    if kind == "gsp":
-        # clicks -> start of the first run below the bid with them; keyed by
-        # the lowest-terms (numerator, denominator), which hashes faster
-        first: dict[tuple[int, int], Fraction] = {}
-        for bid, x in zip(bids, clicks):
-            while i < len(steps) and steps[i][0] < bid:
-                lo, level = steps[i]
-                first.setdefault((level.numerator, level.denominator), lo)
-                i += 1
-            out.append(first.get((x.numerator, x.denominator), bid) if x else Fraction(0))
-        return out
-    ends = [lo for lo, _level in steps[1:]] + [curve.cap]
-    below = 0  # the integral over the runs ending at or below the bid
-    for bid, x in zip(bids, clicks):
-        while i < len(steps) and ends[i] <= bid:
-            area = (ends[i] - steps[i][0]) * steps[i][1]
-            below = below + area if below else area  # no Fraction arithmetic on a zero sum
-            i += 1
-        paid = bid * x - below if below else bid * x
-        if i < len(steps) and steps[i][0] < bid:
-            paid -= (bid - steps[i][0]) * steps[i][1]
-        out.append(paid)
-    return out
-
-
-def check_clicks_at_bids(
-    kind: str, curve: BidThresholds, bids: Sequence[Fraction], clicks: Sequence[Fraction]
-) -> None:
-    """Raise `NonMonotoneClickCurveError` on the interval (b, b) where the
-    clicks at one of the ascending positive `bids` b fall below those of
-    the curve's last run below b. The curve is probed inside its intervals
-    only, so a drop at the bid itself shows only here. GSP reads no curve
-    for no clicks (see `threshold_payments`), so it checks none there."""
-    steps = curve.steps
     i = 0
     for bid, x in zip(bids, clicks):
         while i < len(steps) and steps[i][0] < bid:
+            lo, level = steps[i]
+            if gsp:
+                first.setdefault((level.numerator, level.denominator), lo)
+            elif i and steps[i - 1][1]:
+                area = (lo - steps[i - 1][0]) * steps[i - 1][1]
+                below = below + area if below else area  # no Fraction arithmetic on a zero sum
             i += 1
-        if not i or x is steps[i - 1][1]:
-            continue  # a probe's clicks are often the very object the curve holds
-        lo, level = steps[i - 1]
-        if x < level and (x or kind != "gsp"):
-            raise NonMonotoneClickCurveError(curve.adv_id, curve.rule_name, (lo, bid), (bid, bid), level, x)
+        if i:
+            lo, level = steps[i - 1]
+            # a probe's clicks are often the very object the curve holds
+            if x is not level and x < level and (x or not gsp):
+                raise NonMonotoneClickCurveError(curve.adv_id, curve.rule_name, (lo, bid), (bid, bid), level, x)
+        if gsp:
+            out.append(first.get((x.numerator, x.denominator), bid) if x else ZERO)
+            continue
+        paid = bid * x - below if below else bid * x
+        if i and level:
+            paid -= (min(bid, curve.cap) - lo) * level
+        out.append(paid)
+    return out
 
 
 # --- priced outcomes -------------------------------------------------------
@@ -424,7 +412,7 @@ def threshold_payments(
     per-click price times the clicks). GSP charges a branch that gives no
     clicks at any bid nothing and reads no curve for it (None in the
     curves). Clicks at a bid below the curve's level just under it raise
-    `NonMonotoneClickCurveError` (`check_clicks_at_bids`).
+    `NonMonotoneClickCurveError` (`threshold_prices_along`).
     """
     paid = [Fraction(0)] * len(bids)
     curves: list[BidThresholds | None] = []
@@ -434,7 +422,6 @@ def threshold_payments(
             continue
         got = curve(branch)
         curves.append(got)
-        check_clicks_at_bids(kind, got, bids, xs)
         prices = threshold_prices_along(kind, got, bids, xs)
         if kind == "gsp":
             prices = [cpc * x for cpc, x in zip(prices, xs)]

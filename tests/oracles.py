@@ -377,8 +377,9 @@ def rebid(view, adv_id: str, bid: Fraction):
         below = [v * factor for v in below]
         above = [v * factor for v in above]
     new = object.__new__(ScaledView)
-    for name in ("inst", "adv_ids", "adv_index", "adv", "ad_ids", "spc", "total", "space_scale"):
-        setattr(new, name, getattr(view, name))
+    for name in ScaledView.FIELDS:
+        if name not in ("rep", "val", "value_scale"):
+            setattr(new, name, getattr(view, name))
     new.rep = rep
     new._densities = None
     new._orders = {}

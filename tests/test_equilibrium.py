@@ -193,6 +193,31 @@ def test_poa_report_rows():
     assert row["profile"]["subsets"] == {"a": ["ax1"], "b": ["bx1"]}
 
 
+@pytest.mark.parametrize("kind", ["gsp", "myerson", "vcg"])
+def test_poa_report_prices_each_equilibrium_on_one_view(monkeypatch, kind):
+    # one view of the equilibrium, priced by `Mechanism.price`, and the
+    # exact optimum's; the rows equal the profile evaluator's
+    built = []
+    init = kernels.ScaledView.__init__
+
+    def counting(self, inst, rep):
+        built.append(rep)
+        init(self, inst, rep)
+
+    mech = pricing.mixture_mechanism(kind)
+    for name in ("fx1", "fx2i", "fx4", "fx6a", "fx5"):
+        inst = fixtures.fixture(name)
+        truth = truthful_profile(inst)
+        with monkeypatch.context() as m:
+            m.setattr(kernels.ScaledView, "__init__", counting)
+            built.clear()
+            [row] = poa_report(inst, truth, mech, [truth])
+            assert len(built) == 2, name
+        ev = equilibrium._Evaluator(inst, truth, mech)
+        assert row["utilities"] == {a: str(ev.utility(truth, a)) for a in inst.adv_ids()}
+        assert row["payments"] == {a: str(ev.payment(truth, a)) for a in inst.adv_ids()}
+
+
 def test_bid_grid_guard_counts_the_grid_exactly(monkeypatch):
     inst = fixtures.fx4()
     for delta in (Fraction(1, 3), Fraction(1, 7), Fraction(2), Fraction(5, 2)):

@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from oracles import brute_force_opt, reported_value
-from richads import fixtures
+from richads import fixtures, heuristics, pricing
 from richads.exact import (
+    CapacityDP,
     int_opt_cross_checked,
     int_opt_dp,
     int_opt_exhaustive,
@@ -20,6 +21,7 @@ from richads.model import (
     RichAd,
     truthful_profile,
 )
+from richads.kernels import ScaledView
 
 
 def as_entries(oracle_entries):
@@ -54,6 +56,30 @@ def test_cardinality_matches_brute_force(tie_corpus):
             entries, value = brute_force_opt(capped, rep)
             assert alloc.entries == as_entries(entries)
             assert reported_value(inst, rep, alloc) == value
+
+
+def test_a_cap_every_advertiser_set_meets_is_no_cap(small_corpus):
+    # a cap of n or n + 1 leaves the view no binding `limit`: the DP holds
+    # one layer and every capped solver and rule gives the uncapped result
+    names = [name for name in fixtures.BUILDERS if name != "fx3"]  # fx3 trips the DP guard
+    for inst in [*map(fixtures.fixture, names), *small_corpus]:
+        rep = truthful_profile(inst)
+        n = len(inst.advertisers)
+        free = CapacityDP(ScaledView(inst, rep))
+        if n > 1:
+            assert ScaledView(replace(inst, cardinality_limit=n - 1), rep).limit == n - 1
+        for k in (n, n + 1):
+            capped = replace(inst, cardinality_limit=k)
+            view = ScaledView(capped, rep)
+            assert view.limit is None
+            dp = CapacityDP(view)
+            assert len(dp.suffix[0]) == 1
+            assert dp.choice() == free.choice()
+            assert dp.optima_without(range(n)) == free.optima_without(range(n))
+            assert pricing.vcg_payments(capped, rep).payments == pricing.vcg_payments(inst, rep).payments
+            assert int_opt_exhaustive(capped, rep).entries == int_opt_exhaustive(inst, rep).entries
+            for greedy in (heuristics.greedy_by_bpb, heuristics.greedy_by_value):
+                assert greedy(capped, rep).entries == greedy(inst, rep).entries
 
 
 def test_fx1_tie_resolves_lexicographically():

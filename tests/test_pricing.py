@@ -231,21 +231,52 @@ def test_myerson_from_curve_arithmetic():
     assert threshold_prices_along("gsp", curve, (Fraction(2),), (Fraction(0),)) == [0]
     assert threshold_prices_along("gsp", curve, (Fraction(1, 2),), (Fraction(1),)) == [0]
     # one ascending pass equals the interval-by-interval definition at every bid,
-    # up to and past the cap (the curve ends there)
+    # up to and past the cap (the curve ends there), on clicks the curve allows:
+    # at a bid, at least the level of the last run below it
     bids = [Fraction(k, 4) for k in range(1, 11)]
     starts = [lo for lo, _c in curve.steps]
     intervals = list(zip(starts, starts[1:] + [curve.cap]))
     levels = [c for _lo, c in curve.steps]
-    for x in (Fraction(0), Fraction(1), Fraction(2)):
-        xs = [x] * len(bids)
-        area = [
-            sum(((min(hi, b) - lo) * c for (lo, hi), c in zip(intervals, levels) if lo < b), Fraction(0))
-            for b in bids
-        ]
-        assert threshold_prices_along("myerson", curve, bids, xs) == [b * x - a for b, a in zip(bids, area)]
-        first = {Fraction(1): Fraction(0), Fraction(2): Fraction(1)}
-        cpc = [Fraction(0) if not x else first[x] if first[x] < b else b for b in bids]
+    under = [levels[sum(lo < b for lo in starts) - 1] for b in bids]
+    area = [
+        sum(((min(hi, b) - lo) * c for (lo, hi), c in zip(intervals, levels) if lo < b), Fraction(0))
+        for b in bids
+    ]
+    first = {Fraction(1): Fraction(0), Fraction(2): Fraction(1)}
+    for xs in (under, [Fraction(2)] * len(bids)):
+        assert threshold_prices_along("myerson", curve, bids, xs) == [b * x - a for b, x, a in zip(bids, xs, area)]
+        cpc = [first[x] if first[x] < b else b for b, x in zip(bids, xs)]
         assert threshold_prices_along("gsp", curve, bids, xs) == cpc
+    # clicks below that level are a drop at the bid itself; GSP checks none at no clicks
+    for b, level in zip(bids, under):
+        for x in (Fraction(0), Fraction(1)):
+            if x >= level:
+                continue
+            with pytest.raises(NonMonotoneClickCurveError):
+                threshold_prices_along("myerson", curve, (b,), (x,))
+            if x:
+                with pytest.raises(NonMonotoneClickCurveError):
+                    threshold_prices_along("gsp", curve, (b,), (x,))
+            else:
+                assert threshold_prices_along("gsp", curve, (b,), (x,)) == [0]
+
+
+def test_a_drop_at_the_bid_raises_in_the_one_pass():
+    # clicks 0 below 3 and 1 from there to the cap 4; at the bid 4 the clicks
+    # fall to 1/2, below the last run under 4: the pass raises on (4, 4)
+    curve = BidThresholds("a", "greedy-bpb", Fraction(4), ((Fraction(0), Fraction(0)), (Fraction(3), Fraction(1))), [3], 1, 0)
+    bids = (Fraction(2), Fraction(4))
+    for kind in ("myerson", "gsp"):
+        with pytest.raises(NonMonotoneClickCurveError) as err:
+            threshold_prices_along(kind, curve, bids, (Fraction(0), Fraction(1, 2)))
+        got = err.value
+        assert (got.adv_id, got.rule_name, got.left_clicks, got.right_clicks) == ("a", "greedy-bpb", 1, Fraction(1, 2))
+        assert got.left_interval == (3, 4) and got.right_interval == (4, 4)
+    # no clicks at 4: Myerson raises, GSP charges nothing and reads no level
+    with pytest.raises(NonMonotoneClickCurveError):
+        threshold_prices_along("myerson", curve, bids, (Fraction(0), Fraction(0)))
+    assert threshold_prices_along("gsp", curve, bids, (Fraction(0), Fraction(0))) == [0, 0]
+    assert threshold_prices_along("gsp", curve, bids, (Fraction(0), Fraction(1))) == [0, 3]
 
 
 def test_priced_outcome_serialization():
