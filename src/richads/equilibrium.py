@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
-from . import exact, kernels, pricing
+from . import exact, fracopt, kernels, pricing
 from .model import (
     GuardExceededError,
     Instance,
@@ -409,15 +409,18 @@ def poa_report(
     equilibria: Iterable[ReportProfile],
 ) -> list[dict]:
     """Welfare ratios of equilibria against the exact and fractional optima;
-    each equilibrium is priced once, by `Mechanism.price`."""
-    from .fracopt import fractional_opt  # local import to keep module deps acyclic
-
-    opt_alloc = exact.int_opt_dp(inst, truth)
-    opt_sw = social_welfare(inst, opt_alloc)
-    frac_obj = fractional_opt(inst, truth).objective
+    each equilibrium is priced once, by `Mechanism.price`. One capacity DP
+    of the truthful view gives the exact optimum and, under VCG, the
+    payments of an equilibrium equal to the truthful report."""
+    dp = exact.CapacityDP(kernels.ScaledView(inst, truth))
+    opt_sw = social_welfare(inst, dp.view.allocation(dp.choice()))
+    frac_obj = fracopt.fractional_opt(inst, truth).objective
     rows = []
     for rep in equilibria:
-        priced = mechanism.price(inst, rep)
+        if mechanism.pricing == "vcg" and rep.key() == truth.key():
+            priced = pricing.vcg_payments(inst, rep, dp)
+        else:
+            priced = mechanism.price(inst, rep)
         sw = social_welfare(inst, priced.mixture)
         rows.append(
             {

@@ -41,9 +41,9 @@ class ScaledView:
         "inst", "rep", "adv_ids", "adv_index", "adv", "ad_ids", "val", "spc",
         "total", "value_scale", "space_scale", "limit",
     )
-    # _densities: the rows' bang-per-buck over one integer scale (see
-    # `densities`); _orders: "bpb" or "value" -> that walk order (see
-    # `bpb_order`, `value_order`); _probes: adv_id -> that bidder's
+    # _densities: the rows' bang-per-buck numerators (see `densities`);
+    # _orders: "bpb" or "value" -> that walk order (see `bpb_order`,
+    # `value_order`); _probes: adv_id -> that bidder's
     # `BidderProbe`. All are filled on first use.
     __slots__ = FIELDS + ("_densities", "_orders", "_probes")
 
@@ -94,20 +94,19 @@ class ScaledView:
         a = self.adv_index[adv_id]
         return bisect_left(self.adv, a), bisect_right(self.adv, a)
 
-    def densities(self) -> tuple[int, list[int | None]]:
-        """(scale, numerators): row i's bang-per-buck is
-        `numerators[i] * space_scale / (value_scale * scale)`.
-
-        `scale` is the lcm of the nonzero scaled spaces; a zero-space row
-        has no finite density and gets None. Built once per view.
+    def densities(self) -> list[int | None]:
+        """Row i's bang-per-buck as an integer numerator, `val[i]` over
+        `spc[i]` brought to one scale, the lcm of the nonzero scaled spaces:
+        equal numerators mean equal bang-per-buck. A zero-space row has no
+        finite density and gets None. Built once per view.
         """
         if self._densities is None:
             self._densities = self._density_table()
         return self._densities
 
-    def _density_table(self) -> tuple[int, list[int | None]]:
+    def _density_table(self) -> list[int | None]:
         scale = lcm(*(w for w in self.spc if w))
-        return scale, [v * (scale // w) if w else None for v, w in zip(self.val, self.spc)]
+        return [v * (scale // w) if w else None for v, w in zip(self.val, self.spc)]
 
     def bpb_order(self) -> list[int]:
         """Row indices by descending bang-per-buck, ties to the lower row.
@@ -119,7 +118,7 @@ class ScaledView:
         """
         got = self._orders.get("bpb")
         if got is None:
-            _scale, dens = self.densities()
+            dens = self.densities()
             got = [i for i, d in enumerate(dens) if d is None]
             got += sorted((i for i, d in enumerate(dens) if d is not None), key=dens.__getitem__, reverse=True)
             self._orders["bpb"] = got
@@ -160,7 +159,9 @@ class BidderProbe:
     The bidder's rows enter the others' walk order at positions found by
     bisection. At the view's bid b0 = bn / bd an own row's density (or
     value) numerator is n0, so at num / den it is x = num * n0 * bd /
-    (den * bn), taken as quotient and remainder. Another row's numerator v
+    (den * bn), taken as quotient and remainder. It equals another row's
+    numerator d at the bid d * bn / (n0 * bd): `ties` lists those bids, the
+    only places a click curve can step. Another row's numerator v
     is keyed -3 * v before the bidder's span and -3 * v + 2 after it, and
     the own row -3 * x + (1 if exact else 0): equal densities or values go
     to the lower row index, as in the walks, so a row before the span beats
@@ -223,6 +224,26 @@ class BidderProbe:
             self._own_rows = lo, hi, bn, bd, alphas
         return self._own_rows
 
+    def ties(self, kinds: tuple[str, ...], cap: Fraction) -> tuple[list[int], int]:
+        """The bids d * bn / (n0 * bd) in (0, cap] where an own row of
+        numerator n0 ties another advertiser's of numerator d in bang-per-buck
+        ("bpb") or value ("value"), as (sorted distinct numerators, their
+        common denominator). A zero-space row ties nothing in bang-per-buck."""
+        view = self.view
+        lo, hi, bn, bd, _alphas = self._own()
+        terms = []  # (the others' numerators, an own row's n0 * bd)
+        for kind in kinds:
+            nums = view.densities() if kind == "bpb" else view.val
+            others = [d for d in nums[:lo] + nums[hi:] if d is not None]
+            terms += [(others, n0 * bd) for n0 in nums[lo:hi] if n0 is not None]
+        den = lcm(cap.denominator, *(m for _others, m in terms))
+        ties: set[int] = set()
+        for others, m in terms:
+            f = bn * (den // m)
+            ties.update([d * f for d in others])
+        limit = cap.numerator * (den // cap.denominator)
+        return sorted(t for t in ties if t <= limit), den
+
     def _clicks_in(self, held: int) -> Fraction:
         """The best own click rate within `held` scaled units of space, as
         the best-fit stage gives it: none when nothing is held."""
@@ -272,7 +293,7 @@ class BidderProbe:
         order, the view's bid numerator)."""
         view = self.view
         lo, hi, bn, bd, _alphas = self._own()
-        _scale, dens = view.densities()
+        dens = view.densities()
         spc, adv = view.spc, view.adv
         held = [0] * view.n_adv()
         keys, prefix, own = [], [0], []
@@ -415,7 +436,7 @@ class BidderProbe:
         view = self.view
         n, k = view.n_adv(), view.limit
         lo, hi, bn, bd, _alphas = self._own()
-        _scale, dens = view.densities()
+        dens = view.densities()
         val, spc, adv = view.val, view.spc, view.adv
         keys, rows, own = [], [], []
         zeros = before = 0  # space-0 others, and those before the span

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
-from typing import Callable, Collection, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import exact, heuristics, kernels, monotone
 from .kernels import ZERO
@@ -142,8 +141,9 @@ class BidThresholds:
     stored as its runs: `steps` holds (lowest bid, clicks) per run in bid
     order from 0, each run's clicks strictly above the last's, and the last
     run ends at `cap`. A run starts at 0 or at a candidate breakpoint, a tie
-    bid `ties[i] / den` (`_tie_candidates`' integers). `probes` counts the
-    kernel reads (`kernels.BidderProbe`, no allocation) that found the runs.
+    bid `ties[i] / den` (`kernels.BidderProbe.ties`' integers). `probes`
+    counts the kernel reads (`kernels.BidderProbe`, no allocation) that
+    found the runs.
     """
 
     adv_id: str
@@ -158,54 +158,6 @@ class BidThresholds:
     def thresholds(self) -> tuple[Fraction, ...]:
         """0 and every candidate breakpoint up to the cap, as Fractions."""
         return (Fraction(0), *(Fraction(t, self.den) for t in self.ties))
-
-
-def _tie_candidates(
-    view: kernels.ScaledView, adv_id: str, kinds: Collection[str], cap: Fraction
-) -> tuple[list[int], int]:
-    """Bids in (0, cap] where one of `adv_id`'s reported ads ties another
-    advertiser's in bang-per-buck ("bpb") or value ("value").
-
-    Returned as (sorted distinct numerators, their common denominator).
-    The other rows' values and densities are the view's integers, shared by
-    every curve of the report; per curve only the bidder's own factors are
-    multiplied in. With V, S the view's value and space scales and L the
-    density scale, an own ad of click rate alpha and space s ties another
-    row of value `val` at val / (V alpha) and one of density numerator
-    `dens` at dens * S * s / (V * L * alpha).
-    """
-    inst, rep = view.inst, view.rep
-    cap = Fraction(cap)
-    subset = rep.subsets.get(adv_id, frozenset())
-    own = [ad for ad in inst.advertiser(adv_id).ads if ad.ad_id in subset and ad.alpha > 0]
-    if not own:
-        return [], cap.denominator
-    lo, hi = view.span(adv_id)
-    terms = []  # (other rows' numerators, tie multiplier, tie denominator)
-    if "bpb" in kinds:
-        scale, dens = view.densities()
-        others = dens[:lo] + dens[hi:]
-        if None in others:
-            raise ZeroDivisionError(f"an ad competing with {adv_id!r} has zero space")
-        for ad in own:
-            alpha, space = ad.alpha, ad.space
-            terms.append((
-                others,
-                view.space_scale * space.numerator * alpha.denominator,
-                view.value_scale * scale * space.denominator * alpha.numerator,
-            ))
-    if "value" in kinds:
-        others = view.val[:lo] + view.val[hi:]
-        for ad in own:
-            terms.append((others, ad.alpha.denominator, view.value_scale * ad.alpha.numerator))
-    den = lcm(cap.denominator, *(d for _others, _m, d in terms))
-    ties: set[int] = set()
-    for others, m, d in terms:
-        m *= den // d
-        ties.update([x * m for x in others])
-    limit = cap.numerator * (den // cap.denominator)
-    # zero-space own ads (possible in unvalidated instances) tie at 0
-    return sorted(t for t in ties if 0 < t <= limit), den
 
 
 def _bisect_clicks(n: int, probe: Callable[[int], Fraction]) -> list[Fraction]:
@@ -236,18 +188,20 @@ def _bisect_clicks(n: int, probe: Callable[[int], Fraction]) -> list[Fraction]:
 
 def _build_curve(view: kernels.ScaledView, adv_id: str, cap: Fraction, branch: str, rule_name: str) -> BidThresholds:
     """The branch's click curve of `adv_id` on (0, cap], the rest of the
-    report as in `view`: read off the bidder's `kernels.BidderProbe` at
-    interval midpoints, bisected if the branch is `monotone`, else scanned.
-    The interval bounds stay integers over `den`; one pass folds the
-    intervals into runs, making a `Fraction` per run start only, and raises
-    `NonMonotoneClickCurveError` (naming `rule_name`) where clicks drop."""
+    report as in `view`, all read off the bidder's `kernels.BidderProbe`:
+    its `ties` of the branch's `kinds` bound the intervals, and its clicks
+    at their midpoints fill them, bisected if the branch is `monotone`,
+    else scanned. The interval bounds stay integers over `den`; one pass
+    folds the intervals into runs, making a `Fraction` per run start only,
+    and raises `NonMonotoneClickCurveError` (naming `rule_name`) where
+    clicks drop."""
     rule = BRANCHES[branch]
-    ties, den = _tie_candidates(view, adv_id, rule.kinds, cap)
+    bidder = view.probe(adv_id)
+    ties, den = bidder.ties(rule.kinds, cap)
     points = [0, *ties]
     top = cap.numerator * (den // cap.denominator)
     if points[-1] < top:
         points.append(top)
-    bidder = view.probe(adv_id)
     probed: dict[int, Fraction] = {}
 
     def probe(j: int) -> Fraction:

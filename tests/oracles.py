@@ -291,7 +291,7 @@ def tie_candidates_pairwise(inst: Instance, rep: ReportProfile, adv_id: str, kin
             if ad.ad_id not in subset or ad.alpha <= 0:
                 continue
             ties = []
-            if "bpb" in kinds:
+            if "bpb" in kinds and space and ad.space:  # a zero-space row ties nothing in bang-per-buck
                 ties.append(eff * ad.space / (space * ad.alpha))
             if "value" in kinds:
                 ties.append(eff / ad.alpha)

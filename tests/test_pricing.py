@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import rebid_clicks, riemann_myerson, vcg_by_resolving
+from oracles import rebid_clicks, riemann_myerson, tie_candidates_pairwise, vcg_by_resolving
 from richads import exact, fixtures, heuristics, kernels, monotone, pricing
 from richads.exact import int_opt_exhaustive
 from richads.model import Advertiser, GuardExceededError, Instance, NonMonotoneClickCurveError, RichAd, truthful_profile
@@ -423,6 +423,38 @@ def test_curve_without_ties_spans_zero_to_a_fractional_cap():
         curve = pricing._build_curve(kernels.ScaledView(inst, rep), "a", Fraction(3, 2), branch, branch)
         assert curve.thresholds == (Fraction(0),) and curve.cap == Fraction(3, 2)
         assert curve.steps == ((Fraction(0), Fraction(0)),) and curve.probes == 1
+
+
+def test_a_zero_space_competitor_is_priced_and_ties_nothing_in_bang_per_buck():
+    # unvalidated: b's ad bx1 takes no space, so it has no finite
+    # bang-per-buck and neither ties nor blocks a tie in it
+    inst = Instance(
+        advertisers=(
+            Advertiser(
+                "a", Fraction(3), (RichAd("ax1", Fraction(1, 2), Fraction(2)), RichAd("ax2", Fraction(1), Fraction(5)))
+            ),
+            Advertiser(
+                "b", Fraction(2), (RichAd("bx1", Fraction(1), Fraction(0)), RichAd("bx2", Fraction(1, 2), Fraction(3)))
+            ),
+            Advertiser("c", Fraction(1), (RichAd("cx1", Fraction(3, 4), Fraction(4)),)),
+        ),
+        total_space=Fraction(8),
+    )
+    rep = truthful_profile(inst)
+    view = kernels.ScaledView(inst, rep)
+    out = myerson_payment(inst, rep, mixture_rule())
+    for adv in inst.advertisers:
+        adv_id, bid = adv.adv_id, rep.bids[adv.adv_id]
+        assert 0 <= out.payments[adv_id] <= bid * out.mixture.clicks(inst, adv_id)
+        for kinds in (("bpb",), ("value",), ("bpb", "value")):
+            nums, den = view.probe(adv_id).ties(kinds, bid)
+            assert [Fraction(n, den) for n in nums] == tie_candidates_pairwise(inst, rep, adv_id, kinds, bid)
+        for (_prob, branch), curve in zip(pricing.rule_branches(mixture_rule()), out.curves[adv_id]):
+            bounds = (*curve.thresholds, curve.cap)
+            for lo, hi in zip(bounds, bounds[1:]):
+                mid = (lo + hi) / 2
+                clicks = [x for start, x in curve.steps if start < mid][-1]
+                assert clicks == rebid_clicks(view, adv_id, mid, ((Fraction(1), branch),)), (adv_id, branch, mid)
 
 
 def test_one_density_table_per_threshold_payment(monkeypatch):

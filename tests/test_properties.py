@@ -338,7 +338,7 @@ def assert_ties_match_pairwise(inst, rep):
         bid = rep.bids.get(adv.adv_id, Fraction(0))
         for cap in {bid, max(bid, adv.value_per_click), 2 * bid + Fraction(1, 3)}:
             for kinds in (("bpb",), ("value",), ("bpb", "value")):
-                nums, den = pricing._tie_candidates(view, adv.adv_id, kinds, cap)
+                nums, den = view.probe(adv.adv_id).ties(kinds, cap)
                 assert nums == sorted(set(nums))
                 assert [Fraction(n, den) for n in nums] == tie_candidates_pairwise(
                     inst, rep, adv.adv_id, kinds, cap
