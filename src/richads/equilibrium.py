@@ -25,7 +25,6 @@ from .model import (
     Instance,
     Mixture,
     ReportProfile,
-    as_mixture,
     social_welfare,
 )
 from .monotone import _assignment_from_view, bpb_allocation, max_value_allocation
@@ -109,7 +108,7 @@ class _Evaluator:
 
     def outcome(self, rep: ReportProfile) -> Mixture:
         if self.mech.pricing == "vcg":
-            return as_mixture(self._vcg_outcome(rep).mixture)
+            return self._vcg_outcome(rep).mixture
         allocs = self._branch_alloc(rep)
         return Mixture(branches=tuple((prob, alloc) for (prob, _branch), alloc in zip(self.branches, allocs)))
 
@@ -117,7 +116,7 @@ class _Evaluator:
         key = rep.key()
         got = self._vcg.get(key)
         if got is None:
-            got = pricing.vcg_payments(self.inst, rep)
+            got = self.mech.price(self.inst, rep)
             self._vcg[key] = got
         return got
 
@@ -409,18 +408,15 @@ def poa_report(
     equilibria: Iterable[ReportProfile],
 ) -> list[dict]:
     """Welfare ratios of equilibria against the exact and fractional optima;
-    each equilibrium is priced once, by `Mechanism.price`. One capacity DP
-    of the truthful view gives the exact optimum and, under VCG, the
-    payments of an equilibrium equal to the truthful report."""
-    dp = exact.CapacityDP(kernels.ScaledView(inst, truth))
-    opt_sw = social_welfare(inst, dp.view.allocation(dp.choice()))
+    each equilibrium is priced once, by `Mechanism.price`. One view of the
+    truthful report gives the exact optimum (`exact.capacity_dp`) and
+    prices an equilibrium equal to that report under every pricing."""
+    view = kernels.ScaledView(inst, truth)
+    opt_sw = social_welfare(inst, view.allocation(exact.capacity_dp(view).choice()))
     frac_obj = fracopt.fractional_opt(inst, truth).objective
     rows = []
     for rep in equilibria:
-        if mechanism.pricing == "vcg" and rep.key() == truth.key():
-            priced = pricing.vcg_payments(inst, rep, dp)
-        else:
-            priced = mechanism.price(inst, rep)
+        priced = mechanism.price(inst, rep, view if rep.key() == truth.key() else None)
         sw = social_welfare(inst, priced.mixture)
         rows.append(
             {

@@ -29,7 +29,7 @@ def _candidates(view: ScaledView):
 
 
 class CapacityDP:
-    """The capacity DP over one view: its optimum and its leave-one-out optima.
+    """The capacity DP over one view (see `capacity_dp`): its optimum and its leave-one-out optima.
 
     A row holds, per slot count c (a single layer when the view's `limit`
     is None), the best scaled value within each scaled capacity w; rows are
@@ -49,7 +49,7 @@ class CapacityDP:
             layers, self.shift = 1, 0  # taking an ad uses no slot
         else:
             layers, self.shift = view.limit + 1, 1
-        self.view = view
+        self.total = view.total  # not the view, which keeps its DP
         self.per_adv = _candidates(view)
         self.suffix = [[[0] * (view.total + 1) for _ in range(layers)]] * (n + 1)
         for g in range(n - 1, -1, -1):
@@ -72,7 +72,7 @@ class CapacityDP:
         """The optimal choice vector that is lexicographically first: per
         advertiser the empty choice before ads, ads by ad_id ascending."""
         chosen = [-1] * len(self.per_adv)
-        w, c = self.view.total, len(self.suffix[0]) - 1
+        w, c = self.total, len(self.suffix[0]) - 1
         for g, cands in enumerate(self.per_adv):
             target = self.suffix[g][c][w]
             nxt = self.suffix[g + 1]
@@ -107,15 +107,18 @@ class CapacityDP:
         return out
 
 
-def int_opt_dp(inst: Instance, rep: ReportProfile) -> Allocation:
-    """Integral optimum by dynamic programming over scaled capacity.
+def capacity_dp(view: ScaledView) -> CapacityDP:
+    """The view's one `CapacityDP`, kept in its memo; a `GuardExceededError` keeps nothing."""
+    return view.memo("dp", CapacityDP, view)
 
-    Backtracks `CapacityDP.choice` over one view; `pricing.vcg_payments`
-    reads its counterfactual optima from the same tables. Raises
-    `GuardExceededError` when the scaled capacity exceeds `DP_CAPACITY_GUARD`.
-    """
+
+def int_opt_dp(inst: Instance, rep: ReportProfile) -> Allocation:
+    """Integral optimum by dynamic programming over scaled capacity: the
+    backtrack (`CapacityDP.choice`) of a new view's `capacity_dp`, the tables
+    `pricing.vcg_payments` reads its counterfactual optima from. Raises
+    `GuardExceededError` when the scaled capacity exceeds `DP_CAPACITY_GUARD`."""
     view = ScaledView(inst, rep)
-    return view.allocation(CapacityDP(view).choice())
+    return view.allocation(capacity_dp(view).choice())
 
 
 def int_opt_exhaustive(
@@ -180,17 +183,15 @@ def int_opt_exhaustive(
 CROSS_CHECK_GUARD = 10**4
 
 
-def int_opt_cross_checked(inst: Instance, rep: ReportProfile, dp: CapacityDP | None = None) -> Allocation:
-    """DP optimum, re-verified exhaustively when the instance is small enough.
-
-    `dp`, when given, is the capacity DP of (inst, rep); the search reuses
-    its view.
-    """
-    if dp is None:
-        dp = CapacityDP(ScaledView(inst, rep))
-    alloc = dp.view.allocation(dp.choice())
+def int_opt_cross_checked(inst: Instance, rep: ReportProfile, view: ScaledView | None = None) -> Allocation:
+    """The optimum of the view's `capacity_dp`, re-verified by exhaustive
+    search when the instance has at most `CROSS_CHECK_GUARD` choice vectors.
+    `view`, when given, is the view of (inst, rep); the search reads it too."""
+    if view is None:
+        view = ScaledView(inst, rep)
+    alloc = view.allocation(capacity_dp(view).choice())
     try:
-        other = int_opt_exhaustive(inst, rep, CROSS_CHECK_GUARD, dp.view)
+        other = int_opt_exhaustive(inst, rep, CROSS_CHECK_GUARD, view)
     except GuardExceededError:
         return alloc
     if alloc.entries != other.entries:

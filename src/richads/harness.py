@@ -156,10 +156,12 @@ def run_comparison(corpus: Sequence[Instance], mechanisms: Iterable[str] = MECHA
     third of the fractional optimum; that inequality is load-bearing.
 
     Each instance's `cardinality_limit` caps the greedy rules and the exact
-    optimum. All rows of an instance share one view of its truthful report,
-    and one capacity DP gives the integral optimum and the VCG row.
+    optimum. Every row is priced by `Mechanism.price` on one view of the truthful
+    report, whose DP gives the optimum, cross-checked when small, and the VCG row.
     """
     mechanisms = list(mechanisms)
+    if not mechanisms:
+        raise ValueError("no mechanisms to compare")
     unknown = [m for m in mechanisms if m not in pricing.MECHANISMS]
     if unknown:
         raise ValueError(f"unknown mechanisms: {unknown}; choices: {sorted(pricing.MECHANISMS)}")
@@ -175,11 +177,10 @@ def run_comparison(corpus: Sequence[Instance], mechanisms: Iterable[str] = MECHA
         rep = truthful_profile(inst)
         view = kernels.ScaledView(inst, rep)
         try:
-            dp = exact.CapacityDP(view)
+            int_opt_sw = social_welfare(inst, exact.int_opt_cross_checked(inst, rep, view))
         except GuardExceededError as exc:
             skipped.append((instance_id, str(exc)))
             continue
-        int_opt_sw = social_welfare(inst, view.allocation(dp.choice()))
         frac = fracopt.fractional_opt(inst, rep)
 
         outcomes = {}
@@ -190,11 +191,7 @@ def run_comparison(corpus: Sequence[Instance], mechanisms: Iterable[str] = MECHA
                 sw = frac.objective
             else:
                 try:
-                    if mech.pricing == "vcg":
-                        exact.int_opt_cross_checked(inst, rep, dp=dp)
-                        priced = pricing.vcg_payments(inst, rep, dp=dp)
-                    else:
-                        priced = mech.price(inst, rep, view)
+                    priced = mech.price(inst, rep, view)
                     outcomes[name] = priced.mixture
                     payment = priced.total_payment()
                 except NonMonotoneClickCurveError as exc:

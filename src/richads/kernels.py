@@ -34,18 +34,16 @@ class ScaledView:
     as unreported: no rule ever benefits from allocating them. An instance
     whose `cardinality_limit` is below 1 has no view: it raises `ValueError`.
     `limit` is the cap that binds: the `cardinality_limit` when it is below
-    the number of advertisers, else None (no advertiser set reaches it).
+    the number of advertisers, else None (no advertiser set reaches it). What
+    the view derives on first use (its densities, walk orders, bidder probes
+    and capacity DP) it keeps in one memo (`memo`).
     """
 
     FIELDS = (
         "inst", "rep", "adv_ids", "adv_index", "adv", "ad_ids", "val", "spc",
         "total", "value_scale", "space_scale", "limit",
     )
-    # _densities: the rows' bang-per-buck numerators (see `densities`);
-    # _orders: "bpb" or "value" -> that walk order (see `bpb_order`,
-    # `value_order`); _probes: adv_id -> that bidder's
-    # `BidderProbe`. All are filled on first use.
-    __slots__ = FIELDS + ("_densities", "_orders", "_probes")
+    __slots__ = FIELDS + ("_memo",)  # _memo: see `memo`
 
     def __init__(self, inst, rep):
         k = inst.cardinality_limit
@@ -53,9 +51,7 @@ class ScaledView:
             raise ValueError(f"cardinality limit must be >= 1, got {k}")
         self.inst = inst
         self.rep = rep
-        self._densities = None
-        self._orders = {}
-        self._probes = {}
+        self._memo = {}
         self.adv_ids = inst.adv_ids()
         self.limit = k if k is not None and k < len(self.adv_ids) else None
         self.adv_index = {a: i for i, a in enumerate(self.adv_ids)}
@@ -81,13 +77,18 @@ class ScaledView:
         self.value_scale = value_scale = lcm(*(r[2].denominator for r in rows))
         self.val = [r[2].numerator * (value_scale // r[2].denominator) for r in rows]
 
+    def memo(self, key, build, *args):
+        """`build(*args)`, built on first use and kept under `key`: "densities",
+        the "bpb" and "value" orders, ("probe", adv_id) and "dp" (`exact.capacity_dp`)."""
+        got = self._memo.get(key)
+        if got is None:
+            got = self._memo[key] = build(*args)
+        return got
+
     def probe(self, adv_id: str) -> "BidderProbe":
         """`adv_id`'s clicks under every deterministic rule at any bid, the
         other rows fixed as in this view. Built once per bidder."""
-        got = self._probes.get(adv_id)
-        if got is None:
-            got = self._probes[adv_id] = BidderProbe(self, adv_id)
-        return got
+        return self.memo(("probe", adv_id), BidderProbe, self, adv_id)
 
     def span(self, adv_id: str) -> tuple[int, int]:
         """The (lo, hi) row range of `adv_id`; rows are sorted by advertiser."""
@@ -100,9 +101,7 @@ class ScaledView:
         equal numerators mean equal bang-per-buck. A zero-space row has no
         finite density and gets None. Built once per view.
         """
-        if self._densities is None:
-            self._densities = self._density_table()
-        return self._densities
+        return self.memo("densities", self._density_table)
 
     def _density_table(self) -> list[int | None]:
         scale = lcm(*(w for w in self.spc if w))
@@ -116,20 +115,19 @@ class ScaledView:
         zero-space row has unbounded bang-per-buck: all of them come first,
         in row order. Built once per view.
         """
-        got = self._orders.get("bpb")
-        if got is None:
-            dens = self.densities()
-            got = [i for i, d in enumerate(dens) if d is None]
-            got += sorted((i for i, d in enumerate(dens) if d is not None), key=dens.__getitem__, reverse=True)
-            self._orders["bpb"] = got
-        return got
+        return self.memo("bpb", self._bpb_order)
+
+    def _bpb_order(self) -> list[int]:
+        dens = self.densities()
+        got = [i for i, d in enumerate(dens) if d is None]
+        return got + sorted((i for i, d in enumerate(dens) if d is not None), key=dens.__getitem__, reverse=True)
 
     def value_order(self) -> list[int]:
         """Row indices by descending value, ties to the lower row. Built once per view."""
-        got = self._orders.get("value")
-        if got is None:
-            got = self._orders["value"] = sorted(range(len(self.val)), key=self.val.__getitem__, reverse=True)
-        return got
+        return self.memo("value", self._value_order)
+
+    def _value_order(self) -> list[int]:
+        return sorted(range(len(self.val)), key=self.val.__getitem__, reverse=True)
 
     def allocation(self, chosen: list[int]) -> Allocation:
         """The allocation of a choice vector: a row index per advertiser, -1 for none."""

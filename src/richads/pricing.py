@@ -82,9 +82,9 @@ class AllocationRule:
     """A rule of `RULES` by name.
 
     `p` is the probability of a lottery's first branch (None: the rule's
-    default). The greedy branches serve at most the instance's
-    `cardinality_limit` advertisers. An unknown name or a weight outside
-    [0, 1] raises `ValueError` here, so a rule that exists is valid.
+    default), an int or a `Fraction`, kept as a `Fraction`. The greedy branches
+    serve at most the instance's `cardinality_limit` advertisers. Another name
+    or weight raises `ValueError` here, so a rule that exists is valid.
     """
 
     name: str
@@ -94,6 +94,10 @@ class AllocationRule:
         if self.name not in RULES:
             raise ValueError(f"unknown allocation rule {self.name!r}")
         p = self.p
+        if isinstance(p, int) and not isinstance(p, bool):  # a bool is an int, but not a weight
+            object.__setattr__(self, "p", Fraction(p))
+        elif p is not None and not isinstance(p, Fraction):
+            raise ValueError(f"mixture weight must be an int or a Fraction, got {p!r}")
         if p is not None and not 0 <= p.numerator <= p.denominator:  # p in [0, 1], compared as integers
             raise ValueError(f"mixture weight must lie in [0, 1], got {p}")
 
@@ -432,24 +436,20 @@ def gsp_prices(
     return _threshold_prices(inst, rep, rule, "gsp", view)
 
 
-def vcg_payments(
-    inst: Instance,
-    rep: ReportProfile,
-    dp: exact.CapacityDP | None = None,
-) -> PricedOutcome:
+def vcg_payments(inst: Instance, rep: ReportProfile, view: kernels.ScaledView | None = None) -> PricedOutcome:
     """Externality payments on top of the exact integral optimum.
 
-    One view and one `exact.CapacityDP` give the optimum and, for each
-    served advertiser, the optimum without them (`optima_without`): two DP
-    passes, O(n·cap·m), instead of a solve per served advertiser,
-    O((k+1)·n·cap·m). The view's integer scaling is valid for every
-    sub-profile, so the payments stay exact. `dp`, when given, is that DP
-    already built over a view of (inst, rep). The tests keep the re-solve
+    The view's `exact.capacity_dp` gives the optimum and, for each served
+    advertiser, the optimum without them (`optima_without`): two DP passes,
+    O(n·cap·m), instead of a solve per served advertiser, O((k+1)·n·cap·m).
+    The view's integer scaling is valid for every sub-profile, so the
+    payments stay exact. `view`, when given, is the view of (inst, rep), and
+    a DP it already holds is read, not rebuilt. The tests keep the re-solve
     per served advertiser as the oracle (`tests/oracles.vcg_by_resolving`).
     """
-    if dp is None:
-        dp = exact.CapacityDP(kernels.ScaledView(inst, rep))
-    view = dp.view
+    if view is None:
+        view = kernels.ScaledView(inst, rep)
+    dp = exact.capacity_dp(view)
     chosen = dp.choice()
     total = sum(view.val[i] for i in chosen if i >= 0)
     without = dp.optima_without(g for g, i in enumerate(chosen) if i >= 0)
@@ -466,10 +466,17 @@ def vcg_payments(
 @dataclass(frozen=True)
 class Mechanism:
     """How reports turn into an outcome and payments: a rule of the table
-    priced by "myerson" or "gsp", or "vcg" on the exact optimum."""
+    priced by "myerson" or "gsp", or "vcg" on the exact optimum with no
+    rule. Anything else raises `ValueError` here."""
 
     pricing: str  # "gsp", "myerson" or "vcg"
     rule: AllocationRule | None = None  # None only for vcg
+
+    def __post_init__(self):
+        if self.pricing not in ("gsp", "myerson", "vcg"):
+            raise ValueError(f"unknown pricing {self.pricing!r}; choices: gsp, myerson, vcg")
+        if (self.rule is None) != (self.pricing == "vcg"):
+            raise ValueError(f"{self.pricing} pricing {'takes no' if self.rule else 'needs an'} allocation rule")
 
     def describe(self) -> str:
         if self.pricing == "vcg":
@@ -477,9 +484,10 @@ class Mechanism:
         return f"{self.rule.name}(p={self.rule.p})+{self.pricing}" if self.rule.p is not None else f"{self.rule.name}+{self.pricing}"
 
     def price(self, inst: Instance, rep: ReportProfile, view: kernels.ScaledView | None = None) -> PricedOutcome:
-        """Outcome and payments; threshold pricing reads `view`, the view of (inst, rep), if given."""
+        """Outcome and payments. `view`, when given, is the view of (inst,
+        rep): threshold pricing reads its probes, VCG its capacity DP."""
         if self.pricing == "vcg":
-            return vcg_payments(inst, rep)
+            return vcg_payments(inst, rep, view)
         if self.pricing == "myerson":
             return myerson_payment(inst, rep, self.rule, view)
         return gsp_prices(inst, rep, self.rule, view)

@@ -381,9 +381,7 @@ def rebid(view, adv_id: str, bid: Fraction):
         if name not in ("rep", "val", "value_scale"):
             setattr(new, name, getattr(view, name))
     new.rep = rep
-    new._densities = None
-    new._orders = {}
-    new._probes = {}
+    new._memo = {}  # the parent's would hand this view its probes and DP
     new.value_scale = value_scale
     new.val = below + [n * (value_scale // d) for n, d in own] + above
     return new

@@ -505,6 +505,7 @@ def test_experiment_rejects_an_empty_corpus_shape(tmp_path, capsys, doc, message
         ({"mechanisms": ["nope"]}, "unknown mechanisms: ['nope']"),
         ({"mechanisms": ["vcg", "vcg"], "instances": 2}, "duplicate mechanisms: ['vcg']"),
         ({"mechanisms": ["vcg", "gsp-half", "vcg", "gsp-half"], "instances": 2}, "duplicate mechanisms: ['gsp-half', 'vcg']"),
+        ({"mechanisms": [], "instances": 2}, "no mechanisms to compare"),
     ],
 )
 def test_a_refused_experiment_leaves_no_output_directory(tmp_path, capsys, doc, message):

@@ -195,9 +195,9 @@ def test_poa_report_rows():
 
 @pytest.mark.parametrize("kind", ["gsp", "myerson", "vcg"])
 def test_poa_report_prices_each_equilibrium_on_one_view(monkeypatch, kind):
-    # one view of the equilibrium, priced by `Mechanism.price`, and the
-    # exact optimum's; under VCG the truthful equilibrium is priced on the
-    # optimum's own view and DP; the rows equal the profile evaluator's
+    # the truthful equilibrium is priced by `Mechanism.price` on the exact
+    # optimum's own view, under every pricing; the rows equal the profile
+    # evaluator's
     built = []
     init = kernels.ScaledView.__init__
 
@@ -213,7 +213,7 @@ def test_poa_report_prices_each_equilibrium_on_one_view(monkeypatch, kind):
             m.setattr(kernels.ScaledView, "__init__", counting)
             built.clear()
             [row] = poa_report(inst, truth, mech, [truth])
-            assert len(built) == (1 if kind == "vcg" else 2), name
+            assert len(built) == 1, name
         ev = equilibrium._Evaluator(inst, truth, mech)
         assert row["utilities"] == {a: str(ev.utility(truth, a)) for a in inst.adv_ids()}
         assert row["payments"] == {a: str(ev.payment(truth, a)) for a in inst.adv_ids()}

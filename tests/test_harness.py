@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from richads import fixtures, pricing
+from richads import exact, fixtures, kernels, pricing
 from richads.harness import (
     CSV_COLUMNS,
     MECHANISM_NAMES,
@@ -22,7 +22,14 @@ from richads.harness import (
     run_experiment,
     tie_prone_config,
 )
-from richads.model import NonMonotoneClickCurveError, social_welfare, truthful_profile, validate_instance
+from richads.model import (
+    Allocation,
+    InvariantViolation,
+    NonMonotoneClickCurveError,
+    social_welfare,
+    truthful_profile,
+    validate_instance,
+)
 
 SIX_DECIMALS = re.compile(r"^\d+\.\d{6}$")
 
@@ -98,6 +105,41 @@ def test_run_comparison_rejects_a_repeated_mechanism():
     corpus = generate_corpus(small_cfg(instances=1))
     with pytest.raises(ValueError, match=r"duplicate mechanisms: \['vcg'\]"):
         run_comparison(corpus, ("vcg", "truthful-3approx", "vcg"))
+
+
+def test_run_comparison_rejects_an_empty_mechanism_list():
+    corpus = generate_corpus(small_cfg(instances=1))
+    with pytest.raises(ValueError, match="^no mechanisms to compare$"):
+        run_comparison(corpus, ())
+
+
+def test_the_optimum_is_cross_checked_without_a_vcg_row(monkeypatch):
+    # the exhaustive search guards the ratio_int_opt column of every
+    # comparison; an exhaustive optimum that disagrees with the DP's is caught
+    def empty(inst, rep, enum_guard=exact.ENUMERATION_GUARD, view=None):
+        return Allocation(entries={})
+
+    monkeypatch.setattr(exact, "int_opt_exhaustive", empty)
+    with pytest.raises(InvariantViolation, match="DP optimum .* and exhaustive optimum {} disagree"):
+        run_comparison(generate_corpus(small_cfg(instances=3)), ("truthful-3approx",))
+
+
+@pytest.mark.parametrize("cardinality", [None, 1, 2])
+def test_comparison_of_every_mechanism_builds_one_view_and_one_dp_per_instance(monkeypatch, cardinality):
+    # tie-prone instances, capped or not: the rows, the optimum and its
+    # cross-check, the VCG row and the welfare floor share one view and its DP
+    corpus = generate_corpus(replace(tie_prone_config(seed=1, instances=30), cardinality=cardinality))
+    built = {kernels.ScaledView: 0, exact.CapacityDP: 0}
+    for cls in built:
+
+        def counted(self, *args, cls=cls, init=cls.__init__):
+            built[cls] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    result = run_comparison(corpus, MECHANISM_NAMES)
+    assert not result.skipped and len(result.rows) == len(corpus) * len(MECHANISM_NAMES)
+    assert built == {kernels.ScaledView: len(corpus), exact.CapacityDP: len(corpus)}
 
 
 def test_welfare_floor_holds_across_corpus(small_corpus):

@@ -136,6 +136,28 @@ def test_one_pass_vcg_matches_resolving_on_the_corpus(small_corpus, limit):
         assert vcg_payments(inst, rep) == vcg_by_resolving(inst, rep, exact.int_opt_dp)
 
 
+def test_the_vcg_mechanism_prices_off_the_view_it_is_given(monkeypatch):
+    # `Mechanism.price` hands VCG the caller's view, which keeps its one
+    # capacity DP: pricing twice on it builds no view and one DP
+    mech = pricing.Mechanism("vcg")
+    for name in fixtures.BUILDERS:
+        inst = fixtures.fixture(name)
+        rep = truthful_profile(inst)
+        view = kernels.ScaledView(inst, rep)
+        views, dps = _counting(monkeypatch), _counting(monkeypatch, exact.CapacityDP)
+        if name == "fx3":  # over the DP guard: the refusal is not kept, so each call tries again
+            for _ in range(2):
+                with pytest.raises(GuardExceededError, match="exceeds the DP guard"):
+                    mech.price(inst, rep, view)
+            assert (len(views), len(dps)) == (0, 2)
+            monkeypatch.undo()
+            continue
+        first, second = mech.price(inst, rep, view), mech.price(inst, rep, view)
+        assert (len(views), len(dps)) == (0, 1), name
+        monkeypatch.undo()
+        assert first == second == vcg_payments(inst, rep), name
+
+
 def test_vcg_guard_fires_before_any_table():
     # fx3's scaled capacity is 1999999, over the DP guard of 10**6
     inst = fixtures.fx3()
@@ -373,16 +395,16 @@ def test_curves_through_the_kernel_equal_curves_through_rebids(monkeypatch):
         assert got.probes == want.probes
 
 
-def _counting_views(monkeypatch):
-    """The views constructed while the test runs."""
+def _counting(monkeypatch, cls=kernels.ScaledView):
+    """The instances of `cls` constructed, or begun, while the test runs."""
     made = []
-    init = kernels.ScaledView.__init__
+    init = cls.__init__
 
     def counted(self, *args, **kwargs):
         made.append(self)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(kernels.ScaledView, "__init__", counted)
+    monkeypatch.setattr(cls, "__init__", counted)
     return made
 
 
@@ -398,7 +420,7 @@ def test_probes_make_no_view_or_allocation(monkeypatch):
         return allocate(*args, **kwargs)
 
     monkeypatch.setattr(pricing, "branch_allocate", counted)
-    views = _counting_views(monkeypatch)
+    views = _counting(monkeypatch)
     for name in pricing.RULES:
         rule = pricing.AllocationRule(name)
         allocations.clear()

@@ -71,13 +71,32 @@ def test_out_of_range_mixture_weight_is_a_value_error():
             lambda: kernels.ScaledView(replace(fixtures.fx1(), cardinality_limit=0), truthful_profile(fixtures.fx1())),
             "cardinality limit must be >= 1, got 0",
         ),
+        (lambda: pricing.AllocationRule("mixture", True), "mixture weight must be an int or a Fraction, got True"),
+        (lambda: pricing.AllocationRule("mixture", 0.5), "mixture weight must be an int or a Fraction, got 0.5"),
+        (lambda: pricing.AllocationRule("mixture", "1/2"), "mixture weight must be an int or a Fraction, got '1/2'"),
+        (
+            lambda: pricing.Mechanism("GSP", pricing.mixture_rule()),
+            "unknown pricing 'GSP'; choices: gsp, myerson, vcg",
+        ),
+        (lambda: pricing.Mechanism("myerson"), "myerson pricing needs an allocation rule"),
+        (lambda: pricing.Mechanism("vcg", pricing.mixture_rule()), "vcg pricing takes no allocation rule"),
     ],
-    ids=["rule-name", "rule-weight", "config", "view-cap"],
+    ids=[
+        "rule-name", "rule-weight", "config", "view-cap", "rule-weight-bool", "rule-weight-float",
+        "rule-weight-str", "pricing-name", "pricing-without-rule", "vcg-with-rule",
+    ],
 )
 def test_a_bad_rule_config_or_view_is_refused_where_it_is_built(build, message):
     with pytest.raises(ValueError) as exc:
         build()
     assert str(exc.value) == message
+
+
+def test_an_int_weight_is_kept_as_a_fraction():
+    for p in (0, 1):
+        rule = pricing.AllocationRule("mixture", p)
+        assert type(rule.p) is Fraction and rule == pricing.mixture_rule(Fraction(p))
+        assert pricing.rule_branches(rule)[0] == (Fraction(p), "bpb")
 
 
 def test_every_rule_allocator_refuses_a_cap_below_one():
