@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from fractions import Fraction
 
 from . import equilibrium, exact, fracopt, harness, monotone, pricing
 from .model import (
@@ -131,12 +132,15 @@ def _explain_payments(inst: Instance, rep: ReportProfile, outcome: pricing.Price
                 "threshold": None,
             }
             if curve is not None:
+                (cpc,), den = pricing.threshold_prices_along(
+                    "gsp", curve, (bid.numerator,), bid.denominator, (pricing.clicks_over(clicks, curve.click_den),)
+                )
                 entry.update(
                     candidates=len(curve.ties),
                     probes=curve.probes,
                     jump_bids=[str(b) for b, _clicks in curve.steps[1:]],
                     click_levels=[str(c) for _b, c in curve.steps],
-                    threshold=str(pricing.threshold_prices_along("gsp", curve, (bid,), (clicks,))[0]),
+                    threshold=str(Fraction(cpc, den)),
                 )
             branches.append(entry)
         out[adv_id] = {"bid": str(bid), "payment": str(outcome.payments[adv_id]), "branches": branches}

@@ -9,14 +9,18 @@ subset's bids up to the true value along one click curve per branch,
 instead of evaluating the whole profile at every grid point. The sweep
 and a single profile's payment are priced by one function,
 `pricing.threshold_payments`, and read the same cached curves: a curve is
-keyed by the report with the bidder at the cap.
+keyed by the report with the bidder at the cap. A sweep stays in integers
+from the probe's clicks to the utilities, and makes one `Fraction` per
+table entry.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Iterable
 
 from . import exact, fracopt, kernels, pricing
@@ -37,9 +41,20 @@ STRATEGY_BIDS_GUARD = 10_000
 
 @dataclass(frozen=True)
 class StrategySpace:
+    """One advertiser's grid: bids nonnegative and strictly ascending (else
+    `ValueError` here), crossed with the subsets."""
+
     adv_id: str
     bids: tuple[Fraction, ...]  # ascending
     subsets: tuple[frozenset[str], ...]  # preference order: larger first
+
+    def __post_init__(self):
+        bids = self.bids
+        # compared as integers, at half the cost of Fraction comparisons
+        if (bids and bids[0] < 0) or any(
+            a.numerator * b.denominator >= b.numerator * a.denominator for a, b in zip(bids, bids[1:])
+        ):
+            raise ValueError(f"grid bids of {self.adv_id!r} must be nonnegative and strictly ascending")
 
 
 def strategy_spaces(inst: Instance, delta: Fraction) -> dict[str, StrategySpace]:
@@ -101,9 +116,11 @@ class _Evaluator:
         self.curves_built = 0
         self.curves_cached = 0
 
-    def _branch_alloc(self, rep: ReportProfile) -> tuple:
-        """The allocation of each of the rule's branches at `rep`."""
-        view = kernels.ScaledView(self.inst, rep)
+    def _branch_alloc(self, rep: ReportProfile, view: kernels.ScaledView | None = None) -> tuple:
+        """The allocation of each of the rule's branches at `rep`; `view`,
+        when given, is the view of (inst, rep)."""
+        if view is None:
+            view = kernels.ScaledView(self.inst, rep)
         return tuple(pricing.branch_allocate(self.inst, rep, branch, view) for _prob, branch in self.branches)
 
     def outcome(self, rep: ReportProfile) -> Mixture:
@@ -144,14 +161,17 @@ class _Evaluator:
         if bid <= 0 or not subset:
             return Fraction(0)
         at_cap = rep.replace(adv_id, max(bid, self.truth.bids.get(adv_id, bid)), subset)
-        (total,), _curves = pricing.threshold_payments(
+        view = kernels.ScaledView(self.inst, rep)
+        scale = view.probe(adv_id).click_den
+        (paid,), den, _curves = pricing.threshold_payments(
             self.mech.pricing,
-            (bid,),
+            (bid.numerator,),
+            bid.denominator,
             self.branches,
-            [(alloc.clicks(self.inst, adv_id),) for alloc in self._branch_alloc(rep)],
+            [(pricing.clicks_over(alloc.clicks(self.inst, adv_id), scale),) for alloc in self._branch_alloc(rep, view)],
             lambda branch: self._curve(at_cap, adv_id, branch),
         )
-        return total
+        return Fraction(paid, den)
 
     def utility(self, rep: ReportProfile, adv_id: str) -> Fraction:
         value = self.truth.bids.get(adv_id, Fraction(0))
@@ -191,26 +211,37 @@ class _Evaluator:
         branch's clicks are read at every such bid, and serves the one click
         curve per branch that every such bid is priced against: the grid's
         payments come from `pricing.threshold_payments`, the path that
-        prices a single bid too, in one ascending pass over each curve.
+        prices a single bid too, in one ascending pass over each curve. The
+        bids enter as numerators over their lcm, and each utility, cap times
+        expected clicks less the payment, is one `Fraction` over the
+        payments' denominator.
         """
         cap = at_cap.bids[adv_id]
-        cols = sorted((bid, bi) for bi, bid in enumerate(bids) if 0 < bid <= cap)
-        if not cols:
+        lo, hi = bisect_right(bids, 0), bisect_right(bids, cap)
+        if lo == hi:
             return
-        grid = [bid for bid, _bi in cols]
+        grid = bids[lo:hi]
+        grid_den = lcm(*(bid.denominator for bid in grid))
+        nums = [bid.numerator * (grid_den // bid.denominator) for bid in grid]
         view = kernels.ScaledView(self.inst, at_cap)
         probe = view.probe(adv_id)
-        clicks = [
-            [pricing.BRANCHES[branch].probe(probe, bid.numerator, bid.denominator) for bid in grid]
-            for _prob, branch in self.branches
-        ]
-        paid, _curves = pricing.threshold_payments(
-            self.mech.pricing, grid, self.branches, clicks, lambda branch: self._curve(at_cap, adv_id, branch, view)
+        clicks = [[pricing.BRANCHES[b].probe(probe, num, grid_den) for num in nums] for _prob, b in self.branches]
+        paid, den, _curves = pricing.threshold_payments(
+            self.mech.pricing, nums, grid_den, self.branches, clicks, lambda b: self._curve(at_cap, adv_id, b, view)
         )
-        zero = Fraction(0)
-        for k, ((_bid, bi), price) in enumerate(zip(cols, paid)):
-            x = sum((prob * xs[k] for (prob, _branch), xs in zip(self.branches, clicks) if xs[k]), zero)
-            row[bi] = cap * x - price
+        # expected clicks over click_den times the probabilities' lcm, then
+        # cap * clicks and the payments over one denominator
+        probs = lcm(*(prob.denominator for prob, _branch in self.branches))
+        x = [0] * len(nums)
+        for (prob, _branch), xs in zip(self.branches, clicks):
+            w = prob.numerator * (probs // prob.denominator)
+            if w:
+                x = [a + w * b for a, b in zip(x, xs)]
+        clicks_den = cap.denominator * probe.click_den * probs
+        total = lcm(den, clicks_den)
+        c, d = cap.numerator * (total // clicks_den), total // den
+        for k, (got, price) in enumerate(zip(x, paid), lo):
+            row[k] = Fraction(c * got - d * price, total)
 
 
 def utility(inst: Instance, truth: ReportProfile, rep: ReportProfile, mechanism: Mechanism) -> dict[str, Fraction]:

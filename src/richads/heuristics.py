@@ -75,7 +75,9 @@ def greedy_by_value(inst: Instance, rep: ReportProfile, view: ScaledView | None 
 def randomized_greedy(inst: Instance, rep: ReportProfile, p: Fraction = RANDOMIZED_GREEDY_P) -> Mixture:
     """Mix bang-per-buck greedy (probability p) with the max-value rule: the
     rule table's "randomized-greedy", both branches on one view."""
-    return pricing.rule_allocate(inst, rep, pricing.AllocationRule("randomized-greedy", Fraction(p)))
+    return pricing.rule_allocate(
+        inst, rep, pricing.AllocationRule("randomized-greedy", p if isinstance(p, Fraction) else Fraction(p))
+    )
 
 
 def sample_mixture(mixture: Mixture, seed: int) -> Allocation:

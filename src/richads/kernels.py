@@ -140,17 +140,16 @@ class ScaledView:
         return len(self.adv_ids)
 
 
-ZERO = Fraction(0)
-
-
 class BidderProbe:
     """One bidder's clicks under each deterministic rule at a positive bid
-    num / den, everyone else's report fixed.
+    num / den, everyone else's report fixed, as an integer numerator over
+    `click_den`, the lcm of the bidder's own click-rate denominators.
 
-    Each rule's tables are built on first use from the view; a probe then
-    reads them in integers and makes no view, rebid or allocation. It equals
-    running the rule on the report with the bidder's bid replaced, which the
-    tests keep as the oracle (`tests/oracles.rebid`).
+    Each rule's tables are built on first use from the view and hold click
+    rates as those numerators; a probe then reads them in integers and makes
+    no view, rebid, allocation or `Fraction`. It equals running the rule on
+    the report with the bidder's bid replaced, which the tests keep as the
+    oracle (`tests/oracles.rebid`).
 
     The tables filter the view's `bpb_order` or `value_order` into the
     bidder's rows and the others', both in walk order; none sorts again.
@@ -199,7 +198,7 @@ class BidderProbe:
     rule.
     """
 
-    __slots__ = ("view", "adv_id", "_own_rows", "_walk", "_fit", "_max", "_value", "_greedy")
+    __slots__ = ("view", "adv_id", "_own_rows", "_click_den", "_walk", "_fit", "_max", "_value", "_greedy")
 
     def __init__(self, view: ScaledView, adv_id: str):
         rep = view.rep
@@ -212,15 +211,23 @@ class BidderProbe:
 
     def _own(self):
         # (own row span, the view's bid as (numerator, denominator), each
-        # own row's click rate)
+        # own row's click rate as a numerator over `click_den`)
         if self._own_rows is None:
             view = self.view
             lo, hi = view.span(self.adv_id)
             bid = view.rep.bids[self.adv_id]
             bn, bd = bid.numerator, bid.denominator
-            alphas = [Fraction(v * bd, view.value_scale * bn) for v in view.val[lo:hi]]
-            self._own_rows = lo, hi, bn, bd, alphas
+            rates = [Fraction(v * bd, view.value_scale * bn) for v in view.val[lo:hi]]
+            self._click_den = scale = lcm(*(r.denominator for r in rates))
+            self._own_rows = lo, hi, bn, bd, [r.numerator * (scale // r.denominator) for r in rates]
         return self._own_rows
+
+    @property
+    def click_den(self) -> int:
+        """The denominator of every click level this probe reads: the lcm
+        of the bidder's own click-rate denominators (1 with no rows)."""
+        self._own()
+        return self._click_den
 
     def ties(self, kinds: tuple[str, ...], cap: Fraction) -> tuple[list[int], int]:
         """The bids d * bn / (n0 * bd) in (0, cap] where an own row of
@@ -242,16 +249,16 @@ class BidderProbe:
         limit = cap.numerator * (den // cap.denominator)
         return sorted(t for t in ties if t <= limit), den
 
-    def _clicks_in(self, held: int) -> Fraction:
+    def _clicks_in(self, held: int) -> int:
         """The best own click rate within `held` scaled units of space, as
         the best-fit stage gives it: none when nothing is held."""
         if self._fit is None:
             self._fit = self._fit_table()
         fit_spc, fit_alpha = self._fit
         if held <= 0:
-            return ZERO
+            return 0
         k = bisect_right(fit_spc, held)
-        return fit_alpha[k - 1] if k else ZERO
+        return fit_alpha[k - 1] if k else 0
 
     def _fit_table(self):
         """(spaces ascending, the best own click rate within each)."""
@@ -264,7 +271,7 @@ class BidderProbe:
                 fit_alpha.append(alphas[j])
         return fit_spc, fit_alpha
 
-    def bpb(self, num: int, den: int) -> Fraction:
+    def bpb(self, num: int, den: int) -> int:
         """The bidder's clicks under the bpb rule at the bid num / den > 0."""
         if self._walk is None:
             self._walk = self._walk_tables()
@@ -307,12 +314,12 @@ class BidderProbe:
                 held[adv[i]] = w
         return view.total, keys, prefix, own, bn
 
-    def max_value(self, num: int, den: int) -> Fraction:
+    def max_value(self, num: int, den: int) -> int:
         """The bidder's clicks under the max-value rule at the bid num / den > 0."""
         if self._max is None:
             self._max = self._max_tables()
         alpha, own_value, other_value, floor = self._max
-        return alpha if num * own_value - den * other_value > floor else ZERO
+        return alpha if num * own_value - den * other_value > floor else 0
 
     def _max_tables(self):
         """(clicks if the bidder wins, their best fitting value times the
@@ -335,12 +342,12 @@ class BidderProbe:
             # when no row fits at all the rule serves a reported ad outside
             # the view; the bidder's there have click rate <= 0 (validation
             # rejects them), and those of rate 0 give no clicks
-            return ZERO, 0, 0, -1
+            return 0, 0, 0, -1
         if other < 0:
             return alphas[own - lo], 0, 0, -1
         return alphas[own - lo], view.val[own] * bd, view.val[other] * bn, 0 if other < lo else -1
 
-    def greedy_value(self, num: int, den: int) -> Fraction:
+    def greedy_value(self, num: int, den: int) -> int:
         """The bidder's clicks under the greedy-value rule at the bid num / den > 0."""
         if self._value is None:
             self._value = self._value_tables()
@@ -353,7 +360,7 @@ class BidderProbe:
                 break  # the walk stops here, and later own rows sit no earlier
             if w <= rem_at[p]:
                 return alpha
-        return ZERO
+        return 0
 
     def _value_tables(self):
         """(the others' keys in walk order, the remaining space and the
@@ -382,7 +389,7 @@ class BidderProbe:
         served_at.append(count)
         return keys, rem_at, served_at, own, bn, limit
 
-    def greedy_bpb(self, num: int, den: int) -> Fraction:
+    def greedy_bpb(self, num: int, den: int) -> int:
         """The bidder's clicks under the greedy-bpb rule at the bid num / den > 0."""
         if self._greedy is None:
             self._greedy = self._greedy_tables()
@@ -405,7 +412,7 @@ class BidderProbe:
             if me in held:
                 break
         else:
-            return ZERO
+            return 0
         q = p
         for p, (_d, v, w) in zip(placed[t + 1 :], own[t + 1 :]):
             for a, ov, ow in rows[q:p]:
@@ -415,9 +422,9 @@ class BidderProbe:
         # after the last own row the others can still push the bidder out
         for a, ov, ow in rows[q:]:
             if me not in held:
-                return ZERO
+                return 0
             rem = greedy_step(held, rem, k, a, ov * scale, ow)
-        return self._clicks_in(held[me][1]) if me in held else ZERO
+        return self._clicks_in(held[me][1]) if me in held else 0
 
     def _greedy_tables(self):
         """The others-only greedy-bpb walk, kept for every probe: (the

@@ -5,16 +5,22 @@ its breakpoints can only sit where the bid ties another ad's bang-per-buck
 or value. Payments integrate that curve (Myerson), look up the lowest bid
 preserving the current clicks (GSP), or charge externalities at an exact
 optimum (VCG). Every payment is computed and checked in exact rationals.
+
+Threshold pricing runs in integers from probe to payment: a bidder's click
+levels are numerators over their `kernels.BidderProbe.click_den`, a curve's
+run starts numerators over its `den`, and a pass prices a whole ascending
+grid of bids over one common denominator, so the callers make one
+`Fraction` per payment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Mapping, Sequence
 
 from . import exact, heuristics, kernels, monotone
-from .kernels import ZERO
 from .model import (
     Allocation,
     Instance,
@@ -35,13 +41,14 @@ class Branch:
     `view.inst`; the `kinds` of its click curves' breakpoints, bids where
     the bidder's bang-per-buck ("bpb") or value ("value") ties another
     row's; `probe(bidder_probe, num, den)`, the clicks at the bid num / den
-    read off a `kernels.BidderProbe` without running the rule; and whether
+    read off a `kernels.BidderProbe` without running the rule, as an integer
+    over the probe's `click_den`; and whether
     its curves are proven nondecreasing (`monotone`: they are bisected,
     else scanned)."""
 
     allocate: Callable[[kernels.ScaledView], Allocation]
     kinds: tuple[str, ...]
-    probe: Callable[[kernels.BidderProbe, int, int], Fraction]
+    probe: Callable[[kernels.BidderProbe, int, int], int]
     monotone: bool
 
 
@@ -103,7 +110,7 @@ class AllocationRule:
 
 
 def mixture_rule(p: Fraction = monotone.TRUTHFUL_MIX_P) -> AllocationRule:
-    return AllocationRule("mixture", p=Fraction(p))
+    return AllocationRule("mixture", p=p if isinstance(p, Fraction) else Fraction(p))
 
 
 def rule_branches(rule: AllocationRule) -> tuple[tuple[Fraction, str], ...]:
@@ -142,21 +149,30 @@ def rule_allocate(
 @dataclass(frozen=True)
 class BidThresholds:
     """Piecewise-constant click curve of one advertiser's bid on (0, cap],
-    stored as its runs: `steps` holds (lowest bid, clicks) per run in bid
-    order from 0, each run's clicks strictly above the last's, and the last
-    run ends at `cap`. A run starts at 0 or at a candidate breakpoint, a tie
-    bid `ties[i] / den` (`kernels.BidderProbe.ties`' integers). `probes`
-    counts the kernel reads (`kernels.BidderProbe`, no allocation) that
-    found the runs.
+    stored as its runs in integers: `runs` holds (lowest bid, clicks) per
+    run in bid order from 0, the bid a numerator over `den` and the clicks
+    one over `click_den` (the bidder's `kernels.BidderProbe.click_den`),
+    each run's clicks strictly above the last's; the last run ends at
+    `cap`. A run starts at 0 or at a candidate breakpoint, a tie bid
+    `ties[i] / den` (`kernels.BidderProbe.ties`' integers). `probes` counts
+    the kernel reads (`kernels.BidderProbe`, no allocation) that found the
+    runs. `steps` and `thresholds` give the runs and the candidates as
+    Fractions, built on read.
     """
 
     adv_id: str
     rule_name: str
     cap: Fraction
-    steps: tuple[tuple[Fraction, Fraction], ...]
+    runs: tuple[tuple[int, int], ...]
     ties: Sequence[int]
     den: int
+    click_den: int
     probes: int
+
+    @property
+    def steps(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """The runs as (lowest bid, clicks) Fractions."""
+        return tuple((Fraction(lo, self.den), Fraction(x, self.click_den)) for lo, x in self.runs)
 
     @property
     def thresholds(self) -> tuple[Fraction, ...]:
@@ -164,7 +180,7 @@ class BidThresholds:
         return (Fraction(0), *(Fraction(t, self.den) for t in self.ties))
 
 
-def _bisect_clicks(n: int, probe: Callable[[int], Fraction]) -> list[Fraction]:
+def _bisect_clicks(n: int, probe: Callable[[int], int]) -> list[int]:
     """Clicks on each of n intervals of a curve known to be nondecreasing.
 
     A span whose two end intervals have equal clicks is filled without
@@ -175,7 +191,7 @@ def _bisect_clicks(n: int, probe: Callable[[int], Fraction]) -> list[Fraction]:
     """
     if n == 0:
         return []
-    clicks = [Fraction(0)] * n
+    clicks = [0] * n
     clicks[0] = probe(0)
     clicks[-1] = probe(n - 1) if n > 1 else clicks[0]
     spans = [(0, n - 1)]
@@ -195,10 +211,9 @@ def _build_curve(view: kernels.ScaledView, adv_id: str, cap: Fraction, branch: s
     report as in `view`, all read off the bidder's `kernels.BidderProbe`:
     its `ties` of the branch's `kinds` bound the intervals, and its clicks
     at their midpoints fill them, bisected if the branch is `monotone`,
-    else scanned. The interval bounds stay integers over `den`; one pass
-    folds the intervals into runs, making a `Fraction` per run start only,
-    and raises `NonMonotoneClickCurveError` (naming `rule_name`) where
-    clicks drop."""
+    else scanned. Bounds and clicks stay integers; one pass folds the
+    intervals into runs and raises `NonMonotoneClickCurveError` (naming
+    `rule_name`) where clicks drop."""
     rule = BRANCHES[branch]
     bidder = view.probe(adv_id)
     ties, den = bidder.ties(rule.kinds, cap)
@@ -206,9 +221,9 @@ def _build_curve(view: kernels.ScaledView, adv_id: str, cap: Fraction, branch: s
     top = cap.numerator * (den // cap.denominator)
     if points[-1] < top:
         points.append(top)
-    probed: dict[int, Fraction] = {}
+    probed: dict[int, int] = {}
 
-    def probe(j: int) -> Fraction:
+    def probe(j: int) -> int:
         if j not in probed:
             # the interval's midpoint
             probed[j] = rule.probe(bidder, points[j] + points[j + 1], 2 * den)
@@ -216,16 +231,19 @@ def _build_curve(view: kernels.ScaledView, adv_id: str, cap: Fraction, branch: s
 
     n = len(points) - 1
     clicks = _bisect_clicks(n, probe) if rule.monotone else [probe(j) for j in range(n)]
-    steps = [(Fraction(0), clicks[0])]
+    runs = [(0, clicks[0])]
     for j in range(1, n):
-        x, level = clicks[j], steps[-1][1]
-        if x is level or x == level:  # a bisected flat span is one shared object
+        x, level = clicks[j], runs[-1][1]
+        if x == level:
             continue
         if x < level:
             lo, mid, hi = (Fraction(points[i], den) for i in (j - 1, j, j + 1))
-            raise NonMonotoneClickCurveError(adv_id, rule_name, (lo, mid), (mid, hi), level, x)
-        steps.append((Fraction(points[j], den), x))
-    return BidThresholds(adv_id, rule_name, cap, tuple(steps), ties, den, len(probed))
+            c = bidder.click_den
+            raise NonMonotoneClickCurveError(
+                adv_id, rule_name, (lo, mid), (mid, hi), Fraction(level, c), Fraction(x, c)
+            )
+        runs.append((points[j], x))
+    return BidThresholds(adv_id, rule_name, cap, tuple(runs), ties, den, bidder.click_den, len(probed))
 
 
 def bid_thresholds(inst: Instance, rep: ReportProfile, adv_id: str, rule: AllocationRule) -> BidThresholds:
@@ -237,56 +255,76 @@ def bid_thresholds(inst: Instance, rep: ReportProfile, adv_id: str, rule: Alloca
         raise ValueError(f"rule {rule.name!r} is a lottery of {names}: its click curves are per branch")
     cap = rep.bids.get(adv_id, Fraction(0))
     if cap <= 0:
-        return BidThresholds(adv_id, rule.name, cap, (), (), cap.denominator, 0)
+        return BidThresholds(adv_id, rule.name, cap, (), (), cap.denominator, 1, 0)
     return _build_curve(kernels.ScaledView(inst, rep), adv_id, cap, branches[0][1], rule.name)
 
 
+def clicks_over(x: Fraction, den: int) -> int:
+    """The clicks `x` as a numerator over `den`, a bidder's `click_den`:
+    an allocation serves one of the bidder's rows whole, so x's denominator
+    divides it; anything else raises `InvariantViolation`."""
+    q, r = divmod(den, x.denominator)
+    if r:
+        raise InvariantViolation(f"clicks {x} are not a multiple of 1/{den}")
+    return x.numerator * q
+
+
 def threshold_prices_along(
-    kind: str, curve: BidThresholds, bids: Sequence[Fraction], clicks: Sequence[Fraction]
-) -> list[Fraction]:
-    """A branch's threshold price at each of the ascending `bids`, where the
-    bidder gets `clicks[k]` at `bids[k]`: the Myerson payment for
-    "myerson", the GSP per-click price for "gsp".
+    kind: str, curve: BidThresholds, bids: Sequence[int], bid_den: int, clicks: Sequence[int]
+) -> tuple[list[int], int]:
+    """A branch's threshold price at each of the ascending bids
+    `bids[k] / bid_den`, where the bidder gets `clicks[k] / curve.click_den`
+    there: the Myerson payment for "myerson", the GSP per-click price for
+    "gsp". Returns (numerators, their denominator): L * click_den for
+    Myerson and L for GSP, L the lcm of `bid_den` and the curve's bid
+    denominators.
 
     Myerson is b*x(b) minus the exact click-curve integral up to b (the
     curve ends at its cap). GSP's per-click price is the lowest bid keeping
     the current clicks: the start of the first run with them below b, else
     b; no clicks cost nothing. One cursor, the runs starting below the bid,
-    serves every bid: O(bids + runs). The curve is probed inside its
-    intervals only, so clicks at b below the level of the last run below b
-    (a drop at the bid itself) show only here: they raise
-    `NonMonotoneClickCurveError` on (b, b), except under GSP at no clicks.
+    serves every bid: O(bids + runs), all in integers over L. The curve is
+    probed inside its intervals only, so clicks at b below the level of
+    the last run below b (a drop at the bid itself) show only here: they
+    raise `NonMonotoneClickCurveError` on (b, b), except under GSP at no
+    clicks. The tests keep the pass in Fractions as the oracle
+    (`tests/oracles.threshold_prices_along`).
     """
-    steps = curve.steps
+    scale = lcm(bid_den, curve.den, curve.cap.denominator)
+    f, g = scale // bid_den, scale // curve.den
+    runs = [(lo * g, level) for lo, level in curve.runs] if g > 1 else curve.runs
+    if f > 1:
+        bids = [b * f for b in bids]
+    cap = curve.cap.numerator * (scale // curve.cap.denominator)
     gsp = kind == "gsp"
-    # GSP: clicks -> start of the first run below the bid with them; keyed
-    # by the lowest-terms (numerator, denominator), which hashes faster
-    first: dict[tuple[int, int], Fraction] = {}
-    below = ZERO  # Myerson: the integral over the runs before the last one below the bid
+    first: dict[int, int] = {}  # GSP: clicks -> start of the first run below the bid with them
+    below = 0  # Myerson: the integral over the runs before the last one below the bid
     out = []
     i = 0
-    for bid, x in zip(bids, clicks):
-        while i < len(steps) and steps[i][0] < bid:
-            lo, level = steps[i]
+    for b, x in zip(bids, clicks):
+        while i < len(runs) and runs[i][0] < b:
+            lo, level = runs[i]
             if gsp:
-                first.setdefault((level.numerator, level.denominator), lo)
-            elif i and steps[i - 1][1]:
-                area = (lo - steps[i - 1][0]) * steps[i - 1][1]
-                below = below + area if below else area  # no Fraction arithmetic on a zero sum
+                first.setdefault(level, lo)
+            elif i:
+                below += (lo - runs[i - 1][0]) * runs[i - 1][1]
             i += 1
         if i:
-            lo, level = steps[i - 1]
-            # a probe's clicks are often the very object the curve holds
-            if x is not level and x < level and (x or not gsp):
-                raise NonMonotoneClickCurveError(curve.adv_id, curve.rule_name, (lo, bid), (bid, bid), level, x)
+            lo, level = runs[i - 1]
+            if x < level and (x or not gsp):
+                at, c = Fraction(b, scale), curve.click_den
+                raise NonMonotoneClickCurveError(
+                    curve.adv_id, curve.rule_name, (Fraction(lo, scale), at), (at, at),
+                    Fraction(level, c), Fraction(x, c),
+                )
         if gsp:
-            out.append(first.get((x.numerator, x.denominator), bid) if x else ZERO)
+            out.append(first.get(x, b) if x else 0)
             continue
-        paid = bid * x - below if below else bid * x
+        paid = b * x - below
         if i and level:
-            paid -= (min(bid, curve.cap) - lo) * level
+            paid -= (min(b, cap) - lo) * level
         out.append(paid)
-    return out
+    return out, scale if gsp else scale * curve.click_den
 
 
 # --- priced outcomes -------------------------------------------------------
@@ -355,24 +393,28 @@ def _finish_outcome(
 
 def threshold_payments(
     kind: str,
-    bids: Sequence[Fraction],
+    bids: Sequence[int],
+    bid_den: int,
     branches: tuple[tuple[Fraction, str], ...],
-    clicks: Sequence[Sequence[Fraction]],
+    clicks: Sequence[Sequence[int]],
     curve: Callable[[str], BidThresholds],
-) -> tuple[list[Fraction], tuple[BidThresholds | None, ...]]:
+) -> tuple[list[int], int, tuple[BidThresholds | None, ...]]:
     """One bidder's "myerson" or "gsp" payment at each of the ascending
-    positive `bids`, and the curves read: the one pricing path, for a
-    report and for a best response's grid alike.
+    positive bids `bids[k] / bid_den`, as (numerators, their common
+    denominator, the curves read): the one pricing path, for a report and
+    for a best response's grid alike.
 
-    The bidder gets `clicks[j][k]` in branch j at `bids[k]`. The payment is
-    the sum over `branches` of probability times the price read off that
-    branch's click curve, `curve(branch)` (`threshold_prices_along`; GSP's
-    per-click price times the clicks). GSP charges a branch that gives no
-    clicks at any bid nothing and reads no curve for it (None in the
-    curves). Clicks at a bid below the curve's level just under it raise
-    `NonMonotoneClickCurveError` (`threshold_prices_along`).
+    The bidder gets `clicks[j][k]` in branch j at bid k, a numerator over
+    the bidder's `click_den`. The payment is the sum over `branches` of
+    probability times the price read off that branch's click curve,
+    `curve(branch)` (`threshold_prices_along`; GSP's per-click price times
+    the clicks), summed in integers over the lcm of the branches'
+    denominators times their probabilities'. GSP charges a branch that
+    gives no clicks at any bid nothing and reads no curve for it (None in
+    the curves). Clicks at a bid below the curve's level just under it
+    raise `NonMonotoneClickCurveError` (`threshold_prices_along`).
     """
-    paid = [Fraction(0)] * len(bids)
+    parts = []  # (probability, prices, their denominator) per branch priced
     curves: list[BidThresholds | None] = []
     for (prob, branch), xs in zip(branches, clicks):
         if kind == "gsp" and not any(xs):
@@ -380,19 +422,25 @@ def threshold_payments(
             continue
         got = curve(branch)
         curves.append(got)
-        prices = threshold_prices_along(kind, got, bids, xs)
+        prices, den = threshold_prices_along(kind, got, bids, bid_den, xs)
         if kind == "gsp":
-            prices = [cpc * x for cpc, x in zip(prices, xs)]
-        for k, price in enumerate(prices):
-            paid[k] += prob * price
-    return paid, tuple(curves)
+            prices, den = [cpc * x for cpc, x in zip(prices, xs)], den * got.click_den
+        parts.append((prob, prices, den))
+    total = lcm(*(prob.denominator * den for prob, _prices, den in parts))
+    paid = [0] * len(bids)
+    for prob, prices, den in parts:
+        w = prob.numerator * (total // (prob.denominator * den))
+        if w:
+            paid = [p + w * price for p, price in zip(paid, prices)]
+    return paid, total, tuple(curves)
 
 
 def _threshold_prices(
     inst: Instance, rep: ReportProfile, rule: AllocationRule, kind: str, view: kernels.ScaledView | None
 ) -> PricedOutcome:
-    """Every bidder's `threshold_payments` at their reported bid. A bidder
-    with no positive bid or no ad pays nothing and reads no curve.
+    """Every bidder's `threshold_payments` at their reported bid, one
+    `Fraction` per payment. A bidder with no positive bid or no ad pays
+    nothing and reads no curve.
 
     One view of the report (`view`, when given) serves the allocation and
     the probes of every curve.
@@ -409,13 +457,16 @@ def _threshold_prices(
         if bid <= 0 or not rep.subsets.get(adv_id):
             payments[adv_id], curves[adv_id] = Fraction(0), ()
             continue
-        (payments[adv_id],), curves[adv_id] = threshold_payments(
+        scale = view.probe(adv_id).click_den
+        (paid,), den, curves[adv_id] = threshold_payments(
             kind,
-            (bid,),
+            (bid.numerator,),
+            bid.denominator,
             branches,
-            [(alloc.clicks(inst, adv_id),) for _prob, alloc in mixture.branches],
+            [(clicks_over(alloc.clicks(inst, adv_id), scale),) for _prob, alloc in mixture.branches],
             lambda branch: _build_curve(view, adv_id, bid, branch, rule.name),
         )
+        payments[adv_id] = Fraction(paid, den)
     return _finish_outcome(inst, rep, mixture, payments, kind, curves)
 
 

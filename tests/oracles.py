@@ -414,3 +414,125 @@ def rebid_clicks(view, adv_id: str, bid: Fraction, branches) -> Fraction:
         (prob * branch_allocate(view.inst, probe.rep, branch, probe).clicks(view.inst, adv_id) for prob, branch in branches),
         Fraction(0),
     )
+
+
+def threshold_prices_along(kind, curve, bids, clicks):
+    """`pricing.threshold_prices_along` in Fractions, as the library ran it
+    before its integer pass: the price at each of the ascending Fraction
+    `bids` where the bidder gets the Fraction `clicks[k]`, read off the
+    curve's `steps`; the Myerson payment for "myerson", the GSP per-click
+    price for "gsp". Clicks below the level of the last run below a bid
+    raise `NonMonotoneClickCurveError` on (b, b), except under GSP at no
+    clicks."""
+    from richads.model import NonMonotoneClickCurveError
+
+    steps = curve.steps
+    gsp = kind == "gsp"
+    first = {}  # GSP: clicks -> start of the first run below the bid with them
+    below = Fraction(0)  # Myerson: the integral over the runs before the last one below the bid
+    out = []
+    i = 0
+    for bid, x in zip(bids, clicks):
+        while i < len(steps) and steps[i][0] < bid:
+            lo, level = steps[i]
+            if gsp:
+                first.setdefault(level, lo)
+            elif i:
+                below += (lo - steps[i - 1][0]) * steps[i - 1][1]
+            i += 1
+        if i:
+            lo, level = steps[i - 1]
+            if x < level and (x or not gsp):
+                raise NonMonotoneClickCurveError(curve.adv_id, curve.rule_name, (lo, bid), (bid, bid), level, x)
+        if gsp:
+            out.append(first.get(x, bid) if x else Fraction(0))
+            continue
+        paid = bid * x - below
+        if i and level:
+            paid -= (min(bid, curve.cap) - lo) * level
+        out.append(paid)
+    return out
+
+
+def integer_prices_along(kind, curve, bids, clicks):
+    """`pricing.threshold_prices_along` on Fraction bids and clicks: the
+    bids as numerators over their lcm, the clicks over the curve's
+    `click_den`, the prices back as Fractions."""
+    from richads.pricing import clicks_over, threshold_prices_along as integer_pass
+
+    den = lcm(*(b.denominator for b in bids))
+    nums = [b.numerator * (den // b.denominator) for b in bids]
+    prices, scale = integer_pass(kind, curve, nums, den, [clicks_over(x, curve.click_den) for x in clicks])
+    return [Fraction(p, scale) for p in prices]
+
+
+def priced_or_error(price, *args):
+    """`price(*args)`, or the message, intervals and levels of the
+    `NonMonotoneClickCurveError` it raises."""
+    from richads.model import NonMonotoneClickCurveError
+
+    try:
+        return price(*args)
+    except NonMonotoneClickCurveError as exc:
+        return (str(exc), exc.left_interval, exc.right_interval, exc.left_clicks, exc.right_clicks)
+
+
+def prices_along(kind, curve, bids, clicks):
+    """`integer_prices_along`, required to equal the Fraction oracle
+    `threshold_prices_along` (AssertionError otherwise), both in its prices
+    and in the drop it raises: the same message, intervals and levels."""
+    got = priced_or_error(integer_prices_along, kind, curve, bids, clicks)
+    assert got == priced_or_error(threshold_prices_along, kind, curve, bids, clicks), (kind, bids, clicks)
+    return integer_prices_along(kind, curve, bids, clicks)
+
+
+def sweep_by_fractions(ev, at_cap: ReportProfile, adv_id, bids):
+    """`equilibrium._Evaluator._sweep` in Fractions, as it ran before its
+    integer pass: {bid: utility} at the `bids` in (0, cap], the clicks read
+    off the probe, the payments summed over the branches by the Fraction
+    `threshold_prices_along`, the curves from `ev`'s cache."""
+    from richads import kernels, pricing
+
+    cap = at_cap.bids[adv_id]
+    grid = [bid for bid in bids if 0 < bid <= cap]
+    probe = kernels.ScaledView(ev.inst, at_cap).probe(adv_id)
+    kind = ev.mech.pricing
+    clicks = [
+        [Fraction(pricing.BRANCHES[branch].probe(probe, b.numerator, b.denominator), probe.click_den) for b in grid]
+        for _prob, branch in ev.branches
+    ]
+    paid = [Fraction(0)] * len(grid)
+    for (prob, branch), xs in zip(ev.branches, clicks):
+        if kind == "gsp" and not any(xs):
+            continue
+        prices = threshold_prices_along(kind, ev._curve(at_cap, adv_id, branch), grid, xs)
+        if kind == "gsp":
+            prices = [cpc * x for cpc, x in zip(prices, xs)]
+        paid = [p + prob * price for p, price in zip(paid, prices)]
+    return {
+        bid: cap * sum((prob * xs[k] for (prob, _branch), xs in zip(ev.branches, clicks)), Fraction(0)) - paid[k]
+        for k, bid in enumerate(grid)
+    }
+
+
+def integer_pass_drops_at_tie_bids(view, curve, branch) -> int:
+    """At every tie bid of `curve` (the `branch` curve of a bidder of
+    `view`) and at its cap, the integer pass equals the Fraction oracle
+    under both pricings (AssertionError otherwise): in one pass over all
+    those bids with the probe's clicks there, and bid by bid with those
+    clicks and with each of the curve's levels, which below the level
+    under the bid are drops at the bid. Returns the number of drops raised."""
+    from richads.pricing import BRANCHES
+
+    probe = view.probe(curve.adv_id)
+    bids = sorted({*curve.thresholds[1:], curve.cap})
+    clicks = [Fraction(BRANCHES[branch].probe(probe, b.numerator, b.denominator), probe.click_den) for b in bids]
+    levels = {x for _lo, x in curve.steps}
+    cases = [(bids, clicks)] + [((b,), (x,)) for b, at in zip(bids, clicks) for x in sorted(levels | {at})]
+    drops = 0
+    for kind in ("myerson", "gsp"):
+        for at in cases:
+            got = priced_or_error(integer_prices_along, kind, curve, *at)
+            assert got == priced_or_error(threshold_prices_along, kind, curve, *at), (kind, at)
+            drops += isinstance(got, tuple)
+    return drops

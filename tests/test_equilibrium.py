@@ -7,12 +7,13 @@ import textwrap
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import best_response_by_profiles, profile_table
+from oracles import best_response_by_profiles, integer_pass_drops_at_tie_bids, profile_table, sweep_by_fractions
 from richads import equilibrium, fixtures, harness, kernels, pricing
 from richads.equilibrium import (
     best_response,
@@ -426,6 +427,66 @@ def test_sweep_is_exact_on_tie_bids(tie_corpus):
             spaces = tie_spaces(inst, rep)
             for mech in SWEEP_MECHANISMS[:2]:
                 assert_sweep_matches(inst, rep, mech, spaces)
+
+
+def test_integer_pass_equals_the_fraction_oracle_at_tie_bids_on_the_dynamics_pool():
+    # both mixtures' branches, every bidder, truthful and shaded reports;
+    # the curve's levels below the level under a tie bid are drops there
+    drops = 0
+    for inst, _grid in dynamics_pool():
+        truth = truthful_profile(inst)
+        for rep in (truth, shaded(inst, truth)):
+            view = kernels.ScaledView(inst, rep)
+            for adv in inst.advertisers:
+                for branch in ("bpb", "max-value"):
+                    curve = pricing._build_curve(view, adv.adv_id, rep.bids[adv.adv_id], branch, branch)
+                    drops += integer_pass_drops_at_tie_bids(view, curve, branch)
+    assert drops > 0
+
+
+# pairwise coprime denominators: grid 1/7, values over 3, click rates over 5
+# and 2, mixture weights 2/3 and 1/2
+COPRIME = Instance(
+    advertisers=(
+        Advertiser("a", Fraction(10, 3), (RichAd("ax1", Fraction(2, 5), Fraction(3)), RichAd("ax2", Fraction(1, 2), Fraction(5)))),
+        Advertiser("b", Fraction(8, 3), (RichAd("bx1", Fraction(3, 5), Fraction(4)), RichAd("bx2", Fraction(1, 2), Fraction(2)))),
+        Advertiser("c", Fraction(7, 3), (RichAd("cx1", Fraction(4, 5), Fraction(6)),)),
+    ),
+    total_space=Fraction(9),
+)
+
+
+@pytest.mark.parametrize(
+    "mech",
+    [pricing.Mechanism(kind, pricing.mixture_rule(p)) for kind in ("myerson", "gsp") for p in (Fraction(2, 3), Fraction(1, 2))],
+    ids=lambda m: m.describe(),
+)
+def test_sweep_is_exact_when_no_two_denominators_share_a_factor(mech):
+    # a wrong lcm in the integer pass would show here, where the dynamics
+    # pool's denominators all share the factor 2
+    truth = truthful_profile(COPRIME)
+    spaces = strategy_spaces(COPRIME, Fraction(1, 7))
+    dens = 1  # the swept utilities' denominators: the values' and rates' factors reach them
+    for rep in (truth, shaded(COPRIME, truth)):
+        assert_sweep_matches(COPRIME, rep, mech, spaces)
+        ev = equilibrium._Evaluator(COPRIME, truth, mech)
+        for adv_id, space in spaces.items():
+            cap = truth.bids[adv_id]
+            for subset, row in zip(space.subsets, ev.utility_table(rep, adv_id, space)):
+                assert all(type(u) is Fraction and gcd(u.numerator, u.denominator) == 1 for u in row)
+                if subset:
+                    want = sweep_by_fractions(ev, rep.replace(adv_id, cap, subset), adv_id, space.bids)
+                    assert {bid: row[space.bids.index(bid)] for bid in want} == want
+                    dens = lcm(dens, *(u.denominator for u in want.values()))
+    assert all(dens % q == 0 for q in (2, 3, 5)), dens
+
+
+def test_a_grid_must_be_nonnegative_and_strictly_ascending():
+    subsets = (frozenset({"ax1"}), frozenset())
+    for bids in ((Fraction(1), Fraction(1, 2)), (Fraction(0), Fraction(1), Fraction(1)), (Fraction(-1, 7), Fraction(0))):
+        with pytest.raises(ValueError, match="nonnegative and strictly ascending"):
+            equilibrium.StrategySpace("a", bids, subsets)
+    assert equilibrium.StrategySpace("a", (Fraction(0), Fraction(1, 7)), subsets).bids[-1] == Fraction(1, 7)
 
 
 def test_bids_above_the_truth_take_the_profile_path():

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import rebid_clicks, riemann_myerson, tie_candidates_pairwise, vcg_by_resolving
+from oracles import prices_along, rebid_clicks, riemann_myerson, tie_candidates_pairwise, vcg_by_resolving
 from richads import exact, fixtures, heuristics, kernels, monotone, pricing
 from richads.exact import int_opt_exhaustive
 from richads.model import Advertiser, GuardExceededError, Instance, NonMonotoneClickCurveError, RichAd, truthful_profile
@@ -23,7 +23,6 @@ from richads.pricing import (
     gsp_prices,
     mixture_rule,
     myerson_payment,
-    threshold_prices_along,
     vcg_payments,
 )
 
@@ -239,19 +238,15 @@ def test_zero_bid_pays_nothing():
 
 def test_myerson_from_curve_arithmetic():
     curve = BidThresholds(
-        adv_id="a",
-        rule_name="bpb",
-        cap=Fraction(2),
-        steps=((Fraction(0), Fraction(1)), (Fraction(1), Fraction(2))),
-        ties=[1],
-        den=1,
-        probes=0,
+        adv_id="a", rule_name="bpb", cap=Fraction(2), runs=((0, 1), (1, 2)), ties=[1], den=1, click_den=1, probes=0
     )
-    assert threshold_prices_along("myerson", curve, (Fraction(2),), (Fraction(2),)) == [1]
-    assert threshold_prices_along("myerson", curve, (Fraction(1, 2),), (Fraction(1),)) == [0]
-    assert threshold_prices_along("gsp", curve, (Fraction(2),), (Fraction(2),)) == [1]
-    assert threshold_prices_along("gsp", curve, (Fraction(2),), (Fraction(0),)) == [0]
-    assert threshold_prices_along("gsp", curve, (Fraction(1, 2),), (Fraction(1),)) == [0]
+    assert curve.steps == ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(2)))
+    # the integer pass, on these Fractions, equals the Fraction oracle everywhere (`prices_along`)
+    assert prices_along("myerson", curve, (Fraction(2),), (Fraction(2),)) == [1]
+    assert prices_along("myerson", curve, (Fraction(1, 2),), (Fraction(1),)) == [0]
+    assert prices_along("gsp", curve, (Fraction(2),), (Fraction(2),)) == [1]
+    assert prices_along("gsp", curve, (Fraction(2),), (Fraction(0),)) == [0]
+    assert prices_along("gsp", curve, (Fraction(1, 2),), (Fraction(1),)) == [0]
     # one ascending pass equals the interval-by-interval definition at every bid,
     # up to and past the cap (the curve ends there), on clicks the curve allows:
     # at a bid, at least the level of the last run below it
@@ -266,39 +261,39 @@ def test_myerson_from_curve_arithmetic():
     ]
     first = {Fraction(1): Fraction(0), Fraction(2): Fraction(1)}
     for xs in (under, [Fraction(2)] * len(bids)):
-        assert threshold_prices_along("myerson", curve, bids, xs) == [b * x - a for b, x, a in zip(bids, xs, area)]
+        assert prices_along("myerson", curve, bids, xs) == [b * x - a for b, x, a in zip(bids, xs, area)]
         cpc = [first[x] if first[x] < b else b for b, x in zip(bids, xs)]
-        assert threshold_prices_along("gsp", curve, bids, xs) == cpc
+        assert prices_along("gsp", curve, bids, xs) == cpc
     # clicks below that level are a drop at the bid itself; GSP checks none at no clicks
     for b, level in zip(bids, under):
         for x in (Fraction(0), Fraction(1)):
             if x >= level:
                 continue
             with pytest.raises(NonMonotoneClickCurveError):
-                threshold_prices_along("myerson", curve, (b,), (x,))
+                prices_along("myerson", curve, (b,), (x,))
             if x:
                 with pytest.raises(NonMonotoneClickCurveError):
-                    threshold_prices_along("gsp", curve, (b,), (x,))
+                    prices_along("gsp", curve, (b,), (x,))
             else:
-                assert threshold_prices_along("gsp", curve, (b,), (x,)) == [0]
+                assert prices_along("gsp", curve, (b,), (x,)) == [0]
 
 
 def test_a_drop_at_the_bid_raises_in_the_one_pass():
     # clicks 0 below 3 and 1 from there to the cap 4; at the bid 4 the clicks
     # fall to 1/2, below the last run under 4: the pass raises on (4, 4)
-    curve = BidThresholds("a", "greedy-bpb", Fraction(4), ((Fraction(0), Fraction(0)), (Fraction(3), Fraction(1))), [3], 1, 0)
+    curve = BidThresholds("a", "greedy-bpb", Fraction(4), ((0, 0), (3, 2)), [3], 1, 2, 0)
     bids = (Fraction(2), Fraction(4))
     for kind in ("myerson", "gsp"):
         with pytest.raises(NonMonotoneClickCurveError) as err:
-            threshold_prices_along(kind, curve, bids, (Fraction(0), Fraction(1, 2)))
+            prices_along(kind, curve, bids, (Fraction(0), Fraction(1, 2)))
         got = err.value
         assert (got.adv_id, got.rule_name, got.left_clicks, got.right_clicks) == ("a", "greedy-bpb", 1, Fraction(1, 2))
         assert got.left_interval == (3, 4) and got.right_interval == (4, 4)
     # no clicks at 4: Myerson raises, GSP charges nothing and reads no level
     with pytest.raises(NonMonotoneClickCurveError):
-        threshold_prices_along("myerson", curve, bids, (Fraction(0), Fraction(0)))
-    assert threshold_prices_along("gsp", curve, bids, (Fraction(0), Fraction(0))) == [0, 0]
-    assert threshold_prices_along("gsp", curve, bids, (Fraction(0), Fraction(1))) == [0, 3]
+        prices_along("myerson", curve, bids, (Fraction(0), Fraction(0)))
+    assert prices_along("gsp", curve, bids, (Fraction(0), Fraction(0))) == [0, 0]
+    assert prices_along("gsp", curve, bids, (Fraction(0), Fraction(1))) == [0, 3]
 
 
 def test_priced_outcome_serialization():
@@ -379,8 +374,9 @@ def test_curves_through_the_kernel_equal_curves_through_rebids(monkeypatch):
         {
             name: replace(
                 branch,
-                probe=lambda bidder, num, den, name=name: rebid_clicks(
-                    bidder.view, bidder.adv_id, Fraction(num, den), ((Fraction(1), name),)
+                probe=lambda bidder, num, den, name=name: pricing.clicks_over(
+                    rebid_clicks(bidder.view, bidder.adv_id, Fraction(num, den), ((Fraction(1), name),)),
+                    bidder.click_den,
                 ),
             )
             for name, branch in pricing.BRANCHES.items()
@@ -510,7 +506,7 @@ def test_ir_bound_is_checked_under_python_O():
 
         if __debug__:
             sys.exit("not running under -O")
-        pricing.threshold_prices_along = lambda kind, curve, bids, clicks: [b * x + 1 for b, x in zip(bids, clicks)]
+        pricing.threshold_prices_along = lambda kind, curve, bids, den, clicks: ([b * x + 1 for b, x in zip(bids, clicks)], 1)
         inst = fixtures.fx2()
         try:
             pricing.myerson_payment(inst, truthful_profile(inst), pricing.mixture_rule())

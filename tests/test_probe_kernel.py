@@ -47,7 +47,7 @@ def assert_probe_matches_rebid(inst, rep, adv_id):
         for branch in BRANCHES:
             expected = rebid_clicks(view, adv_id, bid, ((Fraction(1), branch),))
             got = pricing.BRANCHES[branch].probe(probe, bid.numerator, bid.denominator)
-            assert got == expected, (adv_id, branch, bid)
+            assert Fraction(got, probe.click_den) == expected, (adv_id, branch, bid)
 
 
 @st.composite
@@ -138,7 +138,8 @@ def test_bidder_without_competing_rows():
         assert view.span("a") == (0, len(view))
         assert_probe_matches_rebid(inst, rep, "a")
         for branch in BRANCHES:
-            assert pricing.BRANCHES[branch].probe(view.probe("a"), 1, 7) == Fraction(1, 2)
+            probe = view.probe("a")
+            assert Fraction(pricing.BRANCHES[branch].probe(probe, 1, 7), probe.click_den) == Fraction(1, 2)
 
 
 def test_budget_used_up_exactly():

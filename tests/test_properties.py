@@ -7,11 +7,20 @@ from hypothesis import given, settings, strategies as st
 
 import pytest
 
-from oracles import brute_force_opt, rebid, reported_value, tie_candidates_pairwise, vcg_by_resolving
+from oracles import (
+    brute_force_opt,
+    integer_pass_drops_at_tie_bids,
+    prices_along,
+    rebid,
+    reported_value,
+    tie_candidates_pairwise,
+    vcg_by_resolving,
+)
 from richads import exact, fracopt, harness, heuristics, kernels, monotone, pricing
 from richads.model import (
     Advertiser,
     Instance,
+    NonMonotoneClickCurveError,
     ReportProfile,
     RichAd,
     truthful_profile,
@@ -279,13 +288,17 @@ def assert_bisection_matches_scan(inst, rep, adv_id, branch):
     assert len(set(probed)) == len(probed) == curve.probes <= len(scanned)
 
     # the scan's runs, interval by interval, are the curve's
+    scale = view.probe(adv_id).click_den
+    assert curve.click_den == scale
+    scanned = [Fraction(c, scale) for c in scanned]
     runs = []
     for (lo, _hi), c in zip(intervals, scanned):
         if not runs or c != runs[-1][1]:
             runs.append((lo, c))
     assert tuple(runs) == curve.steps
+    integer_pass_drops_at_tie_bids(view, curve, branch)
     clicks = pricing.branch_allocate(inst, rep, branch).clicks(inst, adv_id)
-    [myerson] = pricing.threshold_prices_along("myerson", curve, (bid,), (clicks,))
+    [myerson] = prices_along("myerson", curve, (bid,), (clicks,))
     # the integral, interval by interval
     area = sum(
         ((min(hi, bid) - lo) * c for (lo, hi), c in zip(intervals, scanned) if lo < bid),
@@ -294,7 +307,8 @@ def assert_bisection_matches_scan(inst, rep, adv_id, branch):
     assert myerson == bid * clicks - area
     # GSP: the lowest interval below the bid with the bid's clicks, else the bid
     gsp = next((lo for (lo, _hi), c in zip(intervals, scanned) if c == clicks and lo < bid), bid) if clicks else 0
-    assert pricing.threshold_prices_along("gsp", curve, (bid,), (clicks,)) == [gsp]
+    assert prices_along("gsp", curve, (bid,), (clicks,)) == [gsp]
+
 
 
 def test_bisection_matches_scan_on_tie_corpus(tie_corpus):
@@ -328,6 +342,39 @@ def test_bisection_matches_scan(pair, adv_index, branch, limit):
     inst = replace(inst, cardinality_limit=limit)
     adv = inst.advertisers[adv_index % len(inst.advertisers)]
     assert_bisection_matches_scan(inst, rep, adv.adv_id, branch)
+
+
+@pytest.mark.parametrize("limit", (None, 1, 2))
+def test_integer_pass_equals_the_fraction_oracle_at_tie_bids_on_tie_corpus(tie_corpus, limit):
+    # every branch, the greedy ones capped too; a curve that drops between
+    # its intervals raises while it is built and has no bids to price
+    drops = 0
+    for inst in tie_corpus:
+        inst = replace(inst, cardinality_limit=limit)
+        rep = truthful_profile(inst)
+        view = kernels.ScaledView(inst, rep)
+        for adv in inst.advertisers:
+            for branch in pricing.BRANCHES:
+                try:
+                    curve = pricing._build_curve(view, adv.adv_id, rep.bids[adv.adv_id], branch, branch)
+                except NonMonotoneClickCurveError:
+                    continue
+                drops += integer_pass_drops_at_tie_bids(view, curve, branch)
+    assert drops > 0
+
+
+@settings(deadline=None, max_examples=80)
+@given(reported(min_quarters=1), st.integers(0, 2), st.sampled_from(sorted(pricing.BRANCHES)), st.sampled_from((None, 1, 2)))
+def test_integer_pass_equals_the_fraction_oracle_at_tie_bids(pair, adv_index, branch, limit):
+    inst, rep = pair
+    inst = replace(inst, cardinality_limit=limit)
+    adv = inst.advertisers[adv_index % len(inst.advertisers)]
+    view = kernels.ScaledView(inst, rep)
+    try:
+        curve = pricing._build_curve(view, adv.adv_id, rep.bids[adv.adv_id], branch, branch)
+    except NonMonotoneClickCurveError:
+        return
+    integer_pass_drops_at_tie_bids(view, curve, branch)
 
 
 def assert_ties_match_pairwise(inst, rep):
