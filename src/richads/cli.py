@@ -133,7 +133,12 @@ def _explain_payments(inst: Instance, rep: ReportProfile, outcome: pricing.Price
             }
             if curve is not None:
                 (cpc,), den = pricing.threshold_prices_along(
-                    "gsp", curve, (bid.numerator,), bid.denominator, (pricing.clicks_over(clicks, curve.click_den),)
+                    "gsp",
+                    curve,
+                    (bid.numerator,),
+                    bid.denominator,
+                    (pricing.clicks_over(clicks, curve.click_den),),
+                    rule.name,
                 )
                 entry.update(
                     candidates=len(curve.ties),

@@ -98,10 +98,12 @@ def strategy_spaces(inst: Instance, delta: Fraction) -> dict[str, StrategySpace]
 class _Evaluator:
     """Memoised outcome/payment evaluation across many nearby profiles.
 
-    A profile's branch allocations are run on one view.
-    Click curves are cached per (advertiser, branch, report with the
-    advertiser at the cap), since an advertiser's own bid moves along a
-    fixed curve while the rest of the profile stands still.
+    A utility reads one view of its profile: the branch allocations run on
+    it once, for the outcome and the payment alike. Click curves are cached
+    per (advertiser, branch, report with the advertiser at the cap), since
+    an advertiser's own bid moves along a fixed curve while the rest of the
+    profile stands still; the misses of one payment share one view of that
+    report.
     `curves_built` and `curves_cached` count the curve lookups that built a
     curve and those the cache served.
     """
@@ -123,10 +125,11 @@ class _Evaluator:
             view = kernels.ScaledView(self.inst, rep)
         return tuple(pricing.branch_allocate(self.inst, rep, branch, view) for _prob, branch in self.branches)
 
-    def outcome(self, rep: ReportProfile) -> Mixture:
+    def outcome(self, rep: ReportProfile, view: kernels.ScaledView | None = None) -> Mixture:
+        """The mechanism's lottery at `rep`; `view`, when given, is the view of (inst, rep)."""
         if self.mech.pricing == "vcg":
             return self._vcg_outcome(rep).mixture
-        allocs = self._branch_alloc(rep)
+        allocs = self._branch_alloc(rep, view)
         return Mixture(branches=tuple((prob, alloc) for (prob, _branch), alloc in zip(self.branches, allocs)))
 
     def _vcg_outcome(self, rep: ReportProfile) -> pricing.PricedOutcome:
@@ -137,31 +140,41 @@ class _Evaluator:
             self._vcg[key] = got
         return got
 
-    def _curve(self, at_cap: ReportProfile, adv_id: str, branch: str, view: kernels.ScaledView | None = None):
+    def _curve(self, at_cap: ReportProfile, adv_id: str, branch: str, views: list | None = None):
         """The branch's click curve of `adv_id` on (0, cap], `at_cap` being
-        the report with `adv_id` bidding the cap; `view`, when given, is
-        the view of (inst, at_cap) and serves its probes."""
+        the report with `adv_id` bidding the cap. `views`, when given, holds
+        the view of (inst, at_cap) that serves the probes, or is empty: a
+        cache miss then builds that view into it, so the misses of one
+        report share it."""
         key = (adv_id, branch, at_cap.key())
         got = self._curves.get(key)
         if got is None:
             self.curves_built += 1
-            if view is None:
-                view = kernels.ScaledView(self.inst, at_cap)
-            got = pricing._build_curve(view, adv_id, at_cap.bids[adv_id], branch, branch)
+            if views is None:
+                views = []
+            if not views:
+                views.append(kernels.ScaledView(self.inst, at_cap))
+            got = pricing._build_curve(views[0], adv_id, at_cap.bids[adv_id], branch, branch)
             self._curves[key] = got
         else:
             self.curves_cached += 1
         return got
 
-    def payment(self, rep: ReportProfile, adv_id: str) -> Fraction:
+    def payment(self, rep: ReportProfile, adv_id: str, view: kernels.ScaledView | None = None) -> Fraction:
+        """`adv_id`'s payment at `rep`; `view`, when given, is the view of
+        (inst, rep). Its curves are read at the report with `adv_id` at the
+        cap: that view when the bid is the cap, else one view of that report
+        built on the first curve-cache miss and shared by every branch."""
         if self.mech.pricing == "vcg":
             return self._vcg_outcome(rep).payments.get(adv_id, Fraction(0))
         bid = rep.bids.get(adv_id, Fraction(0))
         subset = rep.subsets.get(adv_id, frozenset())
         if bid <= 0 or not subset:
             return Fraction(0)
-        at_cap = rep.replace(adv_id, max(bid, self.truth.bids.get(adv_id, bid)), subset)
-        view = kernels.ScaledView(self.inst, rep)
+        if view is None:
+            view = kernels.ScaledView(self.inst, rep)
+        cap = self.truth.bids.get(adv_id, bid)
+        at_cap, views = (rep, [view]) if bid >= cap else (rep.replace(adv_id, cap, subset), [])
         scale = view.probe(adv_id).click_den
         (paid,), den, _curves = pricing.threshold_payments(
             self.mech.pricing,
@@ -169,13 +182,15 @@ class _Evaluator:
             bid.denominator,
             self.branches,
             [(pricing.clicks_over(alloc.clicks(self.inst, adv_id), scale),) for alloc in self._branch_alloc(rep, view)],
-            lambda branch: self._curve(at_cap, adv_id, branch),
+            lambda branch: self._curve(at_cap, adv_id, branch, views),
         )
         return Fraction(paid, den)
 
     def utility(self, rep: ReportProfile, adv_id: str) -> Fraction:
+        """`adv_id`'s utility at `rep`: the outcome and the payment read one view of `rep`."""
         value = self.truth.bids.get(adv_id, Fraction(0))
-        return value * self.outcome(rep).clicks(self.inst, adv_id) - self.payment(rep, adv_id)
+        view = None if self.mech.pricing == "vcg" else kernels.ScaledView(self.inst, rep)
+        return value * self.outcome(rep, view).clicks(self.inst, adv_id) - self.payment(rep, adv_id, view)
 
     def utility_table(self, rep: ReportProfile, adv_id: str, space: StrategySpace) -> list[list[Fraction]]:
         """`adv_id`'s utility at every strategy of `space`, the others as in
@@ -227,16 +242,11 @@ class _Evaluator:
         probe = view.probe(adv_id)
         clicks = [[pricing.BRANCHES[b].probe(probe, num, grid_den) for num in nums] for _prob, b in self.branches]
         paid, den, _curves = pricing.threshold_payments(
-            self.mech.pricing, nums, grid_den, self.branches, clicks, lambda b: self._curve(at_cap, adv_id, b, view)
+            self.mech.pricing, nums, grid_den, self.branches, clicks, lambda b: self._curve(at_cap, adv_id, b, [view])
         )
         # expected clicks over click_den times the probabilities' lcm, then
         # cap * clicks and the payments over one denominator
-        probs = lcm(*(prob.denominator for prob, _branch in self.branches))
-        x = [0] * len(nums)
-        for (prob, _branch), xs in zip(self.branches, clicks):
-            w = prob.numerator * (probs // prob.denominator)
-            if w:
-                x = [a + w * b for a, b in zip(x, xs)]
+        x, probs = pricing.expected_clicks(self.branches, clicks)
         clicks_den = cap.denominator * probe.click_den * probs
         total = lcm(den, clicks_den)
         c, d = cap.numerator * (total // clicks_den), total // den
@@ -276,15 +286,20 @@ def best_response(
 
 
 def _best_of(table: list[list[Fraction]], space: StrategySpace) -> tuple[Fraction, frozenset[str], Fraction]:
-    """(bid, subset, utility) at `table`'s best entry, under `best_response`'s tie rule."""
-    best = None  # (utility, bid index, subset index)
+    """(bid, subset, utility) at `table`'s best entry, under `best_response`'s
+    tie rule. Entries are compared as integers, n * d' against n' * d, not
+    as Fractions."""
+    best = None  # (bid index, subset index) of the best entry so far, of utility n / d
+    n = d = 0
     for si, row in enumerate(table):
         for bi, u in enumerate(row):
-            if best is None or u > best[0] or (u == best[0] and (bi, si) < (best[1], best[2])):
-                best = (u, bi, si)
+            c = u.numerator * d - n * u.denominator
+            if best is None or c > 0 or (c == 0 and (bi, si) < best):
+                best, n, d = (bi, si), u.numerator, u.denominator
     if best is None:
         raise ValueError(f"empty strategy space for advertiser {space.adv_id!r}")
-    return space.bids[best[1]], space.subsets[best[2]], best[0]
+    bi, si = best
+    return space.bids[bi], space.subsets[si], table[si][bi]
 
 
 @dataclass(frozen=True)

@@ -158,6 +158,9 @@ def run_comparison(corpus: Sequence[Instance], mechanisms: Iterable[str] = MECHA
     Each instance's `cardinality_limit` caps the greedy rules and the exact
     optimum. Every row is priced by `Mechanism.price` on one view of the truthful
     report, whose DP gives the optimum, cross-checked when small, and the VCG row.
+    The view keeps each branch's allocation and each bidder's click curve per
+    branch, so the rows that share a branch run it and build its curves once,
+    and the welfare floor reads the truthful row's welfare.
     """
     mechanisms = list(mechanisms)
     if not mechanisms:
@@ -183,7 +186,7 @@ def run_comparison(corpus: Sequence[Instance], mechanisms: Iterable[str] = MECHA
             continue
         frac = fracopt.fractional_opt(inst, rep)
 
-        outcomes = {}
+        welfare = {}
         for name, mech in mechs:
             start = time.perf_counter()
             payment = None
@@ -192,14 +195,14 @@ def run_comparison(corpus: Sequence[Instance], mechanisms: Iterable[str] = MECHA
             else:
                 try:
                     priced = mech.price(inst, rep, view)
-                    outcomes[name] = priced.mixture
+                    outcome = priced.mixture
                     payment = priced.total_payment()
                 except NonMonotoneClickCurveError as exc:
                     # greedy rules carry no monotonicity promise (capped
                     # greedy-bpb breaks it); leave the payment blank
                     payment_warnings.append((instance_id, name, str(exc)))
-                    outcomes[name] = pricing.rule_allocate(inst, rep, mech.rule, view)
-                sw = social_welfare(inst, outcomes[name])
+                    outcome = pricing.rule_allocate(inst, rep, mech.rule, view)
+                sw = welfare[name] = social_welfare(inst, outcome)
             runtime_us = int((time.perf_counter() - start) * 1e6)
             rows.append(
                 {
@@ -214,8 +217,10 @@ def run_comparison(corpus: Sequence[Instance], mechanisms: Iterable[str] = MECHA
             )
 
         # load-bearing: the truthful mechanism is a 3-approximation
-        truthful = outcomes.get("truthful-3approx") or pricing.rule_allocate(inst, rep, pricing.mixture_rule(), view)
-        if 3 * social_welfare(inst, truthful) < frac.objective:
+        truthful = welfare.get("truthful-3approx")
+        if truthful is None:
+            truthful = social_welfare(inst, pricing.rule_allocate(inst, rep, pricing.mixture_rule(), view))
+        if 3 * truthful < frac.objective:
             raise InvariantViolation(
                 f"truthful mixture fell below a third of the fractional optimum on {instance_id}"
             )

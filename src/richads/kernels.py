@@ -35,8 +35,9 @@ class ScaledView:
     whose `cardinality_limit` is below 1 has no view: it raises `ValueError`.
     `limit` is the cap that binds: the `cardinality_limit` when it is below
     the number of advertisers, else None (no advertiser set reaches it). What
-    the view derives on first use (its densities, walk orders, bidder probes
-    and capacity DP) it keeps in one memo (`memo`).
+    the view derives on first use (its densities, walk orders, bidder probes,
+    branch allocations, click curves and capacity DP) it keeps in one memo
+    (`memo`), so every mechanism priced on one view shares them.
     """
 
     FIELDS = (
@@ -79,7 +80,10 @@ class ScaledView:
 
     def memo(self, key, build, *args):
         """`build(*args)`, built on first use and kept under `key`: "densities",
-        the "bpb" and "value" orders, ("probe", adv_id) and "dp" (`exact.capacity_dp`)."""
+        the "bpb" and "value" orders, ("probe", adv_id), ("alloc", branch)
+        (`pricing.branch_allocate`), ("curve", adv_id, branch) (the branch's
+        click curve of `adv_id` capped at their bid here, `pricing._build_curve`)
+        and "dp" (`exact.capacity_dp`). A build that raises keeps nothing."""
         got = self._memo.get(key)
         if got is None:
             got = self._memo[key] = build(*args)

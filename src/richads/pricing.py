@@ -32,6 +32,8 @@ from .model import (
     as_mixture,
 )
 
+ZERO = Fraction(0)
+
 # --- the rule table --------------------------------------------------------
 
 
@@ -125,18 +127,20 @@ def rule_branches(rule: AllocationRule) -> tuple[tuple[Fraction, str], ...]:
 def branch_allocate(
     inst: Instance, rep: ReportProfile, branch: str, view: kernels.ScaledView | None = None
 ) -> Allocation:
-    """One branch's allocation; `view`, when given, is the view of (inst, rep)."""
+    """One branch's allocation; `view`, when given, is the view of (inst,
+    rep), and keeps the allocation for every later call on it."""
     if branch not in BRANCHES:
         raise ValueError(f"unknown branch {branch!r}")
     if view is None:
         view = kernels.ScaledView(inst, rep)
-    return BRANCHES[branch].allocate(view)
+    return view.memo(("alloc", branch), BRANCHES[branch].allocate, view)
 
 
 def rule_allocate(
     inst: Instance, rep: ReportProfile, rule: AllocationRule, view: kernels.ScaledView | None = None
 ) -> Outcome:
-    """The rule's outcome: every branch runs on one view of (inst, rep)."""
+    """The rule's outcome: every branch runs on one view of (inst, rep),
+    once per view (`branch_allocate`)."""
     if view is None:
         view = kernels.ScaledView(inst, rep)
     allocs = tuple((p, branch_allocate(inst, rep, b, view)) for p, b in rule_branches(rule))
@@ -157,11 +161,12 @@ class BidThresholds:
     `ties[i] / den` (`kernels.BidderProbe.ties`' integers). `probes` counts
     the kernel reads (`kernels.BidderProbe`, no allocation) that found the
     runs. `steps` and `thresholds` give the runs and the candidates as
-    Fractions, built on read.
+    Fractions, built on read. A curve is the bidder's and the branch's, not
+    a rule's: a view keeps one for every rule priced on it, so an error
+    read off it names the rule its caller passes in.
     """
 
     adv_id: str
-    rule_name: str
     cap: Fraction
     runs: tuple[tuple[int, int], ...]
     ties: Sequence[int]
@@ -243,7 +248,7 @@ def _build_curve(view: kernels.ScaledView, adv_id: str, cap: Fraction, branch: s
                 adv_id, rule_name, (lo, mid), (mid, hi), Fraction(level, c), Fraction(x, c)
             )
         runs.append((points[j], x))
-    return BidThresholds(adv_id, rule_name, cap, tuple(runs), ties, den, bidder.click_den, len(probed))
+    return BidThresholds(adv_id, cap, tuple(runs), ties, den, bidder.click_den, len(probed))
 
 
 def bid_thresholds(inst: Instance, rep: ReportProfile, adv_id: str, rule: AllocationRule) -> BidThresholds:
@@ -255,7 +260,7 @@ def bid_thresholds(inst: Instance, rep: ReportProfile, adv_id: str, rule: Alloca
         raise ValueError(f"rule {rule.name!r} is a lottery of {names}: its click curves are per branch")
     cap = rep.bids.get(adv_id, Fraction(0))
     if cap <= 0:
-        return BidThresholds(adv_id, rule.name, cap, (), (), cap.denominator, 1, 0)
+        return BidThresholds(adv_id, cap, (), (), cap.denominator, 1, 0)
     return _build_curve(kernels.ScaledView(inst, rep), adv_id, cap, branches[0][1], rule.name)
 
 
@@ -270,7 +275,7 @@ def clicks_over(x: Fraction, den: int) -> int:
 
 
 def threshold_prices_along(
-    kind: str, curve: BidThresholds, bids: Sequence[int], bid_den: int, clicks: Sequence[int]
+    kind: str, curve: BidThresholds, bids: Sequence[int], bid_den: int, clicks: Sequence[int], rule_name: str
 ) -> tuple[list[int], int]:
     """A branch's threshold price at each of the ascending bids
     `bids[k] / bid_den`, where the bidder gets `clicks[k] / curve.click_den`
@@ -286,8 +291,8 @@ def threshold_prices_along(
     serves every bid: O(bids + runs), all in integers over L. The curve is
     probed inside its intervals only, so clicks at b below the level of
     the last run below b (a drop at the bid itself) show only here: they
-    raise `NonMonotoneClickCurveError` on (b, b), except under GSP at no
-    clicks. The tests keep the pass in Fractions as the oracle
+    raise `NonMonotoneClickCurveError` on (b, b), naming `rule_name`, except
+    under GSP at no clicks. The tests keep the pass in Fractions as the oracle
     (`tests/oracles.threshold_prices_along`).
     """
     scale = lcm(bid_den, curve.den, curve.cap.denominator)
@@ -314,7 +319,7 @@ def threshold_prices_along(
             if x < level and (x or not gsp):
                 at, c = Fraction(b, scale), curve.click_den
                 raise NonMonotoneClickCurveError(
-                    curve.adv_id, curve.rule_name, (Fraction(lo, scale), at), (at, at),
+                    curve.adv_id, rule_name, (Fraction(lo, scale), at), (at, at),
                     Fraction(level, c), Fraction(x, c),
                 )
         if gsp:
@@ -371,21 +376,29 @@ def _finish_outcome(
     inst: Instance,
     rep: ReportProfile,
     mixture: Mixture,
-    payments: dict[str, Fraction],
     rule_name: str,
+    priced: Mapping[str, tuple[int, int, int, int]],
     curves: dict[str, tuple[BidThresholds | None, ...]] | None = None,
 ) -> PricedOutcome:
+    """The priced outcome, each advertiser's payment p checked against
+    0 <= p <= bid * clicks in integers. `priced[adv_id]` is (p's numerator,
+    its denominator, the expected clicks' numerator, their denominator), for
+    every advertiser, both denominators positive. A payment outside the
+    bound raises `InvariantViolation`; otherwise it makes one `Fraction`,
+    and its cost per click another. The tests keep the check in Fractions
+    as the oracle (`tests/oracles.finish_outcome`)."""
+    payments: dict[str, Fraction] = {}
     cpc: dict[str, Fraction | None] = {}
-    for adv in inst.advertisers:
-        p = payments.get(adv.adv_id, Fraction(0))
-        x = mixture.clicks(inst, adv.adv_id)
-        bid = rep.bids.get(adv.adv_id, Fraction(0))
-        if not 0 <= p <= bid * x:
+    for adv_id in inst.adv_ids():
+        pn, pd, xn, xd = priced[adv_id]
+        bid = rep.bids.get(adv_id, ZERO)
+        if pn < 0 or pn * xd * bid.denominator > bid.numerator * xn * pd:
+            p, x = Fraction(pn, pd), Fraction(xn, xd)
             raise InvariantViolation(
-                f"{rule_name} payment {p} for {adv.adv_id} violates 0 <= p <= bid*clicks = {bid * x}"
+                f"{rule_name} payment {p} for {adv_id} violates 0 <= p <= bid*clicks = {bid * x}"
             )
-        payments[adv.adv_id] = p
-        cpc[adv.adv_id] = p / x if x > 0 else None
+        payments[adv_id] = Fraction(pn, pd)
+        cpc[adv_id] = Fraction(pn * xd, pd * xn) if xn > 0 else None
     return PricedOutcome(
         rule_name=rule_name, mixture=mixture, payments=payments, cpc=cpc, curves=curves or {}
     )
@@ -398,6 +411,7 @@ def threshold_payments(
     branches: tuple[tuple[Fraction, str], ...],
     clicks: Sequence[Sequence[int]],
     curve: Callable[[str], BidThresholds],
+    rule_name: str | None = None,
 ) -> tuple[list[int], int, tuple[BidThresholds | None, ...]]:
     """One bidder's "myerson" or "gsp" payment at each of the ascending
     positive bids `bids[k] / bid_den`, as (numerators, their common
@@ -412,7 +426,8 @@ def threshold_payments(
     denominators times their probabilities'. GSP charges a branch that
     gives no clicks at any bid nothing and reads no curve for it (None in
     the curves). Clicks at a bid below the curve's level just under it
-    raise `NonMonotoneClickCurveError` (`threshold_prices_along`).
+    raise `NonMonotoneClickCurveError` (`threshold_prices_along`) naming
+    `rule_name`, or the branch when it is None.
     """
     parts = []  # (probability, prices, their denominator) per branch priced
     curves: list[BidThresholds | None] = []
@@ -422,7 +437,7 @@ def threshold_payments(
             continue
         got = curve(branch)
         curves.append(got)
-        prices, den = threshold_prices_along(kind, got, bids, bid_den, xs)
+        prices, den = threshold_prices_along(kind, got, bids, bid_den, xs, rule_name or branch)
         if kind == "gsp":
             prices, den = [cpc * x for cpc, x in zip(prices, xs)], den * got.click_den
         parts.append((prob, prices, den))
@@ -435,39 +450,62 @@ def threshold_payments(
     return paid, total, tuple(curves)
 
 
+def expected_clicks(
+    branches: tuple[tuple[Fraction, str], ...], clicks: Sequence[Sequence[int]]
+) -> tuple[list[int], int]:
+    """A lottery's expected clicks at each bid, where branch j gives
+    `clicks[j][k]` at bid k, as (numerators, P), P the lcm of the
+    probabilities' denominators: at bid k they are numerators[k] over P
+    times the clicks' own denominator."""
+    probs = lcm(*(prob.denominator for prob, _branch in branches))
+    x = [0] * len(clicks[0])
+    for (prob, _branch), xs in zip(branches, clicks):
+        w = prob.numerator * (probs // prob.denominator)
+        if w:
+            x = [a + w * b for a, b in zip(x, xs)]
+    return x, probs
+
+
 def _threshold_prices(
     inst: Instance, rep: ReportProfile, rule: AllocationRule, kind: str, view: kernels.ScaledView | None
 ) -> PricedOutcome:
-    """Every bidder's `threshold_payments` at their reported bid, one
-    `Fraction` per payment. A bidder with no positive bid or no ad pays
-    nothing and reads no curve.
+    """Every bidder's `threshold_payments` at their reported bid, checked
+    and made a `Fraction` by `_finish_outcome`. A bidder with no positive
+    bid or no ad pays nothing and reads no curve.
 
     One view of the report (`view`, when given) serves the allocation and
-    the probes of every curve.
+    the probes of every curve, and keeps both: the branch allocations
+    (`branch_allocate`) and each bidder's curve per branch, capped at their
+    bid, so every rule priced on the view shares them.
     """
     branches = rule_branches(rule)
     if view is None:
         view = kernels.ScaledView(inst, rep)
     mixture = as_mixture(rule_allocate(inst, rep, rule, view))
-    payments: dict[str, Fraction] = {}
+    priced: dict[str, tuple[int, int, int, int]] = {}
     curves: dict[str, tuple[BidThresholds | None, ...]] = {}
     for adv in inst.advertisers:
         adv_id = adv.adv_id
-        bid = rep.bids.get(adv_id, Fraction(0))
+        bid = rep.bids.get(adv_id, ZERO)
         if bid <= 0 or not rep.subsets.get(adv_id):
-            payments[adv_id], curves[adv_id] = Fraction(0), ()
+            x = mixture.clicks(inst, adv_id)
+            priced[adv_id], curves[adv_id] = (0, 1, x.numerator, x.denominator), ()
             continue
         scale = view.probe(adv_id).click_den
+        clicks = [(clicks_over(alloc.clicks(inst, adv_id), scale),) for _prob, alloc in mixture.branches]
         (paid,), den, curves[adv_id] = threshold_payments(
             kind,
             (bid.numerator,),
             bid.denominator,
             branches,
-            [(clicks_over(alloc.clicks(inst, adv_id), scale),) for _prob, alloc in mixture.branches],
-            lambda branch: _build_curve(view, adv_id, bid, branch, rule.name),
+            clicks,
+            # `_build_curve` is looked up here, at call time, and runs on a miss only
+            lambda branch: view.memo(("curve", adv_id, branch), _build_curve, view, adv_id, bid, branch, rule.name),
+            rule.name,
         )
-        payments[adv_id] = Fraction(paid, den)
-    return _finish_outcome(inst, rep, mixture, payments, kind, curves)
+        (x,), probs = expected_clicks(branches, clicks)
+        priced[adv_id] = (paid, den, x, probs * scale)
+    return _finish_outcome(inst, rep, mixture, kind, priced, curves)
 
 
 def myerson_payment(
@@ -504,11 +542,15 @@ def vcg_payments(inst: Instance, rep: ReportProfile, view: kernels.ScaledView | 
     chosen = dp.choice()
     total = sum(view.val[i] for i in chosen if i >= 0)
     without = dp.optima_without(g for g, i in enumerate(chosen) if i >= 0)
-    payments = {
-        view.adv_ids[g]: Fraction(opt - (total - view.val[chosen[g]]), view.value_scale)
-        for g, opt in without.items()
-    }
-    return _finish_outcome(inst, rep, as_mixture(view.allocation(chosen)), payments, "vcg")
+    # a served row's value v is bid * alpha over value_scale, so its clicks
+    # alpha are v * bid_den over value_scale * bid_num
+    scale = view.value_scale
+    priced = dict.fromkeys(view.adv_ids, (0, 1, 0, 1))
+    for g, opt in without.items():
+        adv_id, v = view.adv_ids[g], view.val[chosen[g]]
+        bid = rep.bids[adv_id]
+        priced[adv_id] = (opt - (total - v), scale, v * bid.denominator, scale * bid.numerator)
+    return _finish_outcome(inst, rep, as_mixture(view.allocation(chosen)), "vcg", priced)
 
 
 # --- mechanisms -------------------------------------------------------------

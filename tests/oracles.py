@@ -8,6 +8,7 @@ an identity.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
@@ -29,8 +30,6 @@ def vcg_by_resolving(inst: Instance, rep: ReportProfile, solver):
     profile without them: each pays the others' optimum without them minus
     the others' value at the optimum. `pricing.vcg_payments` gets the same
     payments from two DP passes."""
-    from richads.pricing import _finish_outcome
-
     alloc = solver(inst, rep)
     eff = effective_values(inst, rep)
     total = reported_value(inst, rep, alloc)
@@ -44,7 +43,52 @@ def vcg_by_resolving(inst: Instance, rep: ReportProfile, solver):
         without = rep.replace(adv.adv_id, Fraction(0), frozenset())
         sw_without = reported_value(inst, without, solver(inst, without))
         payments[adv.adv_id] = sw_without - (total - term)
-    return _finish_outcome(inst, rep, as_mixture(alloc), payments, "vcg")
+    return finish_outcome(inst, rep, as_mixture(alloc), payments, "vcg")
+
+
+def finish_outcome(inst: Instance, rep: ReportProfile, mixture, payments: dict, rule_name: str, curves=None):
+    """`pricing._finish_outcome` in Fractions, as the library ran it before
+    its integer check: each advertiser's payment (0 when absent from
+    `payments`), checked against 0 <= p <= bid * clicks with the clicks
+    read off `mixture`, and its cost per click."""
+    from richads.model import InvariantViolation
+    from richads.pricing import PricedOutcome
+
+    cpc = {}
+    for adv in inst.advertisers:
+        p = payments.get(adv.adv_id, Fraction(0))
+        x = mixture.clicks(inst, adv.adv_id)
+        bid = rep.bids.get(adv.adv_id, Fraction(0))
+        if not 0 <= p <= bid * x:
+            raise InvariantViolation(
+                f"{rule_name} payment {p} for {adv.adv_id} violates 0 <= p <= bid*clicks = {bid * x}"
+            )
+        payments[adv.adv_id] = p
+        cpc[adv.adv_id] = p / x if x > 0 else None
+    return PricedOutcome(rule_name=rule_name, mixture=mixture, payments=payments, cpc=cpc, curves=curves or {})
+
+
+def checked_like_the_fraction_oracle(inst: Instance, rep: ReportProfile) -> Counter:
+    """Myerson, GSP and VCG at `rep` equal `finish_outcome` run on their
+    own mixture and payments (AssertionError otherwise): the integer check
+    passes where the Fraction check does, with the same costs per click.
+    Counts the advertisers priced with no clicks, with a zero bid and with
+    no ad reported."""
+    from richads import monotone, pricing
+
+    seen = Counter()
+    for mech in (
+        pricing.Mechanism("myerson", pricing.mixture_rule()),
+        pricing.Mechanism("gsp", pricing.mixture_rule(monotone.GSP_MIX_P)),
+        pricing.Mechanism("vcg"),
+    ):
+        got = mech.price(inst, rep)
+        assert got == finish_outcome(inst, rep, got.mixture, dict(got.payments), got.rule_name, got.curves), mech
+        for adv_id in inst.adv_ids():
+            seen["no clicks"] += got.cpc[adv_id] is None
+            seen["zero bid"] += rep.bids[adv_id] == 0
+            seen["no ads"] += not rep.subsets[adv_id]
+    return seen
 
 
 def walk_space_auction(inst: Instance, rep: ReportProfile, stop_on_misfit: bool):
@@ -416,14 +460,14 @@ def rebid_clicks(view, adv_id: str, bid: Fraction, branches) -> Fraction:
     )
 
 
-def threshold_prices_along(kind, curve, bids, clicks):
+def threshold_prices_along(kind, curve, bids, clicks, rule_name):
     """`pricing.threshold_prices_along` in Fractions, as the library ran it
     before its integer pass: the price at each of the ascending Fraction
     `bids` where the bidder gets the Fraction `clicks[k]`, read off the
     curve's `steps`; the Myerson payment for "myerson", the GSP per-click
     price for "gsp". Clicks below the level of the last run below a bid
-    raise `NonMonotoneClickCurveError` on (b, b), except under GSP at no
-    clicks."""
+    raise `NonMonotoneClickCurveError` on (b, b), naming `rule_name`,
+    except under GSP at no clicks."""
     from richads.model import NonMonotoneClickCurveError
 
     steps = curve.steps
@@ -443,7 +487,7 @@ def threshold_prices_along(kind, curve, bids, clicks):
         if i:
             lo, level = steps[i - 1]
             if x < level and (x or not gsp):
-                raise NonMonotoneClickCurveError(curve.adv_id, curve.rule_name, (lo, bid), (bid, bid), level, x)
+                raise NonMonotoneClickCurveError(curve.adv_id, rule_name, (lo, bid), (bid, bid), level, x)
         if gsp:
             out.append(first.get(x, bid) if x else Fraction(0))
             continue
@@ -454,7 +498,7 @@ def threshold_prices_along(kind, curve, bids, clicks):
     return out
 
 
-def integer_prices_along(kind, curve, bids, clicks):
+def integer_prices_along(kind, curve, bids, clicks, rule_name):
     """`pricing.threshold_prices_along` on Fraction bids and clicks: the
     bids as numerators over their lcm, the clicks over the curve's
     `click_den`, the prices back as Fractions."""
@@ -462,7 +506,7 @@ def integer_prices_along(kind, curve, bids, clicks):
 
     den = lcm(*(b.denominator for b in bids))
     nums = [b.numerator * (den // b.denominator) for b in bids]
-    prices, scale = integer_pass(kind, curve, nums, den, [clicks_over(x, curve.click_den) for x in clicks])
+    prices, scale = integer_pass(kind, curve, nums, den, [clicks_over(x, curve.click_den) for x in clicks], rule_name)
     return [Fraction(p, scale) for p in prices]
 
 
@@ -477,13 +521,13 @@ def priced_or_error(price, *args):
         return (str(exc), exc.left_interval, exc.right_interval, exc.left_clicks, exc.right_clicks)
 
 
-def prices_along(kind, curve, bids, clicks):
+def prices_along(kind, curve, bids, clicks, rule_name):
     """`integer_prices_along`, required to equal the Fraction oracle
     `threshold_prices_along` (AssertionError otherwise), both in its prices
     and in the drop it raises: the same message, intervals and levels."""
-    got = priced_or_error(integer_prices_along, kind, curve, bids, clicks)
-    assert got == priced_or_error(threshold_prices_along, kind, curve, bids, clicks), (kind, bids, clicks)
-    return integer_prices_along(kind, curve, bids, clicks)
+    got = priced_or_error(integer_prices_along, kind, curve, bids, clicks, rule_name)
+    assert got == priced_or_error(threshold_prices_along, kind, curve, bids, clicks, rule_name), (kind, bids, clicks)
+    return integer_prices_along(kind, curve, bids, clicks, rule_name)
 
 
 def sweep_by_fractions(ev, at_cap: ReportProfile, adv_id, bids):
@@ -505,7 +549,7 @@ def sweep_by_fractions(ev, at_cap: ReportProfile, adv_id, bids):
     for (prob, branch), xs in zip(ev.branches, clicks):
         if kind == "gsp" and not any(xs):
             continue
-        prices = threshold_prices_along(kind, ev._curve(at_cap, adv_id, branch), grid, xs)
+        prices = threshold_prices_along(kind, ev._curve(at_cap, adv_id, branch), grid, xs, branch)
         if kind == "gsp":
             prices = [cpc * x for cpc, x in zip(prices, xs)]
         paid = [p + prob * price for p, price in zip(paid, prices)]
@@ -532,7 +576,21 @@ def integer_pass_drops_at_tie_bids(view, curve, branch) -> int:
     drops = 0
     for kind in ("myerson", "gsp"):
         for at in cases:
-            got = priced_or_error(integer_prices_along, kind, curve, *at)
-            assert got == priced_or_error(threshold_prices_along, kind, curve, *at), (kind, at)
+            got = priced_or_error(integer_prices_along, kind, curve, *at, branch)
+            assert got == priced_or_error(threshold_prices_along, kind, curve, *at, branch), (kind, at)
             drops += isinstance(got, tuple)
     return drops
+
+
+def best_of_by_fractions(table, space):
+    """`equilibrium._best_of` comparing the table's Fractions, as it ran
+    before its integer comparisons: (bid, subset, utility) at the best
+    entry, ties to the lowest bid index, then the lowest subset index."""
+    best = None  # (utility, bid index, subset index)
+    for si, row in enumerate(table):
+        for bi, u in enumerate(row):
+            if best is None or u > best[0] or (u == best[0] and (bi, si) < (best[1], best[2])):
+                best = (u, bi, si)
+    if best is None:
+        raise ValueError(f"empty strategy space for advertiser {space.adv_id!r}")
+    return space.bids[best[1]], space.subsets[best[2]], best[0]

@@ -328,14 +328,14 @@ def test_criterion_9_counterexample_regressions():
         at_truth = pricing.gsp_prices(inst, truth, pricing.mixture_rule(monotone.GSP_MIX_P))
         assert at_truth.payments == {"a": Fraction(0), "b": Fraction(101, 200)}
         curve = pricing.bid_thresholds(inst, truth, "b", pricing.AllocationRule("bpb"))
-        [threshold] = prices_along("gsp", curve, (truth.bids["b"],), (Fraction(1),))
+        [threshold] = prices_along("gsp", curve, (truth.bids["b"],), (Fraction(1),), "bpb")
         assert threshold == inst.advertiser("b").value_per_click / (1 + eps4**2) == 1
         shaded = truth.replace("b", Fraction(1, 2), truth.subsets["b"])
         under = pricing.gsp_prices(inst, shaded, pricing.mixture_rule(monotone.GSP_MIX_P))
         assert under.payments["b"] == Fraction(1, 200)
         dev_curve = pricing.bid_thresholds(inst, shaded, "b", pricing.AllocationRule("bpb"))
         dev_clicks = monotone.bpb_allocation(inst, shaded).clicks(inst, "b")
-        assert prices_along("gsp", dev_curve, (Fraction(1, 2),), (dev_clicks,)) == [0]
+        assert prices_along("gsp", dev_curve, (Fraction(1, 2),), (dev_clicks,), "bpb") == [0]
 
         # value non-monotonicity of the bare space walk is repaired by the
         # best-fitting post-processing step

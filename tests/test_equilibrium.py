@@ -13,7 +13,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import best_response_by_profiles, integer_pass_drops_at_tie_bids, profile_table, sweep_by_fractions
+from oracles import (
+    best_of_by_fractions,
+    best_response_by_profiles,
+    integer_pass_drops_at_tie_bids,
+    profile_table,
+    sweep_by_fractions,
+)
 from richads import equilibrium, fixtures, harness, kernels, pricing
 from richads.equilibrium import (
     best_response,
@@ -251,12 +257,12 @@ SWEEP_MECHANISMS = (
 )
 
 
-def dynamics_pool():
+def dynamics_pool(seed=11):
     """The `dynamics` benchmark's game shapes: four fixtures at grid 1/20 and
-    60 random games of up to 3 advertisers x 2 ads at grid 1/4."""
+    60 random games of up to 3 advertisers x 2 ads at grid 1/4, drawn at `seed`."""
     games = [(fixtures.fixture(name), Fraction(1, 20)) for name in ("fx1", "fx2i", "fx4", "fx6a")]
     cfg = harness.ExperimentConfig(
-        seed=11, instances=60, max_advertisers=3, max_ads=2, max_space=8, max_total_space=16
+        seed=seed, instances=60, max_advertisers=3, max_ads=2, max_space=8, max_total_space=16
     )
     return games + [(inst, Fraction(1, 4)) for inst in harness.generate_corpus(cfg)]
 
@@ -515,6 +521,52 @@ def test_nash_search_is_unchanged_with_the_oracle_patched_in(mech, monkeypatch):
     # find_pure_nash reads best responses and the current utility off the table
     monkeypatch.setattr(equilibrium._Evaluator, "utility_table", profile_table)
     assert [find_pure_nash(inst, truth, mech, spaces) for inst, truth, spaces in pool] == swept
+
+
+@pytest.mark.parametrize("mech", SWEEP_MECHANISMS[:2], ids=lambda m: m.describe())
+def test_integer_argmax_equals_the_fraction_argmax_on_the_dynamics_pool(mech, monkeypatch):
+    # every table a Nash search from truth reads on the seed-0 pool; most
+    # hold ties (zero utilities at least), so the tie rule is exercised too
+    best_of = equilibrium._best_of
+    tables = []
+
+    def checked(table, space):
+        got = best_of(table, space)
+        assert got == best_of_by_fractions(table, space)
+        tables.append(sum(row.count(got[2]) for row in table) > 1)
+        return got
+
+    monkeypatch.setattr(equilibrium, "_best_of", checked)
+    for inst, grid in dynamics_pool(seed=0):
+        find_pure_nash(inst, truthful_profile(inst), mech, strategy_spaces(inst, grid))
+    assert len(tables) > 100 and any(tables)
+
+
+def test_a_utility_builds_one_view_per_report(monkeypatch):
+    # fx4's b bidding 1/2, below their value, under the GSP mixture: one view
+    # of the report serves the outcome and the payment's allocations and
+    # probes, and one view of the report at the cap serves both curves the
+    # payment reads. At the cap the report's view is that view too
+    inst = fixtures.fx4()
+    truth = truthful_profile(inst)
+    mech = gsp_mixture_mechanism()
+    built = []
+    init = kernels.ScaledView.__init__
+
+    def counting(self, inst, rep):
+        built.append(rep.bids["b"])
+        init(self, inst, rep)
+
+    value = truth.bids["b"]
+    for bid, views in ((Fraction(1, 2), [Fraction(1, 2), value]), (value, [value])):
+        rep = truth.replace("b", bid, FULL_B)
+        ev = equilibrium._Evaluator(inst, truth, mech)
+        with monkeypatch.context() as m:
+            m.setattr(kernels.ScaledView, "__init__", counting)
+            built.clear()
+            got = ev.utility(rep, "b")
+            assert built == views and ev.curves_built == 2
+        assert got == utility(inst, truth, rep, mech)["b"]
 
 
 def test_current_utility_off_the_grid_is_evaluated_by_profile():

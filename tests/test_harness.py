@@ -7,10 +7,11 @@ import re
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from richads import exact, fixtures, kernels, pricing
+from richads import exact, fixtures, fracopt, harness, kernels, pricing
 from richads.harness import (
     CSV_COLUMNS,
     MECHANISM_NAMES,
@@ -142,6 +143,35 @@ def test_comparison_of_every_mechanism_builds_one_view_and_one_dp_per_instance(m
     assert built == {kernels.ScaledView: len(corpus), exact.CapacityDP: len(corpus)}
 
 
+@pytest.mark.parametrize("mechanisms", [MECHANISM_NAMES, ("gsp-half", "vcg")], ids=["with-row", "without-row"])
+def test_the_welfare_floor_reads_the_truthful_rows_welfare(monkeypatch, mechanisms):
+    # on fx1 the truthful mixture earns 53/30 and the GSP one 8/5: a
+    # truthful-3approx row's welfare is the floor's, else the floor prices
+    # the truthful mixture itself. A fractional optimum at three times that
+    # welfare passes, and one just above it raises
+    inst = fixtures.fx1()
+    truthful = Fraction(53, 30)
+    assert social_welfare(inst, pricing.rule_allocate(inst, truthful_profile(inst), pricing.mixture_rule())) == truthful
+    computed = []
+
+    def welfare(inst, outcome):
+        computed.append(outcome)
+        return social_welfare(inst, outcome)
+
+    monkeypatch.setattr(harness, "social_welfare", welfare)
+    for objective in (3 * truthful, 3 * truthful + Fraction(1, 10**6)):
+        monkeypatch.setattr(fracopt, "fractional_opt", lambda inst, rep: SimpleNamespace(objective=objective))
+        computed.clear()
+        if objective == 3 * truthful:
+            run_comparison([inst], mechanisms)
+        else:
+            with pytest.raises(InvariantViolation, match="^truthful mixture fell below a third of the fractional optimum on i00000$"):
+                run_comparison([inst], mechanisms)
+        priced = [m for m in mechanisms if pricing.MECHANISMS[m] is not None]
+        # the optimum's, each priced row's, and the truthful mixture's without its row
+        assert len(computed) == 1 + len(priced) + ("truthful-3approx" not in mechanisms)
+
+
 def test_welfare_floor_holds_across_corpus(small_corpus):
     # completing without the InvariantViolation of the welfare floor is the point
     result = run_comparison(small_corpus[:120], ("truthful-3approx",))
@@ -182,12 +212,49 @@ def test_a_click_drop_at_the_bid_itself_is_a_payment_warning():
     # on i00035 a1 bids 4, a tie bid: capped greedy-bpb gives them 1 click
     # on (3, 4) but none at exactly 4. The curve is probed at interval
     # midpoints only, so the drop shows first at the bid, where the
-    # Myerson payment would read -1
+    # Myerson payment would read -1. Both rules read one greedy-bpb curve
+    # the view keeps, and each warning names its own rule
     corpus = generate_corpus(replace(tie_prone_config(seed=1, instances=60), cardinality=1))
     result = run_comparison(corpus, MECHANISM_NAMES)
     assert {row["mechanism"] for row in result.rows} == set(MECHANISM_NAMES)
-    at_bid = {(w[0], w[1]) for w in result.payment_warnings if "on (Fraction(4, 1), Fraction(4, 1))" in w[2]}
-    assert at_bid == {("i00035", "greedy-bpb"), ("i00035", "randomized-greedy")}
+    at_bid = [w for w in result.payment_warnings if "on (Fraction(4, 1), Fraction(4, 1))" in w[2]]
+    assert at_bid == [
+        (
+            "i00035",
+            rule,
+            f"clicks for advertiser 'a1' under rule {rule!r} drop from 1 on (Fraction(3, 1), Fraction(4, 1)) "
+            "to 0 on (Fraction(4, 1), Fraction(4, 1))",
+        )
+        for rule in ("greedy-bpb", "randomized-greedy")
+    ]
+
+
+def test_a_comparison_runs_each_branch_and_builds_each_curve_once(monkeypatch):
+    # the seven mechanisms of one default instance share four branches on
+    # one view: each branch's rule runs once, and each bidder's curve per
+    # branch is built once, whichever mechanism reads it first
+    inst = generate_corpus(ExperimentConfig(seed=0, instances=1))[0]
+    runs = Counter()
+    for name, branch in pricing.BRANCHES.items():
+
+        def allocate(view, name=name, allocate=branch.allocate):
+            runs[name] += 1
+            return allocate(view)
+
+        monkeypatch.setitem(pricing.BRANCHES, name, replace(branch, allocate=allocate))
+    curves = Counter()
+    build = pricing._build_curve
+
+    def counted(view, adv_id, cap, branch, rule_name):
+        curves[adv_id, branch] += 1
+        return build(view, adv_id, cap, branch, rule_name)
+
+    monkeypatch.setattr(pricing, "_build_curve", counted)
+    result = run_comparison([inst], MECHANISM_NAMES)
+    assert len(result.rows) == len(MECHANISM_NAMES) and not result.payment_warnings
+    assert len(inst.advertisers) == 4
+    assert runs == Counter(dict.fromkeys(pricing.BRANCHES, 1))
+    assert curves == Counter({(adv_id, branch): 1 for adv_id in inst.adv_ids() for branch in pricing.BRANCHES})
 
 
 def test_ratio_histogram_binning():

@@ -12,10 +12,26 @@ from pathlib import Path
 
 import pytest
 
-from oracles import prices_along, rebid_clicks, riemann_myerson, tie_candidates_pairwise, vcg_by_resolving
+from oracles import (
+    checked_like_the_fraction_oracle,
+    finish_outcome,
+    prices_along,
+    rebid_clicks,
+    riemann_myerson,
+    tie_candidates_pairwise,
+    vcg_by_resolving,
+)
 from richads import exact, fixtures, heuristics, kernels, monotone, pricing
 from richads.exact import int_opt_exhaustive
-from richads.model import Advertiser, GuardExceededError, Instance, NonMonotoneClickCurveError, RichAd, truthful_profile
+from richads.model import (
+    Advertiser,
+    GuardExceededError,
+    Instance,
+    InvariantViolation,
+    NonMonotoneClickCurveError,
+    RichAd,
+    truthful_profile,
+)
 from richads.pricing import (
     AllocationRule,
     BidThresholds,
@@ -238,15 +254,15 @@ def test_zero_bid_pays_nothing():
 
 def test_myerson_from_curve_arithmetic():
     curve = BidThresholds(
-        adv_id="a", rule_name="bpb", cap=Fraction(2), runs=((0, 1), (1, 2)), ties=[1], den=1, click_den=1, probes=0
+        adv_id="a", cap=Fraction(2), runs=((0, 1), (1, 2)), ties=[1], den=1, click_den=1, probes=0
     )
     assert curve.steps == ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(2)))
     # the integer pass, on these Fractions, equals the Fraction oracle everywhere (`prices_along`)
-    assert prices_along("myerson", curve, (Fraction(2),), (Fraction(2),)) == [1]
-    assert prices_along("myerson", curve, (Fraction(1, 2),), (Fraction(1),)) == [0]
-    assert prices_along("gsp", curve, (Fraction(2),), (Fraction(2),)) == [1]
-    assert prices_along("gsp", curve, (Fraction(2),), (Fraction(0),)) == [0]
-    assert prices_along("gsp", curve, (Fraction(1, 2),), (Fraction(1),)) == [0]
+    assert prices_along("myerson", curve, (Fraction(2),), (Fraction(2),), "bpb") == [1]
+    assert prices_along("myerson", curve, (Fraction(1, 2),), (Fraction(1),), "bpb") == [0]
+    assert prices_along("gsp", curve, (Fraction(2),), (Fraction(2),), "bpb") == [1]
+    assert prices_along("gsp", curve, (Fraction(2),), (Fraction(0),), "bpb") == [0]
+    assert prices_along("gsp", curve, (Fraction(1, 2),), (Fraction(1),), "bpb") == [0]
     # one ascending pass equals the interval-by-interval definition at every bid,
     # up to and past the cap (the curve ends there), on clicks the curve allows:
     # at a bid, at least the level of the last run below it
@@ -261,39 +277,39 @@ def test_myerson_from_curve_arithmetic():
     ]
     first = {Fraction(1): Fraction(0), Fraction(2): Fraction(1)}
     for xs in (under, [Fraction(2)] * len(bids)):
-        assert prices_along("myerson", curve, bids, xs) == [b * x - a for b, x, a in zip(bids, xs, area)]
+        assert prices_along("myerson", curve, bids, xs, "bpb") == [b * x - a for b, x, a in zip(bids, xs, area)]
         cpc = [first[x] if first[x] < b else b for b, x in zip(bids, xs)]
-        assert prices_along("gsp", curve, bids, xs) == cpc
+        assert prices_along("gsp", curve, bids, xs, "bpb") == cpc
     # clicks below that level are a drop at the bid itself; GSP checks none at no clicks
     for b, level in zip(bids, under):
         for x in (Fraction(0), Fraction(1)):
             if x >= level:
                 continue
             with pytest.raises(NonMonotoneClickCurveError):
-                prices_along("myerson", curve, (b,), (x,))
+                prices_along("myerson", curve, (b,), (x,), "bpb")
             if x:
                 with pytest.raises(NonMonotoneClickCurveError):
-                    prices_along("gsp", curve, (b,), (x,))
+                    prices_along("gsp", curve, (b,), (x,), "bpb")
             else:
-                assert prices_along("gsp", curve, (b,), (x,)) == [0]
+                assert prices_along("gsp", curve, (b,), (x,), "bpb") == [0]
 
 
 def test_a_drop_at_the_bid_raises_in_the_one_pass():
     # clicks 0 below 3 and 1 from there to the cap 4; at the bid 4 the clicks
     # fall to 1/2, below the last run under 4: the pass raises on (4, 4)
-    curve = BidThresholds("a", "greedy-bpb", Fraction(4), ((0, 0), (3, 2)), [3], 1, 2, 0)
+    curve = BidThresholds("a", Fraction(4), ((0, 0), (3, 2)), [3], 1, 2, 0)
     bids = (Fraction(2), Fraction(4))
     for kind in ("myerson", "gsp"):
         with pytest.raises(NonMonotoneClickCurveError) as err:
-            prices_along(kind, curve, bids, (Fraction(0), Fraction(1, 2)))
+            prices_along(kind, curve, bids, (Fraction(0), Fraction(1, 2)), "greedy-bpb")
         got = err.value
         assert (got.adv_id, got.rule_name, got.left_clicks, got.right_clicks) == ("a", "greedy-bpb", 1, Fraction(1, 2))
         assert got.left_interval == (3, 4) and got.right_interval == (4, 4)
     # no clicks at 4: Myerson raises, GSP charges nothing and reads no level
     with pytest.raises(NonMonotoneClickCurveError):
-        prices_along("myerson", curve, bids, (Fraction(0), Fraction(0)))
-    assert prices_along("gsp", curve, bids, (Fraction(0), Fraction(0))) == [0, 0]
-    assert prices_along("gsp", curve, bids, (Fraction(0), Fraction(1))) == [0, 3]
+        prices_along("myerson", curve, bids, (Fraction(0), Fraction(0)), "greedy-bpb")
+    assert prices_along("gsp", curve, bids, (Fraction(0), Fraction(0)), "greedy-bpb") == [0, 0]
+    assert prices_along("gsp", curve, bids, (Fraction(0), Fraction(1)), "greedy-bpb") == [0, 3]
 
 
 def test_priced_outcome_serialization():
@@ -496,6 +512,75 @@ def test_one_density_table_per_threshold_payment(monkeypatch):
             assert len(built) == 1
 
 
+def test_the_integer_check_equals_the_fraction_oracle_on_small_corpus(small_corpus):
+    # the truthful report, then with the first advertiser bidding 0 and the
+    # last reporting no ad
+    seen = Counter()
+    for inst in small_corpus[:100]:
+        truth = truthful_profile(inst)
+        first, last = inst.adv_ids()[0], inst.adv_ids()[-1]
+        for rep in (truth, truth.replace(first, Fraction(0), truth.subsets[first]).replace(last, truth.bids[last], ())):
+            seen += checked_like_the_fraction_oracle(inst, rep)
+    assert seen["no clicks"] and seen["zero bid"] and seen["no ads"]
+
+
+def test_the_integer_check_refuses_what_the_fraction_check_refuses(small_corpus):
+    # one advertiser's payment at bid * clicks, just above it, 0 and just
+    # below 0, as integer pairs and as Fractions: the same outcome or the
+    # same message
+    cases = Counter()
+    for inst in small_corpus[:40]:
+        rep = truthful_profile(inst)
+        mixture = pricing.rule_allocate(inst, rep, mixture_rule())
+        clicks = {a: mixture.clicks(inst, a) for a in inst.adv_ids()}
+        for adv_id, x in clicks.items():
+            bound = rep.bids[adv_id] * x
+            for p in (bound, bound + Fraction(1, 10**9), Fraction(0), Fraction(-1, 10**9)):
+                priced = {a: (0, 1, c.numerator, c.denominator) for a, c in clicks.items()}
+                priced[adv_id] = (p.numerator, p.denominator, x.numerator, x.denominator)
+                want = pricing_or_message(finish_outcome, inst, rep, mixture, {adv_id: p}, "myerson")
+                got = pricing_or_message(pricing._finish_outcome, inst, rep, mixture, "myerson", priced)
+                assert got == want, (adv_id, p)
+                cases[isinstance(got, str)] += 1
+    assert cases[True] and cases[False]
+
+
+def pricing_or_message(finish, *args):
+    """`finish(*args)`, or the message of the `InvariantViolation` it raises."""
+    try:
+        return finish(*args)
+    except InvariantViolation as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "mech",
+    (pricing.Mechanism("myerson", mixture_rule()), pricing.Mechanism("gsp", mixture_rule(monotone.GSP_MIX_P))),
+    ids=lambda m: m.describe(),
+)
+def test_a_forced_negative_payment_raises_the_fraction_checks_message(monkeypatch, mech):
+    # every threshold payment forced to minus (itself + 1): the first
+    # advertiser raises, with the message the Fraction check gives
+    inst = fixtures.fx1()
+    rep = truthful_profile(inst)
+    good = mech.price(inst, rep)
+    first = inst.adv_ids()[0]
+    want = pricing_or_message(
+        finish_outcome, inst, rep, good.mixture, {first: -good.payments[first] - 1}, mech.pricing
+    )
+    assert want.startswith(f"{mech.pricing} payment -")
+    price = pricing.threshold_payments
+
+    def negated(*args):
+        paid, den, curves = price(*args)
+        return [-p - den for p in paid], den, curves
+
+    monkeypatch.setattr(pricing, "threshold_payments", negated)
+    with pytest.raises(InvariantViolation) as err:
+        mech.price(inst, rep)
+    assert str(err.value) == want
+
+
 def test_ir_bound_is_checked_under_python_O():
     # the payment check must not be an assert: -O strips those
     script = textwrap.dedent(
@@ -506,7 +591,7 @@ def test_ir_bound_is_checked_under_python_O():
 
         if __debug__:
             sys.exit("not running under -O")
-        pricing.threshold_prices_along = lambda kind, curve, bids, den, clicks: ([b * x + 1 for b, x in zip(bids, clicks)], 1)
+        pricing.threshold_prices_along = lambda kind, curve, bids, den, clicks, rule: ([b * x + 1 for b, x in zip(bids, clicks)], 1)
         inst = fixtures.fx2()
         try:
             pricing.myerson_payment(inst, truthful_profile(inst), pricing.mixture_rule())

@@ -9,6 +9,7 @@ import pytest
 
 from oracles import (
     brute_force_opt,
+    checked_like_the_fraction_oracle,
     integer_pass_drops_at_tie_bids,
     prices_along,
     rebid,
@@ -242,6 +243,13 @@ def test_payments_are_individually_rational(pair):
                 assert outcome.cpc[adv_id] == paid / clicks
 
 
+@settings(deadline=None, max_examples=60)
+@given(reported())
+def test_the_integer_payment_check_equals_the_fraction_oracle(pair):
+    # zero bids, reports of no ad and no clicks (cost per click None) included
+    checked_like_the_fraction_oracle(*pair)
+
+
 @settings(deadline=None, max_examples=25)
 @given(instances(), st.integers(0, 2))
 def test_myerson_leaves_no_profitable_grid_deviation(inst, adv_index):
@@ -298,7 +306,7 @@ def assert_bisection_matches_scan(inst, rep, adv_id, branch):
     assert tuple(runs) == curve.steps
     integer_pass_drops_at_tie_bids(view, curve, branch)
     clicks = pricing.branch_allocate(inst, rep, branch).clicks(inst, adv_id)
-    [myerson] = prices_along("myerson", curve, (bid,), (clicks,))
+    [myerson] = prices_along("myerson", curve, (bid,), (clicks,), branch)
     # the integral, interval by interval
     area = sum(
         ((min(hi, bid) - lo) * c for (lo, hi), c in zip(intervals, scanned) if lo < bid),
@@ -307,7 +315,7 @@ def assert_bisection_matches_scan(inst, rep, adv_id, branch):
     assert myerson == bid * clicks - area
     # GSP: the lowest interval below the bid with the bid's clicks, else the bid
     gsp = next((lo for (lo, _hi), c in zip(intervals, scanned) if c == clicks and lo < bid), bid) if clicks else 0
-    assert prices_along("gsp", curve, (bid,), (clicks,)) == [gsp]
+    assert prices_along("gsp", curve, (bid,), (clicks,), branch) == [gsp]
 
 
 
