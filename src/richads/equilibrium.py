@@ -33,6 +33,7 @@ from .model import (
 )
 from .monotone import _assignment_from_view, bpb_allocation, max_value_allocation
 from .monotone import space_assignment  # noqa: F401  (the benchmark's tracer wraps it here)
+from .pricing import ZERO
 from .pricing import Mechanism, gsp_mixture_mechanism, myerson_mixture_mechanism  # noqa: F401  (re-exported)
 
 STRATEGY_ADS_GUARD = 4
@@ -197,20 +198,20 @@ class _Evaluator:
         `rep`: row si, column bi is `utility` at
         `rep.replace(adv_id, space.bids[bi], space.subsets[si])`.
 
-        The empty subset reports no ad, so it is evaluated at one bid and
-        holds at all. For a threshold-priced rule, the positive bids up to
-        the true value (the cap of every curve they price against) are swept
-        per subset; the other strategies (bid 0, bids above the cap, VCG)
-        are evaluated profile by profile.
+        A zero bid or the empty subset reports no ad, so by the view's
+        contract (`kernels.ScaledView`) it gets no clicks and pays nothing:
+        its utility is 0, with no view built. For a threshold-priced rule,
+        the positive bids up to the true value (the cap of every curve they
+        price against) are swept per nonempty subset; the other strategies
+        (bids above the cap, VCG's positive bids) are evaluated profile by
+        profile.
         """
         cap = self.truth.bids.get(adv_id, Fraction(0))
         sweep = self.mech.pricing != "vcg" and cap > 0
         table = []
         for subset in space.subsets:
-            row: list = [None] * len(space.bids)
-            if not subset and row:
-                row = [self.utility(rep.replace(adv_id, space.bids[0], subset), adv_id)] * len(row)
-            elif sweep:
+            row: list = [ZERO if not subset or not bid else None for bid in space.bids]
+            if sweep and subset:
                 self._sweep(rep.replace(adv_id, cap, subset), adv_id, space.bids, row)
             for bi, bid in enumerate(space.bids):
                 if row[bi] is None:
@@ -382,6 +383,13 @@ def find_pure_nash(
             if not got.ok:
                 violations.append(got)
 
+    def result(status: str, equilibrium: ReportProfile | None, rounds: int, cycle=None) -> NashResult:
+        # only convergence ends on a pass that scanned every deviation
+        return NashResult(
+            status, equilibrium, rounds, verified=status == "converged", cycle=cycle,
+            beta_checks=checks, beta_violations=tuple(violations),
+        )
+
     run_beta(current)
     for round_no in range(1, max_rounds + 1):
         improved = False
@@ -416,35 +424,12 @@ def find_pure_nash(
                 run_beta(current)
                 key = current.key()
                 if key in seen:
-                    start = seen[key]
-                    return NashResult(
-                        status="cycle",
-                        equilibrium=None,
-                        rounds=round_no,
-                        verified=False,
-                        cycle=tuple(history[start:]) + (current,),
-                        beta_checks=checks,
-                        beta_violations=tuple(violations),
-                    )
+                    return result("cycle", None, round_no, tuple(history[seen[key] :]) + (current,))
                 seen[key] = len(history)
                 history.append(current)
         if not improved:
-            return NashResult(
-                status="converged",
-                equilibrium=current,
-                rounds=round_no,
-                verified=True,
-                beta_checks=checks,
-                beta_violations=tuple(violations),
-            )
-    return NashResult(
-        status="max-rounds",
-        equilibrium=None,
-        rounds=max_rounds,
-        verified=False,
-        beta_checks=checks,
-        beta_violations=tuple(violations),
-    )
+            return result("converged", current, round_no)
+    return result("max-rounds", None, max_rounds)
 
 
 def poa_report(

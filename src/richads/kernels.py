@@ -30,9 +30,11 @@ class ScaledView:
     Reported ads are sorted by (adv_id, ad_id); effective values are scaled
     by the lcm of their denominators, spaces (and the total) by the lcm of
     theirs, so every kernel comparison is an exact integer comparison. Ads
-    with zero effective value (unreported advertiser, zero bid) are treated
-    as unreported: no rule ever benefits from allocating them. An instance
-    whose `cardinality_limit` is below 1 has no view: it raises `ValueError`.
+    of zero effective value (a zero bid, a zero click rate) have no row,
+    like unreported ones. Every rule allocates rows only, so a report with
+    no row (a zero bid, an empty subset) gets no clicks, and it pays
+    nothing under Myerson, GSP and VCG. An instance whose
+    `cardinality_limit` is below 1 has no view: it raises `ValueError`.
     `limit` is the cap that binds: the `cardinality_limit` when it is below
     the number of advertisers, else None (no advertiser set reaches it). What
     the view derives on first use (its densities, walk orders, bidder probes,
@@ -90,8 +92,9 @@ class ScaledView:
         return got
 
     def probe(self, adv_id: str) -> "BidderProbe":
-        """`adv_id`'s clicks under every deterministic rule at any bid, the
-        other rows fixed as in this view. Built once per bidder."""
+        """`adv_id`'s clicks under every deterministic rule at any positive
+        bid, the other rows fixed as in this view, where `adv_id` must bid
+        above 0. Built once per bidder."""
         return self.memo(("probe", adv_id), BidderProbe, self, adv_id)
 
     def span(self, adv_id: str) -> tuple[int, int]:
@@ -147,7 +150,9 @@ class ScaledView:
 class BidderProbe:
     """One bidder's clicks under each deterministic rule at a positive bid
     num / den, everyone else's report fixed, as an integer numerator over
-    `click_den`, the lcm of the bidder's own click-rate denominators.
+    `click_den`, the lcm of the bidder's own click-rate denominators. The
+    reads scale the bidder's rows in the view, so the bidder must bid above
+    0 there (else `ValueError`); at bid 0 they have no clicks to probe.
 
     Each rule's tables are built on first use from the view and hold click
     rates as those numerators; a probe then reads them in integers and makes
@@ -205,10 +210,8 @@ class BidderProbe:
     __slots__ = ("view", "adv_id", "_own_rows", "_click_den", "_walk", "_fit", "_max", "_value", "_greedy")
 
     def __init__(self, view: ScaledView, adv_id: str):
-        rep = view.rep
-        if rep.bids.get(adv_id, 0) <= 0:
-            # the bidder has no rows in this view: scale them in once
-            view = ScaledView(view.inst, rep.replace(adv_id, Fraction(1), rep.subsets.get(adv_id, frozenset())))
+        if view.rep.bids.get(adv_id, 0) <= 0:
+            raise ValueError(f"cannot probe {adv_id!r} at bid 0: they have no rows in the view to scale")
         self.view = view
         self.adv_id = adv_id
         self._own_rows = self._walk = self._fit = self._max = self._value = self._greedy = None
@@ -330,7 +333,8 @@ class BidderProbe:
         view's bid denominator, the others' best fitting value times its
         numerator, and the floor the difference of the two must beat: 0 to
         win strictly, -1 to win ties). Both values are 0 when the outcome
-        does not depend on the bid."""
+        does not depend on the bid: no own row fits, so no bid serves the
+        bidder, or no other row fits, so any positive bid does."""
         view = self.view
         lo, hi, bn, bd, alphas = self._own()
         own = other = -1
@@ -343,9 +347,6 @@ class BidderProbe:
             elif other < 0 or view.val[i] > view.val[other]:
                 other = i
         if own < 0:
-            # when no row fits at all the rule serves a reported ad outside
-            # the view; the bidder's there have click rate <= 0 (validation
-            # rejects them), and those of rate 0 give no clicks
             return 0, 0, 0, -1
         if other < 0:
             return alphas[own - lo], 0, 0, -1

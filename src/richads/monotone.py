@@ -127,7 +127,10 @@ def bpb_allocation(inst: Instance, rep: ReportProfile, view: ScaledView | None =
 
 
 def max_value_allocation(inst: Instance, rep: ReportProfile, view: ScaledView | None = None) -> Allocation:
-    """Serve only the single most valuable reported ad that fits at all.
+    """Serve only the single most valuable reported ad that fits at all,
+    value ties to the lower (adv_id, ad_id). An ad of zero reported value
+    (a zero bid, a zero click rate) is not in the view, so when none of
+    positive value fits nobody is served.
 
     `view`, when given, must be the view of (inst, rep).
     """
@@ -139,15 +142,8 @@ def max_value_allocation(inst: Instance, rep: ReportProfile, view: ScaledView | 
             continue
         if best < 0 or view.val[i] > view.val[best]:
             best = i
-    if best >= 0:
-        return Allocation(entries={view.adv_ids[view.adv[best]]: (view.ad_ids[best], WHOLE)})
-    # every reported ad is worth zero (the view keeps positives only), but
-    # the rule still serves the first fitting one by (adv_id, ad_id)
-    for adv in inst.advertisers:
-        for ad_id in sorted(rep.subsets.get(adv.adv_id, ())):
-            if adv.ad(ad_id).space <= inst.total_space:
-                return Allocation(entries={adv.adv_id: (ad_id, WHOLE)})
-    return Allocation(entries={})
+    entries = {view.adv_ids[view.adv[best]]: (view.ad_ids[best], WHOLE)} if best >= 0 else {}
+    return Allocation(entries=entries)
 
 
 def randomized_mechanism(inst: Instance, rep: ReportProfile, p: Fraction = TRUTHFUL_MIX_P) -> Mixture:

@@ -471,7 +471,7 @@ def _threshold_prices(
 ) -> PricedOutcome:
     """Every bidder's `threshold_payments` at their reported bid, checked
     and made a `Fraction` by `_finish_outcome`. A bidder with no positive
-    bid or no ad pays nothing and reads no curve.
+    bid or no ad gets no clicks, pays nothing and reads no curve.
 
     One view of the report (`view`, when given) serves the allocation and
     the probes of every curve, and keeps both: the branch allocations
@@ -488,8 +488,8 @@ def _threshold_prices(
         adv_id = adv.adv_id
         bid = rep.bids.get(adv_id, ZERO)
         if bid <= 0 or not rep.subsets.get(adv_id):
-            x = mixture.clicks(inst, adv_id)
-            priced[adv_id], curves[adv_id] = (0, 1, x.numerator, x.denominator), ()
+            # no row in the view: no clicks (`kernels.ScaledView`)
+            priced[adv_id], curves[adv_id] = (0, 1, 0, 1), ()
             continue
         scale = view.probe(adv_id).click_den
         clicks = [(clicks_over(alloc.clicks(inst, adv_id), scale),) for _prob, alloc in mixture.branches]

@@ -507,11 +507,8 @@ def test_bids_above_the_truth_take_the_profile_path():
         ev.utility = lambda rep, adv_id: evaluated.append((rep.bids[adv_id], rep.subsets[adv_id])) or by_profile(rep, adv_id)
         table = ev.utility_table(truth, "b", space)
         assert table == profile_table(equilibrium._Evaluator(inst, truth, mech), truth, "b", space)
-        # bid 0 and the bid above the truth per nonempty subset, the empty subset once
-        full = [s for s in space.subsets if s]
-        assert Counter(evaluated) == Counter(
-            [(Fraction(0), s) for s in full] + [(value + Fraction(1, 3), s) for s in full] + [(Fraction(0), frozenset())]
-        )
+        # the bid above the truth per nonempty subset; bid 0 and the empty subset are 0 with no view
+        assert Counter(evaluated) == Counter((value + Fraction(1, 3), s) for s in space.subsets if s)
 
 
 @pytest.mark.parametrize("mech", SWEEP_MECHANISMS[:2], ids=lambda m: m.describe())

@@ -102,15 +102,13 @@ def test_max_value_fx6b():
     assert alloc.entries == {"b": ("bx1", Fraction(1))}
 
 
-def test_max_value_all_zero_bids_serves_first_by_tie_order():
+def test_max_value_all_zero_bids_serves_nobody():
     inst = fixtures.fx5()
     rep = ReportProfile(
         bids={"a": Fraction(0), "b": Fraction(0)},
         subsets={"a": frozenset({"ax1"}), "b": frozenset({"bx1"})},
     )
-    alloc = max_value_allocation(inst, rep)
-    assert alloc.entries == {"a": ("ax1", Fraction(1))}
-    assert reported_value(inst, rep, alloc) == 0
+    assert max_value_allocation(inst, rep).entries == {}
 
 
 def test_max_value_empty_reports():

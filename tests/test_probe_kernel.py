@@ -54,8 +54,9 @@ def assert_probe_matches_rebid(inst, rep, adv_id):
 def probe_cases(draw):
     """A report and one bidder, on instances validation would reject too:
     ads of space 0 or click rate 0, ads wider than the total space, zero
-    bids and subsets smaller than the catalog; no cardinality cap or one of
-    1 and 2."""
+    bids from the others (the bidder's is positive: see
+    `test_a_zero_bid_probe_is_refused`) and subsets smaller than the
+    catalog; no cardinality cap or one of 1 and 2."""
     advertisers = []
     for i in range(draw(st.integers(1, 4))):
         ads = tuple(
@@ -73,17 +74,26 @@ def probe_cases(draw):
         total_space=Fraction(draw(st.integers(1, 16))),
         cardinality_limit=draw(st.sampled_from((None, 1, 2))),
     )
+    probed = draw(st.sampled_from(inst.adv_ids()))
     bids, subsets = {}, {}
     for adv in inst.advertisers:
-        bids[adv.adv_id] = adv.value_per_click * Fraction(draw(st.integers(0, 4)), 4)
+        bids[adv.adv_id] = adv.value_per_click * Fraction(draw(st.integers(1 if adv.adv_id == probed else 0, 4)), 4)
         subsets[adv.adv_id] = frozenset(draw(st.sets(st.sampled_from(adv.ad_ids()))))
-    return inst, ReportProfile(bids=bids, subsets=subsets), draw(st.sampled_from(inst.adv_ids()))
+    return inst, ReportProfile(bids=bids, subsets=subsets), probed
 
 
 @settings(deadline=None, max_examples=300)
 @given(probe_cases())
 def test_probe_matches_rebid(case):
     assert_probe_matches_rebid(*case)
+
+
+def test_a_zero_bid_probe_is_refused():
+    inst = _instance(5, ("a", 2, [("ax1", "1/2", 3)]), ("b", 3, [("bx1", 1, 1)]))
+    view = kernels.ScaledView(inst, truthful_profile(inst).replace("a", Fraction(0), frozenset({"ax1"})))
+    with pytest.raises(ValueError, match="cannot probe 'a' at bid 0"):
+        view.probe("a")
+    assert pricing.BRANCHES["max-value"].probe(view.probe("b"), 1, 1) == 1
 
 
 def test_probe_matches_rebid_on_tie_corpus(tie_corpus):

@@ -386,11 +386,14 @@ def test_integer_pass_equals_the_fraction_oracle_at_tie_bids(pair, adv_index, br
 
 
 def assert_ties_match_pairwise(inst, rep):
-    """For every bidder, the candidates read off the report's one view equal
-    the pairwise Fraction ties, at the bid and at caps above it."""
+    """For every bidder of positive bid (one at bid 0 has no probe), the
+    candidates read off the report's one view equal the pairwise Fraction
+    ties, at the bid and at caps above it."""
     view = kernels.ScaledView(inst, rep)
     for adv in inst.advertisers:
         bid = rep.bids.get(adv.adv_id, Fraction(0))
+        if bid <= 0:
+            continue
         for cap in {bid, max(bid, adv.value_per_click), 2 * bid + Fraction(1, 3)}:
             for kinds in (("bpb",), ("value",), ("bpb", "value")):
                 nums, den = view.probe(adv.adv_id).ties(kinds, cap)
@@ -406,9 +409,13 @@ def test_shared_ties_match_pairwise_on_tie_corpus(tie_corpus):
 
 
 @settings(deadline=None, max_examples=150)
-@given(reported())
-def test_shared_ties_match_pairwise(pair):
-    assert_ties_match_pairwise(*pair)
+@given(reported(), st.integers(0, 2), st.integers(1, 4))
+def test_shared_ties_match_pairwise(pair, adv_index, quarters):
+    # one bidder bids above 0, the others anything on the grid, 0 included
+    inst, rep = pair
+    adv = inst.advertisers[adv_index % len(inst.advertisers)]
+    rep = rep.replace(adv.adv_id, adv.value_per_click * Fraction(quarters, 4), rep.subsets[adv.adv_id])
+    assert_ties_match_pairwise(inst, rep)
 
 
 @settings(deadline=None)
@@ -477,3 +484,40 @@ def test_one_pass_vcg_equals_the_resolving_oracles(pair):
         assert fast.payments == oracle.payments
         assert fast.cpc == oracle.cpc
         assert fast.to_dict() == oracle.to_dict()
+
+
+@st.composite
+def silent_reports(draw):
+    """An instance (a lone advertiser among them), capped or not, and a
+    report in which each advertiser bids above 0 on some subset, bids 0, or
+    reports the empty subset; in an all-zero profile every bid is 0."""
+    inst = draw(instances())
+    inst = replace(inst, cardinality_limit=draw(st.sampled_from((None, 1, 2))))
+    all_zero = draw(st.booleans())
+    bids, subsets = {}, {}
+    for adv in inst.advertisers:
+        how = "zero" if all_zero else draw(st.sampled_from(("bid", "zero", "empty")))
+        bids[adv.adv_id] = adv.value_per_click * Fraction(0 if how == "zero" else draw(st.integers(1, 4)), 4)
+        subsets[adv.adv_id] = frozenset() if how == "empty" else frozenset(draw(st.sets(st.sampled_from(adv.ad_ids()))))
+    return inst, ReportProfile(bids=bids, subsets=subsets)
+
+
+@settings(deadline=None, max_examples=200)
+@given(silent_reports())
+def test_a_report_of_no_ad_gets_no_clicks_and_pays_nothing(pair):
+    # the view's contract: an advertiser with no row in it (a zero bid, an
+    # empty subset) is served by no rule and charged by no pricing
+    inst, rep = pair
+    silent = [a for a in inst.adv_ids() if rep.bids[a] <= 0 or not rep.subsets[a]]
+    outcomes = [pricing.rule_allocate(inst, rep, pricing.AllocationRule(name)) for name in pricing.RULES]
+    outcomes += [exact.int_opt_dp(inst, rep), fracopt.two_approx_integral(inst, rep)]
+    for outcome in outcomes:
+        assert [outcome.clicks(inst, a) for a in silent] == [0] * len(silent)
+    mechanisms = [pricing.Mechanism("vcg")]
+    mechanisms += [pricing.Mechanism(kind, pricing.AllocationRule(name)) for kind in ("myerson", "gsp") for name in pricing.RULES]
+    for mech in mechanisms:
+        try:
+            priced = mech.price(inst, rep)
+        except NonMonotoneClickCurveError:
+            continue  # a greedy-bpb curve of a bidder of positive bid drops
+        assert [(priced.mixture.clicks(inst, a), priced.payments[a]) for a in silent] == [(0, 0)] * len(silent)
