@@ -208,6 +208,23 @@ def test_greedy_payment_warnings_are_pinned():
     assert hashlib.sha1(json.dumps(warnings).encode()).hexdigest()[:12] == "187e5a26132e"
 
 
+def test_comparison_rows_are_pinned():
+    # every row but its runtime, every skip and every payment warning of
+    # the default and tie-prone corpora, seeds 0-2, caps None/1/2/3 and all
+    # seven mechanisms, pinned by one digest: 16,800 rows, no skips, and
+    # 100 warnings each for greedy-bpb and randomized-greedy
+    record = []
+    for make in (lambda seed: ExperimentConfig(seed=seed), lambda seed: tie_prone_config(seed=seed)):
+        for seed in (0, 1, 2):
+            for cardinality in (None, 1, 2, 3):
+                result = run_comparison(generate_corpus(replace(make(seed), cardinality=cardinality)), MECHANISM_NAMES)
+                rows = [{k: v for k, v in row.items() if k != "runtime_us"} for row in result.rows]
+                record.append([seed, cardinality, rows, result.skipped, result.payment_warnings])
+    assert sum(len(r[2]) for r in record) == 16800 and not any(r[3] for r in record)
+    assert Counter(w[1] for r in record for w in r[4]) == {"greedy-bpb": 100, "randomized-greedy": 100}
+    assert hashlib.sha1(json.dumps(record).encode()).hexdigest()[:12] == "5939b27a420f"
+
+
 def test_a_click_drop_at_the_bid_itself_is_a_payment_warning():
     # on i00035 a1 bids 4, a tie bid: capped greedy-bpb gives them 1 click
     # on (3, 4) but none at exactly 4. The curve is probed at interval
