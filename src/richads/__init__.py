@@ -21,12 +21,7 @@ from .equilibrium import (
 )
 from .exact import int_opt_cross_checked, int_opt_dp, int_opt_exhaustive
 from .fixtures import fixture
-from .fracopt import (
-    FractionalSolution,
-    eliminate_dominated,
-    fractional_opt,
-    two_approx_integral,
-)
+from .fracopt import FractionalSolution, eliminate_dominated, fractional_opt
 from .harness import (
     ExperimentConfig,
     generate_corpus,
@@ -48,11 +43,9 @@ from .model import (
     RichAd,
     Violation,
     load_instance,
-    save_instance,
     social_welfare,
     truthful_profile,
     validate_instance,
-    validate_report,
 )
 from .monotone import (
     GSP_MIX_P,
@@ -125,15 +118,12 @@ __all__ = [
     "run_comparison",
     "run_experiment",
     "sample_mixture",
-    "save_instance",
     "social_welfare",
     "space_assignment",
     "strategy_spaces",
     "tie_prone_config",
     "truthful_profile",
-    "two_approx_integral",
     "utility",
     "validate_instance",
-    "validate_report",
     "vcg_payments",
 ]

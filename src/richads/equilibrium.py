@@ -440,15 +440,19 @@ def poa_report(
 ) -> list[dict]:
     """Welfare ratios of equilibria against the exact and fractional optima;
     each equilibrium is priced once, by `Mechanism.price`. One view of the
-    truthful report gives the exact optimum (`exact.capacity_dp`) and
-    prices an equilibrium equal to that report under every pricing."""
+    truthful report gives the exact optimum (`exact.capacity_dp`), the
+    fractional optimum and every welfare, an equilibrium's matched to the
+    view's rows by (advertiser, ad), all in integers; it also prices an
+    equilibrium equal to that report under every pricing."""
     view = kernels.ScaledView(inst, truth)
-    opt_sw = social_welfare(inst, view.allocation(exact.capacity_dp(view).choice()))
-    frac_obj = fracopt.fractional_opt(inst, truth).objective
+    opt_num, opt_den = view.welfare(view.allocation(exact.capacity_dp(view).choice()))
+    opt_sw = Fraction(opt_num, opt_den)
+    frac_obj = fracopt.fractional_opt(inst, truth, view).objective
     rows = []
     for rep in equilibria:
         priced = mechanism.price(inst, rep, view if rep.key() == truth.key() else None)
-        sw = social_welfare(inst, priced.mixture)
+        num, den = view.welfare(priced.mixture)
+        sw = Fraction(num, den)
         rows.append(
             {
                 "profile": {
@@ -458,7 +462,7 @@ def poa_report(
                 "sw": str(sw),
                 "int_opt_sw": str(opt_sw),
                 "frac_opt_value": str(frac_obj),
-                "ratio_int_opt": str(opt_sw / sw) if sw > 0 else None,
+                "ratio_int_opt": str(Fraction(opt_num * den, opt_den * num)) if num > 0 else None,
                 "utilities": {a: str(u) for a, u in _utilities(inst, truth, priced).items()},
                 "payments": {a: str(priced.payments[a]) for a in inst.adv_ids()},
             }

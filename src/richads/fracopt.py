@@ -11,17 +11,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, NamedTuple
 
-from .model import Allocation, Instance, ReportProfile, effective_values
+from .kernels import ScaledView
+from .model import WHOLE, Instance, ReportProfile
 
 
 class AdPoint(NamedTuple):
-    """One ad of a single advertiser as a (space, value) point."""
+    """One ad of a single advertiser as a (space, value) point: Fractions,
+    or a view's scaled integers."""
 
     ad_id: str
-    value: Fraction
-    space: Fraction
+    value: Fraction | int
+    space: Fraction | int
+
+
+ORIGIN = AdPoint("", 0, 0)  # the empty ad
 
 
 @dataclass(frozen=True)
@@ -41,7 +47,10 @@ def eliminate_dominated(points: Iterable[AdPoint]) -> tuple[tuple[AdPoint, ...],
     which is the upper-concave-envelope test; equality pops as well.
 
     Survivors come back ordered by space, strictly increasing in both value
-    and space, with strictly decreasing incremental bang-per-buck.
+    and space, with strictly decreasing incremental bang-per-buck. The test
+    only compares and cross-multiplies, so scaling every value by one
+    positive factor and every space by another changes nothing: it runs on
+    Fractions (`--explain`) and on a view's integers (`fractional_opt`).
     """
     removals: list[Removal] = []
     alive: list[AdPoint] = []
@@ -68,7 +77,7 @@ def eliminate_dominated(points: Iterable[AdPoint]) -> tuple[tuple[AdPoint, ...],
     for pt in survivors:
         while stack:
             prev = stack[-1]
-            below = stack[-2] if len(stack) >= 2 else AdPoint("", Fraction(0), Fraction(0))
+            below = stack[-2] if len(stack) >= 2 else ORIGIN
             lower = (prev.value - below.value) * (pt.space - prev.space)
             upper = (pt.value - prev.value) * (prev.space - below.space)
             if upper >= lower:
@@ -121,93 +130,65 @@ class FractionalSolution:
         return total
 
 
-def fractional_opt(inst: Instance, rep: ReportProfile) -> FractionalSolution:
-    """Exact optimum of the fractional relaxation.
+def fractional_opt(inst: Instance, rep: ReportProfile, view: ScaledView | None = None) -> FractionalSolution:
+    """Exact optimum of the fractional relaxation, on the view's integers.
 
-    Walks envelope increments globally by (incremental bang-per-buck desc,
-    adv_id asc, upper ad_id asc). Each increment replaces the advertiser's
-    current holding by the next envelope point; the first increment that no
-    longer fits is split fractionally and the walk stops.
+    The greedy walk over each advertiser's concave envelope that solves the
+    LP relaxation of the multiple-choice knapsack (Sinha & Zoltners,
+    Operations Research 1979). Each advertiser's envelope is
+    `eliminate_dominated` of their rows' scaled (val, spc) points: it only
+    compares and cross-multiplies, and one scale per axis keeps every
+    comparison. Increments are walked by (incremental bang-per-buck desc,
+    adv_id asc, upper ad_id asc), the bang-per-buck of a step of value dv
+    and width dw keyed dv * (L // dw) over L, the lcm of the widths. Each
+    increment replaces the advertiser's current holding by the next
+    envelope point; the first increment that no longer fits is split
+    fractionally and the walk stops. Fractions are made only for the
+    solution's split weights and its objective. `view`, when given, is the
+    view of (inst, rep).
     """
-    chains: dict[str, tuple[AdPoint, ...]] = {}
-    increments = []  # (ibpb, adv_id, lower point | None, upper point)
-    for adv in inst.advertisers:
-        survivors, _ = eliminate_dominated(advertiser_points(inst, rep, adv.adv_id))
-        chains[adv.adv_id] = survivors
+    if view is None:
+        view = ScaledView(inst, rep)
+    steps = []  # (dv, dw, adv_id, lower point | None, upper point)
+    for adv_id in view.adv_ids:
+        lo, hi = view.span(adv_id)
+        survivors, _ = eliminate_dominated(
+            [AdPoint(view.ad_ids[i], view.val[i], view.spc[i]) for i in range(lo, hi)]
+        )
         prev: AdPoint | None = None
         for pt in survivors:
-            dv = pt.value - (prev.value if prev else Fraction(0))
-            dw = pt.space - (prev.space if prev else Fraction(0))
-            increments.append((dv / dw, adv.adv_id, prev, pt))
+            below = prev or ORIGIN
+            steps.append((pt.value - below.value, pt.space - below.space, adv_id, prev, pt))
             prev = pt
-    increments.sort(key=lambda t: (-t[0], t[1], t[3].ad_id))
+    scale = lcm(*(dw for _dv, dw, *_ in steps))
+    steps.sort(key=lambda t: (-t[0] * (scale // t[1]), t[2], t[4].ad_id))
 
     held: dict[str, AdPoint] = {}
-    remaining = inst.total_space
+    remaining = view.total
     entries: dict[str, tuple[tuple[str, Fraction], ...]] = {}
-    objective = Fraction(0)
+    split_num, split_den = 0, 1  # the split advertiser's value over split_den
     fractional_adv: str | None = None
-    for _ibpb, adv_id, lower, upper in increments:
+    for _dv, dw, adv_id, lower, upper in steps:
         if remaining == 0:
             break
-        lower_space = lower.space if lower else Fraction(0)
-        lower_value = lower.value if lower else Fraction(0)
-        inc = upper.space - lower_space
-        if inc <= remaining:
+        if dw <= remaining:
             held[adv_id] = upper
-            remaining -= inc
+            remaining -= dw
         else:
             # fractional stop: fill the leftover space with a mix of
             # the current holding and the next envelope point
-            x_upper = remaining / inc
-            x_lower = 1 - x_upper
             pairs = []
             if lower is not None:
-                pairs.append((lower.ad_id, x_lower))
-            pairs.append((upper.ad_id, x_upper))
+                pairs.append((lower.ad_id, Fraction(dw - remaining, dw)))
+            pairs.append((upper.ad_id, Fraction(remaining, dw)))
             entries[adv_id] = tuple(pairs)
-            objective += lower_value * x_lower + upper.value * x_upper
+            split_num = (lower or ORIGIN).value * (dw - remaining) + upper.value * remaining
+            split_den = dw
             fractional_adv = adv_id
             held.pop(adv_id, None)
-            remaining = Fraction(0)
             break
     for adv_id, pt in held.items():
-        entries[adv_id] = ((pt.ad_id, Fraction(1)),)
-        objective += pt.value
+        entries[adv_id] = ((pt.ad_id, WHOLE),)
+    whole = sum(pt.value for pt in held.values())
+    objective = Fraction(whole * split_den + split_num, split_den * view.value_scale)
     return FractionalSolution(entries=entries, objective=objective, fractional_adv=fractional_adv)
-
-
-def two_approx_integral(inst: Instance, rep: ReportProfile) -> Allocation:
-    """Integral allocation worth at least half the fractional optimum.
-
-    If the fractional optimum is already integral it is returned as is.
-    Otherwise exactly one advertiser holds a fractional mix; the result is
-    the better (at reported values) of the other advertisers' integral
-    holdings and that advertiser's single most valuable reported ad, ties
-    preferring the integral holdings.
-    """
-    frac = fractional_opt(inst, rep)
-    eff = effective_values(inst, rep)
-    integral: dict[str, tuple[str, Fraction]] = {}
-    integral_value = Fraction(0)
-    for adv_id, pairs in frac.entries.items():
-        if adv_id == frac.fractional_adv:
-            continue
-        ad_id, _ = pairs[0]
-        integral[adv_id] = (ad_id, Fraction(1))
-        integral_value += eff[(adv_id, ad_id)]
-    if frac.fractional_adv is None:
-        return Allocation(entries=integral)
-
-    best_ad: str | None = None
-    best_value = Fraction(0)
-    split_adv = inst.advertiser(frac.fractional_adv)
-    for ad in sorted(split_adv.ads, key=lambda a: a.ad_id):
-        key = (split_adv.adv_id, ad.ad_id)
-        if key in eff and ad.space <= inst.total_space and eff[key] > best_value:
-            best_ad = ad.ad_id
-            best_value = eff[key]
-
-    if best_ad is not None and best_value > integral_value:
-        return Allocation(entries={split_adv.adv_id: (best_ad, Fraction(1))})
-    return Allocation(entries=integral)

@@ -27,7 +27,7 @@ from .model import (
     InvariantViolation,
     NonMonotoneClickCurveError,
     RichAd,
-    social_welfare,
+    social_welfare,  # noqa: F401  (the benchmark's tracer wraps it here)
     truthful_profile,
 )
 
@@ -135,8 +135,9 @@ MECHANISM_NAMES = tuple(pricing.MECHANISMS)
 CSV_COLUMNS = ("instance_id", "mechanism", "sw", "ratio_int_opt", "ratio_frac_opt", "payment", "runtime_us")
 
 
-def _fmt(x: Fraction | None) -> str:
-    return "" if x is None else f"{float(x):.6f}"
+def _fmt(num: int, den: int) -> str:
+    # int true division is correctly rounded, as `float(Fraction)` is
+    return f"{num / den:.6f}"
 
 
 @dataclass
@@ -159,8 +160,11 @@ def run_comparison(corpus: Sequence[Instance], mechanisms: Iterable[str] = MECHA
     optimum. Every row is priced by `Mechanism.price` on one view of the truthful
     report, whose DP gives the optimum, cross-checked when small, and the VCG row.
     The view keeps each branch's allocation and each bidder's click curve per
-    branch, so the rows that share a branch run it and build its curves once,
-    and the welfare floor reads the truthful row's welfare.
+    branch, so the rows that share a branch run it and build its curves once.
+    A row is computed in the view's integers: each welfare is
+    `ScaledView.welfare`, the fractional optimum is walked on the view's rows,
+    each ratio is printed from a pair of ints, and the welfare floor reads the
+    truthful row's welfare and compares by cross-multiplying.
     """
     mechanisms = list(mechanisms)
     if not mechanisms:
@@ -180,38 +184,40 @@ def run_comparison(corpus: Sequence[Instance], mechanisms: Iterable[str] = MECHA
         rep = truthful_profile(inst)
         view = kernels.ScaledView(inst, rep)
         try:
-            int_opt_sw = social_welfare(inst, exact.int_opt_cross_checked(inst, rep, view))
+            int_num, int_den = view.welfare(exact.int_opt_cross_checked(inst, rep, view))
         except GuardExceededError as exc:
             skipped.append((instance_id, str(exc)))
             continue
-        frac = fracopt.fractional_opt(inst, rep)
+        frac = fracopt.fractional_opt(inst, rep, view).objective
+        frac_num, frac_den = frac.numerator, frac.denominator
 
         welfare = {}
         for name, mech in mechs:
             start = time.perf_counter()
-            payment = None
+            payment = ""
             if mech is None:  # frac-opt
-                sw = frac.objective
+                num, den = frac_num, frac_den
             else:
                 try:
                     priced = mech.price(inst, rep, view)
                     outcome = priced.mixture
-                    payment = priced.total_payment()
+                    paid = priced.total_payment()
+                    payment = _fmt(paid.numerator, paid.denominator)
                 except NonMonotoneClickCurveError as exc:
                     # greedy rules carry no monotonicity promise (capped
                     # greedy-bpb breaks it); leave the payment blank
                     payment_warnings.append((instance_id, name, str(exc)))
                     outcome = pricing.rule_allocate(inst, rep, mech.rule, view)
-                sw = welfare[name] = social_welfare(inst, outcome)
+                num, den = welfare[name] = view.welfare(outcome)
             runtime_us = int((time.perf_counter() - start) * 1e6)
             rows.append(
                 {
                     "instance_id": instance_id,
                     "mechanism": name,
-                    "sw": _fmt(sw),
-                    "ratio_int_opt": _fmt(int_opt_sw / sw) if sw > 0 else "",
-                    "ratio_frac_opt": _fmt(frac.objective / sw) if sw > 0 else "",
-                    "payment": _fmt(payment),
+                    "sw": _fmt(num, den),
+                    "ratio_int_opt": _fmt(int_num * den, int_den * num) if num > 0 else "",
+                    "ratio_frac_opt": _fmt(frac_num * den, frac_den * num) if num > 0 else "",
+                    "payment": payment,
                     "runtime_us": str(runtime_us),
                 }
             )
@@ -219,8 +225,9 @@ def run_comparison(corpus: Sequence[Instance], mechanisms: Iterable[str] = MECHA
         # load-bearing: the truthful mechanism is a 3-approximation
         truthful = welfare.get("truthful-3approx")
         if truthful is None:
-            truthful = social_welfare(inst, pricing.rule_allocate(inst, rep, pricing.mixture_rule(), view))
-        if 3 * truthful < frac.objective:
+            truthful = view.welfare(pricing.rule_allocate(inst, rep, pricing.mixture_rule(), view))
+        num, den = truthful
+        if 3 * num * frac_den < frac_num * den:
             raise InvariantViolation(
                 f"truthful mixture fell below a third of the fractional optimum on {instance_id}"
             )

@@ -21,7 +21,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import lcm
 
-from .model import WHOLE, Allocation
+from .model import WHOLE, Allocation, InvariantViolation, Mixture
 
 
 class ScaledView:
@@ -37,9 +37,10 @@ class ScaledView:
     `cardinality_limit` is below 1 has no view: it raises `ValueError`.
     `limit` is the cap that binds: the `cardinality_limit` when it is below
     the number of advertisers, else None (no advertiser set reaches it). What
-    the view derives on first use (its densities, walk orders, bidder probes,
-    branch allocations, click curves and capacity DP) it keeps in one memo
-    (`memo`), so every mechanism priced on one view shares them.
+    the view derives on first use (its densities, walk orders, row index,
+    bidder probes, branch allocations, click curves and capacity DP) it
+    keeps in one memo (`memo`), so every mechanism priced on one view shares
+    them.
     """
 
     FIELDS = (
@@ -82,7 +83,8 @@ class ScaledView:
 
     def memo(self, key, build, *args):
         """`build(*args)`, built on first use and kept under `key`: "densities",
-        the "bpb" and "value" orders, ("probe", adv_id), ("alloc", branch)
+        the "bpb" and "value" orders, "rows" (the row of each (adv_id, ad_id)
+        pair), ("probe", adv_id), ("alloc", branch)
         (`pricing.branch_allocate`), ("curve", adv_id, branch) (the branch's
         click curve of `adv_id` capped at their bid here, `pricing._build_curve`)
         and "dp" (`exact.capacity_dp`). A build that raises keeps nothing."""
@@ -139,6 +141,35 @@ class ScaledView:
     def allocation(self, chosen: list[int]) -> Allocation:
         """The allocation of a choice vector: a row index per advertiser, -1 for none."""
         return Allocation(entries={self.adv_ids[a]: (self.ad_ids[i], WHOLE) for a, i in enumerate(chosen) if i >= 0})
+
+    def welfare(self, outcome) -> tuple[int, int]:
+        """The outcome's value at this view's report, as a (numerator,
+        denominator) pair of ints, not reduced. At the truthful report a
+        row's `val` is value x alpha over `value_scale`, so this is the
+        outcome's welfare, `model.social_welfare`, in integers: a branch is
+        an integer sum, and a `Mixture` one sum over the lcm of its
+        probability (and weight) denominators times `value_scale`. Entries
+        are matched to rows by (adv_id, ad_id), so an outcome of another
+        report of the same instance is valued here too; an entry that is
+        not a row of the view raises `InvariantViolation`."""
+        rows = self.memo("rows", self._row_index)
+        branches = outcome.branches if isinstance(outcome, Mixture) else ((WHOLE, outcome),)
+        num, den = 0, 1
+        for prob, alloc in branches:
+            for adv_id, (ad_id, weight) in alloc.entries.items():
+                i = rows.get((adv_id, ad_id))
+                if i is None:
+                    raise InvariantViolation(f"ad {ad_id!r} of advertiser {adv_id!r} is not a row of the view")
+                d = prob.denominator * weight.denominator
+                if den % d:
+                    m = lcm(den, d)
+                    num *= m // den
+                    den = m
+                num += self.val[i] * prob.numerator * weight.numerator * (den // d)
+        return num, den * self.value_scale
+
+    def _row_index(self) -> dict[tuple[str, str], int]:
+        return {(self.adv_ids[a], ad_id): i for i, (a, ad_id) in enumerate(zip(self.adv, self.ad_ids))}
 
     def __len__(self):
         return len(self.val)

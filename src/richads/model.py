@@ -298,25 +298,6 @@ def validate_instance(inst: Instance) -> list[Violation]:
     return out
 
 
-def validate_report(inst: Instance, rep: ReportProfile) -> list[Violation]:
-    out: list[Violation] = []
-    known = set(inst.adv_ids())
-    for adv_id, bid in rep.bids.items():
-        if adv_id not in known:
-            out.append(Violation("unknown-advertiser", f"report {adv_id!r}", "bid for unknown advertiser"))
-        elif bid < 0:
-            out.append(Violation("negative-bid", f"report {adv_id!r}", f"bid must be >= 0, got {bid}"))
-    for adv_id, subset in rep.subsets.items():
-        if adv_id not in known:
-            out.append(Violation("unknown-advertiser", f"report {adv_id!r}", "subset for unknown advertiser"))
-            continue
-        catalog = set(inst.advertiser(adv_id).ad_ids())
-        for ad_id in subset:
-            if ad_id not in catalog:
-                out.append(Violation("unknown-ad", f"report {adv_id!r}", f"subset names unknown ad {ad_id!r}"))
-    return out
-
-
 # --- JSON wire format ---------------------------------------------------
 
 def instance_to_dict(inst: Instance) -> dict:
@@ -391,9 +372,3 @@ def load_json(fh):
 def load_instance(path) -> Instance:
     with open(path) as fh:
         return instance_from_dict(load_json(fh))
-
-
-def save_instance(inst: Instance, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(instance_to_dict(inst), fh, indent=2)
-        fh.write("\n")

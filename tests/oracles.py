@@ -8,12 +8,22 @@ an identity.
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
-from richads.model import Allocation, Instance, ReportProfile, as_mixture, effective_values
+from richads.fracopt import FractionalSolution, advertiser_points, eliminate_dominated, fractional_opt
+from richads.model import (
+    Allocation,
+    Instance,
+    ReportProfile,
+    Violation,
+    as_mixture,
+    effective_values,
+    instance_to_dict,
+)
 
 
 def reported_value(inst: Instance, rep: ReportProfile, alloc: Allocation) -> Fraction:
@@ -273,6 +283,112 @@ def brute_force_fractional(inst: Instance, rep: ReportProfile):
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=[(0.0, 1.0)] * len(keys), method="highs")
     assert res.status == 0, res.message
     return -res.fun
+
+
+def fractional_opt_by_fractions(inst: Instance, rep: ReportProfile):
+    """`fracopt.fractional_opt` in Fractions, as the library ran it before
+    it walked the view's integers: the envelopes of the reported Fraction
+    (value, space) points, increments sorted by their Fraction incremental
+    bang-per-buck (desc, then adv_id and upper ad_id asc), and the first
+    one that does not fit split."""
+    increments = []  # (ibpb, adv_id, lower point | None, upper point)
+    for adv in inst.advertisers:
+        survivors, _ = eliminate_dominated(advertiser_points(inst, rep, adv.adv_id))
+        prev = None
+        for pt in survivors:
+            dv = pt.value - (prev.value if prev else 0)
+            dw = pt.space - (prev.space if prev else 0)
+            increments.append((dv / dw, adv.adv_id, prev, pt))
+            prev = pt
+    increments.sort(key=lambda t: (-t[0], t[1], t[3].ad_id))
+    held = {}
+    remaining = inst.total_space
+    entries = {}
+    objective = Fraction(0)
+    fractional_adv = None
+    for _ibpb, adv_id, lower, upper in increments:
+        if remaining == 0:
+            break
+        inc = upper.space - (lower.space if lower else 0)
+        if inc <= remaining:
+            held[adv_id] = upper
+            remaining -= inc
+            continue
+        x_upper = remaining / inc
+        pairs = [] if lower is None else [(lower.ad_id, 1 - x_upper)]
+        entries[adv_id] = (*pairs, (upper.ad_id, x_upper))
+        objective += (lower.value * (1 - x_upper) if lower else 0) + upper.value * x_upper
+        fractional_adv = adv_id
+        held.pop(adv_id, None)
+        break
+    for adv_id, pt in held.items():
+        entries[adv_id] = ((pt.ad_id, Fraction(1)),)
+        objective += pt.value
+    return FractionalSolution(entries=entries, objective=objective, fractional_adv=fractional_adv)
+
+
+def two_approx_integral(inst: Instance, rep: ReportProfile) -> Allocation:
+    """Integral allocation worth at least half the fractional optimum.
+
+    If the fractional optimum is already integral it is returned as is.
+    Otherwise exactly one advertiser holds a fractional mix; the result is
+    the better (at reported values) of the other advertisers' integral
+    holdings and that advertiser's single most valuable reported ad, ties
+    preferring the integral holdings.
+    """
+    frac = fractional_opt(inst, rep)
+    eff = effective_values(inst, rep)
+    integral: dict[str, tuple[str, Fraction]] = {}
+    integral_value = Fraction(0)
+    for adv_id, pairs in frac.entries.items():
+        if adv_id == frac.fractional_adv:
+            continue
+        ad_id, _ = pairs[0]
+        integral[adv_id] = (ad_id, Fraction(1))
+        integral_value += eff[(adv_id, ad_id)]
+    if frac.fractional_adv is None:
+        return Allocation(entries=integral)
+
+    best_ad = None
+    best_value = Fraction(0)
+    split_adv = inst.advertiser(frac.fractional_adv)
+    for ad in sorted(split_adv.ads, key=lambda a: a.ad_id):
+        key = (split_adv.adv_id, ad.ad_id)
+        if key in eff and ad.space <= inst.total_space and eff[key] > best_value:
+            best_ad = ad.ad_id
+            best_value = eff[key]
+
+    if best_ad is not None and best_value > integral_value:
+        return Allocation(entries={split_adv.adv_id: (best_ad, Fraction(1))})
+    return Allocation(entries=integral)
+
+
+def validate_report(inst: Instance, rep: ReportProfile) -> list:
+    """The report's unknown advertisers and ads and its negative bids, as
+    `model.Violation`s."""
+    out = []
+    known = set(inst.adv_ids())
+    for adv_id, bid in rep.bids.items():
+        if adv_id not in known:
+            out.append(Violation("unknown-advertiser", f"report {adv_id!r}", "bid for unknown advertiser"))
+        elif bid < 0:
+            out.append(Violation("negative-bid", f"report {adv_id!r}", f"bid must be >= 0, got {bid}"))
+    for adv_id, subset in rep.subsets.items():
+        if adv_id not in known:
+            out.append(Violation("unknown-advertiser", f"report {adv_id!r}", "subset for unknown advertiser"))
+            continue
+        catalog = set(inst.advertiser(adv_id).ad_ids())
+        for ad_id in subset:
+            if ad_id not in catalog:
+                out.append(Violation("unknown-ad", f"report {adv_id!r}", f"subset names unknown ad {ad_id!r}"))
+    return out
+
+
+def save_instance(inst: Instance, path) -> None:
+    """Write the instance as the JSON `model.load_instance` reads."""
+    with open(path, "w") as fh:
+        json.dump(instance_to_dict(inst), fh, indent=2)
+        fh.write("\n")
 
 
 def best_value_in_width(points, width: Fraction) -> Fraction:

@@ -13,7 +13,7 @@ from itertools import combinations
 
 import pytest
 
-from oracles import prices_along, reported_value, riemann_myerson
+from oracles import prices_along, reported_value, riemann_myerson, two_approx_integral
 from richads import (
     equilibrium,
     exact,
@@ -312,11 +312,11 @@ def test_criterion_9_counterexample_regressions():
         frac = fracopt.fractional_opt(inst, truth)
         assert frac.objective == Fraction(9, 2) and frac.fractional_adv == "b"
         assert frac.entries["b"] == (("bx1", Fraction(5, 6)),)
-        pick = fracopt.two_approx_integral(inst, truth)
+        pick = two_approx_integral(inst, truth)
         assert pick.entries == {"b": ("bx1", Fraction(1))}
         assert reported_value(inst, truth, pick) == 3
         narrowed = truth.replace("a", truth.bids["a"], {"ax2"})
-        pick = fracopt.two_approx_integral(inst, narrowed)
+        pick = two_approx_integral(inst, narrowed)
         assert pick.entries == {"a": ("ax2", Fraction(1))}
         assert reported_value(inst, narrowed, pick) == Fraction(7, 2)
 

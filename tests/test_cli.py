@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from oracles import save_instance
 from richads import equilibrium, exact, fixtures, harness, kernels, pricing
 from richads.cli import cli
 from richads.model import (
@@ -25,7 +26,6 @@ from richads.model import (
     GuardExceededError,
     Instance,
     RichAd,
-    save_instance,
     truthful_profile,
 )
 
@@ -636,7 +636,7 @@ def test_invariants_fire_under_python_O(fx_path):
         if __debug__:
             sys.exit("not running under -O")
         # a fractional optimum no mixture can reach a third of
-        fracopt.fractional_opt = lambda inst, rep: SimpleNamespace(objective=Fraction(10**9))
+        fracopt.fractional_opt = lambda inst, rep, view=None: SimpleNamespace(objective=Fraction(10**9))
         try:
             harness.run_comparison([fx2()], ("truthful-3approx",))
         except InvariantViolation as exc:

@@ -2,15 +2,16 @@
 
 from fractions import Fraction
 
-from oracles import best_value_in_width, brute_force_fractional, brute_force_opt, reported_value
-from richads import exact, fixtures
-from richads.fracopt import (
-    AdPoint,
-    advertiser_points,
-    eliminate_dominated,
-    fractional_opt,
+from oracles import (
+    best_value_in_width,
+    brute_force_fractional,
+    brute_force_opt,
+    fractional_opt_by_fractions,
+    reported_value,
     two_approx_integral,
 )
+from richads import exact, fixtures
+from richads.fracopt import AdPoint, advertiser_points, eliminate_dominated, fractional_opt
 from richads.model import Advertiser, Instance, RichAd, social_welfare, truthful_profile
 
 
@@ -253,3 +254,28 @@ def test_two_approx_against_brute_force(tie_corpus):
         _entries, best = brute_force_opt(inst, rep)
         got = reported_value(inst, rep, two_approx_integral(inst, rep))
         assert 2 * got >= best  # integral optimum <= fractional optimum
+
+
+def test_equal_incremental_densities_go_to_the_lower_adv_id():
+    # every increment has bang-per-buck 1 (ax1 lies on the segment from the
+    # empty ad to ax2, so it is popped): a's comes first, by adv_id, and b's
+    # no longer fits whole and is split
+    inst = Instance(
+        advertisers=(
+            Advertiser("b", value_per_click=Fraction(2), ads=(RichAd("bx1", alpha=Fraction(1), space=Fraction(2)),)),
+            Advertiser(
+                "a",
+                value_per_click=Fraction(1),
+                ads=(
+                    RichAd("ax1", alpha=Fraction(1, 2), space=Fraction(1, 2)),
+                    RichAd("ax2", alpha=Fraction(1), space=Fraction(1)),
+                ),
+            ),
+        ),
+        total_space=Fraction(2),
+    )
+    rep = truthful_profile(inst)
+    frac = fractional_opt(inst, rep)
+    assert frac == fractional_opt_by_fractions(inst, rep)
+    assert frac.entries == {"a": (("ax2", Fraction(1)),), "b": (("bx1", Fraction(1, 2)),)}
+    assert frac.objective == 2 and frac.fractional_adv == "b"

@@ -154,13 +154,13 @@ def test_the_welfare_floor_reads_the_truthful_rows_welfare(monkeypatch, mechanis
     assert social_welfare(inst, pricing.rule_allocate(inst, truthful_profile(inst), pricing.mixture_rule())) == truthful
     computed = []
 
-    def welfare(inst, outcome):
+    def welfare(view, outcome, welfare=kernels.ScaledView.welfare):
         computed.append(outcome)
-        return social_welfare(inst, outcome)
+        return welfare(view, outcome)
 
-    monkeypatch.setattr(harness, "social_welfare", welfare)
+    monkeypatch.setattr(kernels.ScaledView, "welfare", welfare)
     for objective in (3 * truthful, 3 * truthful + Fraction(1, 10**6)):
-        monkeypatch.setattr(fracopt, "fractional_opt", lambda inst, rep: SimpleNamespace(objective=objective))
+        monkeypatch.setattr(fracopt, "fractional_opt", lambda inst, rep, view: SimpleNamespace(objective=objective))
         computed.clear()
         if objective == 3 * truthful:
             run_comparison([inst], mechanisms)

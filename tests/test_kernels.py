@@ -2,12 +2,13 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from oracles import BpbKey
-from richads import kernels
+from richads import exact, kernels
 from richads.kernels import ScaledView
-from richads.model import Advertiser, Instance, RichAd, truthful_profile
+from richads.model import WHOLE, Advertiser, Allocation, Instance, InvariantViolation, RichAd, truthful_profile
 from richads import fixtures
 
 
@@ -123,3 +124,14 @@ def test_trace_records_replacements():
     kinds = [k for k, *_ in events]
     assert kinds[0] == "place"
     assert "replace" in kinds
+
+
+def test_welfare_of_an_ad_outside_the_view_is_an_invariant_violation():
+    # a hides ax1, so the view of that report has no row for it, and the
+    # truthful optimum, which serves ax1, cannot be valued there
+    inst = fixtures.fx2()
+    truth = truthful_profile(inst)
+    view = ScaledView(inst, truth.replace("a", truth.bids["a"], {"ax2"}))
+    assert view.welfare(Allocation(entries={"b": ("bx1", WHOLE)})) == (6, 2)
+    with pytest.raises(InvariantViolation, match="^ad 'ax1' of advertiser 'a' is not a row of the view$"):
+        view.welfare(exact.int_opt_dp(inst, truth))

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import validate_report
 from richads import fixtures
 from richads.model import (
     Advertiser,
@@ -17,7 +18,6 @@ from richads.model import (
     social_welfare,
     truthful_profile,
     validate_instance,
-    validate_report,
 )
 
 

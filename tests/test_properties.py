@@ -10,20 +10,24 @@ import pytest
 from oracles import (
     brute_force_opt,
     checked_like_the_fraction_oracle,
+    fractional_opt_by_fractions,
     integer_pass_drops_at_tie_bids,
     prices_along,
     rebid,
     reported_value,
     tie_candidates_pairwise,
+    two_approx_integral,
     vcg_by_resolving,
 )
 from richads import exact, fracopt, harness, heuristics, kernels, monotone, pricing
 from richads.model import (
     Advertiser,
+    Allocation,
     Instance,
     NonMonotoneClickCurveError,
     ReportProfile,
     RichAd,
+    social_welfare,
     truthful_profile,
     validate_instance,
 )
@@ -101,7 +105,7 @@ def test_fractional_relaxation_bounds_the_chain(pair):
         monotone.max_value_allocation(inst, rep),
         heuristics.greedy_by_bpb(inst, rep),
         heuristics.greedy_by_value(inst, rep),
-        fracopt.two_approx_integral(inst, rep),
+        two_approx_integral(inst, rep),
     ):
         got = reported_value(inst, rep, alloc)
         # the zero-bid fallback of the max-value rule can serve a positive
@@ -114,7 +118,7 @@ def test_fractional_relaxation_bounds_the_chain(pair):
 def test_two_approx_guarantee(pair):
     inst, rep = pair
     frac = fracopt.fractional_opt(inst, rep)
-    got = reported_value(inst, rep, fracopt.two_approx_integral(inst, rep))
+    got = reported_value(inst, rep, two_approx_integral(inst, rep))
     assert 2 * got >= frac.objective
 
 
@@ -177,7 +181,7 @@ def test_every_rule_is_feasible(pair):
         monotone.max_value_allocation(inst, rep),
         heuristics.greedy_by_bpb(inst, rep),
         heuristics.greedy_by_value(inst, rep),
-        fracopt.two_approx_integral(inst, rep),
+        two_approx_integral(inst, rep),
         exact.int_opt_dp(inst, rep),
     ]
     for alloc in outcomes:
@@ -510,7 +514,7 @@ def test_a_report_of_no_ad_gets_no_clicks_and_pays_nothing(pair):
     inst, rep = pair
     silent = [a for a in inst.adv_ids() if rep.bids[a] <= 0 or not rep.subsets[a]]
     outcomes = [pricing.rule_allocate(inst, rep, pricing.AllocationRule(name)) for name in pricing.RULES]
-    outcomes += [exact.int_opt_dp(inst, rep), fracopt.two_approx_integral(inst, rep)]
+    outcomes += [exact.int_opt_dp(inst, rep), two_approx_integral(inst, rep)]
     for outcome in outcomes:
         assert [outcome.clicks(inst, a) for a in silent] == [0] * len(silent)
     mechanisms = [pricing.Mechanism("vcg")]
@@ -521,3 +525,69 @@ def test_a_report_of_no_ad_gets_no_clicks_and_pays_nothing(pair):
         except NonMonotoneClickCurveError:
             continue  # a greedy-bpb curve of a bidder of positive bid drops
         assert [(priced.mixture.clicks(inst, a), priced.payments[a]) for a in silent] == [(0, 0)] * len(silent)
+
+
+@st.composite
+def welfare_cases(draw):
+    """A report on an instance, on a coarse grid half the time, so equal
+    incremental densities across advertisers are common. Advertisers may
+    hold a single ad, the instance may be capped, its total may fit every
+    ad, and the report may bid 0 or expose the empty subset."""
+    coarse = draw(st.booleans())
+    values, alphas, spaces = (3, 2, 2) if coarse else (6, 4, 4)
+    n = draw(st.integers(1, 4))
+    advertisers = []
+    for i in range(n):
+        ads = tuple(
+            RichAd(
+                f"a{i}x{j}",
+                Fraction(draw(st.integers(1, alphas)), alphas),
+                Fraction(draw(st.integers(1, spaces)), 1 if coarse else draw(st.sampled_from((1, 2)))),
+            )
+            for j in range(draw(st.integers(1, 3)))
+        )
+        value = Fraction(draw(st.integers(1, values)), 1 if coarse else draw(st.sampled_from((1, 3))))
+        advertisers.append(Advertiser(f"a{i}", value, ads))
+    widths = [ad.space for adv in advertisers for ad in adv.ads]
+    if draw(st.booleans()):
+        total = sum(widths) + Fraction(draw(st.integers(0, 2)), 2)  # every ad fits
+    else:
+        total = max(widths) + (sum(widths) - max(widths)) * Fraction(draw(st.integers(0, 8)), 8)
+    limit = draw(st.sampled_from((None, 1, 2)))
+    inst = Instance(advertisers=tuple(advertisers), total_space=total, cardinality_limit=limit)
+    bids, subsets = {}, {}
+    for adv in inst.advertisers:
+        how = draw(st.sampled_from(("bid", "truthful", "zero", "empty")))
+        quarters = 0 if how == "zero" else 4 if how == "truthful" else draw(st.integers(1, 4))
+        bids[adv.adv_id] = adv.value_per_click * Fraction(quarters, 4)
+        hidden = frozenset(adv.ad_ids()) if how == "empty" else draw(st.sets(st.sampled_from(adv.ad_ids())))
+        subsets[adv.adv_id] = frozenset(adv.ad_ids()) - hidden
+    return inst, ReportProfile(bids=bids, subsets=subsets)
+
+
+@settings(deadline=None, max_examples=200)
+@given(welfare_cases())
+def test_view_welfare_equals_social_welfare(pair):
+    # the truthful view values every outcome, also one of another report,
+    # matched by (advertiser, ad): lotteries, the optimum, and an allocation
+    # of fractional weights off the fractional optimum
+    inst, rep = pair
+    view = kernels.ScaledView(inst, truthful_profile(inst))
+    outcomes = [pricing.rule_allocate(inst, r, pricing.AllocationRule(name)) for r in (rep, view.rep) for name in pricing.RULES]
+    outcomes += [exact.int_opt_dp(inst, rep), pricing.rule_allocate(inst, rep, pricing.mixture_rule(Fraction(2, 7)))]
+    frac = fracopt.fractional_opt(inst, rep)
+    outcomes.append(Allocation(entries={a: pairs[-1] for a, pairs in frac.entries.items()}))
+    for outcome in outcomes:
+        num, den = view.welfare(outcome)
+        assert den > 0 and Fraction(num, den) == social_welfare(inst, outcome)
+
+
+@settings(deadline=None, max_examples=300)
+@given(welfare_cases())
+def test_integer_fractional_opt_equals_the_fraction_oracle(pair):
+    inst, rep = pair
+    oracle = fractional_opt_by_fractions(inst, rep)
+    for got in (fracopt.fractional_opt(inst, rep), fracopt.fractional_opt(inst, rep, kernels.ScaledView(inst, rep))):
+        assert list(got.entries.items()) == list(oracle.entries.items())
+        assert got.objective == oracle.objective
+        assert got.fractional_adv == oracle.fractional_adv
