@@ -29,6 +29,7 @@ from .model import (
     Instance,
     Mixture,
     ReportProfile,
+    parse_rational,
     social_welfare,
 )
 from .monotone import _assignment_from_view, bpb_allocation, max_value_allocation
@@ -65,8 +66,9 @@ def strategy_spaces(inst: Instance, delta: Fraction) -> dict[str, StrategySpace]
     Both guards, at most `STRATEGY_ADS_GUARD` ads and `STRATEGY_BIDS_GUARD`
     bids per advertiser (read at call time), are checked for every
     advertiser before any grid is built; either raises `GuardExceededError`.
+    `delta` is read by `parse_rational`: a float or a bool raises `ValueError`.
     """
-    delta = Fraction(delta)
+    delta = parse_rational(delta)
     if delta <= 0:
         raise ValueError(f"grid step must be positive, got {delta}")
     counts = []

@@ -28,7 +28,7 @@ from math import lcm
 from . import pricing  # a cycle: see `pricing.RULES`
 from .kernels import ScaledView, greedy_step, run_best_fit, run_value_greedy
 from .kernels import run_space_auction  # noqa: F401  (the benchmark's tracer wraps it here)
-from .model import Allocation, Instance, Mixture, ReportProfile
+from .model import Allocation, Instance, Mixture, ReportProfile, parse_rational
 from .monotone import max_value_allocation  # noqa: F401  (the benchmark's tracer wraps it here)
 
 RANDOMIZED_GREEDY_P = Fraction(2, 3)
@@ -73,11 +73,10 @@ def greedy_by_value(inst: Instance, rep: ReportProfile, view: ScaledView | None 
 
 
 def randomized_greedy(inst: Instance, rep: ReportProfile, p: Fraction = RANDOMIZED_GREEDY_P) -> Mixture:
-    """Mix bang-per-buck greedy (probability p) with the max-value rule: the
-    rule table's "randomized-greedy", both branches on one view."""
-    return pricing.rule_allocate(
-        inst, rep, pricing.AllocationRule("randomized-greedy", p if isinstance(p, Fraction) else Fraction(p))
-    )
+    """Mix bang-per-buck greedy (probability p, read by `parse_rational`, so
+    never a float) with the max-value rule: the rule table's
+    "randomized-greedy", both branches on one view."""
+    return pricing.rule_allocate(inst, rep, pricing.AllocationRule("randomized-greedy", parse_rational(p)))
 
 
 def sample_mixture(mixture: Mixture, seed: int) -> Allocation:

@@ -1,7 +1,9 @@
 """The scaled-integer view of a report, and the kernel walks over it.
 
 The walks run on plain ints (arbitrary precision), so no magnitude is too
-large. A view's rows are its reported ads sorted by (adv_id, ad_id):
+large. A view is built from the numerators and denominators of the report's
+rationals, with no `Fraction` arithmetic. A view's rows are its reported ads
+sorted by (adv_id, ad_id):
 `adv[i]` is the advertiser index of row i, `val[i]` its scaled effective
 value, `spc[i]` its scaled space. Every walk reads one of the view's two
 orders, each built once per view from integer keys:
@@ -19,7 +21,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import itemgetter
 
 from .model import WHOLE, Allocation, InvariantViolation, Mixture
 
@@ -29,18 +32,23 @@ class ScaledView:
 
     Reported ads are sorted by (adv_id, ad_id); effective values are scaled
     by the lcm of their denominators, spaces (and the total) by the lcm of
-    theirs, so every kernel comparison is an exact integer comparison. Ads
-    of zero effective value (a zero bid, a zero click rate) have no row,
-    like unreported ones. Every rule allocates rows only, so a report with
-    no row (a zero bid, an empty subset) gets no clicks, and it pays
-    nothing under Myerson, GSP and VCG. An instance whose
-    `cardinality_limit` is below 1 has no view: it raises `ValueError`.
-    `limit` is the cap that binds: the `cardinality_limit` when it is below
-    the number of advertisers, else None (no advertiser set reaches it). What
-    the view derives on first use (its densities, walk orders, row index,
-    bidder probes, branch allocations, click curves and capacity DP) it
-    keeps in one memo (`memo`), so every mechanism priced on one view shares
-    them.
+    theirs, so every kernel comparison is an exact integer comparison. Rows
+    are built from numerators and denominators: the bid bn / bd is read
+    once per advertiser, an ad of click rate an / am has the effective
+    value bn * an / (bd * am), reduced by their gcd, and a space sn / sd
+    scales to sn * (space_scale // sd); no `Fraction` is built
+    (`tests/oracles.scaled_view_by_fractions` is the Fraction construction,
+    kept as the oracle). Ads of zero effective value (a zero bid, a zero
+    click rate) have no row, like unreported ones. Every rule allocates rows
+    only, so a report with no row (a zero bid, an empty subset) gets no
+    clicks, and it pays nothing under Myerson, GSP and VCG. An instance
+    whose `cardinality_limit` is below 1 has no view: it raises
+    `ValueError`. `limit` is the cap that binds: the `cardinality_limit`
+    when it is below the number of advertisers, else None (no advertiser
+    set reaches it). What the view derives on first use (its densities,
+    walk orders, row index, bidder probes, branch allocations, click curves
+    and capacity DP) it keeps in one memo (`memo`), so every mechanism
+    priced on one view shares them.
     """
 
     FIELDS = (
@@ -59,27 +67,36 @@ class ScaledView:
         self.adv_ids = inst.adv_ids()
         self.limit = k if k is not None and k < len(self.adv_ids) else None
         self.adv_index = {a: i for i, a in enumerate(self.adv_ids)}
-        rows = []  # (adv_idx, ad_id, effective value, space)
+        bids, subsets = rep.bids, rep.subsets
+        rows = []  # (adv_idx, ad_id, effective value in lowest terms and space, each as num, den)
         for ai, advertiser in enumerate(inst.advertisers):
-            bid = rep.bids.get(advertiser.adv_id, Fraction(0))
-            if bid <= 0:
+            bid = bids.get(advertiser.adv_id)
+            if bid is None:
                 continue
-            subset = rep.subsets.get(advertiser.adv_id, frozenset())
+            bn, bd = bid.numerator, bid.denominator
+            subset = subsets.get(advertiser.adv_id)
+            if bn <= 0 or not subset:
+                continue
             for ad in advertiser.ads:
                 if ad.ad_id in subset:
-                    eff = bid * ad.alpha
-                    if eff > 0:
-                        rows.append((ai, ad.ad_id, eff, ad.space))
-        rows.sort(key=lambda r: (r[0], r[1]))
+                    alpha = ad.alpha
+                    n = bn * alpha.numerator
+                    if n > 0:
+                        d = bd * alpha.denominator
+                        g = gcd(n, d)
+                        space = ad.space
+                        rows.append((ai, ad.ad_id, n // g, d // g, space.numerator, space.denominator))
+        rows.sort(key=itemgetter(0, 1))
 
-        space_scale = lcm(inst.total_space.denominator, *(r[3].denominator for r in rows))
+        total = inst.total_space
+        space_scale = lcm(total.denominator, *(r[5] for r in rows))
         self.adv = [r[0] for r in rows]
         self.ad_ids = [r[1] for r in rows]
-        self.spc = [int(r[3] * space_scale) for r in rows]
-        self.total = int(inst.total_space * space_scale)
+        self.spc = [r[4] * (space_scale // r[5]) for r in rows]
+        self.total = total.numerator * (space_scale // total.denominator)
         self.space_scale = space_scale
-        self.value_scale = value_scale = lcm(*(r[2].denominator for r in rows))
-        self.val = [r[2].numerator * (value_scale // r[2].denominator) for r in rows]
+        self.value_scale = value_scale = lcm(*(r[3] for r in rows))
+        self.val = [r[2] * (value_scale // r[3]) for r in rows]
 
     def memo(self, key, build, *args):
         """`build(*args)`, built on first use and kept under `key`: "densities",
@@ -255,9 +272,14 @@ class BidderProbe:
             lo, hi = view.span(self.adv_id)
             bid = view.rep.bids[self.adv_id]
             bn, bd = bid.numerator, bid.denominator
-            rates = [Fraction(v * bd, view.value_scale * bn) for v in view.val[lo:hi]]
-            self._click_den = scale = lcm(*(r.denominator for r in rates))
-            self._own_rows = lo, hi, bn, bd, [r.numerator * (scale // r.denominator) for r in rates]
+            m = view.value_scale * bn
+            rates = []  # v * bd / m in lowest terms: v and m are positive
+            for v in view.val[lo:hi]:
+                n = v * bd
+                g = gcd(n, m)
+                rates.append((n // g, m // g))
+            self._click_den = scale = lcm(*(d for _n, d in rates))
+            self._own_rows = lo, hi, bn, bd, [n * (scale // d) for n, d in rates]
         return self._own_rows
 
     @property

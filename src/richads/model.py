@@ -52,8 +52,9 @@ RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def parse_rational(value) -> Fraction:
-    """Parse an int or a "[+-]digits[/digits]" string into a Fraction.
-    Floats, and strings of any other form, are rejected."""
+    """Parse an int or a "[+-]digits[/digits]" string into a Fraction; a
+    Fraction is returned as it is. Floats, bools, and strings of any other
+    form, are rejected with `ValueError`."""
     if isinstance(value, bool):
         raise ValueError(f"expected a rational, got boolean {value!r}")
     if isinstance(value, int):
@@ -67,6 +68,8 @@ def parse_rational(value) -> Fraction:
             return Fraction(value)
         except ZeroDivisionError:
             raise ValueError(f"rational {value!r} has a zero denominator") from None
+    if isinstance(value, Fraction):
+        return value
     raise ValueError(f"cannot parse rational from {type(value).__name__}: {value!r}")
 
 
@@ -146,9 +149,11 @@ class ReportProfile:
         )
 
     def replace(self, adv_id: str, bid: Fraction, subset: Iterable[str]) -> "ReportProfile":
+        """This profile with `adv_id`'s report replaced; `bid` is an int, a
+        Fraction or a "p/q" string (`parse_rational`), never a float."""
         bids = dict(self.bids)
         subsets = dict(self.subsets)
-        bids[adv_id] = Fraction(bid)
+        bids[adv_id] = parse_rational(bid)
         subsets[adv_id] = frozenset(subset)
         return ReportProfile(bids=bids, subsets=subsets)
 
@@ -226,18 +231,6 @@ def social_welfare(inst: Instance, outcome: Outcome) -> Fraction:
             adv = inst.advertiser(adv_id)
             total += prob * adv.value_per_click * adv.ad(ad_id).alpha * weight
     return total
-
-
-def effective_values(inst: Instance, rep: ReportProfile) -> dict[tuple[str, str], Fraction]:
-    """Reported per-ad values b_i * alpha_ij, for reported ads only."""
-    out: dict[tuple[str, str], Fraction] = {}
-    for adv in inst.advertisers:
-        bid = rep.bids.get(adv.adv_id, Fraction(0))
-        subset = rep.subsets.get(adv.adv_id, frozenset())
-        for ad in adv.ads:
-            if ad.ad_id in subset:
-                out[(adv.adv_id, ad.ad_id)] = bid * ad.alpha
-    return out
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from .model import (
     Outcome,
     ReportProfile,
     as_mixture,
+    parse_rational,
 )
 
 ZERO = Fraction(0)
@@ -111,8 +112,10 @@ class AllocationRule:
             raise ValueError(f"mixture weight must lie in [0, 1], got {p}")
 
 
-def mixture_rule(p: Fraction = monotone.TRUTHFUL_MIX_P) -> AllocationRule:
-    return AllocationRule("mixture", p=p if isinstance(p, Fraction) else Fraction(p))
+def mixture_rule(p: Fraction | int | str = monotone.TRUTHFUL_MIX_P) -> AllocationRule:
+    """The bpb/max-value mixture playing bpb with probability `p`, read by
+    `parse_rational`: a float or a bool raises `ValueError`."""
+    return AllocationRule("mixture", p=parse_rational(p))
 
 
 def rule_branches(rule: AllocationRule) -> tuple[tuple[Fraction, str], ...]:

@@ -21,9 +21,62 @@ from richads.model import (
     ReportProfile,
     Violation,
     as_mixture,
-    effective_values,
     instance_to_dict,
 )
+
+
+def effective_values(inst: Instance, rep: ReportProfile) -> dict[tuple[str, str], Fraction]:
+    """Reported per-ad values b_i * alpha_ij, for reported ads only: the
+    Fraction form of a view's rows, once `richads.model.effective_values`."""
+    out: dict[tuple[str, str], Fraction] = {}
+    for adv in inst.advertisers:
+        bid = rep.bids.get(adv.adv_id, Fraction(0))
+        subset = rep.subsets.get(adv.adv_id, frozenset())
+        for ad in adv.ads:
+            if ad.ad_id in subset:
+                out[(adv.adv_id, ad.ad_id)] = bid * ad.alpha
+    return out
+
+
+def scaled_view_by_fractions(inst: Instance, rep: ReportProfile) -> dict:
+    """Every `kernels.ScaledView.FIELDS` value of (inst, rep), built in
+    Fractions as the view was before it read numerators and denominators:
+    rows are the reported ads of a positive bid whose effective value
+    bid * alpha is positive, sorted by (adv_id, ad_id); values are scaled
+    by the lcm of their denominators, spaces and the total by the lcm of
+    theirs."""
+    k = inst.cardinality_limit
+    if k is not None and k < 1:
+        raise ValueError(f"cardinality limit must be >= 1, got {k}")
+    adv_ids = inst.adv_ids()
+    rows = []  # (adv_idx, ad_id, effective value, space)
+    for ai, advertiser in enumerate(inst.advertisers):
+        bid = rep.bids.get(advertiser.adv_id, Fraction(0))
+        if bid <= 0:
+            continue
+        subset = rep.subsets.get(advertiser.adv_id, frozenset())
+        for ad in advertiser.ads:
+            if ad.ad_id in subset:
+                eff = bid * ad.alpha
+                if eff > 0:
+                    rows.append((ai, ad.ad_id, eff, ad.space))
+    rows.sort(key=lambda r: (r[0], r[1]))
+    space_scale = lcm(inst.total_space.denominator, *(r[3].denominator for r in rows))
+    value_scale = lcm(*(r[2].denominator for r in rows))
+    return {
+        "inst": inst,
+        "rep": rep,
+        "adv_ids": adv_ids,
+        "adv_index": {a: i for i, a in enumerate(adv_ids)},
+        "adv": [r[0] for r in rows],
+        "ad_ids": [r[1] for r in rows],
+        "val": [r[2].numerator * (value_scale // r[2].denominator) for r in rows],
+        "spc": [int(r[3] * space_scale) for r in rows],
+        "total": int(inst.total_space * space_scale),
+        "value_scale": value_scale,
+        "space_scale": space_scale,
+        "limit": k if k is not None and k < len(adv_ids) else None,
+    }
 
 
 def reported_value(inst: Instance, rep: ReportProfile, alloc: Allocation) -> Fraction:

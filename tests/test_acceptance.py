@@ -13,7 +13,7 @@ from itertools import combinations
 
 import pytest
 
-from oracles import prices_along, reported_value, riemann_myerson, two_approx_integral
+from oracles import effective_values, prices_along, reported_value, riemann_myerson, two_approx_integral
 from richads import (
     equilibrium,
     exact,
@@ -24,7 +24,7 @@ from richads import (
     monotone,
     pricing,
 )
-from richads.model import effective_values, social_welfare, truthful_profile
+from richads.model import social_welfare, truthful_profile
 
 M = 1000
 EPS = Fraction(1, M)

@@ -63,6 +63,9 @@ def test_strategy_space_validation():
     inst = fixtures.fx4()
     with pytest.raises(ValueError):
         strategy_spaces(inst, Fraction(0))
+    for step in (0.25, 1.0, True):
+        with pytest.raises(ValueError, match="^floats are not accepted|^expected a rational, got boolean"):
+            strategy_spaces(inst, step)
     crowded = Instance(
         advertisers=(
             Advertiser(
@@ -75,6 +78,13 @@ def test_strategy_space_validation():
     )
     with pytest.raises(GuardExceededError):
         strategy_spaces(crowded, Fraction(1, 2))
+
+
+def test_a_grid_step_is_read_as_an_int_a_fraction_or_a_rational_string():
+    inst = fixtures.fx4()
+    quarter = strategy_spaces(inst, Fraction(1, 4))
+    assert strategy_spaces(inst, "1/4") == quarter
+    assert strategy_spaces(inst, 1) == strategy_spaces(inst, Fraction(1))
 
 
 def test_fx4_truthful_gsp_utilities():

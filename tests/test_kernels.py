@@ -3,12 +3,21 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from oracles import BpbKey
+from oracles import BpbKey, scaled_view_by_fractions
 from richads import exact, kernels
 from richads.kernels import ScaledView
-from richads.model import WHOLE, Advertiser, Allocation, Instance, InvariantViolation, RichAd, truthful_profile
+from richads.model import (
+    WHOLE,
+    Advertiser,
+    Allocation,
+    Instance,
+    InvariantViolation,
+    ReportProfile,
+    RichAd,
+    truthful_profile,
+)
 from richads import fixtures
 
 
@@ -41,6 +50,58 @@ def test_zero_bid_ads_are_dropped():
     rep = truthful_profile(inst).replace("a", Fraction(0), {"ax1", "ax2"})
     view = ScaledView(inst, rep)
     assert view.ad_ids == ["bx1"]
+
+
+# two large primes, so large coprime denominators, next to small ones
+DENOMINATORS = (1, 2, 3, 6, 10**18 + 9, 10**18 + 3)
+
+
+@st.composite
+def rationals(draw, lo, hi):
+    """n / d for n in [lo, hi] and d from `DENOMINATORS`; an int instead of
+    a Fraction when drawn so and d is 1."""
+    n, d = draw(st.integers(lo, hi)), draw(st.sampled_from(DENOMINATORS))
+    return n if d == 1 and draw(st.booleans()) else Fraction(n, d)
+
+
+@st.composite
+def view_reports(draw):
+    """A report on an instance validation would reject too: click rates 0
+    or below, spaces 0, ints where Fractions stand, large coprime
+    denominators; bids missing, 0, negative or positive; subsets missing,
+    empty or partial; no cardinality cap or one of 1 and 2."""
+    advertisers, bids, subsets = [], {}, {}
+    for i in range(draw(st.integers(1, 4))):
+        ads = tuple(
+            RichAd(f"a{i}x{j}", draw(rationals(-1, 4)), draw(rationals(0, 12)))
+            for j in draw(st.permutations(range(draw(st.integers(1, 3)))))
+        )
+        advertisers.append(Advertiser(f"a{i}", Fraction(1), ads))
+        if draw(st.booleans()) or draw(st.booleans()):
+            bids[f"a{i}"] = draw(rationals(-2, 20))
+        if draw(st.booleans()) or draw(st.booleans()):
+            subsets[f"a{i}"] = frozenset(draw(st.sets(st.sampled_from([ad.ad_id for ad in ads]))))
+    inst = Instance(
+        advertisers=tuple(advertisers),
+        total_space=draw(rationals(1, 30)),
+        cardinality_limit=draw(st.sampled_from((None, 1, 2))),
+    )
+    return inst, ReportProfile(bids=bids, subsets=subsets)
+
+
+@settings(max_examples=300)
+@given(view_reports())
+def test_scaled_view_equals_the_fraction_oracle(pair):
+    inst, rep = pair
+    view = ScaledView(inst, rep)
+    expected = scaled_view_by_fractions(inst, rep)
+    for name in ScaledView.FIELDS:
+        assert getattr(view, name) == expected[name], name
+    # equal values, and plain ints: a Fraction equal to an int would pass above
+    for name in ("val", "spc"):
+        assert all(type(x) is int for x in getattr(view, name)), name
+    for name in ("total", "value_scale", "space_scale"):
+        assert type(getattr(view, name)) is int, name
 
 
 def test_empty_view_short_circuits():

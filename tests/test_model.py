@@ -44,6 +44,21 @@ def test_parse_rational_rejects_floats_and_bools():
         parse_rational(None)
 
 
+def test_parse_rational_returns_a_fraction_as_it_is():
+    third = Fraction(1, 3)
+    assert parse_rational(third) is third
+
+
+def test_replace_reads_a_bid_as_parse_rational_does():
+    rep = truthful_profile(fixtures.fx2())
+    for bid, want in ((3, Fraction(3)), (Fraction(1, 10), Fraction(1, 10)), ("1/10", Fraction(1, 10))):
+        got = rep.replace("a", bid, {"ax1"}).bids["a"]
+        assert type(got) is Fraction and got == want
+    for bid in (0.1, 2.0, True):
+        with pytest.raises(ValueError, match="^floats are not accepted|^expected a rational, got boolean"):
+            rep.replace("a", bid, {"ax1"})
+
+
 def test_rational_arithmetic_is_exact():
     a, b = Fraction(1, 3), Fraction(1, 6)
     assert a + b == Fraction(1, 2)

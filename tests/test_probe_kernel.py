@@ -10,13 +10,14 @@ one of the bidder's densities or values equals another row's.
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import rebid, rebid_clicks
+from oracles import effective_values, rebid, rebid_clicks
 from richads import heuristics, kernels, pricing
-from richads.model import Advertiser, Instance, ReportProfile, RichAd, effective_values, truthful_profile
+from richads.model import Advertiser, Instance, ReportProfile, RichAd, truthful_profile
 
 BRANCHES = sorted(pricing.BRANCHES)
 
@@ -178,3 +179,24 @@ def test_zero_space_zero_alpha_and_oversized_own_ads():
         rep = truthful_profile(inst).replace("a", Fraction(3), subset)
         assert_probe_matches_rebid(inst, rep, "a")
         assert_probe_matches_rebid(inst, rep, "b")
+
+
+def test_click_den_and_own_click_numerators_equal_the_fraction_rates():
+    # click rates over large coprime denominators, bids with their own
+    big = 10**18 + 9
+    inst = _instance(
+        20,
+        ("a", "7/10", [("ax1", Fraction(3, big), 4), ("ax2", "1/2", 1), ("ax3", Fraction(5, 6), 2)]),
+        ("b", 3, [("bx1", Fraction(2, 10**18 + 3), 5), ("bx2", 1, 3)]),
+    )
+    truth = truthful_profile(inst)
+    for rep in (truth, truth.replace("a", Fraction(11, big), {"ax1", "ax3"}).replace("b", 2, {"bx1"})):
+        view = kernels.ScaledView(inst, rep)
+        for adv_id in inst.adv_ids():
+            lo, hi = view.span(adv_id)
+            advertiser = inst.advertiser(adv_id)
+            rates = [advertiser.ad(ad_id).alpha for ad_id in view.ad_ids[lo:hi]]
+            probe = view.probe(adv_id)
+            den = lcm(*(r.denominator for r in rates))
+            assert probe.click_den == den
+            assert probe._own()[4] == [r.numerator * (den // r.denominator) for r in rates]

@@ -74,6 +74,12 @@ def test_out_of_range_mixture_weight_is_a_value_error():
         (lambda: pricing.AllocationRule("mixture", True), "mixture weight must be an int or a Fraction, got True"),
         (lambda: pricing.AllocationRule("mixture", 0.5), "mixture weight must be an int or a Fraction, got 0.5"),
         (lambda: pricing.AllocationRule("mixture", "1/2"), "mixture weight must be an int or a Fraction, got '1/2'"),
+        (lambda: pricing.mixture_rule(0.3), 'floats are not accepted as rationals (got 0.3); use "p/q"'),
+        (lambda: pricing.mixture_rule(True), "expected a rational, got boolean True"),
+        (
+            lambda: heuristics.randomized_greedy(fixtures.fx1(), truthful_profile(fixtures.fx1()), 0.5),
+            'floats are not accepted as rationals (got 0.5); use "p/q"',
+        ),
         (
             lambda: pricing.Mechanism("GSP", pricing.mixture_rule()),
             "unknown pricing 'GSP'; choices: gsp, myerson, vcg",
@@ -83,13 +89,24 @@ def test_out_of_range_mixture_weight_is_a_value_error():
     ],
     ids=[
         "rule-name", "rule-weight", "config", "view-cap", "rule-weight-bool", "rule-weight-float",
-        "rule-weight-str", "pricing-name", "pricing-without-rule", "vcg-with-rule",
+        "rule-weight-str", "mixture-rule-float", "mixture-rule-bool", "randomized-greedy-float", "pricing-name",
+        "pricing-without-rule", "vcg-with-rule",
     ],
 )
 def test_a_bad_rule_config_or_view_is_refused_where_it_is_built(build, message):
     with pytest.raises(ValueError) as exc:
         build()
     assert str(exc.value) == message
+
+
+def test_mixture_weights_are_read_as_ints_fractions_and_rational_strings():
+    inst = fixtures.fx1()
+    rep = truthful_profile(inst)
+    for p, want in ((1, Fraction(1)), (Fraction(1, 3), Fraction(1, 3)), ("1/3", Fraction(1, 3))):
+        assert pricing.mixture_rule(p) == pricing.AllocationRule("mixture", want)
+        assert heuristics.randomized_greedy(inst, rep, p) == pricing.rule_allocate(
+            inst, rep, pricing.AllocationRule("randomized-greedy", want)
+        )
 
 
 def test_an_int_weight_is_kept_as_a_fraction():
