@@ -110,8 +110,10 @@ def _explain_payments(inst: Instance, rep: ReportProfile, outcome: pricing.Price
 
     `jump_bids` are the bids where the curve steps up to the next of
     `click_levels`; `threshold` is the lowest bid that still wins the
-    branch's clicks; `probes` counts the probe kernel reads that found the
-    curve among its `candidates` breakpoints. Curve fields are null for a branch
+    branch's clicks; `candidates` counts the breakpoints the curve was
+    bisected (or scanned) over, the bids where the branch's probe can
+    change (`pricing.Branch.breakpoints`), and `probes` the probe kernel
+    reads that found the curve among them. Curve fields are null for a branch
     priced without a curve (GSP charges nothing for a branch with no clicks).
     """
     names = [branch for _prob, branch in pricing.rule_branches(rule)]

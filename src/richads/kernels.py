@@ -215,9 +215,12 @@ class BidderProbe:
     value) numerator is n0, so at num / den it is x = num * n0 * bd /
     (den * bn), taken as quotient and remainder. It equals another row's
     numerator d at the bid d * bn / (n0 * bd): `ties` lists those bids, the
-    only places a click curve can step. Another row's numerator v
-    is keyed -3 * v before the bidder's span and -3 * v + 2 after it, and
-    the own row -3 * x + (1 if exact else 0): equal densities or values go
+    only places a click curve can step, and each rule's breakpoint reader
+    (`bpb_breakpoints`, `max_value_breakpoints`, `greedy_value_breakpoints`)
+    keeps those of them, read off its tables, where its probe can change.
+    Another row's numerator v is keyed -3 * v before the bidder's span and
+    -3 * v + 2 after it, and the own row -3 * x + (1 if exact else 0), so v
+    is -(key // 3) either way: equal densities or values go
     to the lower row index, as in the walks, so a row before the span beats
     the bidder and one after it loses. A row's position is the count of
     smaller keys.
@@ -293,7 +296,8 @@ class BidderProbe:
         """The bids d * bn / (n0 * bd) in (0, cap] where an own row of
         numerator n0 ties another advertiser's of numerator d in bang-per-buck
         ("bpb") or value ("value"), as (sorted distinct numerators, their
-        common denominator). A zero-space row ties nothing in bang-per-buck."""
+        common denominator). A zero-space row ties nothing in bang-per-buck.
+        These are greedy-bpb's breakpoints: its walk reacts to every tie."""
         view = self.view
         lo, hi, bn, bd, _alphas = self._own()
         terms = []  # (the others' numerators, an own row's n0 * bd)
@@ -301,13 +305,41 @@ class BidderProbe:
             nums = view.densities() if kind == "bpb" else view.val
             others = [d for d in nums[:lo] + nums[hi:] if d is not None]
             terms += [(others, n0 * bd) for n0 in nums[lo:hi] if n0 is not None]
-        den = lcm(cap.denominator, *(m for _others, m in terms))
-        ties: set[int] = set()
-        for others, m in terms:
-            f = bn * (den // m)
-            ties.update([d * f for d in others])
-        limit = cap.numerator * (den // cap.denominator)
-        return sorted(t for t in ties if t <= limit), den
+        return _tie_bids(terms, bn, cap)
+
+    def bpb_breakpoints(self, cap: Fraction) -> tuple[list[int], int]:
+        """The bids in (0, cap] where the bpb probe can change, as `ties`
+        gives them. A probe reads the others' prefix at each own row's
+        position among the walk's keys, so it moves only where an own row
+        ties the density of a keyed row, one the walk does not skip, and
+        only before the first position whose prefix reaches the total:
+        from there on the walk has stopped."""
+        if self._walk is None:
+            self._walk = self._walk_tables()
+        total, keys, prefix, own, bn = self._walk
+        others = [-(k // 3) for k in keys[: bisect_left(prefix, total)]]  # a key is -3 * density (+ 2)
+        return _tie_bids([(others, d) for d in {d for d, _w in own}], bn, cap)
+
+    def max_value_breakpoints(self, cap: Fraction) -> tuple[list[int], int]:
+        """The bid in (0, cap], if any, where the max-value probe can change:
+        its one sign test flips where the bidder's best fitting value ties
+        the others'. There is none when the outcome does not depend on the
+        bid (`_max_tables`)."""
+        if self._max is None:
+            self._max = self._max_tables()
+        _alpha, own_value, other_value, _floor = self._max
+        return _tie_bids([([other_value], own_value)] if own_value else [], 1, cap)
+
+    def greedy_value_breakpoints(self, cap: Fraction) -> tuple[list[int], int]:
+        """The bids in (0, cap] where the greedy-value probe can change, as
+        `ties` gives them. A probe reads the others-only walk's remaining
+        space and served count at each own row's position, and those change
+        only after the rows that walk serves: the value ties with them."""
+        if self._value is None:
+            self._value = self._value_tables()
+        keys, _rem_at, served_at, own, bn, _limit = self._value
+        served = [-(k // 3) for k, a, b in zip(keys, served_at, served_at[1:]) if b > a]
+        return _tie_bids([(served, d) for d in {d for d, _w, _alpha in own}], bn, cap)
 
     def _clicks_in(self, held: int) -> int:
         """The best own click rate within `held` scaled units of space, as
@@ -525,6 +557,19 @@ class BidderProbe:
             rem_at.append(rem)
             snaps.append(held.copy())
         return keys, zeros, before, rows, rem_at, snaps, own, bn, k, view.adv_index[self.adv_id]
+
+
+def _tie_bids(terms, bn: int, cap: Fraction) -> tuple[list[int], int]:
+    """The bids d * bn / m in (0, cap] for each (others, m) of `terms` and
+    each d of others, as (sorted distinct numerators, their common
+    denominator): the lcm of the cap's denominator and every m."""
+    den = lcm(cap.denominator, *(m for _others, m in terms))
+    ties: set[int] = set()
+    for others, m in terms:
+        f = bn * (den // m)
+        ties.update([d * f for d in others])
+    limit = cap.numerator * (den // cap.denominator)
+    return sorted(t for t in ties if t <= limit), den
 
 
 def _resume_uncapped(placed, own, rows, rem_at, snaps) -> int:

@@ -243,10 +243,25 @@ class Violation:
         return {"code": self.code, "location": self.location, "message": self.message}
 
 
+def _type_violation(value, loc: str, name: str) -> Violation | None:
+    """A `not-rational` violation when `value` is neither an int nor a
+    `Fraction` (a bool is refused too), else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        return Violation("not-rational", loc, f"{name} must be an int or a Fraction, got {value!r}")
+    return None
+
+
 def validate_instance(inst: Instance) -> list[Violation]:
-    """Check model invariants. Violations come back as data, not exceptions."""
+    """Check model invariants. Violations come back as data, not exceptions.
+
+    `total_space`, `value_per_click`, `alpha` and `space` must be ints or
+    `Fraction`s (not floats, not bools), since every kernel reads their
+    numerators and denominators; a field of another type is reported as
+    `not-rational`, and its range checks are skipped."""
     out: list[Violation] = []
-    if inst.total_space <= 0:
+    if total_bad := _type_violation(inst.total_space, "instance", "total_space"):
+        out.append(total_bad)
+    elif inst.total_space <= 0:
         out.append(Violation("total-space", "instance", f"total_space must be positive, got {inst.total_space}"))
     if inst.cardinality_limit is not None and inst.cardinality_limit < 1:
         out.append(Violation("cardinality", "instance", f"cardinality_limit must be >= 1, got {inst.cardinality_limit}"))
@@ -259,7 +274,9 @@ def validate_instance(inst: Instance) -> list[Violation]:
         if adv.adv_id in seen_adv:
             out.append(Violation("duplicate-id", loc, "duplicate advertiser id"))
         seen_adv.add(adv.adv_id)
-        if adv.value_per_click <= 0:
+        if bad := _type_violation(adv.value_per_click, loc, "value_per_click"):
+            out.append(bad)
+        elif adv.value_per_click <= 0:
             out.append(Violation("value", loc, f"value_per_click must be positive, got {adv.value_per_click}"))
         if not adv.ads:
             out.append(Violation("no-ads", loc, "advertiser has no ads"))
@@ -280,11 +297,15 @@ def validate_instance(inst: Instance) -> list[Violation]:
                         f"ad id {ad.ad_id!r} also appears in advertiser {owner!r}'s catalog",
                     )
                 )
-            if not (0 < ad.alpha <= 1):
+            if bad := _type_violation(ad.alpha, ad_loc, "alpha"):
+                out.append(bad)
+            elif not (0 < ad.alpha <= 1):
                 out.append(Violation("alpha", ad_loc, f"alpha must lie in (0, 1], got {ad.alpha}"))
-            if ad.space <= 0:
+            if bad := _type_violation(ad.space, ad_loc, "space"):
+                out.append(bad)
+            elif ad.space <= 0:
                 out.append(Violation("space", ad_loc, f"space must be positive, got {ad.space}"))
-            elif inst.total_space > 0 and ad.space > inst.total_space:
+            elif total_bad is None and inst.total_space > 0 and ad.space > inst.total_space:
                 out.append(
                     Violation("space-exceeds-total", ad_loc, f"ad space {ad.space} exceeds total space {inst.total_space}")
                 )

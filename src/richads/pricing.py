@@ -2,7 +2,8 @@
 
 A rule's click curve for one advertiser is piecewise constant in their bid;
 its breakpoints can only sit where the bid ties another ad's bang-per-buck
-or value. Payments integrate that curve (Myerson), look up the lowest bid
+or value, and each rule reads off its probe's tables which of those ties
+can move it. Payments integrate that curve (Myerson), look up the lowest bid
 preserving the current clicks (GSP), or charge externalities at an exact
 optimum (VCG). Every payment is computed and checked in exact rationals.
 
@@ -41,32 +42,37 @@ ZERO = Fraction(0)
 @dataclass(frozen=True)
 class Branch:
     """A deterministic rule: `allocate(view)`, which reads any cap off
-    `view.inst`; the `kinds` of its click curves' breakpoints, bids where
-    the bidder's bang-per-buck ("bpb") or value ("value") ties another
-    row's; `probe(bidder_probe, num, den)`, the clicks at the bid num / den
-    read off a `kernels.BidderProbe` without running the rule, as an integer
-    over the probe's `click_den`; and whether
-    its curves are proven nondecreasing (`monotone`: they are bisected,
-    else scanned)."""
+    `view.inst`; `breakpoints(bidder_probe, cap)`, the bids in (0, cap]
+    where the branch's probe can change, read off the probe's tables as
+    (sorted numerators, their denominator), the only places its click
+    curves can step; `probe(bidder_probe, num, den)`, the clicks at the bid
+    num / den read off a `kernels.BidderProbe` without running the rule, as
+    an integer over the probe's `click_den`; and whether its curves are
+    proven nondecreasing (`monotone`: they are bisected, else scanned)."""
 
     allocate: Callable[[kernels.ScaledView], Allocation]
-    kinds: tuple[str, ...]
+    breakpoints: Callable[[kernels.BidderProbe, Fraction], tuple[list[int], int]]
     probe: Callable[[kernels.BidderProbe, int, int], int]
     monotone: bool
 
 
 # the rules are looked up at call time, so a wrapper installed on the module
-# attribute (a tracer, a test) sees every call
+# attribute (a tracer, a test) sees every call; greedy-bpb is scanned, so its
+# breakpoints are every pairwise tie of both kinds and every drop stays findable
+_probe = kernels.BidderProbe
 BRANCHES = {
-    "bpb": Branch(lambda v: monotone.bpb_allocation(v.inst, v.rep, v), ("bpb",), kernels.BidderProbe.bpb, True),
+    "bpb": Branch(lambda v: monotone.bpb_allocation(v.inst, v.rep, v), _probe.bpb_breakpoints, _probe.bpb, True),
     "max-value": Branch(
-        lambda v: monotone.max_value_allocation(v.inst, v.rep, v), ("value",), kernels.BidderProbe.max_value, True
+        lambda v: monotone.max_value_allocation(v.inst, v.rep, v), _probe.max_value_breakpoints, _probe.max_value, True
     ),
     "greedy-bpb": Branch(
-        lambda v: heuristics.greedy_by_bpb(v.inst, v.rep, v), ("bpb", "value"), kernels.BidderProbe.greedy_bpb, False
+        lambda v: heuristics.greedy_by_bpb(v.inst, v.rep, v),
+        lambda probe, cap: probe.ties(("bpb", "value"), cap),
+        _probe.greedy_bpb,
+        False,
     ),
     "greedy-value": Branch(
-        lambda v: heuristics.greedy_by_value(v.inst, v.rep, v), ("value",), kernels.BidderProbe.greedy_value, True
+        lambda v: heuristics.greedy_by_value(v.inst, v.rep, v), _probe.greedy_value_breakpoints, _probe.greedy_value, True
     ),
 }
 
@@ -160,13 +166,15 @@ class BidThresholds:
     run in bid order from 0, the bid a numerator over `den` and the clicks
     one over `click_den` (the bidder's `kernels.BidderProbe.click_den`),
     each run's clicks strictly above the last's; the last run ends at
-    `cap`. A run starts at 0 or at a candidate breakpoint, a tie bid
-    `ties[i] / den` (`kernels.BidderProbe.ties`' integers). `probes` counts
-    the kernel reads (`kernels.BidderProbe`, no allocation) that found the
-    runs. `steps` and `thresholds` give the runs and the candidates as
-    Fractions, built on read. A curve is the bidder's and the branch's, not
-    a rule's: a view keeps one for every rule priced on it, so an error
-    read off it names the rule its caller passes in.
+    `cap`. A run starts at 0 or at a breakpoint `ties[i] / den`, one of
+    the bids the curve was bisected (or scanned) over: the branch's
+    `Branch.breakpoints`, the bids where its probe can change, a subset of
+    the pairwise ties (`kernels.BidderProbe.ties`). `probes` counts the
+    kernel reads (`kernels.BidderProbe`, no allocation) that found the
+    runs. `steps` and `thresholds` give the runs and 0 with the
+    breakpoints as Fractions, built on read. A curve is the bidder's and
+    the branch's, not a rule's: a view keeps one for every rule priced on
+    it, so an error read off it names the rule its caller passes in.
     """
 
     adv_id: str
@@ -184,7 +192,7 @@ class BidThresholds:
 
     @property
     def thresholds(self) -> tuple[Fraction, ...]:
-        """0 and every candidate breakpoint up to the cap, as Fractions."""
+        """0 and every breakpoint up to the cap, as Fractions."""
         return (Fraction(0), *(Fraction(t, self.den) for t in self.ties))
 
 
@@ -217,14 +225,16 @@ def _bisect_clicks(n: int, probe: Callable[[int], int]) -> list[int]:
 def _build_curve(view: kernels.ScaledView, adv_id: str, cap: Fraction, branch: str, rule_name: str) -> BidThresholds:
     """The branch's click curve of `adv_id` on (0, cap], the rest of the
     report as in `view`, all read off the bidder's `kernels.BidderProbe`:
-    its `ties` of the branch's `kinds` bound the intervals, and its clicks
-    at their midpoints fill them, bisected if the branch is `monotone`,
-    else scanned. Bounds and clicks stay integers; one pass folds the
-    intervals into runs and raises `NonMonotoneClickCurveError` (naming
-    `rule_name`) where clicks drop."""
+    the branch's `breakpoints`, the bids where its probe can change, bound
+    the intervals, and its clicks at their midpoints fill them, bisected if
+    the branch is `monotone`, else scanned. Bounds and clicks stay
+    integers; one pass folds the intervals into runs and raises
+    `NonMonotoneClickCurveError` (naming `rule_name`) where clicks drop.
+    The tests keep the curve over every pairwise tie as the oracle
+    (`tests/oracles.curve_over_pairwise_ties`)."""
     rule = BRANCHES[branch]
     bidder = view.probe(adv_id)
-    ties, den = bidder.ties(rule.kinds, cap)
+    ties, den = rule.breakpoints(bidder, cap)
     points = [0, *ties]
     top = cap.numerator * (den // cap.denominator)
     if points[-1] < top:

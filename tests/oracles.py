@@ -512,6 +512,50 @@ def tie_candidates_pairwise(inst: Instance, rep: ReportProfile, adv_id: str, kin
     return sorted(out)
 
 
+# each branch's tie kinds: the pairwise candidates its click curves were
+# bisected (or scanned) over before each branch read its own breakpoints
+PAIRWISE_KINDS = {"bpb": ("bpb",), "max-value": ("value",), "greedy-bpb": ("bpb", "value"), "greedy-value": ("value",)}
+
+
+def curve_over_pairwise_ties(view, adv_id: str, cap: Fraction, branch: str, rule_name: str):
+    """`pricing._build_curve` over every pairwise tie of the branch's kinds
+    (`PAIRWISE_KINDS`, `kernels.BidderProbe.ties`), as it ran before each
+    branch read its breakpoints off its probe's tables: the clicks at each
+    interval's midpoint, bisected for a monotone branch, else scanned, and
+    folded into runs; a drop raises `NonMonotoneClickCurveError`."""
+    from richads.model import NonMonotoneClickCurveError
+    from richads.pricing import BRANCHES, BidThresholds, _bisect_clicks
+
+    rule = BRANCHES[branch]
+    bidder = view.probe(adv_id)
+    ties, den = bidder.ties(PAIRWISE_KINDS[branch], cap)
+    points = [0, *ties]
+    top = cap.numerator * (den // cap.denominator)
+    if points[-1] < top:
+        points.append(top)
+    probed: dict[int, int] = {}
+
+    def probe(j: int) -> int:
+        if j not in probed:
+            probed[j] = rule.probe(bidder, points[j] + points[j + 1], 2 * den)
+        return probed[j]
+
+    n = len(points) - 1
+    clicks = _bisect_clicks(n, probe) if rule.monotone else [probe(j) for j in range(n)]
+    runs = [(0, clicks[0])]
+    for j in range(1, n):
+        x, level = clicks[j], runs[-1][1]
+        if x < level:
+            lo, mid, hi = (Fraction(points[i], den) for i in (j - 1, j, j + 1))
+            c = bidder.click_den
+            raise NonMonotoneClickCurveError(
+                adv_id, rule_name, (lo, mid), (mid, hi), Fraction(level, c), Fraction(x, c)
+            )
+        if x > level:
+            runs.append((points[j], x))
+    return BidThresholds(adv_id, cap, tuple(runs), ties, den, bidder.click_den, len(probed))
+
+
 class BpbKey:
     """Sort key comparing bang-per-buck by cross-multiplication.
 
@@ -729,16 +773,18 @@ def sweep_by_fractions(ev, at_cap: ReportProfile, adv_id, bids):
 
 
 def integer_pass_drops_at_tie_bids(view, curve, branch) -> int:
-    """At every tie bid of `curve` (the `branch` curve of a bidder of
-    `view`) and at its cap, the integer pass equals the Fraction oracle
-    under both pricings (AssertionError otherwise): in one pass over all
-    those bids with the probe's clicks there, and bid by bid with those
-    clicks and with each of the curve's levels, which below the level
-    under the bid are drops at the bid. Returns the number of drops raised."""
+    """At every pairwise tie bid of the bidder of `curve` (the `branch`
+    curve of a bidder of `view`; `tie_candidates_pairwise` of the branch's
+    `PAIRWISE_KINDS`) and at its cap, the integer pass equals the Fraction
+    oracle under both pricings (AssertionError otherwise): in one pass over
+    all those bids with the probe's clicks there, and bid by bid with those
+    clicks and with each of the curve's levels, which below the level under
+    the bid are drops at the bid. Returns the number of drops raised."""
     from richads.pricing import BRANCHES
 
     probe = view.probe(curve.adv_id)
-    bids = sorted({*curve.thresholds[1:], curve.cap})
+    ties = tie_candidates_pairwise(view.inst, view.rep, curve.adv_id, PAIRWISE_KINDS[branch], curve.cap)
+    bids = sorted({*ties, curve.cap})
     clicks = [Fraction(BRANCHES[branch].probe(probe, b.numerator, b.denominator), probe.click_den) for b in bids]
     levels = {x for _lo, x in curve.steps}
     cases = [(bids, clicks)] + [((b,), (x,)) for b, at in zip(bids, clicks) for x in sorted(levels | {at})]

@@ -3,7 +3,8 @@
 Every case runs `cli` in process on a shipped fixture (or a seeded corpus)
 and must print exactly what `golden_cli.json` pins. A refactor that keeps
 behaviour keeps every pin; a pin that must change is a change in behaviour
-and is recorded as one. Run this file as a script to rewrite the pins:
+and is recorded as one. Run this file as a script to rewrite the pins; it
+names on stderr each pin whose value changed (added, removed or rewritten):
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
@@ -114,4 +115,7 @@ if __name__ == "__main__":
         with tempfile.TemporaryDirectory() as tmp:
             pins[name] = run_experiment_case(Path(tmp), config)
     PINS_PATH.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
+    for name in sorted(set(pins) | set(PINS)):
+        if pins.get(name) != PINS.get(name):
+            print(f"changed: {name}", file=sys.stderr)
     print(f"wrote {len(pins)} pins to {PINS_PATH}", file=sys.stderr)

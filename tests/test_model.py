@@ -166,6 +166,35 @@ def test_validate_flags_shared_ad_ids():
     assert "catalogs-not-disjoint" in codes
 
 
+def test_validate_flags_fields_that_are_not_rational():
+    # a float or a bool reaches no kernel: it is reported, and its range
+    # checks are skipped (a float 0.5 alpha is in range, True is 1)
+    inst = Instance(
+        advertisers=(
+            Advertiser("a", 2.0, (RichAd("ax1", 0.5, Fraction(1)), RichAd("ax2", Fraction(1), True))),
+            Advertiser("b", True, (RichAd("bx1", False, -1.0),)),
+        ),
+        total_space=3.0,
+    )
+    got = [(v.code, v.location, v.message) for v in validate_instance(inst)]
+    assert got == [
+        ("not-rational", "instance", "total_space must be an int or a Fraction, got 3.0"),
+        ("not-rational", "advertiser 'a'", "value_per_click must be an int or a Fraction, got 2.0"),
+        ("not-rational", "advertiser 'a', ad 'ax1'", "alpha must be an int or a Fraction, got 0.5"),
+        ("not-rational", "advertiser 'a', ad 'ax2'", "space must be an int or a Fraction, got True"),
+        ("not-rational", "advertiser 'b'", "value_per_click must be an int or a Fraction, got True"),
+        ("not-rational", "advertiser 'b', ad 'bx1'", "alpha must be an int or a Fraction, got False"),
+        ("not-rational", "advertiser 'b', ad 'bx1'", "space must be an int or a Fraction, got -1.0"),
+    ]
+    # ints and Fractions pass, and an oversized space is still checked
+    # against an int total
+    ok = Instance(
+        advertisers=(Advertiser("a", 2, (RichAd("ax1", Fraction(1, 2), 1), RichAd("ax2", 1, 4))),),
+        total_space=3,
+    )
+    assert [v.code for v in validate_instance(ok)] == ["space-exceeds-total"]
+
+
 def test_validate_report_catches_unknown_ids():
     inst = fixtures.fx2()
     rep = truthful_profile(inst).replace("a", Fraction(1), {"nope"})

@@ -11,10 +11,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
+    PAIRWISE_KINDS,
     checked_like_the_fraction_oracle,
+    curve_over_pairwise_ties,
     finish_outcome,
+    integer_prices_along,
+    priced_or_error,
     prices_along,
     rebid_clicks,
     riemann_myerson,
@@ -337,8 +342,8 @@ def _price_large_instance(seed):
 
 
 def _myerson_work(monkeypatch, inst):
-    """(probes, full view builds) of one Myerson mixture payment; the probes
-    are the ones its curves report."""
+    """(probes, breakpoints, full view builds) of one Myerson mixture
+    payment; the probes and breakpoints are the ones its curves report."""
     views = []
     view = kernels.ScaledView
 
@@ -350,15 +355,122 @@ def _myerson_work(monkeypatch, inst):
         monkeypatch.setattr(module, "ScaledView", counted_view)
     out = myerson_payment(inst, truthful_profile(inst), mixture_rule())
     monkeypatch.undo()
-    probes = sum(curve.probes for curves in out.curves.values() for curve in curves if curve is not None)
-    return probes, len(views)
+    curves = [curve for curves in out.curves.values() for curve in curves if curve is not None]
+    return sum(curve.probes for curve in curves), sum(len(curve.ties) for curve in curves), len(views)
 
 
 def test_myerson_work_counts_are_pinned(monkeypatch):
-    # one view of the report serves the allocation and every probe; a full
-    # scan would probe every interval (fx3: 31, the 12 x 4 instance: 1684)
-    assert _myerson_work(monkeypatch, fixtures.fx3()) == (22, 1)
-    assert _myerson_work(monkeypatch, _price_large_instance(7)) == (143, 1)
+    # one view of the report serves the allocation and every probe; each
+    # curve is bisected over its branch's breakpoints only. Over every
+    # pairwise tie the same curves took 22 and 143 probes among 27 and
+    # 1,664 candidates, and a full scan probes every pairwise interval
+    # (fx3: 31, the 12 x 4 instance: 1,684)
+    assert _myerson_work(monkeypatch, fixtures.fx3()) == (16, 14, 1)
+    assert _myerson_work(monkeypatch, _price_large_instance(7)) == (93, 315, 1)
+
+
+# small grids, so that equal values and densities are routine
+ALPHAS = tuple(Fraction(k, 4) for k in range(1, 5))
+VALUES = tuple(Fraction(k, 2) for k in range(1, 9))
+
+
+@st.composite
+def pruning_cases(draw):
+    """(instance, report, bidder) built to meet the edges of each branch's
+    breakpoint reader, the instance unvalidated: others before and after
+    the bidder's span, two of them copying the bidder's value and one of
+    their ads (equal values and densities on both sides at the bidder's
+    value), an other advertiser's smaller ad of lower density that the bpb
+    walk skips, zero-space ads, own ads of equal density or equal click
+    rate, totals small enough that the others fill them before the
+    bidder's first row, and caps 1 and 2, which the others reach under
+    greedy-value when they outbid the bidder."""
+
+    def ad(name):
+        return RichAd(name, draw(st.sampled_from(ALPHAS)), Fraction(draw(st.sampled_from((0, 1, 1, 2, 3, 4, 6)))))
+
+    value = draw(st.sampled_from(VALUES))
+    own = [ad(f"mex{j}") for j in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):  # a twin of equal density, or of equal click rate
+        first = own[0]
+        if draw(st.booleans()):
+            own.append(RichAd("mex9", first.alpha / 2, first.space / 2))
+        else:
+            own.append(RichAd("mex9", first.alpha, first.space + 1))
+    before, after = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    advertisers = []
+    for i in range(before + after):
+        name = f"a{i}" if i < before else f"z{i}"
+        ads = [ad(f"{name}x{j}") for j in range(draw(st.integers(1, 3)))]
+        copies = i in (0, before + after - 1) and draw(st.booleans())
+        if draw(st.booleans()):  # a large dense ad, then a smaller sparser one the bpb walk skips
+            ads += [RichAd(f"{name}x7", Fraction(1), Fraction(4)), RichAd(f"{name}x8", Fraction(1, 4), Fraction(2))]
+        if copies:
+            ads.append(replace(own[0], ad_id=f"{name}x9"))
+        advertisers.append(Advertiser(name, value if copies else draw(st.sampled_from(VALUES)), tuple(ads)))
+    advertisers.insert(before, Advertiser("me", value, tuple(own)))
+    inst = Instance(
+        advertisers=tuple(advertisers),
+        total_space=Fraction(draw(st.integers(1, 16))),
+        cardinality_limit=draw(st.sampled_from((None, 1, 2))),
+    )
+    rep = truthful_profile(inst)
+    rep = rep.replace("me", value * Fraction(draw(st.integers(1, 4)), 4), rep.subsets["me"])
+    return inst, rep, "me"
+
+
+def _price_large_case(seed, limit):
+    inst = replace(_price_large_instance(seed), cardinality_limit=limit)
+    return inst, truthful_profile(inst), inst.adv_ids()[5]
+
+
+def _zero_space_cap_case():
+    # under greedy-value the others' zero-space rows fill the one slot while
+    # leaving the space as it was: a served row is a breakpoint, though the
+    # remaining space does not change there
+    def advertiser(name, alpha):
+        return Advertiser(name, Fraction(1, 2), (RichAd(f"{name}x0", alpha, Fraction(0)),))
+
+    inst = Instance(
+        advertisers=(advertiser("a0", Fraction(1, 4)), advertiser("me", Fraction(3, 4)), advertiser("z1", Fraction(1, 4))),
+        total_space=Fraction(1),
+        cardinality_limit=1,
+    )
+    rep = truthful_profile(inst)
+    return inst, rep.replace("me", Fraction(1, 4), rep.subsets["me"]), "me"
+
+
+@settings(deadline=None, max_examples=300)
+@given(pruning_cases())
+@example(_price_large_case(7, None))
+@example(_price_large_case(7, 2))
+@example(_zero_space_cap_case())
+def test_breakpoints_give_the_curve_and_prices_of_every_pairwise_tie(case):
+    # each branch's curve over its breakpoints equals the curve over every
+    # pairwise tie, and prices every pairwise tie bid and the bid alike
+    inst, rep, adv_id = case
+    view = kernels.ScaledView(inst, rep)
+    bid = rep.bids[adv_id]
+    for branch in pricing.BRANCHES:
+        try:
+            want = curve_over_pairwise_ties(view, adv_id, bid, branch, branch)
+        except NonMonotoneClickCurveError as exc:
+            with pytest.raises(NonMonotoneClickCurveError) as got:
+                pricing._build_curve(view, adv_id, bid, branch, branch)
+            assert str(got.value) == str(exc)
+            continue
+        curve = pricing._build_curve(view, adv_id, bid, branch, branch)
+        assert curve.steps == want.steps, branch
+        pairwise = tie_candidates_pairwise(inst, rep, adv_id, PAIRWISE_KINDS[branch], bid)
+        assert set(curve.thresholds[1:]) <= set(pairwise) == set(want.thresholds[1:])
+        probe = view.probe(adv_id)
+        bids = sorted({*pairwise, bid})
+        clicks = [Fraction(pricing.BRANCHES[branch].probe(probe, b.numerator, b.denominator), probe.click_den) for b in bids]
+        for kind in ("myerson", "gsp"):
+            for at in [(bids, clicks)] + [((b,), (x,)) for b, x in zip(bids, clicks)]:
+                assert priced_or_error(integer_prices_along, kind, curve, *at, branch) == priced_or_error(
+                    integer_prices_along, kind, want, *at, branch
+                ), (branch, kind, at)
 
 
 def test_curves_through_the_kernel_equal_curves_through_rebids(monkeypatch):
@@ -484,7 +596,8 @@ def test_a_zero_space_competitor_is_priced_and_ties_nothing_in_bang_per_buck():
             nums, den = view.probe(adv_id).ties(kinds, bid)
             assert [Fraction(n, den) for n in nums] == tie_candidates_pairwise(inst, rep, adv_id, kinds, bid)
         for (_prob, branch), curve in zip(pricing.rule_branches(mixture_rule()), out.curves[adv_id]):
-            bounds = (*curve.thresholds, curve.cap)
+            # every pairwise interval, not only the breakpoints' intervals
+            bounds = (Fraction(0), *tie_candidates_pairwise(inst, rep, adv_id, PAIRWISE_KINDS[branch], bid), curve.cap)
             for lo, hi in zip(bounds, bounds[1:]):
                 mid = (lo + hi) / 2
                 clicks = [x for start, x in curve.steps if start < mid][-1]

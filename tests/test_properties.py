@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from oracles import (
+    PAIRWISE_KINDS,
     brute_force_opt,
     checked_like_the_fraction_oracle,
+    curve_over_pairwise_ties,
     fractional_opt_by_fractions,
     integer_pass_drops_at_tie_bids,
     prices_along,
@@ -273,15 +275,18 @@ def test_myerson_leaves_no_profitable_grid_deviation(inst, adv_index):
 
 
 def assert_bisection_matches_scan(inst, rep, adv_id, branch):
-    """Bisection and the exhaustive scan, run on one probe function, give the
-    same curve and the same Myerson and GSP payments."""
+    """The curve bisected over the branch's breakpoints and the exhaustive
+    scan over every pairwise tie, run on one probe function, give the same
+    curve and the same Myerson and GSP payments; the breakpoints are
+    pairwise ties, and the bisection probes no more than the scan."""
     bid = rep.bids[adv_id]
     view = kernels.ScaledView(inst, rep)
     curve = pricing._build_curve(view, adv_id, bid, branch, branch)
-    assert list(curve.thresholds[1:]) == tie_candidates_pairwise(
-        inst, rep, adv_id, pricing.BRANCHES[branch].kinds, bid
-    )
-    bounds = list(curve.thresholds)
+    pairwise = tie_candidates_pairwise(inst, rep, adv_id, PAIRWISE_KINDS[branch], bid)
+    assert set(curve.thresholds[1:]) <= set(pairwise)
+    oracle = curve_over_pairwise_ties(view, adv_id, bid, branch, branch)
+    assert curve.steps == oracle.steps
+    bounds = [Fraction(0), *pairwise]
     if bounds[-1] < bid:
         bounds.append(bid)
     intervals = list(zip(bounds, bounds[1:]))
@@ -297,7 +302,8 @@ def assert_bisection_matches_scan(inst, rep, adv_id, branch):
     probed.clear()
     bisected = pricing._bisect_clicks(len(intervals), probe)
     assert bisected == scanned
-    assert len(set(probed)) == len(probed) == curve.probes <= len(scanned)
+    assert len(set(probed)) == len(probed) == oracle.probes <= len(scanned)
+    assert curve.probes <= len(scanned)
 
     # the scan's runs, interval by interval, are the curve's
     scale = view.probe(adv_id).click_den
