@@ -4,12 +4,15 @@ Both solvers maximize reported value and break ties toward the
 lexicographically-smallest choice vector (advertisers in id order, the empty
 choice before ads, ads by ad_id ascending), so their allocations must match
 exactly, not just in value. Both serve at most the instance's
-`cardinality_limit` advertisers, when it has one. Size guards raise
+`cardinality_limit` advertisers, when it has one. The DP does only the
+work that can change a table entry: it skips each advertiser's dominated
+ads and the constant tail of each row. Size guards raise
 GuardExceededError instead of grinding.
 """
 
 from __future__ import annotations
 
+from itertools import count
 from operator import add
 from typing import Iterable
 
@@ -17,6 +20,7 @@ from .kernels import ScaledView
 from .model import Allocation, GuardExceededError, Instance, InvariantViolation, ReportProfile
 
 DP_CAPACITY_GUARD = 10**6
+DP_CELLS_GUARD = 10**7
 ENUMERATION_GUARD = 10**6
 
 
@@ -28,15 +32,60 @@ def _candidates(view: ScaledView):
     return per_adv
 
 
+def _undominated(view: ScaledView):
+    """`_candidates` without the ads the DP can never choose, and per
+    advertiser the widest ad kept (0 for none).
+
+    An ad is dropped if it is wider than the total, or if an ad b of the same
+    advertiser has s_b <= s_a and v_b >= v_a, with v_b > v_a or b before a:
+    b's option is never worse than a's, and `CapacityDP.choice` checks b
+    first or finds b strictly better, so no table entry and no choice
+    changes (the dominance rule of multiple-choice knapsack). The rule is
+    transitive, so one pass in ad_id order suffices: a new ad is dropped if
+    a kept ad covers it, else it drops the kept ads it beats strictly.
+    """
+    per_adv: list[list[tuple[int, int, int]]] = [[] for _ in view.adv_ids]
+    widest = [0] * len(per_adv)
+    total = view.total
+    for i, g, v, s in zip(count(), view.adv, view.val, view.spc):
+        if s > total:
+            continue
+        kept = per_adv[g]
+        if not kept:  # a single-ad advertiser ends here
+            kept.append((i, v, s))
+            widest[g] = s
+            continue
+        beaten = False
+        for _k, kv, ks in kept:
+            if ks <= s and kv >= v:
+                break  # covered
+            beaten = beaten or (s <= ks and v > kv)
+        else:
+            if beaten:
+                kept[:] = [c for c in kept if s > c[2] or v <= c[1]]
+                widest[g] = max([0, *(c[2] for c in kept)])
+            kept.append((i, v, s))
+            if s > widest[g]:
+                widest[g] = s
+    return per_adv, widest
+
+
 class CapacityDP:
     """The capacity DP over one view (see `capacity_dp`): its optimum and its leave-one-out optima.
 
     A row holds, per slot count c (a single layer when the view's `limit`
     is None), the best scaled value within each scaled capacity w; rows are
     nondecreasing in both. `suffix[g]` is the row of advertisers g.., so
-    `suffix[0]` holds the optimum and `suffix[n]` is all zeros. A scaled
-    capacity above `DP_CAPACITY_GUARD` (read at call time) raises
-    `GuardExceededError` before any table is allocated.
+    `suffix[0]` holds the optimum and `suffix[n]` is all zeros. Only each
+    advertiser's undominated ads enter (`_undominated`), and a row is computed
+    only up to its reach, the sum of its advertisers' widest such ads capped
+    at the total, beyond which it is constant. A pass costs
+    O(layers · Σ_g m_g · reach_g) for the m_g undominated ads of advertiser g
+    and the reach of its row, at most O(layers · n · m · cap) for m ads each
+    and scaled capacity cap. A scaled capacity above `DP_CAPACITY_GUARD`,
+    or more than `DP_CELLS_GUARD` table cells, (n + 1) · layers · (cap + 1),
+    raises `GuardExceededError` before any table is allocated; both are read
+    at call time.
     """
 
     def __init__(self, view: ScaledView):
@@ -49,24 +98,38 @@ class CapacityDP:
             layers, self.shift = 1, 0  # taking an ad uses no slot
         else:
             layers, self.shift = view.limit + 1, 1
+        cells = (n + 1) * layers * (view.total + 1)
+        if cells > DP_CELLS_GUARD:
+            raise GuardExceededError(f"{cells} DP table cells exceed the DP cells guard {DP_CELLS_GUARD}")
         self.total = view.total  # not the view, which keeps its DP
-        self.per_adv = _candidates(view)
+        self.per_adv, self.widest = _undominated(view)
         self.suffix = [[[0] * (view.total + 1) for _ in range(layers)]] * (n + 1)
+        reach = 0
         for g in range(n - 1, -1, -1):
-            self.suffix[g] = self._extend(self.suffix[g + 1], g)
+            self.suffix[g], reach = self._extend(self.suffix[g + 1], reach, g)
 
-    def _extend(self, prev: list[list[int]], g: int) -> list[list[int]]:
-        """`prev` with advertiser g added: row[c][w] = max(prev[c][w], v + prev[c - shift][w - s])."""
+    def _extend(self, prev: list[list[int]], reach: int, g: int) -> tuple[list[list[int]], int]:
+        """`prev`, constant from `reach` on, with advertiser g added:
+        row[c][w] = max(prev[c][w], v + prev[c - shift][w - s]), and the new
+        reach. Only w up to the new reach is computed; the rest of each layer
+        repeats its value there."""
         cands = self.per_adv[g]
         if not cands:
-            return prev  # rows are never written once built
-        row = [layer.copy() for layer in prev]
+            return prev, reach  # rows are never written once built
+        reach += self.widest[g]
+        tail = self.total - reach
+        if tail < 0:  # the reach is capped at the total
+            reach, tail = self.total, 0
+        hi = reach + 1
+        row = prev[: self.shift]  # layer 0 under a limit: no slot, all zeros
         for c in range(self.shift, len(prev)):
-            src, out = prev[c - self.shift], row[c]
+            src, out = prev[c - self.shift], prev[c][:hi]
             for _i, v, s in cands:
-                if s < len(out):
-                    out[s:] = [x if x >= (t := y + v) else t for x, y in zip(out[s:], src)]
-        return row
+                out[s:] = [x if x >= (t := y + v) else t for x, y in zip(out[s:], src)]
+            if tail:
+                out += [out[reach]] * tail
+            row.append(out)
+        return row, reach
 
     def choice(self) -> list[int]:
         """The optimal choice vector that is lexicographically first: per
@@ -96,11 +159,11 @@ class CapacityDP:
         """
         wanted = set(advertisers)
         top = len(self.suffix[0]) - 1
-        pre = self.suffix[-1]  # no advertisers: all zeros
+        pre, reach = self.suffix[-1], 0  # no advertisers: all zeros
         out = {}
         for g in range(max(wanted, default=-1) + 1):
             if g:
-                pre = self._extend(pre, g - 1)
+                pre, reach = self._extend(pre, reach, g - 1)
             if g in wanted:
                 suf = self.suffix[g + 1]
                 out[g] = max(max(map(add, pre[c], reversed(suf[top - c]))) for c in range(top + 1))
@@ -116,7 +179,8 @@ def int_opt_dp(inst: Instance, rep: ReportProfile) -> Allocation:
     """Integral optimum by dynamic programming over scaled capacity: the
     backtrack (`CapacityDP.choice`) of a new view's `capacity_dp`, the tables
     `pricing.vcg_payments` reads its counterfactual optima from. Raises
-    `GuardExceededError` when the scaled capacity exceeds `DP_CAPACITY_GUARD`."""
+    `GuardExceededError` when the scaled capacity exceeds `DP_CAPACITY_GUARD`
+    or the tables `DP_CELLS_GUARD`."""
     view = ScaledView(inst, rep)
     return view.allocation(capacity_dp(view).choice())
 

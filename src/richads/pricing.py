@@ -542,8 +542,10 @@ def vcg_payments(inst: Instance, rep: ReportProfile, view: kernels.ScaledView | 
     """Externality payments on top of the exact integral optimum.
 
     The view's `exact.capacity_dp` gives the optimum and, for each served
-    advertiser, the optimum without them (`optima_without`): two DP passes,
-    O(n·cap·m), instead of a solve per served advertiser, O((k+1)·n·cap·m).
+    advertiser, the optimum without them (`optima_without`): two DP passes
+    instead of a solve per served advertiser. Each pass reads only the
+    advertisers' undominated ads, each row only up to its reach (see
+    `exact.CapacityDP`).
     The view's integer scaling is valid for every sub-profile, so the
     payments stay exact. `view`, when given, is the view of (inst, rep), and
     a DP it already holds is read, not rebuilt. The tests keep the re-solve

@@ -3,6 +3,10 @@ from hypothesis import settings
 
 from richads import harness
 
+# the oracles' own asserts are rewritten like a test module's, so they still
+# check under `python -O`; this runs before any test module imports them
+pytest.register_assert_rewrite("oracles")
+
 # a failing property test prints the `@reproduce_failure` blob that replays
 # it, so a failure seen only in CI can be rerun locally; every other setting
 # keeps hypothesis's default

@@ -15,6 +15,7 @@ from itertools import product
 from math import gcd, lcm
 
 from richads.fracopt import FractionalSolution, advertiser_points, eliminate_dominated, fractional_opt
+from richads.kernels import ScaledView
 from richads.model import (
     Allocation,
     Instance,
@@ -107,6 +108,70 @@ def vcg_by_resolving(inst: Instance, rep: ReportProfile, solver):
         sw_without = reported_value(inst, without, solver(inst, without))
         payments[adv.adv_id] = sw_without - (total - term)
     return finish_outcome(inst, rep, as_mixture(alloc), payments, "vcg")
+
+
+class _DenseCapacityDP:
+
+    def __init__(self, view):
+        self.shift = 0 if view.limit is None else 1  # taking an ad uses a slot under a limit
+        layers = 1 if view.limit is None else view.limit + 1
+        self.total = view.total
+        self.per_adv = [[] for _ in view.adv_ids]
+        for i in range(len(view)):
+            self.per_adv[view.adv[i]].append((i, view.val[i], view.spc[i]))
+        n = len(self.per_adv)
+        self.suffix = [[[0] * (view.total + 1) for _ in range(layers)]] * (n + 1)
+        for g in range(n - 1, -1, -1):
+            self.suffix[g] = self._extend(self.suffix[g + 1], g)
+
+    def _extend(self, prev, g):
+        row = [layer.copy() for layer in prev]
+        for c in range(self.shift, len(prev)):
+            src, out = prev[c - self.shift], row[c]
+            for _i, v, s in self.per_adv[g]:
+                if s < len(out):
+                    out[s:] = [max(x, y + v) for x, y in zip(out[s:], src)]
+        return row
+
+    def choice(self):
+        chosen = [-1] * len(self.per_adv)
+        w, c = self.total, len(self.suffix[0]) - 1
+        for g, cands in enumerate(self.per_adv):
+            target, nxt = self.suffix[g][c][w], self.suffix[g + 1]
+            if nxt[c][w] == target:
+                continue
+            for i, v, s in cands:
+                if s <= w and c >= self.shift and v + nxt[c - self.shift][w - s] == target:
+                    chosen[g], w, c = i, w - s, c - self.shift
+                    break
+        return chosen
+
+    def optima_without(self, advertisers):
+        top, out = len(self.suffix[0]) - 1, {}
+        for g in advertisers:
+            pre = self.suffix[-1]
+            for h in range(g):
+                pre = self._extend(pre, h)
+            suf = self.suffix[g + 1]
+            out[g] = max(
+                pre[c][w] + suf[top - c][self.total - w] for c in range(top + 1) for w in range(self.total + 1)
+            )
+        return out
+
+
+def capacity_dp_over_every_ad(view) -> _DenseCapacityDP:
+    """The capacity DP over every ad of the view and every capacity: the
+    tables (`suffix`), `choice()` and `optima_without()` that
+    `exact.CapacityDP` must reproduce while it skips dominated ads and the
+    constant tail of each row."""
+    return _DenseCapacityDP(view)
+
+
+def int_opt_by_dense_dp(inst: Instance, rep: ReportProfile) -> Allocation:
+    """The integral optimum by `capacity_dp_over_every_ad`'s backtrack; a
+    `solver` for `vcg_by_resolving`."""
+    view = ScaledView(inst, rep)
+    return view.allocation(capacity_dp_over_every_ad(view).choice())
 
 
 def finish_outcome(inst: Instance, rep: ReportProfile, mixture, payments: dict, rule_name: str, curves=None):

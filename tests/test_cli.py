@@ -276,6 +276,30 @@ def test_the_dp_capacity_guard_is_a_module_constant(fx_path, capsys, monkeypatch
     assert message in capsys.readouterr().err
 
 
+def test_the_dp_cells_guard_is_a_module_constant(fx_path, capsys, monkeypatch):
+    # the tables' size, not only their width: (n + 1) rows of (limit + 1)
+    # layers of total + 1 cells, checked before any table is built
+    inst = replace(fixtures.fx1(), cardinality_limit=1)
+    rep = truthful_profile(inst)
+    view = kernels.ScaledView(inst, rep)
+    cells = (view.n_adv() + 1) * (view.limit + 1) * (view.total + 1)
+    path = fx_path(inst)
+    monkeypatch.setattr(exact, "DP_CELLS_GUARD", cells)
+    exact.int_opt_dp(inst, rep)
+    assert cli(["payments", path, "--rule", "vcg"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(exact, "DP_CELLS_GUARD", cells - 1)
+    message = f"{cells} DP table cells exceed the DP cells guard {cells - 1}"
+    with pytest.raises(GuardExceededError, match=message):
+        exact.int_opt_dp(inst, rep)
+    assert cli(["payments", path, "--rule", "vcg"]) == 2
+    assert message in capsys.readouterr().err
+    # the capacity guard is checked first, so its message stands
+    monkeypatch.setattr(exact, "DP_CAPACITY_GUARD", view.total - 1)
+    with pytest.raises(GuardExceededError, match="exceeds the DP guard"):
+        exact.int_opt_dp(inst, rep)
+
+
 def test_the_strategy_ads_guard_is_a_module_constant(fx_path, capsys, monkeypatch):
     inst = fixtures.fx4()
     most = max(len(adv.ads) for adv in inst.advertisers)

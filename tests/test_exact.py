@@ -4,8 +4,9 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import brute_force_opt, reported_value
+from oracles import brute_force_opt, capacity_dp_over_every_ad, reported_value
 from richads import fixtures, heuristics, pricing
 from richads.exact import (
     CapacityDP,
@@ -194,3 +195,61 @@ def test_empty_reports_allocate_nothing():
     )
     assert int_opt_dp(inst, rep).entries == {}
     assert int_opt_exhaustive(inst, rep).entries == {}
+
+
+def _dp_case(ads, total, limit):
+    """An instance of one advertiser per list of (value, space) ads, bidding
+    1 on every ad, and its truthful report."""
+    advertisers = tuple(
+        Advertiser(
+            f"a{g}",
+            value_per_click=Fraction(1),
+            ads=tuple(RichAd(f"a{g}x{j}", alpha=Fraction(v), space=Fraction(s)) for j, (v, s) in enumerate(row)),
+        )
+        for g, row in enumerate(ads)
+    )
+    inst = Instance(advertisers=advertisers, total_space=Fraction(total), cardinality_limit=limit)
+    return inst, truthful_profile(inst)
+
+
+@st.composite
+def dp_cases(draw):
+    """Up to 4 advertisers of 1-4 ads with values 1-4 and spaces 0-6, so value
+    and space ties, identical twins, zero-space ads and single-ad advertisers
+    are routine; a total from 1 to the sum of the spaces, so some ads are
+    wider than it; no cap or a cap of 1, 2 or 3."""
+    ad = st.tuples(st.integers(1, 4), st.integers(0, 6))
+    ads = draw(st.lists(st.lists(ad, min_size=1, max_size=4), min_size=1, max_size=4))
+    total = draw(st.integers(1, max(1, sum(s for row in ads for _v, s in row))))
+    return _dp_case(ads, total, draw(st.sampled_from((None, 1, 2, 3))))
+
+
+def _covers(b, a):
+    """Ad b, of a's advertiser, is never a worse choice than a and comes first
+    in `choice()`'s scan or beats a strictly."""
+    return b is not a and b[2] <= a[2] and b[1] >= a[1] and (b[1] > a[1] or b[0] < a[0])
+
+
+@settings(deadline=None, max_examples=400)
+@given(dp_cases())
+@example(_dp_case([[(2, 1), (2, 3)], [(1, 2)]], 3, None))  # an equal-value smaller ad before the larger one
+@example(_dp_case([[(2, 3), (2, 1)], [(1, 2)]], 3, None))  # ... and after it: the larger one is chosen
+@example(_dp_case([[(2, 3), (2, 1)]], 3, 1))
+@example(_dp_case([[(3, 2), (3, 2)], [(3, 2), (3, 2)]], 2, None))  # identical twins
+@example(_dp_case([[(1, 0), (2, 0)], [(4, 9)], [(2, 3)]], 4, 2))  # zero-space ads and an ad wider than the total
+@example(_dp_case([[(1, 1)], [(2, 2)], [(3, 3)], [(4, 4)]], 10, 3))  # single-ad advertisers, total the sum of spaces
+def test_the_dp_over_undominated_ads_equals_the_dp_over_every_ad(case):
+    # skipping dominated ads and the constant tail of each row changes no
+    # table entry, no choice and no leave-one-out optimum
+    inst, rep = case
+    view = ScaledView(inst, rep)
+    dp, oracle = CapacityDP(view), capacity_dp_over_every_ad(view)
+    assert dp.suffix == oracle.suffix
+    assert dp.choice() == oracle.choice()
+    n = view.n_adv()
+    assert dp.optima_without(range(n)) == oracle.optima_without(range(n))
+    # and the DP keeps exactly the undominated ads that fit, its rows
+    # reaching as wide as the widest of them
+    for kept, every, widest in zip(dp.per_adv, oracle.per_adv, dp.widest):
+        assert kept == [a for a in every if a[2] <= view.total and not any(_covers(b, a) for b in every)]
+        assert widest == max((a[2] for a in kept), default=0)

@@ -18,6 +18,7 @@ from oracles import (
     checked_like_the_fraction_oracle,
     curve_over_pairwise_ties,
     finish_outcome,
+    int_opt_by_dense_dp,
     integer_prices_along,
     priced_or_error,
     prices_along,
@@ -154,6 +155,17 @@ def test_one_pass_vcg_matches_resolving_on_the_corpus(small_corpus, limit):
         inst = replace(inst, cardinality_limit=limit)
         rep = truthful_profile(inst)
         assert vcg_payments(inst, rep) == vcg_by_resolving(inst, rep, exact.int_opt_dp)
+
+
+@pytest.mark.parametrize("limit", [None, 3])
+def test_one_pass_vcg_matches_resolving_where_dominated_ads_abound(limit):
+    # `price-large`'s shape: about half of the ads are dominated within their
+    # advertiser, and the rows of the last advertisers stop short of the
+    # total, which the narrow `small_corpus` instances rarely show
+    for seed in range(6):
+        inst = replace(_price_large_instance(seed), cardinality_limit=limit)
+        rep = truthful_profile(inst)
+        assert vcg_payments(inst, rep) == vcg_by_resolving(inst, rep, int_opt_by_dense_dp), seed
 
 
 def test_the_vcg_mechanism_prices_off_the_view_it_is_given(monkeypatch):
