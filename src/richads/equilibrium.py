@@ -8,8 +8,9 @@ the fixed point is a grid Nash equilibrium. A best response sweeps each
 subset's bids up to the true value along one click curve per branch,
 instead of evaluating the whole profile at every grid point. The sweep
 and a single profile's payment are priced by one function,
-`pricing.threshold_payments`, and read the same cached curves: a curve is
-keyed by the report with the bidder at the cap. A sweep stays in integers
+`pricing.threshold_payments`, and read the same curves: a search builds
+one view per report, and a bidder's curve is kept in the memo of the view
+of the report with that bidder at the cap. A sweep stays in integers
 from the probe's clicks to the utilities, and makes one `Fraction` per
 table entry.
 """
@@ -27,7 +28,6 @@ from . import exact, fracopt, kernels, pricing
 from .model import (
     GuardExceededError,
     Instance,
-    Mixture,
     ReportProfile,
     parse_rational,
     social_welfare,
@@ -99,16 +99,17 @@ def strategy_spaces(inst: Instance, delta: Fraction) -> dict[str, StrategySpace]
 
 
 class _Evaluator:
-    """Memoised outcome/payment evaluation across many nearby profiles.
+    """Memoised utility evaluation across many nearby profiles.
 
-    A utility reads one view of its profile: the branch allocations run on
-    it once, for the outcome and the payment alike. Click curves are cached
-    per (advertiser, branch, report with the advertiser at the cap), since
-    an advertiser's own bid moves along a fixed curve while the rest of the
-    profile stands still; the misses of one payment share one view of that
-    report.
+    Each report gets one view (`_view`), built on first use and kept for
+    the evaluator's life; its memo holds everything read at that report:
+    the branch allocations, each bidder's probe and, at the report with a
+    bidder at the cap, that bidder's click curve per branch, since an
+    advertiser's own bid moves along a fixed curve while the rest of the
+    profile stands still. VCG keeps its priced outcomes instead, and no
+    view, which would hold its capacity DP.
     `curves_built` and `curves_cached` count the curve lookups that built a
-    curve and those the cache served.
+    curve and those a view's memo served.
     """
 
     def __init__(self, inst: Instance, truth: ReportProfile, mechanism: Mechanism):
@@ -116,24 +117,23 @@ class _Evaluator:
         self.truth = truth
         self.mech = mechanism
         self.branches = () if mechanism.pricing == "vcg" else pricing.rule_branches(mechanism.rule)
-        self._curves: dict = {}
+        self._views: dict = {}
         self._vcg: dict = {}
         self.curves_built = 0
         self.curves_cached = 0
 
-    def _branch_alloc(self, rep: ReportProfile, view: kernels.ScaledView | None = None) -> tuple:
-        """The allocation of each of the rule's branches at `rep`; `view`,
-        when given, is the view of (inst, rep)."""
+    def _view(self, rep: ReportProfile) -> kernels.ScaledView:
+        """The view of (inst, rep), one per report."""
+        key = rep.key()
+        view = self._views.get(key)
         if view is None:
-            view = kernels.ScaledView(self.inst, rep)
-        return tuple(pricing.branch_allocate(self.inst, rep, branch, view) for _prob, branch in self.branches)
+            view = self._views[key] = kernels.ScaledView(self.inst, rep)
+        return view
 
-    def outcome(self, rep: ReportProfile, view: kernels.ScaledView | None = None) -> Mixture:
-        """The mechanism's lottery at `rep`; `view`, when given, is the view of (inst, rep)."""
-        if self.mech.pricing == "vcg":
-            return self._vcg_outcome(rep).mixture
-        allocs = self._branch_alloc(rep, view)
-        return Mixture(branches=tuple((prob, alloc) for (prob, _branch), alloc in zip(self.branches, allocs)))
+    def _branch_alloc(self, rep: ReportProfile) -> tuple:
+        """The allocation of each of the rule's branches at `rep`."""
+        view = self._view(rep)
+        return tuple(pricing.branch_allocate(self.inst, rep, branch, view) for _prob, branch in self.branches)
 
     def _vcg_outcome(self, rep: ReportProfile) -> pricing.PricedOutcome:
         key = rep.key()
@@ -143,57 +143,48 @@ class _Evaluator:
             self._vcg[key] = got
         return got
 
-    def _curve(self, at_cap: ReportProfile, adv_id: str, branch: str, views: list | None = None):
+    def _curve(self, at_cap: ReportProfile, adv_id: str, branch: str):
         """The branch's click curve of `adv_id` on (0, cap], `at_cap` being
-        the report with `adv_id` bidding the cap. `views`, when given, holds
-        the view of (inst, at_cap) that serves the probes, or is empty: a
-        cache miss then builds that view into it, so the misses of one
-        report share it."""
-        key = (adv_id, branch, at_cap.key())
-        got = self._curves.get(key)
-        if got is None:
-            self.curves_built += 1
-            if views is None:
-                views = []
-            if not views:
-                views.append(kernels.ScaledView(self.inst, at_cap))
-            got = pricing._build_curve(views[0], adv_id, at_cap.bids[adv_id], branch, branch)
-            self._curves[key] = got
-        else:
+        the report with `adv_id` bidding the cap, kept in that report's view
+        under the key `pricing._threshold_prices` uses."""
+        view = self._view(at_cap)
+        key = ("curve", adv_id, branch)
+        if key in view._memo:
             self.curves_cached += 1
-        return got
+        else:
+            self.curves_built += 1
+        return view.memo(key, pricing._build_curve, view, adv_id, at_cap.bids[adv_id], branch, branch)
 
-    def payment(self, rep: ReportProfile, adv_id: str, view: kernels.ScaledView | None = None) -> Fraction:
-        """`adv_id`'s payment at `rep`; `view`, when given, is the view of
-        (inst, rep). Its curves are read at the report with `adv_id` at the
-        cap: that view when the bid is the cap, else one view of that report
-        built on the first curve-cache miss and shared by every branch."""
+    def payment(self, rep: ReportProfile, adv_id: str) -> Fraction:
+        """`adv_id`'s payment at `rep`, its curves read at the report with
+        `adv_id` at the cap: `rep` itself when the bid is the cap."""
         if self.mech.pricing == "vcg":
             return self._vcg_outcome(rep).payments.get(adv_id, Fraction(0))
         bid = rep.bids.get(adv_id, Fraction(0))
         subset = rep.subsets.get(adv_id, frozenset())
         if bid <= 0 or not subset:
             return Fraction(0)
-        if view is None:
-            view = kernels.ScaledView(self.inst, rep)
         cap = self.truth.bids.get(adv_id, bid)
-        at_cap, views = (rep, [view]) if bid >= cap else (rep.replace(adv_id, cap, subset), [])
-        scale = view.probe(adv_id).click_den
+        at_cap = rep if bid >= cap else rep.replace(adv_id, cap, subset)
+        scale = self._view(rep).probe(adv_id).click_den
         (paid,), den, _curves = pricing.threshold_payments(
             self.mech.pricing,
             (bid.numerator,),
             bid.denominator,
             self.branches,
-            [(pricing.clicks_over(alloc.clicks(self.inst, adv_id), scale),) for alloc in self._branch_alloc(rep, view)],
-            lambda branch: self._curve(at_cap, adv_id, branch, views),
+            [(pricing.clicks_over(alloc.clicks(self.inst, adv_id), scale),) for alloc in self._branch_alloc(rep)],
+            lambda branch: self._curve(at_cap, adv_id, branch),
         )
         return Fraction(paid, den)
 
     def utility(self, rep: ReportProfile, adv_id: str) -> Fraction:
-        """`adv_id`'s utility at `rep`: the outcome and the payment read one view of `rep`."""
-        value = self.truth.bids.get(adv_id, Fraction(0))
-        view = None if self.mech.pricing == "vcg" else kernels.ScaledView(self.inst, rep)
-        return value * self.outcome(rep, view).clicks(self.inst, adv_id) - self.payment(rep, adv_id, view)
+        """`adv_id`'s utility at `rep`: true value times expected clicks, less the payment."""
+        if self.mech.pricing == "vcg":
+            clicks = self._vcg_outcome(rep).mixture.clicks(self.inst, adv_id)
+        else:
+            allocs = self._branch_alloc(rep)
+            clicks = sum(prob * alloc.clicks(self.inst, adv_id) for (prob, _b), alloc in zip(self.branches, allocs))
+        return self.truth.bids.get(adv_id, Fraction(0)) * clicks - self.payment(rep, adv_id)
 
     def utility_table(self, rep: ReportProfile, adv_id: str, space: StrategySpace) -> list[list[Fraction]]:
         """`adv_id`'s utility at every strategy of `space`, the others as in
@@ -225,7 +216,7 @@ class _Evaluator:
         """Fill `row` at the bids in (0, cap], `at_cap` being the report with
         `adv_id` bidding their cap, the true value.
 
-        One view of `at_cap` gives the bidder's probe kernel, off which each
+        The view of `at_cap` gives the bidder's probe kernel, off which each
         branch's clicks are read at every such bid, and serves the one click
         curve per branch that every such bid is priced against: the grid's
         payments come from `pricing.threshold_payments`, the path that
@@ -241,11 +232,10 @@ class _Evaluator:
         grid = bids[lo:hi]
         grid_den = lcm(*(bid.denominator for bid in grid))
         nums = [bid.numerator * (grid_den // bid.denominator) for bid in grid]
-        view = kernels.ScaledView(self.inst, at_cap)
-        probe = view.probe(adv_id)
+        probe = self._view(at_cap).probe(adv_id)
         clicks = [[pricing.BRANCHES[b].probe(probe, num, grid_den) for num in nums] for _prob, b in self.branches]
         paid, den, _curves = pricing.threshold_payments(
-            self.mech.pricing, nums, grid_den, self.branches, clicks, lambda b: self._curve(at_cap, adv_id, b, [view])
+            self.mech.pricing, nums, grid_den, self.branches, clicks, lambda b: self._curve(at_cap, adv_id, b)
         )
         # expected clicks over click_den times the probabilities' lcm, then
         # cap * clicks and the payments over one denominator
@@ -364,8 +354,8 @@ def find_pure_nash(
 
     With `explain`, one JSON-ready dict per round and bidder is appended
     to it: the deviations checked, the best response, its utility gain
-    over the current report, and the click curves built and served from
-    the cache while finding it.
+    over the current report, and the click curves built and served by a
+    kept view while finding it.
     """
     ev = _Evaluator(inst, truth, mechanism)
     current = ReportProfile(

@@ -573,7 +573,70 @@ def test_a_utility_builds_one_view_per_report(monkeypatch):
             built.clear()
             got = ev.utility(rep, "b")
             assert built == views and ev.curves_built == 2
+            # the same utility again reads the kept views' memos: it builds nothing
+            assert ev.utility(rep, "b") == got
+            assert built == views and (ev.curves_built, ev.curves_cached) == (2, 2)
         assert got == utility(inst, truth, rep, mech)["b"]
+
+
+@pytest.mark.parametrize("mech", SWEEP_MECHANISMS[:2], ids=lambda m: m.describe())
+def test_a_nash_search_builds_one_view_per_report(mech, monkeypatch):
+    # every view a search from truth builds on the seed-0 pool is of a report
+    # no earlier view of that search had
+    keys = []
+    init = kernels.ScaledView.__init__
+
+    def counting(self, inst, rep):
+        keys.append(rep.key())
+        init(self, inst, rep)
+
+    monkeypatch.setattr(kernels.ScaledView, "__init__", counting)
+    views = 0
+    for inst, grid in dynamics_pool(seed=0):
+        keys.clear()
+        find_pure_nash(inst, truthful_profile(inst), mech, strategy_spaces(inst, grid))
+        assert len(keys) == len(set(keys)), inst
+        views += len(keys)
+    assert views > 200
+
+
+@pytest.mark.parametrize("mech", SWEEP_MECHANISMS[:2], ids=lambda m: m.describe())
+def test_a_repeated_utility_table_builds_no_view_and_no_curve(mech, monkeypatch):
+    inst = fixtures.fx4()
+    truth = truthful_profile(inst)
+    spaces = strategy_spaces(inst, Fraction(1, 20))
+    built = []
+    init = kernels.ScaledView.__init__
+
+    def counting(self, inst, rep):
+        built.append(rep)
+        init(self, inst, rep)
+
+    monkeypatch.setattr(kernels.ScaledView, "__init__", counting)
+    curves = 0
+    for rep in (truth, shaded(inst, truth)):
+        for adv_id, space in spaces.items():
+            ev = equilibrium._Evaluator(inst, truth, mech)
+            table = ev.utility_table(rep, adv_id, space)
+            assert built
+            built.clear()
+            curves += ev.curves_built
+            first = (ev.curves_built, ev.curves_cached)
+            assert ev.utility_table(rep, adv_id, space) == table
+            # each curve lookup of the first table is served again
+            assert built == [] and (ev.curves_built, ev.curves_cached) == (first[0], first[1] + sum(first))
+    # GSP reads no curve for a bidder who gets no clicks at any grid bid
+    assert curves > 0
+
+
+def test_a_vcg_evaluator_holds_no_view():
+    # a kept VCG view would hold its capacity DP for the whole search
+    inst = fixtures.fx4()
+    truth = truthful_profile(inst)
+    ev = equilibrium._Evaluator(inst, truth, pricing.Mechanism("vcg"))
+    for adv_id, space in strategy_spaces(inst, Fraction(1, 20)).items():
+        ev.utility_table(truth, adv_id, space)
+    assert ev._views == {} and ev._vcg
 
 
 def test_current_utility_off_the_grid_is_evaluated_by_profile():
