@@ -4,15 +4,15 @@ Strategies live on a no-overbidding bid grid crossed with every catalog
 subset. Utilities are always at true values. `find_pure_nash` runs
 sequential best-response dynamics from the truthful profile; a full pass
 without a strict improvement doubles as the exhaustive verification that
-the fixed point is a grid Nash equilibrium. A best response sweeps each
-subset's bids up to the true value along one click curve per branch,
-instead of evaluating the whole profile at every grid point. The sweep
-and a single profile's payment are priced by one function,
-`pricing.threshold_payments`, and read the same curves: a search builds
-one view per report, and a bidder's curve is kept in the memo of the view
-of the report with that bidder at the cap. A sweep stays in integers
-from the probe's clicks to the utilities, and makes one `Fraction` per
-table entry.
+the fixed point is a grid Nash equilibrium. Under threshold pricing,
+every utility and payment, a best response's whole grid or one report's,
+is read off one sweep per subset, instead of one profile evaluation per
+grid point: the view of the report with the bidder at the cap, the larger
+of their true value and their top bid, gives their clicks at every bid
+and one click curve per branch to price them against
+(`pricing.threshold_payments`). A search builds one view per report and
+keeps each curve in that view's memo. A sweep stays in integers from the
+probe's clicks to the utilities, and makes one `Fraction` per table entry.
 """
 
 from __future__ import annotations
@@ -102,12 +102,12 @@ class _Evaluator:
     """Memoised utility evaluation across many nearby profiles.
 
     Each report gets one view (`_view`), built on first use and kept for
-    the evaluator's life; its memo holds everything read at that report:
-    the branch allocations, each bidder's probe and, at the report with a
-    bidder at the cap, that bidder's click curve per branch, since an
-    advertiser's own bid moves along a fixed curve while the rest of the
-    profile stands still. VCG keeps its priced outcomes instead, and no
-    view, which would hold its capacity DP.
+    the evaluator's life. A threshold-priced utility or payment is read off
+    `_sweep`, whether for a grid or one report: the view of the report with
+    the bidder at the cap holds the bidder's probe and one click curve per
+    branch, since an advertiser's own bid moves along a fixed curve while
+    the rest of the profile stands still. VCG keeps its priced outcomes
+    instead, and no view, which would hold its capacity DP.
     `curves_built` and `curves_cached` count the curve lookups that built a
     curve and those a view's memo served.
     """
@@ -130,7 +130,7 @@ class _Evaluator:
             view = self._views[key] = kernels.ScaledView(self.inst, rep)
         return view
 
-    def _branch_alloc(self, rep: ReportProfile) -> tuple:
+    def _branch_alloc(self, rep: ReportProfile) -> tuple:  # (the benchmark's tracer wraps it here)
         """The allocation of each of the rule's branches at `rep`."""
         view = self._view(rep)
         return tuple(pricing.branch_allocate(self.inst, rep, branch, view) for _prob, branch in self.branches)
@@ -143,48 +143,40 @@ class _Evaluator:
             self._vcg[key] = got
         return got
 
-    def _curve(self, at_cap: ReportProfile, adv_id: str, branch: str):
-        """The branch's click curve of `adv_id` on (0, cap], `at_cap` being
-        the report with `adv_id` bidding the cap, kept in that report's view
-        under the key `pricing._threshold_prices` uses."""
-        view = self._view(at_cap)
+    def _curve(self, view: kernels.ScaledView, adv_id: str, branch: str):
+        """The branch's click curve of `adv_id` on (0, cap], `view` being
+        the view of the report with `adv_id` bidding the cap, kept in its
+        memo under the key `pricing._threshold_prices` uses."""
         key = ("curve", adv_id, branch)
         if key in view._memo:
             self.curves_cached += 1
         else:
             self.curves_built += 1
-        return view.memo(key, pricing._build_curve, view, adv_id, at_cap.bids[adv_id], branch, branch)
+        return view.memo(key, pricing._build_curve, view, adv_id, view.rep.bids[adv_id], branch, branch)
 
     def payment(self, rep: ReportProfile, adv_id: str) -> Fraction:
-        """`adv_id`'s payment at `rep`, its curves read at the report with
-        `adv_id` at the cap: `rep` itself when the bid is the cap."""
+        """`adv_id`'s payment at `rep`."""
         if self.mech.pricing == "vcg":
             return self._vcg_outcome(rep).payments.get(adv_id, Fraction(0))
-        bid = rep.bids.get(adv_id, Fraction(0))
-        subset = rep.subsets.get(adv_id, frozenset())
-        if bid <= 0 or not subset:
-            return Fraction(0)
-        cap = self.truth.bids.get(adv_id, bid)
-        at_cap = rep if bid >= cap else rep.replace(adv_id, cap, subset)
-        scale = self._view(rep).probe(adv_id).click_den
-        (paid,), den, _curves = pricing.threshold_payments(
-            self.mech.pricing,
-            (bid.numerator,),
-            bid.denominator,
-            self.branches,
-            [(pricing.clicks_over(alloc.clicks(self.inst, adv_id), scale),) for alloc in self._branch_alloc(rep)],
-            lambda branch: self._curve(at_cap, adv_id, branch),
-        )
-        return Fraction(paid, den)
+        return self._priced(rep, adv_id)[1]
 
     def utility(self, rep: ReportProfile, adv_id: str) -> Fraction:
         """`adv_id`'s utility at `rep`: true value times expected clicks, less the payment."""
         if self.mech.pricing == "vcg":
             clicks = self._vcg_outcome(rep).mixture.clicks(self.inst, adv_id)
-        else:
-            allocs = self._branch_alloc(rep)
-            clicks = sum(prob * alloc.clicks(self.inst, adv_id) for (prob, _b), alloc in zip(self.branches, allocs))
-        return self.truth.bids.get(adv_id, Fraction(0)) * clicks - self.payment(rep, adv_id)
+            return self.truth.bids.get(adv_id, Fraction(0)) * clicks - self.payment(rep, adv_id)
+        return self._priced(rep, adv_id)[0]
+
+    def _priced(self, rep: ReportProfile, adv_id: str) -> tuple[Fraction, Fraction]:
+        """(utility, payment) of `adv_id` at `rep` under threshold pricing,
+        a one-bid `_sweep`; a report with no row in the view gets no clicks
+        and pays nothing (`kernels.ScaledView`)."""
+        bid = rep.bids.get(adv_id, ZERO)
+        subset = rep.subsets.get(adv_id, frozenset())
+        if bid <= 0 or not subset:
+            return ZERO, ZERO
+        (u,), (paid,), den = self._sweep(rep, adv_id, subset, (bid,))
+        return Fraction(u, den), Fraction(paid, den)
 
     def utility_table(self, rep: ReportProfile, adv_id: str, space: StrategySpace) -> list[list[Fraction]]:
         """`adv_id`'s utility at every strategy of `space`, the others as in
@@ -194,57 +186,53 @@ class _Evaluator:
         A zero bid or the empty subset reports no ad, so by the view's
         contract (`kernels.ScaledView`) it gets no clicks and pays nothing:
         its utility is 0, with no view built. For a threshold-priced rule,
-        the positive bids up to the true value (the cap of every curve they
-        price against) are swept per nonempty subset; the other strategies
-        (bids above the cap, VCG's positive bids) are evaluated profile by
-        profile.
+        the positive bids are swept per nonempty subset; VCG's are
+        evaluated profile by profile.
         """
-        cap = self.truth.bids.get(adv_id, Fraction(0))
-        sweep = self.mech.pricing != "vcg" and cap > 0
+        lo = bisect_right(space.bids, 0)
+        bids = space.bids[lo:]
         table = []
         for subset in space.subsets:
-            row: list = [ZERO if not subset or not bid else None for bid in space.bids]
-            if sweep and subset:
-                self._sweep(rep.replace(adv_id, cap, subset), adv_id, space.bids, row)
-            for bi, bid in enumerate(space.bids):
-                if row[bi] is None:
-                    row[bi] = self.utility(rep.replace(adv_id, bid, subset), adv_id)
+            row = [ZERO] * len(space.bids)
+            if subset and bids:
+                if self.mech.pricing == "vcg":
+                    row[lo:] = [self.utility(rep.replace(adv_id, bid, subset), adv_id) for bid in bids]
+                else:
+                    utilities, _paid, den = self._sweep(rep, adv_id, subset, bids)
+                    row[lo:] = [Fraction(u, den) for u in utilities]
             table.append(row)
         return table
 
-    def _sweep(self, at_cap: ReportProfile, adv_id: str, bids: tuple[Fraction, ...], row: list) -> None:
-        """Fill `row` at the bids in (0, cap], `at_cap` being the report with
-        `adv_id` bidding their cap, the true value.
+    def _sweep(
+        self, rep: ReportProfile, adv_id: str, subset: frozenset[str], bids: tuple[Fraction, ...]
+    ) -> tuple[list[int], list[int], int]:
+        """`adv_id`'s utilities and payments at the ascending positive
+        `bids` on the nonempty `subset`, the others as in `rep`, as
+        (utility numerators, payment numerators, their one denominator).
 
-        The view of `at_cap` gives the bidder's probe kernel, off which each
-        branch's clicks are read at every such bid, and serves the one click
-        curve per branch that every such bid is priced against: the grid's
-        payments come from `pricing.threshold_payments`, the path that
-        prices a single bid too, in one ascending pass over each curve. The
-        bids enter as numerators over their lcm, and each utility, cap times
-        expected clicks less the payment, is one `Fraction` over the
-        payments' denominator.
+        Everything is read off the view of the report with `adv_id` bidding
+        the cap, the larger of their true value and the top bid: its probe
+        kernel gives each branch's clicks at every bid, and its one click
+        curve per branch prices them all (`pricing.threshold_payments`, one
+        ascending pass over each curve). Neither Myerson's b*x(b) less the
+        integral up to b nor GSP's lowest bid keeping x(b) depends on a cap
+        at or above b. The bids enter as numerators over their lcm; each
+        utility is the true value times the expected clicks less the payment.
         """
-        cap = at_cap.bids[adv_id]
-        lo, hi = bisect_right(bids, 0), bisect_right(bids, cap)
-        if lo == hi:
-            return
-        grid = bids[lo:hi]
-        grid_den = lcm(*(bid.denominator for bid in grid))
-        nums = [bid.numerator * (grid_den // bid.denominator) for bid in grid]
-        probe = self._view(at_cap).probe(adv_id)
-        clicks = [[pricing.BRANCHES[b].probe(probe, num, grid_den) for num in nums] for _prob, b in self.branches]
-        paid, den, _curves = pricing.threshold_payments(
-            self.mech.pricing, nums, grid_den, self.branches, clicks, lambda b: self._curve(at_cap, adv_id, b)
+        value = self.truth.bids.get(adv_id, ZERO)
+        view = self._view(rep.replace(adv_id, max(value, bids[-1]), subset))
+        bid_den = lcm(*(bid.denominator for bid in bids))
+        nums = [bid.numerator * (bid_den // bid.denominator) for bid in bids]
+        probe = view.probe(adv_id)
+        clicks = [[pricing.BRANCHES[b].probe(probe, num, bid_den) for num in nums] for _prob, b in self.branches]
+        paid, den, x, probs, _curves = pricing.threshold_payments(
+            self.mech.pricing, nums, bid_den, self.branches, clicks, lambda b: self._curve(view, adv_id, b)
         )
-        # expected clicks over click_den times the probabilities' lcm, then
-        # cap * clicks and the payments over one denominator
-        x, probs = pricing.expected_clicks(self.branches, clicks)
-        clicks_den = cap.denominator * probe.click_den * probs
+        # value * clicks and the payments over one denominator
+        clicks_den = value.denominator * probe.click_den * probs
         total = lcm(den, clicks_den)
-        c, d = cap.numerator * (total // clicks_den), total // den
-        for k, (got, price) in enumerate(zip(x, paid), lo):
-            row[k] = Fraction(c * got - d * price, total)
+        c, d = value.numerator * (total // clicks_den), total // den
+        return [c * got - d * price for got, price in zip(x, paid)], [d * price for price in paid], total
 
 
 def utility(inst: Instance, truth: ReportProfile, rep: ReportProfile, mechanism: Mechanism) -> dict[str, Fraction]:

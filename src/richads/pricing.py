@@ -425,26 +425,34 @@ def threshold_payments(
     clicks: Sequence[Sequence[int]],
     curve: Callable[[str], BidThresholds],
     rule_name: str | None = None,
-) -> tuple[list[int], int, tuple[BidThresholds | None, ...]]:
-    """One bidder's "myerson" or "gsp" payment at each of the ascending
-    positive bids `bids[k] / bid_den`, as (numerators, their common
-    denominator, the curves read): the one pricing path, for a report and
-    for a best response's grid alike.
+) -> tuple[list[int], int, list[int], int, tuple[BidThresholds | None, ...]]:
+    """One bidder's "myerson" or "gsp" payment and expected clicks at each
+    of the ascending positive bids `bids[k] / bid_den`, as (payment
+    numerators, their common denominator, expected-click numerators, P,
+    the curves read): the one pricing path, for a report and for a sweep of
+    bids in `equilibrium` alike.
 
     The bidder gets `clicks[j][k]` in branch j at bid k, a numerator over
-    the bidder's `click_den`. The payment is the sum over `branches` of
-    probability times the price read off that branch's click curve,
-    `curve(branch)` (`threshold_prices_along`; GSP's per-click price times
-    the clicks), summed in integers over the lcm of the branches'
+    the bidder's `click_den`; the expected clicks at bid k are the k-th
+    expected-click numerator over P times that `click_den`, P the lcm of
+    the probabilities' denominators. The payment is the sum over
+    `branches` of probability times the price read off that branch's click
+    curve, `curve(branch)` (`threshold_prices_along`; GSP's per-click price
+    times the clicks), summed in integers over the lcm of the branches'
     denominators times their probabilities'. GSP charges a branch that
     gives no clicks at any bid nothing and reads no curve for it (None in
     the curves). Clicks at a bid below the curve's level just under it
     raise `NonMonotoneClickCurveError` (`threshold_prices_along`) naming
     `rule_name`, or the branch when it is None.
     """
+    probs = lcm(*(prob.denominator for prob, _branch in branches))
+    expected = [0] * len(bids)
     parts = []  # (probability, prices, their denominator) per branch priced
     curves: list[BidThresholds | None] = []
     for (prob, branch), xs in zip(branches, clicks):
+        w = prob.numerator * (probs // prob.denominator)
+        if w:
+            expected = [a + w * b for a, b in zip(expected, xs)]
         if kind == "gsp" and not any(xs):
             curves.append(None)
             continue
@@ -460,23 +468,7 @@ def threshold_payments(
         w = prob.numerator * (total // (prob.denominator * den))
         if w:
             paid = [p + w * price for p, price in zip(paid, prices)]
-    return paid, total, tuple(curves)
-
-
-def expected_clicks(
-    branches: tuple[tuple[Fraction, str], ...], clicks: Sequence[Sequence[int]]
-) -> tuple[list[int], int]:
-    """A lottery's expected clicks at each bid, where branch j gives
-    `clicks[j][k]` at bid k, as (numerators, P), P the lcm of the
-    probabilities' denominators: at bid k they are numerators[k] over P
-    times the clicks' own denominator."""
-    probs = lcm(*(prob.denominator for prob, _branch in branches))
-    x = [0] * len(clicks[0])
-    for (prob, _branch), xs in zip(branches, clicks):
-        w = prob.numerator * (probs // prob.denominator)
-        if w:
-            x = [a + w * b for a, b in zip(x, xs)]
-    return x, probs
+    return paid, total, expected, probs, tuple(curves)
 
 
 def _threshold_prices(
@@ -506,7 +498,7 @@ def _threshold_prices(
             continue
         scale = view.probe(adv_id).click_den
         clicks = [(clicks_over(alloc.clicks(inst, adv_id), scale),) for _prob, alloc in mixture.branches]
-        (paid,), den, curves[adv_id] = threshold_payments(
+        (paid,), den, (x,), probs, curves[adv_id] = threshold_payments(
             kind,
             (bid.numerator,),
             bid.denominator,
@@ -516,7 +508,6 @@ def _threshold_prices(
             lambda branch: view.memo(("curve", adv_id, branch), _build_curve, view, adv_id, bid, branch, rule.name),
             rule.name,
         )
-        (x,), probs = expected_clicks(branches, clicks)
         priced[adv_id] = (paid, den, x, probs * scale)
     return _finish_outcome(inst, rep, mixture, kind, priced, curves)
 

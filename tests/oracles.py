@@ -641,11 +641,47 @@ class BpbKey:
         return self.v * other.w > other.v * self.w
 
 
+def profile_utility(ev, rep: ReportProfile, adv_id):
+    """`equilibrium._Evaluator.utility` profile by profile, as it ran before
+    every threshold-priced utility was read off a sweep: the clicks off the
+    branch allocations at `rep`'s own view, the payment by
+    `pricing.threshold_payments` at the one bid, against curves kept in the
+    view of `rep` with `adv_id` at the cap (their true value, or the bid
+    when it is higher). VCG is `ev.utility`."""
+    from richads import pricing
+
+    if ev.mech.pricing == "vcg":
+        return ev.utility(rep, adv_id)
+    view = ev._view(rep)
+    allocs = [pricing.branch_allocate(ev.inst, rep, branch, view) for _prob, branch in ev.branches]
+    clicks = sum(prob * alloc.clicks(ev.inst, adv_id) for (prob, _b), alloc in zip(ev.branches, allocs))
+    value = ev.truth.bids.get(adv_id, Fraction(0))
+    bid = rep.bids.get(adv_id, Fraction(0))
+    subset = rep.subsets.get(adv_id, frozenset())
+    if bid <= 0 or not subset:
+        return value * clicks
+    cap = ev.truth.bids.get(adv_id, bid)
+    at_cap = rep if bid >= cap else rep.replace(adv_id, cap, subset)
+    scale = view.probe(adv_id).click_den
+    (paid,), den, *_ = pricing.threshold_payments(
+        ev.mech.pricing,
+        (bid.numerator,),
+        bid.denominator,
+        ev.branches,
+        [(pricing.clicks_over(alloc.clicks(ev.inst, adv_id), scale),) for alloc in allocs],
+        lambda branch: ev._curve(ev._view(at_cap), adv_id, branch),
+    )
+    return value * clicks - Fraction(paid, den)
+
+
 def profile_table(ev, rep: ReportProfile, adv_id, space):
     """`equilibrium._Evaluator.utility_table` by one full-profile utility
-    evaluation per grid point: row si, column bi is the utility at
-    `rep.replace(adv_id, space.bids[bi], space.subsets[si])`."""
-    return [[ev.utility(rep.replace(adv_id, bid, subset), adv_id) for bid in space.bids] for subset in space.subsets]
+    evaluation per grid point (`profile_utility`): row si, column bi is the
+    utility at `rep.replace(adv_id, space.bids[bi], space.subsets[si])`."""
+    return [
+        [profile_utility(ev, rep.replace(adv_id, bid, subset), adv_id) for bid in space.bids]
+        for subset in space.subsets
+    ]
 
 
 def best_response_by_profiles(inst: Instance, truth: ReportProfile, rep: ReportProfile, adv_id, mechanism, space, _evaluator=None):
@@ -812,7 +848,8 @@ def sweep_by_fractions(ev, at_cap: ReportProfile, adv_id, bids):
     """`equilibrium._Evaluator._sweep` in Fractions, as it ran before its
     integer pass: {bid: utility} at the `bids` in (0, cap], the clicks read
     off the probe, the payments summed over the branches by the Fraction
-    `threshold_prices_along`, the curves from `ev`'s cache."""
+    `threshold_prices_along`, the curves from the memo of `ev`'s view of
+    `at_cap`."""
     from richads import kernels, pricing
 
     cap = at_cap.bids[adv_id]
@@ -827,7 +864,7 @@ def sweep_by_fractions(ev, at_cap: ReportProfile, adv_id, bids):
     for (prob, branch), xs in zip(ev.branches, clicks):
         if kind == "gsp" and not any(xs):
             continue
-        prices = threshold_prices_along(kind, ev._curve(at_cap, adv_id, branch), grid, xs, branch)
+        prices = threshold_prices_along(kind, ev._curve(ev._view(at_cap), adv_id, branch), grid, xs, branch)
         if kind == "gsp":
             prices = [cpc * x for cpc, x in zip(prices, xs)]
         paid = [p + prob * price for p, price in zip(paid, prices)]

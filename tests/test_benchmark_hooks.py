@@ -11,6 +11,7 @@ module imports only the standard library and is loaded by path;
 `layerbench/library.py`, which re-imports richads, is not used.
 """
 
+import ast
 import importlib
 import importlib.util
 import re
@@ -21,6 +22,9 @@ from richads import fixtures, pricing
 from richads.model import truthful_profile
 
 LAYERBENCH = Path(__file__).resolve().parents[1] / "layerbench"
+RICHADS = Path(__file__).resolve().parents[1] / "src" / "richads"
+# the comment on a library name kept only because the tracer patches it
+TRACED_HERE = "(the benchmark's tracer wraps it here)"
 TRACER = LAYERBENCH / "tracer.py"
 # `lib.<module>.<name>` in the benchmark's sources: a richads module's attribute
 ENTRY_POINT = re.compile(r"\blib\.([a-z_]+)\.([A-Za-z_]+)")
@@ -53,6 +57,39 @@ def test_every_patched_name_resolves():
         if not hasattr(_owner(owner), attr)
     ]
     assert missing == []
+
+
+def _marked_names():
+    """(owner, attribute) of every import or method on a line of richads
+    that carries `TRACED_HERE`; a method's owner is "module.Class"."""
+    marked = []
+    for path in sorted(RICHADS.glob("*.py")):
+        text = path.read_text()
+        lines, tree = text.splitlines(), ast.parse(text)
+        owners = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                owners.update((item, f"{path.stem}.{node.name}") for item in node.body)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [(alias.lineno, alias.asname or alias.name) for alias in node.names]
+            elif isinstance(node, ast.FunctionDef):
+                names = [(node.lineno, node.name)]
+            else:
+                continue
+            for lineno, name in names:
+                if TRACED_HERE in lines[lineno - 1]:
+                    marked.append((owners.get(node, path.stem), name))
+    return marked
+
+
+def test_every_name_kept_for_the_tracer_is_still_patched():
+    # once the tracer stops patching a name, its marker points at library
+    # code to delete
+    patched = {(owner, attr) for _layer, attr, owners in _patches() for owner in owners}
+    marked = _marked_names()
+    assert ("equilibrium._Evaluator", "_branch_alloc") in marked and len(marked) >= 5
+    assert [name for name in marked if name not in patched] == []
 
 
 def test_every_benchmark_entry_point_resolves():

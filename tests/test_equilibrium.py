@@ -505,20 +505,25 @@ def test_a_grid_must_be_nonnegative_and_strictly_ascending():
     assert equilibrium.StrategySpace("a", (Fraction(0), Fraction(1, 7)), subsets).bids[-1] == Fraction(1, 7)
 
 
-def test_bids_above_the_truth_take_the_profile_path():
+def test_bids_above_the_truth_are_swept():
+    # every positive bid, the one above the truth too, is priced against
+    # the curves capped at the top bid: no utility is evaluated profile by
+    # profile, each nonempty subset builds the one view at the top bid, and
+    # the table equals the oracle's
     inst = fixtures.fx4()
     truth = truthful_profile(inst)
     value = truth.bids["b"]
-    space = replace(strategy_spaces(inst, Fraction(1, 4))["b"], bids=(Fraction(0), value / 2, value, value + Fraction(1, 3)))
+    top = value + Fraction(1, 3)
+    space = replace(strategy_spaces(inst, Fraction(1, 4))["b"], bids=(Fraction(0), value / 2, value, top))
     for mech in SWEEP_MECHANISMS[:2]:
         ev = equilibrium._Evaluator(inst, truth, mech)
         evaluated = []
         by_profile = ev.utility
-        ev.utility = lambda rep, adv_id: evaluated.append((rep.bids[adv_id], rep.subsets[adv_id])) or by_profile(rep, adv_id)
+        ev.utility = lambda rep, adv_id: evaluated.append(rep) or by_profile(rep, adv_id)
         table = ev.utility_table(truth, "b", space)
         assert table == profile_table(equilibrium._Evaluator(inst, truth, mech), truth, "b", space)
-        # the bid above the truth per nonempty subset; bid 0 and the empty subset are 0 with no view
-        assert Counter(evaluated) == Counter((value + Fraction(1, 3), s) for s in space.subsets if s)
+        assert evaluated == []
+        assert sorted(ev._views) == sorted(truth.replace("b", top, s).key() for s in space.subsets if s)
 
 
 @pytest.mark.parametrize("mech", SWEEP_MECHANISMS[:2], ids=lambda m: m.describe())
@@ -550,10 +555,10 @@ def test_integer_argmax_equals_the_fraction_argmax_on_the_dynamics_pool(mech, mo
 
 
 def test_a_utility_builds_one_view_per_report(monkeypatch):
-    # fx4's b bidding 1/2, below their value, under the GSP mixture: one view
-    # of the report serves the outcome and the payment's allocations and
-    # probes, and one view of the report at the cap serves both curves the
-    # payment reads. At the cap the report's view is that view too
+    # fx4's b bidding 1/2, below their value, under the GSP mixture: the
+    # utility is a one-bid sweep, so the one view of the report at the cap
+    # serves the probe's clicks and both curves the payment reads, and the
+    # report's own view is not built
     inst = fixtures.fx4()
     truth = truthful_profile(inst)
     mech = gsp_mixture_mechanism()
@@ -565,7 +570,7 @@ def test_a_utility_builds_one_view_per_report(monkeypatch):
         init(self, inst, rep)
 
     value = truth.bids["b"]
-    for bid, views in ((Fraction(1, 2), [Fraction(1, 2), value]), (value, [value])):
+    for bid, views in ((Fraction(1, 2), [value]), (value, [value])):
         rep = truth.replace("b", bid, FULL_B)
         ev = equilibrium._Evaluator(inst, truth, mech)
         with monkeypatch.context() as m:
@@ -697,6 +702,51 @@ def test_a_payment_up_to_the_truth_reads_the_sweeps_curves(mech):
         served += ev.curves_cached - cached
     # GSP reads no curve for a bidder who gets no clicks at any grid bid
     assert served > 0
+
+
+OFF_GRID_MECHANISMS = SWEEP_MECHANISMS[:2] + tuple(
+    pricing.Mechanism(kind, pricing.AllocationRule("greedy-value")) for kind in ("myerson", "gsp")
+)
+
+
+@pytest.mark.parametrize("mech", OFF_GRID_MECHANISMS, ids=lambda m: m.describe())
+def test_an_off_grid_payment_and_utility_equal_the_mechanisms(mech):
+    # one-bid sweeps at reports no grid holds: bids between grid points and
+    # above the truth, on every subset, the others truthful, on a slice of
+    # the seed-0 dynamics pool; one evaluator per game keeps its views
+    pool = dynamics_pool(seed=0)
+    for inst, grid in pool[:4] + pool[4::4]:
+        truth = truthful_profile(inst)
+        ev = equilibrium._Evaluator(inst, truth, mech)
+        for adv_id, space in strategy_spaces(inst, grid).items():
+            value = truth.bids[adv_id]
+            for subset in space.subsets:
+                for bid in (grid / 3, value * Fraction(5, 7), value + grid / 2, 2 * value + 1):
+                    rep = truth.replace(adv_id, bid, subset)
+                    assert ev.payment(rep, adv_id) == mech.price(inst, rep).payments[adv_id], (adv_id, bid, subset)
+                    assert ev.utility(rep, adv_id) == utility(inst, truth, rep, mech)[adv_id], (adv_id, bid, subset)
+
+
+@pytest.mark.parametrize("mech", SWEEP_MECHANISMS[:2], ids=lambda m: m.describe())
+def test_a_sweep_keys_its_report_once(mech, monkeypatch):
+    # the view of the report at the cap is looked up once per nonempty
+    # subset, for the probe and every curve alike: `ReportProfile.key`
+    # sorts and hashes the whole profile on each call
+    inst = fixtures.fx4()
+    truth = truthful_profile(inst)
+    keyed = []
+    key = ReportProfile.key
+    monkeypatch.setattr(ReportProfile, "key", lambda rep: keyed.append(rep) or key(rep))
+    curves = 0
+    for adv_id, space in strategy_spaces(inst, Fraction(1, 20)).items():
+        ev = equilibrium._Evaluator(inst, truth, mech)
+        keyed.clear()
+        ev.utility_table(truth, adv_id, space)
+        assert space.bids[-1] > 0
+        assert len(keyed) == sum(1 for subset in space.subsets if subset)
+        curves += ev.curves_built
+    # GSP reads no curve for a bidder who gets no clicks at any grid bid
+    assert curves > 0
 
 
 def test_empty_strategy_space_is_a_value_error_under_python_O():

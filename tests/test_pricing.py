@@ -697,8 +697,8 @@ def test_a_forced_negative_payment_raises_the_fraction_checks_message(monkeypatc
     price = pricing.threshold_payments
 
     def negated(*args):
-        paid, den, curves = price(*args)
-        return [-p - den for p in paid], den, curves
+        paid, den, *clicks_and_curves = price(*args)
+        return [-p - den for p in paid], den, *clicks_and_curves
 
     monkeypatch.setattr(pricing, "threshold_payments", negated)
     with pytest.raises(InvariantViolation) as err:
