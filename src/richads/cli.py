@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 
-from . import equilibrium, exact, fracopt, harness, monotone, pricing
+from . import equilibrium, exact, fracopt, harness, kernels, monotone, pricing
 from .model import (
     GuardExceededError,
     Instance,
@@ -227,6 +227,8 @@ def _cmd_equilibrium(args) -> int:
     truth = truthful_profile(inst)
     mech = pricing.mixture_mechanism(args.pricing, parse_rational(args.p) if args.p else None)
     spaces = equilibrium.strategy_spaces(inst, parse_rational(args.grid))
+    # the PoA report reads the truthful view's capacity DP: its guards are checked before the search
+    exact.check_dp_guards(kernels.ScaledView(inst, truth))
     steps: list[dict] | None = [] if args.explain else None
     result = equilibrium.find_pure_nash(
         inst, truth, mech, spaces, max_rounds=args.max_rounds, beta_check=args.beta_check, explain=steps

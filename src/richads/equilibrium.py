@@ -10,19 +10,20 @@ is read off one sweep per subset, instead of one profile evaluation per
 grid point: the view of the report with the bidder at the cap, the larger
 of their true value and their top bid, gives their clicks at every bid
 and one click curve per branch to price them against
-(`pricing.threshold_payments`). A search builds one view per report and
-keeps each curve in that view's memo. A sweep stays in integers from the
-probe's clicks to the utilities, and makes one `Fraction` per table entry.
+(`pricing.threshold_payments`). A search runs on strategy indices: it
+builds one view per report, keeps each curve in that view's memo and each
+bidder's integer utilities by the others' indices, and makes `Fraction`s
+only for what it returns.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from . import exact, fracopt, kernels, pricing
 from .model import (
@@ -99,49 +100,101 @@ def strategy_spaces(inst: Instance, delta: Fraction) -> dict[str, StrategySpace]
 
 
 class _Evaluator:
-    """Memoised utility evaluation across many nearby profiles.
+    """Memoised utility evaluation across many nearby profiles, on strategy
+    indices.
 
-    Each report gets one view (`_view`), built on first use and kept for
-    the evaluator's life. A threshold-priced utility or payment is read off
-    `_sweep`, whether for a grid or one report: the view of the report with
-    the bidder at the cap holds the bidder's probe and one click curve per
-    branch, since an advertiser's own bid moves along a fixed curve while
-    the rest of the profile stands still. VCG keeps its priced outcomes
-    instead, and no view, which would hold its capacity DP.
-    `curves_built` and `curves_cached` count the curve lookups that built a
-    curve and those a view's memo served.
+    A profile is a tuple of (bid index, subset index) per advertiser, in
+    `inst.adv_ids()` order: i >= 0 is a place on the advertiser's grid, ~k
+    the k-th other bid or subset a `ReportProfile` brought (a truthful
+    report off the grid), so equal reports share one profile and one view
+    (`_view`), kept for the evaluator's life. `row` is a bidder's utility
+    at every grid strategy against the others' indices, in integers, kept
+    by (bidder, others). Under threshold pricing it is read off `_sweep`:
+    the view of the report with the bidder at the cap holds their probe and
+    one click curve per branch, since their own bid moves along a fixed
+    curve while the others stand still. VCG keeps its priced outcomes
+    instead, and no view, which would hold its capacity DP. `curves_built`
+    and `curves_cached` count the curve lookups that built a curve and
+    those a view's memo or a kept row served.
     """
 
-    def __init__(self, inst: Instance, truth: ReportProfile, mechanism: Mechanism):
+    def __init__(self, inst: Instance, truth: ReportProfile, mechanism: Mechanism, spaces=None):
         self.inst = inst
         self.truth = truth
         self.mech = mechanism
         self.branches = () if mechanism.pricing == "vcg" else pricing.rule_branches(mechanism.rule)
+        self.ids = inst.adv_ids()
+        self.spaces: dict[str, StrategySpace] = {}
+        self._extra = {a: ([], []) for a in self.ids}  # bids and subsets off the grid
         self._views: dict = {}
+        self._rows: dict = {}
         self._vcg: dict = {}
         self.curves_built = 0
         self.curves_cached = 0
+        self._grids: dict = {}
+        for adv_id, space in (spaces or {}).items():
+            self._grid(adv_id, space)
 
-    def _view(self, rep: ReportProfile) -> kernels.ScaledView:
-        """The view of (inst, rep), one per report."""
-        key = rep.key()
-        view = self._views.get(key)
+    def _grid(self, adv_id: str, space: StrategySpace) -> None:
+        """Make `space` the grid of `adv_id`, who has one (another raises
+        `ValueError`), read once: the index of its first positive bid, those
+        bids as numerators over their lcm, and the index of the cap, the
+        larger of the true value and the top bid."""
+        if adv_id not in self._grids:
+            self.spaces[adv_id] = space
+            lo = bisect_right(space.bids, 0)
+            bids = space.bids[lo:]
+            den = lcm(*(bid.denominator for bid in bids))
+            cap = self._code(adv_id, 0, max(self.truth.bids.get(adv_id, ZERO), bids[-1])) if bids else None
+            self._grids[adv_id] = lo, [bid.numerator * (den // bid.denominator) for bid in bids], den, cap
+        elif self.spaces[adv_id] != space:
+            raise ValueError(f"advertiser {adv_id!r} already has another grid")
+
+    def _code(self, adv_id: str, kind: int, x) -> int:
+        """The index of `adv_id`'s bid (kind 0, found by bisection) or subset
+        (kind 1) `x`."""
+        space = self.spaces.get(adv_id)
+        grid = () if space is None else space.subsets if kind else space.bids
+        i = (grid.index(x) if x in grid else len(grid)) if kind else bisect_left(grid, x)
+        if i < len(grid) and grid[i] == x:
+            return i
+        extra = self._extra[adv_id][kind]
+        if x not in extra:
+            extra.append(x)
+        return ~extra.index(x)
+
+    def _index(self, rep: ReportProfile) -> tuple:
+        """The profile of `rep`; a missing report is bid 0 on no ad."""
+        return tuple(
+            (self._code(a, 0, rep.bids.get(a, ZERO)), self._code(a, 1, rep.subsets.get(a, frozenset())))
+            for a in self.ids
+        )
+
+    def _report(self, profile: tuple) -> ReportProfile:
+        bids, subsets = {}, {}
+        for a, (bi, si) in zip(self.ids, profile):
+            space, (other_bids, other_subsets) = self.spaces.get(a), self._extra[a]
+            bids[a] = space.bids[bi] if bi >= 0 else other_bids[~bi]
+            subsets[a] = space.subsets[si] if si >= 0 else other_subsets[~si]
+        return ReportProfile(bids=bids, subsets=subsets)
+
+    def _view(self, profile: tuple) -> kernels.ScaledView:
+        """The view of the report at `profile`, one per report."""
+        view = self._views.get(profile)
         if view is None:
-            view = self._views[key] = kernels.ScaledView(self.inst, rep)
+            view = self._views[profile] = kernels.ScaledView(self.inst, self._report(profile))
         return view
 
     def _branch_alloc(self, rep: ReportProfile) -> tuple:  # (the benchmark's tracer wraps it here)
         """The allocation of each of the rule's branches at `rep`."""
-        view = self._view(rep)
+        view = self._view(self._index(rep))
         return tuple(pricing.branch_allocate(self.inst, rep, branch, view) for _prob, branch in self.branches)
 
     def _vcg_outcome(self, rep: ReportProfile) -> pricing.PricedOutcome:
         key = rep.key()
-        got = self._vcg.get(key)
-        if got is None:
-            got = self.mech.price(self.inst, rep)
-            self._vcg[key] = got
-        return got
+        if key not in self._vcg:
+            self._vcg[key] = self.mech.price(self.inst, rep)
+        return self._vcg[key]
 
     def _curve(self, view: kernels.ScaledView, adv_id: str, branch: str):
         """The branch's click curve of `adv_id` on (0, cap], `view` being
@@ -169,60 +222,82 @@ class _Evaluator:
 
     def _priced(self, rep: ReportProfile, adv_id: str) -> tuple[Fraction, Fraction]:
         """(utility, payment) of `adv_id` at `rep` under threshold pricing,
-        a one-bid `_sweep`; a report with no row in the view gets no clicks
-        and pays nothing (`kernels.ScaledView`)."""
+        a one-bid `_sweep` against the view with `adv_id` at the larger of
+        their true value and their bid; a report with no row in the view
+        gets no clicks and pays nothing (`kernels.ScaledView`)."""
         bid = rep.bids.get(adv_id, ZERO)
-        subset = rep.subsets.get(adv_id, frozenset())
-        if bid <= 0 or not subset:
+        if bid <= 0 or not rep.subsets.get(adv_id):
             return ZERO, ZERO
-        (u,), (paid,), den = self._sweep(rep, adv_id, subset, (bid,))
+        profile, g = self._index(rep), self.ids.index(adv_id)
+        cap = self._code(adv_id, 0, max(self.truth.bids.get(adv_id, ZERO), bid))
+        view = self._view(profile[:g] + ((cap, profile[g][1]),) + profile[g + 1 :])
+        (u,), (paid,), den = self._sweep(view, adv_id, (bid.numerator,), bid.denominator)
         return Fraction(u, den), Fraction(paid, den)
 
     def utility_table(self, rep: ReportProfile, adv_id: str, space: StrategySpace) -> list[list[Fraction]]:
-        """`adv_id`'s utility at every strategy of `space`, the others as in
-        `rep`: row si, column bi is `utility` at
-        `rep.replace(adv_id, space.bids[bi], space.subsets[si])`.
+        """`adv_id`'s utility at every strategy of `space`, their grid, the
+        others as in `rep`: row si, column bi is `utility` at
+        `rep.replace(adv_id, space.bids[bi], space.subsets[si])`; `row` as
+        Fractions."""
+        return [[Fraction(u, den) for u in us] for us, den in self._table(rep, adv_id, space)]
+
+    def _table(self, rep: ReportProfile, adv_id: str, space: StrategySpace) -> list[tuple[list[int], int]]:
+        self._grid(adv_id, space)
+        profile, g = self._index(rep), self.ids.index(adv_id)
+        return self.row(g, profile[:g] + profile[g + 1 :])
+
+    def row(self, g: int, others: tuple) -> list[tuple[list[int], int]]:
+        """The utility of advertiser `ids[g]` at every strategy of their
+        grid against `others`, every other advertiser's indices: per subset,
+        numerators at each grid bid over one denominator. Kept by (g,
+        others); a kept row counts its curve lookups as served.
 
         A zero bid or the empty subset reports no ad, so by the view's
         contract (`kernels.ScaledView`) it gets no clicks and pays nothing:
         its utility is 0, with no view built. For a threshold-priced rule,
-        the positive bids are swept per nonempty subset; VCG's are
-        evaluated profile by profile.
+        the positive bids of each nonempty subset are one `_sweep`; VCG's
+        are evaluated profile by profile.
         """
-        lo = bisect_right(space.bids, 0)
-        bids = space.bids[lo:]
-        table = []
-        for subset in space.subsets:
-            row = [ZERO] * len(space.bids)
-            if subset and bids:
-                if self.mech.pricing == "vcg":
-                    row[lo:] = [self.utility(rep.replace(adv_id, bid, subset), adv_id) for bid in bids]
-                else:
-                    utilities, _paid, den = self._sweep(rep, adv_id, subset, bids)
-                    row[lo:] = [Fraction(u, den) for u in utilities]
-            table.append(row)
-        return table
+        got = self._rows.get((g, others))
+        if got is not None:
+            self.curves_cached += got[1]
+            return got[0]
+        adv_id = self.ids[g]
+        space = self.spaces[adv_id]
+        lo, nums, den, cap = self._grids[adv_id]
+        lookups = self.curves_built + self.curves_cached
+        rows = []
+        for si, subset in enumerate(space.subsets):
+            us, d = [], 1  # no ad or no positive bid: all zeros
+            if subset and nums and self.mech.pricing == "vcg":
+                utils = [
+                    self.utility(self._report(others[:g] + ((bi, si),) + others[g:]), adv_id)
+                    for bi in range(lo, len(space.bids))
+                ]
+                d = lcm(*(u.denominator for u in utils))
+                us = [u.numerator * (d // u.denominator) for u in utils]
+            elif subset and nums:
+                us, _paid, d = self._sweep(self._view(others[:g] + ((cap, si),) + others[g:]), adv_id, nums, den)
+            rows.append(([0] * (len(space.bids) - len(us)) + us, d))
+        self._rows[(g, others)] = rows, self.curves_built + self.curves_cached - lookups
+        return rows
 
     def _sweep(
-        self, rep: ReportProfile, adv_id: str, subset: frozenset[str], bids: tuple[Fraction, ...]
+        self, view: kernels.ScaledView, adv_id: str, nums: Sequence[int], bid_den: int
     ) -> tuple[list[int], list[int], int]:
-        """`adv_id`'s utilities and payments at the ascending positive
-        `bids` on the nonempty `subset`, the others as in `rep`, as
-        (utility numerators, payment numerators, their one denominator).
+        """`adv_id`'s utilities and payments at the ascending positive bids
+        `nums[k] / bid_den`, `view` being the view of the report with
+        `adv_id` bidding the cap, at or above each bid, as (utility
+        numerators, payment numerators, their one denominator).
 
-        Everything is read off the view of the report with `adv_id` bidding
-        the cap, the larger of their true value and the top bid: its probe
-        kernel gives each branch's clicks at every bid, and its one click
-        curve per branch prices them all (`pricing.threshold_payments`, one
-        ascending pass over each curve). Neither Myerson's b*x(b) less the
-        integral up to b nor GSP's lowest bid keeping x(b) depends on a cap
-        at or above b. The bids enter as numerators over their lcm; each
-        utility is the true value times the expected clicks less the payment.
+        The view's probe kernel gives each branch's clicks at every bid,
+        and its one click curve per branch prices them all
+        (`pricing.threshold_payments`, one ascending pass over each curve).
+        Neither Myerson's b*x(b) less the integral up to b nor GSP's lowest
+        bid keeping x(b) depends on a cap at or above b. Each utility is the
+        true value times the expected clicks less the payment.
         """
         value = self.truth.bids.get(adv_id, ZERO)
-        view = self._view(rep.replace(adv_id, max(value, bids[-1]), subset))
-        bid_den = lcm(*(bid.denominator for bid in bids))
-        nums = [bid.numerator * (bid_den // bid.denominator) for bid in bids]
         probe = view.probe(adv_id)
         clicks = [[pricing.BRANCHES[b].probe(probe, num, bid_den) for num in nums] for _prob, b in self.branches]
         paid, den, x, probs, _curves = pricing.threshold_payments(
@@ -263,24 +338,28 @@ def best_response(
     grid's subsets run from the largest down).
     """
     ev = _evaluator if _evaluator is not None else _Evaluator(inst, truth, mechanism)
-    return _best_of(ev.utility_table(rep, adv_id, space), space)
+    bi, si, n, d = _best_of(ev._table(rep, adv_id, space), space)
+    return space.bids[bi], space.subsets[si], Fraction(n, d)
 
 
-def _best_of(table: list[list[Fraction]], space: StrategySpace) -> tuple[Fraction, frozenset[str], Fraction]:
-    """(bid, subset, utility) at `table`'s best entry, under `best_response`'s
-    tie rule. Entries are compared as integers, n * d' against n' * d, not
-    as Fractions."""
+def _best_of(rows: list[tuple[list[int], int]], space: StrategySpace) -> tuple[int, int, int, int]:
+    """(bid index, subset index, utility numerator, its denominator) at the
+    best entry of `rows` (`_Evaluator.row`), under `best_response`'s tie
+    rule: each row's first maximum, then the rows' compared as integers,
+    n * d' against n' * d."""
     best = None  # (bid index, subset index) of the best entry so far, of utility n / d
     n = d = 0
-    for si, row in enumerate(table):
-        for bi, u in enumerate(row):
-            c = u.numerator * d - n * u.denominator
-            if best is None or c > 0 or (c == 0 and (bi, si) < best):
-                best, n, d = (bi, si), u.numerator, u.denominator
+    for si, (us, den) in enumerate(rows):
+        if not us:
+            continue
+        top = max(us)
+        bi = us.index(top)
+        c = top * d - n * den
+        if best is None or c > 0 or (c == 0 and (bi, si) < best):
+            best, n, d = (bi, si), top, den
     if best is None:
         raise ValueError(f"empty strategy space for advertiser {space.adv_id!r}")
-    bi, si = best
-    return space.bids[bi], space.subsets[si], table[si][bi]
+    return (*best, n, d)
 
 
 @dataclass(frozen=True)
@@ -338,78 +417,81 @@ def find_pure_nash(
 
     Convergence means a full pass in which nobody strictly improves; that
     pass scans every grid deviation, so the fixed point comes back verified.
-    A revisited profile is reported as a cycle rather than an error.
+    A revisited profile is reported as a cycle rather than an error. The
+    search runs on strategy indices (`_Evaluator`): each bidder's best
+    response and current utility are read off their integer `row` against
+    the others' indices, and `ReportProfile`s are built only for the result.
 
     With `explain`, one JSON-ready dict per round and bidder is appended
     to it: the deviations checked, the best response, its utility gain
     over the current report, and the click curves built and served by a
-    kept view while finding it.
+    kept view or row while finding it.
     """
-    ev = _Evaluator(inst, truth, mechanism)
-    current = ReportProfile(
-        bids={a: truth.bids[a] for a in inst.adv_ids()},
-        subsets={a: truth.subsets[a] for a in inst.adv_ids()},
-    )
+    ev = _Evaluator(inst, truth, mechanism, spaces)
+    current = ev._index(truth)
     history = [current]
-    seen = {current.key(): 0}
+    seen = {current: 0}
     checks = 0
     violations: list[BetaCheck] = []
 
-    def run_beta(rep: ReportProfile):
+    def run_beta(profile: tuple):
         nonlocal checks
         if beta_check:
             checks += 1
-            got = beta_bound_check(inst, rep)
+            got = beta_bound_check(inst, ev._report(profile))
             if not got.ok:
                 violations.append(got)
 
-    def result(status: str, equilibrium: ReportProfile | None, rounds: int, cycle=None) -> NashResult:
+    def result(status: str, rounds: int, equilibrium: tuple | None = None, cycle=None) -> NashResult:
         # only convergence ends on a pass that scanned every deviation
         return NashResult(
-            status, equilibrium, rounds, verified=status == "converged", cycle=cycle,
+            status, None if equilibrium is None else ev._report(equilibrium), rounds, verified=status == "converged",
+            cycle=None if cycle is None else tuple(map(ev._report, cycle)),
             beta_checks=checks, beta_violations=tuple(violations),
         )
 
     run_beta(current)
     for round_no in range(1, max_rounds + 1):
         improved = False
-        for adv_id in inst.adv_ids():
+        for g, adv_id in enumerate(ev.ids):
             space = spaces[adv_id]
             built0, cached0 = ev.curves_built, ev.curves_cached
-            table = ev.utility_table(current, adv_id, space)
-            bid, subset, best_u = _best_of(table, space)
+            others = current[:g] + current[g + 1 :]
+            rows = ev.row(g, others)
+            bi, si, n, d = _best_of(rows, space)
             built, cached = ev.curves_built - built0, ev.curves_cached - cached0
-            # a report on the grid (from `strategy_spaces`, always) is read off the table
-            bid_now, subset_now = current.bids[adv_id], current.subsets[adv_id]
-            if bid_now in space.bids and subset_now in space.subsets:
-                now_u = table[space.subsets.index(subset_now)][space.bids.index(bid_now)]
+            # a report on the grid (from `strategy_spaces`, always) is read off its row
+            bi_now, si_now = current[g]
+            if bi_now >= 0 and si_now >= 0:
+                now_n, now_d = rows[si_now][0][bi_now], rows[si_now][1]
             else:
-                now_u = ev.utility(current, adv_id)
+                now = ev.utility(ev._report(current), adv_id)
+                now_n, now_d = now.numerator, now.denominator
             if explain is not None:
+                best_u, now_u = Fraction(n, d), Fraction(now_n, now_d)
                 explain.append(
                     {
                         "round": round_no,
                         "bidder": adv_id,
                         "deviations": len(space.bids) * len(space.subsets),
-                        "best_response": {"bid": str(bid), "subset": sorted(subset)},
+                        "best_response": {"bid": str(space.bids[bi]), "subset": sorted(space.subsets[si])},
                         "utility": str(now_u),
                         "gain": str(best_u - now_u),
                         "curves_built": built,
                         "curves_cached": cached,
                     }
                 )
-            if best_u > now_u:
-                current = current.replace(adv_id, bid, subset)
+            if n * now_d > now_n * d:
+                current = others[:g] + ((bi, si),) + others[g:]
                 improved = True
                 run_beta(current)
-                key = current.key()
-                if key in seen:
-                    return result("cycle", None, round_no, tuple(history[seen[key] :]) + (current,))
-                seen[key] = len(history)
+                if current in seen:
+                    return result("cycle", round_no, cycle=history[seen[current] :] + [current])
+                seen[current] = len(history)
                 history.append(current)
         if not improved:
-            return result("converged", current, round_no)
-    return result("max-rounds", None, max_rounds)
+            return result("converged", round_no, current)
+    return result("max-rounds", max_rounds)
 
 
 def poa_report(

@@ -70,6 +70,21 @@ def _undominated(view: ScaledView):
     return per_adv, widest
 
 
+def check_dp_guards(view: ScaledView) -> int:
+    """The number of slot layers of the view's capacity DP, its `limit` + 1
+    (1 without one), once its guards hold: a scaled capacity cap above
+    `DP_CAPACITY_GUARD`, or more than `DP_CELLS_GUARD` table cells,
+    (n + 1) · layers · (cap + 1), raises `GuardExceededError`. Both guards
+    are read at call time."""
+    if view.total > DP_CAPACITY_GUARD:
+        raise GuardExceededError(f"scaled capacity {view.total} exceeds the DP guard {DP_CAPACITY_GUARD}")
+    layers = 1 if view.limit is None else view.limit + 1
+    cells = (view.n_adv() + 1) * layers * (view.total + 1)
+    if cells > DP_CELLS_GUARD:
+        raise GuardExceededError(f"{cells} DP table cells exceed the DP cells guard {DP_CELLS_GUARD}")
+    return layers
+
+
 class CapacityDP:
     """The capacity DP over one view (see `capacity_dp`): its optimum and its leave-one-out optima.
 
@@ -82,25 +97,14 @@ class CapacityDP:
     at the total, beyond which it is constant. A pass costs
     O(layers · Σ_g m_g · reach_g) for the m_g undominated ads of advertiser g
     and the reach of its row, at most O(layers · n · m · cap) for m ads each
-    and scaled capacity cap. A scaled capacity above `DP_CAPACITY_GUARD`,
-    or more than `DP_CELLS_GUARD` table cells, (n + 1) · layers · (cap + 1),
-    raises `GuardExceededError` before any table is allocated; both are read
-    at call time.
+    and scaled capacity cap. `check_dp_guards` runs before any table is
+    allocated.
     """
 
     def __init__(self, view: ScaledView):
-        if view.total > DP_CAPACITY_GUARD:
-            raise GuardExceededError(
-                f"scaled capacity {view.total} exceeds the DP guard {DP_CAPACITY_GUARD}"
-            )
+        layers = check_dp_guards(view)
         n = view.n_adv()
-        if view.limit is None:
-            layers, self.shift = 1, 0  # taking an ad uses no slot
-        else:
-            layers, self.shift = view.limit + 1, 1
-        cells = (n + 1) * layers * (view.total + 1)
-        if cells > DP_CELLS_GUARD:
-            raise GuardExceededError(f"{cells} DP table cells exceed the DP cells guard {DP_CELLS_GUARD}")
+        self.shift = 0 if view.limit is None else 1  # without a limit, taking an ad uses no slot
         self.total = view.total  # not the view, which keeps its DP
         self.per_adv, self.widest = _undominated(view)
         self.suffix = [[[0] * (view.total + 1) for _ in range(layers)]] * (n + 1)

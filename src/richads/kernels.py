@@ -297,7 +297,8 @@ class BidderProbe:
         numerator n0 ties another advertiser's of numerator d in bang-per-buck
         ("bpb") or value ("value"), as (sorted distinct numerators, their
         common denominator). A zero-space row ties nothing in bang-per-buck.
-        These are greedy-bpb's breakpoints: its walk reacts to every tie."""
+        These are greedy-bpb's breakpoints: its capped walk reacts to every
+        tie, its uncapped one to bang-per-buck ties only (`greedy_bpb`)."""
         view = self.view
         lo, hi, bn, bd, _alphas = self._own()
         terms = []  # (the others' numerators, an own row's n0 * bd)

@@ -58,7 +58,9 @@ class Branch:
 
 # the rules are looked up at call time, so a wrapper installed on the module
 # attribute (a tracer, a test) sees every call; greedy-bpb is scanned, so its
-# breakpoints are every pairwise tie of both kinds and every drop stays findable
+# breakpoints are every pairwise tie its probe reads and every drop stays
+# findable: uncapped, the probe reads only the bidder's positions among the
+# others' bang-per-buck keys, so a value tie cannot move it; capped, both kinds
 _probe = kernels.BidderProbe
 BRANCHES = {
     "bpb": Branch(lambda v: monotone.bpb_allocation(v.inst, v.rep, v), _probe.bpb_breakpoints, _probe.bpb, True),
@@ -67,7 +69,7 @@ BRANCHES = {
     ),
     "greedy-bpb": Branch(
         lambda v: heuristics.greedy_by_bpb(v.inst, v.rep, v),
-        lambda probe, cap: probe.ties(("bpb", "value"), cap),
+        lambda probe, cap: probe.ties(("bpb",) if probe.view.limit is None else ("bpb", "value"), cap),
         _probe.greedy_bpb,
         False,
     ),

@@ -652,7 +652,7 @@ def profile_utility(ev, rep: ReportProfile, adv_id):
 
     if ev.mech.pricing == "vcg":
         return ev.utility(rep, adv_id)
-    view = ev._view(rep)
+    view = ev._view(ev._index(rep))
     allocs = [pricing.branch_allocate(ev.inst, rep, branch, view) for _prob, branch in ev.branches]
     clicks = sum(prob * alloc.clicks(ev.inst, adv_id) for (prob, _b), alloc in zip(ev.branches, allocs))
     value = ev.truth.bids.get(adv_id, Fraction(0))
@@ -669,7 +669,7 @@ def profile_utility(ev, rep: ReportProfile, adv_id):
         bid.denominator,
         ev.branches,
         [(pricing.clicks_over(alloc.clicks(ev.inst, adv_id), scale),) for alloc in allocs],
-        lambda branch: ev._curve(ev._view(at_cap), adv_id, branch),
+        lambda branch: ev._curve(ev._view(ev._index(at_cap)), adv_id, branch),
     )
     return value * clicks - Fraction(paid, den)
 
@@ -682,6 +682,18 @@ def profile_table(ev, rep: ReportProfile, adv_id, space):
         [profile_utility(ev, rep.replace(adv_id, bid, subset), adv_id) for bid in space.bids]
         for subset in space.subsets
     ]
+
+
+def profile_rows(ev, g, others):
+    """`equilibrium._Evaluator.row` by `profile_table`: advertiser g's
+    utilities against the report of the index profile `others`, per subset
+    as (numerators, their lcm)."""
+    adv_id = ev.ids[g]
+    rows = []
+    for us in profile_table(ev, ev._report(others[:g] + ((0, 0),) + others[g:]), adv_id, ev.spaces[adv_id]):
+        den = lcm(*(u.denominator for u in us))
+        rows.append(([u.numerator * (den // u.denominator) for u in us], den))
+    return rows
 
 
 def best_response_by_profiles(inst: Instance, truth: ReportProfile, rep: ReportProfile, adv_id, mechanism, space, _evaluator=None):
@@ -864,7 +876,7 @@ def sweep_by_fractions(ev, at_cap: ReportProfile, adv_id, bids):
     for (prob, branch), xs in zip(ev.branches, clicks):
         if kind == "gsp" and not any(xs):
             continue
-        prices = threshold_prices_along(kind, ev._curve(ev._view(at_cap), adv_id, branch), grid, xs, branch)
+        prices = threshold_prices_along(kind, ev._curve(ev._view(ev._index(at_cap)), adv_id, branch), grid, xs, branch)
         if kind == "gsp":
             prices = [cpc * x for cpc, x in zip(prices, xs)]
         paid = [p + prob * price for p, price in zip(paid, prices)]

@@ -259,6 +259,20 @@ def test_equilibrium_bid_grid_guard_exits_2(fx_path, capsys):
     assert "bid grid guard" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rule", ["gsp", "myerson", "vcg"])
+def test_equilibrium_checks_the_dp_guards_before_it_searches(fx_path, capsys, monkeypatch, rule):
+    # fx3's truthful view scales the capacity to 1,999,999, past the DP
+    # guard the PoA report's optimum would hit: the command exits 2 with the
+    # DP's own message before any search runs
+    def searched(*args, **kwargs):
+        raise AssertionError("find_pure_nash was called")
+
+    monkeypatch.setattr(equilibrium, "find_pure_nash", searched)
+    code = cli(["equilibrium", fx_path(fixtures.fx3()), "--grid", "1/4", "--pricing", rule])
+    assert code == 2
+    assert capsys.readouterr().err == "guard exceeded: scaled capacity 1999999 exceeds the DP guard 1000000\n"
+
+
 def test_the_dp_capacity_guard_is_a_module_constant(fx_path, capsys, monkeypatch):
     inst = fixtures.fx1()
     rep = truthful_profile(inst)

@@ -17,6 +17,7 @@ from oracles import (
     best_of_by_fractions,
     best_response_by_profiles,
     integer_pass_drops_at_tie_bids,
+    profile_rows,
     profile_table,
     sweep_by_fractions,
 )
@@ -293,6 +294,13 @@ def assert_sweep_matches(inst, rep, mech, spaces):
         )
 
 
+def profile_text(rep):
+    """`rep`'s bids and subsets, sorted."""
+    bids = ",".join(f"{a}={b}" for a, b in sorted(rep.bids.items()))
+    subsets = ",".join(f"{a}={'+'.join(sorted(s))}" for a, s in sorted(rep.subsets.items()))
+    return f"bids[{bids}] subsets[{subsets}]"
+
+
 def shaded(inst, rep, k=2):
     """`rep` with every bid divided by k."""
     return ReportProfile(bids={a: b / k for a, b in rep.bids.items()}, subsets=dict(rep.subsets))
@@ -523,29 +531,59 @@ def test_bids_above_the_truth_are_swept():
         table = ev.utility_table(truth, "b", space)
         assert table == profile_table(equilibrium._Evaluator(inst, truth, mech), truth, "b", space)
         assert evaluated == []
-        assert sorted(ev._views) == sorted(truth.replace("b", top, s).key() for s in space.subsets if s)
+        assert sorted(view.rep.key() for view in ev._views.values()) == sorted(
+            truth.replace("b", top, s).key() for s in space.subsets if s
+        )
 
 
 @pytest.mark.parametrize("mech", SWEEP_MECHANISMS[:2], ids=lambda m: m.describe())
 def test_nash_search_is_unchanged_with_the_oracle_patched_in(mech, monkeypatch):
     pool = [(inst, truthful_profile(inst), strategy_spaces(inst, grid)) for inst, grid in dynamics_pool()]
     swept = [find_pure_nash(inst, truth, mech, spaces) for inst, truth, spaces in pool]
-    # find_pure_nash reads best responses and the current utility off the table
-    monkeypatch.setattr(equilibrium._Evaluator, "utility_table", profile_table)
+    # find_pure_nash reads best responses and the current utility off the rows
+    monkeypatch.setattr(equilibrium._Evaluator, "row", profile_rows)
     assert [find_pure_nash(inst, truth, mech, spaces) for inst, truth, spaces in pool] == swept
 
 
 @pytest.mark.parametrize("mech", SWEEP_MECHANISMS[:2], ids=lambda m: m.describe())
+def test_every_row_a_nash_search_reads_equals_the_profile_oracle(mech, monkeypatch):
+    # the rows at every profile a search from truth visits on the seed-0
+    # pool, the others' index profiles decoded, against `profile_table` on
+    # an evaluator of its own
+    row = equilibrium._Evaluator.row
+    checked = []
+
+    def compared(ev, g, others):
+        got = row(ev, g, others)
+        adv_id = ev.ids[g]
+        rep = ev._report(others[:g] + ((0, 0),) + others[g:])
+        oracle = equilibrium._Evaluator(ev.inst, ev.truth, ev.mech)
+        assert [[Fraction(u, den) for u in us] for us, den in got] == profile_table(
+            oracle, rep, adv_id, ev.spaces[adv_id]
+        ), (adv_id, rep)
+        start = ev._index(ev.truth)
+        checked.append(others != start[:g] + start[g + 1 :])
+        return got
+
+    monkeypatch.setattr(equilibrium._Evaluator, "row", compared)
+    for inst, grid in dynamics_pool(seed=0):
+        find_pure_nash(inst, truthful_profile(inst), mech, strategy_spaces(inst, grid))
+    # GSP dynamics leave the truth, so some rows are read against moved bidders
+    assert len(checked) > 100 and any(checked) == (mech.pricing == "gsp")
+
+
+@pytest.mark.parametrize("mech", SWEEP_MECHANISMS[:2], ids=lambda m: m.describe())
 def test_integer_argmax_equals_the_fraction_argmax_on_the_dynamics_pool(mech, monkeypatch):
-    # every table a Nash search from truth reads on the seed-0 pool; most
+    # every row set a Nash search from truth reads on the seed-0 pool; most
     # hold ties (zero utilities at least), so the tie rule is exercised too
     best_of = equilibrium._best_of
     tables = []
 
-    def checked(table, space):
-        got = best_of(table, space)
-        assert got == best_of_by_fractions(table, space)
-        tables.append(sum(row.count(got[2]) for row in table) > 1)
+    def checked(rows, space):
+        bi, si, n, d = got = best_of(rows, space)
+        table = [[Fraction(u, den) for u in us] for us, den in rows]
+        assert (space.bids[bi], space.subsets[si], Fraction(n, d)) == best_of_by_fractions(table, space)
+        tables.append(sum(row.count(Fraction(n, d)) for row in table) > 1)
         return got
 
     monkeypatch.setattr(equilibrium, "_best_of", checked)
@@ -728,25 +766,78 @@ def test_an_off_grid_payment_and_utility_equal_the_mechanisms(mech):
 
 
 @pytest.mark.parametrize("mech", SWEEP_MECHANISMS[:2], ids=lambda m: m.describe())
-def test_a_sweep_keys_its_report_once(mech, monkeypatch):
-    # the view of the report at the cap is looked up once per nonempty
-    # subset, for the probe and every curve alike: `ReportProfile.key`
-    # sorts and hashes the whole profile on each call
-    inst = fixtures.fx4()
-    truth = truthful_profile(inst)
+def test_a_nash_search_makes_no_report_key_call(mech, monkeypatch):
+    # a search keys its profiles and views by strategy indices:
+    # `ReportProfile.key` sorts and hashes the whole profile on each call,
+    # and no threshold-priced search on the seed-0 pool makes one
     keyed = []
     key = ReportProfile.key
     monkeypatch.setattr(ReportProfile, "key", lambda rep: keyed.append(rep) or key(rep))
-    curves = 0
-    for adv_id, space in strategy_spaces(inst, Fraction(1, 20)).items():
-        ev = equilibrium._Evaluator(inst, truth, mech)
-        keyed.clear()
-        ev.utility_table(truth, adv_id, space)
-        assert space.bids[-1] > 0
-        assert len(keyed) == sum(1 for subset in space.subsets if subset)
-        curves += ev.curves_built
-    # GSP reads no curve for a bidder who gets no clicks at any grid bid
-    assert curves > 0
+    pool = dynamics_pool(seed=0)
+    rounds = sum(
+        find_pure_nash(inst, truthful_profile(inst), mech, strategy_spaces(inst, grid)).rounds for inst, grid in pool
+    )
+    assert keyed == [] and rounds >= len(pool)
+
+
+@pytest.mark.parametrize("mech", SWEEP_MECHANISMS[:2], ids=lambda m: m.describe())
+def test_a_repeated_row_builds_no_view_curve_or_sweep(mech, monkeypatch):
+    # the rows a search reads, asked for again by (bidder, others' indices):
+    # the kept row is returned as it is, and its curve lookups count as served
+    inst = fixtures.fx4()
+    truth = truthful_profile(inst)
+    spaces = strategy_spaces(inst, Fraction(1, 20))
+    asked = []
+    row = equilibrium._Evaluator.row
+    monkeypatch.setattr(
+        equilibrium._Evaluator, "row", lambda ev, g, others: asked.append((ev, g, others)) or row(ev, g, others)
+    )
+    find_pure_nash(inst, truth, mech, spaces)
+    monkeypatch.undo()
+    work = []
+    init, sweep, build = kernels.ScaledView.__init__, equilibrium._Evaluator._sweep, pricing._build_curve
+    monkeypatch.setattr(kernels.ScaledView, "__init__", lambda self, *a: work.append("view") or init(self, *a))
+    monkeypatch.setattr(equilibrium._Evaluator, "_sweep", lambda self, *a: work.append("sweep") or sweep(self, *a))
+    monkeypatch.setattr(pricing, "_build_curve", lambda *a: work.append("curve") or build(*a))
+    ev, _g, _others = asked[0]
+    # GSP's search asks for a row again itself: fx4's b moves, a does not, and b stays
+    assert (len({(g, others) for _ev, g, others in asked}) < len(asked)) == (mech.pricing == "gsp")
+    served = 0
+    for _ev, g, others in asked:
+        built, cached = ev.curves_built, ev.curves_cached
+        rows, lookups = ev._rows[g, others]
+        assert ev.row(g, others) is rows
+        assert (ev.curves_built, ev.curves_cached) == (built, cached + lookups)
+        served += lookups
+    assert work == [] and served > 0
+
+
+@pytest.mark.parametrize("name, mech, status, rounds, end", [
+    ("fx4", gsp_mixture_mechanism(), "converged", 2, "bids[a=1/100,b=1/4] subsets[a=ax1,b=bx1+bx2]"),
+    ("fx4", myerson_mixture_mechanism(), "converged", 1, "bids[a=1/100,b=40001/40000] subsets[a=ax1,b=bx1+bx2]"),
+    ("fx1", gsp_mixture_mechanism(), "converged", 5, "bids[a=1,b=1] subsets[a=ax1+ax2,b=bx1]"),
+    ("fx1", myerson_mixture_mechanism(), "converged", 1, "bids[a=11/10,b=11/10] subsets[a=ax1+ax2,b=bx1+bx2]"),
+])
+def test_a_search_on_grids_without_the_true_values_takes_the_off_grid_path(
+    name, mech, status, rounds, end, monkeypatch
+):
+    # the truthful start is on no grid, so each bidder's first current
+    # utility is priced on its own (`_Evaluator.utility`); the pinned ends
+    # are those of the search that read `ReportProfile`s, not indices, and a
+    # bidder who never moves ends at their off-grid true value
+    inst = fixtures.fixture(name)
+    truth = truthful_profile(inst)
+    off = {a: replace(s, bids=s.bids[:-1]) for a, s in strategy_spaces(inst, Fraction(1, 4)).items()}
+    assert all(truth.bids[a] not in s.bids for a, s in off.items())
+    priced = []
+    by_profile = equilibrium._Evaluator.utility
+    monkeypatch.setattr(
+        equilibrium._Evaluator, "utility", lambda ev, rep, a: priced.append(a) or by_profile(ev, rep, a)
+    )
+    got = find_pure_nash(inst, truth, mech, off)
+    assert (got.status, got.rounds, profile_text(got.equilibrium)) == (status, rounds, end)
+    # every bidder is still at their true value when their first turn comes
+    assert priced[: len(inst.adv_ids())] == list(inst.adv_ids())
 
 
 def test_empty_strategy_space_is_a_value_error_under_python_O():

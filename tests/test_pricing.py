@@ -485,6 +485,41 @@ def test_breakpoints_give_the_curve_and_prices_of_every_pairwise_tie(case):
                 ), (branch, kind, at)
 
 
+@pytest.mark.parametrize("limit", [None, 2])
+def test_greedy_bpb_breakpoints_are_bpb_ties_alone_when_uncapped(limit):
+    # uncapped, the greedy-bpb probe reads only the bidder's positions among
+    # the others' bang-per-buck keys, so a value tie cannot move it and its
+    # breakpoints are the bpb ties; capped, the walk can evict and both
+    # kinds stay. Either way the scanned curve and its prices at every
+    # pairwise tie of both kinds and at the bid equal the curve over all of them
+    kinds = ("bpb",) if limit is None else ("bpb", "value")
+    dropped = 0
+    for seed in (7, 8):
+        inst = replace(_price_large_instance(seed), cardinality_limit=limit)
+        rep = truthful_profile(inst)
+        view = kernels.ScaledView(inst, rep)
+        for adv_id in inst.adv_ids():
+            bid = rep.bids[adv_id]
+            probe = view.probe(adv_id)
+            assert pricing.BRANCHES["greedy-bpb"].breakpoints(probe, bid) == probe.ties(kinds, bid)
+            try:
+                want = curve_over_pairwise_ties(view, adv_id, bid, "greedy-bpb", "greedy-bpb")
+            except NonMonotoneClickCurveError as exc:
+                with pytest.raises(NonMonotoneClickCurveError) as got:
+                    pricing._build_curve(view, adv_id, bid, "greedy-bpb", "greedy-bpb")
+                assert str(got.value) == str(exc)
+                continue
+            curve = pricing._build_curve(view, adv_id, bid, "greedy-bpb", "greedy-bpb")
+            assert curve.steps == want.steps
+            bids = sorted({*tie_candidates_pairwise(inst, rep, adv_id, PAIRWISE_KINDS["greedy-bpb"], bid), bid})
+            clicks = [Fraction(probe.greedy_bpb(b.numerator, b.denominator), probe.click_den) for b in bids]
+            for kind in ("myerson", "gsp"):
+                got = priced_or_error(integer_prices_along, kind, curve, bids, clicks, "greedy-bpb")
+                assert got == priced_or_error(integer_prices_along, kind, want, bids, clicks, "greedy-bpb"), (adv_id, kind)
+            dropped += len(want.ties) - len(curve.ties)
+    assert (dropped > 0) == (limit is None)
+
+
 def test_curves_through_the_kernel_equal_curves_through_rebids(monkeypatch):
     # every branch, capped greedy branches too; the probe as it was before
     # the per-bidder kernel ran every branch on a rebid view
