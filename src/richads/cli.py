@@ -134,7 +134,7 @@ def _explain_payments(inst: Instance, rep: ReportProfile, outcome: pricing.Price
                 "threshold": None,
             }
             if curve is not None:
-                (cpc,), den = pricing.threshold_prices_along(
+                (cpc,), den, _clicks = pricing.threshold_prices_along(
                     "gsp",
                     curve,
                     (bid.numerator,),

@@ -8,9 +8,9 @@ the fixed point is a grid Nash equilibrium. Under threshold pricing,
 every utility and payment, a best response's whole grid or one report's,
 is read off one sweep per subset, instead of one profile evaluation per
 grid point: the view of the report with the bidder at the cap, the larger
-of their true value and their top bid, gives their clicks at every bid
-and one click curve per branch to price them against
-(`pricing.threshold_payments`). A search runs on strategy indices: it
+of their true value and their top bid, gives one click curve per branch,
+and one pass over each reads their clicks at every bid off it and prices
+them (`pricing.threshold_payments`). A search runs on strategy indices: it
 builds one view per report, keeps each curve in that view's memo and each
 bidder's integer utilities by the others' indices, and makes `Fraction`s
 only for what it returns.
@@ -21,6 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from math import lcm
 from typing import Iterable, Sequence
@@ -112,10 +113,10 @@ class _Evaluator:
     by (bidder, others). Under threshold pricing it is read off `_sweep`:
     the view of the report with the bidder at the cap holds their probe and
     one click curve per branch, since their own bid moves along a fixed
-    curve while the others stand still. VCG keeps its priced outcomes
-    instead, and no view, which would hold its capacity DP. `curves_built`
-    and `curves_cached` count the curve lookups that built a curve and
-    those a view's memo or a kept row served.
+    curve while the others stand still. VCG keeps its priced outcomes by
+    profile instead, and no view, which would hold its capacity DP.
+    `curves_built` and `curves_cached` count the curve lookups that built a
+    curve and those a view's memo or a kept row served.
     """
 
     def __init__(self, inst: Instance, truth: ReportProfile, mechanism: Mechanism, spaces=None):
@@ -190,11 +191,19 @@ class _Evaluator:
         view = self._view(self._index(rep))
         return tuple(pricing.branch_allocate(self.inst, rep, branch, view) for _prob, branch in self.branches)
 
-    def _vcg_outcome(self, rep: ReportProfile) -> pricing.PricedOutcome:
-        key = rep.key()
-        if key not in self._vcg:
-            self._vcg[key] = self.mech.price(self.inst, rep)
-        return self._vcg[key]
+    def _vcg_outcome(self, profile: tuple) -> pricing.PricedOutcome:
+        """The VCG outcome at `profile`, kept by it: the report is built
+        and priced on a miss only."""
+        got = self._vcg.get(profile)
+        if got is None:
+            got = self._vcg[profile] = self.mech.price(self.inst, self._report(profile))
+        return got
+
+    def _vcg_utility(self, profile: tuple, adv_id: str) -> Fraction:
+        """`adv_id`'s utility at `profile` under VCG."""
+        got = self._vcg_outcome(profile)
+        clicks = got.mixture.clicks(self.inst, adv_id)
+        return self.truth.bids.get(adv_id, ZERO) * clicks - got.payments.get(adv_id, ZERO)
 
     def _curve(self, view: kernels.ScaledView, adv_id: str, branch: str):
         """The branch's click curve of `adv_id` on (0, cap], `view` being
@@ -210,14 +219,13 @@ class _Evaluator:
     def payment(self, rep: ReportProfile, adv_id: str) -> Fraction:
         """`adv_id`'s payment at `rep`."""
         if self.mech.pricing == "vcg":
-            return self._vcg_outcome(rep).payments.get(adv_id, Fraction(0))
+            return self._vcg_outcome(self._index(rep)).payments.get(adv_id, ZERO)
         return self._priced(rep, adv_id)[1]
 
     def utility(self, rep: ReportProfile, adv_id: str) -> Fraction:
         """`adv_id`'s utility at `rep`: true value times expected clicks, less the payment."""
         if self.mech.pricing == "vcg":
-            clicks = self._vcg_outcome(rep).mixture.clicks(self.inst, adv_id)
-            return self.truth.bids.get(adv_id, Fraction(0)) * clicks - self.payment(rep, adv_id)
+            return self._vcg_utility(self._index(rep), adv_id)
         return self._priced(rep, adv_id)[0]
 
     def _priced(self, rep: ReportProfile, adv_id: str) -> tuple[Fraction, Fraction]:
@@ -256,7 +264,8 @@ class _Evaluator:
         contract (`kernels.ScaledView`) it gets no clicks and pays nothing:
         its utility is 0, with no view built. For a threshold-priced rule,
         the positive bids of each nonempty subset are one `_sweep`; VCG's
-        are evaluated profile by profile.
+        are evaluated profile by profile, each outcome kept by its profile
+        (`_vcg_outcome`).
         """
         got = self._rows.get((g, others))
         if got is not None:
@@ -271,7 +280,7 @@ class _Evaluator:
             us, d = [], 1  # no ad or no positive bid: all zeros
             if subset and nums and self.mech.pricing == "vcg":
                 utils = [
-                    self.utility(self._report(others[:g] + ((bi, si),) + others[g:]), adv_id)
+                    self._vcg_utility(others[:g] + ((bi, si),) + others[g:], adv_id)
                     for bi in range(lo, len(space.bids))
                 ]
                 d = lcm(*(u.denominator for u in utils))
@@ -290,18 +299,21 @@ class _Evaluator:
         `adv_id` bidding the cap, at or above each bid, as (utility
         numerators, payment numerators, their one denominator).
 
-        The view's probe kernel gives each branch's clicks at every bid,
-        and its one click curve per branch prices them all
-        (`pricing.threshold_payments`, one ascending pass over each curve).
-        Neither Myerson's b*x(b) less the integral up to b nor GSP's lowest
-        bid keeping x(b) depends on a cap at or above b. Each utility is the
-        true value times the expected clicks less the payment.
+        Each branch is one ascending pass over its click curve in the view
+        (`pricing.threshold_payments`): it reads the clicks at each bid off
+        the curve's runs, and the view's probe kernel only at a bid on one
+        of the branch's breakpoints, where a drop still raises, and prices
+        them. Neither Myerson's b*x(b) less the integral up to b nor GSP's
+        lowest bid keeping x(b) depends on a cap at or above b. Each utility
+        is the true value times the expected clicks less the payment. The
+        tests keep the sweep that probes every bid as the oracle
+        (`tests/oracles.sweep_by_fractions`, `profile_rows`).
         """
         value = self.truth.bids.get(adv_id, ZERO)
         probe = view.probe(adv_id)
-        clicks = [[pricing.BRANCHES[b].probe(probe, num, bid_den) for num in nums] for _prob, b in self.branches]
+        reads = [partial(pricing.BRANCHES[b].probe, probe) for _prob, b in self.branches]
         paid, den, x, probs, _curves = pricing.threshold_payments(
-            self.mech.pricing, nums, bid_den, self.branches, clicks, lambda b: self._curve(view, adv_id, b)
+            self.mech.pricing, nums, bid_den, self.branches, reads, lambda b: self._curve(view, adv_id, b)
         )
         # value * clicks and the payments over one denominator
         clicks_den = value.denominator * probe.click_den * probs

@@ -289,62 +289,74 @@ def clicks_over(x: Fraction, den: int) -> int:
     return x.numerator * q
 
 
+# a branch's clicks at each bid of a pass: given, or its probe of the bidder, (num, den) -> clicks
+Clicks = Sequence[int] | Callable[[int, int], int]
+
+
 def threshold_prices_along(
-    kind: str, curve: BidThresholds, bids: Sequence[int], bid_den: int, clicks: Sequence[int], rule_name: str
-) -> tuple[list[int], int]:
+    kind: str, curve: BidThresholds, bids: Sequence[int], bid_den: int, clicks: Clicks, rule_name: str
+) -> tuple[list[int], int, list[int]]:
     """A branch's threshold price at each of the ascending bids
     `bids[k] / bid_den`, where the bidder gets `clicks[k] / curve.click_den`
     there: the Myerson payment for "myerson", the GSP per-click price for
-    "gsp". Returns (numerators, their denominator): L * click_den for
-    Myerson and L for GSP, L the lcm of `bid_den` and the curve's bid
-    denominators.
+    "gsp". Returns (numerators, their denominator, the clicks used): the
+    denominator is L * click_den for Myerson and L for GSP, L the lcm of
+    `bid_den` and the curve's bid denominators.
+
+    `clicks` is either those clicks or the branch's probe of the bidder,
+    `(num, den) -> clicks`, and then the clicks are read off the curve, the
+    bids being at most its cap: a bid inside a run gets the run's level,
+    and only a bid on one of the curve's breakpoints (`curve.ties`), the
+    only bids where the probe can change, reads the probe.
 
     Myerson is b*x(b) minus the exact click-curve integral up to b (the
     curve ends at its cap). GSP's per-click price is the lowest bid keeping
     the current clicks: the start of the first run with them below b, else
-    b; no clicks cost nothing. One cursor, the runs starting below the bid,
-    serves every bid: O(bids + runs), all in integers over L. The curve is
-    probed inside its intervals only, so clicks at b below the level of
-    the last run below b (a drop at the bid itself) show only here: they
-    raise `NonMonotoneClickCurveError` on (b, b), naming `rule_name`, except
-    under GSP at no clicks. The tests keep the pass in Fractions as the oracle
-    (`tests/oracles.threshold_prices_along`).
+    b; no clicks cost nothing. One cursor, the runs starting below the bid
+    (and the breakpoints up to it), serves every bid: O(bids + runs +
+    breakpoints), all in integers over L. The curve is probed inside its
+    intervals only, so clicks at b below the level of the last run below b
+    (a drop at the bid itself) show only here: they raise
+    `NonMonotoneClickCurveError` on (b, b), naming `rule_name`, except
+    under GSP at no clicks. The tests keep the pass in Fractions as the
+    oracle (`tests/oracles.threshold_prices_along`).
     """
     scale = lcm(bid_den, curve.den, curve.cap.denominator)
     f, g = scale // bid_den, scale // curve.den
-    runs = [(lo * g, level) for lo, level in curve.runs] if g > 1 else curve.runs
-    if f > 1:
-        bids = [b * f for b in bids]
+    runs, n = curve.runs, len(curve.runs)
     cap = curve.cap.numerator * (scale // curve.cap.denominator)
     gsp = kind == "gsp"
-    first: dict[int, int] = {}  # GSP: clicks -> start of the first run below the bid with them
+    probe = clicks if callable(clicks) else None
+    used = [] if probe else clicks
+    ties, t, nt = curve.ties, 0, len(curve.ties)  # the breakpoints, and how many lie below the bid
     below = 0  # Myerson: the integral over the runs before the last one below the bid
+    lo = level = i = 0  # the last run below the bid, and how many runs start below it
     out = []
-    i = 0
-    for b, x in zip(bids, clicks):
-        while i < len(runs) and runs[i][0] < b:
-            lo, level = runs[i]
-            if gsp:
-                first.setdefault(level, lo)
-            elif i:
-                below += (lo - runs[i - 1][0]) * runs[i - 1][1]
+    for k, num in enumerate(bids):
+        b = num * f
+        while i < n and runs[i][0] * g < b:
+            start = runs[i][0] * g
+            below += (start - lo) * level
+            lo, level = start, runs[i][1]
             i += 1
-        if i:
-            lo, level = runs[i - 1]
-            if x < level and (x or not gsp):
-                at, c = Fraction(b, scale), curve.click_den
-                raise NonMonotoneClickCurveError(
-                    curve.adv_id, rule_name, (Fraction(lo, scale), at), (at, at),
-                    Fraction(level, c), Fraction(x, c),
-                )
+        if probe:
+            while t < nt and ties[t] * g < b:
+                t += 1
+            x = probe(num, bid_den) if t < nt and ties[t] * g == b else level
+            used.append(x)
+        else:
+            x = clicks[k]
+        if x < level and (x or not gsp):
+            at, c = Fraction(b, scale), curve.click_den
+            raise NonMonotoneClickCurveError(
+                curve.adv_id, rule_name, (Fraction(lo, scale), at), (at, at), Fraction(level, c), Fraction(x, c)
+            )
         if gsp:
-            out.append(first.get(x, b) if x else 0)
-            continue
-        paid = b * x - below
-        if i and level:
-            paid -= (min(b, cap) - lo) * level
-        out.append(paid)
-    return out, scale if gsp else scale * curve.click_den
+            # run levels strictly ascend: a run with x clicks starting below b is the last run below b
+            out.append(0 if not x else lo if x == level else b)
+        else:
+            out.append(b * x - below - (min(b, cap) - lo) * level)
+    return out, scale if gsp else scale * curve.click_den, used
 
 
 # --- priced outcomes -------------------------------------------------------
@@ -424,7 +436,7 @@ def threshold_payments(
     bids: Sequence[int],
     bid_den: int,
     branches: tuple[tuple[Fraction, str], ...],
-    clicks: Sequence[Sequence[int]],
+    clicks: Sequence[Clicks],
     curve: Callable[[str], BidThresholds],
     rule_name: str | None = None,
 ) -> tuple[list[int], int, list[int], int, tuple[BidThresholds | None, ...]]:
@@ -434,34 +446,41 @@ def threshold_payments(
     the curves read): the one pricing path, for a report and for a sweep of
     bids in `equilibrium` alike.
 
-    The bidder gets `clicks[j][k]` in branch j at bid k, a numerator over
-    the bidder's `click_den`; the expected clicks at bid k are the k-th
-    expected-click numerator over P times that `click_den`, P the lcm of
-    the probabilities' denominators. The payment is the sum over
-    `branches` of probability times the price read off that branch's click
-    curve, `curve(branch)` (`threshold_prices_along`; GSP's per-click price
-    times the clicks), summed in integers over the lcm of the branches'
-    denominators times their probabilities'. GSP charges a branch that
-    gives no clicks at any bid nothing and reads no curve for it (None in
-    the curves). Clicks at a bid below the curve's level just under it
-    raise `NonMonotoneClickCurveError` (`threshold_prices_along`) naming
-    `rule_name`, or the branch when it is None.
+    `clicks[j]` gives branch j's clicks at every bid, as numerators over
+    the bidder's `click_den`: either given (a report's, off its
+    allocations) or the branch's probe of the bidder, `(num, den) ->
+    clicks`, read off the branch's curve in the same pass that prices it
+    (`threshold_prices_along`, the bids then at most the curve's cap). The
+    expected clicks at bid k are the k-th expected-click numerator over P
+    times that `click_den`, P the lcm of the probabilities' denominators.
+    The payment is the sum over `branches` of probability times the price
+    read off that branch's click curve, `curve(branch)` (GSP's per-click
+    price times the clicks), summed in integers over the lcm of the
+    branches' denominators times their probabilities'. GSP charges a branch
+    that gives no clicks at any bid nothing and reads no curve for it (None
+    in the curves): a probe is read at the top bid, and at every bid only
+    where that gives none. Clicks at a bid below the curve's level just
+    under it raise `NonMonotoneClickCurveError` (`threshold_prices_along`)
+    naming `rule_name`, or the branch when it is None.
     """
+    gsp = kind == "gsp"
     probs = lcm(*(prob.denominator for prob, _branch in branches))
     expected = [0] * len(bids)
     parts = []  # (probability, prices, their denominator) per branch priced
     curves: list[BidThresholds | None] = []
     for (prob, branch), xs in zip(branches, clicks):
-        w = prob.numerator * (probs // prob.denominator)
-        if w:
-            expected = [a + w * b for a, b in zip(expected, xs)]
-        if kind == "gsp" and not any(xs):
+        if gsp and callable(xs) and not xs(bids[-1], bid_den):
+            xs = [xs(b, bid_den) for b in bids]
+        if gsp and not callable(xs) and not any(xs):
             curves.append(None)
             continue
         got = curve(branch)
         curves.append(got)
-        prices, den = threshold_prices_along(kind, got, bids, bid_den, xs, rule_name or branch)
-        if kind == "gsp":
+        prices, den, xs = threshold_prices_along(kind, got, bids, bid_den, xs, rule_name or branch)
+        w = prob.numerator * (probs // prob.denominator)
+        if w:
+            expected = [a + w * b for a, b in zip(expected, xs)]
+        if gsp:
             prices, den = [cpc * x for cpc, x in zip(prices, xs)], den * got.click_den
         parts.append((prob, prices, den))
     total = lcm(*(prob.denominator * den for prob, _prices, den in parts))

@@ -832,7 +832,9 @@ def integer_prices_along(kind, curve, bids, clicks, rule_name):
 
     den = lcm(*(b.denominator for b in bids))
     nums = [b.numerator * (den // b.denominator) for b in bids]
-    prices, scale = integer_pass(kind, curve, nums, den, [clicks_over(x, curve.click_den) for x in clicks], rule_name)
+    prices, scale, _clicks = integer_pass(
+        kind, curve, nums, den, [clicks_over(x, curve.click_den) for x in clicks], rule_name
+    )
     return [Fraction(p, scale) for p in prices]
 
 
@@ -893,8 +895,12 @@ def integer_pass_drops_at_tie_bids(view, curve, branch) -> int:
     oracle under both pricings (AssertionError otherwise): in one pass over
     all those bids with the probe's clicks there, and bid by bid with those
     clicks and with each of the curve's levels, which below the level under
-    the bid are drops at the bid. Returns the number of drops raised."""
-    from richads.pricing import BRANCHES
+    the bid are drops at the bid. Handed the probe instead, the pass reads
+    the same clicks off the curve and gives the same prices or drop.
+    Returns the number of drops raised."""
+    from functools import partial
+
+    from richads.pricing import BRANCHES, clicks_over, threshold_prices_along as integer_pass
 
     probe = view.probe(curve.adv_id)
     ties = tie_candidates_pairwise(view.inst, view.rep, curve.adv_id, PAIRWISE_KINDS[branch], curve.cap)
@@ -902,8 +908,14 @@ def integer_pass_drops_at_tie_bids(view, curve, branch) -> int:
     clicks = [Fraction(BRANCHES[branch].probe(probe, b.numerator, b.denominator), probe.click_den) for b in bids]
     levels = {x for _lo, x in curve.steps}
     cases = [(bids, clicks)] + [((b,), (x,)) for b, at in zip(bids, clicks) for x in sorted(levels | {at})]
+    den = lcm(*(b.denominator for b in bids))
+    nums = [b.numerator * (den // b.denominator) for b in bids]
     drops = 0
     for kind in ("myerson", "gsp"):
+        given = [clicks_over(x, probe.click_den) for x in clicks]
+        read = partial(BRANCHES[branch].probe, probe)
+        got = priced_or_error(integer_pass, kind, curve, nums, den, read, branch)
+        assert got == priced_or_error(integer_pass, kind, curve, nums, den, given, branch), (kind, bids)
         for at in cases:
             got = priced_or_error(integer_prices_along, kind, curve, *at, branch)
             assert got == priced_or_error(threshold_prices_along, kind, curve, *at, branch), (kind, at)

@@ -387,6 +387,103 @@ def test_a_drop_at_the_bid_itself_raises_the_same_error_on_both_paths():
             assert isinstance(swept, list)
 
 
+def wrap_probes(monkeypatch, wrapper):
+    """Every branch's probe replaced by `wrapper(branch, probe)`, a probe."""
+    for name, branch in pricing.BRANCHES.items():
+        monkeypatch.setitem(pricing.BRANCHES, name, replace(branch, probe=wrapper(name, branch.probe)))
+
+
+def at_cap_views(ev, profile):
+    """(g, others, subset index, the view with g at the cap) for every
+    bidder g of `profile` and every nonempty subset of their grid."""
+    for g, adv_id in enumerate(ev.ids):
+        cap = ev._grids[adv_id][3]
+        others = profile[:g] + profile[g + 1 :]
+        for si, subset in enumerate(ev.spaces[adv_id].subsets):
+            if subset:
+                yield g, others, si, ev._view(others[:g] + ((cap, si),) + others[g:])
+
+
+@pytest.mark.parametrize("mech", SWEEP_MECHANISMS[:2], ids=lambda m: m.describe())
+@pytest.mark.parametrize("name", ("fx1", "fx4"))
+def test_a_row_reads_the_probe_only_at_breakpoint_bids(name, mech, monkeypatch):
+    # each bidder's row against the truthful others, asked for again once
+    # its views and curves are kept: a sweep reads each branch's clicks off
+    # its curve, so the probe is read only at the grid bids on one of that
+    # branch's breakpoints; GSP also reads the top bid, and every bid where
+    # that gives no clicks, as it did before
+    inst = fixtures.fixture(name)
+    truth = truthful_profile(inst)
+    ev = equilibrium._Evaluator(inst, truth, mech, strategy_spaces(inst, Fraction(1, 20)))
+    profile = ev._index(truth)
+    for g in range(len(ev.ids)):
+        ev.row(g, profile[:g] + profile[g + 1 :])
+    want = Counter()
+    swept = 0  # the reads of a sweep that probes every positive bid
+    for g, _others, _si, view in at_cap_views(ev, profile):
+        adv_id = ev.ids[g]
+        bids = ev.spaces[adv_id].bids[ev._grids[adv_id][0] :]
+        for _prob, branch in ev.branches:
+            swept += len(bids)
+            curve = view._memo.get(("curve", adv_id, branch))
+            on = [bid for bid in bids if curve is not None and bid in curve.thresholds[1:]]
+            if mech.pricing == "gsp":
+                top = bids[-1]
+                if not pricing.BRANCHES[branch].probe(view.probe(adv_id), top.numerator, top.denominator):
+                    on = bids
+                on = [top, *on]
+            want.update((view, branch, bid) for bid in on)
+    read = Counter()
+    wrap_probes(
+        monkeypatch,
+        lambda branch, probe: lambda bidder, num, den: read.update([(bidder.view, branch, Fraction(num, den))])
+        or probe(bidder, num, den),
+    )
+    ev._rows.clear()
+    built = ev.curves_built
+    for g in range(len(ev.ids)):
+        ev.row(g, profile[:g] + profile[g + 1 :])
+    assert ev.curves_built == built and read == want
+    assert 0 < sum(want.values()) < swept / 2
+
+
+@pytest.mark.parametrize("kind", ("myerson", "gsp"))
+@pytest.mark.parametrize("p", (Fraction(1, 2), Fraction(2, 3)), ids=str)
+def test_a_drop_at_an_on_grid_breakpoint_still_raises(kind, p, monkeypatch):
+    # a probe made to read one level below the run under an on-grid
+    # breakpoint bid, in one view alone: fx1's a at their top bid 11/10 and
+    # fx4's b at 1, below their top, both on a bpb breakpoint where the run
+    # under has 10/11 and 2/40001 clicks; the sweep, reading the probe
+    # there, raises the drop on (b, b), under either pricing
+    mech = pricing.Mechanism(kind, pricing.mixture_rule(p))
+    for name, adv_id, bid in (("fx1", "a", Fraction(11, 10)), ("fx4", "b", Fraction(1))):
+        inst = fixtures.fixture(name)
+        truth = truthful_profile(inst)
+        ev = equilibrium._Evaluator(inst, truth, mech, strategy_spaces(inst, Fraction(1, 20)))
+        g = ev.ids.index(adv_id)
+        _g, others, _si, view = next(cell for cell in at_cap_views(ev, ev._index(truth)) if cell[0] == g)
+        curve = ev._curve(view, adv_id, "bpb")
+        assert bid in curve.thresholds[1:]
+        level = [x for lo, x in curve.runs if Fraction(lo, curve.den) < bid][-1]
+        assert level > 1
+
+        def dropped(branch, probe):
+            def read(bidder, num, den):
+                if branch == "bpb" and bidder.view is view and Fraction(num, den) == bid:
+                    return level - 1
+                return probe(bidder, num, den)
+
+            return read
+
+        wrap_probes(monkeypatch, dropped)
+        with pytest.raises(NonMonotoneClickCurveError) as err:
+            ev.row(g, others)
+        monkeypatch.undo()
+        c = curve.click_den
+        assert (err.value.adv_id, err.value.right_interval) == (adv_id, (bid, bid))
+        assert (err.value.left_clicks, err.value.right_clicks) == (Fraction(level, c), Fraction(level - 1, c))
+
+
 def test_vcg_table_equals_the_profile_oracle():
     for name in ("fx1", "fx4"):
         inst = fixtures.fixture(name)
@@ -765,15 +862,16 @@ def test_an_off_grid_payment_and_utility_equal_the_mechanisms(mech):
                     assert ev.utility(rep, adv_id) == utility(inst, truth, rep, mech)[adv_id], (adv_id, bid, subset)
 
 
-@pytest.mark.parametrize("mech", SWEEP_MECHANISMS[:2], ids=lambda m: m.describe())
+@pytest.mark.parametrize("mech", (*SWEEP_MECHANISMS[:2], pricing.Mechanism("vcg")), ids=lambda m: m.describe())
 def test_a_nash_search_makes_no_report_key_call(mech, monkeypatch):
-    # a search keys its profiles and views by strategy indices:
-    # `ReportProfile.key` sorts and hashes the whole profile on each call,
-    # and no threshold-priced search on the seed-0 pool makes one
+    # a search keys its profiles, views and VCG outcomes by strategy
+    # indices: `ReportProfile.key` sorts and hashes the whole profile on
+    # each call, and no search on the seed-0 pool makes one (VCG's on its
+    # first 24 games)
     keyed = []
     key = ReportProfile.key
     monkeypatch.setattr(ReportProfile, "key", lambda rep: keyed.append(rep) or key(rep))
-    pool = dynamics_pool(seed=0)
+    pool = dynamics_pool(seed=0)[: 24 if mech.pricing == "vcg" else None]
     rounds = sum(
         find_pure_nash(inst, truthful_profile(inst), mech, strategy_spaces(inst, grid)).rounds for inst, grid in pool
     )

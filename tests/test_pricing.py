@@ -751,7 +751,7 @@ def test_ir_bound_is_checked_under_python_O():
 
         if __debug__:
             sys.exit("not running under -O")
-        pricing.threshold_prices_along = lambda kind, curve, bids, den, clicks, rule: ([b * x + 1 for b, x in zip(bids, clicks)], 1)
+        pricing.threshold_prices_along = lambda kind, curve, bids, den, clicks, rule: ([b * x + 1 for b, x in zip(bids, clicks)], 1, clicks)
         inst = fixtures.fx2()
         try:
             pricing.myerson_payment(inst, truthful_profile(inst), pricing.mixture_rule())
