@@ -8,17 +8,18 @@ the fixed point is a grid Nash equilibrium. Under threshold pricing,
 every utility and payment, a best response's whole grid or one report's,
 is read off one sweep per subset, instead of one profile evaluation per
 grid point: the view of the report with the bidder at the cap, the larger
-of their true value and their top bid, gives one click curve per branch,
-and one pass over each reads their clicks at every bid off it and prices
-them (`pricing.threshold_payments`). A search runs on strategy indices: it
-builds one view per report, keeps each curve in that view's memo and each
-bidder's integer utilities by the others' indices, and makes `Fraction`s
-only for what it returns.
+of their true value and their top bid, on their whole catalog, gives one
+bidder probe and one click curve per branch for each subset, and one pass
+over each curve reads their clicks at every bid off it and prices them,
+each run's bids at once (`pricing.threshold_payments`). A search runs on
+strategy indices: it builds one view per best-response row, keeps each
+curve in that view's memo and each bidder's integer utilities by the
+others' indices, and makes `Fraction`s only for what it returns.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -110,11 +111,14 @@ class _Evaluator:
     report off the grid), so equal reports share one profile and one view
     (`_view`), kept for the evaluator's life. `row` is a bidder's utility
     at every grid strategy against the others' indices, in integers, kept
-    by (bidder, others). Under threshold pricing it is read off `_sweep`:
-    the view of the report with the bidder at the cap holds their probe and
-    one click curve per branch, since their own bid moves along a fixed
-    curve while the others stand still. VCG keeps its priced outcomes by
-    profile instead, and no view, which would hold its capacity DP.
+    by (bidder, others). Under threshold pricing it is read off `_sweep`s
+    of one view (`_at_cap`), the report with the bidder at the cap on their
+    whole catalog: it holds their probe and one click curve per branch for
+    each subset (`kernels.BidderProbe`), since their own bid moves along a
+    fixed curve while the others stand still. The others truthful, that
+    view is the truthful report, so one view serves every bidder's first
+    row. VCG keeps its priced outcomes by profile instead, and no view,
+    which would hold its capacity DP.
     `curves_built` and `curves_cached` count the curve lookups that built a
     curve and those a view's memo or a kept row served.
     """
@@ -143,22 +147,38 @@ class _Evaluator:
         larger of the true value and the top bid."""
         if adv_id not in self._grids:
             self.spaces[adv_id] = space
-            lo = bisect_right(space.bids, 0)
+            lo = int(bool(space.bids) and not space.bids[0].numerator)  # bids ascend from 0 or above
             bids = space.bids[lo:]
             den = lcm(*(bid.denominator for bid in bids))
-            cap = self._code(adv_id, 0, max(self.truth.bids.get(adv_id, ZERO), bids[-1])) if bids else None
+            value = self.truth.bids.get(adv_id, ZERO)
+            cap = None
+            if bids:
+                # a true value above the top bid is on no grid: `_code` keeps it as another bid
+                above = value.numerator * bids[-1].denominator > bids[-1].numerator * value.denominator
+                cap = self._code(adv_id, 0, value) if above else len(space.bids) - 1
             self._grids[adv_id] = lo, [bid.numerator * (den // bid.denominator) for bid in bids], den, cap
         elif self.spaces[adv_id] != space:
             raise ValueError(f"advertiser {adv_id!r} already has another grid")
 
     def _code(self, adv_id: str, kind: int, x) -> int:
-        """The index of `adv_id`'s bid (kind 0, found by bisection) or subset
-        (kind 1) `x`."""
-        space = self.spaces.get(adv_id)
-        grid = () if space is None else space.subsets if kind else space.bids
-        i = (grid.index(x) if x in grid else len(grid)) if kind else bisect_left(grid, x)
-        if i < len(grid) and grid[i] == x:
-            return i
+        """The index of `adv_id`'s bid (kind 0) or subset (kind 1) `x`: a
+        positive bid is found by bisection over the grid's integer
+        numerators, x scaled to their denominator, with no `Fraction`
+        comparison."""
+        grid = self._grids.get(adv_id)
+        if grid is not None and kind:
+            subsets = self.spaces[adv_id].subsets
+            if x in subsets:
+                return subsets.index(x)
+        elif grid is not None:
+            lo, nums, den, _cap = grid
+            n, r = divmod(x.numerator * den, x.denominator)  # x * den, floored
+            if not r and n > 0:
+                i = bisect_left(nums, n)
+                if i < len(nums) and nums[i] == n:
+                    return lo + i
+            elif not x.numerator and lo:
+                return 0  # the grid's zero bid
         extra = self._extra[adv_id][kind]
         if x not in extra:
             extra.append(x)
@@ -205,16 +225,24 @@ class _Evaluator:
         clicks = got.mixture.clicks(self.inst, adv_id)
         return self.truth.bids.get(adv_id, ZERO) * clicks - got.payments.get(adv_id, ZERO)
 
-    def _curve(self, view: kernels.ScaledView, adv_id: str, branch: str):
-        """The branch's click curve of `adv_id` on (0, cap], `view` being
-        the view of the report with `adv_id` bidding the cap, kept in its
-        memo under the key `pricing._threshold_prices` uses."""
-        key = ("curve", adv_id, branch)
+    def _at_cap(self, g: int, others: tuple, cap: int) -> kernels.ScaledView:
+        """The view of the report with advertiser `ids[g]` bidding the bid
+        of index `cap` on their whole catalog, the others at `others`."""
+        adv_id = self.ids[g]
+        whole = self._code(adv_id, 1, frozenset(self.inst.advertisers[g].ad_ids()))
+        return self._view(others[:g] + ((cap, whole),) + others[g:])
+
+    def _curve(self, view: kernels.ScaledView, adv_id: str, branch: str, subset: frozenset | None = None):
+        """The branch's click curve of `adv_id` on (0, cap] on `subset`'s
+        rows (None: all of theirs), `view` being the view of a report with
+        `adv_id` bidding the cap, kept in its memo under the key
+        ("curve", adv_id, branch, subset)."""
+        key = ("curve", adv_id, branch, subset)
         if key in view._memo:
             self.curves_cached += 1
         else:
             self.curves_built += 1
-        return view.memo(key, pricing._build_curve, view, adv_id, view.rep.bids[adv_id], branch, branch)
+        return view.memo(key, pricing._build_curve, view, adv_id, view.rep.bids[adv_id], branch, branch, subset)
 
     def payment(self, rep: ReportProfile, adv_id: str) -> Fraction:
         """`adv_id`'s payment at `rep`."""
@@ -230,16 +258,18 @@ class _Evaluator:
 
     def _priced(self, rep: ReportProfile, adv_id: str) -> tuple[Fraction, Fraction]:
         """(utility, payment) of `adv_id` at `rep` under threshold pricing,
-        a one-bid `_sweep` against the view with `adv_id` at the larger of
-        their true value and their bid; a report with no row in the view
-        gets no clicks and pays nothing (`kernels.ScaledView`)."""
+        a one-bid `_sweep` of their subset against the view with `adv_id` at
+        the larger of their true value and their bid, on their whole catalog
+        (`_at_cap`); a report with no row in the view gets no clicks and
+        pays nothing (`kernels.ScaledView`)."""
         bid = rep.bids.get(adv_id, ZERO)
-        if bid <= 0 or not rep.subsets.get(adv_id):
+        subset = rep.subsets.get(adv_id)
+        if bid <= 0 or not subset:
             return ZERO, ZERO
         profile, g = self._index(rep), self.ids.index(adv_id)
         cap = self._code(adv_id, 0, max(self.truth.bids.get(adv_id, ZERO), bid))
-        view = self._view(profile[:g] + ((cap, profile[g][1]),) + profile[g + 1 :])
-        (u,), (paid,), den = self._sweep(view, adv_id, (bid.numerator,), bid.denominator)
+        view = self._at_cap(g, profile[:g] + profile[g + 1 :], cap)
+        (u,), (paid,), den = self._sweep(view, adv_id, subset, (bid.numerator,), bid.denominator)
         return Fraction(u, den), Fraction(paid, den)
 
     def utility_table(self, rep: ReportProfile, adv_id: str, space: StrategySpace) -> list[list[Fraction]]:
@@ -263,9 +293,11 @@ class _Evaluator:
         A zero bid or the empty subset reports no ad, so by the view's
         contract (`kernels.ScaledView`) it gets no clicks and pays nothing:
         its utility is 0, with no view built. For a threshold-priced rule,
-        the positive bids of each nonempty subset are one `_sweep`; VCG's
-        are evaluated profile by profile, each outcome kept by its profile
-        (`_vcg_outcome`).
+        the row builds one view, the others as given and the bidder at the
+        cap on their whole catalog (`_at_cap`), and the positive bids of each
+        nonempty subset are one `_sweep` of that view's probe for the
+        subset; VCG's are evaluated profile by profile, each outcome kept by
+        its profile (`_vcg_outcome`).
         """
         got = self._rows.get((g, others))
         if got is not None:
@@ -276,6 +308,7 @@ class _Evaluator:
         lo, nums, den, cap = self._grids[adv_id]
         lookups = self.curves_built + self.curves_cached
         rows = []
+        view = None
         for si, subset in enumerate(space.subsets):
             us, d = [], 1  # no ad or no positive bid: all zeros
             if subset and nums and self.mech.pricing == "vcg":
@@ -286,34 +319,40 @@ class _Evaluator:
                 d = lcm(*(u.denominator for u in utils))
                 us = [u.numerator * (d // u.denominator) for u in utils]
             elif subset and nums:
-                us, _paid, d = self._sweep(self._view(others[:g] + ((cap, si),) + others[g:]), adv_id, nums, den)
+                if view is None:
+                    view = self._at_cap(g, others, cap)
+                us, _paid, d = self._sweep(view, adv_id, subset, nums, den)
             rows.append(([0] * (len(space.bids) - len(us)) + us, d))
         self._rows[(g, others)] = rows, self.curves_built + self.curves_cached - lookups
         return rows
 
     def _sweep(
-        self, view: kernels.ScaledView, adv_id: str, nums: Sequence[int], bid_den: int
+        self, view: kernels.ScaledView, adv_id: str, subset: frozenset, nums: Sequence[int], bid_den: int
     ) -> tuple[list[int], list[int], int]:
         """`adv_id`'s utilities and payments at the ascending positive bids
-        `nums[k] / bid_den`, `view` being the view of the report with
-        `adv_id` bidding the cap, at or above each bid, as (utility
+        `nums[k] / bid_den` on `subset`, `view` being the view of a report
+        with `adv_id` bidding the cap, at or above each bid, on a superset
+        of `subset` (`_at_cap`: their whole catalog), as (utility
         numerators, payment numerators, their one denominator).
 
-        Each branch is one ascending pass over its click curve in the view
-        (`pricing.threshold_payments`): it reads the clicks at each bid off
-        the curve's runs, and the view's probe kernel only at a bid on one
-        of the branch's breakpoints, where a drop still raises, and prices
-        them. Neither Myerson's b*x(b) less the integral up to b nor GSP's
-        lowest bid keeping x(b) depends on a cap at or above b. Each utility
-        is the true value times the expected clicks less the payment. The
-        tests keep the sweep that probes every bid as the oracle
-        (`tests/oracles.sweep_by_fractions`, `profile_rows`).
+        The view's bidder probe for `subset` (`kernels.BidderProbe`) counts
+        only that subset's rows as the bidder's, so it, and each branch's
+        click curve off it, kept under `subset`, is that of the report on
+        `subset`. Each branch is one ascending pass over its curve
+        (`pricing.threshold_payments`): it gives every bid strictly inside
+        a run the run's clicks and price at once, reads the probe only at a
+        bid on one of the branch's breakpoints, where a drop still raises,
+        and prices that bid. Neither Myerson's b*x(b) less the integral up
+        to b nor GSP's lowest bid keeping x(b) depends on a cap at or above
+        b. Each utility is the true value times the expected clicks less the
+        payment. The tests keep the sweep that probes every bid as the
+        oracle (`tests/oracles.sweep_by_fractions`, `profile_rows`).
         """
         value = self.truth.bids.get(adv_id, ZERO)
-        probe = view.probe(adv_id)
+        probe = view.probe(adv_id, subset)
         reads = [partial(pricing.BRANCHES[b].probe, probe) for _prob, b in self.branches]
         paid, den, x, probs, _curves = pricing.threshold_payments(
-            self.mech.pricing, nums, bid_den, self.branches, reads, lambda b: self._curve(view, adv_id, b)
+            self.mech.pricing, nums, bid_den, self.branches, reads, lambda b: self._curve(view, adv_id, b, subset)
         )
         # value * clicks and the payments over one denominator
         clicks_den = value.denominator * probe.click_den * probs

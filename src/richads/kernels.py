@@ -101,20 +101,24 @@ class ScaledView:
     def memo(self, key, build, *args):
         """`build(*args)`, built on first use and kept under `key`: "densities",
         the "bpb" and "value" orders, "rows" (the row of each (adv_id, ad_id)
-        pair), ("probe", adv_id), ("alloc", branch)
-        (`pricing.branch_allocate`), ("curve", adv_id, branch) (the branch's
-        click curve of `adv_id` capped at their bid here, `pricing._build_curve`)
-        and "dp" (`exact.capacity_dp`). A build that raises keeps nothing."""
+        pair), ("probe", adv_id, subset) (`probe`), ("alloc", branch)
+        (`pricing.branch_allocate`), ("curve", adv_id, branch, subset) (the
+        branch's click curve of `adv_id` on `subset`'s rows, capped at their
+        bid here, `pricing._build_curve`) and "dp" (`exact.capacity_dp`).
+        Report pricing keys its probes and curves by subset None, all of the
+        bidder's rows. A build that raises keeps nothing."""
         got = self._memo.get(key)
         if got is None:
             got = self._memo[key] = build(*args)
         return got
 
-    def probe(self, adv_id: str) -> "BidderProbe":
+    def probe(self, adv_id: str, subset: frozenset[str] | None = None) -> "BidderProbe":
         """`adv_id`'s clicks under every deterministic rule at any positive
         bid, the other rows fixed as in this view, where `adv_id` must bid
-        above 0. Built once per bidder."""
-        return self.memo(("probe", adv_id), BidderProbe, self, adv_id)
+        above 0: on their rows whose ad is in `subset` (None: all of them),
+        as if they reported that subset. Built once per (bidder, subset),
+        kept under ("probe", adv_id, subset)."""
+        return self.memo(("probe", adv_id, subset), BidderProbe, self, adv_id, subset)
 
     def span(self, adv_id: str) -> tuple[int, int]:
         """The (lo, hi) row range of `adv_id`; rows are sorted by advertiser."""
@@ -202,6 +206,14 @@ class BidderProbe:
     reads scale the bidder's rows in the view, so the bidder must bid above
     0 there (else `ValueError`); at bid 0 they have no clicks to probe.
 
+    With a `subset`, the bidder's own rows are only those whose ad is in it
+    (None: all of them), and every table skips their other rows, so the
+    probe equals the one on the view where the bidder reports `subset`
+    (`tests/test_probe_kernel.py` checks it): every table compares rows of
+    one view, so the scales the skipped rows set change no comparison.
+    One view with the bidder on their whole catalog thus serves every
+    subset. Below, "own rows" means those in the subset.
+
     Each rule's tables are built on first use from the view and hold click
     rates as those numerators; a probe then reads them in integers and makes
     no view, rebid, allocation or `Fraction`. It equals running the rule on
@@ -258,31 +270,39 @@ class BidderProbe:
     rule.
     """
 
-    __slots__ = ("view", "adv_id", "_own_rows", "_click_den", "_walk", "_fit", "_max", "_value", "_greedy")
+    __slots__ = (
+        "view", "adv_id", "subset", "_own_rows", "_click_den", "_walk", "_fit", "_max", "_value", "_greedy",
+    )
 
-    def __init__(self, view: ScaledView, adv_id: str):
-        if view.rep.bids.get(adv_id, 0) <= 0:
+    def __init__(self, view: ScaledView, adv_id: str, subset: frozenset[str] | None = None):
+        if view.rep.bids.get(adv_id, 0).numerator <= 0:  # compared as an integer
             raise ValueError(f"cannot probe {adv_id!r} at bid 0: they have no rows in the view to scale")
         self.view = view
         self.adv_id = adv_id
+        self.subset = subset
         self._own_rows = self._walk = self._fit = self._max = self._value = self._greedy = None
 
     def _own(self):
-        # (own row span, the view's bid as (numerator, denominator), each
-        # own row's click rate as a numerator over `click_den`)
+        # (the bidder's row span, the view's bid as (numerator, denominator),
+        # each row's click rate in the span as a numerator over `click_den`,
+        # None for a row outside the subset: the tables skip it)
         if self._own_rows is None:
             view = self.view
             lo, hi = view.span(self.adv_id)
             bid = view.rep.bids[self.adv_id]
             bn, bd = bid.numerator, bid.denominator
             m = view.value_scale * bn
+            subset = self.subset
             rates = []  # v * bd / m in lowest terms: v and m are positive
-            for v in view.val[lo:hi]:
+            for ad_id, v in zip(view.ad_ids[lo:hi], view.val[lo:hi]):
+                if subset is not None and ad_id not in subset:
+                    rates.append(None)
+                    continue
                 n = v * bd
                 g = gcd(n, m)
                 rates.append((n // g, m // g))
-            self._click_den = scale = lcm(*(d for _n, d in rates))
-            self._own_rows = lo, hi, bn, bd, [n * (scale // d) for n, d in rates]
+            self._click_den = scale = lcm(*(r[1] for r in rates if r is not None))
+            self._own_rows = lo, hi, bn, bd, [None if r is None else r[0] * (scale // r[1]) for r in rates]
         return self._own_rows
 
     @property
@@ -300,12 +320,12 @@ class BidderProbe:
         These are greedy-bpb's breakpoints: its capped walk reacts to every
         tie, its uncapped one to bang-per-buck ties only (`greedy_bpb`)."""
         view = self.view
-        lo, hi, bn, bd, _alphas = self._own()
+        lo, hi, bn, bd, alphas = self._own()
         terms = []  # (the others' numerators, an own row's n0 * bd)
         for kind in kinds:
             nums = view.densities() if kind == "bpb" else view.val
             others = [d for d in nums[:lo] + nums[hi:] if d is not None]
-            terms += [(others, n0 * bd) for n0 in nums[lo:hi] if n0 is not None]
+            terms += [(others, n0 * bd) for n0, a in zip(nums[lo:hi], alphas) if n0 is not None and a is not None]
         return _tie_bids(terms, bn, cap)
 
     def bpb_breakpoints(self, cap: Fraction) -> tuple[list[int], int]:
@@ -358,7 +378,7 @@ class BidderProbe:
         view = self.view
         lo, hi, _bn, _bd, alphas = self._own()
         fit_spc, fit_alpha = [], []
-        for w, j in sorted((view.spc[i], i - lo) for i in range(lo, hi)):
+        for w, j in sorted((view.spc[i], i - lo) for i in range(lo, hi) if alphas[i - lo] is not None):
             if not fit_alpha or alphas[j] > fit_alpha[-1]:
                 fit_spc.append(w)
                 fit_alpha.append(alphas[j])
@@ -390,7 +410,7 @@ class BidderProbe:
         before each key, own rows as (density numerator, space) in walk
         order, the view's bid numerator)."""
         view = self.view
-        lo, hi, bn, bd, _alphas = self._own()
+        lo, hi, bn, bd, alphas = self._own()
         dens = view.densities()
         spc, adv = view.spc, view.adv
         held = [0] * view.n_adv()
@@ -400,7 +420,8 @@ class BidderProbe:
             if w <= 0:
                 continue  # skipped by the walk: it never moves it
             if lo <= i < hi:
-                own.append((dens[i] * bd, w))
+                if alphas[i - lo] is not None:
+                    own.append((dens[i] * bd, w))
             elif w > held[adv[i]]:
                 keys.append(-3 * dens[i] + (0 if i < lo else 2))
                 prefix.append(prefix[-1] + w - held[adv[i]])
@@ -428,7 +449,7 @@ class BidderProbe:
             if view.spc[i] > view.total:
                 continue
             if lo <= i < hi:
-                if own < 0 or view.val[i] > view.val[own]:
+                if alphas[i - lo] is not None and (own < 0 or view.val[i] > view.val[own]):
                     own = i
             elif other < 0 or view.val[i] > view.val[other]:
                 other = i
@@ -466,7 +487,8 @@ class BidderProbe:
         keys, rem_at, served_at, own = [], [], [], []
         for i in view.value_order():
             if lo <= i < hi:
-                own.append((val[i] * bd, spc[i], alphas[i - lo]))
+                if alphas[i - lo] is not None:
+                    own.append((val[i] * bd, spc[i], alphas[i - lo]))
                 continue
             keys.append(-3 * val[i] + (0 if i < lo else 2))
             rem_at.append(rem)
@@ -531,14 +553,15 @@ class BidderProbe:
         maps each holder's index to their row's (value, space)."""
         view = self.view
         n, k = view.n_adv(), view.limit
-        lo, hi, bn, bd, _alphas = self._own()
+        lo, hi, bn, bd, alphas = self._own()
         dens = view.densities()
         val, spc, adv = view.val, view.spc, view.adv
         keys, rows, own = [], [], []
         zeros = before = 0  # space-0 others, and those before the span
         for i in view.bpb_order():
             if lo <= i < hi:
-                own.append((None, val[i] * bd, 0) if spc[i] == 0 else (dens[i] * bd, val[i] * bd, spc[i]))
+                if alphas[i - lo] is not None:
+                    own.append((None, val[i] * bd, 0) if spc[i] == 0 else (dens[i] * bd, val[i] * bd, spc[i]))
                 continue
             rows.append((adv[i], val[i], spc[i]))
             if spc[i] == 0:

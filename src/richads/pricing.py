@@ -16,6 +16,7 @@ grid of bids over one common denominator, so the callers make one
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -224,9 +225,12 @@ def _bisect_clicks(n: int, probe: Callable[[int], int]) -> list[int]:
     return clicks
 
 
-def _build_curve(view: kernels.ScaledView, adv_id: str, cap: Fraction, branch: str, rule_name: str) -> BidThresholds:
-    """The branch's click curve of `adv_id` on (0, cap], the rest of the
-    report as in `view`, all read off the bidder's `kernels.BidderProbe`:
+def _build_curve(
+    view: kernels.ScaledView, adv_id: str, cap: Fraction, branch: str, rule_name: str, subset: frozenset | None = None
+) -> BidThresholds:
+    """The branch's click curve of `adv_id` on (0, cap], on their rows
+    whose ad is in `subset` (None: all of them), the rest of the report as
+    in `view`, all read off the bidder's `kernels.BidderProbe` for `subset`:
     the branch's `breakpoints`, the bids where its probe can change, bound
     the intervals, and its clicks at their midpoints fill them, bisected if
     the branch is `monotone`, else scanned. Bounds and clicks stay
@@ -235,7 +239,7 @@ def _build_curve(view: kernels.ScaledView, adv_id: str, cap: Fraction, branch: s
     The tests keep the curve over every pairwise tie as the oracle
     (`tests/oracles.curve_over_pairwise_ties`)."""
     rule = BRANCHES[branch]
-    bidder = view.probe(adv_id)
+    bidder = view.probe(adv_id, subset)
     ties, den = rule.breakpoints(bidder, cap)
     points = [0, *ties]
     top = cap.numerator * (den // cap.denominator)
@@ -305,9 +309,14 @@ def threshold_prices_along(
 
     `clicks` is either those clicks or the branch's probe of the bidder,
     `(num, den) -> clicks`, and then the clicks are read off the curve, the
-    bids being at most its cap: a bid inside a run gets the run's level,
-    and only a bid on one of the curve's breakpoints (`curve.ties`), the
-    only bids where the probe can change, reads the probe.
+    bids being at most its cap: only a bid on one of the curve's
+    breakpoints (`curve.ties`), the only bids where the probe can change,
+    reads the probe. A bid strictly between two breakpoints gets the level
+    and the price of the run under it, both the same for every bid up to
+    the next breakpoint: Myerson's lo * level less the integral below the
+    run, GSP's lo (0 with no clicks). So each such stretch of bids, found
+    by bisection, is filled at once. Given clicks are priced bid by bid,
+    the oracle of that read-off.
 
     Myerson is b*x(b) minus the exact click-curve integral up to b (the
     curve ends at its cap). GSP's per-click price is the lowest bid keeping
@@ -332,7 +341,9 @@ def threshold_prices_along(
     below = 0  # Myerson: the integral over the runs before the last one below the bid
     lo = level = i = 0  # the last run below the bid, and how many runs start below it
     out = []
-    for k, num in enumerate(bids):
+    k, nb = 0, len(bids)
+    while k < nb:
+        num = bids[k]
         b = num * f
         while i < n and runs[i][0] * g < b:
             start = runs[i][0] * g
@@ -342,7 +353,14 @@ def threshold_prices_along(
         if probe:
             while t < nt and ties[t] * g < b:
                 t += 1
-            x = probe(num, bid_den) if t < nt and ties[t] * g == b else level
+            if t == nt or ties[t] * g > b:
+                # inside the run: every bid below the next breakpoint (all, past the last) at once
+                end = nb if t == nt else bisect_left(bids, -(-ties[t] * g // f), k)
+                out += [(lo if level else 0) if gsp else lo * level - below] * (end - k)
+                used += [level] * (end - k)
+                k = end
+                continue
+            x = probe(num, bid_den)
             used.append(x)
         else:
             x = clicks[k]
@@ -356,6 +374,7 @@ def threshold_prices_along(
             out.append(0 if not x else lo if x == level else b)
         else:
             out.append(b * x - below - (min(b, cap) - lo) * level)
+        k += 1
     return out, scale if gsp else scale * curve.click_den, used
 
 
@@ -458,10 +477,12 @@ def threshold_payments(
     price times the clicks), summed in integers over the lcm of the
     branches' denominators times their probabilities'. GSP charges a branch
     that gives no clicks at any bid nothing and reads no curve for it (None
-    in the curves): a probe is read at the top bid, and at every bid only
-    where that gives none. Clicks at a bid below the curve's level just
-    under it raise `NonMonotoneClickCurveError` (`threshold_prices_along`)
-    naming `rule_name`, or the branch when it is None.
+    in the curves): a probe is read at the top bid, and where that gives
+    none, a branch proven nondecreasing (`Branch.monotone`) gives none at
+    any bid, while a scanned one is probed at every bid. Clicks at a bid
+    below the curve's level just under it raise
+    `NonMonotoneClickCurveError` (`threshold_prices_along`) naming
+    `rule_name`, or the branch when it is None.
     """
     gsp = kind == "gsp"
     probs = lcm(*(prob.denominator for prob, _branch in branches))
@@ -470,7 +491,7 @@ def threshold_payments(
     curves: list[BidThresholds | None] = []
     for (prob, branch), xs in zip(branches, clicks):
         if gsp and callable(xs) and not xs(bids[-1], bid_den):
-            xs = [xs(b, bid_den) for b in bids]
+            xs = [0] * len(bids) if BRANCHES[branch].monotone else [xs(b, bid_den) for b in bids]
         if gsp and not callable(xs) and not any(xs):
             curves.append(None)
             continue
@@ -526,7 +547,9 @@ def _threshold_prices(
             branches,
             clicks,
             # `_build_curve` is looked up here, at call time, and runs on a miss only
-            lambda branch: view.memo(("curve", adv_id, branch), _build_curve, view, adv_id, bid, branch, rule.name),
+            lambda branch: view.memo(
+                ("curve", adv_id, branch, None), _build_curve, view, adv_id, bid, branch, rule.name
+            ),
             rule.name,
         )
         priced[adv_id] = (paid, den, x, probs * scale)

@@ -862,11 +862,15 @@ def sweep_by_fractions(ev, at_cap: ReportProfile, adv_id, bids):
     """`equilibrium._Evaluator._sweep` in Fractions, as it ran before its
     integer pass: {bid: utility} at the `bids` in (0, cap], the clicks read
     off the probe, the payments summed over the branches by the Fraction
-    `threshold_prices_along`, the curves from the memo of `ev`'s view of
-    `at_cap`."""
+    `threshold_prices_along`, the curves those the sweep reads: kept under
+    `at_cap`'s subset in the memo of `ev`'s one view of the row, `at_cap`
+    with `adv_id` on their whole catalog (`_Evaluator._at_cap`)."""
     from richads import kernels, pricing
 
     cap = at_cap.bids[adv_id]
+    profile, g = ev._index(at_cap), ev.ids.index(adv_id)
+    row_view = ev._at_cap(g, profile[:g] + profile[g + 1 :], profile[g][0])
+    subset = at_cap.subsets[adv_id]
     grid = [bid for bid in bids if 0 < bid <= cap]
     probe = kernels.ScaledView(ev.inst, at_cap).probe(adv_id)
     kind = ev.mech.pricing
@@ -878,7 +882,7 @@ def sweep_by_fractions(ev, at_cap: ReportProfile, adv_id, bids):
     for (prob, branch), xs in zip(ev.branches, clicks):
         if kind == "gsp" and not any(xs):
             continue
-        prices = threshold_prices_along(kind, ev._curve(ev._view(ev._index(at_cap)), adv_id, branch), grid, xs, branch)
+        prices = threshold_prices_along(kind, ev._curve(row_view, adv_id, branch, subset), grid, xs, branch)
         if kind == "gsp":
             prices = [cpc * x for cpc, x in zip(prices, xs)]
         paid = [p + prob * price for p, price in zip(paid, prices)]

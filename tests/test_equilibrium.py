@@ -394,24 +394,26 @@ def wrap_probes(monkeypatch, wrapper):
 
 
 def at_cap_views(ev, profile):
-    """(g, others, subset index, the view with g at the cap) for every
-    bidder g of `profile` and every nonempty subset of their grid."""
+    """(g, others, subset, the view of g's row) for every bidder g of
+    `profile` and every nonempty subset of their grid: the one view of the
+    row, with g at the cap on their whole catalog."""
     for g, adv_id in enumerate(ev.ids):
-        cap = ev._grids[adv_id][3]
         others = profile[:g] + profile[g + 1 :]
-        for si, subset in enumerate(ev.spaces[adv_id].subsets):
+        view = ev._at_cap(g, others, ev._grids[adv_id][3])
+        for subset in ev.spaces[adv_id].subsets:
             if subset:
-                yield g, others, si, ev._view(others[:g] + ((cap, si),) + others[g:])
+                yield g, others, subset, view
 
 
 @pytest.mark.parametrize("mech", SWEEP_MECHANISMS[:2], ids=lambda m: m.describe())
 @pytest.mark.parametrize("name", ("fx1", "fx4"))
 def test_a_row_reads_the_probe_only_at_breakpoint_bids(name, mech, monkeypatch):
     # each bidder's row against the truthful others, asked for again once
-    # its views and curves are kept: a sweep reads each branch's clicks off
-    # its curve, so the probe is read only at the grid bids on one of that
-    # branch's breakpoints; GSP also reads the top bid, and every bid where
-    # that gives no clicks, as it did before
+    # its view and curves are kept: a sweep reads each branch's clicks off
+    # its curve, so the probe for each subset is read only at the grid bids
+    # on one of that branch's breakpoints; GSP also reads the top bid, and
+    # a branch with no clicks there, both branches being proven
+    # nondecreasing, reads no other bid
     inst = fixtures.fixture(name)
     truth = truthful_profile(inst)
     ev = equilibrium._Evaluator(inst, truth, mech, strategy_spaces(inst, Fraction(1, 20)))
@@ -420,23 +422,22 @@ def test_a_row_reads_the_probe_only_at_breakpoint_bids(name, mech, monkeypatch):
         ev.row(g, profile[:g] + profile[g + 1 :])
     want = Counter()
     swept = 0  # the reads of a sweep that probes every positive bid
-    for g, _others, _si, view in at_cap_views(ev, profile):
+    for g, _others, subset, view in at_cap_views(ev, profile):
         adv_id = ev.ids[g]
         bids = ev.spaces[adv_id].bids[ev._grids[adv_id][0] :]
         for _prob, branch in ev.branches:
             swept += len(bids)
-            curve = view._memo.get(("curve", adv_id, branch))
+            curve = view._memo.get(("curve", adv_id, branch, subset))
             on = [bid for bid in bids if curve is not None and bid in curve.thresholds[1:]]
             if mech.pricing == "gsp":
-                top = bids[-1]
-                if not pricing.BRANCHES[branch].probe(view.probe(adv_id), top.numerator, top.denominator):
-                    on = bids
-                on = [top, *on]
-            want.update((view, branch, bid) for bid in on)
+                on = [bids[-1], *on]
+            want.update((view, subset, branch, bid) for bid in on)
     read = Counter()
     wrap_probes(
         monkeypatch,
-        lambda branch, probe: lambda bidder, num, den: read.update([(bidder.view, branch, Fraction(num, den))])
+        lambda branch, probe: lambda bidder, num, den: read.update(
+            [(bidder.view, bidder.subset, branch, Fraction(num, den))]
+        )
         or probe(bidder, num, den),
     )
     ev._rows.clear()
@@ -444,32 +445,33 @@ def test_a_row_reads_the_probe_only_at_breakpoint_bids(name, mech, monkeypatch):
     for g in range(len(ev.ids)):
         ev.row(g, profile[:g] + profile[g + 1 :])
     assert ev.curves_built == built and read == want
-    assert 0 < sum(want.values()) < swept / 2
+    reads = {("fx1", "gsp"): 19, ("fx1", "myerson"): 10, ("fx4", "gsp"): 10, ("fx4", "myerson"): 2}[name, mech.pricing]
+    assert sum(want.values()) == reads and reads < swept / 2
 
 
 @pytest.mark.parametrize("kind", ("myerson", "gsp"))
 @pytest.mark.parametrize("p", (Fraction(1, 2), Fraction(2, 3)), ids=str)
 def test_a_drop_at_an_on_grid_breakpoint_still_raises(kind, p, monkeypatch):
     # a probe made to read one level below the run under an on-grid
-    # breakpoint bid, in one view alone: fx1's a at their top bid 11/10 and
-    # fx4's b at 1, below their top, both on a bpb breakpoint where the run
-    # under has 10/11 and 2/40001 clicks; the sweep, reading the probe
-    # there, raises the drop on (b, b), under either pricing
+    # breakpoint bid, in one view and subset alone: fx1's a at their top
+    # bid 11/10 and fx4's b at 1, below their top, both on a bpb breakpoint
+    # where the run under has 10/11 and 2/40001 clicks; the sweep, reading
+    # the probe there, raises the drop on (b, b), under either pricing
     mech = pricing.Mechanism(kind, pricing.mixture_rule(p))
     for name, adv_id, bid in (("fx1", "a", Fraction(11, 10)), ("fx4", "b", Fraction(1))):
         inst = fixtures.fixture(name)
         truth = truthful_profile(inst)
         ev = equilibrium._Evaluator(inst, truth, mech, strategy_spaces(inst, Fraction(1, 20)))
         g = ev.ids.index(adv_id)
-        _g, others, _si, view = next(cell for cell in at_cap_views(ev, ev._index(truth)) if cell[0] == g)
-        curve = ev._curve(view, adv_id, "bpb")
+        _g, others, subset, view = next(cell for cell in at_cap_views(ev, ev._index(truth)) if cell[0] == g)
+        curve = ev._curve(view, adv_id, "bpb", subset)
         assert bid in curve.thresholds[1:]
         level = [x for lo, x in curve.runs if Fraction(lo, curve.den) < bid][-1]
         assert level > 1
 
         def dropped(branch, probe):
             def read(bidder, num, den):
-                if branch == "bpb" and bidder.view is view and Fraction(num, den) == bid:
+                if branch == "bpb" and (bidder.view, bidder.subset) == (view, subset) and Fraction(num, den) == bid:
                     return level - 1
                 return probe(bidder, num, den)
 
@@ -613,8 +615,8 @@ def test_a_grid_must_be_nonnegative_and_strictly_ascending():
 def test_bids_above_the_truth_are_swept():
     # every positive bid, the one above the truth too, is priced against
     # the curves capped at the top bid: no utility is evaluated profile by
-    # profile, each nonempty subset builds the one view at the top bid, and
-    # the table equals the oracle's
+    # profile, the row builds one view, at the top bid on the whole catalog,
+    # which serves every nonempty subset, and the table equals the oracle's
     inst = fixtures.fx4()
     truth = truthful_profile(inst)
     value = truth.bids["b"]
@@ -628,9 +630,7 @@ def test_bids_above_the_truth_are_swept():
         table = ev.utility_table(truth, "b", space)
         assert table == profile_table(equilibrium._Evaluator(inst, truth, mech), truth, "b", space)
         assert evaluated == []
-        assert sorted(view.rep.key() for view in ev._views.values()) == sorted(
-            truth.replace("b", top, s).key() for s in space.subsets if s
-        )
+        assert [view.rep.key() for view in ev._views.values()] == [truth.replace("b", top, FULL_B).key()]
 
 
 @pytest.mark.parametrize("mech", SWEEP_MECHANISMS[:2], ids=lambda m: m.describe())
@@ -721,23 +721,33 @@ def test_a_utility_builds_one_view_per_report(monkeypatch):
 
 @pytest.mark.parametrize("mech", SWEEP_MECHANISMS[:2], ids=lambda m: m.describe())
 def test_a_nash_search_builds_one_view_per_report(mech, monkeypatch):
-    # every view a search from truth builds on the seed-0 pool is of a report
-    # no earlier view of that search had
-    keys = []
-    init = kernels.ScaledView.__init__
+    # a search from truth on the seed-0 pool builds one view per (bidder,
+    # others) row it reads, the others as given and the bidder at the cap on
+    # their whole catalog, and none for a report an earlier view had: the
+    # truthful report serves every bidder's first row
+    keys, rows = [], []
+    init, row = kernels.ScaledView.__init__, equilibrium._Evaluator.row
 
     def counting(self, inst, rep):
         keys.append(rep.key())
         init(self, inst, rep)
 
+    def asked(ev, g, others):
+        adv = ev.inst.advertisers[g]
+        at_cap = ev._report(others[:g] + ((ev._grids[adv.adv_id][3], 0),) + others[g:])
+        rows.append(at_cap.replace(adv.adv_id, at_cap.bids[adv.adv_id], frozenset(adv.ad_ids())).key())
+        return row(ev, g, others)
+
     monkeypatch.setattr(kernels.ScaledView, "__init__", counting)
+    monkeypatch.setattr(equilibrium._Evaluator, "row", asked)
     views = 0
     for inst, grid in dynamics_pool(seed=0):
         keys.clear()
+        rows.clear()
         find_pure_nash(inst, truthful_profile(inst), mech, strategy_spaces(inst, grid))
-        assert len(keys) == len(set(keys)), inst
+        assert keys == list(dict.fromkeys(rows)), inst
         views += len(keys)
-    assert views > 200
+    assert views == {"gsp": 67, "myerson": 64}[mech.pricing]
 
 
 @pytest.mark.parametrize("mech", SWEEP_MECHANISMS[:2], ids=lambda m: m.describe())

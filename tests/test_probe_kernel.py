@@ -10,14 +10,22 @@ one of the bidder's densities or values equals another row's.
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import effective_values, rebid, rebid_clicks
-from richads import heuristics, kernels, pricing
-from richads.model import Advertiser, Instance, ReportProfile, RichAd, truthful_profile
+from richads import fixtures, heuristics, kernels, pricing
+from richads.model import (
+    Advertiser,
+    Instance,
+    NonMonotoneClickCurveError,
+    ReportProfile,
+    RichAd,
+    truthful_profile,
+)
 
 BRANCHES = sorted(pricing.BRANCHES)
 
@@ -110,6 +118,68 @@ def test_probe_matches_rebid_on_tie_corpus(tie_corpus):
             for rep in (truth, shaded):
                 for adv in inst.advertisers:
                     assert_probe_matches_rebid(capped, rep, adv.adv_id)
+
+
+def curve_steps(view, adv_id, subset=None):
+    """Per branch, `adv_id`'s click curve on (0, their bid] in `view` for
+    `subset`, as Fraction steps, or the drop it raises."""
+    cap = view.rep.bids[adv_id]
+    got = {}
+    for branch in BRANCHES:
+        try:
+            got[branch] = pricing._build_curve(view, adv_id, cap, branch, branch, subset).steps
+        except NonMonotoneClickCurveError as exc:
+            got[branch] = str(exc)
+    return got
+
+
+def assert_subset_probes_match(inst, rep):
+    """For every bidder of `rep` who bids above 0 on their whole catalog and
+    every nonempty subset S of it: the probe for S on the view of `rep`
+    equals the probe on the view where they report S, under every branch,
+    in clicks at every pairwise tie bid, the midpoints between them and a
+    bid past the last (`probe_bids`), in breakpoints and in curve steps, all
+    compared as Fractions. Returns the number of subsets checked."""
+    whole = kernels.ScaledView(inst, rep)
+    checked = 0
+    for adv in inst.advertisers:
+        adv_id, bid = adv.adv_id, rep.bids[adv.adv_id]
+        if bid <= 0:
+            continue
+        assert rep.subsets[adv_id] == frozenset(adv.ad_ids())
+        for size in range(1, len(adv.ads) + 1):
+            for subset in map(frozenset, combinations(adv.ad_ids(), size)):
+                own = kernels.ScaledView(inst, rep.replace(adv_id, bid, subset))
+                got, want = whole.probe(adv_id, subset), own.probe(adv_id)
+                for branch in BRANCHES:
+                    rule = pricing.BRANCHES[branch]
+                    for b in probe_bids(inst, own.rep, adv_id):
+                        clicks = [Fraction(rule.probe(p, b.numerator, b.denominator), p.click_den) for p in (got, want)]
+                        assert clicks[0] == clicks[1], (adv_id, sorted(subset), branch, b)
+                    points = [rule.breakpoints(p, bid) for p in (got, want)]
+                    points = [[Fraction(t, den) for t in ties] for ties, den in points]
+                    assert points[0] == points[1], (adv_id, sorted(subset), branch)
+                assert curve_steps(whole, adv_id, subset) == curve_steps(own, adv_id), (adv_id, sorted(subset))
+                checked += 1
+    return checked
+
+
+def test_a_subset_probe_on_the_whole_catalog_view_equals_the_subsets_own_view(tie_corpus):
+    # one view with a bidder on their whole catalog serves every subset of
+    # it; the edge instance has ads of space 0, of click rate 0 and wider
+    # than the total space
+    edge = _instance(
+        8,
+        ("a", 3, [("ax1", "1/4", 0), ("ax2", 0, 2), ("ax3", 1, 9), ("ax4", "1/2", 3)]),
+        ("b", 2, [("bx1", 1, 0), ("bx2", "1/2", 5)]),
+        ("c", 1, [("cx1", 1, 9), ("cx2", "3/4", 4)]),
+    )
+    checked = 0
+    for inst in [fixtures.fixture(name) for name in ("fx1", "fx4", "fx6a")] + [edge, *tie_corpus]:
+        for limit in (None, 1, 2):
+            capped = replace(inst, cardinality_limit=limit)
+            checked += assert_subset_probes_match(capped, truthful_profile(capped))
+    assert checked == 834
 
 
 @pytest.mark.parametrize("limit", (0, -1))
