@@ -113,8 +113,10 @@ def _explain_payments(inst: Instance, rep: ReportProfile, outcome: pricing.Price
     branch's clicks; `candidates` counts the breakpoints the curve was
     bisected (or scanned) over, the bids where the branch's probe can
     change (`pricing.Branch.breakpoints`), and `probes` the probe kernel
-    reads that found the curve among them. Curve fields are null for a branch
-    priced without a curve (GSP charges nothing for a branch with no clicks).
+    reads that found the curve among them. Curve fields are null, with 0
+    probes, for a branch priced without a curve: one with no clicks under
+    GSP, or a proven-nondecreasing one whose probe reads none at the bid
+    (`pricing.threshold_payments`).
     """
     names = [branch for _prob, branch in pricing.rule_branches(rule)]
     out = {}

@@ -20,9 +20,8 @@ others' indices, and makes `Fraction`s only for what it returns.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from itertools import combinations
 from math import lcm
 from typing import Iterable, Sequence
@@ -47,19 +46,23 @@ STRATEGY_BIDS_GUARD = 10_000
 @dataclass(frozen=True)
 class StrategySpace:
     """One advertiser's grid: bids nonnegative and strictly ascending (else
-    `ValueError` here), crossed with the subsets."""
+    `ValueError` here), crossed with the subsets. `nums` holds the bids as
+    integers over `den`, the lcm of their denominators, read once here: the
+    check and every search on the grid compare those integers."""
 
     adv_id: str
     bids: tuple[Fraction, ...]  # ascending
     subsets: tuple[frozenset[str], ...]  # preference order: larger first
+    den: int = field(init=False, repr=False, compare=False)
+    nums: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        bids = self.bids
-        # compared as integers, at half the cost of Fraction comparisons
-        if (bids and bids[0] < 0) or any(
-            a.numerator * b.denominator >= b.numerator * a.denominator for a, b in zip(bids, bids[1:])
-        ):
+        den = lcm(*(bid.denominator for bid in self.bids))
+        nums = tuple(bid.numerator * (den // bid.denominator) for bid in self.bids)
+        if (nums and nums[0] < 0) or any(a >= b for a, b in zip(nums, nums[1:])):
             raise ValueError(f"grid bids of {self.adv_id!r} must be nonnegative and strictly ascending")
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
 
 
 def strategy_spaces(inst: Instance, delta: Fraction) -> dict[str, StrategySpace]:
@@ -90,8 +93,9 @@ def strategy_spaces(inst: Instance, delta: Fraction) -> dict[str, StrategySpace]
             )
         counts.append(count)
     spaces = {}
+    n, d = delta.numerator, delta.denominator
     for adv, count in zip(inst.advertisers, counts):
-        bids = (*(delta * j for j in range(count - 1)), adv.value_per_click)
+        bids = (*(Fraction(j * n, d) for j in range(count - 1)), adv.value_per_click)
         ids = sorted(adv.ad_ids())
         subsets = []
         for size in range(len(ids), -1, -1):
@@ -142,21 +146,21 @@ class _Evaluator:
 
     def _grid(self, adv_id: str, space: StrategySpace) -> None:
         """Make `space` the grid of `adv_id`, who has one (another raises
-        `ValueError`), read once: the index of its first positive bid, those
-        bids as numerators over their lcm, and the index of the cap, the
+        `ValueError`): the index of its first positive bid, those bids as
+        the grid's numerators over its `den`, and the index of the cap, the
         larger of the true value and the top bid."""
         if adv_id not in self._grids:
             self.spaces[adv_id] = space
-            lo = int(bool(space.bids) and not space.bids[0].numerator)  # bids ascend from 0 or above
-            bids = space.bids[lo:]
-            den = lcm(*(bid.denominator for bid in bids))
+            den = space.den
+            lo = int(bool(space.nums) and not space.nums[0])  # bids ascend from 0 or above
+            nums = space.nums[lo:]
             value = self.truth.bids.get(adv_id, ZERO)
             cap = None
-            if bids:
+            if nums:
                 # a true value above the top bid is on no grid: `_code` keeps it as another bid
-                above = value.numerator * bids[-1].denominator > bids[-1].numerator * value.denominator
+                above = value.numerator * den > nums[-1] * value.denominator
                 cap = self._code(adv_id, 0, value) if above else len(space.bids) - 1
-            self._grids[adv_id] = lo, [bid.numerator * (den // bid.denominator) for bid in bids], den, cap
+            self._grids[adv_id] = lo, nums, den, cap
         elif self.spaces[adv_id] != space:
             raise ValueError(f"advertiser {adv_id!r} already has another grid")
 
@@ -342,17 +346,20 @@ class _Evaluator:
         (`pricing.threshold_payments`): it gives every bid strictly inside
         a run the run's clicks and price at once, reads the probe only at a
         bid on one of the branch's breakpoints, where a drop still raises,
-        and prices that bid. Neither Myerson's b*x(b) less the integral up
-        to b nor GSP's lowest bid keeping x(b) depends on a cap at or above
-        b. Each utility is the true value times the expected clicks less the
-        payment. The tests keep the sweep that probes every bid as the
-        oracle (`tests/oracles.sweep_by_fractions`, `profile_rows`).
+        and prices that bid. Each branch's probe is first read at the top
+        bid: a branch proven nondecreasing that gives no clicks there gives
+        none at any bid and costs nothing, so it reads no curve and no other
+        bid, under either pricing. Neither Myerson's b*x(b) less the
+        integral up to b nor GSP's lowest bid keeping x(b) depends on a cap
+        at or above b. Each utility is the true value times the expected
+        clicks less the payment. The tests keep the sweep that probes every
+        bid as the oracle (`tests/oracles.sweep_by_fractions`,
+        `profile_rows`).
         """
         value = self.truth.bids.get(adv_id, ZERO)
         probe = view.probe(adv_id, subset)
-        reads = [partial(pricing.BRANCHES[b].probe, probe) for _prob, b in self.branches]
         paid, den, x, probs, _curves = pricing.threshold_payments(
-            self.mech.pricing, nums, bid_den, self.branches, reads, lambda b: self._curve(view, adv_id, b, subset)
+            self.mech.pricing, nums, bid_den, self.branches, probe, lambda b: self._curve(view, adv_id, b, subset)
         )
         # value * clicks and the payments over one denominator
         clicks_den = value.denominator * probe.click_den * probs

@@ -334,12 +334,20 @@ class BidderProbe:
         position among the walk's keys, so it moves only where an own row
         ties the density of a keyed row, one the walk does not skip, and
         only before the first position whose prefix reaches the total:
-        from there on the walk has stopped."""
+        from there on the walk has stopped. An own row of numerator d ties
+        a key's density o at the bid o * bn / d, at most the cap only where
+        o <= floor(cap * d / bn), so each row reads only the keys from its
+        position at the cap up to that cut. The tests keep the reader over
+        every key before the cut (`tests/oracles.bpb_breakpoints_uncut`)."""
         if self._walk is None:
             self._walk = self._walk_tables()
         total, keys, prefix, own, bn = self._walk
-        others = [-(k // 3) for k in keys[: bisect_left(prefix, total)]]  # a key is -3 * density (+ 2)
-        return _tie_bids([(others, d) for d in {d for d, _w in own}], bn, cap)
+        cut = min(bisect_left(prefix, total), len(keys))
+        terms = []
+        for d in {d for d, _w in own}:
+            start = bisect_left(keys, -3 * (cap.numerator * d // (cap.denominator * bn)), 0, cut)
+            terms.append(([-(k // 3) for k in keys[start:cut]], d))  # a key is -3 * density (+ 2)
+        return _tie_bids(terms, bn, cap)
 
     def max_value_breakpoints(self, cap: Fraction) -> tuple[list[int], int]:
         """The bid in (0, cap], if any, where the max-value probe can change:

@@ -19,6 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import lcm
 from typing import Callable, Mapping, Sequence
 
@@ -388,8 +389,9 @@ class PricedOutcome:
     `cpc` is payment divided by expected clicks (None when clicks are zero).
     Invariant, checked at construction sites: 0 <= payment <= bid * clicks.
     `curves` holds, per advertiser and branch, the click curve a threshold
-    payment was read from (None where no curve was needed); it is empty
-    for VCG.
+    payment was read from, or None for a branch priced without a curve,
+    one that gives the advertiser no clicks (`threshold_payments`); it is
+    empty for VCG.
     """
 
     rule_name: str  # "myerson", "gsp" or "vcg"
@@ -455,8 +457,9 @@ def threshold_payments(
     bids: Sequence[int],
     bid_den: int,
     branches: tuple[tuple[Fraction, str], ...],
-    clicks: Sequence[Clicks],
+    bidder: kernels.BidderProbe,
     curve: Callable[[str], BidThresholds],
+    clicks: Sequence[Sequence[int]] | None = None,
     rule_name: str | None = None,
 ) -> tuple[list[int], int, list[int], int, tuple[BidThresholds | None, ...]]:
     """One bidder's "myerson" or "gsp" payment and expected clicks at each
@@ -466,33 +469,49 @@ def threshold_payments(
     bids in `equilibrium` alike.
 
     `clicks[j]` gives branch j's clicks at every bid, as numerators over
-    the bidder's `click_den`: either given (a report's, off its
-    allocations) or the branch's probe of the bidder, `(num, den) ->
-    clicks`, read off the branch's curve in the same pass that prices it
-    (`threshold_prices_along`, the bids then at most the curve's cap). The
-    expected clicks at bid k are the k-th expected-click numerator over P
-    times that `click_den`, P the lcm of the probabilities' denominators.
-    The payment is the sum over `branches` of probability times the price
-    read off that branch's click curve, `curve(branch)` (GSP's per-click
-    price times the clicks), summed in integers over the lcm of the
-    branches' denominators times their probabilities'. GSP charges a branch
-    that gives no clicks at any bid nothing and reads no curve for it (None
-    in the curves): a probe is read at the top bid, and where that gives
-    none, a branch proven nondecreasing (`Branch.monotone`) gives none at
-    any bid, while a scanned one is probed at every bid. Clicks at a bid
-    below the curve's level just under it raise
-    `NonMonotoneClickCurveError` (`threshold_prices_along`) naming
-    `rule_name`, or the branch when it is None.
+    `bidder.click_den` (a report's, off its allocations); with no `clicks`,
+    each branch's probe of `bidder` is read off the branch's curve in the
+    same pass that prices it (`threshold_prices_along`, the bids then at
+    most the curve's cap). The expected clicks at bid k are the k-th
+    expected-click numerator over P times that `click_den`, P the lcm of
+    the probabilities' denominators. The payment is the sum over `branches`
+    of probability times the price read off that branch's click curve,
+    `curve(branch)` (GSP's per-click price times the clicks), summed in
+    integers over the lcm of the branches' denominators times their
+    probabilities'.
+
+    A branch that gives no clicks at any bid is charged nothing and reads
+    no curve (None in the curves) in two cases. Under GSP, no clicks cost
+    nothing; a scanned branch with none at the top bid is then probed at
+    every bid. Under either pricing, a branch proven nondecreasing
+    (`Branch.monotone`) whose probe reads no clicks at the top bid has none
+    below it: no threshold to integrate. Given clicks of none, that probe
+    read must agree; where it reads clicks, the given ones are priced along
+    the curve, which raises the drop at the bid. Clicks at a bid below the
+    curve's level just under it raise `NonMonotoneClickCurveError`
+    (`threshold_prices_along`) naming `rule_name`, or the branch when it is
+    None. The tests build every curve skipped here and find it all zero
+    (`tests/oracles.check_curveless_branches`).
     """
     gsp = kind == "gsp"
+    top = bids[-1]
     probs = lcm(*(prob.denominator for prob, _branch in branches))
     expected = [0] * len(bids)
     parts = []  # (probability, prices, their denominator) per branch priced
     curves: list[BidThresholds | None] = []
-    for (prob, branch), xs in zip(branches, clicks):
-        if gsp and callable(xs) and not xs(bids[-1], bid_den):
-            xs = [0] * len(bids) if BRANCHES[branch].monotone else [xs(b, bid_den) for b in bids]
-        if gsp and not callable(xs) and not any(xs):
+    for j, (prob, branch) in enumerate(branches):
+        rule = BRANCHES[branch]
+        if clicks is None:
+            xs: Clicks = partial(rule.probe, bidder)
+            none = not xs(top, bid_den)
+            if none and gsp and not rule.monotone:
+                xs = [xs(b, bid_den) for b in bids]  # scanned: no clicks at the top say nothing below it
+                none = not any(xs)
+            none = none and (gsp or rule.monotone)
+        else:
+            xs = clicks[j]
+            none = not any(xs) and (gsp or rule.monotone and not rule.probe(bidder, top, bid_den))
+        if none:
             curves.append(None)
             continue
         got = curve(branch)
@@ -523,7 +542,11 @@ def _threshold_prices(
     One view of the report (`view`, when given) serves the allocation and
     the probes of every curve, and keeps both: the branch allocations
     (`branch_allocate`) and each bidder's curve per branch, capped at their
-    bid, so every rule priced on the view shares them.
+    bid, so every rule priced on the view shares them. A branch whose
+    allocation gives the bidder no clicks reads no curve under GSP, nor
+    under Myerson when it is proven nondecreasing and its probe reads none
+    at the bid too (`threshold_payments`); the allocation's clicks, not the
+    probe's, are priced.
     """
     branches = rule_branches(rule)
     if view is None:
@@ -538,18 +561,20 @@ def _threshold_prices(
             # no row in the view: no clicks (`kernels.ScaledView`)
             priced[adv_id], curves[adv_id] = (0, 1, 0, 1), ()
             continue
-        scale = view.probe(adv_id).click_den
+        bidder = view.probe(adv_id)
+        scale = bidder.click_den
         clicks = [(clicks_over(alloc.clicks(inst, adv_id), scale),) for _prob, alloc in mixture.branches]
         (paid,), den, (x,), probs, curves[adv_id] = threshold_payments(
             kind,
             (bid.numerator,),
             bid.denominator,
             branches,
-            clicks,
+            bidder,
             # `_build_curve` is looked up here, at call time, and runs on a miss only
             lambda branch: view.memo(
                 ("curve", adv_id, branch, None), _build_curve, view, adv_id, bid, branch, rule.name
             ),
+            clicks,
             rule.name,
         )
         priced[adv_id] = (paid, den, x, probs * scale)

@@ -582,17 +582,18 @@ def tie_candidates_pairwise(inst: Instance, rep: ReportProfile, adv_id: str, kin
 PAIRWISE_KINDS = {"bpb": ("bpb",), "max-value": ("value",), "greedy-bpb": ("bpb", "value"), "greedy-value": ("value",)}
 
 
-def curve_over_pairwise_ties(view, adv_id: str, cap: Fraction, branch: str, rule_name: str):
+def curve_over_pairwise_ties(view, adv_id: str, cap: Fraction, branch: str, rule_name: str, subset=None):
     """`pricing._build_curve` over every pairwise tie of the branch's kinds
     (`PAIRWISE_KINDS`, `kernels.BidderProbe.ties`), as it ran before each
     branch read its breakpoints off its probe's tables: the clicks at each
     interval's midpoint, bisected for a monotone branch, else scanned, and
-    folded into runs; a drop raises `NonMonotoneClickCurveError`."""
+    folded into runs, on the bidder's rows in `subset` (None: all of them);
+    a drop raises `NonMonotoneClickCurveError`."""
     from richads.model import NonMonotoneClickCurveError
     from richads.pricing import BRANCHES, BidThresholds, _bisect_clicks
 
     rule = BRANCHES[branch]
-    bidder = view.probe(adv_id)
+    bidder = view.probe(adv_id, subset)
     ties, den = bidder.ties(PAIRWISE_KINDS[branch], cap)
     points = [0, *ties]
     top = cap.numerator * (den // cap.denominator)
@@ -619,6 +620,70 @@ def curve_over_pairwise_ties(view, adv_id: str, cap: Fraction, branch: str, rule
         if x > level:
             runs.append((points[j], x))
     return BidThresholds(adv_id, cap, tuple(runs), ties, den, bidder.click_den, len(probed))
+
+
+def bpb_breakpoints_uncut(probe, cap: Fraction) -> tuple[list[int], int]:
+    """`kernels.BidderProbe.bpb_breakpoints` as it ran before each own row
+    read only the keys at or after its position at the cap: every own
+    density ties every keyed row before the walk's cut, and `_tie_bids`
+    drops the bids above the cap."""
+    from bisect import bisect_left
+
+    from richads.kernels import _tie_bids
+
+    if probe._walk is None:
+        probe._walk = probe._walk_tables()
+    total, keys, prefix, own, bn = probe._walk
+    others = [-(k // 3) for k in keys[: bisect_left(prefix, total)]]  # a key is -3 * density (+ 2)
+    return _tie_bids([(others, d) for d in {d for d, _w in own}], bn, cap)
+
+
+def recording_threshold_payments(monkeypatch) -> list:
+    """Every `pricing.threshold_payments` call that returns while the patch
+    holds, a report's or a sweep's, as (kind, bids, bid_den, branches, the
+    bidder probe, whether the clicks were given, the curves read)."""
+    from richads import pricing
+
+    calls = []
+    price = pricing.threshold_payments
+
+    def recorded(kind, bids, bid_den, branches, bidder, curve, clicks=None, rule_name=None):
+        out = price(kind, bids, bid_den, branches, bidder, curve, clicks, rule_name)
+        calls.append((kind, tuple(bids), bid_den, branches, bidder, clicks is not None, out[-1]))
+        return out
+
+    monkeypatch.setattr(pricing, "threshold_payments", recorded)
+    return calls
+
+
+def check_curveless_branches(calls) -> Counter:
+    """For every branch a recorded `threshold_payments` call priced without
+    a curve (None; `recording_threshold_payments`), the check that it gives
+    the bidder no clicks at any bid: a branch proven nondecreasing must
+    read none at the top bid, and its curve up to that bid, built anyway
+    over every pairwise tie (`curve_over_pairwise_ties`) on the bidder's
+    probe, must be one run of no clicks; a scanned branch, skipped under
+    GSP only, must read none at each of the bids. AssertionError otherwise.
+    Returns the branches checked by (kind, "report" or "sweep")."""
+    from richads.pricing import BRANCHES
+
+    checked = Counter()
+    seen = set()
+    for kind, bids, bid_den, branches, bidder, given, curves in calls:
+        top = Fraction(bids[-1], bid_den)
+        for (_prob, branch), curve in zip(branches, curves):
+            key = (id(bidder), branch, bids)  # the recorded probes are alive, so their ids are distinct
+            if curve is not None or key in seen:
+                continue
+            seen.add(key)
+            rule, where = BRANCHES[branch], (kind, bidder.adv_id, sorted(bidder.subset or ()), branch, top)
+            if rule.monotone:
+                built = curve_over_pairwise_ties(bidder.view, bidder.adv_id, top, branch, branch, bidder.subset)
+                assert built.runs == ((0, 0),) and not rule.probe(bidder, bids[-1], bid_den), where
+            else:
+                assert kind == "gsp" and not any(rule.probe(bidder, b, bid_den) for b in bids), where
+            checked[kind, "report" if given else "sweep"] += 1
+    return checked
 
 
 class BpbKey:
@@ -662,14 +727,15 @@ def profile_utility(ev, rep: ReportProfile, adv_id):
         return value * clicks
     cap = ev.truth.bids.get(adv_id, bid)
     at_cap = rep if bid >= cap else rep.replace(adv_id, cap, subset)
-    scale = view.probe(adv_id).click_den
+    bidder = view.probe(adv_id)
     (paid,), den, *_ = pricing.threshold_payments(
         ev.mech.pricing,
         (bid.numerator,),
         bid.denominator,
         ev.branches,
-        [(pricing.clicks_over(alloc.clicks(ev.inst, adv_id), scale),) for alloc in allocs],
+        bidder,
         lambda branch: ev._curve(ev._view(ev._index(at_cap)), adv_id, branch),
+        [(pricing.clicks_over(alloc.clicks(ev.inst, adv_id), bidder.click_den),) for alloc in allocs],
     )
     return value * clicks - Fraction(paid, den)
 

@@ -16,9 +16,11 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     best_of_by_fractions,
     best_response_by_profiles,
+    check_curveless_branches,
     integer_pass_drops_at_tie_bids,
     profile_rows,
     profile_table,
+    recording_threshold_payments,
     sweep_by_fractions,
 )
 from richads import equilibrium, fixtures, harness, kernels, pricing
@@ -410,10 +412,10 @@ def at_cap_views(ev, profile):
 def test_a_row_reads_the_probe_only_at_breakpoint_bids(name, mech, monkeypatch):
     # each bidder's row against the truthful others, asked for again once
     # its view and curves are kept: a sweep reads each branch's clicks off
-    # its curve, so the probe for each subset is read only at the grid bids
-    # on one of that branch's breakpoints; GSP also reads the top bid, and
-    # a branch with no clicks there, both branches being proven
-    # nondecreasing, reads no other bid
+    # its curve, so the probe for each subset is read only at the top bid
+    # and at the grid bids on one of that branch's breakpoints; a branch
+    # with no clicks at the top bid, both branches being proven
+    # nondecreasing, reads no curve and no other bid, under either pricing
     inst = fixtures.fixture(name)
     truth = truthful_profile(inst)
     ev = equilibrium._Evaluator(inst, truth, mech, strategy_spaces(inst, Fraction(1, 20)))
@@ -429,9 +431,7 @@ def test_a_row_reads_the_probe_only_at_breakpoint_bids(name, mech, monkeypatch):
             swept += len(bids)
             curve = view._memo.get(("curve", adv_id, branch, subset))
             on = [bid for bid in bids if curve is not None and bid in curve.thresholds[1:]]
-            if mech.pricing == "gsp":
-                on = [bids[-1], *on]
-            want.update((view, subset, branch, bid) for bid in on)
+            want.update((view, subset, branch, bid) for bid in [bids[-1], *on])
     read = Counter()
     wrap_probes(
         monkeypatch,
@@ -445,7 +445,9 @@ def test_a_row_reads_the_probe_only_at_breakpoint_bids(name, mech, monkeypatch):
     for g in range(len(ev.ids)):
         ev.row(g, profile[:g] + profile[g + 1 :])
     assert ev.curves_built == built and read == want
-    reads = {("fx1", "gsp"): 19, ("fx1", "myerson"): 10, ("fx4", "gsp"): 10, ("fx4", "myerson"): 2}[name, mech.pricing]
+    # both pricings read the same bids (Myerson's reads were 10 and 2 while
+    # it built a curve for every branch and read no top bid)
+    reads = {"fx1": 19, "fx4": 10}[name]
     assert sum(want.values()) == reads and reads < swept / 2
 
 
@@ -540,6 +542,27 @@ def tie_spaces(inst, rep):
         bids = tuple(sorted({Fraction(0), at_truth.bids[adv_id]} | {Fraction(t, den) for t in ties}))
         spaces[adv_id] = replace(space, bids=bids)
     return spaces
+
+
+def test_every_branch_a_sweep_prices_without_a_curve_gives_no_clicks(monkeypatch):
+    # a sweep skips the curve of a proven-nondecreasing branch whose probe
+    # reads no clicks at the top bid, under either pricing, and under GSP
+    # that of a scanned branch with no clicks at any bid; each skipped
+    # curve, built anyway over every pairwise tie, is all zero. Every
+    # search of the `dynamics` benchmark's pool at seed 0, under both
+    # mixtures and the randomized greedy lottery, whose greedy-bpb is scanned
+    mechs = SWEEP_MECHANISMS[:2] + tuple(
+        pricing.Mechanism(kind, pricing.AllocationRule("randomized-greedy")) for kind in ("myerson", "gsp")
+    )
+    calls = recording_threshold_payments(monkeypatch)
+    for inst, grid in dynamics_pool(0):
+        truth, spaces = truthful_profile(inst), strategy_spaces(inst, grid)
+        for mech in mechs:
+            try:
+                find_pure_nash(inst, truth, mech, spaces)
+            except NonMonotoneClickCurveError:
+                pass  # a scanned rule's drop
+    assert check_curveless_branches(calls) == Counter({("myerson", "sweep"): 320, ("gsp", "sweep"): 352})
 
 
 def test_sweep_is_exact_on_tie_bids(tie_corpus):
@@ -817,14 +840,21 @@ def test_explain_lists_each_rounds_best_responses():
     assert b_first["curves_built"] > 0
     assert [s["gain"] for s in steps[2:]] == ["0", "0"]
     assert find_pure_nash(inst, truth, gsp_mixture_mechanism(), strategy_spaces(inst, Fraction(1, 100))) == result
-    # the curve counts cover finding the best response, not pricing the current report
+    # the curve counts cover finding the best response, not pricing the
+    # current report: a stays truthful, so b's row is against the truth;
+    # every branch of a's row gives a no clicks at the top bid, so it
+    # builds no curve
     mech = myerson_mixture_mechanism()
     spaces = strategy_spaces(inst, Fraction(1, 20))
     counted = []
     find_pure_nash(inst, truth, mech, spaces, explain=counted)
-    ev = equilibrium._Evaluator(inst, truth, mech)
-    best_response(inst, truth, truth, "a", mech, spaces["a"], _evaluator=ev)
-    assert (counted[0]["curves_built"], counted[0]["curves_cached"]) == (ev.curves_built, ev.curves_cached) == (2, 0)
+    assert counted[0]["gain"] == "0"
+    counts = []
+    for adv_id in ("a", "b"):
+        ev = equilibrium._Evaluator(inst, truth, mech)
+        best_response(inst, truth, truth, adv_id, mech, spaces[adv_id], _evaluator=ev)
+        counts.append((ev.curves_built, ev.curves_cached))
+    assert [(s["curves_built"], s["curves_cached"]) for s in counted[:2]] == counts == [(0, 0), (5, 0)]
 
 
 @pytest.mark.parametrize("mech", SWEEP_MECHANISMS[:2], ids=lambda m: m.describe())

@@ -249,7 +249,9 @@ def test_a_click_drop_at_the_bid_itself_is_a_payment_warning():
 def test_a_comparison_runs_each_branch_and_builds_each_curve_once(monkeypatch):
     # the seven mechanisms of one default instance share four branches on
     # one view: each branch's rule runs once, and each bidder's curve per
-    # branch is built once, whichever mechanism reads it first
+    # branch is built once, whichever mechanism reads it first, unless the
+    # branch is proven nondecreasing and gives the bidder no clicks: then
+    # no mechanism builds it (`pricing.threshold_payments`)
     inst = generate_corpus(ExperimentConfig(seed=0, instances=1))[0]
     runs = Counter()
     for name, branch in pricing.BRANCHES.items():
@@ -271,7 +273,13 @@ def test_a_comparison_runs_each_branch_and_builds_each_curve_once(monkeypatch):
     assert len(result.rows) == len(MECHANISM_NAMES) and not result.payment_warnings
     assert len(inst.advertisers) == 4
     assert runs == Counter(dict.fromkeys(pricing.BRANCHES, 1))
-    assert curves == Counter({(adv_id, branch): 1 for adv_id in inst.adv_ids() for branch in pricing.BRANCHES})
+    skipped = {("a1", "bpb"), ("a1", "max-value"), ("a1", "greedy-value"), ("a2", "max-value"), ("a3", "max-value")}
+    rep = truthful_profile(inst)
+    for adv_id, branch in skipped:
+        assert pricing.branch_allocate(inst, rep, branch).clicks(inst, adv_id) == 0
+    assert curves == Counter(
+        {(adv_id, branch): 1 for adv_id in inst.adv_ids() for branch in pricing.BRANCHES if (adv_id, branch) not in skipped}
+    )
 
 
 def test_ratio_histogram_binning():

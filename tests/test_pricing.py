@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
     PAIRWISE_KINDS,
+    check_curveless_branches,
     checked_like_the_fraction_oracle,
     curve_over_pairwise_ties,
     finish_outcome,
@@ -23,6 +24,7 @@ from oracles import (
     priced_or_error,
     prices_along,
     rebid_clicks,
+    recording_threshold_payments,
     riemann_myerson,
     tie_candidates_pairwise,
     vcg_by_resolving,
@@ -35,6 +37,7 @@ from richads.model import (
     Instance,
     InvariantViolation,
     NonMonotoneClickCurveError,
+    ReportProfile,
     RichAd,
     truthful_profile,
 )
@@ -354,8 +357,9 @@ def _price_large_instance(seed):
 
 
 def _myerson_work(monkeypatch, inst):
-    """(probes, breakpoints, full view builds) of one Myerson mixture
-    payment; the probes and breakpoints are the ones its curves report."""
+    """(curves, probes, breakpoints, full view builds) of one Myerson
+    mixture payment; the probes and breakpoints are the ones its curves
+    report."""
     views = []
     view = kernels.ScaledView
 
@@ -368,17 +372,20 @@ def _myerson_work(monkeypatch, inst):
     out = myerson_payment(inst, truthful_profile(inst), mixture_rule())
     monkeypatch.undo()
     curves = [curve for curves in out.curves.values() for curve in curves if curve is not None]
-    return sum(curve.probes for curve in curves), sum(len(curve.ties) for curve in curves), len(views)
+    return len(curves), sum(curve.probes for curve in curves), sum(len(curve.ties) for curve in curves), len(views)
 
 
 def test_myerson_work_counts_are_pinned(monkeypatch):
     # one view of the report serves the allocation and every probe; each
-    # curve is bisected over its branch's breakpoints only. Over every
-    # pairwise tie the same curves took 22 and 143 probes among 27 and
-    # 1,664 candidates, and a full scan probes every pairwise interval
-    # (fx3: 31, the 12 x 4 instance: 1,684)
-    assert _myerson_work(monkeypatch, fixtures.fx3()) == (16, 14, 1)
-    assert _myerson_work(monkeypatch, _price_large_instance(7)) == (93, 315, 1)
+    # curve is bisected over its branch's breakpoints only, and a branch
+    # proven nondecreasing that gives the bidder no clicks builds no curve
+    # (5 of fx3's 8 and 13 of the 12 x 4 instance's 24, which took 5 and
+    # 13 probes over no breakpoint). Over every pairwise tie all 8 and 24
+    # curves took 22 and 143 probes among 27 and 1,664 candidates, and a
+    # full scan probes every pairwise interval (fx3: 31, the 12 x 4
+    # instance: 1,684)
+    assert _myerson_work(monkeypatch, fixtures.fx3()) == (3, 11, 14, 1)
+    assert _myerson_work(monkeypatch, _price_large_instance(7)) == (11, 80, 315, 1)
 
 
 # small grids, so that equal values and densities are routine
@@ -599,7 +606,38 @@ def test_probes_make_no_view_or_allocation(monkeypatch):
         out = myerson_payment(inst, truthful_profile(inst), rule)
         assert allocations == [branch for _p, branch in pricing.rule_branches(rule)]
         assert len(views) == 1
-        assert sum(curve.probes for curves in out.curves.values() for curve in curves) > 0
+        # a branch priced without a curve (None) read its probe at the bid alone
+        assert sum(curve.probes for curves in out.curves.values() for curve in curves if curve is not None) > 0
+
+
+def test_every_branch_priced_without_a_curve_gives_no_clicks_below_the_bid(tie_corpus, monkeypatch):
+    # report pricing skips the curve of a branch that gives the bidder no
+    # clicks: under GSP, and for a proven-nondecreasing branch whose probe
+    # reads none at the bid; each skipped curve, built anyway over every
+    # pairwise tie, is all zero. Every rule under both pricings, on the tie
+    # corpus (truthful and shaded, caps None, 1 and 2), the fixtures and
+    # 12 x 4 auctions of the `price-large` benchmark's shape
+    rng = random.Random(5)
+    reports = []
+    for inst in tie_corpus:
+        shaded = ReportProfile(
+            bids={a.adv_id: a.value_per_click * Fraction(rng.randint(1, 4), 4) for a in inst.advertisers},
+            subsets={a.adv_id: frozenset(x for x in a.ad_ids() if rng.random() < 0.7) for a in inst.advertisers},
+        )
+        for limit in (None, 1, 2):
+            capped = replace(inst, cardinality_limit=limit)
+            reports += [(capped, truthful_profile(capped)), (capped, shaded)]
+    auctions = [fixtures.fixture(name) for name in fixtures.BUILDERS] + [_price_large_instance(seed) for seed in range(4)]
+    reports += [(inst, truthful_profile(inst)) for inst in auctions]
+    calls = recording_threshold_payments(monkeypatch)
+    for inst, rep in reports:
+        for name in pricing.RULES:
+            for price in (myerson_payment, gsp_prices):
+                try:
+                    price(inst, rep, AllocationRule(name))
+                except NonMonotoneClickCurveError:
+                    pass  # a scanned rule's drop
+    assert check_curveless_branches(calls) == Counter({("myerson", "report"): 1472, ("gsp", "report"): 1858})
 
 
 def test_curve_without_ties_spans_zero_to_a_fractional_cap():
@@ -643,6 +681,9 @@ def test_a_zero_space_competitor_is_priced_and_ties_nothing_in_bang_per_buck():
             nums, den = view.probe(adv_id).ties(kinds, bid)
             assert [Fraction(n, den) for n in nums] == tie_candidates_pairwise(inst, rep, adv_id, kinds, bid)
         for (_prob, branch), curve in zip(pricing.rule_branches(mixture_rule()), out.curves[adv_id]):
+            if curve is None:  # priced without a curve: built here, and all zero
+                curve = pricing._build_curve(view, adv_id, bid, branch, branch)
+                assert [x for _lo, x in curve.runs] == [0]
             # every pairwise interval, not only the breakpoints' intervals
             bounds = (Fraction(0), *tie_candidates_pairwise(inst, rep, adv_id, PAIRWISE_KINDS[branch], bid), curve.cap)
             for lo, hi in zip(bounds, bounds[1:]):

@@ -16,7 +16,7 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import effective_values, rebid, rebid_clicks
+from oracles import bpb_breakpoints_uncut, effective_values, rebid, rebid_clicks
 from richads import fixtures, heuristics, kernels, pricing
 from richads.model import (
     Advertiser,
@@ -180,6 +180,33 @@ def test_a_subset_probe_on_the_whole_catalog_view_equals_the_subsets_own_view(ti
             capped = replace(inst, cardinality_limit=limit)
             checked += assert_subset_probes_match(capped, truthful_profile(capped))
     assert checked == 834
+
+
+def test_each_own_row_reads_only_the_keys_it_can_tie_below_the_cap(tie_corpus):
+    # the bpb reader takes, per own density, only the keys from its
+    # position at the cap up to the walk's cut; the reader over every key
+    # before the cut gives the same breakpoints, for every subset probe of
+    # the whole-catalog view and for caps below, at and above the bid
+    checked = 0
+    for inst in tie_corpus:
+        for limit in (None, 1, 2):
+            capped = replace(inst, cardinality_limit=limit)
+            view = kernels.ScaledView(capped, truthful_profile(capped))
+            for adv in capped.advertisers:
+                adv_id, bid = adv.adv_id, view.rep.bids[adv.adv_id]
+                if bid <= 0:
+                    continue
+                subsets = [None] + [
+                    frozenset(combo) for size in range(1, len(adv.ads) + 1) for combo in combinations(adv.ad_ids(), size)
+                ]
+                for subset in subsets:
+                    for cap in (bid / 3, bid, 2 * bid + Fraction(1, 3)):
+                        got = view.probe(adv_id, subset).bpb_breakpoints(cap)
+                        assert got == bpb_breakpoints_uncut(kernels.BidderProbe(view, adv_id, subset), cap), (
+                            adv_id, subset, cap,
+                        )
+                        checked += 1
+    assert checked == 3222
 
 
 @pytest.mark.parametrize("limit", (0, -1))
