@@ -20,10 +20,11 @@ others' indices, and makes `Fraction`s only for what it returns.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
+from operator import lt
 from typing import Iterable, Sequence
 
 from . import exact, fracopt, kernels, pricing
@@ -45,24 +46,30 @@ STRATEGY_BIDS_GUARD = 10_000
 
 @dataclass(frozen=True)
 class StrategySpace:
-    """One advertiser's grid: bids nonnegative and strictly ascending (else
-    `ValueError` here), crossed with the subsets. `nums` holds the bids as
-    integers over `den`, the lcm of their denominators, read once here: the
-    check and every search on the grid compare those integers."""
+    """One advertiser's grid: the bids `nums[k] / den`, nonnegative and
+    strictly ascending (else `ValueError` here), crossed with the subsets.
+    The integers are all a search reads; `den` is kept canonical, the gcd
+    of `den` and the numerators divided out, so equal grids compare equal.
+    `bids` builds their `Fraction`s on each read."""
 
     adv_id: str
-    bids: tuple[Fraction, ...]  # ascending
+    nums: tuple[int, ...]  # ascending
+    den: int
     subsets: tuple[frozenset[str], ...]  # preference order: larger first
-    den: int = field(init=False, repr=False, compare=False)
-    nums: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        den = lcm(*(bid.denominator for bid in self.bids))
-        nums = tuple(bid.numerator * (den // bid.denominator) for bid in self.bids)
-        if (nums and nums[0] < 0) or any(a >= b for a, b in zip(nums, nums[1:])):
+        if self.den < 1:
+            raise ValueError(f"grid denominator of {self.adv_id!r} must be positive, got {self.den}")
+        g = gcd(self.den, *self.nums)
+        nums = tuple(n // g for n in self.nums) if g > 1 else tuple(self.nums)
+        if (nums and nums[0] < 0) or not all(map(lt, nums, nums[1:])):
             raise ValueError(f"grid bids of {self.adv_id!r} must be nonnegative and strictly ascending")
-        object.__setattr__(self, "den", den)
         object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", self.den // g)
+
+    @property
+    def bids(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
 
 def strategy_spaces(inst: Instance, delta: Fraction) -> dict[str, StrategySpace]:
@@ -73,6 +80,9 @@ def strategy_spaces(inst: Instance, delta: Fraction) -> dict[str, StrategySpace]
     bids per advertiser (read at call time), are checked for every
     advertiser before any grid is built; either raises `GuardExceededError`.
     `delta` is read by `parse_rational`: a float or a bool raises `ValueError`.
+    Each grid is built in integers: the multiples of delta by `range` over
+    the lcm of delta's and the value's denominators, which `StrategySpace`
+    reduces where the grid holds no positive multiple of delta.
     """
     delta = parse_rational(delta)
     if delta <= 0:
@@ -93,15 +103,17 @@ def strategy_spaces(inst: Instance, delta: Fraction) -> dict[str, StrategySpace]
             )
         counts.append(count)
     spaces = {}
-    n, d = delta.numerator, delta.denominator
     for adv, count in zip(inst.advertisers, counts):
-        bids = (*(Fraction(j * n, d) for j in range(count - 1)), adv.value_per_click)
+        value = adv.value_per_click
+        den = lcm(delta.denominator, value.denominator)
+        step = delta.numerator * (den // delta.denominator)
+        nums = (*range(0, step * (count - 1), step), value.numerator * (den // value.denominator))
         ids = sorted(adv.ad_ids())
         subsets = []
         for size in range(len(ids), -1, -1):
             for combo in combinations(ids, size):
                 subsets.append(frozenset(combo))
-        spaces[adv.adv_id] = StrategySpace(adv_id=adv.adv_id, bids=bids, subsets=tuple(subsets))
+        spaces[adv.adv_id] = StrategySpace(adv.adv_id, nums, den, tuple(subsets))
     return spaces
 
 
@@ -159,7 +171,7 @@ class _Evaluator:
             if nums:
                 # a true value above the top bid is on no grid: `_code` keeps it as another bid
                 above = value.numerator * den > nums[-1] * value.denominator
-                cap = self._code(adv_id, 0, value) if above else len(space.bids) - 1
+                cap = self._code(adv_id, 0, value) if above else len(space.nums) - 1
             self._grids[adv_id] = lo, nums, den, cap
         elif self.spaces[adv_id] != space:
             raise ValueError(f"advertiser {adv_id!r} already has another grid")
@@ -199,7 +211,7 @@ class _Evaluator:
         bids, subsets = {}, {}
         for a, (bi, si) in zip(self.ids, profile):
             space, (other_bids, other_subsets) = self.spaces.get(a), self._extra[a]
-            bids[a] = space.bids[bi] if bi >= 0 else other_bids[~bi]
+            bids[a] = Fraction(space.nums[bi], space.den) if bi >= 0 else other_bids[~bi]
             subsets[a] = space.subsets[si] if si >= 0 else other_subsets[~si]
         return ReportProfile(bids=bids, subsets=subsets)
 
@@ -276,13 +288,6 @@ class _Evaluator:
         (u,), (paid,), den = self._sweep(view, adv_id, subset, (bid.numerator,), bid.denominator)
         return Fraction(u, den), Fraction(paid, den)
 
-    def utility_table(self, rep: ReportProfile, adv_id: str, space: StrategySpace) -> list[list[Fraction]]:
-        """`adv_id`'s utility at every strategy of `space`, their grid, the
-        others as in `rep`: row si, column bi is `utility` at
-        `rep.replace(adv_id, space.bids[bi], space.subsets[si])`; `row` as
-        Fractions."""
-        return [[Fraction(u, den) for u in us] for us, den in self._table(rep, adv_id, space)]
-
     def _table(self, rep: ReportProfile, adv_id: str, space: StrategySpace) -> list[tuple[list[int], int]]:
         self._grid(adv_id, space)
         profile, g = self._index(rep), self.ids.index(adv_id)
@@ -318,7 +323,7 @@ class _Evaluator:
             if subset and nums and self.mech.pricing == "vcg":
                 utils = [
                     self._vcg_utility(others[:g] + ((bi, si),) + others[g:], adv_id)
-                    for bi in range(lo, len(space.bids))
+                    for bi in range(lo, len(space.nums))
                 ]
                 d = lcm(*(u.denominator for u in utils))
                 us = [u.numerator * (d // u.denominator) for u in utils]
@@ -326,7 +331,7 @@ class _Evaluator:
                 if view is None:
                     view = self._at_cap(g, others, cap)
                 us, _paid, d = self._sweep(view, adv_id, subset, nums, den)
-            rows.append(([0] * (len(space.bids) - len(us)) + us, d))
+            rows.append(([0] * (len(space.nums) - len(us)) + us, d))
         self._rows[(g, others)] = rows, self.curves_built + self.curves_cached - lookups
         return rows
 
@@ -397,7 +402,7 @@ def best_response(
     """
     ev = _evaluator if _evaluator is not None else _Evaluator(inst, truth, mechanism)
     bi, si, n, d = _best_of(ev._table(rep, adv_id, space), space)
-    return space.bids[bi], space.subsets[si], Fraction(n, d)
+    return Fraction(space.nums[bi], space.den), space.subsets[si], Fraction(n, d)
 
 
 def _best_of(rows: list[tuple[list[int], int]], space: StrategySpace) -> tuple[int, int, int, int]:
@@ -531,8 +536,8 @@ def find_pure_nash(
                     {
                         "round": round_no,
                         "bidder": adv_id,
-                        "deviations": len(space.bids) * len(space.subsets),
-                        "best_response": {"bid": str(space.bids[bi]), "subset": sorted(space.subsets[si])},
+                        "deviations": len(space.nums) * len(space.subsets),
+                        "best_response": {"bid": str(Fraction(space.nums[bi], space.den)), "subset": sorted(space.subsets[si])},
                         "utility": str(now_u),
                         "gain": str(best_u - now_u),
                         "curves_built": built,

@@ -64,17 +64,14 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, str):
         if not RATIONAL.fullmatch(value):
             raise ValueError(f"rational {value!r} is not of the form [+-]digits[/digits], e.g. \"-1/3\"")
+        num, _, den = value.partition("/")
         try:
-            return Fraction(value)
+            return Fraction(int(num), int(den or 1))
         except ZeroDivisionError:
             raise ValueError(f"rational {value!r} has a zero denominator") from None
     if isinstance(value, Fraction):
         return value
     raise ValueError(f"cannot parse rational from {type(value).__name__}: {value!r}")
-
-
-def rational_str(value: Fraction) -> str:
-    return str(Fraction(value))
 
 
 @dataclass(frozen=True)
@@ -257,11 +254,13 @@ def validate_instance(inst: Instance) -> list[Violation]:
     `total_space`, `value_per_click`, `alpha` and `space` must be ints or
     `Fraction`s (not floats, not bools), since every kernel reads their
     numerators and denominators; a field of another type is reported as
-    `not-rational`, and its range checks are skipped."""
+    `not-rational`, and its range checks are skipped. The range checks read
+    them too: no `Fraction` is compared, space and total cross-multiplied."""
     out: list[Violation] = []
-    if total_bad := _type_violation(inst.total_space, "instance", "total_space"):
+    total = inst.total_space
+    if total_bad := _type_violation(total, "instance", "total_space"):
         out.append(total_bad)
-    elif inst.total_space <= 0:
+    elif total.numerator <= 0:
         out.append(Violation("total-space", "instance", f"total_space must be positive, got {inst.total_space}"))
     if inst.cardinality_limit is not None and inst.cardinality_limit < 1:
         out.append(Violation("cardinality", "instance", f"cardinality_limit must be >= 1, got {inst.cardinality_limit}"))
@@ -276,7 +275,7 @@ def validate_instance(inst: Instance) -> list[Violation]:
         seen_adv.add(adv.adv_id)
         if bad := _type_violation(adv.value_per_click, loc, "value_per_click"):
             out.append(bad)
-        elif adv.value_per_click <= 0:
+        elif adv.value_per_click.numerator <= 0:
             out.append(Violation("value", loc, f"value_per_click must be positive, got {adv.value_per_click}"))
         if not adv.ads:
             out.append(Violation("no-ads", loc, "advertiser has no ads"))
@@ -299,13 +298,13 @@ def validate_instance(inst: Instance) -> list[Violation]:
                 )
             if bad := _type_violation(ad.alpha, ad_loc, "alpha"):
                 out.append(bad)
-            elif not (0 < ad.alpha <= 1):
+            elif not (0 < ad.alpha.numerator <= ad.alpha.denominator):
                 out.append(Violation("alpha", ad_loc, f"alpha must lie in (0, 1], got {ad.alpha}"))
             if bad := _type_violation(ad.space, ad_loc, "space"):
                 out.append(bad)
-            elif ad.space <= 0:
+            elif ad.space.numerator <= 0:
                 out.append(Violation("space", ad_loc, f"space must be positive, got {ad.space}"))
-            elif total_bad is None and inst.total_space > 0 and ad.space > inst.total_space:
+            elif total_bad is None and 0 < total.numerator * ad.space.denominator < ad.space.numerator * total.denominator:
                 out.append(
                     Violation("space-exceeds-total", ad_loc, f"ad space {ad.space} exceeds total space {inst.total_space}")
                 )
@@ -313,24 +312,6 @@ def validate_instance(inst: Instance) -> list[Violation]:
 
 
 # --- JSON wire format ---------------------------------------------------
-
-def instance_to_dict(inst: Instance) -> dict:
-    return {
-        "total_space": rational_str(inst.total_space),
-        "cardinality_limit": inst.cardinality_limit,
-        "advertisers": [
-            {
-                "id": adv.adv_id,
-                "value_per_click": rational_str(adv.value_per_click),
-                "ads": [
-                    {"id": ad.ad_id, "alpha": rational_str(ad.alpha), "space": rational_str(ad.space)}
-                    for ad in adv.ads
-                ],
-            }
-            for adv in inst.advertisers
-        ],
-    }
-
 
 def _objects(value, what: str) -> list:
     if not isinstance(value, list):

@@ -17,12 +17,13 @@ from math import gcd, lcm
 from richads.fracopt import FractionalSolution, advertiser_points, eliminate_dominated, fractional_opt
 from richads.kernels import ScaledView
 from richads.model import (
+    RATIONAL,
     Allocation,
     Instance,
     ReportProfile,
     Violation,
+    _type_violation,
     as_mixture,
-    instance_to_dict,
 )
 
 
@@ -502,6 +503,98 @@ def validate_report(inst: Instance, rep: ReportProfile) -> list:
     return out
 
 
+def rational_str(value: Fraction) -> str:
+    return str(Fraction(value))
+
+
+def instance_to_dict(inst: Instance) -> dict:
+    """The instance as the JSON `model.instance_from_dict` reads."""
+    return {
+        "total_space": rational_str(inst.total_space),
+        "cardinality_limit": inst.cardinality_limit,
+        "advertisers": [
+            {
+                "id": adv.adv_id,
+                "value_per_click": rational_str(adv.value_per_click),
+                "ads": [
+                    {"id": ad.ad_id, "alpha": rational_str(ad.alpha), "space": rational_str(ad.space)}
+                    for ad in adv.ads
+                ],
+            }
+            for adv in inst.advertisers
+        ],
+    }
+
+
+def parse_rational_by_fractions(text: str) -> Fraction:
+    """`model.parse_rational` of a string as it ran before it read the
+    digits by `int()`: the string matched against `RATIONAL`, then parsed
+    by `Fraction(str)`."""
+    if not RATIONAL.fullmatch(text):
+        raise ValueError(f"rational {text!r} is not of the form [+-]digits[/digits], e.g. \"-1/3\"")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"rational {text!r} has a zero denominator") from None
+
+
+def validate_instance_by_fractions(inst: Instance) -> list[Violation]:
+    """`model.validate_instance` as it ran before it compared numerators
+    and denominators: every range check a `Fraction` comparison."""
+    out: list[Violation] = []
+    if total_bad := _type_violation(inst.total_space, "instance", "total_space"):
+        out.append(total_bad)
+    elif inst.total_space <= 0:
+        out.append(Violation("total-space", "instance", f"total_space must be positive, got {inst.total_space}"))
+    if inst.cardinality_limit is not None and inst.cardinality_limit < 1:
+        out.append(Violation("cardinality", "instance", f"cardinality_limit must be >= 1, got {inst.cardinality_limit}"))
+    seen_adv: set[str] = set()
+    ad_owner: dict[str, str] = {}
+    for adv in inst.advertisers:
+        loc = f"advertiser {adv.adv_id!r}"
+        if not adv.adv_id:
+            out.append(Violation("empty-id", loc, "advertiser id must be nonempty"))
+        if adv.adv_id in seen_adv:
+            out.append(Violation("duplicate-id", loc, "duplicate advertiser id"))
+        seen_adv.add(adv.adv_id)
+        if bad := _type_violation(adv.value_per_click, loc, "value_per_click"):
+            out.append(bad)
+        elif adv.value_per_click <= 0:
+            out.append(Violation("value", loc, f"value_per_click must be positive, got {adv.value_per_click}"))
+        if not adv.ads:
+            out.append(Violation("no-ads", loc, "advertiser has no ads"))
+        seen_ad: set[str] = set()
+        for ad in adv.ads:
+            ad_loc = f"{loc}, ad {ad.ad_id!r}"
+            if not ad.ad_id:
+                out.append(Violation("empty-id", ad_loc, "ad id must be nonempty"))
+            if ad.ad_id in seen_ad:
+                out.append(Violation("duplicate-id", ad_loc, "duplicate ad id"))
+            seen_ad.add(ad.ad_id)
+            owner = ad_owner.setdefault(ad.ad_id, adv.adv_id)
+            if owner != adv.adv_id:
+                out.append(
+                    Violation(
+                        "catalogs-not-disjoint",
+                        ad_loc,
+                        f"ad id {ad.ad_id!r} also appears in advertiser {owner!r}'s catalog",
+                    )
+                )
+            if bad := _type_violation(ad.alpha, ad_loc, "alpha"):
+                out.append(bad)
+            elif not (0 < ad.alpha <= 1):
+                out.append(Violation("alpha", ad_loc, f"alpha must lie in (0, 1], got {ad.alpha}"))
+            if bad := _type_violation(ad.space, ad_loc, "space"):
+                out.append(bad)
+            elif ad.space <= 0:
+                out.append(Violation("space", ad_loc, f"space must be positive, got {ad.space}"))
+            elif total_bad is None and inst.total_space > 0 and ad.space > inst.total_space:
+                out.append(
+                    Violation("space-exceeds-total", ad_loc, f"ad space {ad.space} exceeds total space {inst.total_space}")
+                )
+    return out
+
+
 def save_instance(inst: Instance, path) -> None:
     """Write the instance as the JSON `model.load_instance` reads."""
     with open(path, "w") as fh:
@@ -740,8 +833,16 @@ def profile_utility(ev, rep: ReportProfile, adv_id):
     return value * clicks - Fraction(paid, den)
 
 
+def utility_table(ev, rep: ReportProfile, adv_id, space):
+    """`adv_id`'s utility at every strategy of `space`, their grid, the
+    others as in `rep`, read off `ev` (an `equilibrium._Evaluator`): row si,
+    column bi is `ev.utility` at `rep.replace(adv_id, space.bids[bi],
+    space.subsets[si])`; the evaluator's integer `row` as Fractions."""
+    return [[Fraction(u, den) for u in us] for us, den in ev._table(rep, adv_id, space)]
+
+
 def profile_table(ev, rep: ReportProfile, adv_id, space):
-    """`equilibrium._Evaluator.utility_table` by one full-profile utility
+    """`utility_table` by one full-profile utility
     evaluation per grid point (`profile_utility`): row si, column bi is the
     utility at `rep.replace(adv_id, space.bids[bi], space.subsets[si])`."""
     return [
@@ -1005,3 +1106,30 @@ def best_of_by_fractions(table, space):
     if best is None:
         raise ValueError(f"empty strategy space for advertiser {space.adv_id!r}")
     return space.bids[best[1]], space.subsets[best[2]], best[0]
+
+
+def grid_space(adv_id: str, bids, subsets):
+    """An `equilibrium.StrategySpace` of the `Fraction` bids `bids`: their
+    numerators over the lcm of their denominators."""
+    from richads.equilibrium import StrategySpace
+
+    den = lcm(*(Fraction(b).denominator for b in bids))
+    return StrategySpace(adv_id, tuple(int(b * den) for b in bids), den, tuple(subsets))
+
+
+def strategy_spaces_by_fractions(inst: Instance, delta: Fraction) -> dict:
+    """`equilibrium.strategy_spaces` as it ran before it built its grids in
+    integers: every multiple of delta strictly below the true value, as
+    `Fraction`s, then the value, crossed with every subset of the catalog,
+    the larger first. No guard is checked."""
+    from itertools import combinations
+
+    spaces = {}
+    for adv in inst.advertisers:
+        bids = []
+        while len(bids) * delta < adv.value_per_click:
+            bids.append(len(bids) * delta)
+        ids = sorted(adv.ad_ids())
+        subsets = [frozenset(c) for size in range(len(ids), -1, -1) for c in combinations(ids, size)]
+        spaces[adv.adv_id] = grid_space(adv.adv_id, (*bids, adv.value_per_click), subsets)
+    return spaces

@@ -13,7 +13,14 @@ from itertools import combinations
 
 import pytest
 
-from oracles import effective_values, prices_along, reported_value, riemann_myerson, two_approx_integral
+from oracles import (
+    effective_values,
+    grid_space,
+    prices_along,
+    reported_value,
+    riemann_myerson,
+    two_approx_integral,
+)
 from richads import (
     equilibrium,
     exact,
@@ -140,9 +147,7 @@ def test_criterion_5_payments():
                     for combo in combinations(ids, size):
                         subsets.append(frozenset(combo))
                 grid = tuple(adv.value_per_click * Fraction(k, 8) for k in range(9))
-                space = equilibrium.StrategySpace(
-                    adv_id=adv.adv_id, bids=grid, subsets=tuple(subsets)
-                )
+                space = grid_space(adv.adv_id, grid, subsets)
                 _, _, best_u = equilibrium.best_response(
                     inst, truth, truth, adv.adv_id, mech, space
                 )

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import save_instance
+from oracles import parse_rational_by_fractions, save_instance
 from richads import equilibrium, exact, fixtures, harness, kernels, pricing
 from richads.cli import cli
 from richads.model import (
@@ -126,6 +126,22 @@ def test_mistyped_instance_is_an_input_error(tmp_path, capsys, doc, message):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+
+def test_a_rational_past_the_int_string_limit_is_an_input_error(tmp_path, capsys):
+    # the digits are read by `int()`, which refuses them as `Fraction(str)` did
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python has no int-string limit")
+    text = "1" * (limit + 1) + "/3"
+    with pytest.raises(ValueError) as refused:
+        parse_rational_by_fractions(text)
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"total_space": text, "advertisers": []}))
+    for argv in (["validate", str(path)], ["equilibrium", str(path), "--grid", "1/4"]):
+        assert cli(argv) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {refused.value}\n")
 
 
 def test_usage_errors_exit_64(fx_path, capsys):

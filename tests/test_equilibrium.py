@@ -17,11 +17,14 @@ from oracles import (
     best_of_by_fractions,
     best_response_by_profiles,
     check_curveless_branches,
+    grid_space,
     integer_pass_drops_at_tie_bids,
     profile_rows,
     profile_table,
     recording_threshold_payments,
+    strategy_spaces_by_fractions,
     sweep_by_fractions,
+    utility_table,
 )
 from richads import equilibrium, fixtures, harness, kernels, pricing
 from richads.equilibrium import (
@@ -88,6 +91,66 @@ def test_a_grid_step_is_read_as_an_int_a_fraction_or_a_rational_string():
     quarter = strategy_spaces(inst, Fraction(1, 4))
     assert strategy_spaces(inst, "1/4") == quarter
     assert strategy_spaces(inst, 1) == strategy_spaces(inst, Fraction(1))
+
+
+def assert_grids_match(inst, delta):
+    """`strategy_spaces` equals the Fraction grid oracle field by field."""
+    got, want = strategy_spaces(inst, delta), strategy_spaces_by_fractions(inst, delta)
+    assert got.keys() == want.keys()
+    for adv_id, space in got.items():
+        oracle = want[adv_id]
+        got_fields = (space.den, space.nums, space.subsets, space.bids)
+        assert got_fields == (oracle.den, oracle.nums, oracle.subsets, oracle.bids), (adv_id, delta)
+        assert type(space.nums) is tuple
+
+
+def one_advertiser(value, ads=1):
+    return Instance(
+        advertisers=(
+            Advertiser("a", value, tuple(RichAd(f"ax{j}", Fraction(1, j), Fraction(j)) for j in range(1, ads + 1))),
+        ),
+        total_space=Fraction(10),
+    )
+
+
+@pytest.mark.parametrize("delta", [Fraction(1, 4), Fraction(1, 20), Fraction(2, 3), Fraction(5)], ids=str)
+def test_integer_grids_equal_the_fraction_grids(delta):
+    cfg = harness.ExperimentConfig(seed=5, instances=30, max_advertisers=3, max_ads=3)
+    for inst in (*(fixtures.fixture(name) for name in sorted(fixtures.BUILDERS)), *harness.generate_corpus(cfg)):
+        # an instance both guards admit
+        if all(
+            len(a.ads) <= equilibrium.STRATEGY_ADS_GUARD
+            and a.value_per_click <= (equilibrium.STRATEGY_BIDS_GUARD - 1) * delta
+            for a in inst.advertisers
+        ):
+            assert_grids_match(inst, delta)
+    # a zero value; a grid of only {0, value}, with the value's denominator
+    # or the step's; values whose denominator differs from the step's
+    for value in (Fraction(0), delta / 3, delta / 2, delta, Fraction(7, 3), Fraction(11, 9) + delta):
+        assert_grids_match(one_advertiser(value, ads=2), delta)
+
+
+def test_the_bid_guard_admits_exactly_its_count():
+    guard = equilibrium.STRATEGY_BIDS_GUARD
+    delta = Fraction(1, 4)
+    at = one_advertiser((guard - 1) * delta)  # 0, ..., (guard - 2) * delta, then the value
+    assert len(strategy_spaces(at, delta)["a"].nums) == guard
+    assert_grids_match(at, delta)
+    with pytest.raises(GuardExceededError, match=f"would have {guard + 1} grid bids"):
+        strategy_spaces(one_advertiser((guard - 1) * delta + delta / 2), delta)
+
+
+def test_a_grid_keeps_its_denominator_canonical():
+    subsets = (frozenset({"ax1"}), frozenset())
+    space = equilibrium.StrategySpace("a", (0, 2, 6), 8, subsets)
+    assert (space.nums, space.den) == ((0, 1, 3), 4)
+    assert space == equilibrium.StrategySpace("a", (0, 3, 9), 12, subsets) == grid_space("a", space.bids, subsets)
+    assert replace(space, nums=(0, 4)) == equilibrium.StrategySpace("a", (0, 1), 1, subsets)
+    for den in (0, -4):
+        with pytest.raises(ValueError, match="denominator of 'a' must be positive"):
+            equilibrium.StrategySpace("a", (0, 1), den, subsets)
+    with pytest.raises(AttributeError):
+        space.bids = (Fraction(0),)
 
 
 def test_fx4_truthful_gsp_utilities():
@@ -287,7 +350,7 @@ def assert_sweep_matches(inst, rep, mech, spaces):
     ev = equilibrium._Evaluator(inst, truth, mech)
     oracle = equilibrium._Evaluator(inst, truth, mech)
     for adv_id, space in spaces.items():
-        assert ev.utility_table(rep, adv_id, space) == profile_table(oracle, rep, adv_id, space), (
+        assert utility_table(ev, rep, adv_id, space) == profile_table(oracle, rep, adv_id, space), (
             adv_id,
             mech.describe(),
         )
@@ -358,7 +421,7 @@ def test_a_capped_greedy_drop_raises_the_same_error_on_both_paths():
     for mech in GREEDY_MECHANISMS:
         if mech.rule.name == "greedy-value":
             continue
-        swept = table_or_error(lambda ev: ev.utility_table(truth, "a1", space), mech)
+        swept = table_or_error(lambda ev: utility_table(ev, truth, "a1", space), mech)
         assert swept == table_or_error(lambda ev: profile_table(ev, truth, "a1", space), mech)
         if mech.pricing == "myerson":
             assert "'a1' under rule 'greedy-bpb' drop from 1 on (Fraction(21, 16), Fraction(27, 20)) to 0" in swept
@@ -381,7 +444,7 @@ def test_a_drop_at_the_bid_itself_raises_the_same_error_on_both_paths():
             return str(exc)
 
     for mech in GREEDY_MECHANISMS:
-        swept = table_or_error(lambda ev: ev.utility_table(truth, "a1", space), mech)
+        swept = table_or_error(lambda ev: utility_table(ev, truth, "a1", space), mech)
         assert swept == table_or_error(lambda ev: profile_table(ev, truth, "a1", space), mech)
         if mech.pricing == "myerson" and mech.rule.name != "greedy-value":
             assert swept.endswith("drop from 1 on (Fraction(3, 1), Fraction(4, 1)) to 0 on (Fraction(4, 1), Fraction(4, 1))")
@@ -540,7 +603,7 @@ def tie_spaces(inst, rep):
         view = kernels.ScaledView(inst, at_truth)
         ties, den = view.probe(adv_id).ties(("bpb", "value"), at_truth.bids[adv_id])
         bids = tuple(sorted({Fraction(0), at_truth.bids[adv_id]} | {Fraction(t, den) for t in ties}))
-        spaces[adv_id] = replace(space, bids=bids)
+        spaces[adv_id] = grid_space(adv_id, bids, space.subsets)
     return spaces
 
 
@@ -618,7 +681,7 @@ def test_sweep_is_exact_when_no_two_denominators_share_a_factor(mech):
         ev = equilibrium._Evaluator(COPRIME, truth, mech)
         for adv_id, space in spaces.items():
             cap = truth.bids[adv_id]
-            for subset, row in zip(space.subsets, ev.utility_table(rep, adv_id, space)):
+            for subset, row in zip(space.subsets, utility_table(ev, rep, adv_id, space)):
                 assert all(type(u) is Fraction and gcd(u.numerator, u.denominator) == 1 for u in row)
                 if subset:
                     want = sweep_by_fractions(ev, rep.replace(adv_id, cap, subset), adv_id, space.bids)
@@ -631,8 +694,8 @@ def test_a_grid_must_be_nonnegative_and_strictly_ascending():
     subsets = (frozenset({"ax1"}), frozenset())
     for bids in ((Fraction(1), Fraction(1, 2)), (Fraction(0), Fraction(1), Fraction(1)), (Fraction(-1, 7), Fraction(0))):
         with pytest.raises(ValueError, match="nonnegative and strictly ascending"):
-            equilibrium.StrategySpace("a", bids, subsets)
-    assert equilibrium.StrategySpace("a", (Fraction(0), Fraction(1, 7)), subsets).bids[-1] == Fraction(1, 7)
+            grid_space("a", bids, subsets)
+    assert grid_space("a", (Fraction(0), Fraction(1, 7)), subsets).bids[-1] == Fraction(1, 7)
 
 
 def test_bids_above_the_truth_are_swept():
@@ -644,13 +707,13 @@ def test_bids_above_the_truth_are_swept():
     truth = truthful_profile(inst)
     value = truth.bids["b"]
     top = value + Fraction(1, 3)
-    space = replace(strategy_spaces(inst, Fraction(1, 4))["b"], bids=(Fraction(0), value / 2, value, top))
+    space = grid_space("b", (Fraction(0), value / 2, value, top), strategy_spaces(inst, Fraction(1, 4))["b"].subsets)
     for mech in SWEEP_MECHANISMS[:2]:
         ev = equilibrium._Evaluator(inst, truth, mech)
         evaluated = []
         by_profile = ev.utility
         ev.utility = lambda rep, adv_id: evaluated.append(rep) or by_profile(rep, adv_id)
-        table = ev.utility_table(truth, "b", space)
+        table = utility_table(ev, truth, "b", space)
         assert table == profile_table(equilibrium._Evaluator(inst, truth, mech), truth, "b", space)
         assert evaluated == []
         assert [view.rep.key() for view in ev._views.values()] == [truth.replace("b", top, FULL_B).key()]
@@ -790,12 +853,12 @@ def test_a_repeated_utility_table_builds_no_view_and_no_curve(mech, monkeypatch)
     for rep in (truth, shaded(inst, truth)):
         for adv_id, space in spaces.items():
             ev = equilibrium._Evaluator(inst, truth, mech)
-            table = ev.utility_table(rep, adv_id, space)
+            table = utility_table(ev, rep, adv_id, space)
             assert built
             built.clear()
             curves += ev.curves_built
             first = (ev.curves_built, ev.curves_cached)
-            assert ev.utility_table(rep, adv_id, space) == table
+            assert utility_table(ev, rep, adv_id, space) == table
             # each curve lookup of the first table is served again
             assert built == [] and (ev.curves_built, ev.curves_cached) == (first[0], first[1] + sum(first))
     # GSP reads no curve for a bidder who gets no clicks at any grid bid
@@ -808,7 +871,7 @@ def test_a_vcg_evaluator_holds_no_view():
     truth = truthful_profile(inst)
     ev = equilibrium._Evaluator(inst, truth, pricing.Mechanism("vcg"))
     for adv_id, space in strategy_spaces(inst, Fraction(1, 20)).items():
-        ev.utility_table(truth, adv_id, space)
+        utility_table(ev, truth, adv_id, space)
     assert ev._views == {} and ev._vcg
 
 
@@ -818,7 +881,7 @@ def test_current_utility_off_the_grid_is_evaluated_by_profile():
     inst = fixtures.fx4()
     truth = truthful_profile(inst)
     mech = gsp_mixture_mechanism()
-    off = {a: replace(s, bids=s.bids[:-1]) for a, s in strategy_spaces(inst, Fraction(1, 4)).items()}
+    off = {a: replace(s, nums=s.nums[:-1]) for a, s in strategy_spaces(inst, Fraction(1, 4)).items()}
     assert all(truth.bids[a] not in s.bids for a, s in off.items())
     steps = []
     find_pure_nash(inst, truth, mech, off, explain=steps)
@@ -866,7 +929,7 @@ def test_a_payment_up_to_the_truth_reads_the_sweeps_curves(mech):
     served = 0
     for adv_id, space in strategy_spaces(inst, Fraction(1, 20)).items():
         ev = equilibrium._Evaluator(inst, truth, mech)
-        table = ev.utility_table(truth, adv_id, space)
+        table = utility_table(ev, truth, adv_id, space)
         built, cached = ev.curves_built, ev.curves_cached
         for si, subset in enumerate(space.subsets):
             for bi, bid in enumerate(space.bids):
@@ -965,7 +1028,7 @@ def test_a_search_on_grids_without_the_true_values_takes_the_off_grid_path(
     # bidder who never moves ends at their off-grid true value
     inst = fixtures.fixture(name)
     truth = truthful_profile(inst)
-    off = {a: replace(s, bids=s.bids[:-1]) for a, s in strategy_spaces(inst, Fraction(1, 4)).items()}
+    off = {a: replace(s, nums=s.nums[:-1]) for a, s in strategy_spaces(inst, Fraction(1, 4)).items()}
     assert all(truth.bids[a] not in s.bids for a, s in off.items())
     priced = []
     by_profile = equilibrium._Evaluator.utility
@@ -982,6 +1045,7 @@ def test_empty_strategy_space_is_a_value_error_under_python_O():
     script = textwrap.dedent(
         """
         import sys
+        from oracles import grid_space
         from richads import equilibrium, fixtures
         from richads.model import truthful_profile
 
@@ -989,7 +1053,7 @@ def test_empty_strategy_space_is_a_value_error_under_python_O():
             sys.exit("not running under -O")
         inst = fixtures.fx4()
         truth = truthful_profile(inst)
-        empty = equilibrium.StrategySpace(adv_id="b", bids=(), subsets=())
+        empty = grid_space("b", (), ())
         try:
             equilibrium.best_response(inst, truth, truth, "b", equilibrium.gsp_mixture_mechanism(), empty)
         except ValueError as exc:
@@ -997,7 +1061,8 @@ def test_empty_strategy_space_is_a_value_error_under_python_O():
         """
     )
     src = str(Path(equilibrium.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    tests = str(Path(__file__).resolve().parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "raised: empty strategy space for advertiser 'b'\n", done.stdout

@@ -1,10 +1,12 @@
 """Data model: rationals, profiles, allocations, validation, JSON round-trips."""
 
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import validate_report
+from oracles import instance_to_dict, parse_rational_by_fractions, validate_instance_by_fractions, validate_report
 from richads import fixtures
 from richads.model import (
     Advertiser,
@@ -13,7 +15,6 @@ from richads.model import (
     Mixture,
     RichAd,
     instance_from_dict,
-    instance_to_dict,
     parse_rational,
     social_welfare,
     truthful_profile,
@@ -33,6 +34,46 @@ def test_parse_rational_rejects_every_other_string_form(text):
     # `Fraction(str)` would take exponents, decimals, padding and underscores
     with pytest.raises(ValueError, match=r"is not of the form \[\+-\]digits\[/digits\]"):
         parse_rational(text)
+
+
+def parsed_or_error(parse, text):
+    """`parse(text)`, or the message of the `ValueError` it raises."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+DIGITS = st.one_of(st.sampled_from(["0", "00", "1", "007", "10"]), st.text("0123456789", min_size=1, max_size=12))
+
+
+@st.composite
+def rational_texts(draw):
+    """A string of the `RATIONAL` grammar (signs, leading zeros, zero
+    numerators and denominators), or any short string of its characters."""
+    if draw(st.booleans()):
+        return draw(st.text("+-/0123456789 ._e", max_size=8))
+    den = draw(st.one_of(st.just(""), DIGITS.map(lambda d: "/" + d)))
+    return draw(st.sampled_from(["", "+", "-"])) + draw(DIGITS) + den
+
+
+@settings(max_examples=400, deadline=None)
+@given(rational_texts())
+def test_parse_rational_reads_a_string_as_the_fraction_parser_does(text):
+    got = parsed_or_error(parse_rational, text)
+    assert got == parsed_or_error(parse_rational_by_fractions, text)
+    assert type(got) in (Fraction, str)
+
+
+def test_parse_rational_refuses_digits_past_the_int_string_limit_as_before():
+    # `int()` and `Fraction(str)` refuse the same strings, with one message
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python has no int-string limit")
+    for text in ("1" * (limit + 1), "-" + "9" * (limit + 1) + "/3", "3/" + "0" * limit + "1", "1" * limit + "/7"):
+        got = parsed_or_error(parse_rational, text)
+        assert got == parsed_or_error(parse_rational_by_fractions, text)
+        assert isinstance(got, str) == (text != "1" * limit + "/7"), got
 
 
 def test_parse_rational_rejects_floats_and_bools():
@@ -193,6 +234,63 @@ def test_validate_flags_fields_that_are_not_rational():
         total_space=3,
     )
     assert [v.code for v in validate_instance(ok)] == ["space-exceeds-total"]
+
+
+RANGE_FIELDS = st.one_of(
+    st.integers(-2, 3),
+    st.fractions(min_value=-1, max_value=3, max_denominator=7),
+    st.booleans(),
+    st.floats(allow_nan=True),
+)
+
+
+@st.composite
+def instances_to_validate(draw):
+    """Instances whose rational fields may be ints, Fractions, bools or
+    floats, in or out of range, with ids that may be empty or repeated."""
+    ids = st.sampled_from(["", "a", "b", "x1", "x2"])
+    advertisers = tuple(
+        Advertiser(
+            draw(ids),
+            draw(RANGE_FIELDS),
+            tuple(RichAd(draw(ids), draw(RANGE_FIELDS), draw(RANGE_FIELDS)) for _ in range(draw(st.integers(0, 3)))),
+        )
+        for _ in range(draw(st.integers(0, 3)))
+    )
+    return Instance(advertisers, draw(RANGE_FIELDS), draw(st.sampled_from([None, -1, 0, 1, 2])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(instances_to_validate())
+def test_validation_reports_what_the_fraction_comparisons_report(inst):
+    assert validate_instance(inst) == validate_instance_by_fractions(inst)
+
+
+@pytest.mark.parametrize(
+    "total, value, alpha, space",
+    [
+        (Fraction(2), Fraction(1), Fraction(1), Fraction(1)),  # alpha 1 is in range
+        (Fraction(2), Fraction(1), Fraction(0), Fraction(1)),
+        (Fraction(2), Fraction(1), Fraction(-1, 2), Fraction(1)),
+        (Fraction(2), Fraction(1), Fraction(4, 3), Fraction(1)),
+        (Fraction(5, 3), Fraction(1), Fraction(1, 2), Fraction(5, 3)),  # space equal to the total
+        (Fraction(5, 3), Fraction(1), Fraction(1, 2), Fraction(7, 4)),  # above it, unlike denominators
+        (Fraction(7, 4), Fraction(1), Fraction(1, 2), Fraction(5, 3)),
+        (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1)),
+        (Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1)),
+        (3, 2, 1, 4),  # int fields
+        (3, -2, 0, 3),
+        (True, 2, 1, 1),
+        (3, 2.0, False, 0.5),
+        (2.5, True, 0.5, True),
+    ],
+)
+def test_validation_boundaries_match_the_fraction_comparisons(total, value, alpha, space):
+    inst = Instance((Advertiser("a", value, (RichAd("ax1", alpha, space),)),), total)
+    got = validate_instance(inst)
+    assert got == validate_instance_by_fractions(inst)
+    if alpha == 1 and total == 2:
+        assert got == []
 
 
 def test_validate_report_catches_unknown_ids():
