@@ -4,17 +4,18 @@ Strategies live on a no-overbidding bid grid crossed with every catalog
 subset. Utilities are always at true values. `find_pure_nash` runs
 sequential best-response dynamics from the truthful profile; a full pass
 without a strict improvement doubles as the exhaustive verification that
-the fixed point is a grid Nash equilibrium. Under threshold pricing,
-every utility and payment, a best response's whole grid or one report's,
-is read off one sweep per subset, instead of one profile evaluation per
-grid point: the view of the report with the bidder at the cap, the larger
-of their true value and their top bid, on their whole catalog, gives one
+the fixed point is a grid Nash equilibrium. Every report a search reads is
+a grid point: a truthful start off the grids is refused, and
+`best_response` holds each other bidder on the one-point grid of their
+report. Under threshold pricing, a best response's utilities over the
+whole grid are read off one view, the bidder at their top grid bid on
+their whole catalog, instead of one profile evaluation per grid point: one
 bidder probe and one click curve per branch for each subset, and one pass
-over each curve reads their clicks at every bid off it and prices them,
-each run's bids at once (`pricing.threshold_payments`). A search runs on
-strategy indices: it builds one view per best-response row, keeps each
-curve in that view's memo and each bidder's integer utilities by the
-others' indices, and makes `Fraction`s only for what it returns.
+over each curve prices every grid bid, each run's bids at once
+(`pricing.threshold_payments`). A search runs on strategy indices: it
+keeps each curve in its view's memo and each bidder's integer utilities by
+the others' indices, and makes `Fraction`s only for what it returns, each
+grid bid's once.
 """
 
 from __future__ import annotations
@@ -122,19 +123,19 @@ class _Evaluator:
     indices.
 
     A profile is a tuple of (bid index, subset index) per advertiser, in
-    `inst.adv_ids()` order: i >= 0 is a place on the advertiser's grid, ~k
-    the k-th other bid or subset a `ReportProfile` brought (a truthful
-    report off the grid), so equal reports share one profile and one view
-    (`_view`), kept for the evaluator's life. `row` is a bidder's utility
-    at every grid strategy against the others' indices, in integers, kept
-    by (bidder, others). Under threshold pricing it is read off `_sweep`s
-    of one view (`_at_cap`), the report with the bidder at the cap on their
+    `inst.adv_ids()` order, on their grids (`_code` refuses a report off
+    them), so equal reports share one profile and one view (`_view`), kept
+    for the evaluator's life. `row` is a bidder's utility at every grid
+    strategy against the others' indices, in integers, kept by (bidder,
+    others). Under threshold pricing it is read off `_sweep`s of one view
+    (`_at_cap`), the report with the bidder at their top grid bid on their
     whole catalog: it holds their probe and one click curve per branch for
     each subset (`kernels.BidderProbe`), since their own bid moves along a
-    fixed curve while the others stand still. The others truthful, that
-    view is the truthful report, so one view serves every bidder's first
-    row. VCG keeps its priced outcomes by profile instead, and no view,
-    which would hold its capacity DP.
+    fixed curve while the others stand still. With the others truthful and
+    each true value the top of its grid (`strategy_spaces`), that view is
+    the truthful report, so one view serves every bidder's first row. VCG
+    keeps its priced outcomes by profile instead, and no view, which would
+    hold its capacity DP.
     `curves_built` and `curves_cached` count the curve lookups that built a
     curve and those a view's memo or a kept row served.
     """
@@ -146,48 +147,37 @@ class _Evaluator:
         self.branches = () if mechanism.pricing == "vcg" else pricing.rule_branches(mechanism.rule)
         self.ids = inst.adv_ids()
         self.spaces: dict[str, StrategySpace] = {}
-        self._extra = {a: ([], []) for a in self.ids}  # bids and subsets off the grid
+        self._bids: dict = {}
         self._views: dict = {}
         self._rows: dict = {}
         self._vcg: dict = {}
-        self.curves_built = 0
-        self.curves_cached = 0
+        self.curves_built = self.curves_cached = 0
         self._grids: dict = {}
         for adv_id, space in (spaces or {}).items():
             self._grid(adv_id, space)
 
     def _grid(self, adv_id: str, space: StrategySpace) -> None:
-        """Make `space` the grid of `adv_id`, who has one (another raises
-        `ValueError`): the index of its first positive bid, those bids as
-        the grid's numerators over its `den`, and the index of the cap, the
-        larger of the true value and the top bid."""
+        """Make `space` the grid of `adv_id` (another raises `ValueError`):
+        the index of its first positive bid, and the numerators from it on."""
         if adv_id not in self._grids:
             self.spaces[adv_id] = space
-            den = space.den
             lo = int(bool(space.nums) and not space.nums[0])  # bids ascend from 0 or above
-            nums = space.nums[lo:]
-            value = self.truth.bids.get(adv_id, ZERO)
-            cap = None
-            if nums:
-                # a true value above the top bid is on no grid: `_code` keeps it as another bid
-                above = value.numerator * den > nums[-1] * value.denominator
-                cap = self._code(adv_id, 0, value) if above else len(space.nums) - 1
-            self._grids[adv_id] = lo, nums, den, cap
+            self._grids[adv_id] = lo, space.nums[lo:], space.den
         elif self.spaces[adv_id] != space:
             raise ValueError(f"advertiser {adv_id!r} already has another grid")
 
     def _code(self, adv_id: str, kind: int, x) -> int:
-        """The index of `adv_id`'s bid (kind 0) or subset (kind 1) `x`: a
-        positive bid is found by bisection over the grid's integer
-        numerators, x scaled to their denominator, with no `Fraction`
-        comparison."""
+        """The index of `adv_id`'s bid (kind 0) or subset (kind 1) `x` on
+        their grid, `ValueError` if it is not there: a positive bid is found
+        by bisection over the grid's integer numerators, x scaled to their
+        denominator, with no `Fraction` comparison."""
         grid = self._grids.get(adv_id)
         if grid is not None and kind:
             subsets = self.spaces[adv_id].subsets
             if x in subsets:
                 return subsets.index(x)
         elif grid is not None:
-            lo, nums, den, _cap = grid
+            lo, nums, den = grid
             n, r = divmod(x.numerator * den, x.denominator)  # x * den, floored
             if not r and n > 0:
                 i = bisect_left(nums, n)
@@ -195,25 +185,31 @@ class _Evaluator:
                     return lo + i
             elif not x.numerator and lo:
                 return 0  # the grid's zero bid
-        extra = self._extra[adv_id][kind]
-        if x not in extra:
-            extra.append(x)
-        return ~extra.index(x)
+        what = f"subset {sorted(x)}" if kind else f"bid {x}"
+        raise ValueError(f"the {what} of advertiser {adv_id!r} is not on their grid")
 
-    def _index(self, rep: ReportProfile) -> tuple:
-        """The profile of `rep`; a missing report is bid 0 on no ad."""
+    def _index(self, rep: ReportProfile, skip: str | None = None) -> tuple:
+        """The profile of `rep`, without the place of `skip`; a missing
+        report is bid 0 on no ad."""
         return tuple(
             (self._code(a, 0, rep.bids.get(a, ZERO)), self._code(a, 1, rep.subsets.get(a, frozenset())))
             for a in self.ids
+            if a != skip
         )
 
+    def _bid(self, adv_id: str, i: int) -> Fraction:
+        """Bid `i` of `adv_id`'s grid, its `Fraction` built on first use and kept."""
+        got = self._bids.get((adv_id, i))
+        if got is None:
+            space = self.spaces[adv_id]
+            got = self._bids[adv_id, i] = Fraction(space.nums[i], space.den)
+        return got
+
     def _report(self, profile: tuple) -> ReportProfile:
-        bids, subsets = {}, {}
-        for a, (bi, si) in zip(self.ids, profile):
-            space, (other_bids, other_subsets) = self.spaces.get(a), self._extra[a]
-            bids[a] = Fraction(space.nums[bi], space.den) if bi >= 0 else other_bids[~bi]
-            subsets[a] = space.subsets[si] if si >= 0 else other_subsets[~si]
-        return ReportProfile(bids=bids, subsets=subsets)
+        return ReportProfile(
+            bids={a: self._bid(a, bi) for a, (bi, _si) in zip(self.ids, profile)},
+            subsets={a: self.spaces[a].subsets[si] for a, (_bi, si) in zip(self.ids, profile)},
+        )
 
     def _view(self, profile: tuple) -> kernels.ScaledView:
         """The view of the report at `profile`, one per report."""
@@ -227,26 +223,22 @@ class _Evaluator:
         view = self._view(self._index(rep))
         return tuple(pricing.branch_allocate(self.inst, rep, branch, view) for _prob, branch in self.branches)
 
-    def _vcg_outcome(self, profile: tuple) -> pricing.PricedOutcome:
-        """The VCG outcome at `profile`, kept by it: the report is built
-        and priced on a miss only."""
+    def _vcg_utility(self, profile: tuple, adv_id: str) -> Fraction:
+        """`adv_id`'s utility at `profile` under VCG, its outcome kept by
+        the profile: the report is built and priced on a miss only."""
         got = self._vcg.get(profile)
         if got is None:
             got = self._vcg[profile] = self.mech.price(self.inst, self._report(profile))
-        return got
-
-    def _vcg_utility(self, profile: tuple, adv_id: str) -> Fraction:
-        """`adv_id`'s utility at `profile` under VCG."""
-        got = self._vcg_outcome(profile)
         clicks = got.mixture.clicks(self.inst, adv_id)
         return self.truth.bids.get(adv_id, ZERO) * clicks - got.payments.get(adv_id, ZERO)
 
-    def _at_cap(self, g: int, others: tuple, cap: int) -> kernels.ScaledView:
-        """The view of the report with advertiser `ids[g]` bidding the bid
-        of index `cap` on their whole catalog, the others at `others`."""
+    def _at_cap(self, g: int, others: tuple) -> kernels.ScaledView:
+        """The view of the report with advertiser `ids[g]` bidding their top
+        grid bid on their whole catalog, which their grid must hold
+        (`ValueError`), the others at `others`."""
         adv_id = self.ids[g]
         whole = self._code(adv_id, 1, frozenset(self.inst.advertisers[g].ad_ids()))
-        return self._view(others[:g] + ((cap, whole),) + others[g:])
+        return self._view(others[:g] + ((len(self.spaces[adv_id].nums) - 1, whole),) + others[g:])
 
     def _curve(self, view: kernels.ScaledView, adv_id: str, branch: str, subset: frozenset | None = None):
         """The branch's click curve of `adv_id` on (0, cap] on `subset`'s
@@ -260,38 +252,21 @@ class _Evaluator:
             self.curves_built += 1
         return view.memo(key, pricing._build_curve, view, adv_id, view.rep.bids[adv_id], branch, branch, subset)
 
-    def payment(self, rep: ReportProfile, adv_id: str) -> Fraction:
-        """`adv_id`'s payment at `rep`."""
-        if self.mech.pricing == "vcg":
-            return self._vcg_outcome(self._index(rep)).payments.get(adv_id, ZERO)
-        return self._priced(rep, adv_id)[1]
+    def payment(self, rep: ReportProfile, adv_id: str) -> Fraction:  # (the benchmark's tracer wraps it here)
+        return self.mech.price(self.inst, rep).payments[adv_id]
 
-    def utility(self, rep: ReportProfile, adv_id: str) -> Fraction:
-        """`adv_id`'s utility at `rep`: true value times expected clicks, less the payment."""
-        if self.mech.pricing == "vcg":
-            return self._vcg_utility(self._index(rep), adv_id)
-        return self._priced(rep, adv_id)[0]
-
-    def _priced(self, rep: ReportProfile, adv_id: str) -> tuple[Fraction, Fraction]:
-        """(utility, payment) of `adv_id` at `rep` under threshold pricing,
-        a one-bid `_sweep` of their subset against the view with `adv_id` at
-        the larger of their true value and their bid, on their whole catalog
-        (`_at_cap`); a report with no row in the view gets no clicks and
-        pays nothing (`kernels.ScaledView`)."""
-        bid = rep.bids.get(adv_id, ZERO)
-        subset = rep.subsets.get(adv_id)
-        if bid <= 0 or not subset:
-            return ZERO, ZERO
-        profile, g = self._index(rep), self.ids.index(adv_id)
-        cap = self._code(adv_id, 0, max(self.truth.bids.get(adv_id, ZERO), bid))
-        view = self._at_cap(g, profile[:g] + profile[g + 1 :], cap)
-        (u,), (paid,), den = self._sweep(view, adv_id, subset, (bid.numerator,), bid.denominator)
-        return Fraction(u, den), Fraction(paid, den)
+    def utility(self, rep: ReportProfile, adv_id: str) -> Fraction:  # (the benchmark's tracer wraps it here)
+        return utility(self.inst, self.truth, rep, self.mech)[adv_id]
 
     def _table(self, rep: ReportProfile, adv_id: str, space: StrategySpace) -> list[tuple[list[int], int]]:
+        """`row` of `adv_id` on `space` against the others' reports in `rep`,
+        each on their grid (`ValueError`) or a one-point grid of it."""
         self._grid(adv_id, space)
-        profile, g = self._index(rep), self.ids.index(adv_id)
-        return self.row(g, profile[:g] + profile[g + 1 :])
+        for a in self.ids:
+            if a != adv_id and a not in self._grids:
+                bid = rep.bids.get(a, ZERO)
+                self._grid(a, StrategySpace(a, (bid.numerator,), bid.denominator, (rep.subsets.get(a, frozenset()),)))
+        return self.row(self.ids.index(adv_id), self._index(rep, adv_id))
 
     def row(self, g: int, others: tuple) -> list[tuple[list[int], int]]:
         """The utility of advertiser `ids[g]` at every strategy of their
@@ -302,11 +277,11 @@ class _Evaluator:
         A zero bid or the empty subset reports no ad, so by the view's
         contract (`kernels.ScaledView`) it gets no clicks and pays nothing:
         its utility is 0, with no view built. For a threshold-priced rule,
-        the row builds one view, the others as given and the bidder at the
-        cap on their whole catalog (`_at_cap`), and the positive bids of each
-        nonempty subset are one `_sweep` of that view's probe for the
-        subset; VCG's are evaluated profile by profile, each outcome kept by
-        its profile (`_vcg_outcome`).
+        the row builds one view, the others as given and the bidder at
+        their top grid bid on their whole catalog (`_at_cap`), and the
+        positive bids of each nonempty subset are one `_sweep` of that
+        view's probe for the subset; VCG's are evaluated profile by profile,
+        each outcome kept by its profile (`_vcg_utility`).
         """
         got = self._rows.get((g, others))
         if got is not None:
@@ -314,7 +289,7 @@ class _Evaluator:
             return got[0]
         adv_id = self.ids[g]
         space = self.spaces[adv_id]
-        lo, nums, den, cap = self._grids[adv_id]
+        lo, nums, den = self._grids[adv_id]
         lookups = self.curves_built + self.curves_cached
         rows = []
         view = None
@@ -329,20 +304,20 @@ class _Evaluator:
                 us = [u.numerator * (d // u.denominator) for u in utils]
             elif subset and nums:
                 if view is None:
-                    view = self._at_cap(g, others, cap)
-                us, _paid, d = self._sweep(view, adv_id, subset, nums, den)
+                    view = self._at_cap(g, others)
+                us, d = self._sweep(view, adv_id, subset, nums, den)
             rows.append(([0] * (len(space.nums) - len(us)) + us, d))
         self._rows[(g, others)] = rows, self.curves_built + self.curves_cached - lookups
         return rows
 
     def _sweep(
         self, view: kernels.ScaledView, adv_id: str, subset: frozenset, nums: Sequence[int], bid_den: int
-    ) -> tuple[list[int], list[int], int]:
-        """`adv_id`'s utilities and payments at the ascending positive bids
-        `nums[k] / bid_den` on `subset`, `view` being the view of a report
-        with `adv_id` bidding the cap, at or above each bid, on a superset
-        of `subset` (`_at_cap`: their whole catalog), as (utility
-        numerators, payment numerators, their one denominator).
+    ) -> tuple[list[int], int]:
+        """`adv_id`'s utilities at the ascending positive bids `nums[k] /
+        bid_den` on `subset`, `view` being the view of a report with
+        `adv_id` bidding the cap, at or above each bid, on a superset of
+        `subset` (`_at_cap`: their whole catalog), as (numerators, their one
+        denominator).
 
         The view's bidder probe for `subset` (`kernels.BidderProbe`) counts
         only that subset's rows as the bidder's, so it, and each branch's
@@ -370,7 +345,7 @@ class _Evaluator:
         clicks_den = value.denominator * probe.click_den * probs
         total = lcm(den, clicks_den)
         c, d = value.numerator * (total // clicks_den), total // den
-        return [c * got - d * price for got, price in zip(x, paid)], [d * price for price in paid], total
+        return [c * got - d * price for got, price in zip(x, paid)], total
 
 
 def utility(inst: Instance, truth: ReportProfile, rep: ReportProfile, mechanism: Mechanism) -> dict[str, Fraction]:
@@ -397,12 +372,14 @@ def best_response(
 ) -> tuple[Fraction, frozenset[str], Fraction]:
     """Utility-maximal (bid, subset) for one advertiser, holding others fixed.
 
-    Ties prefer the lowest bid index, then the lowest subset index (the
-    grid's subsets run from the largest down).
+    The others are held at their reports in `rep`, each on the one-point
+    grid of their report (`_Evaluator._table`). Ties prefer the lowest bid
+    index, then the lowest subset index (the grid's subsets run from the
+    largest down).
     """
     ev = _evaluator if _evaluator is not None else _Evaluator(inst, truth, mechanism)
     bi, si, n, d = _best_of(ev._table(rep, adv_id, space), space)
-    return Fraction(space.nums[bi], space.den), space.subsets[si], Fraction(n, d)
+    return ev._bid(adv_id, bi), space.subsets[si], Fraction(n, d)
 
 
 def _best_of(rows: list[tuple[list[int], int]], space: StrategySpace) -> tuple[int, int, int, int]:
@@ -484,6 +461,8 @@ def find_pure_nash(
     search runs on strategy indices (`_Evaluator`): each bidder's best
     response and current utility are read off their integer `row` against
     the others' indices, and `ReportProfile`s are built only for the result.
+    A truthful report off its bidder's grid raises `ValueError` naming the
+    bidder, before any view is built.
 
     With `explain`, one JSON-ready dict per round and bidder is appended
     to it: the deviations checked, the best response, its utility gain
@@ -523,13 +502,8 @@ def find_pure_nash(
             rows = ev.row(g, others)
             bi, si, n, d = _best_of(rows, space)
             built, cached = ev.curves_built - built0, ev.curves_cached - cached0
-            # a report on the grid (from `strategy_spaces`, always) is read off its row
             bi_now, si_now = current[g]
-            if bi_now >= 0 and si_now >= 0:
-                now_n, now_d = rows[si_now][0][bi_now], rows[si_now][1]
-            else:
-                now = ev.utility(ev._report(current), adv_id)
-                now_n, now_d = now.numerator, now.denominator
+            now_n, now_d = rows[si_now][0][bi_now], rows[si_now][1]
             if explain is not None:
                 best_u, now_u = Fraction(n, d), Fraction(now_n, now_d)
                 explain.append(
@@ -537,7 +511,7 @@ def find_pure_nash(
                         "round": round_no,
                         "bidder": adv_id,
                         "deviations": len(space.nums) * len(space.subsets),
-                        "best_response": {"bid": str(Fraction(space.nums[bi], space.den)), "subset": sorted(space.subsets[si])},
+                        "best_response": {"bid": str(ev._bid(adv_id, bi)), "subset": sorted(space.subsets[si])},
                         "utility": str(now_u),
                         "gain": str(best_u - now_u),
                         "curves_built": built,

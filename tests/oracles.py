@@ -799,18 +799,21 @@ class BpbKey:
         return self.v * other.w > other.v * self.w
 
 
-def profile_utility(ev, rep: ReportProfile, adv_id):
-    """`equilibrium._Evaluator.utility` profile by profile, as it ran before
-    every threshold-priced utility was read off a sweep: the clicks off the
-    branch allocations at `rep`'s own view, the payment by
+def profile_utility(ev, rep: ReportProfile, adv_id, views=None):
+    """`adv_id`'s utility at `rep` under the mechanism of `ev` (an
+    `equilibrium._Evaluator`), profile by profile, as the evaluator ran
+    before every threshold-priced utility was read off a sweep: the clicks
+    off the branch allocations at `rep`'s own view, the payment by
     `pricing.threshold_payments` at the one bid, against curves kept in the
     view of `rep` with `adv_id` at the cap (their true value, or the bid
-    when it is higher). VCG is `ev.utility`."""
-    from richads import pricing
+    when it is higher). Views are built by `kernels.ScaledView`, not
+    through the evaluator's strategy indices; `views` keeps the at-cap ones
+    by report key across calls. VCG is `equilibrium.utility`."""
+    from richads import equilibrium, kernels, pricing
 
     if ev.mech.pricing == "vcg":
-        return ev.utility(rep, adv_id)
-    view = ev._view(ev._index(rep))
+        return equilibrium.utility(ev.inst, ev.truth, rep, ev.mech)[adv_id]
+    view = kernels.ScaledView(ev.inst, rep)
     allocs = [pricing.branch_allocate(ev.inst, rep, branch, view) for _prob, branch in ev.branches]
     clicks = sum(prob * alloc.clicks(ev.inst, adv_id) for (prob, _b), alloc in zip(ev.branches, allocs))
     value = ev.truth.bids.get(adv_id, Fraction(0))
@@ -820,6 +823,9 @@ def profile_utility(ev, rep: ReportProfile, adv_id):
         return value * clicks
     cap = ev.truth.bids.get(adv_id, bid)
     at_cap = rep if bid >= cap else rep.replace(adv_id, cap, subset)
+    views, key = {} if views is None else views, at_cap.key()
+    if key not in views:
+        views[key] = kernels.ScaledView(ev.inst, at_cap)
     bidder = view.probe(adv_id)
     (paid,), den, *_ = pricing.threshold_payments(
         ev.mech.pricing,
@@ -827,7 +833,7 @@ def profile_utility(ev, rep: ReportProfile, adv_id):
         bid.denominator,
         ev.branches,
         bidder,
-        lambda branch: ev._curve(ev._view(ev._index(at_cap)), adv_id, branch),
+        lambda branch: ev._curve(views[key], adv_id, branch),
         [(pricing.clicks_over(alloc.clicks(ev.inst, adv_id), bidder.click_den),) for alloc in allocs],
     )
     return value * clicks - Fraction(paid, den)
@@ -836,8 +842,9 @@ def profile_utility(ev, rep: ReportProfile, adv_id):
 def utility_table(ev, rep: ReportProfile, adv_id, space):
     """`adv_id`'s utility at every strategy of `space`, their grid, the
     others as in `rep`, read off `ev` (an `equilibrium._Evaluator`): row si,
-    column bi is `ev.utility` at `rep.replace(adv_id, space.bids[bi],
-    space.subsets[si])`; the evaluator's integer `row` as Fractions."""
+    column bi is `equilibrium.utility` at `rep.replace(adv_id,
+    space.bids[bi], space.subsets[si])`; the evaluator's integer `row` as
+    Fractions."""
     return [[Fraction(u, den) for u in us] for us, den in ev._table(rep, adv_id, space)]
 
 
@@ -845,8 +852,9 @@ def profile_table(ev, rep: ReportProfile, adv_id, space):
     """`utility_table` by one full-profile utility
     evaluation per grid point (`profile_utility`): row si, column bi is the
     utility at `rep.replace(adv_id, space.bids[bi], space.subsets[si])`."""
+    views = {}
     return [
-        [profile_utility(ev, rep.replace(adv_id, bid, subset), adv_id) for bid in space.bids]
+        [profile_utility(ev, rep.replace(adv_id, bid, subset), adv_id, views) for bid in space.bids]
         for subset in space.subsets
     ]
 
@@ -1030,13 +1038,14 @@ def sweep_by_fractions(ev, at_cap: ReportProfile, adv_id, bids):
     integer pass: {bid: utility} at the `bids` in (0, cap], the clicks read
     off the probe, the payments summed over the branches by the Fraction
     `threshold_prices_along`, the curves those the sweep reads: kept under
-    `at_cap`'s subset in the memo of `ev`'s one view of the row, `at_cap`
-    with `adv_id` on their whole catalog (`_Evaluator._at_cap`)."""
+    `at_cap`'s subset in the memo of `ev`'s one view of the row, the others
+    as in `at_cap` and `adv_id` at their top grid bid on their whole
+    catalog (`_Evaluator._at_cap`)."""
     from richads import kernels, pricing
 
     cap = at_cap.bids[adv_id]
-    profile, g = ev._index(at_cap), ev.ids.index(adv_id)
-    row_view = ev._at_cap(g, profile[:g] + profile[g + 1 :], profile[g][0])
+    g = ev.ids.index(adv_id)
+    row_view = ev._at_cap(g, ev._index(at_cap, adv_id))
     subset = at_cap.subsets[adv_id]
     grid = [bid for bid in bids if 0 < bid <= cap]
     probe = kernels.ScaledView(ev.inst, at_cap).probe(adv_id)

@@ -345,11 +345,12 @@ def dynamics_pool(seed=11):
 
 def assert_sweep_matches(inst, rep, mech, spaces):
     """The sweep's table and best response equal the oracle's, which runs
-    on an evaluator of its own."""
+    on an evaluator of its own. Each bidder's sweep has its own evaluator,
+    where the others hold the one-point grids of their reports."""
     truth = truthful_profile(inst)
-    ev = equilibrium._Evaluator(inst, truth, mech)
     oracle = equilibrium._Evaluator(inst, truth, mech)
     for adv_id, space in spaces.items():
+        ev = equilibrium._Evaluator(inst, truth, mech)
         assert utility_table(ev, rep, adv_id, space) == profile_table(oracle, rep, adv_id, space), (
             adv_id,
             mech.describe(),
@@ -357,13 +358,6 @@ def assert_sweep_matches(inst, rep, mech, spaces):
         assert best_response(inst, truth, rep, adv_id, mech, space, _evaluator=ev) == best_response_by_profiles(
             inst, truth, rep, adv_id, mech, space, _evaluator=oracle
         )
-
-
-def profile_text(rep):
-    """`rep`'s bids and subsets, sorted."""
-    bids = ",".join(f"{a}={b}" for a, b in sorted(rep.bids.items()))
-    subsets = ",".join(f"{a}={'+'.join(sorted(s))}" for a, s in sorted(rep.subsets.items()))
-    return f"bids[{bids}] subsets[{subsets}]"
 
 
 def shaded(inst, rep, k=2):
@@ -461,10 +455,10 @@ def wrap_probes(monkeypatch, wrapper):
 def at_cap_views(ev, profile):
     """(g, others, subset, the view of g's row) for every bidder g of
     `profile` and every nonempty subset of their grid: the one view of the
-    row, with g at the cap on their whole catalog."""
+    row, with g at their top grid bid on their whole catalog."""
     for g, adv_id in enumerate(ev.ids):
         others = profile[:g] + profile[g + 1 :]
-        view = ev._at_cap(g, others, ev._grids[adv_id][3])
+        view = ev._at_cap(g, others)
         for subset in ev.spaces[adv_id].subsets:
             if subset:
                 yield g, others, subset, view
@@ -678,8 +672,8 @@ def test_sweep_is_exact_when_no_two_denominators_share_a_factor(mech):
     dens = 1  # the swept utilities' denominators: the values' and rates' factors reach them
     for rep in (truth, shaded(COPRIME, truth)):
         assert_sweep_matches(COPRIME, rep, mech, spaces)
-        ev = equilibrium._Evaluator(COPRIME, truth, mech)
         for adv_id, space in spaces.items():
+            ev = equilibrium._Evaluator(COPRIME, truth, mech)
             cap = truth.bids[adv_id]
             for subset, row in zip(space.subsets, utility_table(ev, rep, adv_id, space)):
                 assert all(type(u) is Fraction and gcd(u.numerator, u.denominator) == 1 for u in row)
@@ -775,33 +769,18 @@ def test_integer_argmax_equals_the_fraction_argmax_on_the_dynamics_pool(mech, mo
     assert len(tables) > 100 and any(tables)
 
 
-def test_a_utility_builds_one_view_per_report(monkeypatch):
-    # fx4's b bidding 1/2, below their value, under the GSP mixture: the
-    # utility is a one-bid sweep, so the one view of the report at the cap
-    # serves the probe's clicks and both curves the payment reads, and the
-    # report's own view is not built
+def test_a_utility_builds_one_view_per_report():
+    # fx4's b bidding 1/2, below their value, and their value, under the GSP
+    # mixture: the evaluator's utility, kept for the benchmark's tracer, is
+    # the mechanism's
     inst = fixtures.fx4()
     truth = truthful_profile(inst)
     mech = gsp_mixture_mechanism()
-    built = []
-    init = kernels.ScaledView.__init__
-
-    def counting(self, inst, rep):
-        built.append(rep.bids["b"])
-        init(self, inst, rep)
-
-    value = truth.bids["b"]
-    for bid, views in ((Fraction(1, 2), [value]), (value, [value])):
+    for bid in (Fraction(1, 2), truth.bids["b"]):
         rep = truth.replace("b", bid, FULL_B)
         ev = equilibrium._Evaluator(inst, truth, mech)
-        with monkeypatch.context() as m:
-            m.setattr(kernels.ScaledView, "__init__", counting)
-            built.clear()
-            got = ev.utility(rep, "b")
-            assert built == views and ev.curves_built == 2
-            # the same utility again reads the kept views' memos: it builds nothing
-            assert ev.utility(rep, "b") == got
-            assert built == views and (ev.curves_built, ev.curves_cached) == (2, 2)
+        got = ev.utility(rep, "b")
+        assert ev.utility(rep, "b") == got
         assert got == utility(inst, truth, rep, mech)["b"]
 
 
@@ -820,7 +799,7 @@ def test_a_nash_search_builds_one_view_per_report(mech, monkeypatch):
 
     def asked(ev, g, others):
         adv = ev.inst.advertisers[g]
-        at_cap = ev._report(others[:g] + ((ev._grids[adv.adv_id][3], 0),) + others[g:])
+        at_cap = ev._report(others[:g] + ((len(ev.spaces[adv.adv_id].nums) - 1, 0),) + others[g:])
         rows.append(at_cap.replace(adv.adv_id, at_cap.bids[adv.adv_id], frozenset(adv.ad_ids())).key())
         return row(ev, g, others)
 
@@ -869,24 +848,10 @@ def test_a_vcg_evaluator_holds_no_view():
     # a kept VCG view would hold its capacity DP for the whole search
     inst = fixtures.fx4()
     truth = truthful_profile(inst)
-    ev = equilibrium._Evaluator(inst, truth, pricing.Mechanism("vcg"))
     for adv_id, space in strategy_spaces(inst, Fraction(1, 20)).items():
+        ev = equilibrium._Evaluator(inst, truth, pricing.Mechanism("vcg"))
         utility_table(ev, truth, adv_id, space)
-    assert ev._views == {} and ev._vcg
-
-
-def test_current_utility_off_the_grid_is_evaluated_by_profile():
-    # grids without the true values: the truthful start is on none of them,
-    # so its utility cannot be read off the best-response table
-    inst = fixtures.fx4()
-    truth = truthful_profile(inst)
-    mech = gsp_mixture_mechanism()
-    off = {a: replace(s, nums=s.nums[:-1]) for a, s in strategy_spaces(inst, Fraction(1, 4)).items()}
-    assert all(truth.bids[a] not in s.bids for a, s in off.items())
-    steps = []
-    find_pure_nash(inst, truth, mech, off, explain=steps)
-    ev = equilibrium._Evaluator(inst, truth, mech)
-    assert steps[0]["utility"] == str(ev.utility(truth, steps[0]["bidder"]))
+        assert ev._views == {} and ev._vcg
 
 
 def test_explain_lists_each_rounds_best_responses():
@@ -922,24 +887,18 @@ def test_explain_lists_each_rounds_best_responses():
 
 @pytest.mark.parametrize("mech", SWEEP_MECHANISMS[:2], ids=lambda m: m.describe())
 def test_a_payment_up_to_the_truth_reads_the_sweeps_curves(mech):
-    # the sweep and a single payment price on one path and share the curve
-    # cache: every grid bid up to the truth is priced without a new curve
+    # every grid bid up to the truth: the swept table equals the
+    # evaluator's utility, kept for the benchmark's tracer
     inst = fixtures.fx4()
     truth = truthful_profile(inst)
-    served = 0
     for adv_id, space in strategy_spaces(inst, Fraction(1, 20)).items():
         ev = equilibrium._Evaluator(inst, truth, mech)
         table = utility_table(ev, truth, adv_id, space)
-        built, cached = ev.curves_built, ev.curves_cached
         for si, subset in enumerate(space.subsets):
             for bi, bid in enumerate(space.bids):
                 if 0 < bid <= truth.bids[adv_id]:
                     rep = truth.replace(adv_id, bid, subset)
                     assert ev.utility(rep, adv_id) == table[si][bi]
-        assert ev.curves_built == built
-        served += ev.curves_cached - cached
-    # GSP reads no curve for a bidder who gets no clicks at any grid bid
-    assert served > 0
 
 
 OFF_GRID_MECHANISMS = SWEEP_MECHANISMS[:2] + tuple(
@@ -949,20 +908,45 @@ OFF_GRID_MECHANISMS = SWEEP_MECHANISMS[:2] + tuple(
 
 @pytest.mark.parametrize("mech", OFF_GRID_MECHANISMS, ids=lambda m: m.describe())
 def test_an_off_grid_payment_and_utility_equal_the_mechanisms(mech):
-    # one-bid sweeps at reports no grid holds: bids between grid points and
-    # above the truth, on every subset, the others truthful, on a slice of
-    # the seed-0 dynamics pool; one evaluator per game keeps its views
+    # bids no `strategy_spaces` grid holds, between its points and above the
+    # truth, on a grid of their own, on every subset, the others truthful, on
+    # a slice of the seed-0 dynamics pool: each swept utility of the row, its
+    # payment read off the curves capped at the top bid, equals the
+    # mechanism's (`equilibrium.utility`, priced by `Mechanism.price`)
     pool = dynamics_pool(seed=0)
     for inst, grid in pool[:4] + pool[4::4]:
         truth = truthful_profile(inst)
-        ev = equilibrium._Evaluator(inst, truth, mech)
         for adv_id, space in strategy_spaces(inst, grid).items():
             value = truth.bids[adv_id]
-            for subset in space.subsets:
-                for bid in (grid / 3, value * Fraction(5, 7), value + grid / 2, 2 * value + 1):
+            bids = sorted({grid / 3, value * Fraction(5, 7), value + grid / 2, 2 * value + 1})
+            held = grid_space(adv_id, bids, space.subsets)
+            table = utility_table(equilibrium._Evaluator(inst, truth, mech), truth, adv_id, held)
+            for subset, row in zip(held.subsets, table):
+                for bid, got in zip(held.bids, row):
                     rep = truth.replace(adv_id, bid, subset)
-                    assert ev.payment(rep, adv_id) == mech.price(inst, rep).payments[adv_id], (adv_id, bid, subset)
-                    assert ev.utility(rep, adv_id) == utility(inst, truth, rep, mech)[adv_id], (adv_id, bid, subset)
+                    assert got == utility(inst, truth, rep, mech)[adv_id], (adv_id, bid, subset)
+
+
+@pytest.mark.parametrize("mech", (*SWEEP_MECHANISMS[:2], pricing.Mechanism("vcg")), ids=lambda m: m.describe())
+def test_a_best_response_against_others_off_every_grid_equals_the_profile_oracle(mech):
+    # the others report a shaded bid and, holding two ads, one of them: no
+    # grid of theirs holds that report, so `best_response` holds each on the
+    # one-point grid of their report; on a slice of the seed-0 dynamics pool
+    # (VCG's on its first 12 games)
+    pool = dynamics_pool(seed=0)
+    strict = 0
+    for inst, grid in pool[: 12 if mech.pricing == "vcg" else 40]:
+        truth = truthful_profile(inst)
+        rep = ReportProfile(
+            bids={a: b * Fraction(3, 7) for a, b in truth.bids.items()},
+            subsets={a: frozenset(sorted(s)[1:]) if len(s) > 1 else s for a, s in truth.subsets.items()},
+        )
+        strict += sum(rep.subsets[a] != s for a, s in truth.subsets.items())
+        for adv_id, space in strategy_spaces(inst, grid).items():
+            assert best_response(inst, truth, rep, adv_id, mech, space) == best_response_by_profiles(
+                inst, truth, rep, adv_id, mech, space
+            ), adv_id
+    assert strict > 0
 
 
 @pytest.mark.parametrize("mech", (*SWEEP_MECHANISMS[:2], pricing.Mechanism("vcg")), ids=lambda m: m.describe())
@@ -1013,32 +997,23 @@ def test_a_repeated_row_builds_no_view_curve_or_sweep(mech, monkeypatch):
     assert work == [] and served > 0
 
 
-@pytest.mark.parametrize("name, mech, status, rounds, end", [
-    ("fx4", gsp_mixture_mechanism(), "converged", 2, "bids[a=1/100,b=1/4] subsets[a=ax1,b=bx1+bx2]"),
-    ("fx4", myerson_mixture_mechanism(), "converged", 1, "bids[a=1/100,b=40001/40000] subsets[a=ax1,b=bx1+bx2]"),
-    ("fx1", gsp_mixture_mechanism(), "converged", 5, "bids[a=1,b=1] subsets[a=ax1+ax2,b=bx1]"),
-    ("fx1", myerson_mixture_mechanism(), "converged", 1, "bids[a=11/10,b=11/10] subsets[a=ax1+ax2,b=bx1+bx2]"),
-])
-def test_a_search_on_grids_without_the_true_values_takes_the_off_grid_path(
-    name, mech, status, rounds, end, monkeypatch
-):
-    # the truthful start is on no grid, so each bidder's first current
-    # utility is priced on its own (`_Evaluator.utility`); the pinned ends
-    # are those of the search that read `ReportProfile`s, not indices, and a
-    # bidder who never moves ends at their off-grid true value
+@pytest.mark.parametrize("name", ("fx4", "fx1"))
+@pytest.mark.parametrize("mech", SWEEP_MECHANISMS[:2], ids=lambda m: m.describe())
+def test_a_truthful_start_off_the_grids_is_refused(name, mech, monkeypatch):
+    # grids without the true values: the truthful start is on none of them,
+    # so the search raises, naming the first advertiser, before it builds a
+    # view, the beta check's at the start included
     inst = fixtures.fixture(name)
     truth = truthful_profile(inst)
     off = {a: replace(s, nums=s.nums[:-1]) for a, s in strategy_spaces(inst, Fraction(1, 4)).items()}
     assert all(truth.bids[a] not in s.bids for a, s in off.items())
-    priced = []
-    by_profile = equilibrium._Evaluator.utility
-    monkeypatch.setattr(
-        equilibrium._Evaluator, "utility", lambda ev, rep, a: priced.append(a) or by_profile(ev, rep, a)
-    )
-    got = find_pure_nash(inst, truth, mech, off)
-    assert (got.status, got.rounds, profile_text(got.equilibrium)) == (status, rounds, end)
-    # every bidder is still at their true value when their first turn comes
-    assert priced[: len(inst.adv_ids())] == list(inst.adv_ids())
+    built = []
+    init = kernels.ScaledView.__init__
+    monkeypatch.setattr(kernels.ScaledView, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    first = inst.adv_ids()[0]
+    with pytest.raises(ValueError, match=f"the bid {truth.bids[first]} of advertiser '{first}' is not on their grid"):
+        find_pure_nash(inst, truth, mech, off, beta_check=True, explain=[])
+    assert built == []
 
 
 def test_empty_strategy_space_is_a_value_error_under_python_O():
